@@ -1,0 +1,188 @@
+"""Engine invariants as properties over random runs.
+
+Each example is a registered algorithm (plain or ``+blocking``) on n <= 6
+processes, a random mix of waiter scripts with or without a signaler, a
+seeded random schedule cut at a random step budget, and sometimes an extra
+Poll forced on a waiter.  The properties pin what replay, forking, erasure
+and the ledger promise, independently of how the engine implements them.
+"""
+
+from dataclasses import dataclass
+
+from hypothesis import given, strategies as st
+
+from rmrsim.algorithms import make_algorithm
+from rmrsim.costs import CacheState, MessageMode, RMR, classify_cc, classify_dsm, count_messages
+from rmrsim.harness import erase, validate_erasure
+from rmrsim.runner import (
+    POLL,
+    Runner,
+    SeededRandom,
+    poll_at_most,
+    poll_until_true,
+    signal_once,
+    wait_once,
+)
+
+ALGORITHMS = (
+    "cc_flag",
+    "dsm_single_waiter",
+    "dsm_fixed_waiters",
+    "dsm_fixed_waiters_term",
+    "dsm_registration",
+    "dsm_queue",
+    "mutant_single_waiter",
+)
+SINGLE_WAITER = ("dsm_single_waiter", "mutant_single_waiter")
+TRIVIAL = ("read", "ll")
+
+
+@dataclass(frozen=True)
+class Config:
+    name: str
+    n: int
+    roles: dict
+    seed: int
+    budget: int
+    forced: int | None  # waiter that gets one extra Poll after the budget
+
+
+@st.composite
+def configs(draw) -> Config:
+    base = draw(st.sampled_from(ALGORITHMS))
+    blocking = draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    scripts = st.one_of(
+        st.just(poll_until_true()),
+        st.integers(1, 3).map(poll_at_most),
+        *([st.just(wait_once())] if blocking else []),
+    )
+    waiters = draw(st.lists(
+        st.integers(2, n), min_size=1, unique=True,
+        max_size=1 if base in SINGLE_WAITER else n - 1,
+    ))
+    roles = {w: draw(scripts) for w in sorted(waiters)}
+    if draw(st.booleans()):
+        roles[1] = signal_once()
+    forced = draw(st.none() | st.sampled_from(sorted(waiters)))
+    return Config(
+        name=base + ("+blocking" if blocking else ""),
+        n=n,
+        roles=roles,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        budget=draw(st.integers(1, 250)),
+        forced=forced,
+    )
+
+
+def execute(cfg: Config) -> Runner:
+    runner = Runner(make_algorithm(cfg.name, cfg.n), cfg.roles)
+    runner.drive(SeededRandom(cfg.seed), cfg.budget)
+    if cfg.forced is not None and cfg.forced not in runner.terminated:
+        runner.force_next_call(cfg.forced, POLL)
+        runner.drive(SeededRandom(cfg.seed + 1), len(runner.events) + 40)
+    return runner
+
+
+def signatures(runner: Runner, skip=()) -> list:
+    return [e.signature() for e in runner.events if e.proc not in skip]
+
+
+def calls(runner: Runner) -> list:
+    return [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
+            for c in runner.calls]
+
+
+def started_calls(runner: Runner, skip=()) -> list:
+    return [(c.proc, c.kind, c.response) for c in runner.calls
+            if c.proc not in skip and c.start_seq is not None]
+
+
+def ledger_state(runner: Runner) -> tuple:
+    ledger = runner.ledger
+    rows = tuple(tuple(ledger.per_process(p).items()) for p in range(1, runner.n + 1))
+    return rows, ledger.cache.pairs()
+
+
+def recount(events, n: int) -> dict[int, dict[str, int]]:
+    """Per-process metrics folded from raw events through the charging rules."""
+    rows = {p: dict.fromkeys(("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps"), 0)
+            for p in range(1, n + 1)}
+    cache = CacheState()
+    for e in events:
+        row = rows[e.proc]
+        row["steps"] += 1
+        row["rmr_dsm"] += classify_dsm(e) is RMR
+        row["msg_bus"] += count_messages(e, cache, MessageMode.BUS)
+        row["msg_dir"] += count_messages(e, cache, MessageMode.IDEAL_DIRECTORY)
+        row["rmr_cc"] += classify_cc(e, cache) is RMR
+    return rows
+
+
+@given(configs())
+def test_replay_reproduces_the_run(cfg):
+    runner = execute(cfg)
+    twin = Runner.replay(runner.algorithm, runner.roles, list(runner.trace))
+    assert signatures(twin) == signatures(runner)
+    assert calls(twin) == calls(runner)
+    assert ledger_state(twin) == ledger_state(runner)
+    fork = runner.fork()
+    assert signatures(fork) == signatures(runner)
+    assert ledger_state(fork) == ledger_state(runner)
+
+
+@given(configs())
+def test_ledger_equals_recount_from_events(cfg):
+    runner = execute(cfg)
+    expected = recount(runner.events, runner.n)
+    for p in range(1, runner.n + 1):
+        assert runner.ledger.per_process(p) == expected[p]
+    totals = {k: sum(row[k] for row in expected.values()) for k in expected[1]}
+    assert runner.ledger.totals() == totals
+
+
+@given(configs())
+def test_bus_messages_equal_nontrivial_attempts(cfg):
+    runner = execute(cfg)
+    for p in range(1, runner.n + 1):
+        attempts = sum(1 for e in runner.events
+                       if e.proc == p and e.op.kind.value not in TRIVIAL)
+        assert runner.ledger.per_process(p)["msg_bus"] == attempts
+
+
+@given(configs())
+def test_directory_messages_bounded_by_cc_read_rmrs(cfg):
+    # A copy an invalidation destroys was made by a read RMR, or belongs to
+    # a process whose running call still has a read RMR to come; the bound
+    # holds once every participant's first call has returned.
+    runner = execute(cfg)
+    first_calls = {}
+    for c in runner.calls:
+        if c.start_seq is not None:
+            first_calls.setdefault(c.proc, c)
+    if any(c.end_seq is None for c in first_calls.values()):
+        return
+    cache = CacheState()
+    cc_reads = 0
+    for e in runner.events:
+        if classify_cc(e, cache) is RMR and e.op.kind.value in TRIVIAL:
+            cc_reads += 1
+    assert runner.ledger.totals()["msg_dir"] <= cc_reads
+
+
+@given(configs())
+def test_validated_erasure_keeps_survivors_and_commutes(cfg):
+    runner = execute(cfg)
+    history = runner.history()
+    erasable = [p for p in sorted(runner.active()) if validate_erasure(history, p)]
+    for p in erasable:
+        erased = erase(runner, p)
+        assert signatures(erased) == signatures(runner, skip=(p,))
+        assert started_calls(erased) == started_calls(runner, skip=(p,))
+    if len(erasable) >= 2:
+        p, q = erasable[:2]
+        pq = erase(erase(runner, p), q)
+        qp = erase(erase(runner, q), p)
+        assert signatures(pq) == signatures(qp) == signatures(runner, skip=(p, q))
+        assert calls(pq) == calls(qp)
+        assert ledger_state(pq) == ledger_state(qp)
