@@ -151,6 +151,8 @@ def _merge_config(args) -> dict:
     if cfg["budget"] is None:
         env = os.environ.get("RMRSIM_BUDGET")
         cfg["budget"] = int(env) if env else DEFAULT_BUDGET
+    if cfg["budget"] < 1:
+        raise ConfigError(f"step budget must be at least 1, got {cfg['budget']}")
     return cfg
 
 
@@ -195,9 +197,10 @@ def _emit(cfg: dict, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_run_record(cfg: dict) -> dict:
-    """One simulation, checked; the record the run command emits."""
-    n = cfg["n"] or 4
+def _build_roles(cfg: dict, n: int, poller):
+    """The algorithm and its roles: each waiter runs Wait under
+    ``+blocking`` and the ``poller`` script otherwise; the designated
+    signaler, or else the lowest non-waiter, signals once."""
     algorithm = make_algorithm(cfg["algo"], n)
     waiters = _parse_waiters(cfg["waiters"], n, cfg["algo"])
     signaler = algorithm.designated_signaler
@@ -206,17 +209,26 @@ def build_run_record(cfg: dict) -> dict:
         if not candidates:
             raise ConfigError("no process left to signal; lower the waiter count")
         signaler = candidates[0]
-    blocking = cfg["algo"].endswith("+blocking")
-    waiter_script = wait_once() if blocking else poll_until_true()
+    waiter_script = wait_once() if cfg["algo"].endswith("+blocking") else poller
     roles = {w: waiter_script for w in waiters}
     roles[signaler] = signal_once()
+    return algorithm, roles
+
+
+def build_run_record(cfg: dict) -> dict:
+    """One simulation, checked; the record the run command emits."""
+    return _checked_run(cfg)[0]
+
+
+def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
+    algorithm, roles = _build_roles(cfg, cfg["n"] or 4, poll_until_true())
     runner = Runner(algorithm, roles)
     runner.drive(_parse_policy(cfg["schedule"], cfg["seed"]), cfg["budget"])
     history = runner.history()
     violations = checker.check_polling(history) + checker.check_blocking(history)
     ledger = runner.ledger
     participants = sorted(history.participants)
-    return {
+    record = {
         "algorithm": algorithm.name,
         "model": cfg["model"],
         "k": len(participants),
@@ -225,17 +237,14 @@ def build_run_record(cfg: dict) -> dict:
         "violations": [v.to_dict() for v in violations],
         "incomplete": history.incomplete,
     }
+    return record, violations
 
 
 def _cmd_run(cfg: dict) -> int:
-    record = build_run_record(cfg)
+    record, violations = _checked_run(cfg)
     _emit(cfg, json.dumps(record, sort_keys=True, indent=2))
     _print_violation_lines(record["violations"])
-    if checker.real_violations(
-        checker.Violation(kind=v["kind"]) for v in record["violations"]
-    ):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_VIOLATION if checker.real_violations(violations) else EXIT_OK
 
 
 def _print_violation_lines(violations) -> None:
@@ -259,18 +268,9 @@ def _cmd_check(cfg: dict) -> int:
             raise ConfigError("check requires an exhaustive:DEPTH schedule")
         _, _, d = cfg["schedule"].partition(":")
         depth = int(d) if d else depth
-    algorithm = make_algorithm(cfg["algo"], n)
-    waiters = _parse_waiters(cfg["waiters"], n, cfg["algo"])
-    signaler = algorithm.designated_signaler
-    if signaler is None:
-        candidates = sorted(set(range(1, n + 1)) - set(waiters))
-        if not candidates:
-            raise ConfigError("no process left to signal; lower the waiter count")
-        signaler = candidates[0]
-    blocking = cfg["algo"].endswith("+blocking")
-    waiter_script = wait_once() if blocking else poll_at_most(cfg["polls"])
-    roles = {w: waiter_script for w in waiters}
-    roles[signaler] = signal_once()
+        if depth < 1:
+            raise ConfigError(f"exhaustive depth must be at least 1, got {depth}")
+    algorithm, roles = _build_roles(cfg, n, poll_at_most(cfg["polls"]))
 
     histories = 0
     violations: list[checker.Violation] = []
@@ -320,9 +320,11 @@ def _drill(cfg: dict, w_count: int, default_signaler):
 
 def _w_list(cfg: dict) -> list[int]:
     raw = cfg["W"]
-    if isinstance(raw, (list, tuple)):
-        return [int(x) for x in raw]
-    return [int(x) for x in str(raw).split(",")]
+    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+    counts = [int(x) for x in items]
+    if min(counts) < 1:
+        raise ConfigError(f"waiter counts must be at least 1, got {min(counts)}")
+    return counts
 
 
 def _cmd_adversary(cfg: dict) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .memory import Event, TRIVIAL_KINDS
+from .memory import Event
 
 LOCAL = "local"
 RMR = "rmr"
@@ -36,10 +36,6 @@ class MessageMode(Enum):
 
 #: Metric key order used in every serialized record.
 METRIC_NAMES = ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
-
-
-def is_nontrivial_attempt(event: Event) -> bool:
-    return event.op.kind not in TRIVIAL_KINDS
 
 
 def classify_dsm(event: Event) -> str:
@@ -63,9 +59,6 @@ class CacheState:
         h = self._holders.get(loc)
         return h is not None and proc in h
 
-    def holders(self, loc: int) -> frozenset[int]:
-        return frozenset(self._holders.get(loc) or ())
-
     def held_by(self, proc: int) -> tuple[int, ...]:
         """Locations ``proc`` currently holds, in uid order."""
         return tuple(sorted(u for u, h in self._holders.items() if proc in h))
@@ -73,16 +66,11 @@ class CacheState:
     def pairs(self) -> set[tuple[int, int]]:
         return {(p, u) for u, h in self._holders.items() for p in h}
 
-    def copy(self) -> "CacheState":
-        fresh = CacheState()
-        fresh._holders = {u: set(h) for u, h in self._holders.items()}
-        return fresh
-
 
 def count_messages(event: Event, cache: CacheState, mode: MessageMode) -> int:
     """Invalidation messages the event triggers, given the cache state
     *before* the event is applied to it.  Trivial operations send none."""
-    if event.op.kind in TRIVIAL_KINDS:
+    if event.op.trivial:
         return 0
     if mode is MessageMode.BUS:
         return 1
@@ -96,7 +84,7 @@ def classify_cc(event: Event, cache: CacheState) -> str:
     """CC rule.  Mutates ``cache`` to reflect the event; when message counts
     are wanted, call :func:`count_messages` on the pre-state first."""
     holders = cache._holders.get(event.loc)
-    if event.op.kind in TRIVIAL_KINDS:
+    if event.op.trivial:
         if holders is not None and event.proc in holders:
             return LOCAL
         if holders is None:
@@ -117,126 +105,60 @@ def classify_cc(event: Event, cache: CacheState) -> str:
 class RmrLedger:
     """Per-process cost accounting folded over an event sequence.
 
-    Counts DSM RMRs, CC RMRs, bus and ideal-directory invalidation messages,
-    and steps, and tracks the participant and finished process sets.  All
-    counts are nonnegative and only ever grow.
+    One count table: a row per process id, a column per metric in
+    ``METRIC_NAMES`` order (DSM RMRs, CC RMRs, bus and ideal-directory
+    invalidation messages, steps).  Also tracks the participant and
+    finished process sets.  All counts are nonnegative and only ever grow.
     """
 
-    __slots__ = (
-        "n",
-        "cache",
-        "_rmr_dsm",
-        "_rmr_cc",
-        "_msg_bus",
-        "_msg_dir",
-        "_steps",
-        "_cc_read_rmrs",
-        "participants",
-        "finished",
-    )
+    __slots__ = ("n", "cache", "_rows", "participants", "finished")
 
     def __init__(self, n: int):
         self.n = n
         self.cache = CacheState()
-        self._rmr_dsm = [0] * (n + 1)
-        self._rmr_cc = [0] * (n + 1)
-        self._msg_bus = [0] * (n + 1)
-        self._msg_dir = [0] * (n + 1)
-        self._steps = [0] * (n + 1)
-        self._cc_read_rmrs = [0] * (n + 1)
+        self._rows = [[0] * len(METRIC_NAMES) for _ in range(n + 1)]
         self.participants: set[int] = set()
         self.finished: set[int] = set()
 
     def record(self, event: Event) -> None:
         p = event.proc
-        self._steps[p] += 1
+        row = self._rows[p]  # columns: rmr_dsm, rmr_cc, msg_bus, msg_dir, steps
+        row[4] += 1
         self.participants.add(p)
         if event.home != p:
-            self._rmr_dsm[p] += 1
-        trivial = event.op.kind in TRIVIAL_KINDS
-        if not trivial:
-            self._msg_bus[p] += 1
-            self._msg_dir[p] += count_messages(event, self.cache, MessageMode.IDEAL_DIRECTORY)
+            row[0] += 1
+        if not event.op.trivial:
+            row[2] += 1
+            row[3] += count_messages(event, self.cache, MessageMode.IDEAL_DIRECTORY)
         if classify_cc(event, self.cache) is RMR:
-            self._rmr_cc[p] += 1
-            if trivial:
-                self._cc_read_rmrs[p] += 1
+            row[1] += 1
 
     def mark_finished(self, proc: int) -> None:
         if proc in self.participants:
             self.finished.add(proc)
 
-    # -- accessors ------------------------------------------------------
-
     def rmr(self, model: Model, proc: int) -> int:
-        return (self._rmr_dsm if model is Model.DSM else self._rmr_cc)[proc]
-
-    def rmr_dsm(self, proc: int) -> int:
-        return self._rmr_dsm[proc]
-
-    def rmr_cc(self, proc: int) -> int:
-        return self._rmr_cc[proc]
-
-    def msg_bus(self, proc: int) -> int:
-        return self._msg_bus[proc]
-
-    def msg_dir(self, proc: int) -> int:
-        return self._msg_dir[proc]
-
-    def steps(self, proc: int) -> int:
-        return self._steps[proc]
-
-    def cc_read_rmrs(self, proc: int) -> int:
-        return self._cc_read_rmrs[proc]
-
-    @property
-    def total_rmr_dsm(self) -> int:
-        return sum(self._rmr_dsm)
-
-    @property
-    def total_rmr_cc(self) -> int:
-        return sum(self._rmr_cc)
-
-    @property
-    def total_msg_bus(self) -> int:
-        return sum(self._msg_bus)
-
-    @property
-    def total_msg_dir(self) -> int:
-        return sum(self._msg_dir)
-
-    @property
-    def total_steps(self) -> int:
-        return sum(self._steps)
-
-    @property
-    def total_cc_read_rmrs(self) -> int:
-        return sum(self._cc_read_rmrs)
-
-    def total(self, model: Model) -> int:
-        return self.total_rmr_dsm if model is Model.DSM else self.total_rmr_cc
+        return self._rows[proc][0 if model is Model.DSM else 1]
 
     def per_process(self, proc: int) -> dict[str, int]:
         """Metrics for one process under the fixed metric names."""
-        return {
-            "rmr_dsm": self._rmr_dsm[proc],
-            "rmr_cc": self._rmr_cc[proc],
-            "msg_bus": self._msg_bus[proc],
-            "msg_dir": self._msg_dir[proc],
-            "steps": self._steps[proc],
-        }
+        return dict(zip(METRIC_NAMES, self._rows[proc]))
 
     def totals(self) -> dict[str, int]:
-        return {
-            "rmr_dsm": self.total_rmr_dsm,
-            "rmr_cc": self.total_rmr_cc,
-            "msg_bus": self.total_msg_bus,
-            "msg_dir": self.total_msg_dir,
-            "steps": self.total_steps,
-        }
+        return dict(zip(METRIC_NAMES, map(sum, zip(*self._rows))))
 
+    @property
+    def total_rmr_dsm(self) -> int:
+        return sum(row[0] for row in self._rows)
 
-def ledger_update(ledger: RmrLedger, event: Event) -> RmrLedger:
-    """Fold one event into the ledger and return it."""
-    ledger.record(event)
-    return ledger
+    @property
+    def total_rmr_cc(self) -> int:
+        return sum(row[1] for row in self._rows)
+
+    @property
+    def total_msg_bus(self) -> int:
+        return sum(row[2] for row in self._rows)
+
+    @property
+    def total_msg_dir(self) -> int:
+        return sum(row[3] for row in self._rows)

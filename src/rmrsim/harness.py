@@ -27,11 +27,15 @@ from .errors import (
     StabilityUndecided,
     StepBudgetExceeded,
 )
-from .memory import Event, OpKind, TRIVIAL_KINDS, VALUE_READING_KINDS
+from .algorithms import READ_WRITE
+from .memory import Event, OpKind
 from .runner import POLL, SIGNAL, History, Runner, Script, poll_until_true
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_ENUM_BUDGET = 1_000_000
+#: Drill limits: polling rounds to reach stability, and steps for Signal.
+MAX_ROUNDS = 8
+SIGNAL_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +44,13 @@ DEFAULT_ENUM_BUDGET = 1_000_000
 
 
 def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
-                        max_histories: int = DEFAULT_ENUM_BUDGET,
-                        with_ledger: bool = False):
+                        max_histories: int = DEFAULT_ENUM_BUDGET):
     """Yield every schedule interleaving up to ``depth`` steps, once each.
 
-    Depth-first over scheduling choices, rebuilding each branch by replay;
-    a history is maximal when every process terminated or the depth was
-    reached (the latter are yielded with ``incomplete`` set).  Raises
-    :class:`EnumerationOverflow` past ``max_histories``.
+    Depth-first over scheduling choices, rebuilding each branch by replay
+    without a ledger; a history is maximal when every process terminated
+    or the depth was reached (the latter are yielded with ``incomplete``
+    set).  Raises :class:`EnumerationOverflow` past ``max_histories``.
     """
     if algorithm.n > 255:
         raise SimError("enumeration supports at most 255 processes")
@@ -55,7 +58,7 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     pending: list[bytes] = [b""]
     while pending:
         prefix = pending.pop()
-        runner = Runner(algorithm, roles, with_ledger=with_ledger)
+        runner = Runner(algorithm, roles, with_ledger=False)
         for pid in prefix:
             runner.step(pid)
         schedule = bytearray(prefix)
@@ -78,18 +81,16 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
 # ---------------------------------------------------------------------------
 
 
-def solo_extend(base: Runner, pid: int, *, calls: int, kind: str = POLL,
-                max_steps_per_call: int = DEFAULT_HORIZON) -> Runner:
-    """Fork the run and let only ``pid`` execute up to ``calls`` further
-    procedure calls.  Polling stops early once a call returns true (no
-    further polls would be legal)."""
+def solo_extend(base: Runner, pid: int, *, calls: int) -> Runner:
+    """Fork the run and let only ``pid`` make up to ``calls`` further
+    Polls, each within the default horizon.  Polling stops early once a
+    call returns true (no further polls would be legal)."""
     if pid in base.terminated:
         raise SimError(f"process {pid} has terminated")
     fork = base.fork()
     for _ in range(calls):
-        fork.force_next_call(pid, kind)
-        rec = fork.run_call(pid, max_steps=max_steps_per_call)
-        if kind == POLL and rec.response:
+        fork.force_next_call(pid, POLL)
+        if fork.run_call(pid, max_steps=DEFAULT_HORIZON).response:
             break
     return fork
 
@@ -166,7 +167,7 @@ def sees(history: History, p: int, q: int) -> bool:
     """Did ``p`` read a value whose last writer was ``q``?  Covers every
     primitive whose response exposes the location's value."""
     return any(
-        e.proc == p and e.op.kind in VALUE_READING_KINDS and e.writer_before == q
+        e.proc == p and e.op.reads_value and e.writer_before == q
         for e in history.events
     )
 
@@ -186,7 +187,7 @@ def validate_erasure(history: History | list, p: int) -> bool:
 
 def _erasure_safe(events: list[Event], p: int) -> bool:
     for e in events:
-        if e.proc != p and e.op.kind in VALUE_READING_KINDS and e.writer_before == p:
+        if e.proc != p and e.op.reads_value and e.writer_before == p:
             return False
     # An SC outcome also depends on writes landing between the issuer's LL
     # and the SC itself, which no read response exposes.
@@ -294,10 +295,8 @@ class SeparationReport:
 
 
 def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
-                         signaler: int | str = "auto", max_rounds: int = 8,
-                         horizon: int = DEFAULT_HORIZON,
-                         erase_on_discovery: bool = False,
-                         signal_budget: int = 1_000_000) -> SeparationReport:
+                         signaler: int | str = "auto",
+                         erase_on_discovery: bool = False) -> SeparationReport:
     """Run the two-phase separation drill.
 
     Phase one schedules the waiters' polls round-robin, one complete poll
@@ -307,13 +306,18 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
     or (AUTO) the lowest process whose memory module nobody wrote, and runs
     its Signal alone to completion, counting its remote references.
 
-    With ``erase_on_discovery`` (meant for read/write-only algorithms),
-    whenever the signaler is about to read a value last written by a still
-    active unobserved waiter, or to write into such a waiter's module, that
-    waiter is erased first, and any unobserved waiters left after Signal
-    are erased too; the surviving history then has few participants but
-    all of the signaler's spending.
+    With ``erase_on_discovery`` (read/write-only algorithms; any other
+    raises :class:`DrillNotApplicable`), whenever the signaler is about to
+    read a value last written by a still active unobserved waiter, or to
+    write into such a waiter's module, that waiter is erased first, and any
+    unobserved waiters left after Signal are erased too; the surviving
+    history then has few participants but all of the signaler's spending.
     """
+    if erase_on_discovery and not algorithm.primitives <= READ_WRITE:
+        raise DrillNotApplicable(
+            f"erase mode needs a read/write-only algorithm; {algorithm.name} uses "
+            + ", ".join(sorted(k.value for k in algorithm.primitives - READ_WRITE))
+        )
     if waiters is None:
         waiters = getattr(algorithm, "waiters", None) or tuple(range(2, algorithm.n + 1))
     waiters = tuple(sorted(waiters))
@@ -323,18 +327,18 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
     runner = Runner(algorithm, roles)
 
     unstable: list[int] = list(waiters)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         try:
             for w in waiters:
-                runner.run_call(w, max_steps=horizon)
+                runner.run_call(w, max_steps=DEFAULT_HORIZON)
         except StepBudgetExceeded:
             report.status = "non_stabilizing"
-            report.diagnosis = f"a poll by waiter {w} ran past {horizon} steps"
+            report.diagnosis = f"a poll by waiter {w} ran past {DEFAULT_HORIZON} steps"
             return report
         unstable = []
         for w in waiters:
             try:
-                if not stability(runner, w, model=model, horizon=horizon).stable:
+                if not stability(runner, w, model=model).stable:
                     unstable.append(w)
             except StabilityUndecided:
                 unstable.append(w)
@@ -343,7 +347,7 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
     if unstable:
         report.status = "non_stabilizing"
         report.diagnosis = (
-            f"waiters {unstable[:8]} still pay RMRs after {max_rounds} polling rounds"
+            f"waiters {unstable[:8]} still pay RMRs after {MAX_ROUNDS} polling rounds"
         )
         return report
 
@@ -365,8 +369,8 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
                 continue
         runner.step(s)
         steps += 1
-        if steps > signal_budget:
-            raise DrillNotApplicable(f"Signal by {s} ran past {signal_budget} steps")
+        if steps > SIGNAL_BUDGET:
+            raise DrillNotApplicable(f"Signal by {s} ran past {SIGNAL_BUDGET} steps")
 
     if erase_on_discovery:
         for w in waiters:
@@ -418,12 +422,12 @@ def _discovery_target(runner: Runner, s: int) -> int | None:
         return None
     op, loc = req
     active = runner.active()
-    if op.kind in VALUE_READING_KINDS:
+    if op.reads_value:
         writer = runner.mem.current_writer(loc)
         if (writer is not None and writer != s and writer in active
                 and _erasure_safe(runner.events, writer)):
             return writer
-    if op.kind not in TRIVIAL_KINDS and loc.home != s and loc.home in active:
+    if not op.trivial and loc.home != s and loc.home in active:
         if _erasure_safe(runner.events, loc.home):
             return loc.home
     return None

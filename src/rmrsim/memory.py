@@ -12,7 +12,7 @@ ordering and no interleaving inside a step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -26,37 +26,54 @@ NIL = 0
 
 
 class OpKind(Enum):
-    READ = "read"
-    WRITE = "write"
-    CAS = "cas"
-    LL = "ll"
-    SC = "sc"
-    FAI = "fai"
-    FAS = "fas"
-    TAS = "tas"
+    """A primitive, with two flags the cost models and the observation
+    relation read on every step: ``trivial`` kinds can never modify memory
+    (everything else is a nontrivial attempt: it overwrites the location,
+    or at least tries to), and ``reads_value`` kinds respond with the value
+    found at the location."""
+
+    def __new__(cls, value: str, trivial: bool, reads_value: bool):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.trivial = trivial
+        kind.reads_value = reads_value
+        return kind
+
+    READ = "read", True, True
+    WRITE = "write", False, False
+    CAS = "cas", False, True
+    LL = "ll", True, True
+    SC = "sc", False, False
+    FAI = "fai", False, True
+    FAS = "fas", False, True
+    TAS = "tas", False, True
 
 
-#: Kinds that can never modify memory.  Everything else is a nontrivial
-#: attempt: it overwrites the location, or at least tries to.
-TRIVIAL_KINDS = frozenset({OpKind.READ, OpKind.LL})
-
-#: Kinds whose response includes the value found at the location.
-VALUE_READING_KINDS = frozenset(
-    {OpKind.READ, OpKind.LL, OpKind.CAS, OpKind.FAI, OpKind.FAS, OpKind.TAS}
-)
+#: The flags as kind sets.
+TRIVIAL_KINDS = frozenset(k for k in OpKind if k.trivial)
+VALUE_READING_KINDS = frozenset(k for k in OpKind if k.reads_value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrimitiveOp:
     """One primitive operation with its operands.
 
     ``value`` is the word to store (WRITE, CAS, SC, FAS); ``expected`` is the
-    comparison operand of CAS.
+    comparison operand of CAS.  ``trivial`` and ``reads_value`` are copied
+    from the kind.  Treat an op as immutable: it is not a frozen dataclass
+    because programs build one per write, and frozen construction costs
+    about three times as much.
     """
 
     kind: OpKind
     value: int | None = None
     expected: int | None = None
+    trivial: bool = field(init=False, repr=False, compare=False)
+    reads_value: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.trivial = self.kind.trivial
+        self.reads_value = self.kind.reads_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,19 +91,17 @@ _LL = PrimitiveOp(OpKind.LL)
 _FAI = PrimitiveOp(OpKind.FAI)
 _TAS = PrimitiveOp(OpKind.TAS)
 
-OpRequest = "tuple[PrimitiveOp, Location]"
-
 
 def read(loc: Location):
     return (_READ, loc)
 
 
 def write(loc: Location, value: int):
-    return (PrimitiveOp(OpKind.WRITE, value=value), loc)
+    return (PrimitiveOp(OpKind.WRITE, value), loc)
 
 
 def cas(loc: Location, expected: int, value: int):
-    return (PrimitiveOp(OpKind.CAS, value=value, expected=expected), loc)
+    return (PrimitiveOp(OpKind.CAS, value, expected), loc)
 
 
 def ll(loc: Location):
@@ -94,7 +109,7 @@ def ll(loc: Location):
 
 
 def sc(loc: Location, value: int):
-    return (PrimitiveOp(OpKind.SC, value=value), loc)
+    return (PrimitiveOp(OpKind.SC, value), loc)
 
 
 def fai(loc: Location):
@@ -102,7 +117,7 @@ def fai(loc: Location):
 
 
 def fas(loc: Location, value: int):
-    return (PrimitiveOp(OpKind.FAS, value=value), loc)
+    return (PrimitiveOp(OpKind.FAS, value), loc)
 
 
 def tas(loc: Location):
@@ -129,10 +144,6 @@ class Event:
     outcome: bool
     call_id: int
     writer_before: int | None
-
-    @property
-    def kind(self) -> OpKind:
-        return self.op.kind
 
     def signature(self) -> tuple:
         """Schedule-independent identity of the step, used by replay checks."""
@@ -164,7 +175,7 @@ class Memory:
         self._writers: list[int | None] = []
         self._links: list[set[int]] = []
         self._locations: list[Location] = []
-        self._by_name: dict[str, int] = {}
+        self._names: set[str] = set()
 
     # -- allocation ---------------------------------------------------------
 
@@ -172,12 +183,12 @@ class Memory:
         """Register a fresh location owned by ``home`` with initial value."""
         if not 1 <= home <= self.n:
             raise ConfigError(f"home {home} outside 1..{self.n}")
-        if name in self._by_name:
+        if name in self._names:
             raise ConfigError(f"location name {name!r} already allocated")
         _check_word(init)
         loc = Location(uid=len(self._locations), name=name, home=home)
         self._locations.append(loc)
-        self._by_name[name] = loc.uid
+        self._names.add(name)
         self._values.append(init)
         self._writers.append(None)
         self._links.append(set())
@@ -186,9 +197,6 @@ class Memory:
     @property
     def locations(self) -> tuple[Location, ...]:
         return tuple(self._locations)
-
-    def location(self, name: str) -> Location:
-        return self._locations[self._by_name[name]]
 
     # -- inspection ---------------------------------------------------------
 

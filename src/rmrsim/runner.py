@@ -122,9 +122,6 @@ class History:
     def active(self) -> frozenset[int]:
         return self.participants - self.finished
 
-    def events_of(self, proc: int) -> list[Event]:
-        return [e for e in self.events if e.proc == proc]
-
     def calls_of(self, proc: int) -> list[CallRecord]:
         return [c for c in self.calls if c.proc == proc]
 
@@ -334,9 +331,8 @@ class Runner:
     # -- replay -----------------------------------------------------------
 
     @classmethod
-    def replay(cls, algorithm, roles: dict[int, Script], trace: Iterable,
-               *, with_ledger: bool = True) -> "Runner":
-        run = cls(algorithm, roles, with_ledger=with_ledger)
+    def replay(cls, algorithm, roles: dict[int, Script], trace: Iterable) -> "Runner":
+        run = cls(algorithm, roles)
         for entry in trace:
             if isinstance(entry, tuple):
                 run.force_next_call(entry[1], entry[2])

@@ -76,7 +76,7 @@ def test_criterion_1_cc_upper_bound():
             runner.drive(SeededRandom(seed), 100_000)
             ledger = runner.ledger
             k = len(ledger.participants)
-            assert all(ledger.rmr_cc(p) <= 2 for p in ledger.participants)
+            assert all(ledger.rmr(Model.CC, p) <= 2 for p in ledger.participants)
             assert ledger.total_rmr_cc <= 2 * k + 1
             worst_total = max(worst_total, ledger.total_rmr_cc)
             register_run(runner.events, ledger.total_msg_dir, ledger.total_msg_bus)
@@ -92,8 +92,8 @@ def test_criterion_2_dsm_algorithm_bounds():
     for seed in range(1000):
         roles = waiter_roles([2], 3)
         history, ledger = run(algo, roles, SeededRandom(seed))
-        assert ledger.rmr_dsm(2) == 2
-        assert ledger.rmr_dsm(3) <= 3
+        assert ledger.rmr(Model.DSM, 2) == 2
+        assert ledger.rmr(Model.DSM, 3) <= 3
         register_run(history.events, ledger.total_msg_dir, ledger.total_msg_bus)
 
     # Fixed waiters: the signal pays exactly one remote write per waiter
@@ -104,7 +104,7 @@ def test_criterion_2_dsm_algorithm_bounds():
             history, ledger = run(
                 algo, waiter_roles(range(2, n + 1), 1), SeededRandom(seed)
             )
-            assert ledger.rmr_dsm(1) == n - 1, (name, seed)
+            assert ledger.rmr(Model.DSM, 1) == n - 1, (name, seed)
             register_run(history.events, ledger.total_msg_dir, ledger.total_msg_bus)
 
     # Queue: a waiter's first poll costs at most 4 RMRs (3 with the default
@@ -115,8 +115,8 @@ def test_criterion_2_dsm_algorithm_bounds():
         for w in range(2, n + 1):
             first = next(c for c in history.calls_of(w) if c.kind == "Poll")
             assert dsm_rmrs_of_call(history, first) == 3
-        assert ledger.rmr_dsm(1) <= 3 * (n - 1) + 5
-        assert ledger.rmr_dsm(1) <= n - 1  # exact with globals at the signaler
+        assert ledger.rmr(Model.DSM, 1) <= 3 * (n - 1) + 5
+        assert ledger.rmr(Model.DSM, 1) <= n - 1  # exact with globals at the signaler
         register_run(history.events, ledger.total_msg_dir, ledger.total_msg_bus)
     print("criterion 2: PASS (4000 runs x exact per-process DSM counts)")
 
@@ -236,7 +236,7 @@ def test_criterion_6_tool_soundness():
             verdict = stability(runner, w)
             assert verdict.stable
             solo = solo_extend(runner, w, calls=10 * verdict.solo_calls)
-            assert solo.ledger.rmr_dsm(w) == runner.ledger.rmr_dsm(w)
+            assert solo.ledger.rmr(Model.DSM, w) == runner.ledger.rmr(Model.DSM, w)
             verdicts += 1
 
     # (c) a hundred configuration+seed pairs reproduce byte-identically.

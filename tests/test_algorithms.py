@@ -4,7 +4,7 @@ import pytest
 
 from rmrsim.algorithms import REGISTRY, make_algorithm
 from rmrsim.checker import check_blocking, check_polling
-from rmrsim.costs import RMR, classify_dsm
+from rmrsim.costs import Model, RMR, classify_dsm
 from rmrsim.errors import CapacityError, ConfigError, RoleError
 from rmrsim.memory import OpKind
 from rmrsim.runner import (
@@ -90,7 +90,7 @@ def test_cc_flag_total_cc_rmrs_bounded():
         )
         k = len(history.participants)
         assert ledger.total_rmr_cc <= 2 * k + 1
-        assert all(ledger.rmr_cc(p) <= 2 for p in history.participants)
+        assert all(ledger.rmr(Model.CC, p) <= 2 for p in history.participants)
 
 
 # -- dsm_single_waiter ------------------------------------------------------
@@ -115,7 +115,7 @@ def test_single_waiter_signal_with_no_waiter_is_free():
     runner = Runner(algo, {1: signal_once()})
     sig = runner.run_call(1)
     assert sig.end_seq is not None
-    assert runner.ledger.rmr_dsm(1) == 0
+    assert runner.ledger.rmr(Model.DSM, 1) == 0
 
 
 def test_single_waiter_poll_true_after_signal_via_notify():
@@ -158,14 +158,14 @@ def test_fixed_waiters_signaler_inside_set_skips_itself():
     algo = make_algorithm("dsm_fixed_waiters", 4, waiters=(1, 2, 3))
     runner = Runner(algo, {1: signal_once()})
     runner.run_call(1)
-    assert runner.ledger.rmr_dsm(1) == 2  # notify words of 2 and 3 only
+    assert runner.ledger.rmr(Model.DSM, 1) == 2  # notify words of 2 and 3 only
 
 
 def test_fixed_waiters_polling_is_free():
     algo = make_algorithm("dsm_fixed_waiters", 4, waiters=(2, 3))
     history, ledger = run(algo, roles_with_signaler([2, 3], 1), SeededRandom(4))
-    assert ledger.rmr_dsm(2) == 0
-    assert ledger.rmr_dsm(3) == 0
+    assert ledger.rmr(Model.DSM, 2) == 0
+    assert ledger.rmr(Model.DSM, 3) == 0
 
 
 def test_fixed_waiters_outsider_poll_rejected():
@@ -186,7 +186,7 @@ def test_fixed_waiters_term_signal_blocks_until_everyone_arrives():
     runner.run_call(3)                   # now 3 arrives
     while runner.open_call(1) is not None:
         runner.step(1)
-    assert runner.ledger.rmr_dsm(1) == 2
+    assert runner.ledger.rmr(Model.DSM, 1) == 2
 
 
 def test_fixed_waiters_term_same_signal_cost():
@@ -344,7 +344,7 @@ def test_wait_over_cc_flag_costs_at_most_two_cc_rmrs():
         algo, roles, ExplicitSchedule([2, 2, 2, 1, 2, 2])
     )
     assert next(c for c in history.calls if c.kind == "Wait").response is True
-    assert ledger.rmr_cc(2) == 2
+    assert ledger.rmr(Model.CC, 2) == 2
 
 
 def test_blocking_wrapper_wait_loops_inner_poll():

@@ -215,7 +215,7 @@ def test_amortized_totals_match_ledger():
     roles[1] = signal_once()
     history, ledger = run(algo, roles, SeededRandom(3))
     for model in (Model.DSM, Model.CC):
-        assert check_amortized(history, c=50, model=model).total == ledger.total(model)
+        assert check_amortized(history, c=50, model=model).total == ledger.totals()[f"rmr_{model.value}"]
 
 
 def test_amortized_documented_bounds_hold_without_an_adversary():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rmrsim.cli import SWEEP_COLUMNS, main
 
 
@@ -203,3 +205,36 @@ def test_missing_algorithm_usage_error(capsys):
     code, _, err = run_cli(capsys, "run")
     assert code == 2
     assert "--algo" in err
+
+
+@pytest.mark.parametrize("argv, env, needle", [
+    pytest.param(("adversary", "--algo", "dsm_queue", "--W", "0"), None, "waiter counts",
+                 id="adversary-W-0"),
+    pytest.param(("sweep", "--algo", "dsm_queue", "--W", "8,-2"), None, "waiter counts",
+                 id="sweep-W-negative"),
+    pytest.param(("run", "--algo", "cc_flag", "--budget", "-1"), None, "budget",
+                 id="run-budget-negative"),
+    pytest.param(("run", "--algo", "cc_flag", "--budget", "0"), None, "budget",
+                 id="run-budget-0"),
+    pytest.param(("run", "--algo", "cc_flag"), "-5", "budget", id="env-budget-negative"),
+    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:-1"), None, "depth",
+                 id="check-depth-negative"),
+    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:0"), None, "depth",
+                 id="check-depth-0"),
+])
+def test_nonsensical_input_refused(capsys, monkeypatch, argv, env, needle):
+    if env is None:
+        monkeypatch.delenv("RMRSIM_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RMRSIM_BUDGET", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
+def test_sweep_erase_on_non_read_write_algorithm_inapplicable(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--algo", "dsm_queue", "--erase", "--W", "4")
+    assert code == 4
+    assert out == ""
+    assert "read/write" in err and "fai" in err

@@ -6,12 +6,12 @@ from rmrsim.costs import (
     CacheState,
     LOCAL,
     MessageMode,
+    Model,
     RMR,
     RmrLedger,
     classify_cc,
     classify_dsm,
     count_messages,
-    ledger_update,
 )
 from rmrsim.memory import Memory, cas, fai, read, tas, write
 
@@ -158,9 +158,9 @@ def test_ledger_single_remote_write():
     mem = Memory(2)
     w = mem.alloc("w", home=1)
     ledger = RmrLedger(2)
-    ledger_update(ledger, apply(mem, 2, write(w, 1)))
-    assert ledger.rmr_dsm(2) == 1
-    assert ledger.rmr_cc(2) == 1
+    ledger.record(apply(mem, 2, write(w, 1)))
+    assert ledger.rmr(Model.DSM, 2) == 1
+    assert ledger.rmr(Model.CC, 2) == 1
     assert ledger.participants == {2}
 
 
@@ -172,8 +172,8 @@ def test_ledger_cc_flag_roundtrip_by_hand():
     ledger = RmrLedger(2)
     for proc, req in [(2, read(b)), (2, read(b)), (1, write(b, 1)), (2, read(b))]:
         ledger.record(apply(mem, proc, req))
-    assert ledger.rmr_cc(2) == 2
-    assert ledger.rmr_cc(1) == 1
+    assert ledger.rmr(Model.CC, 2) == 2
+    assert ledger.rmr(Model.CC, 1) == 1
 
 
 def test_ledger_same_trace_under_dsm():
@@ -184,8 +184,8 @@ def test_ledger_same_trace_under_dsm():
     ledger = RmrLedger(2)
     for proc, req in [(2, read(b)), (2, read(b)), (1, write(b, 1)), (2, read(b))]:
         ledger.record(apply(mem, proc, req))
-    assert ledger.rmr_dsm(2) == 3
-    assert ledger.rmr_dsm(1) == 0
+    assert ledger.rmr(Model.DSM, 2) == 3
+    assert ledger.rmr(Model.DSM, 1) == 0
 
 
 def _random_soup(seed, n=4, steps=200):

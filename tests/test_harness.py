@@ -7,6 +7,7 @@ import pytest
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
 from rmrsim.costs import Model
 from rmrsim.errors import (
+    DrillNotApplicable,
     EnumerationOverflow,
     ErasureRefused,
     SimError,
@@ -89,9 +90,9 @@ def test_solo_extend_stable_waiter_pays_nothing():
     algo = make_algorithm("dsm_queue", 4)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
-    before = runner.ledger.rmr_dsm(2)
+    before = runner.ledger.rmr(Model.DSM, 2)
     solo = solo_extend(runner, 2, calls=100)
-    assert solo.ledger.rmr_dsm(2) == before
+    assert solo.ledger.rmr(Model.DSM, 2) == before
     assert len(solo.events) == len(runner.events) + 100
 
 
@@ -100,7 +101,7 @@ def test_solo_extend_cc_flag_waiter_pays_per_poll_under_dsm():
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
     solo = solo_extend(runner, 2, calls=50)
-    assert solo.ledger.rmr_dsm(2) == runner.ledger.rmr_dsm(2) + 50
+    assert solo.ledger.rmr(Model.DSM, 2) == runner.ledger.rmr(Model.DSM, 2) + 50
 
 
 def test_solo_extend_replays_identically():
@@ -186,7 +187,7 @@ def test_stable_verdicts_survive_long_solo_runs():
         verdict = stability(runner, 2)
         assert verdict.stable
         solo = solo_extend(runner, 2, calls=10 * verdict.solo_calls)
-        assert solo.ledger.rmr_dsm(2) == runner.ledger.rmr_dsm(2)
+        assert solo.ledger.rmr(Model.DSM, 2) == runner.ledger.rmr(Model.DSM, 2)
 
 
 # -- observation relations ----------------------------------------------------
@@ -388,3 +389,10 @@ def test_drill_report_record_keys():
         "algorithm", "model", "W", "k", "signaler_rmrs",
         "total_rmr_dsm", "total_rmr_cc", "msg_bus", "msg_dir",
     )
+
+
+def test_erase_mode_needs_read_write_only_algorithm():
+    algo = make_algorithm("dsm_queue", 5)
+    with pytest.raises(DrillNotApplicable, match="read/write"):
+        adversary_separation(algo, signaler=1, erase_on_discovery=True)
+    assert adversary_separation(algo, signaler=1).status == "ok"
