@@ -9,8 +9,10 @@ given the same configuration and seed; no timestamps appear in records.
 Exit codes: 0 clean, 1 safety violation, 2 usage/configuration error,
 3 enumeration budget overflow, 4 drill inapplicable.
 
-Options may come from a JSON config file (``--config``); flags win over
-file values.  ``RMRSIM_BUDGET`` overrides the default step budget.
+Every option is a row of ``OPTIONS`` and each command accepts exactly the
+rows it reads.  A JSON config file (``--config``) holds the same options
+and goes through the same parser; flags win over file values.
+``RMRSIM_BUDGET`` overrides the default step budget of ``run``.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ import sys
 from . import checker
 from .algorithms import make_algorithm
 from .costs import Model
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DrillNotApplicable,
-    EnumerationOverflow,
-    RoleError,
-    SimError,
-)
+from .errors import ConfigError, DrillNotApplicable, EnumerationOverflow, SimError
 from .harness import adversary_separation, enumerate_histories
 from .runner import (
     DEFAULT_BUDGET,
@@ -55,29 +50,77 @@ SWEEP_COLUMNS = (
     "total_rmr_dsm", "total_rmr_cc", "msg_bus", "msg_dir",
 )
 
+COMMANDS = {
+    "run": "run one simulation and check the polling/blocking contracts",
+    "check": "enumerate every interleaving (small n) through the checkers",
+    "adversary": "run the separation drill once",
+    "sweep": "run the drill over a list of waiter counts",
+}
+
+
+def int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def auto_or_pid(text: str):
+    return text if text == "auto" else int(text)
+
+
+EVERY = dict.fromkeys(COMMANDS)
+
+# One row per option: the flag, its argparse settings, and its default in
+# each command that reads it.  A command's parser and config keys are its
+# rows and nothing else.
+OPTIONS = (
+    ("--config", {"help": "JSON config file; flags override it"}, EVERY),
+    ("--algo", {"help": "algorithm name, e.g. dsm_queue or cc_flag+blocking"}, EVERY),
+    ("--model", {"choices": ["dsm", "cc", "both"], "help": "cost model focus"},
+     {"run": "dsm", "adversary": "dsm", "sweep": "dsm"}),
+    ("--n", {"type": int, "help": "number of processes (drills: W + 1)"},
+     {"run": 4, "check": 3, "adversary": None, "sweep": None}),
+    ("--waiters", {"type": int_list, "help": "waiter count or comma-separated ids"},
+     {"run": None, "check": None}),
+    ("--schedule", {"help": "rr | random | explicit:1,2,..."}, {"run": "random"}),
+    ("--schedule", {"help": "exhaustive:DEPTH"}, {"check": "exhaustive:25"}),
+    ("--seed", {"type": int, "help": "seed for random schedules"}, {"run": 0}),
+    ("--budget", {"type": int, "help": "step budget (env RMRSIM_BUDGET)"}, {"run": None}),
+    ("--W", {"type": int, "help": "waiter count"}, {"adversary": 8}),
+    ("--W", {"type": int_list, "help": "waiter counts, comma separated"},
+     {"sweep": "8,16,32,64,128"}),
+    ("--out", {"help": "output file (default stdout)"}, EVERY),
+    ("--format", {"choices": ["json", "csv"], "help": "output format"}, {"sweep": "csv"}),
+    ("--polls", {"type": int, "help": "poll bound per waiter"}, {"check": 2}),
+    ("--signaler", {"type": auto_or_pid, "help": "drill signaler: auto or a process id"},
+     {"adversary": "auto", "sweep": "1"}),
+    ("--erase", {"action": "store_true",
+                 "help": "erase unobserved waiters the drill signaler discovers"},
+     {"adversary": False, "sweep": False}),
+)
+
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        if args.config:
+            file_argv = _config_argv(args.config, args.command)
+            args = parser.parse_args(argv[:1] + file_argv + argv[1:])
+        if not args.algo:
+            raise ConfigError("an algorithm is required (--algo)")
+        cfg = vars(args)
         if args.command == "run":
             return _cmd_run(cfg)
         if args.command == "check":
             return _cmd_check(cfg)
-        if args.command == "adversary":
-            return _cmd_adversary(cfg)
-        return _cmd_sweep(cfg)
+        return _cmd_drill(cfg)
     except EnumerationOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     except DrillNotApplicable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (ConfigError, RoleError, CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SimError as exc:
+    except (SimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -86,96 +129,68 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmrsim",
         description="Deterministic shared-memory simulator with RMR accounting",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("run", "run one simulation and check the polling/blocking contracts"),
-        ("check", "enumerate every interleaving (small n) through the checkers"),
-        ("adversary", "run the separation drill once"),
-        ("sweep", "run the drill over a list of waiter counts"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--algo", help="algorithm name, e.g. dsm_queue or cc_flag+blocking")
-        p.add_argument("--model", choices=["dsm", "cc", "both"], help="cost model focus")
-        p.add_argument("--n", type=int, help="number of processes")
-        p.add_argument("--waiters", help="waiter count or comma-separated ids")
-        p.add_argument("--schedule", help="rr | random | explicit:1,2,... | exhaustive:DEPTH")
-        p.add_argument("--seed", type=int, help="seed for random schedules")
-        p.add_argument("--budget", type=int, help="step budget (env RMRSIM_BUDGET)")
-        p.add_argument("--c", type=int, help="amortized RMR constant")
-        p.add_argument("--W", help="waiter counts for drills, comma separated")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], help="output format")
-        p.add_argument("--polls", type=int, help="poll bound per waiter (check mode)")
-        p.add_argument("--signaler", help="drill signaler: auto or a process id")
-        p.add_argument("--erase", action="store_true", default=None,
-                       help="erase unobserved waiters the drill signaler discovers")
+    for command, doc in COMMANDS.items():
+        p = sub.add_parser(command, help=doc, allow_abbrev=False)
+        for flag, settings, defaults in OPTIONS:
+            if command in defaults:
+                p.add_argument(flag, default=defaults[command], **settings)
     return parser
 
 
-_DEFAULTS = {
-    "algo": None,
-    "model": "dsm",
-    "n": None,
-    "waiters": None,
-    "schedule": None,
-    "seed": 0,
-    "budget": None,
-    "c": 3,
-    "W": "8,16,32,64,128",
-    "out": None,
-    "format": None,
-    "polls": 2,
-    "signaler": None,
-    "erase": False,
-}
+def _config_argv(path: str, command: str) -> list[str]:
+    """The flags a config file stands for.  Its keys are the command's
+    options; a value is a JSON number for an integer option, true or false
+    for ``erase``, and a string, written as on the command line, otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    rows = {flag[2:]: settings for flag, settings, defaults in OPTIONS
+            if command in defaults and flag != "--config"}
+    unknown = set(values) - set(rows)
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    argv = []
+    for key, value in values.items():
+        settings = rows[key]
+        kind = bool if "action" in settings else int if settings.get("type") is int else str
+        if type(value) is not kind:
+            raise ConfigError(f"config key {key!r} needs a JSON {kind.__name__}, got {value!r}")
+        if kind is not bool:
+            argv.append(f"--{key}={value}")
+        elif value:
+            argv.append(f"--{key}")
+    return argv
 
 
-def _merge_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
-    cfg["command"] = args.command
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if not cfg["algo"]:
-        raise ConfigError("an algorithm is required (--algo)")
-    if cfg["budget"] is None:
-        env = os.environ.get("RMRSIM_BUDGET")
-        cfg["budget"] = int(env) if env else DEFAULT_BUDGET
-    if cfg["budget"] < 1:
-        raise ConfigError(f"step budget must be at least 1, got {cfg['budget']}")
-    return cfg
+def _at_least_one(what: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{what} must be at least 1, got {value}")
+    return value
 
 
 def _parse_waiters(raw, n: int, algo: str = "") -> tuple[int, ...]:
-    """A count means 'that many waiters starting at process 2'."""
+    """One number means 'that many waiters starting at process 2'."""
     if raw is None:
         if algo.startswith("dsm_single_waiter") or algo.startswith("mutant_single"):
             return (2,)
         return tuple(range(2, n + 1))
-    if isinstance(raw, int):
-        count = raw
-    elif isinstance(raw, str) and "," not in raw:
-        count = int(raw)
-    else:
-        ids = raw if isinstance(raw, (list, tuple)) else [int(x) for x in raw.split(",")]
-        return tuple(sorted(set(int(x) for x in ids)))
+    if len(raw) > 1:
+        return tuple(sorted(set(raw)))
+    count = raw[0]
     if count < 1 or count > n - 1:
         raise ConfigError(f"waiter count {count} needs 1..{n - 1} (one process must signal)")
     return tuple(range(2, count + 2))
 
 
 def _parse_policy(raw: str, seed: int):
-    if raw in (None, "random"):
+    if raw == "random":
         return SeededRandom(seed)
     if raw == "rr":
         return RoundRobin()
@@ -221,7 +236,7 @@ def build_run_record(cfg: dict) -> dict:
 
 
 def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
-    algorithm, roles = _build_roles(cfg, cfg["n"] or 4, poll_until_true())
+    algorithm, roles = _build_roles(cfg, cfg["n"], poll_until_true())
     runner = Runner(algorithm, roles)
     runner.drive(_parse_policy(cfg["schedule"], cfg["seed"]), cfg["budget"])
     history = runner.history()
@@ -241,6 +256,9 @@ def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
 
 
 def _cmd_run(cfg: dict) -> int:
+    if cfg["budget"] is None:
+        cfg["budget"] = int(os.environ.get("RMRSIM_BUDGET") or DEFAULT_BUDGET)
+    _at_least_one("step budget", cfg["budget"])
     record, violations = _checked_run(cfg)
     _emit(cfg, json.dumps(record, sort_keys=True, indent=2))
     _print_violation_lines(record["violations"])
@@ -259,18 +277,15 @@ def _print_violation_lines(violations) -> None:
 
 
 def _cmd_check(cfg: dict) -> int:
-    n = cfg["n"] or 3
+    n = cfg["n"]
     if n > 4:
         raise ConfigError(f"exhaustive checking is limited to n<=4, got n={n}")
-    depth = 25
-    if cfg["schedule"]:
-        if not cfg["schedule"].startswith("exhaustive"):
-            raise ConfigError("check requires an exhaustive:DEPTH schedule")
-        _, _, d = cfg["schedule"].partition(":")
-        depth = int(d) if d else depth
-        if depth < 1:
-            raise ConfigError(f"exhaustive depth must be at least 1, got {depth}")
-    algorithm, roles = _build_roles(cfg, n, poll_at_most(cfg["polls"]))
+    kind, _, depth = cfg["schedule"].partition(":")
+    if kind != "exhaustive" or not depth:
+        raise ConfigError("check requires an exhaustive:DEPTH schedule")
+    depth = _at_least_one("exhaustive depth", int(depth))
+    polls = _at_least_one("poll bound", cfg["polls"])
+    algorithm, roles = _build_roles(cfg, n, poll_at_most(polls))
 
     histories = 0
     violations: list[checker.Violation] = []
@@ -296,72 +311,52 @@ def _cmd_check(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _drill(cfg: dict, w_count: int, default_signaler):
+def _drill(cfg: dict, w_count: int):
     if cfg["model"] == "both":
         raise ConfigError("the drill needs one model: dsm or cc")
-    model = Model(cfg["model"])
-    n = cfg["n"] or (w_count + 1)
+    n = w_count + 1 if cfg["n"] is None else cfg["n"]
     if n < w_count + 1:
         raise ConfigError(f"n={n} cannot host {w_count} waiters plus a signaler")
-    params = {"waiters": tuple(range(2, w_count + 2))} if cfg["algo"].startswith(
-        "dsm_fixed_waiters") else {}
-    algorithm = make_algorithm(cfg["algo"], n, **params)
-    choice = cfg["signaler"] if cfg["signaler"] is not None else default_signaler
-    if choice != "auto":
-        choice = int(choice)
+    waiters = tuple(range(2, w_count + 2))
+    params = {"waiters": waiters} if cfg["algo"].startswith("dsm_fixed_waiters") else {}
     return adversary_separation(
-        algorithm,
-        waiters=tuple(range(2, w_count + 2)),
-        model=model,
-        signaler=choice,
+        make_algorithm(cfg["algo"], n, **params),
+        waiters=waiters,
+        model=Model(cfg["model"]),
+        signaler=cfg["signaler"],
         erase_on_discovery=cfg["erase"],
     )
 
 
-def _w_list(cfg: dict) -> list[int]:
-    raw = cfg["W"]
-    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-    counts = [int(x) for x in items]
-    if min(counts) < 1:
-        raise ConfigError(f"waiter counts must be at least 1, got {min(counts)}")
-    return counts
-
-
-def _cmd_adversary(cfg: dict) -> int:
-    w_count = _w_list(cfg)[0]
-    report = _drill(cfg, w_count, default_signaler="auto")
-    if report.status != "ok":
-        print(f"error: {report.diagnosis}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    _emit(cfg, json.dumps(report.to_record(), sort_keys=True, indent=2))
-    if not report.post_poll_ok:
-        print("error: a stable waiter polled false after Signal completed",
-              file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
-
-
-def _cmd_sweep(cfg: dict) -> int:
-    rows = []
-    for w_count in _w_list(cfg):
-        report = _drill(cfg, w_count, default_signaler="1")
+def _cmd_drill(cfg: dict) -> int:
+    """``adversary`` (one W, one JSON record) and ``sweep`` (CSV rows or a
+    JSON list, sorted).  An inapplicable drill prints nothing and exits 4;
+    a failed post-poll check prints the records so far, its own included,
+    and exits 1."""
+    sweep = cfg["command"] == "sweep"
+    counts = cfg["W"] if sweep else [cfg["W"]]
+    _at_least_one("waiter counts", min(counts))
+    records = []
+    for w_count in counts:
+        report = _drill(cfg, w_count)
         if report.status != "ok":
             print(f"error: {report.diagnosis}", file=sys.stderr)
             return EXIT_INAPPLICABLE
+        records.append(report.to_record())
         if not report.post_poll_ok:
-            print("error: a stable waiter polled false after Signal completed",
-                  file=sys.stderr)
-            return EXIT_VIOLATION
-        rows.append(report.to_record())
-    rows.sort(key=lambda r: (r["algorithm"], r["model"], r["W"]))
-    if (cfg["format"] or "csv") == "json":
-        _emit(cfg, json.dumps(rows, sort_keys=True, indent=2))
+            break
+    records.sort(key=lambda r: (r["algorithm"], r["model"], r["W"]))
+    if not sweep:
+        _emit(cfg, json.dumps(records[0], sort_keys=True, indent=2))
+    elif cfg["format"] == "json":
+        _emit(cfg, json.dumps(records, sort_keys=True, indent=2))
     else:
         lines = [",".join(SWEEP_COLUMNS)]
-        lines.extend(
-            ",".join(str(row[col]) for col in SWEEP_COLUMNS) for row in rows
-        )
+        lines.extend(",".join(str(r[col]) for col in SWEEP_COLUMNS) for r in records)
         _emit(cfg, "\n".join(lines))
+    if not report.post_poll_ok:
+        print("error: a stable waiter polled false after Signal completed", file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 

@@ -351,10 +351,6 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
         )
         return report
 
-    for w in waiters:
-        while runner.open_call(w) is not None:
-            runner.step(w)
-
     s = _pick_signaler(runner, algorithm, signaler)
     report.signaler = s
 

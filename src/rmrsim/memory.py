@@ -194,10 +194,6 @@ class Memory:
         self._links.append(set())
         return loc
 
-    @property
-    def locations(self) -> tuple[Location, ...]:
-        return tuple(self._locations)
-
     # -- inspection ---------------------------------------------------------
 
     def value(self, loc: Location | int) -> int:

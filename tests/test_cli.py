@@ -221,6 +221,8 @@ def test_missing_algorithm_usage_error(capsys):
                  id="check-depth-negative"),
     pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:0"), None, "depth",
                  id="check-depth-0"),
+    pytest.param(("check", "--algo", "cc_flag", "--polls", "0"), None, "poll",
+                 id="check-polls-0"),
 ])
 def test_nonsensical_input_refused(capsys, monkeypatch, argv, env, needle):
     if env is None:
@@ -238,3 +240,123 @@ def test_sweep_erase_on_non_read_write_algorithm_inapplicable(capsys):
     assert code == 4
     assert out == ""
     assert "read/write" in err and "fai" in err
+
+
+# Each command's options, written out by hand: the parser must offer
+# exactly these, and every other option of the old shared set is refused.
+OPTIONS_BY_COMMAND = {
+    "run": {"--config", "--algo", "--model", "--n", "--waiters", "--schedule", "--seed",
+            "--budget", "--out"},
+    "check": {"--config", "--algo", "--n", "--waiters", "--schedule", "--polls", "--out"},
+    "adversary": {"--config", "--algo", "--model", "--n", "--W", "--out", "--signaler",
+                  "--erase"},
+    "sweep": {"--config", "--algo", "--model", "--n", "--W", "--out", "--format",
+              "--signaler", "--erase"},
+}
+FORMER_OPTIONS = {
+    "--config": "cfg.json", "--algo": "cc_flag", "--model": "cc", "--n": "3",
+    "--waiters": "1", "--schedule": "rr", "--seed": "5", "--budget": "3", "--c": "3",
+    "--W": "8", "--out": "out.txt", "--format": "json", "--polls": "1",
+    "--signaler": "1", "--erase": None,
+}
+DROPPED = [
+    (command, flag)
+    for command, accepted in OPTIONS_BY_COMMAND.items()
+    for flag in sorted(set(FORMER_OPTIONS) - accepted)
+]
+
+
+def run_cli_exit(capsys, *argv):
+    """Like ``run_cli``, but an argparse refusal counts as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_option_sets_add_up():
+    assert len(DROPPED) == 27
+    assert sum(len(flags) for flags in OPTIONS_BY_COMMAND.values()) == 33
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS_BY_COMMAND))
+def test_help_lists_only_the_commands_options(capsys, command):
+    code, out, _ = run_cli_exit(capsys, command, "--help")
+    assert code == 0
+    listed = {word.strip("[],") for word in out.split() if word.startswith(("--", "[--"))}
+    assert listed - {"--help"} == OPTIONS_BY_COMMAND[command]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED, ids=[f"{c}{f}" for c, f in DROPPED])
+def test_option_not_read_by_command_refused(capsys, command, flag):
+    value = FORMER_OPTIONS[flag]
+    argv = [command, "--algo", "cc_flag", flag] + ([] if value is None else [value])
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("adversary", "--algo", "dsm_queue", "--W", "8,16"),
+    ("adversary", "--algo", "dsm_queue", "--W", "8", "--sig", "1"),
+    ("sweep", "--algo", "dsm_queue", "--W", "8", "--form", "json"),
+], ids=["adversary-two-W", "abbreviated-signaler", "abbreviated-format"])
+def test_malformed_drill_options_refused(capsys, argv):
+    code, out, _ = run_cli_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_env_budget_ignored_by_check(capsys, monkeypatch):
+    monkeypatch.setenv("RMRSIM_BUDGET", "0")
+    code, out, _ = run_cli(capsys, "check", "--algo", "cc_flag", "--schedule", "exhaustive:8")
+    assert code == 0
+    assert json.loads(out)["violation_count"] == 0
+
+
+@pytest.mark.parametrize("values, needle", [
+    ({"algo": "cc_flag", "model": "xyz"}, "xyz"),
+    ({"algo": "cc_flag", "n": "3"}, "'n'"),
+    ({"algo": "cc_flag", "erase": True}, "erase"),
+    ({"algo": "cc_flag", "config": "other.json"}, "config"),
+], ids=["bad-choice", "string-for-int", "other-commands-key", "nested-config"])
+def test_config_values_checked_like_flags(tmp_path, capsys, values, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run_cli_exit(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
+def test_config_file_drill_options(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algo": "dsm_fixed_waiters", "W": "4,8", "erase": True}))
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--W", "4")
+    assert code == 0
+    assert out.strip().splitlines()[1].startswith("dsm_fixed_waiters,dsm,4,")
+    assert len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "not-json", "not-an-object"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cfg.json" in err
+
+
+def test_sweep_prints_failing_row_then_exits_one(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--algo", "mutant_single_waiter", "--W", "1")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[1].startswith("mutant_single_waiter,dsm,1,")
+    assert "polled false" in err
