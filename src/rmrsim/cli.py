@@ -201,8 +201,11 @@ def _parse_policy(raw: str, seed: int):
 
 def _emit(cfg: dict, text: str) -> None:
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["out"], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg['out']}: {exc.strerror}") from None
     else:
         print(text)
 

@@ -66,6 +66,26 @@ class CacheState:
     def pairs(self) -> set[tuple[int, int]]:
         return {(p, u) for u, h in self._holders.items() for p in h}
 
+    def save(self, proc: int, loc: int, trivial: bool) -> tuple | None:
+        """What :meth:`restore` needs to undo a step of ``proc`` on ``loc``:
+        None if the step keeps the holders, ``("drop", loc, proc)`` if it
+        only adds the reader's copy, else the whole holder set it replaces."""
+        holders = self._holders.get(loc)
+        if not trivial:
+            return "put", loc, None if holders is None else set(holders)
+        if holders is None or proc not in holders:
+            return "drop", loc, proc
+        return None
+
+    def restore(self, saved: tuple) -> None:
+        action, loc, arg = saved
+        if action == "drop":
+            self._holders[loc].discard(arg)
+        elif arg is None:
+            self._holders.pop(loc, None)
+        else:
+            self._holders[loc] = arg
+
 
 def count_messages(event: Event, cache: CacheState, mode: MessageMode) -> int:
     """Invalidation messages the event triggers, given the cache state
@@ -136,6 +156,13 @@ class RmrLedger:
     def mark_finished(self, proc: int) -> None:
         if proc in self.participants:
             self.finished.add(proc)
+
+    def row(self, proc: int) -> list[int]:
+        """A copy of one process's counts, for :meth:`set_row`."""
+        return list(self._rows[proc])
+
+    def set_row(self, proc: int, row: list[int]) -> None:
+        self._rows[proc] = row
 
     def rmr(self, model: Model, proc: int) -> int:
         return self._rows[proc][0 if model is Model.DSM else 1]

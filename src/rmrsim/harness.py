@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .costs import Model
 from .errors import (
+    ConfigError,
     DrillNotApplicable,
     EnumerationOverflow,
     ErasureRefused,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .algorithms import READ_WRITE
 from .memory import Event, OpKind
-from .runner import POLL, SIGNAL, History, Runner, Script, poll_until_true
+from .runner import POLL, SIGNAL, CallRecord, History, Runner, Script, poll_until_true
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_ENUM_BUDGET = 1_000_000
@@ -117,24 +118,28 @@ def stability(base: Runner, pid: int, *, model: Model = Model.DSM,
         raise SimError(f"process {pid} is not active")
     if base.open_call(pid) is not None:
         raise SimError(f"process {pid} is mid-call; stability is a between-calls question")
-    fork = base.fork()
-    seen = {_configuration(fork, pid, model)}
+    with base.probe((pid,)):
+        return _solo_stability(base, pid, model, horizon)
+
+
+def _solo_stability(run: Runner, pid: int, model: Model, horizon: int) -> StabilityResult:
+    seen = {_configuration(run, pid, model)}
     for made in range(1, horizon + 1):
-        before = fork.ledger.rmr(model, pid)
-        fork.force_next_call(pid, POLL)
+        before = run.ledger.rmr(model, pid)
+        run.force_next_call(pid, POLL)
         try:
-            rec = fork.run_call(pid, max_steps=horizon)
+            rec = run.run_call(pid, max_steps=horizon)
         except StepBudgetExceeded:
-            if fork.ledger.rmr(model, pid) > before:
+            if run.ledger.rmr(model, pid) > before:
                 return StabilityResult(stable=False, solo_calls=made)
             raise StabilityUndecided(
                 f"process {pid}: poll did not return within {horizon} steps"
             ) from None
-        if fork.ledger.rmr(model, pid) > before:
+        if run.ledger.rmr(model, pid) > before:
             return StabilityResult(stable=False, solo_calls=made)
         if rec.response:
             return StabilityResult(stable=True, solo_calls=made)
-        config = _configuration(fork, pid, model)
+        config = _configuration(run, pid, model)
         if config in seen:
             return StabilityResult(stable=True, solo_calls=made)
         seen.add(config)
@@ -355,12 +360,14 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
     report.signaler = s
 
     runner.force_next_call(s, SIGNAL)
+    signal = _signal_call(runner, s)
     steps = 0
-    while not _signal_completed(runner, s):
+    while signal.open:
         if erase_on_discovery:
             target = _discovery_target(runner, s)
             if target is not None:
                 runner = erase(runner, target)
+                signal = _signal_call(runner, s)
                 report.erased += 1
                 continue
         runner.step(s)
@@ -387,6 +394,8 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
 
 
 def _pick_signaler(runner: Runner, algorithm, choice) -> int:
+    if choice != "auto" and not 1 <= int(choice) <= runner.n:
+        raise ConfigError(f"signaler {choice} outside 1..{runner.n}")
     if algorithm.designated_signaler is not None:
         if choice not in ("auto", algorithm.designated_signaler):
             raise DrillNotApplicable(
@@ -404,10 +413,10 @@ def _pick_signaler(runner: Runner, algorithm, choice) -> int:
     )
 
 
-def _signal_completed(runner: Runner, s: int) -> bool:
-    return any(
-        c.proc == s and c.kind == SIGNAL and c.end_seq is not None for c in runner.calls
-    )
+def _signal_call(runner: Runner, s: int) -> CallRecord:
+    """The signaler's open Signal call, begun here if it has no step yet."""
+    runner.peek(s)
+    return runner.open_call(s)
 
 
 def _discovery_target(runner: Runner, s: int) -> int | None:
@@ -432,11 +441,9 @@ def _discovery_target(runner: Runner, s: int) -> int | None:
 def _verify_post_polls(runner: Runner, waiters) -> bool:
     """Every waiter still active must get true from its next poll."""
     remaining = [w for w in waiters if w in runner.active()]
-    if not remaining:
-        return True
-    probe = runner.fork()
-    for w in remaining:
-        probe.force_next_call(w, POLL)
-        if not probe.run_call(w).response:
-            return False
+    with runner.probe(remaining):
+        for w in remaining:
+            runner.force_next_call(w, POLL)
+            if not runner.run_call(w).response:
+                return False
     return True

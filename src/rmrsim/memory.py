@@ -215,6 +215,18 @@ class Memory:
             if loc.home == home
         )
 
+    # -- undo ---------------------------------------------------------------
+
+    def save_word(self, uid: int) -> tuple:
+        """One word's value, last writer and LL links, for :meth:`restore_word`."""
+        return uid, self._values[uid], self._writers[uid], set(self._links[uid])
+
+    def restore_word(self, saved: tuple) -> None:
+        uid, value, writer, links = saved
+        self._values[uid] = value
+        self._writers[uid] = writer
+        self._links[uid] = links
+
     # -- execution ----------------------------------------------------------
 
     def apply(self, proc: int, op: PrimitiveOp, loc: Location, *, seq: int, call_id: int) -> Event:

@@ -6,7 +6,9 @@ step.  The engine owns all interleaving: a scheduled step applies exactly
 one memory operation of one process.  Interleaving decisions are recorded
 in a *trace*, so any run can be rebuilt bit-identically by replaying the
 trace, which is what forking, erasure, and the determinism guarantees rest
-on.
+on.  A *probe* asks "what if these processes made more calls from here?"
+without a copy: the calls run on the live runner, which is rolled back
+when the probe ends.
 
 Procedure-call rules enforced here: a process makes calls one at a time,
 calls Signal at most once, and a scripted poller stops polling after a call
@@ -16,7 +18,9 @@ access.
 
 from __future__ import annotations
 
+import bisect
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -194,8 +198,9 @@ class _ProcState:
 class Runner:
     """A single deterministic simulation instance.
 
-    Confined to one thread of control; forking is done by replaying the
-    trace into a fresh instance, never by sharing state.
+    Confined to one thread of control.  :meth:`fork` replays the trace into
+    a fresh, independent instance; :meth:`probe` runs extra calls in place
+    and undoes them, which costs the probe's steps instead of the run's.
     """
 
     def __init__(self, algorithm, roles: dict[int, Script], *, with_ledger: bool = True):
@@ -224,6 +229,10 @@ class Runner:
         self._live: list[int] = sorted(
             pid for pid in self.roles if self._script_next(pid) is not None
         )
+        # Set while a probe is open: the words the probe's steps are about
+        # to change, with their cache holders, in step order.
+        self._undo: list | None = None
+        self._probed: frozenset[int] = frozenset()
 
     # -- public state -----------------------------------------------------
 
@@ -270,6 +279,8 @@ class Runner:
                 f"{self.algorithm.name} issued undeclared primitive {op.kind.value}"
             )
         rec = state.call
+        if self._undo is not None:
+            self._journal(pid, op, loc.uid)
         ev = self.mem.apply(pid, op, loc, seq=len(self.events), call_id=rec.call_id)
         self.trace.append(pid)
         self.events.append(ev)
@@ -305,6 +316,8 @@ class Runner:
             raise ConfigError(f"unknown procedure {kind!r}")
         if pid in self._terminated:
             raise SimError(f"process {pid} has terminated")
+        if self._undo is not None:
+            self._check_probed(pid)
         self.trace.append(("force", pid, kind))
         self._procs[pid].forced.append(kind)
         if pid not in self._live:
@@ -328,6 +341,43 @@ class Runner:
         None.  Starts the next procedure call if one is due."""
         return self._ensure_pending(pid)
 
+    @contextmanager
+    def probe(self, pids: Iterable[int]):
+        """Let ``pids`` make further calls on this run, then undo them.
+
+        Each process must be between calls: a generator cannot be rewound.
+        Inside the scope only these processes may start calls or step.  On
+        exit, also by an exception, the run is restored exactly: memory
+        words and cache holders from an undo log the probe's steps write,
+        the probed processes' own state (script position, ``ctx.state``,
+        ledger row, set memberships) from a copy taken here, and the event,
+        call and trace lists by truncation.  Probes do not nest.
+        """
+        if self._undo is not None:
+            raise SimError("a probe is already open")
+        if self.ledger is None:
+            raise SimError("a probe restores the ledger; this run keeps none")
+        pids = frozenset(pids)
+        for pid in pids:
+            if self._procs[pid].call is not None:
+                raise SimError(f"process {pid} is mid-call; a probe starts between calls")
+        saved = {pid: self._save_process(pid) for pid in pids}
+        lengths = len(self.events), len(self.calls), len(self.trace)
+        self._undo, self._probed = [], pids
+        try:
+            yield self
+        finally:
+            undo, self._undo, self._probed = self._undo, None, frozenset()
+            for word, holders in reversed(undo):
+                self.mem.restore_word(word)
+                if holders is not None:
+                    self.ledger.cache.restore(holders)
+            del self.events[lengths[0]:]
+            del self.calls[lengths[1]:]
+            del self.trace[lengths[2]:]
+            for pid, state in saved.items():
+                self._restore_process(pid, state)
+
     # -- replay -----------------------------------------------------------
 
     @classmethod
@@ -345,6 +395,46 @@ class Runner:
         return Runner.replay(self.algorithm, self.roles, list(self.trace))
 
     # -- internals ----------------------------------------------------------
+
+    def _check_probed(self, pid: int) -> None:
+        if pid not in self._probed:
+            raise SchedulingError(f"process {pid} is outside the open probe")
+
+    def _journal(self, pid: int, op, uid: int) -> None:
+        self._check_probed(pid)
+        self._undo.append(
+            (self.mem.save_word(uid), self.ledger.cache.save(pid, uid, op.trivial))
+        )
+
+    def _pid_sets(self) -> tuple[set[int], ...]:
+        """The sets a probed process's steps can add it to; none of them
+        ever shrinks, so undoing a probe only drops what it added."""
+        return (self._terminated, self._pollers, self._signaled,
+                self.ledger.participants, self.ledger.finished)
+
+    def _save_process(self, pid: int) -> tuple:
+        state = self._procs[pid]
+        return (
+            state.calls_made, state.saw_true, list(state.forced),
+            dict(self.ctxs[pid].state), self.ledger.row(pid), pid in self._live,
+            tuple(pid in members for members in self._pid_sets()),
+        )
+
+    def _restore_process(self, pid: int, saved: tuple) -> None:
+        calls_made, saw_true, forced, ctx_state, row, live, memberships = saved
+        state = self._procs[pid]
+        state.gen = state.call = state.pending = None
+        state.calls_made, state.saw_true, state.forced = calls_made, saw_true, forced
+        self.ctxs[pid].state = ctx_state
+        self.ledger.set_row(pid, row)
+        if live != (pid in self._live):
+            if live:
+                bisect.insort(self._live, pid)
+            else:
+                self._live.remove(pid)
+        for members, member in zip(self._pid_sets(), memberships):
+            if not member:
+                members.discard(pid)
 
     def _script_next(self, pid: int) -> str | None:
         script = self.roles.get(pid)
@@ -367,6 +457,8 @@ class Runner:
             return state.pending
         if state.gen is not None:  # pragma: no cover - engine invariant
             raise AssertionError("open call without a pending operation")
+        if self._undo is not None:
+            self._check_probed(pid)
         if state.forced:
             kind = state.forced.pop(0)
             forced = True

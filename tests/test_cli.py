@@ -360,3 +360,21 @@ def test_sweep_prints_failing_row_then_exits_one(capsys):
     assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert lines[1].startswith("mutant_single_waiter,dsm,1,")
     assert "polled false" in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "run", "--algo", "cc_flag", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "x.json" in err
+
+
+@pytest.mark.parametrize("signaler", ["99", "0", "-3"])
+def test_drill_signaler_outside_processes_is_usage_error(capsys, signaler):
+    code, out, err = run_cli(
+        capsys, "adversary", "--algo", "dsm_queue", "--W", "4", "--signaler", signaler
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "outside 1..5" in err

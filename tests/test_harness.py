@@ -7,6 +7,7 @@ import pytest
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
 from rmrsim.costs import Model
 from rmrsim.errors import (
+    ConfigError,
     DrillNotApplicable,
     EnumerationOverflow,
     ErasureRefused,
@@ -389,6 +390,47 @@ def test_drill_report_record_keys():
         "algorithm", "model", "W", "k", "signaler_rmrs",
         "total_rmr_dsm", "total_rmr_cc", "msg_bus", "msg_dir",
     )
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Counts of Runner.fork and Runner.replay calls (a fork replays too)."""
+    counts = {"fork": 0, "replay": 0}
+    replay, fork = Runner.replay.__func__, Runner.fork
+
+    def counted_replay(cls, *args, **kwargs):
+        counts["replay"] += 1
+        return replay(cls, *args, **kwargs)
+
+    def counted_fork(self):
+        counts["fork"] += 1
+        return fork(self)
+
+    monkeypatch.setattr(Runner, "replay", classmethod(counted_replay))
+    monkeypatch.setattr(Runner, "fork", counted_fork)
+    return counts
+
+
+def test_drill_probes_rebuild_nothing(rebuilds):
+    # Stability probes and the post-poll check run in place.
+    algo = make_algorithm("dsm_queue", 33)
+    report = adversary_separation(algo, waiters=range(2, 34), signaler=1)
+    assert report.status == "ok" and report.post_poll_ok
+    assert rebuilds == {"fork": 0, "replay": 0}
+
+
+def test_erase_drill_replays_once_per_erasure(rebuilds):
+    algo = make_algorithm("dsm_fixed_waiters", 33, waiters=range(2, 34))
+    report = adversary_separation(algo, erase_on_discovery=True)
+    assert report.erased == 32
+    assert rebuilds == {"fork": 0, "replay": report.erased}
+
+
+@pytest.mark.parametrize("signaler", [99, 0, -3])
+def test_drill_signaler_outside_processes_refused(signaler):
+    algo = make_algorithm("dsm_queue", 5)
+    with pytest.raises(ConfigError, match="outside 1..5"):
+        adversary_separation(algo, signaler=signaler)
 
 
 def test_erase_mode_needs_read_write_only_algorithm():

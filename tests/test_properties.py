@@ -3,17 +3,30 @@
 Each example is a registered algorithm (plain or ``+blocking``) on n <= 6
 processes, a random mix of waiter scripts with or without a signaler, a
 seeded random schedule cut at a random step budget, and sometimes an extra
-Poll forced on a waiter.  The properties pin what replay, forking, erasure
-and the ledger promise, independently of how the engine implements them.
+Poll forced on a waiter.  The properties pin what replay, forking, probing,
+erasure and the ledger promise, independently of how the engine implements
+them.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from rmrsim.algorithms import make_algorithm
-from rmrsim.costs import CacheState, MessageMode, RMR, classify_cc, classify_dsm, count_messages
-from rmrsim.harness import erase, validate_erasure
+from rmrsim.algorithms import Blocking, SignalingAlgorithm, make_algorithm
+from rmrsim.costs import (
+    CacheState,
+    MessageMode,
+    Model,
+    RMR,
+    classify_cc,
+    classify_dsm,
+    count_messages,
+)
+from rmrsim.errors import SimError, StabilityUndecided, StepBudgetExceeded
+from rmrsim.harness import StabilityResult, erase, stability, validate_erasure
+from rmrsim.memory import OpKind, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
     Runner,
@@ -37,6 +50,39 @@ SINGLE_WAITER = ("dsm_single_waiter", "mutant_single_waiter")
 TRIVIAL = ("read", "ll")
 
 
+class Drift(SignalingAlgorithm):
+    """Poll counts its calls modulo ``period`` in a word of its own module,
+    by LL/SC, and reads the signal flag, homed at process 1, only when the
+    count wraps.  Solo polls are free of DSM RMRs and of repeats until the
+    wrap, so a horizon shorter than that leaves stability undecided."""
+
+    name = "drift"
+    period = 4
+    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
+
+    def setup(self, mem):
+        return SimpleNamespace(
+            flag=mem.alloc("flag", home=1),
+            count={i: mem.alloc(f"count[{i}]", home=i) for i in range(1, self.n + 1)},
+        )
+
+    def poll(self, ctx):
+        count = (yield ll(ctx.locs.count[ctx.pid])) + 1
+        yield sc(ctx.locs.count[ctx.pid], count % self.period)
+        if count < self.period:
+            return False
+        return bool((yield read(ctx.locs.flag)))
+
+    def signal(self, ctx):
+        yield write(ctx.locs.flag, 1)
+
+
+def build(name: str, n: int):
+    if name.partition("+")[0] == Drift.name:
+        return Blocking(Drift(n)) if name.endswith("+blocking") else Drift(n)
+    return make_algorithm(name, n)
+
+
 @dataclass(frozen=True)
 class Config:
     name: str
@@ -48,8 +94,8 @@ class Config:
 
 
 @st.composite
-def configs(draw) -> Config:
-    base = draw(st.sampled_from(ALGORITHMS))
+def configs(draw, names=ALGORITHMS) -> Config:
+    base = draw(st.sampled_from(names))
     blocking = draw(st.booleans())
     n = draw(st.integers(2, 6))
     scripts = st.one_of(
@@ -76,7 +122,7 @@ def configs(draw) -> Config:
 
 
 def execute(cfg: Config) -> Runner:
-    runner = Runner(make_algorithm(cfg.name, cfg.n), cfg.roles)
+    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
     runner.drive(SeededRandom(cfg.seed), cfg.budget)
     if cfg.forced is not None and cfg.forced not in runner.terminated:
         runner.force_next_call(cfg.forced, POLL)
@@ -186,3 +232,88 @@ def test_validated_erasure_keeps_survivors_and_commutes(cfg):
         assert signatures(pq) == signatures(qp) == signatures(runner, skip=(p, q))
         assert calls(pq) == calls(qp)
         assert ledger_state(pq) == ledger_state(qp)
+
+
+def fork_stability(fork: Runner, pid: int, model: Model, horizon: int) -> StabilityResult:
+    """The stability probe as it ran on a replayed fork of the run: the
+    oracle for the in-place probe."""
+    seen = {configuration(fork, pid, model)}
+    for made in range(1, horizon + 1):
+        before = fork.ledger.rmr(model, pid)
+        fork.force_next_call(pid, POLL)
+        try:
+            rec = fork.run_call(pid, max_steps=horizon)
+        except StepBudgetExceeded:
+            if fork.ledger.rmr(model, pid) > before:
+                return StabilityResult(stable=False, solo_calls=made)
+            raise StabilityUndecided("poll ran past the horizon") from None
+        if fork.ledger.rmr(model, pid) > before:
+            return StabilityResult(stable=False, solo_calls=made)
+        if rec.response:
+            return StabilityResult(stable=True, solo_calls=made)
+        config = configuration(fork, pid, model)
+        if config in seen:
+            return StabilityResult(stable=True, solo_calls=made)
+        seen.add(config)
+        if len(seen) > horizon:
+            break
+    raise StabilityUndecided("no repeat within the horizon")
+
+
+def configuration(runner: Runner, pid: int, model: Model) -> tuple:
+    state = tuple(sorted(runner.ctxs[pid].state.items()))
+    if model is Model.DSM:
+        return state, runner.mem.module_snapshot(pid)
+    held = runner.ledger.cache.held_by(pid)
+    return state, tuple((uid, runner.mem.value(uid)) for uid in held)
+
+
+def outcome(probe) -> tuple:
+    """A probe's result, or the kind of error it raised."""
+    try:
+        return ("result", probe())
+    except StabilityUndecided:
+        return ("undecided",)
+    except SimError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def observable_state(runner: Runner) -> tuple:
+    words = len(runner.mem.image())
+    return (
+        signatures(runner),
+        calls(runner),
+        list(runner.trace),
+        [runner.mem.save_word(uid) for uid in range(words)],
+        ledger_state(runner),
+        runner.participants(),
+        {p: dict(runner.ctxs[p].state) for p in runner.ctxs},
+        runner.runnable(),
+        runner.terminated,
+    )
+
+
+@given(configs(ALGORITHMS + (Drift.name,)), st.sampled_from(Model), st.integers(1, 6))
+def test_stability_probe_matches_fork_oracle_and_rolls_back(cfg, model, horizon):
+    # Drift and small horizons make StabilityUndecided a common outcome.
+    runner = execute(cfg)
+    for pid in sorted(runner.active()):
+        if runner.open_call(pid) is not None:
+            with suppress(StepBudgetExceeded):  # a Wait spinning on its own
+                runner.run_call(pid, max_steps=20)
+    trace = list(runner.trace)
+    for pid in sorted(runner.active()):
+        if runner.open_call(pid) is not None:
+            continue
+        before = observable_state(runner)
+        expected = outcome(lambda: fork_stability(runner.fork(), pid, model, horizon))
+        got = outcome(lambda: stability(runner, pid, model=model, horizon=horizon))
+        assert got == expected
+        assert observable_state(runner) == before
+    # The probed run goes on exactly as one that was never probed.
+    twin = Runner.replay(runner.algorithm, runner.roles, trace)
+    for run in (runner, twin):
+        run.drive(SeededRandom(cfg.seed + 2), len(run.events) + 30)
+    assert signatures(runner) == signatures(twin)
+    assert calls(runner) == calls(twin)
+    assert ledger_state(runner) == ledger_state(twin)

@@ -3,8 +3,9 @@
 import pytest
 
 from rmrsim.algorithms import make_algorithm
-from rmrsim.errors import RoleError, SchedulingError
+from rmrsim.errors import RoleError, SchedulingError, SimError
 from rmrsim.runner import (
+    POLL,
     ExplicitSchedule,
     RoundRobin,
     Runner,
@@ -143,6 +144,114 @@ def test_fork_is_independent():
     fork.step(1)
     assert len(runner.events) == 1
     assert len(fork.events) == 2
+
+
+# -- probes -------------------------------------------------------------------
+
+
+def queue_after_signal():
+    """dsm_queue: waiter 2 enqueued and notified, waiter 3 (one Poll at
+    most) not yet polled, signaler 1 done."""
+    algo = make_algorithm("dsm_queue", 3)
+    runner = Runner(algo, {1: signal_once(), 2: poll_until_true(), 3: poll_at_most(1)})
+    runner.run_call(2)
+    runner.run_call(1)
+    return runner
+
+
+def observable(runner):
+    return (
+        [e.signature() for e in runner.events],
+        [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq) for c in runner.calls],
+        list(runner.trace),
+        runner.mem.image(),
+        [runner.mem.current_writer(uid) for uid in range(len(runner.mem.image()))],
+        [runner.ledger.per_process(p) for p in range(1, runner.n + 1)],
+        runner.ledger.cache.pairs(),
+        runner.participants(),
+        runner.runnable(),
+        runner.terminated,
+        {p: dict(ctx.state) for p, ctx in runner.ctxs.items()},
+    )
+
+
+def test_probe_runs_in_place_and_rolls_back():
+    runner = queue_after_signal()
+    before = observable(runner)
+    trace = list(runner.trace)
+    with runner.probe([2, 3]) as probe:
+        assert probe is runner
+        runner.force_next_call(2, POLL)
+        assert runner.run_call(2).response  # notified: true, and 2 terminates
+        runner.run_call(3)  # its one scripted Poll: enqueues, writes a slot
+        assert {2, 3} <= runner.terminated
+        assert runner.participants() == {1, 2, 3}
+        assert runner.ctxs[3].state == {"enqueued": True}
+    assert observable(runner) == before
+    # Rolled back means indistinguishable from a run that was never probed.
+    twin = Runner.replay(runner.algorithm, runner.roles, trace)
+    runner.drive(RoundRobin())
+    twin.drive(RoundRobin())
+    assert [e.signature() for e in runner.events] == [e.signature() for e in twin.events]
+    assert runner.ledger.totals() == twin.ledger.totals()
+    assert runner.terminated == twin.terminated == {1, 2, 3}
+
+
+def test_probe_rolls_back_on_exception():
+    runner = queue_after_signal()
+    before = observable(runner)
+    trace = list(runner.trace)
+    with pytest.raises(RuntimeError):
+        with runner.probe([3]):
+            runner.step(3)
+            runner.step(3)
+            runner.force_next_call(3, POLL)  # queued, never started
+            raise RuntimeError("abandon the probe mid-call")
+    assert observable(runner) == before
+    assert runner.open_call(3) is None
+    twin = Runner.replay(runner.algorithm, runner.roles, trace)
+    runner.drive(RoundRobin())
+    twin.drive(RoundRobin())
+    assert [(c.proc, c.response) for c in runner.calls] == [(c.proc, c.response) for c in twin.calls]
+    assert [c.proc for c in runner.calls] == [2, 1, 2, 3]
+
+
+def test_probe_drops_queued_calls():
+    # Process 3 has no role: only the forced call made it runnable.
+    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)})
+    with runner.probe([2, 3]):
+        runner.force_next_call(2, POLL)
+        runner.force_next_call(3, POLL)
+        assert runner.runnable() == [2, 3]
+    assert runner.runnable() == [2]
+    runner.drive(RoundRobin())
+    assert [(c.proc, c.response) for c in runner.calls] == [(2, False)]
+
+
+def test_probe_refusals():
+    runner = queue_after_signal()
+    runner.step(3)  # waiter 3 is now mid-call
+    with pytest.raises(SimError, match="mid-call"):
+        with runner.probe([3]):
+            pass
+    with runner.probe([2]):
+        with pytest.raises(SchedulingError):
+            runner.step(3)
+        with pytest.raises(SchedulingError):
+            runner.force_next_call(3, POLL)
+        with pytest.raises(SimError, match="already open"):
+            with runner.probe([2]):
+                pass
+    runner.run_call(3)  # the open call survived the probe untouched
+    fresh = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1), 3: poll_at_most(1)})
+    with fresh.probe([2]):
+        with pytest.raises(SchedulingError):
+            fresh.peek(3)  # would start 3's first call
+    assert fresh.calls == []
+    bare = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)}, with_ledger=False)
+    with pytest.raises(SimError, match="ledger"):
+        with bare.probe([2]):
+            pass
 
 
 def test_history_sets():
