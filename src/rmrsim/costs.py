@@ -122,13 +122,20 @@ def classify_cc(event: Event, cache: CacheState) -> str:
     return RMR
 
 
+def _cc_costs(event: Event, cache: CacheState) -> tuple[int, int]:
+    """The event's directory messages and CC RMRs (0 or 1); updates ``cache``."""
+    msgs = count_messages(event, cache, MessageMode.IDEAL_DIRECTORY)
+    return msgs, classify_cc(event, cache) is RMR
+
+
 class RmrLedger:
     """Per-process cost accounting folded over an event sequence.
 
     One count table: a row per process id, a column per metric in
     ``METRIC_NAMES`` order (DSM RMRs, CC RMRs, bus and ideal-directory
     invalidation messages, steps).  Also tracks the participant and
-    finished process sets.  All counts are nonnegative and only ever grow.
+    finished process sets.  All counts are nonnegative; they only grow,
+    except when :meth:`drop` takes a process out.
     """
 
     __slots__ = ("n", "cache", "_rows", "participants", "finished")
@@ -156,6 +163,34 @@ class RmrLedger:
     def mark_finished(self, proc: int) -> None:
         if proc in self.participants:
             self.finished.add(proc)
+
+    def drop(self, proc: int, events: list[Event]) -> None:
+        """Take out every event of ``proc``, as if it had never run.
+
+        ``events`` must be every event, in order, on the locations ``proc``
+        accessed, its own included.  A CC charge and a directory message
+        count depend only on the holders of the event's own location, so
+        folding these events with and without ``proc`` gives each other
+        process's correction and the holders those locations end with.
+        DSM, bus and step counts of the others do not depend on ``proc``.
+        """
+        with_proc, without = CacheState(), CacheState()
+        for e in events:
+            msgs, rmr = _cc_costs(e, with_proc)
+            if e.proc != proc:
+                new_msgs, new_rmr = _cc_costs(e, without)
+                row = self._rows[e.proc]
+                row[1] += new_rmr - rmr
+                row[3] += new_msgs - msgs
+        self._rows[proc] = [0] * len(METRIC_NAMES)
+        self.participants.discard(proc)
+        holders = self.cache._holders
+        for loc in {e.loc for e in events}:
+            refolded = without._holders.get(loc)
+            if refolded is None:
+                holders.pop(loc, None)
+            else:
+                holders[loc] = refolded
 
     def row(self, proc: int) -> list[int]:
         """A copy of one process's counts, for :meth:`set_row`."""

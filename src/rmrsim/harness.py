@@ -7,8 +7,9 @@
   it poll alone forever would never cost another remote reference;
 * the observation relations (who read whose value, who touched whose
   module) and erasure: removing every step of an unobserved process yields
-  another legal run, certified here by replaying and comparing rather than
-  trusted;
+  another legal run, which is certified rather than trusted.  ``erase``
+  builds it by replay and compares, the slow oracle; the drill erases in
+  place and certifies all its erasures with one replay at the end;
 * the adversary drill: stabilize a crowd of waiters, then make a signaler
   run alone and count what it must spend to reach them all.
 """
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .algorithms import READ_WRITE
 from .memory import Event, OpKind
-from .runner import POLL, SIGNAL, CallRecord, History, Runner, Script, poll_until_true
+from .runner import POLL, SIGNAL, History, Runner, Script, poll_until_true
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_ENUM_BUDGET = 1_000_000
@@ -213,11 +214,14 @@ def _erasure_safe(events: list[Event], p: int) -> bool:
 
 
 def erase(base: Runner, p: int) -> Runner:
-    """Replay the run with every step of ``p`` dropped from the schedule.
+    """Replay the run with every step of ``p`` dropped from the schedule,
+    into a separate runner; ``base`` is left as it was.
 
     Refused unless :func:`validate_erasure` holds.  The survivors' replayed
     steps are then compared against their originals; any difference means
-    the validator is wrong and raises :class:`ReplayDivergence`.
+    the validator is wrong and raises :class:`ReplayDivergence`.  This is
+    the slow oracle that ``Runner.erase``, the in-place erasure, is tested
+    against.
     """
     if p in base.terminated or p not in base.participants():
         raise SimError(f"process {p} is not active; only active processes can be erased")
@@ -317,6 +321,8 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
     write into such a waiter's module, that waiter is erased first, and any
     unobserved waiters left after Signal are erased too; the surviving
     history then has few participants but all of the signaler's spending.
+    Erasures run in place, and one replay of the final trace certifies them
+    all: a difference raises :class:`ReplayDivergence`.
     """
     if erase_on_discovery and not algorithm.primitives <= READ_WRITE:
         raise DrillNotApplicable(
@@ -360,14 +366,14 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
     report.signaler = s
 
     runner.force_next_call(s, SIGNAL)
-    signal = _signal_call(runner, s)
+    runner.peek(s)  # begins the Signal, so its record can be kept
+    signal = runner.open_call(s)
     steps = 0
     while signal.open:
         if erase_on_discovery:
             target = _discovery_target(runner, s)
             if target is not None:
-                runner = erase(runner, target)
-                signal = _signal_call(runner, s)
+                runner.erase(target)
                 report.erased += 1
                 continue
         runner.step(s)
@@ -376,10 +382,9 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
             raise DrillNotApplicable(f"Signal by {s} ran past {SIGNAL_BUDGET} steps")
 
     if erase_on_discovery:
-        for w in waiters:
-            if w in runner.active() and _erasure_safe(runner.events, w):
-                runner = erase(runner, w)
-                report.erased += 1
+        report.erased += _erase_unobserved(runner, waiters)
+    if report.erased:
+        _certify(runner)
 
     report.post_poll_ok = _verify_post_polls(runner, waiters)
     ledger = runner.ledger
@@ -413,12 +418,6 @@ def _pick_signaler(runner: Runner, algorithm, choice) -> int:
     )
 
 
-def _signal_call(runner: Runner, s: int) -> CallRecord:
-    """The signaler's open Signal call, begun here if it has no step yet."""
-    runner.peek(s)
-    return runner.open_call(s)
-
-
 def _discovery_target(runner: Runner, s: int) -> int | None:
     """The active, unobserved process the signaler's next step would
     observe (read its last write) or whose module it would write."""
@@ -436,6 +435,40 @@ def _discovery_target(runner: Runner, s: int) -> int | None:
         if _erasure_safe(runner.events, loc.home):
             return loc.home
     return None
+
+
+def _erase_unobserved(runner: Runner, waiters) -> int:
+    """Erase, in place, every waiter still active that nobody observed;
+    return how many were erased."""
+    erased = 0
+    for w in waiters:
+        if w in runner.active() and _erasure_safe(runner.events, w):
+            runner.erase(w)
+            erased += 1
+    return erased
+
+
+def _certify(runner: Runner) -> None:
+    """One replay of the run's trace must rebuild the run exactly.  After
+    in-place erasures, a difference means an erased process was observed
+    after all, and raises :class:`ReplayDivergence`."""
+    rebuilt = _image(Runner.replay(runner.algorithm, runner.roles, runner.trace))
+    for part, live in _image(runner).items():
+        if live != rebuilt[part]:
+            raise ReplayDivergence(f"the erased run's {part} differ from a replay of its trace")
+
+
+def _image(run: Runner) -> dict:
+    ledger = run.ledger
+    return {
+        "events": run.events,
+        "started calls": [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
+                          for c in run.calls if c.start_seq is not None],
+        "ledger rows": [ledger.row(p) for p in range(run.n + 1)],
+        "cache holders": ledger.cache.pairs(),
+        "memory words": [run.mem.save_word(uid) for uid in range(len(run.mem.image()))],
+        "participants": run.participants(),
+    }
 
 
 def _verify_post_polls(runner: Runner, waiters) -> bool:

@@ -172,9 +172,11 @@ class Memory:
             raise ConfigError(f"need at least one process, got n={n}")
         self.n = n
         self._values: list[int] = []
+        self._inits: list[int] = []
         self._writers: list[int | None] = []
         self._links: list[set[int]] = []
         self._locations: list[Location] = []
+        self._homed: list[list[int]] | None = None  # uids by home, built on demand
         self._names: set[str] = set()
 
     # -- allocation ---------------------------------------------------------
@@ -188,8 +190,10 @@ class Memory:
         _check_word(init)
         loc = Location(uid=len(self._locations), name=name, home=home)
         self._locations.append(loc)
+        self._homed = None
         self._names.add(name)
         self._values.append(init)
+        self._inits.append(init)
         self._writers.append(None)
         self._links.append(set())
         return loc
@@ -209,11 +213,12 @@ class Memory:
 
     def module_snapshot(self, home: int) -> tuple[tuple[int, int], ...]:
         """(uid, value) pairs for every location homed at ``home``."""
-        return tuple(
-            (loc.uid, self._values[loc.uid])
-            for loc in self._locations
-            if loc.home == home
-        )
+        if self._homed is None:
+            self._homed = [[] for _ in range(self.n + 1)]
+            for loc in self._locations:
+                self._homed[loc.home].append(loc.uid)
+        values = self._values
+        return tuple((uid, values[uid]) for uid in self._homed[home])
 
     # -- undo ---------------------------------------------------------------
 
@@ -226,6 +231,29 @@ class Memory:
         self._values[uid] = value
         self._writers[uid] = writer
         self._links[uid] = links
+
+    # -- refolding ------------------------------------------------------------
+
+    def reset_word(self, uid: int) -> None:
+        """Put a word back to its state at allocation: initial value, never
+        written, no links."""
+        self.restore_word((uid, self._inits[uid], None, set()))
+
+    def redo(self, event: Event) -> int | None:
+        """Apply a recorded event's effect on its word again, as recorded:
+        an LL links, a write lands and clears the links.  (A recorded SC
+        that failed had no link to consume.)  Returns the word's writer
+        before the event.  Folding a word's events in order from
+        :meth:`reset_word` rebuilds it without re-running any program."""
+        uid = event.loc
+        writer = self._writers[uid]
+        if event.op.kind is OpKind.LL:
+            self._links[uid].add(event.proc)
+        if event.value_written is not None:
+            self._values[uid] = event.value_written
+            self._writers[uid] = event.proc
+            self._links[uid].clear()
+        return writer
 
     # -- execution ----------------------------------------------------------
 

@@ -5,10 +5,12 @@ the procedure bodies are generators that yield one primitive operation per
 step.  The engine owns all interleaving: a scheduled step applies exactly
 one memory operation of one process.  Interleaving decisions are recorded
 in a *trace*, so any run can be rebuilt bit-identically by replaying the
-trace, which is what forking, erasure, and the determinism guarantees rest
-on.  A *probe* asks "what if these processes made more calls from here?"
-without a copy: the calls run on the live runner, which is rolled back
-when the probe ends.
+trace, which is what forking and the determinism guarantees rest on, and
+what certifies an erasure.  A *probe* asks "what if these processes made
+more calls from here?" without a copy: the calls run on the live runner,
+which is rolled back when the probe ends.  An *erasure* takes a process
+nobody observed out of the live run, leaving what a replay without it
+would build.
 
 Procedure-call rules enforced here: a process makes calls one at a time,
 calls Signal at most once, and a scripted poller stops polling after a call
@@ -200,7 +202,9 @@ class Runner:
 
     Confined to one thread of control.  :meth:`fork` replays the trace into
     a fresh, independent instance; :meth:`probe` runs extra calls in place
-    and undoes them, which costs the probe's steps instead of the run's.
+    and undoes them, which costs the probe's steps instead of the run's;
+    :meth:`erase` removes a process in place, which costs one pass over the
+    events instead of a replay.
     """
 
     def __init__(self, algorithm, roles: dict[int, Script], *, with_ledger: bool = True):
@@ -393,6 +397,82 @@ class Runner:
     def fork(self) -> "Runner":
         """Independent copy rebuilt by replaying this run's trace."""
         return Runner.replay(self.algorithm, self.roles, list(self.trace))
+
+    # -- erasure ----------------------------------------------------------
+
+    def erase(self, p: int) -> None:
+        """Take every step, call and trace entry of ``p`` out of this run,
+        leaving what a replay of the remaining trace would build.
+
+        Sound only if no other process observed ``p`` (see
+        ``harness.validate_erasure``), which is not checked here: the other
+        processes keep their events' values and their programs keep the
+        responses they got.  Their events and calls are renumbered as a
+        replay numbers them, the events as new objects because
+        :meth:`history` snapshots share the old ones.  The words ``p``
+        accessed are refolded from their initial values over the others'
+        events on them, and so are their cache holders and the others' CC
+        and directory counts.  ``p`` is left as if it never ran.  Refused
+        inside a probe, without a ledger, and for a process not active.
+        """
+        if self._undo is not None:
+            raise SimError("cannot erase inside an open probe")
+        if self.ledger is None:
+            raise SimError("erasure corrects the ledger; this run keeps none")
+        if p in self._terminated or p not in self.ledger.participants:
+            raise SimError(f"process {p} is not active; only active processes can be erased")
+        events = self.events
+        # A process makes one call at a time, so its events lie within its calls.
+        dropped: list[int] = []
+        for rec in self.calls:
+            if rec.proc == p and rec.start_seq is not None:
+                end = len(events) if rec.open else rec.end_seq + 1
+                dropped += [e.seq for e in events[rec.start_seq:end] if e.proc == p]
+        touched = {events[seq].loc for seq in dropped}
+        # Renumber the calls; events before ``start`` keep seq and call id.
+        first = start = dropped[0]
+        ids = [0] * len(self.calls)
+        calls: list[CallRecord] = []
+        for rec in self.calls:
+            if rec.proc == p:
+                continue
+            if rec.call_id != len(calls) and rec.start_seq is not None and rec.start_seq < start:
+                start = rec.start_seq
+            old, rec.call_id = rec.call_id, len(calls)
+            ids[old] = rec.call_id
+            calls.append(rec)
+            if rec.start_seq is not None and rec.start_seq > first:
+                rec.start_seq -= bisect.bisect_left(dropped, rec.start_seq)
+            if rec.end_seq is not None and rec.end_seq > first:
+                rec.end_seq -= bisect.bisect_left(dropped, rec.end_seq)
+        mem = self.mem
+        for uid in touched:
+            mem.reset_word(uid)
+        refold = [e for e in events[:start] if e.loc in touched]
+        for e in refold:
+            mem.redo(e)
+        kept = events[:start]
+        for e in events[start:]:
+            writer = e.writer_before
+            if e.loc in touched:
+                refold.append(e)
+                if e.proc == p:
+                    continue
+                writer = mem.redo(e)
+            kept.append(Event(len(kept), e.proc, e.op, e.loc, e.home, e.value_read,
+                              e.value_written, e.outcome, ids[e.call_id], writer))
+        self.events, self.calls = kept, calls
+        self.trace = [t for t in self.trace
+                      if t != p and (type(t) is not tuple or t[1] != p)]
+        self.ledger.drop(p, refold)
+        self._procs[p] = _ProcState()
+        self.ctxs[p] = self.algorithm.make_ctx(p, self.locs)
+        self._pollers.discard(p)
+        self._signaled.discard(p)
+        if p in self._live:
+            self._live.remove(p)
+        if self._script_next(p) is not None:
+            bisect.insort(self._live, p)
 
     # -- internals ----------------------------------------------------------
 

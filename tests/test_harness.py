@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from rmrsim import harness
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
 from rmrsim.costs import Model
 from rmrsim.errors import (
@@ -11,6 +12,7 @@ from rmrsim.errors import (
     DrillNotApplicable,
     EnumerationOverflow,
     ErasureRefused,
+    ReplayDivergence,
     SimError,
     StabilityUndecided,
 )
@@ -26,6 +28,7 @@ from rmrsim.harness import (
 )
 from rmrsim.memory import Memory, ll, read, sc, write
 from rmrsim.runner import (
+    SIGNAL,
     Runner,
     SeededRandom,
     poll_at_most,
@@ -419,11 +422,27 @@ def test_drill_probes_rebuild_nothing(rebuilds):
     assert rebuilds == {"fork": 0, "replay": 0}
 
 
-def test_erase_drill_replays_once_per_erasure(rebuilds):
+def test_erase_drill_certifies_with_one_replay(rebuilds):
+    # Erasures run in place; one replay at the end certifies them all.
     algo = make_algorithm("dsm_fixed_waiters", 33, waiters=range(2, 34))
     report = adversary_separation(algo, erase_on_discovery=True)
     assert report.erased == 32
-    assert rebuilds == {"fork": 0, "replay": report.erased}
+    assert rebuilds == {"fork": 0, "replay": 1}
+
+
+def test_certifying_replay_catches_a_wrong_erasure(monkeypatch):
+    # Waiter 2 also signals, so it stays active after writing the flag;
+    # waiter 3 then reads the flag, so erasing 2 changes what 3 saw.
+    algo = make_algorithm("cc_flag", 3)
+    runner = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
+    runner.force_next_call(2, SIGNAL)
+    runner.run_call(2)
+    assert runner.run_call(3).response is True
+    assert harness._erase_unobserved(runner, (2, 3)) == 0
+    monkeypatch.setattr(harness, "_erasure_safe", lambda events, p: True)
+    assert harness._erase_unobserved(runner, (2, 3)) == 1
+    with pytest.raises(ReplayDivergence, match="events"):
+        harness._certify(runner)
 
 
 @pytest.mark.parametrize("signaler", [99, 0, -3])

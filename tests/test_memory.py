@@ -37,6 +37,16 @@ def test_alloc_per_process_home():
     assert notify.home == 2
 
 
+def test_module_snapshot_lists_the_homes_words():
+    mem = Memory(3)
+    first = mem.alloc("notify[2]", home=2)
+    mem.alloc("flag", home=1)
+    assert mem.module_snapshot(2) == ((first.uid, 0),)
+    later = mem.alloc("extra[2]", home=2, init=5)  # allocated after a snapshot
+    assert mem.module_snapshot(2) == ((first.uid, 0), (later.uid, 5))
+    assert mem.module_snapshot(3) == ()
+
+
 def test_alloc_duplicate_name_rejected():
     mem = Memory(2)
     mem.alloc("s", home=1)

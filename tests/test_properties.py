@@ -1,11 +1,11 @@
 """Engine invariants as properties over random runs.
 
-Each example is a registered algorithm (plain or ``+blocking``) on n <= 6
-processes, a random mix of waiter scripts with or without a signaler, a
-seeded random schedule cut at a random step budget, and sometimes an extra
-Poll forced on a waiter.  The properties pin what replay, forking, probing,
-erasure and the ledger promise, independently of how the engine implements
-them.
+Each example is a registered algorithm, or for some properties a test-only
+one defined here (plain or ``+blocking``), on n <= 6 processes, a random
+mix of waiter scripts with or without a signaler, a seeded random schedule
+cut at a random step budget, and sometimes an extra Poll forced on a
+waiter.  The properties pin what replay, forking, probing, erasure and the
+ledger promise, independently of how the engine implements them.
 """
 
 from contextlib import suppress
@@ -26,7 +26,7 @@ from rmrsim.costs import (
 )
 from rmrsim.errors import SimError, StabilityUndecided, StepBudgetExceeded
 from rmrsim.harness import StabilityResult, erase, stability, validate_erasure
-from rmrsim.memory import OpKind, ll, read, sc, write
+from rmrsim.memory import OpKind, cas, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
     Runner,
@@ -77,9 +77,43 @@ class Drift(SignalingAlgorithm):
         yield write(ctx.locs.flag, 1)
 
 
+class Scribble(SignalingAlgorithm):
+    """Poll overwrites a board word nobody reads, reads a ping word and
+    tries a CAS on it that always fails, then LLs the flag, which only
+    Signal writes, and returns false.  Every poller stays active and
+    unobserved, yet erasing one changes the others' writers before, CC
+    charges, directory messages and links."""
+
+    name = "scribble"
+    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.CAS, OpKind.LL, OpKind.SC})
+
+    def setup(self, mem):
+        return SimpleNamespace(
+            board=mem.alloc("board", home=1, init=-1),  # erasing must restore it
+            ping=mem.alloc("ping", home=1),
+            flag=mem.alloc("flag", home=1),
+        )
+
+    def poll(self, ctx):
+        yield write(ctx.locs.board, ctx.pid)
+        yield read(ctx.locs.ping)
+        yield cas(ctx.locs.ping, 1, 2)
+        yield ll(ctx.locs.flag)
+        return False
+
+    def signal(self, ctx):
+        yield ll(ctx.locs.flag)
+        yield sc(ctx.locs.flag, 1)
+
+
+TEST_ALGORITHMS = {cls.name: cls for cls in (Drift, Scribble)}
+
+
 def build(name: str, n: int):
-    if name.partition("+")[0] == Drift.name:
-        return Blocking(Drift(n)) if name.endswith("+blocking") else Drift(n)
+    base, _, suffix = name.partition("+")
+    if base in TEST_ALGORITHMS:
+        algorithm = TEST_ALGORITHMS[base](n)
+        return Blocking(algorithm) if suffix == "blocking" else algorithm
     return make_algorithm(name, n)
 
 
@@ -232,6 +266,49 @@ def test_validated_erasure_keeps_survivors_and_commutes(cfg):
         assert signatures(pq) == signatures(qp) == signatures(runner, skip=(p, q))
         assert calls(pq) == calls(qp)
         assert ledger_state(pq) == ledger_state(qp)
+
+
+def erased_state(runner: Runner) -> tuple:
+    """Full events (seq, call id and writer before included) plus all the
+    observable state."""
+    return runner.events, observable_state(runner)
+
+
+@given(configs())
+def test_in_place_erase_matches_replay_oracle(cfg):
+    check_in_place_erase(cfg)
+
+
+@given(configs((Scribble.name,)))
+def test_in_place_erase_refolds_shared_words(cfg):
+    # Registered algorithms rarely let an unobserved process share words
+    # with others; Scribble's pollers always do.
+    check_in_place_erase(cfg)
+
+
+def check_in_place_erase(cfg: Config) -> None:
+    """``Runner.erase`` in place equals the ``harness.erase`` replay oracle,
+    also after both runs go on under one schedule, and two erasures commute."""
+    runner = execute(cfg)
+    history = runner.history()
+    erasable = [p for p in sorted(runner.active()) if validate_erasure(history, p)]
+    for p in erasable:
+        oracle = erase(runner, p)
+        live = execute(cfg)
+        live.erase(p)
+        assert live.ctxs[p].state == oracle.ctxs[p].state == {}
+        assert erased_state(live) == erased_state(oracle)
+        for run in (live, oracle):  # the erased process runs again, from scratch
+            run.drive(SeededRandom(cfg.seed + 3), len(run.events) + 30)
+        assert erased_state(live) == erased_state(oracle)
+    if len(erasable) >= 2:
+        p, q = erasable[:2]
+        pq, qp = execute(cfg), execute(cfg)
+        pq.erase(p)
+        pq.erase(q)
+        qp.erase(q)
+        qp.erase(p)
+        assert erased_state(pq) == erased_state(qp) == erased_state(erase(erase(runner, p), q))
 
 
 def fork_stability(fork: Runner, pid: int, model: Model, horizon: int) -> StabilityResult:

@@ -4,6 +4,7 @@ import pytest
 
 from rmrsim.algorithms import make_algorithm
 from rmrsim.errors import RoleError, SchedulingError, SimError
+from rmrsim.harness import erase
 from rmrsim.runner import (
     POLL,
     ExplicitSchedule,
@@ -300,3 +301,47 @@ def test_declared_primitives_enforced():
     runner = Runner(algo, {2: poll_until_true()})
     with pytest.raises(ConfigError):
         runner.step(2)
+
+
+def test_erase_refusals():
+    algo = make_algorithm("cc_flag", 4)
+    roles = {2: poll_until_true(), 3: poll_at_most(1), 4: poll_until_true()}
+    runner = Runner(algo, roles)
+    for pid in (2, 3):
+        runner.run_call(pid)  # 2 stays active; 3 terminates after its one poll
+    before = [e.signature() for e in runner.events], list(runner.trace)
+    with runner.probe([2]):
+        with pytest.raises(SimError, match="probe"):
+            runner.erase(2)
+    for pid in (3, 4, 1):  # terminated, never ran, no role
+        with pytest.raises(SimError, match="not active"):
+            runner.erase(pid)
+    assert ([e.signature() for e in runner.events], list(runner.trace)) == before
+    bare = Runner(algo, roles, with_ledger=False)
+    bare.run_call(2)
+    with pytest.raises(SimError, match="ledger"):
+        bare.erase(2)
+    runner.erase(2)
+    assert [e.proc for e in runner.events] == [3]
+
+
+def test_erased_single_waiter_frees_its_place():
+    # As in a replay without it, the erased waiter never polled.
+    runner = Runner(make_algorithm("dsm_single_waiter", 3), {2: poll_until_true()})
+    runner.run_call(2)
+    runner.erase(2)
+    runner.force_next_call(3, POLL)
+    assert runner.run_call(3).response is False
+
+
+def test_erase_renumbers_a_call_begun_before_its_first_step():
+    # peek begins 2's call before 3's, but 3 steps first; a replay without 2
+    # numbers 3's call 0, and so must the erasure.
+    runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.peek(2)
+    runner.step(3)
+    runner.step(2)
+    oracle = erase(runner, 2)
+    runner.erase(2)
+    assert runner.events == oracle.events
+    assert [(c.call_id, c.proc, c.start_seq) for c in runner.calls] == [(0, 3, 0)]
