@@ -148,17 +148,31 @@ class RmrLedger:
         self.finished: set[int] = set()
 
     def record(self, event: Event) -> None:
+        """Charge one event: :func:`classify_dsm`, :func:`count_messages`
+        and :func:`classify_cc` folded over a single holder-set lookup."""
         p = event.proc
         row = self._rows[p]  # columns: rmr_dsm, rmr_cc, msg_bus, msg_dir, steps
         row[4] += 1
         self.participants.add(p)
         if event.home != p:
             row[0] += 1
-        if not event.op.trivial:
-            row[2] += 1
-            row[3] += count_messages(event, self.cache, MessageMode.IDEAL_DIRECTORY)
-        if classify_cc(event, self.cache) is RMR:
-            row[1] += 1
+        holders = self.cache._holders.get(event.loc)
+        if event.op.trivial:
+            if holders is None:
+                self.cache._holders[event.loc] = {p}
+                row[1] += 1
+            elif p not in holders:
+                holders.add(p)
+                row[1] += 1
+            return
+        row[1] += 1
+        row[2] += 1
+        if holders is None:
+            self.cache._holders[event.loc] = {p}
+        else:
+            row[3] += len(holders) - (p in holders)
+            holders.clear()
+            holders.add(p)
 
     def mark_finished(self, proc: int) -> None:
         if proc in self.participants:

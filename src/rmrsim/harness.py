@@ -115,7 +115,7 @@ def stability(base: Runner, pid: int, *, model: Model = Model.DSM,
     run in a zero-cost cycle.  Raises :class:`StabilityUndecided` when the
     horizon is hit first.
     """
-    if pid in base.terminated or pid not in base.participants():
+    if not base.is_active(pid):
         raise SimError(f"process {pid} is not active")
     if base.open_call(pid) is not None:
         raise SimError(f"process {pid} is mid-call; stability is a between-calls question")
@@ -223,7 +223,7 @@ def erase(base: Runner, p: int) -> Runner:
     the slow oracle that ``Runner.erase``, the in-place erasure, is tested
     against.
     """
-    if p in base.terminated or p not in base.participants():
+    if not base.is_active(p):
         raise SimError(f"process {p} is not active; only active processes can be erased")
     if not _erasure_safe(base.events, p):
         raise ErasureRefused(f"some process observed {p}; erasure would change the run")
@@ -382,7 +382,8 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
             raise DrillNotApplicable(f"Signal by {s} ran past {SIGNAL_BUDGET} steps")
 
     if erase_on_discovery:
-        report.erased += _erase_unobserved(runner, waiters)
+        # The signaler may be one of the waiters; it is never erased.
+        report.erased += _erase_unobserved(runner, [w for w in waiters if w != s])
     if report.erased:
         _certify(runner)
 
@@ -425,13 +426,12 @@ def _discovery_target(runner: Runner, s: int) -> int | None:
     if req is None:
         return None
     op, loc = req
-    active = runner.active()
     if op.reads_value:
         writer = runner.mem.current_writer(loc)
-        if (writer is not None and writer != s and writer in active
+        if (writer is not None and writer != s and runner.is_active(writer)
                 and _erasure_safe(runner.events, writer)):
             return writer
-    if not op.trivial and loc.home != s and loc.home in active:
+    if not op.trivial and loc.home != s and runner.is_active(loc.home):
         if _erasure_safe(runner.events, loc.home):
             return loc.home
     return None
@@ -442,7 +442,7 @@ def _erase_unobserved(runner: Runner, waiters) -> int:
     return how many were erased."""
     erased = 0
     for w in waiters:
-        if w in runner.active() and _erasure_safe(runner.events, w):
+        if runner.is_active(w) and _erasure_safe(runner.events, w):
             runner.erase(w)
             erased += 1
     return erased
@@ -473,7 +473,7 @@ def _image(run: Runner) -> dict:
 
 def _verify_post_polls(runner: Runner, waiters) -> bool:
     """Every waiter still active must get true from its next poll."""
-    remaining = [w for w in waiters if w in runner.active()]
+    remaining = [w for w in waiters if runner.is_active(w)]
     with runner.probe(remaining):
         for w in remaining:
             runner.force_next_call(w, POLL)

@@ -303,23 +303,14 @@ class Memory:
             raise ConfigError(f"unknown primitive {kind}")
 
         if written is not None:
-            _check_word(written)
+            if not WORD_MIN <= written <= WORD_MAX:
+                _check_word(written)  # raises
             self._values[uid] = written
             self._writers[uid] = proc
             self._links[uid].clear()
 
-        return Event(
-            seq=seq,
-            proc=proc,
-            op=op,
-            loc=uid,
-            home=loc.home,
-            value_read=value_read,
-            value_written=written,
-            outcome=outcome,
-            call_id=call_id,
-            writer_before=writer_before,
-        )
+        return Event(seq, proc, op, uid, loc.home, value_read, written, outcome,
+                     call_id, writer_before)
 
 
 def last_writer(events: Iterable[Event], loc: Location | int) -> int | None:

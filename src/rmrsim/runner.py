@@ -16,6 +16,9 @@ Procedure-call rules enforced here: a process makes calls one at a time,
 calls Signal at most once, and a scripted poller stops polling after a call
 returns true.  Every procedure call must perform at least one memory
 access.
+
+Per event a step calls ``Memory.apply`` and ``RmrLedger.record`` (every
+charge at once) once each, and resumes the procedure body once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import bisect
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .costs import RmrLedger
@@ -219,6 +222,8 @@ class Runner:
         self.roles = dict(roles)
         self.mem = Memory(self.n)
         self.locs = algorithm.setup(self.mem)
+        # A tuple matches by identity; a set would call Enum.__hash__, in Python.
+        self._primitives = tuple(algorithm.primitives)
         self.ctxs = {
             pid: algorithm.make_ctx(pid, self.locs) for pid in range(1, self.n + 1)
         }
@@ -259,10 +264,19 @@ class Runner:
     def active(self) -> frozenset[int]:
         return self.participants() - self._terminated
 
+    def is_active(self, pid: int) -> bool:
+        """``pid in self.active()``, without building the set."""
+        if pid in self._terminated:
+            return False
+        if self.ledger is not None:
+            return pid in self.ledger.participants
+        return any(e.proc == pid for e in self.events)
+
     def history(self) -> History:
         return History(
             events=list(self.events),
-            calls=[replace(c) for c in self.calls],
+            calls=[CallRecord(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
+                   for c in self.calls],
             finished=frozenset(self._terminated),
             incomplete=bool(self._live),
             trace=tuple(self.trace),
@@ -273,28 +287,31 @@ class Runner:
     def step(self, pid: int) -> Event:
         """Run one step of ``pid``: apply one memory operation and resume
         the procedure body up to its next operation or return."""
-        req = self._ensure_pending(pid)
+        state = self._procs[pid]
+        req = state.pending or self._ensure_pending(pid)
         if req is None:
             raise SchedulingError(f"process {pid} has no enabled step")
-        state = self._procs[pid]
         op, loc = req
-        if op.kind not in self.algorithm.primitives:
+        kind = op.kind
+        if kind not in self._primitives:
             raise ConfigError(
-                f"{self.algorithm.name} issued undeclared primitive {op.kind.value}"
+                f"{self.algorithm.name} issued undeclared primitive {kind.value}"
             )
         rec = state.call
         if self._undo is not None:
             self._journal(pid, op, loc.uid)
-        ev = self.mem.apply(pid, op, loc, seq=len(self.events), call_id=rec.call_id)
+        events = self.events
+        ev = self.mem.apply(pid, op, loc, seq=len(events), call_id=rec.call_id)
         self.trace.append(pid)
-        self.events.append(ev)
+        events.append(ev)
         if self.ledger is not None:
             self.ledger.record(ev)
         if rec.start_seq is None:
             rec.start_seq = ev.seq
         state.pending = None
         try:
-            state.pending = state.gen.send(_response(ev))
+            # An SC responds with its verdict; a write with value_read, None.
+            state.pending = state.gen.send(ev.outcome if kind is OpKind.SC else ev.value_read)
         except StopIteration as stop:
             rec.response = stop.value
             rec.end_seq = ev.seq
@@ -308,11 +325,12 @@ class Runner:
 
     def drive(self, policy, budget: int = DEFAULT_BUDGET) -> None:
         """Step per policy until nothing is runnable or the budget is spent."""
-        while self._live and len(self.events) < budget:
-            pid = policy.choose(self._live)
+        live, events, choose, step = self._live, self.events, policy.choose, self.step
+        while live and len(events) < budget:
+            pid = choose(live)
             if pid is None:
                 break
-            self.step(pid)
+            step(pid)
 
     def force_next_call(self, pid: int, kind: str) -> None:
         """Queue a procedure call for ``pid`` ahead of its script."""
@@ -419,7 +437,7 @@ class Runner:
             raise SimError("cannot erase inside an open probe")
         if self.ledger is None:
             raise SimError("erasure corrects the ledger; this run keeps none")
-        if p in self._terminated or p not in self.ledger.participants:
+        if not self.is_active(p):
             raise SimError(f"process {p} is not active; only active processes can be erased")
         events = self.events
         # A process makes one call at a time, so its events lie within its calls.
@@ -586,15 +604,6 @@ class Runner:
             self._live.remove(pid)
         except ValueError:  # pragma: no cover - forced call on role-less pid
             pass
-
-
-def _response(ev: Event):
-    kind = ev.op.kind
-    if kind is OpKind.WRITE:
-        return None
-    if kind is OpKind.SC:
-        return ev.outcome
-    return ev.value_read
 
 
 def run(algorithm, roles: dict[int, Script], policy, *,

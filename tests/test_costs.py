@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from rmrsim.costs import (
     CacheState,
     LOCAL,
@@ -13,7 +15,7 @@ from rmrsim.costs import (
     classify_dsm,
     count_messages,
 )
-from rmrsim.memory import Memory, cas, fai, read, tas, write
+from rmrsim.memory import Memory, OpKind, cas, fai, fas, ll, read, sc, tas, write
 
 
 def apply(mem, proc, request, seq=0):
@@ -272,3 +274,65 @@ def test_metric_names_fixed():
     ledger = RmrLedger(2)
     assert tuple(ledger.totals()) == ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
     assert tuple(ledger.per_process(1)) == ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
+
+
+# -- the fused ledger against the reference rules ---------------------------
+
+#: One request per kind on x (initially 0, or 1 for a failing TAS); the
+#: flag says whether a primitive that can fail should succeed.
+REQUEST = {
+    OpKind.READ: lambda x, ok: read(x),
+    OpKind.WRITE: lambda x, ok: write(x, 5),
+    OpKind.CAS: lambda x, ok: cas(x, 0 if ok else 1, 5),
+    OpKind.LL: lambda x, ok: ll(x),
+    OpKind.SC: lambda x, ok: sc(x, 5),
+    OpKind.FAI: lambda x, ok: fai(x),
+    OpKind.FAS: lambda x, ok: fas(x, 5),
+    OpKind.TAS: lambda x, ok: tas(x),
+}
+FALLIBLE = (OpKind.CAS, OpKind.SC, OpKind.TAS)
+
+
+def _ending_in(kind, ok, issuer_holds):
+    """Events ending in one ``kind`` step of process 2 on x, homed at 1.
+    Process 3 holds a copy of x before that step; process 2 holds one iff
+    ``issuer_holds``.  A succeeding SC needs a link from 2's LL; to take
+    away the copy that LL gave 2, process 1 makes a failed CAS, which drops
+    every copy but keeps links, and 3 reads again."""
+    mem = Memory(3)
+    x = mem.alloc("x", home=1, init=1 if kind is OpKind.TAS and not ok else 0)
+    script = [(3, read(x))]
+    if kind is OpKind.SC and ok:
+        script.append((2, ll(x)))
+        if not issuer_holds:
+            script += [(1, cas(x, 7, 7)), (3, read(x))]
+    elif issuer_holds:
+        script.append((2, read(x)))
+    script.append((2, REQUEST[kind](x, ok)))
+    return events_from(mem, script)
+
+
+@pytest.mark.parametrize("kind, ok, issuer_holds", [
+    (kind, ok, holds)
+    for kind in OpKind
+    for ok in ((True, False) if kind in FALLIBLE else (True,))
+    for holds in (True, False)
+])
+def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
+    *before, last = _ending_in(kind, ok, issuer_holds)
+    ledger, cache = RmrLedger(3), CacheState()
+    for e in before:
+        ledger.record(e)
+        classify_cc(e, cache)
+    assert last.outcome is ok
+    assert cache.holds(2, last.loc) is issuer_holds and cache.holds(3, last.loc)
+    others = [ledger.row(1), ledger.row(3)]
+    start = ledger.row(2)
+    bus = count_messages(last, cache, MessageMode.BUS)
+    directory = count_messages(last, cache, MessageMode.IDEAL_DIRECTORY)
+    cc = classify_cc(last, cache) is RMR  # moves the cache past ``last``
+    expected = [classify_dsm(last) is RMR, cc, bus, directory, 1]
+    ledger.record(last)
+    assert [now - was for now, was in zip(ledger.row(2), start)] == expected
+    assert [ledger.row(1), ledger.row(3)] == others
+    assert ledger.cache.pairs() == cache.pairs()

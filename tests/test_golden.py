@@ -54,6 +54,9 @@ CORPUS = {
     "adversary_cc_flag_dsm": "adversary --algo cc_flag --model dsm --W 8",
     "adversary_registration": "adversary --algo dsm_registration --W 8",
     "adversary_fixed_erase": "adversary --algo dsm_fixed_waiters --W 8 --erase",
+    "adversary_erase_signaler_waiter": (
+        "adversary --algo cc_flag --model cc --W 3 --signaler 2 --erase"
+    ),
     "adversary_mutant": "adversary --algo mutant_single_waiter --W 1",
     "adversary_both_models": "adversary --algo dsm_queue --model both --W 4",
     "sweep_fixed": "sweep --algo dsm_fixed_waiters --W 4,8",

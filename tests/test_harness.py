@@ -366,6 +366,17 @@ def test_drill_erase_on_discovery_shrinks_participants():
     assert report.history.participants == {report.signaler}
 
 
+def test_erase_drill_never_erases_its_signaler():
+    # Signaler 2 is one of the waiters: after Signal it still has a poll
+    # script, so it is active, and nobody read its write.
+    algo = make_algorithm("cc_flag", 4)
+    report = adversary_separation(algo, model=Model.CC, signaler=2, erase_on_discovery=True)
+    assert (report.W, report.signaler, report.erased) == (3, 2, 2)
+    assert report.history.participants == {2}
+    assert (report.k, report.signaler_rmrs, report.total_rmr_cc) == (1, 2, 2)
+    assert report.post_poll_ok
+
+
 def test_drill_queue_cost_tracks_waiter_count_exactly():
     # With the globals at the signaler, the scan is local and the only
     # remote steps are the notify writes: one per enqueued waiter.

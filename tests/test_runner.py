@@ -264,6 +264,34 @@ def test_history_sets():
     assert history.active == set()
 
 
+def test_history_snapshot_stays_put():
+    # A snapshot copies every call record: closing a call later, on the
+    # live run, does not reach back into it.
+    runner = Runner(make_algorithm("dsm_queue", 3), waiter_signaler_roles([2], 1))
+    runner.step(2)  # 2's first Poll enqueues in several steps
+    snapshot = runner.history()
+    before = [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
+              for c in snapshot.calls]
+    assert [(c.proc, c.response, c.end_seq) for c in snapshot.calls] == [(2, None, None)]
+    runner.drive(RoundRobin())
+    assert all(not c.open for c in runner.calls)
+    assert any(c.response for c in runner.calls)
+    assert [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
+            for c in snapshot.calls] == before
+    assert snapshot.calls[0].open
+
+
+@pytest.mark.parametrize("with_ledger", [True, False])
+def test_is_active_agrees_with_active(with_ledger):
+    algo = make_algorithm("cc_flag", 4)
+    roles = {2: poll_until_true(), 3: poll_at_most(1)}  # 1 and 4 never run
+    runner = Runner(algo, roles, with_ledger=with_ledger)
+    for pid in (2, 3):
+        runner.run_call(pid)  # 2 stays active; 3 terminates after its one poll
+    assert runner.active() == {2}
+    assert [p for p in range(1, 5) if runner.is_active(p)] == [2]
+
+
 def test_ledger_finished_matches_history():
     algo = make_algorithm("cc_flag", 3)
     roles = waiter_signaler_roles([2, 3], 1)
