@@ -207,7 +207,15 @@ def _emit(cfg: dict, text: str) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot write {cfg['out']}: {exc.strerror}") from None
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader left early (``| head``).  Later writes, and the
+            # flush at exit, go to the null device, so the command still
+            # ends with its own exit code and no traceback.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 # ---------------------------------------------------------------------------

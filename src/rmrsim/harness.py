@@ -1,8 +1,9 @@
 """Exploration and proof-style tooling over recorded runs.
 
-* exhaustive bounded enumeration of interleavings (stateless: every branch
-  is rebuilt by replay, so what you enumerate is exactly what a normal run
-  would have produced);
+* exhaustive bounded enumeration of interleavings (stateless: no state is
+  remembered across branches; one run backtracks to each branching point
+  by rolling back a checkpoint, and every history is exactly what a normal
+  run of its schedule produces);
 * solo extensions and a stability probe: a process is *stable* when letting
   it poll alone forever would never cost another remote reference;
 * the observation relations (who read whose value, who touched whose
@@ -49,33 +50,45 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
                         max_histories: int = DEFAULT_ENUM_BUDGET):
     """Yield every schedule interleaving up to ``depth`` steps, once each.
 
-    Depth-first over scheduling choices, rebuilding each branch by replay
-    without a ledger; a history is maximal when every process terminated
-    or the depth was reached (the latter are yielded with ``incomplete``
-    set).  Raises :class:`EnumerationOverflow` past ``max_histories``.
+    Depth-first over scheduling choices, lowest process first, on one run
+    without a ledger: a checkpoint is taken at each node with more than one
+    choice, and after each history the run rolls back to the deepest node
+    with a choice left and takes it.  A history is maximal when every
+    process terminated or the depth was reached (the latter are yielded
+    with ``incomplete`` set).  Raises :class:`EnumerationOverflow` past
+    ``max_histories``, and :class:`ReplayDivergence` when a call rebuilt
+    on a rollback asks for another step than it took, which a protocol
+    keeping state outside ``ctx.state`` does.
     """
-    if algorithm.n > 255:
-        raise SimError("enumeration supports at most 255 processes")
+    run = Runner(algorithm, roles, with_ledger=False)
+    # Never rolled back: it keeps the journal on, so that every call starts
+    # under a checkpoint and can be rebuilt.
+    run.checkpoint()
+    # Per branching checkpoint, innermost last: its choices not yet taken,
+    # the next one last.
+    untried: list[list[int]] = []
     explored = 0
-    pending: list[bytes] = [b""]
-    while pending:
-        prefix = pending.pop()
-        runner = Runner(algorithm, roles, with_ledger=False)
-        for pid in prefix:
-            runner.step(pid)
-        schedule = bytearray(prefix)
-        while len(schedule) < depth:
-            choices = runner.runnable()
+    while True:
+        while len(run.events) < depth:
+            choices = run.runnable()
             if not choices:
                 break
-            for alt in choices[:0:-1]:
-                pending.append(bytes(schedule) + bytes([alt]))
-            runner.step(choices[0])
-            schedule.append(choices[0])
+            if len(choices) > 1:
+                run.checkpoint()
+                untried.append(choices[:0:-1])
+            run.step(choices[0])
         explored += 1
         if explored > max_histories:
             raise EnumerationOverflow(explored - 1, max_histories)
-        yield runner.history()
+        yield run.history()
+        if not untried:
+            return
+        alternatives = untried[-1]
+        pid = alternatives.pop()
+        if not alternatives:
+            untried.pop()
+        run.rollback(close=not alternatives)
+        run.step(pid)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ step.  The engine owns all interleaving: a scheduled step applies exactly
 one memory operation of one process.  Interleaving decisions are recorded
 in a *trace*, so any run can be rebuilt bit-identically by replaying the
 trace, which is what forking and the determinism guarantees rest on, and
-what certifies an erasure.  A *probe* asks "what if these processes made
-more calls from here?" without a copy: the calls run on the live runner,
-which is rolled back when the probe ends.  An *erasure* takes a process
-nobody observed out of the live run, leaving what a replay without it
-would build.
+what certifies an erasure.
+
+A *checkpoint* lets the run go on and then come back: while one is open,
+each step journals the word it changes and each process's state is saved
+before it first changes, and a rollback undoes both and rebuilds any
+generator that moved by re-sending its recorded responses.  Exhaustive
+enumeration backtracks this way, and a *probe* ("what if these processes
+made more calls from here?") is a checkpoint that only the probed
+processes may act under.  An *erasure* takes a process nobody observed out
+of the live run, leaving what a replay without it would build.
 
 Procedure-call rules enforced here: a process makes calls one at a time,
 calls Signal at most once, and a scripted poller stops polling after a call
@@ -32,6 +37,7 @@ from typing import Iterable, Sequence
 from .costs import RmrLedger
 from .errors import (
     ConfigError,
+    ReplayDivergence,
     RoleError,
     SchedulingError,
     SimError,
@@ -189,7 +195,13 @@ class ExplicitSchedule:
 
 
 class _ProcState:
-    __slots__ = ("gen", "call", "pending", "calls_made", "saw_true", "forced")
+    """``next_kind`` is the script's next call as of the last return, read
+    when the process starts a call; ``start_state`` is a copy of
+    ``ctx.state`` at the open call's start, taken while a checkpoint is
+    open, which a rollback restarts the call body from."""
+
+    __slots__ = ("gen", "call", "pending", "calls_made", "saw_true", "forced",
+                 "next_kind", "start_state")
 
     def __init__(self):
         self.gen = None
@@ -198,16 +210,20 @@ class _ProcState:
         self.calls_made = 0
         self.saw_true = False
         self.forced: list[str] = []
+        self.next_kind: str | None = None
+        self.start_state: dict | None = None
 
 
 class Runner:
     """A single deterministic simulation instance.
 
-    Confined to one thread of control.  :meth:`fork` replays the trace into
-    a fresh, independent instance; :meth:`probe` runs extra calls in place
-    and undoes them, which costs the probe's steps instead of the run's;
-    :meth:`erase` removes a process in place, which costs one pass over the
-    events instead of a replay.
+    Confined to one thread of control.  :meth:`checkpoint` and
+    :meth:`rollback` let a run branch and come back in place, which costs
+    the steps taken since instead of a replay of the whole trace;
+    :meth:`probe` runs extra calls of some processes under a checkpoint and
+    rolls them back.  :meth:`fork` replays the trace into a fresh,
+    independent instance; :meth:`erase` removes a process in place, which
+    costs one pass over the events instead of a replay.
     """
 
     def __init__(self, algorithm, roles: dict[int, Script], *, with_ledger: bool = True):
@@ -235,13 +251,20 @@ class Runner:
         self._terminated: set[int] = set()
         self._pollers: set[int] = set()
         self._signaled: set[int] = set()
-        self._live: list[int] = sorted(
-            pid for pid in self.roles if self._script_next(pid) is not None
-        )
-        # Set while a probe is open: the words the probe's steps are about
-        # to change, with their cache holders, in step order.
+        for pid in self.roles:
+            self._procs[pid].next_kind = self._script_next(pid)
+        self._live: list[int] = [
+            pid for pid, state in self._procs.items() if state.next_kind is not None
+        ]
+        # Set while a checkpoint is open: per step, in step order, the
+        # process, the word it is about to change and that word's cache
+        # holders.
         self._undo: list | None = None
-        self._probed: frozenset[int] = frozenset()
+        # Open checkpoints, innermost last: the event, call and trace list
+        # lengths, the undo log's length, and the processes' saved states.
+        self._checkpoints: list[tuple] = []
+        self._saved: dict[int, tuple] | None = None  # the innermost one's
+        self._probed: frozenset[int] | None = None  # set while a probe is open
 
     # -- public state -----------------------------------------------------
 
@@ -319,7 +342,8 @@ class Runner:
             state.call = None
             if rec.kind == POLL and stop.value:
                 state.saw_true = True
-            if not state.forced and self._script_next(pid) is None:
+            state.next_kind = self._script_next(pid)
+            if state.next_kind is None and not state.forced:
                 self._terminate(pid)
         return ev
 
@@ -339,7 +363,7 @@ class Runner:
         if pid in self._terminated:
             raise SimError(f"process {pid} has terminated")
         if self._undo is not None:
-            self._check_probed(pid)
+            self._touch(pid)
         self.trace.append(("force", pid, kind))
         self._procs[pid].forced.append(kind)
         if pid not in self._live:
@@ -363,19 +387,72 @@ class Runner:
         None.  Starts the next procedure call if one is due."""
         return self._ensure_pending(pid)
 
+    # -- checkpoints --------------------------------------------------------
+
+    def checkpoint(self) -> None:
+        """Open a checkpoint that :meth:`rollback` returns the run to.
+
+        Checkpoints nest.  While one is open each step journals the word it
+        is about to change (value, writer, links, cache holders), and each
+        process's state is saved before it first changes: script position,
+        queued calls, ``ctx.state``, ledger row, set memberships, and its
+        open call's generator and record.
+        """
+        if self._undo is None:
+            self._undo = []
+        self._saved = {}
+        self._checkpoints.append(
+            (len(self.events), len(self.calls), len(self.trace), len(self._undo), self._saved)
+        )
+
+    def rollback(self, *, close: bool = False) -> None:
+        """Put the run back exactly as it was at the innermost open
+        checkpoint, which stays open unless ``close`` is set.
+
+        Words and cache holders come back from the journal, the event, call
+        and trace lists by truncation, the processes from their saves.  A
+        call open at the checkpoint whose process has stepped since gets a
+        fresh generator: the body restarts from ``ctx.state`` as the call
+        found it and is sent the call's recorded responses.  A request that
+        differs from the recorded one means the protocol keeps state outside
+        its context; it raises :class:`ReplayDivergence` and leaves the run
+        unusable.
+        """
+        if not self._checkpoints:
+            raise SimError("no checkpoint is open")
+        events, calls, trace, mark, saved = self._checkpoints[-1]
+        undo, mem = self._undo, self.mem
+        cache = None if self.ledger is None else self.ledger.cache
+        stepped = set()
+        for pid, word, holders in reversed(undo[mark:]):
+            stepped.add(pid)
+            mem.restore_word(word)
+            if holders is not None:
+                cache.restore(holders)
+        del undo[mark:]
+        del self.events[events:]
+        del self.calls[calls:]
+        del self.trace[trace:]
+        for pid, state in saved.items():
+            self._restore_process(pid, state, pid in stepped)
+        saved.clear()
+        if close:
+            self._checkpoints.pop()
+            if self._checkpoints:
+                self._saved = self._checkpoints[-1][4]
+            else:
+                self._undo = self._saved = None
+
     @contextmanager
     def probe(self, pids: Iterable[int]):
         """Let ``pids`` make further calls on this run, then undo them.
 
-        Each process must be between calls: a generator cannot be rewound.
-        Inside the scope only these processes may start calls or step.  On
-        exit, also by an exception, the run is restored exactly: memory
-        words and cache holders from an undo log the probe's steps write,
-        the probed processes' own state (script position, ``ctx.state``,
-        ledger row, set memberships) from a copy taken here, and the event,
-        call and trace lists by truncation.  Probes do not nest.
+        A checkpoint under which only these processes may start calls or
+        step; on exit, also by an exception, it is rolled back and closed.
+        Each process must be between calls, since the probe asks what its
+        further calls would do.  Probes do not nest.
         """
-        if self._undo is not None:
+        if self._probed is not None:
             raise SimError("a probe is already open")
         if self.ledger is None:
             raise SimError("a probe restores the ledger; this run keeps none")
@@ -383,22 +460,15 @@ class Runner:
         for pid in pids:
             if self._procs[pid].call is not None:
                 raise SimError(f"process {pid} is mid-call; a probe starts between calls")
-        saved = {pid: self._save_process(pid) for pid in pids}
-        lengths = len(self.events), len(self.calls), len(self.trace)
-        self._undo, self._probed = [], pids
+        depth = len(self._checkpoints)
+        self.checkpoint()
+        self._probed = pids
         try:
             yield self
         finally:
-            undo, self._undo, self._probed = self._undo, None, frozenset()
-            for word, holders in reversed(undo):
-                self.mem.restore_word(word)
-                if holders is not None:
-                    self.ledger.cache.restore(holders)
-            del self.events[lengths[0]:]
-            del self.calls[lengths[1]:]
-            del self.trace[lengths[2]:]
-            for pid, state in saved.items():
-                self._restore_process(pid, state)
+            self._probed = None
+            while len(self._checkpoints) > depth:
+                self.rollback(close=True)
 
     # -- replay -----------------------------------------------------------
 
@@ -431,10 +501,11 @@ class Runner:
         accessed are refolded from their initial values over the others'
         events on them, and so are their cache holders and the others' CC
         and directory counts.  ``p`` is left as if it never ran.  Refused
-        inside a probe, without a ledger, and for a process not active.
+        while a checkpoint or probe is open, without a ledger, and for a
+        process not active.
         """
         if self._undo is not None:
-            raise SimError("cannot erase inside an open probe")
+            raise SimError("cannot erase while a checkpoint or probe is open")
         if self.ledger is None:
             raise SimError("erasure corrects the ledger; this run keeps none")
         if not self.is_active(p):
@@ -483,56 +554,113 @@ class Runner:
         self.trace = [t for t in self.trace
                       if t != p and (type(t) is not tuple or t[1] != p)]
         self.ledger.drop(p, refold)
-        self._procs[p] = _ProcState()
+        self._procs[p] = fresh = _ProcState()
+        fresh.next_kind = self._script_next(p)
         self.ctxs[p] = self.algorithm.make_ctx(p, self.locs)
         self._pollers.discard(p)
         self._signaled.discard(p)
         if p in self._live:
             self._live.remove(p)
-        if self._script_next(p) is not None:
+        if fresh.next_kind is not None:
             bisect.insort(self._live, p)
 
     # -- internals ----------------------------------------------------------
 
-    def _check_probed(self, pid: int) -> None:
-        if pid not in self._probed:
+    def _touch(self, pid: int) -> None:
+        """Under an open checkpoint, before ``pid``'s state first changes:
+        refuse a process outside an open probe, and save the state."""
+        if self._probed is not None and pid not in self._probed:
             raise SchedulingError(f"process {pid} is outside the open probe")
+        if pid not in self._saved:
+            self._saved[pid] = self._save_process(pid)
 
     def _journal(self, pid: int, op, uid: int) -> None:
-        self._check_probed(pid)
-        self._undo.append(
-            (self.mem.save_word(uid), self.ledger.cache.save(pid, uid, op.trivial))
-        )
+        self._touch(pid)
+        ledger = self.ledger
+        self._undo.append((
+            pid, self.mem.save_word(uid),
+            None if ledger is None else ledger.cache.save(pid, uid, op.trivial),
+        ))
 
     def _pid_sets(self) -> tuple[set[int], ...]:
-        """The sets a probed process's steps can add it to; none of them
-        ever shrinks, so undoing a probe only drops what it added."""
+        """The sets a process's steps can add it to; none of them ever
+        shrinks, so a rollback only drops what was added."""
+        if self.ledger is None:
+            return self._terminated, self._pollers, self._signaled
         return (self._terminated, self._pollers, self._signaled,
                 self.ledger.participants, self.ledger.finished)
 
     def _save_process(self, pid: int) -> tuple:
         state = self._procs[pid]
+        rec = state.call
         return (
-            state.calls_made, state.saw_true, list(state.forced),
-            dict(self.ctxs[pid].state), self.ledger.row(pid), pid in self._live,
-            tuple(pid in members for members in self._pid_sets()),
+            state.gen, rec, state.pending, None if rec is None else rec.start_seq,
+            state.calls_made, state.saw_true, list(state.forced), state.next_kind,
+            state.start_state,
+            # An open call's own steps alone change ctx.state, and after
+            # them the generator rebuild restores it.
+            dict(self.ctxs[pid].state) if rec is None else None,
+            None if self.ledger is None else self.ledger.row(pid),
+            pid in self._live, [members for members in self._pid_sets() if pid not in members],
         )
 
-    def _restore_process(self, pid: int, saved: tuple) -> None:
-        calls_made, saw_true, forced, ctx_state, row, live, memberships = saved
+    def _restore_process(self, pid: int, saved: tuple, stepped: bool) -> None:
+        (gen, rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
+         start_state, ctx_state, row, live, absent) = saved
         state = self._procs[pid]
-        state.gen = state.call = state.pending = None
+        state.call, state.pending = rec, pending
         state.calls_made, state.saw_true, state.forced = calls_made, saw_true, forced
-        self.ctxs[pid].state = ctx_state
-        self.ledger.set_row(pid, row)
+        state.next_kind, state.start_state = next_kind, start_state
+        if rec is None:
+            state.gen = None
+            self.ctxs[pid].state = ctx_state
+        else:
+            rec.response = rec.end_seq = None
+            rec.start_seq = start_seq
+            # The saved generator has moved on if the process stepped since
+            # the save, or if it stepped under a later checkpoint whose
+            # rollback put a rebuilt generator in its place.
+            state.gen = gen if gen is state.gen and not stepped else self._rebuild(pid)
+        if row is not None:
+            self.ledger.set_row(pid, row)
         if live != (pid in self._live):
             if live:
                 bisect.insort(self._live, pid)
             else:
                 self._live.remove(pid)
-        for members, member in zip(self._pid_sets(), memberships):
-            if not member:
-                members.discard(pid)
+        for members in absent:
+            members.discard(pid)
+
+    def _rebuild(self, pid: int):
+        """A generator for ``pid``'s open call, at the point the call has
+        reached in ``self.events``: the body restarted from the call's
+        start state and sent each recorded response.  Every request must
+        match the recorded one, and the last the pending one."""
+        state = self._procs[pid]
+        rec = state.call
+        if state.start_state is None:
+            raise SimError(f"process {pid}'s call began before any checkpoint; "
+                           "it cannot be rewound")
+        ctx = self.ctxs[pid]
+        ctx.state = dict(state.start_state)
+        gen = self._body(rec.kind, ctx)
+        try:
+            req = next(gen)
+            if rec.start_seq is not None:
+                for e in self.events[rec.start_seq:]:
+                    if e.proc == pid:
+                        op = e.op
+                        if req[1].uid != e.loc or (req[0] is not op and req[0] != op):
+                            _diverged(pid, req, op, e.loc)
+                        req = gen.send(e.outcome if op.kind is OpKind.SC else e.value_read)
+        except StopIteration:
+            raise ReplayDivergence(
+                f"process {pid}'s {rec.kind} returned early when rebuilt"
+            ) from None
+        op, loc = state.pending
+        if req[1].uid != loc.uid or (req[0] is not op and req[0] != op):
+            _diverged(pid, req, op, loc.uid)
+        return gen
 
     def _script_next(self, pid: int) -> str | None:
         script = self.roles.get(pid)
@@ -556,12 +684,12 @@ class Runner:
         if state.gen is not None:  # pragma: no cover - engine invariant
             raise AssertionError("open call without a pending operation")
         if self._undo is not None:
-            self._check_probed(pid)
+            self._touch(pid)
         if state.forced:
             kind = state.forced.pop(0)
             forced = True
         else:
-            kind = self._script_next(pid)
+            kind = state.next_kind
             forced = False
         if kind is None:
             return None
@@ -589,12 +717,15 @@ class Runner:
         self.calls.append(rec)
         state.call = rec
         ctx = self.ctxs[pid]
+        state.start_state = None if self._undo is None else dict(ctx.state)
+        state.gen = self._body(kind, ctx)
+
+    def _body(self, kind: str, ctx):
         if kind == POLL:
-            state.gen = self.algorithm.poll(ctx)
-        elif kind == SIGNAL:
-            state.gen = self.algorithm.signal(ctx)
-        else:
-            state.gen = self.algorithm.wait(ctx)
+            return self.algorithm.poll(ctx)
+        if kind == SIGNAL:
+            return self.algorithm.signal(ctx)
+        return self.algorithm.wait(ctx)
 
     def _terminate(self, pid: int) -> None:
         self._terminated.add(pid)
@@ -604,6 +735,13 @@ class Runner:
             self._live.remove(pid)
         except ValueError:  # pragma: no cover - forced call on role-less pid
             pass
+
+
+def _diverged(pid: int, req, op, uid: int):
+    raise ReplayDivergence(
+        f"process {pid} issued {req[0].kind.value} on word {req[1].uid} when rebuilt, "
+        f"where the run has {op.kind.value} on word {uid}"
+    )
 
 
 def run(algorithm, roles: dict[int, Script], policy, *,

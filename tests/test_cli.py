@@ -1,9 +1,14 @@
 """Command-line behavior: records, exit codes, reproducibility, formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmrsim
 from rmrsim.cli import SWEEP_COLUMNS, main
 
 
@@ -378,3 +383,25 @@ def test_drill_signaler_outside_processes_is_usage_error(capsys, signaler):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "outside 1..5" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("run --algo cc_flag --n 3 --seed 1", 0),
+    ("check --algo cc_flag --n 3 --schedule exhaustive:12", 0),
+    ("check --algo mutant_single_waiter --n 3 --waiters 1 --schedule exhaustive:25", 1),
+], ids=["run", "check", "check-violation"])
+def test_closed_stdout_pipe_keeps_the_exit_code(argv, code):
+    # As under ``| head -1``, but with no reader at all from the start, so
+    # the first write always fails.
+    env = dict(os.environ)
+    src = str(Path(rmrsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "rmrsim", *argv.split()], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr and "BrokenPipe" not in done.stderr

@@ -79,6 +79,86 @@ def test_enumerate_depth_prunes():
     assert len(histories[0].events) == 5
 
 
+def test_enumeration_builds_one_runner_and_steps_each_prefix_once(monkeypatch):
+    counts = {"init": 0, "step": 0}
+    init, step = Runner.__init__, Runner.step
+
+    def counted_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_step(self, pid):
+        counts["step"] += 1
+        return step(self, pid)
+
+    monkeypatch.setattr(Runner, "__init__", counted_init)
+    monkeypatch.setattr(Runner, "step", counted_step)
+    algo = make_algorithm("dsm_queue", 3)
+    roles = {2: poll_at_most(2), 3: poll_at_most(2), 1: signal_once()}
+    prefixes = set()
+    for history in enumerate_histories(algo, roles, depth=25):
+        prefixes.update(history.trace[:k] for k in range(1, len(history.trace) + 1))
+    assert counts == {"init": 1, "step": len(prefixes)}
+    assert len(prefixes) == 37_742
+
+
+#: Poll bodies started so far, across every run: state outside ctx.state.
+STARTED = []
+
+
+class Fickle(SignalingAlgorithm):
+    """Poll reads ``a`` twice the first time any Poll body runs; every
+    later time it reads ``b`` as request number ``changes`` instead, so a
+    rebuilt call asks for something else than the call it rebuilds."""
+
+    name = "fickle"
+
+    def __init__(self, n: int, changes: int = 1):
+        super().__init__(n)
+        self.changes = changes
+
+    def setup(self, mem):
+        return SimpleNamespace(a=mem.alloc("a", home=1), b=mem.alloc("b", home=1))
+
+    def poll(self, ctx):
+        STARTED.append(ctx.pid)
+        words = [ctx.locs.a, ctx.locs.a]
+        if len(STARTED) > 1:
+            words[self.changes] = ctx.locs.b
+        yield read(words[0])
+        return bool((yield read(words[1])))
+
+    def signal(self, ctx):
+        yield read(ctx.locs.a)
+
+
+def test_enumeration_of_a_protocol_with_hidden_state_diverges():
+    # Backtracking rebuilds a Poll, which then asks for another word than
+    # it did.
+    STARTED.clear()
+    histories = enumerate_histories(Fickle(3), {2: poll_at_most(1), 3: poll_at_most(1)}, 4)
+    assert next(histories).trace == (2, 2, 3, 3)
+    with pytest.raises(ReplayDivergence, match="when rebuilt"):
+        list(histories)
+
+
+@pytest.mark.parametrize("changes", [0, 1], ids=["recorded-request", "pending-request"])
+def test_rebuilt_call_that_asks_for_something_else_diverges(changes):
+    # Rolled back past two steps of 2's Poll, taken after one: the rebuilt
+    # body's first request is checked against the recorded step, its
+    # second against the pending one.
+    STARTED.clear()
+    runner = Runner(Fickle(3, changes), {2: poll_at_most(1)})
+    runner.checkpoint()
+    runner.step(2)
+    runner.checkpoint()
+    runner.step(2)
+    with pytest.raises(ReplayDivergence,
+                       match="process 2 issued read on word 1 when rebuilt, "
+                             "where the run has read on word 0"):
+        runner.rollback()
+
+
 def test_enumerate_overflow():
     algo = make_algorithm("dsm_registration", 4)
     roles = {2: poll_at_most(2), 3: poll_at_most(2), 4: poll_at_most(2)}

@@ -4,12 +4,14 @@ Each example is a registered algorithm, or for some properties a test-only
 one defined here (plain or ``+blocking``), on n <= 6 processes, a random
 mix of waiter scripts with or without a signaler, a seeded random schedule
 cut at a random step budget, and sometimes an extra Poll forced on a
-waiter.  The properties pin what replay, forking, probing, erasure and the
-ledger promise, independently of how the engine implements them.
+waiter.  The properties pin what replay, forking, checkpoints, probing,
+erasure, enumeration and the ledger promise, independently of how the
+engine implements them.
 """
 
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import islice
 from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
@@ -25,7 +27,13 @@ from rmrsim.costs import (
     count_messages,
 )
 from rmrsim.errors import SimError, StabilityUndecided, StepBudgetExceeded
-from rmrsim.harness import StabilityResult, erase, stability, validate_erasure
+from rmrsim.harness import (
+    StabilityResult,
+    enumerate_histories,
+    erase,
+    stability,
+    validate_erasure,
+)
 from rmrsim.memory import OpKind, cas, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
@@ -129,11 +137,13 @@ class Config:
     forced: int | None  # waiter that gets one extra Poll after the budget
 
 
-@st.composite
-def configs(draw, names=ALGORITHMS) -> Config:
+def draw_setting(draw, names, max_n: int) -> tuple[str, int, dict]:
+    """An algorithm name, plain or ``+blocking``, n and the roles: waiters
+    that poll (until true or a few times) or, under ``+blocking``, wait,
+    and sometimes a signaler."""
     base = draw(st.sampled_from(names))
     blocking = draw(st.booleans())
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_n))
     scripts = st.one_of(
         st.just(poll_until_true()),
         st.integers(1, 3).map(poll_at_most),
@@ -146,9 +156,15 @@ def configs(draw, names=ALGORITHMS) -> Config:
     roles = {w: draw(scripts) for w in sorted(waiters)}
     if draw(st.booleans()):
         roles[1] = signal_once()
-    forced = draw(st.none() | st.sampled_from(sorted(waiters)))
+    return base + ("+blocking" if blocking else ""), n, roles
+
+
+@st.composite
+def configs(draw, names=ALGORITHMS) -> Config:
+    name, n, roles = draw_setting(draw, names, 6)
+    forced = draw(st.none() | st.sampled_from(sorted(pid for pid in roles if pid != 1)))
     return Config(
-        name=base + ("+blocking" if blocking else ""),
+        name=name,
         n=n,
         roles=roles,
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -407,3 +423,116 @@ def test_stability_probe_matches_fork_oracle_and_rolls_back(cfg, model, horizon)
     assert signatures(runner) == signatures(twin)
     assert calls(runner) == calls(twin)
     assert ledger_state(runner) == ledger_state(twin)
+
+
+@given(configs(EVERY_PRIMITIVE))
+def test_rollback_restores_the_run_exactly(cfg):
+    # Checkpoint mid-run, go on (a forced Poll included), roll back: the run
+    # is as it was, and goes on as a run that never left.
+    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    runner.checkpoint()  # calls begun from here on can be rewound
+    runner.drive(SeededRandom(cfg.seed), cfg.budget)
+    before, trace = observable_state(runner), list(runner.trace)
+    runner.checkpoint()
+    runner.drive(SeededRandom(cfg.seed + 1), len(runner.events) + 20)
+    if cfg.forced is not None and cfg.forced not in runner.terminated:
+        runner.force_next_call(cfg.forced, POLL)
+        runner.drive(SeededRandom(cfg.seed + 2), len(runner.events) + 20)
+    runner.rollback()
+    assert observable_state(runner) == before
+    twin = Runner.replay(runner.algorithm, runner.roles, trace)
+    for run in (runner, twin):
+        run.drive(SeededRandom(cfg.seed + 3), len(run.events) + 30)
+    assert observable_state(runner) == observable_state(twin)
+    runner.rollback(close=True)
+    assert observable_state(runner) == before
+    runner.rollback(close=True)
+    assert observable_state(runner) == observable_state(Runner(runner.algorithm, runner.roles))
+
+
+def replay_enumeration(algorithm, roles, depth):
+    """The stateless enumerator before it backtracked in place, kept as
+    the oracle: a fresh runner per history re-executes the whole prefix."""
+    pending = [()]
+    while pending:
+        prefix = pending.pop()
+        runner = Runner(algorithm, roles, with_ledger=False)
+        for pid in prefix:
+            runner.step(pid)
+        schedule = list(prefix)
+        while len(schedule) < depth:
+            choices = runner.runnable()
+            if not choices:
+                break
+            for alt in choices[:0:-1]:
+                pending.append((*schedule, alt))
+            runner.step(choices[0])
+            schedule.append(choices[0])
+        yield runner.history()
+
+
+#: Enough histories to backtrack through every level of a small tree.
+ENUM_LIMIT = 400
+
+
+def first_histories(histories) -> tuple:
+    """Up to ``ENUM_LIMIT`` histories, and the kind of error that ended
+    the enumeration early, if any."""
+    taken = []
+    try:
+        for history in islice(histories, ENUM_LIMIT):
+            taken.append(history)
+    except SimError as exc:
+        return taken, type(exc).__name__
+    return taken, None
+
+
+@given(st.data())
+def test_in_place_enumeration_matches_replay_oracle(data):
+    name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
+    depth = data.draw(st.integers(1, 10))
+    algorithm = build(name, n)
+    got = first_histories(enumerate_histories(algorithm, roles, depth))
+    want = first_histories(replay_enumeration(algorithm, roles, depth))
+    # Histories compare on every event field, every call record, finished,
+    # incomplete and the trace.
+    assert got == want
+
+
+ACTIONS = st.sampled_from(("step", "step", "step", "force", "checkpoint", "rollback", "close"))
+
+
+@given(st.data())
+def test_checkpoints_agree_with_replay_under_any_mix_of_actions(data):
+    # Steps, queued Polls, checkpoints and rollbacks in any order: each
+    # rollback restores the state its checkpoint saw, and the run always
+    # equals a replay of its trace.
+    name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
+    actions = data.draw(st.lists(st.tuples(ACTIONS, st.integers(0, 7)), min_size=20, max_size=80))
+    runner = Runner(build(name, n), roles)
+    runner.checkpoint()  # kept open, so that every call can be rewound
+    seen = [observable_state(runner)]
+    waiters = sorted(pid for pid in roles if pid != 1)
+    for action, k in actions:
+        if action == "step":
+            live = runner.runnable()
+            if not live:
+                continue
+            runner.step(live[k % len(live)])
+        elif action == "force":
+            pid = waiters[k % len(waiters)]
+            if pid in runner.terminated:
+                continue
+            runner.force_next_call(pid, POLL)
+        elif action == "checkpoint":
+            runner.checkpoint()
+            seen.append(observable_state(runner))
+        else:
+            close = action == "close" and len(seen) > 1
+            runner.rollback(close=close)
+            assert observable_state(runner) == (seen.pop() if close else seen[-1])
+        twin = Runner.replay(runner.algorithm, runner.roles, runner.trace)
+        assert observable_state(runner) == observable_state(twin)
+    while seen:
+        runner.rollback(close=True)
+        assert observable_state(runner) == seen.pop()

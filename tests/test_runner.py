@@ -1,10 +1,13 @@
 """Engine behavior: scripts, policies, determinism, budgets, and replay."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from rmrsim.algorithms import make_algorithm
+from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
 from rmrsim.errors import RoleError, SchedulingError, SimError
 from rmrsim.harness import erase
+from rmrsim.memory import OpKind, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
     ExplicitSchedule,
@@ -253,6 +256,140 @@ def test_probe_refusals():
     with pytest.raises(SimError, match="ledger"):
         with bare.probe([2]):
             pass
+
+
+# -- checkpoints --------------------------------------------------------------
+
+
+def test_rollback_rebuilds_a_call_that_changed_its_state_before_yielding():
+    # dsm_queue's first Poll sets "enqueued" before its first request, so
+    # the rebuilt body must start from the state the call found, not the
+    # state the rolled-back steps left.
+    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(2), 3: poll_at_most(1)})
+    runner.checkpoint()
+    runner.step(2)  # FAI on the tail; 2 is mid-call
+    before = observable(runner)
+    runner.checkpoint()
+    runner.step(2)
+    runner.step(3)
+    runner.step(2)  # 2's first Poll returns
+    runner.step(2)  # and its second begins
+    runner.rollback()
+    assert observable(runner) == before
+    assert runner.ctxs[2].state == {"enqueued": True}
+    runner.drive(RoundRobin())
+    twin = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(2), 3: poll_at_most(1)})
+    twin.step(2)
+    twin.drive(RoundRobin())
+    assert observable(runner) == observable(twin)
+
+
+def test_checkpoints_nest_and_close():
+    runner = queue_after_signal()
+    with pytest.raises(SimError, match="no checkpoint"):
+        runner.rollback()
+    outer = observable(runner)
+    runner.checkpoint()
+    runner.step(3)
+    inner = observable(runner)
+    runner.checkpoint()
+    runner.step(3)
+    runner.rollback()  # stays open
+    assert observable(runner) == inner
+    runner.step(3)
+    runner.rollback(close=True)
+    assert observable(runner) == inner
+    runner.rollback(close=True)
+    assert observable(runner) == outer
+    with pytest.raises(SimError, match="no checkpoint"):
+        runner.rollback()
+
+
+def test_rollback_rebuilds_a_generator_an_inner_rollback_left_behind():
+    # 2 is touched under the outer checkpoint without a step (a queued
+    # call), then steps under the inner one.  Rolling back the inner one
+    # rebuilds 2's generator, and the outer one must not bring back the
+    # generator those steps advanced.
+    def started():
+        run = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1), 3: poll_at_most(1)})
+        run.checkpoint()
+        run.step(2)  # FAI on the tail; 2 is mid-call
+        return run
+
+    runner = started()
+    before = observable(runner)
+    runner.checkpoint()
+    runner.force_next_call(2, POLL)
+    runner.checkpoint()
+    runner.step(2)
+    runner.rollback(close=True)
+    runner.rollback(close=True)
+    assert observable(runner) == before
+    twin = started()
+    for run in (runner, twin):
+        run.drive(RoundRobin())
+    assert observable(runner) == observable(twin)
+
+
+def test_rollback_unbegins_a_call_begun_without_a_step():
+    runner = Runner(make_algorithm("cc_flag", 3), {2: poll_at_most(1), 3: poll_at_most(1)})
+    runner.checkpoint()
+    runner.peek(2)  # 2's Poll has begun, with no step yet
+    runner.checkpoint()
+    runner.step(3)
+    runner.step(2)
+    runner.rollback()
+    assert [(c.proc, c.start_seq, c.end_seq, c.response) for c in runner.calls] == [
+        (2, None, None, None)
+    ]
+    runner.drive(RoundRobin())
+    assert [(c.proc, c.start_seq) for c in runner.calls] == [(2, 0), (3, 1)]
+
+
+class Increment(SignalingAlgorithm):
+    """Signal increments the flag in an LL/SC loop and then reads it;
+    Poll writes it.  A rebuilt Signal only gets out of the loop if it is
+    sent each SC's verdict."""
+
+    name = "increment"
+    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
+
+    def setup(self, mem):
+        return SimpleNamespace(flag=mem.alloc("flag", home=1))
+
+    def signal(self, ctx):
+        while not (yield sc(ctx.locs.flag, (yield ll(ctx.locs.flag)) + 1)):
+            pass
+        yield read(ctx.locs.flag)
+
+    def poll(self, ctx):
+        yield write(ctx.locs.flag, 5)
+        return False
+
+
+def test_rollback_rebuilds_a_call_across_failed_and_successful_sc():
+    roles = {1: signal_once(), 2: poll_at_most(1)}
+    runner = Runner(Increment(2), roles)
+    runner.checkpoint()
+    for pid in (1, 2, 1, 1, 1):  # LL, the write, a failing SC, LL, SC
+        runner.step(pid)
+    before = observable(runner)
+    runner.checkpoint()
+    runner.step(1)  # the read; Signal returns
+    runner.rollback()
+    assert observable(runner) == before
+    runner.step(1)
+    assert runner.calls[0].response is None and runner.calls[0].end_seq == 5
+    assert [e.outcome for e in runner.events if e.op.kind is OpKind.SC] == [False, True]
+
+
+def test_rollback_cannot_rewind_a_call_begun_before_any_checkpoint():
+    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)})
+    runner.step(2)
+    runner.checkpoint()
+    runner.step(2)
+    with pytest.raises(SimError, match="before any checkpoint"):
+        runner.rollback()
 
 
 def test_history_sets():
