@@ -176,6 +176,7 @@ class FixedWaiters(SignalingAlgorithm):
         if waiters[0] < 1 or waiters[-1] > n:
             raise ConfigError(f"waiter ids {waiters} outside 1..{n}")
         self.waiters = waiters
+        self._waiter_set = frozenset(waiters)
         self.terminating = terminating
         self.name = "dsm_fixed_waiters_term" if terminating else "dsm_fixed_waiters"
 
@@ -202,7 +203,7 @@ class FixedWaiters(SignalingAlgorithm):
             yield write(ctx.locs.notify[j], 1)
 
     def validate_call(self, pid: int, kind: str, pollers: set[int]) -> None:
-        if kind != "Signal" and pid not in self.waiters:
+        if kind != "Signal" and pid not in self._waiter_set:
             raise RoleError(f"{self.name}: {pid} not in the fixed waiter set")
 
 

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import checker
 from .algorithms import make_algorithm
@@ -182,7 +183,10 @@ def _parse_waiters(raw, n: int, algo: str = "") -> tuple[int, ...]:
             return (2,)
         return tuple(range(2, n + 1))
     if len(raw) > 1:
-        return tuple(sorted(set(raw)))
+        repeated = sorted(w for w, times in Counter(raw).items() if times > 1)
+        if repeated:
+            raise ConfigError(f"waiter ids {repeated} repeated in --waiters")
+        return tuple(sorted(raw))
     count = raw[0]
     if count < 1 or count > n - 1:
         raise ConfigError(f"waiter count {count} needs 1..{n - 1} (one process must signal)")

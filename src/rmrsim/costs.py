@@ -178,15 +178,20 @@ class RmrLedger:
         if proc in self.participants:
             self.finished.add(proc)
 
-    def drop(self, proc: int, events: list[Event]) -> None:
+    def drop(self, proc: int, events: list[Event],
+             copies: list[tuple[int, int | None]] = ()) -> None:
         """Take out every event of ``proc``, as if it had never run.
 
-        ``events`` must be every event, in order, on the locations ``proc``
-        accessed, its own included.  A CC charge and a directory message
-        count depend only on the holders of the event's own location, so
-        folding these events with and without ``proc`` gives each other
-        process's correction and the holders those locations end with.
-        DSM, bus and step counts of the others do not depend on ``proc``.
+        ``events`` must be every event, in order, on the locations where
+        ``proc`` made a nontrivial attempt, its own included.  A CC charge
+        and a directory message count depend only on the holders of the
+        event's own location, so folding these events with and without
+        ``proc`` gives each other process's correction and the holders
+        those locations end with.  On a location it only read, its copies
+        changed nothing but the directory messages of the attempts that
+        invalidated them: ``copies`` holds (location, invalidator) once per
+        copy, with invalidator None for a copy still held.  DSM, bus and
+        step counts of the others do not depend on ``proc``.
         """
         with_proc, without = CacheState(), CacheState()
         for e in events:
@@ -205,6 +210,11 @@ class RmrLedger:
                 holders.pop(loc, None)
             else:
                 holders[loc] = refolded
+        for loc, invalidator in copies:
+            if invalidator is None:
+                holders[loc].discard(proc)
+            else:
+                self._rows[invalidator][3] -= 1
 
     def row(self, proc: int) -> list[int]:
         """A copy of one process's counts, for :meth:`set_row`."""

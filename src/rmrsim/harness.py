@@ -9,8 +9,9 @@
 * the observation relations (who read whose value, who touched whose
   module) and erasure: removing every step of an unobserved process yields
   another legal run, which is certified rather than trusted.  ``erase``
-  builds it by replay and compares, the slow oracle; the drill erases in
-  place and certifies all its erasures with one replay at the end;
+  builds it by replay and compares, the slow oracle, after the scan
+  ``validate_erasure``; the drill asks the run's observed-by count instead,
+  erases in place and certifies all its erasures with one replay at the end;
 * the adversary drill: stabilize a crowd of waiters, then make a signaler
   run alone and count what it must spend to reach them all.
 """
@@ -64,12 +65,13 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     # Never rolled back: it keeps the journal on, so that every call starts
     # under a checkpoint and can be rebuilt.
     run.checkpoint()
+    events = run.events  # the run's own list, which backtracking truncates
     # Per branching checkpoint, innermost last: its choices not yet taken,
     # the next one last.
     untried: list[list[int]] = []
     explored = 0
     while True:
-        while len(run.events) < depth:
+        while len(events) < depth:
             choices = run.runnable()
             if not choices:
                 break
@@ -199,17 +201,27 @@ def touches(history: History, p: int, q: int) -> bool:
 def validate_erasure(history: History | list, p: int) -> bool:
     """True iff removing every step of ``p`` cannot change anyone else's
     steps: nobody read a value last written by ``p``, and no other
-    process's SC verdict depended on a write of ``p``."""
+    process's SC verdict depended on a write of ``p``.  A scan of the whole
+    run: the oracle for :func:`_erasure_safe`."""
     events = history.events if isinstance(history, History) else history
-    return _erasure_safe(events, p)
-
-
-def _erasure_safe(events: list[Event], p: int) -> bool:
     for e in events:
         if e.proc != p and e.op.reads_value and e.writer_before == p:
             return False
-    # An SC outcome also depends on writes landing between the issuer's LL
-    # and the SC itself, which no read response exposes.
+    return _sc_independent(events, p)
+
+
+def _erasure_safe(run: Runner, p: int) -> bool:
+    """:func:`validate_erasure` on the live run, from its observed-by
+    count; the SC scan runs only for an algorithm that declares SC."""
+    if run.observers(p):
+        return False
+    return OpKind.SC not in run.algorithm.primitives or _sc_independent(run.events, p)
+
+
+def _sc_independent(events: list[Event], p: int) -> bool:
+    """No other process's SC verdict depended on a write of ``p``: an SC
+    outcome also depends on writes landing between the issuer's LL and the
+    SC itself, which no read response exposes."""
     last_ll: dict[tuple[int, int], int] = {}
     p_writes: dict[int, list[int]] = {}
     for e in events:
@@ -238,7 +250,7 @@ def erase(base: Runner, p: int) -> Runner:
     """
     if not base.is_active(p):
         raise SimError(f"process {p} is not active; only active processes can be erased")
-    if not _erasure_safe(base.events, p):
+    if not validate_erasure(base.events, p):
         raise ErasureRefused(f"some process observed {p}; erasure would change the run")
     trace = [
         entry for entry in base.trace
@@ -442,20 +454,22 @@ def _discovery_target(runner: Runner, s: int) -> int | None:
     if op.reads_value:
         writer = runner.mem.current_writer(loc)
         if (writer is not None and writer != s and runner.is_active(writer)
-                and _erasure_safe(runner.events, writer)):
+                and _erasure_safe(runner, writer)):
             return writer
     if not op.trivial and loc.home != s and runner.is_active(loc.home):
-        if _erasure_safe(runner.events, loc.home):
+        if _erasure_safe(runner, loc.home):
             return loc.home
     return None
 
 
 def _erase_unobserved(runner: Runner, waiters) -> int:
     """Erase, in place, every waiter still active that nobody observed;
-    return how many were erased."""
+    return how many were erased.  The waiters are picked in order, each
+    erasure taking its waiter's reads out of the observed-by count before
+    the next pick."""
     erased = 0
     for w in waiters:
-        if runner.is_active(w) and _erasure_safe(runner.events, w):
+        if runner.is_active(w) and _erasure_safe(runner, w):
             runner.erase(w)
             erased += 1
     return erased

@@ -255,6 +255,10 @@ class Memory:
             self._links[uid].clear()
         return writer
 
+    def unlink(self, uid: int, proc: int) -> None:
+        """Drop ``proc``'s LL link on a word, if it holds one."""
+        self._links[uid].discard(proc)
+
     # -- execution ----------------------------------------------------------
 
     def apply(self, proc: int, op: PrimitiveOp, loc: Location, *, seq: int, call_id: int) -> Event:

@@ -15,7 +15,9 @@ generator that moved by re-sending its recorded responses.  Exhaustive
 enumeration backtracks this way, and a *probe* ("what if these processes
 made more calls from here?") is a checkpoint that only the probed
 processes may act under.  An *erasure* takes a process nobody observed out
-of the live run, leaving what a replay without it would build.
+of the live run, leaving what a replay without it would build; it costs
+what the process touched, and the renumbering it leaves waits for one
+compaction pass before anything reads the run as a whole.
 
 Procedure-call rules enforced here: a process makes calls one at a time,
 calls Signal at most once, and a scripted poller stops polling after a call
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -214,6 +217,30 @@ class _ProcState:
         self.start_state: dict | None = None
 
 
+class _Erased:
+    """What erasures leave for the next compaction, with the indexes they
+    find their work through.
+
+    ``by_proc`` gives each process's event, call and trace positions;
+    ``by_word`` each word's event positions, and ``attempts`` those of its
+    nontrivial events.  They cover the first ``upto`` events, calls and
+    trace entries.  ``first_event`` and ``first_call`` are the lowest
+    positions erased; ``writers`` holds, by position, the writer before of
+    each event an erasure refolded to another one.
+    """
+
+    __slots__ = ("by_proc", "by_word", "attempts", "upto", "first_event", "first_call",
+                 "writers")
+
+    def __init__(self, n: int):
+        self.by_proc = [([], [], []) for _ in range(n + 1)]
+        self.by_word: defaultdict[int, list[int]] = defaultdict(list)
+        self.attempts: defaultdict[int, list[int]] = defaultdict(list)
+        self.upto = (0, 0, 0)
+        self.first_event = self.first_call = 1 << 62
+        self.writers: dict[int, int | None] = {}
+
+
 class Runner:
     """A single deterministic simulation instance.
 
@@ -222,8 +249,8 @@ class Runner:
     the steps taken since instead of a replay of the whole trace;
     :meth:`probe` runs extra calls of some processes under a checkpoint and
     rolls them back.  :meth:`fork` replays the trace into a fresh,
-    independent instance; :meth:`erase` removes a process in place, which
-    costs one pass over the events instead of a replay.
+    independent instance; :meth:`erase` removes a process in place, at the
+    cost of what that process touched instead of a replay.
     """
 
     def __init__(self, algorithm, roles: dict[int, Script], *, with_ledger: bool = True):
@@ -243,9 +270,12 @@ class Runner:
         self.ctxs = {
             pid: algorithm.make_ctx(pid, self.locs) for pid in range(1, self.n + 1)
         }
-        self.events: list[Event] = []
-        self.calls: list[CallRecord] = []
-        self.trace: list = []
+        # Read through the ``events``, ``calls`` and ``trace`` properties,
+        # which compact them first.  An erasure leaves None in the place of
+        # what it took out, and raw positions in seqs and call ids.
+        self._events: list[Event | None] = []
+        self._calls: list[CallRecord | None] = []
+        self._trace: list = []
         self.ledger: RmrLedger | None = RmrLedger(self.n) if with_ledger else None
         self._procs = {pid: _ProcState() for pid in range(1, self.n + 1)}
         self._terminated: set[int] = set()
@@ -265,8 +295,37 @@ class Runner:
         self._checkpoints: list[tuple] = []
         self._saved: dict[int, tuple] | None = None  # the innermost one's
         self._probed: frozenset[int] | None = None  # set while a probe is open
+        # Per process p, how many value-reading events of others have p as
+        # their writer before, folded over the first ``_observed_upto``
+        # events; built by the first query.
+        self._observed: list[int] | None = None
+        self._observed_upto = 0
+        # Set from an erasure to the next compaction.
+        self._erased: _Erased | None = None
 
     # -- public state -----------------------------------------------------
+
+    @property
+    def events(self) -> list[Event]:
+        """The run's events; ``events[i].seq == i``."""
+        if self._erased is not None:
+            self._compact()
+        return self._events
+
+    @property
+    def calls(self) -> list[CallRecord]:
+        """Every call begun, in the order begun; ``calls[i].call_id == i``."""
+        if self._erased is not None:
+            self._compact()
+        return self._calls
+
+    @property
+    def trace(self) -> list:
+        """The replay recipe: a pid per step, ``("force", pid, kind)`` per
+        queued call."""
+        if self._erased is not None:
+            self._compact()
+        return self._trace
 
     @property
     def terminated(self) -> frozenset[int]:
@@ -282,7 +341,7 @@ class Runner:
     def participants(self) -> frozenset[int]:
         if self.ledger is not None:
             return frozenset(self.ledger.participants)
-        return frozenset(e.proc for e in self.events)
+        return frozenset(e.proc for e in self._events)
 
     def active(self) -> frozenset[int]:
         return self.participants() - self._terminated
@@ -293,16 +352,25 @@ class Runner:
             return False
         if self.ledger is not None:
             return pid in self.ledger.participants
-        return any(e.proc == pid for e in self.events)
+        return any(e.proc == pid for e in self._events)
+
+    def observers(self, p: int) -> int:
+        """How many value-reading events of other processes read a value
+        whose last writer was ``p``.  Folded from the events added since the
+        last query; an erasure takes out its process's own reads."""
+        self._fold_observed()
+        return self._observed[p]
 
     def history(self) -> History:
+        if self._erased is not None:
+            self._compact()
         return History(
-            events=list(self.events),
+            events=list(self._events),
             calls=[CallRecord(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
-                   for c in self.calls],
+                   for c in self._calls],
             finished=frozenset(self._terminated),
             incomplete=bool(self._live),
-            trace=tuple(self.trace),
+            trace=tuple(self._trace),
         )
 
     # -- scheduling -------------------------------------------------------
@@ -323,9 +391,9 @@ class Runner:
         rec = state.call
         if self._undo is not None:
             self._journal(pid, op, loc.uid)
-        events = self.events
+        events = self._events
         ev = self.mem.apply(pid, op, loc, seq=len(events), call_id=rec.call_id)
-        self.trace.append(pid)
+        self._trace.append(pid)
         events.append(ev)
         if self.ledger is not None:
             self.ledger.record(ev)
@@ -364,11 +432,9 @@ class Runner:
             raise SimError(f"process {pid} has terminated")
         if self._undo is not None:
             self._touch(pid)
-        self.trace.append(("force", pid, kind))
+        self._trace.append(("force", pid, kind))
         self._procs[pid].forced.append(kind)
-        if pid not in self._live:
-            self._live.append(pid)
-            self._live.sort()
+        self._set_live(pid, True)
 
     def run_call(self, pid: int, *, max_steps: int = DEFAULT_BUDGET) -> CallRecord:
         """Step ``pid`` until its current (or next) procedure call returns."""
@@ -398,11 +464,13 @@ class Runner:
         queued calls, ``ctx.state``, ledger row, set memberships, and its
         open call's generator and record.
         """
+        if self._erased is not None:
+            self._compact()
         if self._undo is None:
             self._undo = []
         self._saved = {}
         self._checkpoints.append(
-            (len(self.events), len(self.calls), len(self.trace), len(self._undo), self._saved)
+            (len(self._events), len(self._calls), len(self._trace), len(self._undo), self._saved)
         )
 
     def rollback(self, *, close: bool = False) -> None:
@@ -430,9 +498,12 @@ class Runner:
             if holders is not None:
                 cache.restore(holders)
         del undo[mark:]
-        del self.events[events:]
-        del self.calls[calls:]
-        del self.trace[trace:]
+        if self._observed_upto > events:
+            self._observe(self._events[events:self._observed_upto], -1)
+            self._observed_upto = events
+        del self._events[events:]
+        del self._calls[calls:]
+        del self._trace[trace:]
         for pid, state in saved.items():
             self._restore_process(pid, state, pid in stepped)
         saved.clear()
@@ -495,14 +566,24 @@ class Runner:
         Sound only if no other process observed ``p`` (see
         ``harness.validate_erasure``), which is not checked here: the other
         processes keep their events' values and their programs keep the
-        responses they got.  Their events and calls are renumbered as a
-        replay numbers them, the events as new objects because
-        :meth:`history` snapshots share the old ones.  The words ``p``
-        accessed are refolded from their initial values over the others'
-        events on them, and so are their cache holders and the others' CC
-        and directory counts.  ``p`` is left as if it never ran.  Refused
-        while a checkpoint or probe is open, without a ledger, and for a
-        process not active.
+        responses they got.  It costs what ``p`` touched, not the run:
+
+        * ``p``'s events, calls and trace entries, found through a
+          per-process index, are marked dead;
+        * each word ``p`` made a nontrivial attempt on is refolded from its
+          initial value over the others' events on it, found through a
+          per-word index, and so are its cache holders and the others' CC
+          and directory counts on it;
+        * on a word ``p`` only read, its links and copies go, and so does
+          one directory message of each attempt that invalidated a copy.
+
+        The survivors' events and calls are renumbered as a replay numbers
+        them, the events as new objects because :meth:`history` snapshots
+        share the old ones, by one compaction pass before anything reads
+        the run as a whole (:attr:`events`, :attr:`calls`, :attr:`trace`,
+        :meth:`history`, :meth:`checkpoint`, :meth:`fork`).  ``p`` is left
+        as if it never ran.  Refused while a checkpoint or probe is open,
+        without a ledger, and for a process not active.
         """
         if self._undo is not None:
             raise SimError("cannot erase while a checkpoint or probe is open")
@@ -510,59 +591,143 @@ class Runner:
             raise SimError("erasure corrects the ledger; this run keeps none")
         if not self.is_active(p):
             raise SimError(f"process {p} is not active; only active processes can be erased")
-        events = self.events
-        # A process makes one call at a time, so its events lie within its calls.
-        dropped: list[int] = []
-        for rec in self.calls:
-            if rec.proc == p and rec.start_seq is not None:
-                end = len(events) if rec.open else rec.end_seq + 1
-                dropped += [e.seq for e in events[rec.start_seq:end] if e.proc == p]
-        touched = {events[seq].loc for seq in dropped}
-        # Renumber the calls; events before ``start`` keep seq and call id.
-        first = start = dropped[0]
-        ids = [0] * len(self.calls)
-        calls: list[CallRecord] = []
-        for rec in self.calls:
-            if rec.proc == p:
-                continue
-            if rec.call_id != len(calls) and rec.start_seq is not None and rec.start_seq < start:
-                start = rec.start_seq
-            old, rec.call_id = rec.call_id, len(calls)
-            ids[old] = rec.call_id
-            calls.append(rec)
-            if rec.start_seq is not None and rec.start_seq > first:
-                rec.start_seq -= bisect.bisect_left(dropped, rec.start_seq)
-            if rec.end_seq is not None and rec.end_seq > first:
-                rec.end_seq -= bisect.bisect_left(dropped, rec.end_seq)
-        mem = self.mem
-        for uid in touched:
-            mem.reset_word(uid)
-        refold = [e for e in events[:start] if e.loc in touched]
-        for e in refold:
-            mem.redo(e)
-        kept = events[:start]
-        for e in events[start:]:
-            writer = e.writer_before
-            if e.loc in touched:
-                refold.append(e)
-                if e.proc == p:
-                    continue
-                writer = mem.redo(e)
-            kept.append(Event(len(kept), e.proc, e.op, e.loc, e.home, e.value_read,
-                              e.value_written, e.outcome, ids[e.call_id], writer))
-        self.events, self.calls = kept, calls
-        self.trace = [t for t in self.trace
-                      if t != p and (type(t) is not tuple or t[1] != p)]
-        self.ledger.drop(p, refold)
+        erased = self._index()
+        self._fold_observed()
+        events = self._events
+        own_events, own_calls, own_trace = erased.by_proc[p]
+        erased.by_proc[p] = ([], [], [])
+        doomed = {pos: events[pos] for pos in own_events}
+        self._observe(doomed.values(), -1)
+        for pos in own_events:
+            events[pos] = None
+        for pos in own_calls:
+            self._calls[pos] = None
+        for pos in own_trace:
+            self._trace[pos] = None
+        erased.first_event = min(erased.first_event, own_events[0])
+        erased.first_call = min(erased.first_call, own_calls[0])
+        self._refold(p, doomed)
         self._procs[p] = fresh = _ProcState()
         fresh.next_kind = self._script_next(p)
         self.ctxs[p] = self.algorithm.make_ctx(p, self.locs)
         self._pollers.discard(p)
         self._signaled.discard(p)
-        if p in self._live:
-            self._live.remove(p)
-        if fresh.next_kind is not None:
-            bisect.insort(self._live, p)
+        self._set_live(p, fresh.next_kind is not None)
+
+    def _refold(self, p: int, doomed: dict[int, Event]) -> None:
+        """Bring memory and the ledger up to the erasure of ``p``, whose
+        events, by position, are ``doomed``."""
+        erased, events, mem = self._erased, self._events, self.mem
+        attempted = {e.loc for e in doomed.values() if not e.op.trivial}
+        refold = []  # every event on those words, p's included
+        for uid in attempted:
+            mem.reset_word(uid)
+            for pos in erased.by_word[uid]:
+                e = events[pos]
+                if e is None:
+                    e = doomed.get(pos)
+                    if e is not None:
+                        refold.append(e)
+                    continue
+                refold.append(e)
+                writer = mem.redo(e)
+                # An erasure only takes writers away, so a changed writer
+                # never changes back.
+                if writer != e.writer_before:
+                    erased.writers[pos] = writer
+        # On a word only read, a copy lasted to the next live attempt on it.
+        copies = {}
+        for pos, e in doomed.items():
+            uid = e.loc
+            if uid in attempted:
+                continue
+            mem.unlink(uid, p)
+            later = erased.attempts.get(uid, ())
+            i = bisect.bisect(later, pos)
+            while i < len(later) and events[later[i]] is None:
+                i += 1
+            at = later[i] if i < len(later) else None
+            copies[uid, at] = None if at is None else events[at].proc
+        self.ledger.drop(p, refold, [(uid, by) for (uid, _), by in copies.items()])
+
+    def _index(self) -> "_Erased":
+        """The erasure indexes, extended to the events, calls and trace
+        entries added since they were last used."""
+        erased = self._erased
+        if erased is None:
+            erased = self._erased = _Erased(self.n)
+        by_proc, by_word, attempts = erased.by_proc, erased.by_word, erased.attempts
+        n_events, n_calls, n_trace = erased.upto
+        events, calls, trace = self._events, self._calls, self._trace
+        for pos in range(n_events, len(events)):
+            e = events[pos]
+            by_proc[e.proc][0].append(pos)
+            by_word[e.loc].append(pos)
+            if not e.op.trivial:
+                attempts[e.loc].append(pos)
+        for pos in range(n_calls, len(calls)):
+            by_proc[calls[pos].proc][1].append(pos)
+        for pos in range(n_trace, len(trace)):
+            entry = trace[pos]
+            by_proc[entry if type(entry) is int else entry[1]][2].append(pos)
+        erased.upto = len(events), len(calls), len(trace)
+        return erased
+
+    def _compact(self) -> None:
+        """Renumber the run after erasures, as a replay of its trace would
+        number it, in one pass from the first place that changes."""
+        erased = self._erased
+        self._fold_observed()
+        self._erased = None
+        events, calls = self._events, self._calls
+        first = erased.first_call
+        # The events to rebuild start at the first erased one, or earlier
+        # at the first step of a call whose id moves.
+        start = erased.first_event
+        ids: list[int | None] = []  # new id of each call from ``first`` on
+        kept_calls = calls[:first]
+        for rec in calls[first:]:
+            if rec is None:
+                ids.append(None)
+                continue
+            if rec.start_seq is not None and rec.start_seq < start:
+                start = rec.start_seq
+            ids.append(len(kept_calls))
+            rec.call_id = len(kept_calls)
+            kept_calls.append(rec)
+        seqs: list[int] = []  # new seq of each event from ``start`` on
+        kept: list[Event] = []
+        writers = erased.writers
+        for pos, e in enumerate(events[start:], start):
+            seq = start + len(kept)
+            seqs.append(seq)
+            if e is not None:
+                call_id = e.call_id if e.call_id < first else ids[e.call_id - first]
+                kept.append(Event(seq, e.proc, e.op, e.loc, e.home, e.value_read,
+                                  e.value_written, e.outcome, call_id,
+                                  writers.get(pos, e.writer_before)))
+        for rec in kept_calls:
+            if rec.start_seq is not None and rec.start_seq >= start:
+                rec.start_seq = seqs[rec.start_seq - start]
+            if rec.end_seq is not None and rec.end_seq >= start:
+                rec.end_seq = seqs[rec.end_seq - start]
+        events[start:] = kept
+        calls[:] = kept_calls
+        self._trace[:] = [entry for entry in self._trace if entry is not None]
+        self._observed_upto = len(events)
+
+    def _fold_observed(self) -> None:
+        if self._observed is None:
+            self._observed = [0] * (self.n + 1)
+        self._observe(self._events[self._observed_upto:], 1)
+        self._observed_upto = len(self._events)
+
+    def _observe(self, events: Iterable[Event], sign: int) -> None:
+        counts = self._observed
+        for e in events:
+            writer = e.writer_before
+            if writer is not None and writer != e.proc and e.op.reads_value:
+                counts[writer] += sign
 
     # -- internals ----------------------------------------------------------
 
@@ -601,12 +766,12 @@ class Runner:
             # them the generator rebuild restores it.
             dict(self.ctxs[pid].state) if rec is None else None,
             None if self.ledger is None else self.ledger.row(pid),
-            pid in self._live, [members for members in self._pid_sets() if pid not in members],
+            [members for members in self._pid_sets() if pid not in members],
         )
 
     def _restore_process(self, pid: int, saved: tuple, stepped: bool) -> None:
         (gen, rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
-         start_state, ctx_state, row, live, absent) = saved
+         start_state, ctx_state, row, absent) = saved
         state = self._procs[pid]
         state.call, state.pending = rec, pending
         state.calls_made, state.saw_true, state.forced = calls_made, saw_true, forced
@@ -623,11 +788,9 @@ class Runner:
             state.gen = gen if gen is state.gen and not stepped else self._rebuild(pid)
         if row is not None:
             self.ledger.set_row(pid, row)
-        if live != (pid in self._live):
-            if live:
-                bisect.insort(self._live, pid)
-            else:
-                self._live.remove(pid)
+        # A process is runnable exactly while it has an open, a queued or a
+        # scripted call.
+        self._set_live(pid, rec is not None or bool(forced) or next_kind is not None)
         for members in absent:
             members.discard(pid)
 
@@ -647,7 +810,7 @@ class Runner:
         try:
             req = next(gen)
             if rec.start_seq is not None:
-                for e in self.events[rec.start_seq:]:
+                for e in self._events[rec.start_seq:]:
                     if e.proc == pid:
                         op = e.op
                         if req[1].uid != e.loc or (req[0] is not op and req[0] != op):
@@ -713,8 +876,8 @@ class Runner:
         state = self._procs[pid]
         if not forced:
             state.calls_made += 1
-        rec = CallRecord(call_id=len(self.calls), proc=pid, kind=kind)
-        self.calls.append(rec)
+        rec = CallRecord(call_id=len(self._calls), proc=pid, kind=kind)
+        self._calls.append(rec)
         state.call = rec
         ctx = self.ctxs[pid]
         state.start_state = None if self._undo is None else dict(ctx.state)
@@ -731,10 +894,18 @@ class Runner:
         self._terminated.add(pid)
         if self.ledger is not None:
             self.ledger.mark_finished(pid)
-        try:
-            self._live.remove(pid)
-        except ValueError:  # pragma: no cover - forced call on role-less pid
-            pass
+        self._set_live(pid, False)
+
+    def _set_live(self, pid: int, live: bool) -> None:
+        """Put ``pid`` in or out of the runnable list, kept sorted so that
+        a bisect finds it."""
+        runnable = self._live
+        i = bisect.bisect_left(runnable, pid)
+        if i < len(runnable) and runnable[i] == pid:
+            if not live:
+                del runnable[i]
+        elif live:
+            runnable.insert(i, pid)
 
 
 def _diverged(pid: int, req, op, uid: int):

@@ -43,6 +43,14 @@ def test_run_two_waiters_on_single_waiter_is_usage_error(capsys):
     assert "waiter" in err
 
 
+def test_run_repeated_waiter_ids_refused(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--algo", "cc_flag", "--n", "4", "--waiters", "3,3,2"
+    )
+    assert (code, out) == (2, "")
+    assert "[3] repeated" in err
+
+
 def test_run_reproducible_byte_for_byte(capsys):
     argv = ("run", "--algo", "dsm_queue", "--n", "6", "--seed", "42")
     _, first, _ = run_cli(capsys, *argv)

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from rmrsim import harness
+from rmrsim import harness, memory, runner as runner_module
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
-from rmrsim.costs import Model
+from rmrsim.costs import Model, RmrLedger
 from rmrsim.errors import (
     ConfigError,
     DrillNotApplicable,
@@ -26,7 +26,7 @@ from rmrsim.harness import (
     touches,
     validate_erasure,
 )
-from rmrsim.memory import Memory, ll, read, sc, write
+from rmrsim.memory import Event, Memory, OpKind, ll, read, sc, write
 from rmrsim.runner import (
     SIGNAL,
     Runner,
@@ -344,6 +344,67 @@ def test_validate_erasure_sc_window():
     assert not validate_erasure(events, 2)
 
 
+class _Tally(SignalingAlgorithm):
+    """Poll takes one LL/SC shot at incrementing a shared count."""
+
+    name = "tally"
+    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
+
+    def setup(self, mem):
+        return SimpleNamespace(count=mem.alloc("count", home=1))
+
+    def poll(self, ctx):
+        yield sc(ctx.locs.count, (yield ll(ctx.locs.count)) + 1)
+        return False
+
+    def signal(self, ctx):
+        yield write(ctx.locs.count, 0)
+
+
+def test_drill_verdict_scans_sc_windows():
+    # 3's write lands between 2's LL and SC and fails the SC.  No response
+    # exposed 3's value, so only the SC scan sees that 2 depended on it.
+    runner = Runner(_Tally(3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.step(2)
+    runner.run_call(3)
+    runner.step(2)
+    assert runner.events[-1].outcome is False
+    assert runner.observers(3) == 0
+    assert not harness._erasure_safe(runner, 3)
+    assert not validate_erasure(runner.history(), 3)
+
+
+def queue_of_two() -> Runner:
+    """dsm_queue waiters 2 and 3 enqueued in that order: 3's enqueue read
+    the tail 2 wrote."""
+    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.run_call(2)
+    runner.run_call(3)
+    return runner
+
+
+def test_observed_by_count_follows_erasure_and_rollback():
+    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.run_call(2)
+    with runner.probe([3]):
+        runner.run_call(3)
+        assert runner.observers(2) == 1
+    assert runner.observers(2) == 0
+    runner = queue_of_two()
+    assert (runner.observers(2), runner.observers(3)) == (1, 0)
+    runner.erase(3)
+    assert runner.observers(2) == 0
+
+
+@pytest.mark.parametrize("order, erased", [((2, 3), 1), ((3, 2), 2)])
+def test_erase_unobserved_picks_in_order(order, erased):
+    # 2 is observed until 3 is erased, so only the order (3, 2) takes both.
+    runner = queue_of_two()
+    assert harness._erase_unobserved(runner, order) == erased
+    assert len(runner.participants()) == 2 - erased
+    harness._certify(runner)
+
+
 # -- erasure by replay --------------------------------------------------------
 
 
@@ -519,6 +580,52 @@ def test_erase_drill_certifies_with_one_replay(rebuilds):
     report = adversary_separation(algo, erase_on_discovery=True)
     assert report.erased == 32
     assert rebuilds == {"fork": 0, "replay": 1}
+
+
+@pytest.fixture
+def erasure_work(monkeypatch):
+    """Counts of Event objects built, and of the events erasures refold:
+    those sent to Memory.redo and to RmrLedger.drop, with its per-copy
+    corrections."""
+    counts = {"built": 0, "refolded": 0}
+    redo, drop = Memory.redo, RmrLedger.drop
+
+    def built(*args):
+        counts["built"] += 1
+        return Event(*args)
+
+    def counted_redo(self, event):
+        counts["refolded"] += 1
+        return redo(self, event)
+
+    def counted_drop(self, procs, events, *copies):
+        counts["refolded"] += len(events) + sum(map(len, copies))
+        return drop(self, procs, events, *copies)
+
+    monkeypatch.setattr(memory, "Event", built)
+    monkeypatch.setattr(runner_module, "Event", built)
+    monkeypatch.setattr(Memory, "redo", counted_redo)
+    monkeypatch.setattr(RmrLedger, "drop", counted_drop)
+    return counts
+
+
+@pytest.mark.parametrize("name, model", [
+    ("dsm_fixed_waiters", Model.DSM), ("dsm_registration", Model.DSM), ("cc_flag", Model.CC),
+])
+def test_erase_drill_work_grows_linearly_in_w(erasure_work, name, model):
+    # Each erasure costs what its waiter touched, and one compaction
+    # renumbers the run: a 4x step in W may not cost 4.5x the work.
+    work = []
+    for w in (64, 256):
+        erasure_work.update(built=0, refolded=0)
+        report = adversary_separation(make_algorithm(name, w + 1), model=model,
+                                      erase_on_discovery=True)
+        assert (report.erased, report.k) == (w, 1)
+        work.append(dict(erasure_work))
+    small, large = work
+    assert small["refolded"] >= 64
+    for kind in ("built", "refolded"):
+        assert large[kind] <= 4.5 * small[kind], (kind, work)
 
 
 def test_certifying_replay_catches_a_wrong_erasure(monkeypatch):

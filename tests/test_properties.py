@@ -29,6 +29,7 @@ from rmrsim.costs import (
 from rmrsim.errors import SimError, StabilityUndecided, StepBudgetExceeded
 from rmrsim.harness import (
     StabilityResult,
+    _erasure_safe,
     enumerate_histories,
     erase,
     stability,
@@ -317,7 +318,9 @@ def test_in_place_erase_refolds_shared_words(cfg):
 
 def check_in_place_erase(cfg: Config) -> None:
     """``Runner.erase`` in place equals the ``harness.erase`` replay oracle,
-    also after both runs go on under one schedule, and two erasures commute."""
+    also after both runs go on under one schedule, and in the drill's own
+    pattern; two erasures commute, and erasing every erasable process
+    equals the oracle chain."""
     runner = execute(cfg)
     history = runner.history()
     erasable = [p for p in sorted(runner.active()) if validate_erasure(history, p)]
@@ -330,6 +333,8 @@ def check_in_place_erase(cfg: Config) -> None:
         for run in (live, oracle):  # the erased process runs again, from scratch
             run.drive(SeededRandom(cfg.seed + 3), len(run.events) + 30)
         assert erased_state(live) == erased_state(oracle)
+    if erasable:
+        check_deferred_erase(cfg, erasable[0])
     if len(erasable) >= 2:
         p, q = erasable[:2]
         pq, qp = execute(cfg), execute(cfg)
@@ -338,6 +343,94 @@ def check_in_place_erase(cfg: Config) -> None:
         qp.erase(q)
         qp.erase(p)
         assert erased_state(pq) == erased_state(qp) == erased_state(erase(erase(runner, p), q))
+        every, oracle = execute(cfg), runner
+        for p in erasable:
+            every.erase(p)
+            oracle = erase(oracle, p)
+        assert erased_state(every) == erased_state(oracle)
+
+
+def erased_twice(cfg: Config, p: int) -> tuple[Runner, Runner]:
+    """The drill's pattern, on a live run and on the replay oracle: erase
+    ``p``, let the processes step, erase the first process then erasable,
+    if any.  The live run is left uncompacted."""
+    live, oracle = execute(cfg), erase(execute(cfg), p)
+    live.erase(p)
+    policy = SeededRandom(cfg.seed + 5)
+    for _ in range(12):
+        runnable = live.runnable()
+        if not runnable:
+            break
+        pid = policy.choose(runnable)
+        live.step(pid)
+        oracle.step(pid)
+    history = oracle.history()
+    for q in sorted(oracle.active()):
+        if validate_erasure(history, q):
+            live.erase(q)
+            oracle = erase(oracle, q)
+            break
+    return live, oracle
+
+
+def check_deferred_erase(cfg: Config, p: int) -> None:
+    """Whatever reads the live run first after deferred erasures, history,
+    a checkpoint or a fork, sees what the oracle has."""
+    live, oracle = erased_twice(cfg, p)
+    assert live.history() == oracle.history()
+    assert erased_state(live) == erased_state(oracle)
+
+    live, oracle = erased_twice(cfg, p)
+    live.checkpoint()
+    oracle.checkpoint()
+    for pid in live.runnable():  # each call rewound here begins under the checkpoint
+        if live.open_call(pid) is None:
+            live.step(pid)
+            oracle.step(pid)
+    assert erased_state(live) == erased_state(oracle)
+    live.rollback(close=True)
+    oracle.rollback(close=True)
+    assert erased_state(live) == erased_state(oracle)
+
+    live, oracle = erased_twice(cfg, p)
+    assert erased_state(live.fork()) == erased_state(oracle)
+
+
+@given(configs(EVERY_PRIMITIVE), st.randoms(use_true_random=False))
+def test_observed_by_index_matches_scan_oracle(cfg, rnd):
+    # The drill's verdict, from the run's observed-by count, equals the scan
+    # of validate_erasure for every active process: before and after each of
+    # a few random erasures with steps between them, and inside and after a
+    # probe that stepped.
+    runner = execute(cfg)
+
+    def agree() -> list[int]:
+        verdicts = {p: _erasure_safe(runner, p) for p in sorted(runner.active())}
+        history = runner.history()
+        assert verdicts == {p: validate_erasure(history, p) for p in verdicts}
+        return [p for p, safe in verdicts.items() if safe]
+
+    for _ in range(3):
+        erasable = agree()
+        if not erasable:
+            break
+        runner.erase(rnd.choice(erasable))
+        for _ in range(rnd.randrange(8)):
+            runnable = runner.runnable()
+            if not runnable:
+                break
+            runner.step(rnd.choice(runnable))
+    agree()
+    # Any waiter between calls, begun or not, polls once more.
+    probed = [pid for pid, script in cfg.roles.items() if script.kind != "signal"
+              and pid not in runner.terminated and runner.open_call(pid) is None]
+    with runner.probe(probed):
+        for pid in probed:
+            runner.force_next_call(pid, POLL)
+            with suppress(StepBudgetExceeded):  # a Poll spinning on its own
+                runner.run_call(pid, max_steps=20)
+        agree()
+    agree()
 
 
 def fork_stability(fork: Runner, pid: int, model: Model, horizon: int) -> StabilityResult:

@@ -10,6 +10,7 @@ from rmrsim.harness import erase
 from rmrsim.memory import OpKind, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
+    WAIT,
     ExplicitSchedule,
     RoundRobin,
     Runner,
@@ -497,6 +498,16 @@ def test_erased_single_waiter_frees_its_place():
     runner.erase(2)
     runner.force_next_call(3, POLL)
     assert runner.run_call(3).response is False
+
+
+def test_erased_forced_process_leaves_the_runnable_list():
+    # 3 has no script: only its queued Wait made it runnable.
+    runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true()})
+    runner.force_next_call(3, WAIT)
+    runner.step(3)  # the flag is down, so the Wait spins on
+    oracle = erase(runner, 3)
+    runner.erase(3)
+    assert runner.runnable() == oracle.runnable() == [2]
 
 
 def test_erase_renumbers_a_call_begun_before_its_first_step():
