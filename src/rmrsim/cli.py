@@ -234,6 +234,8 @@ def _build_roles(cfg: dict, n: int, poller):
     algorithm = make_algorithm(cfg["algo"], n)
     waiters = _parse_waiters(cfg["waiters"], n, cfg["algo"])
     signaler = algorithm.designated_signaler
+    if signaler in waiters:
+        raise ConfigError(f"waiter id {signaler} is {algorithm.name}'s designated signaler")
     if signaler is None:
         candidates = sorted(set(range(1, n + 1)) - set(waiters))
         if not candidates:

@@ -49,6 +49,11 @@ class OpKind(Enum):
     TAS = "tas", False, True
 
 
+# The kinds as globals, bound one by one, for the hot paths to compare
+# against: ``OpKind.X`` goes through the enum metaclass on every lookup.
+_READ, _WRITE, _CAS, _LL = OpKind.READ, OpKind.WRITE, OpKind.CAS, OpKind.LL
+_SC, _FAI, _FAS, _TAS = OpKind.SC, OpKind.FAI, OpKind.FAS, OpKind.TAS
+
 #: The flags as kind sets.
 TRIVIAL_KINDS = frozenset(k for k in OpKind if k.trivial)
 VALUE_READING_KINDS = frozenset(k for k in OpKind if k.reads_value)
@@ -60,9 +65,10 @@ class PrimitiveOp:
 
     ``value`` is the word to store (WRITE, CAS, SC, FAS); ``expected`` is the
     comparison operand of CAS.  ``trivial`` and ``reads_value`` are copied
-    from the kind.  Treat an op as immutable: it is not a frozen dataclass
-    because programs build one per write, and frozen construction costs
-    about three times as much.
+    from the kind.  Treat an op, and a :class:`Location`, as immutable:
+    neither is a frozen dataclass, because programs build an op per write
+    and every run allocates its words, and frozen construction costs about
+    three times as much.
     """
 
     kind: OpKind
@@ -76,9 +82,10 @@ class PrimitiveOp:
         self.reads_value = self.kind.reads_value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Location:
-    """A named shared word living in the memory module of process ``home``."""
+    """A named shared word living in the memory module of process ``home``;
+    immutable by convention, like a :class:`PrimitiveOp`."""
 
     uid: int
     name: str
@@ -86,42 +93,42 @@ class Location:
 
 
 # Operand-free ops are interned; programs issue millions of reads.
-_READ = PrimitiveOp(OpKind.READ)
-_LL = PrimitiveOp(OpKind.LL)
-_FAI = PrimitiveOp(OpKind.FAI)
-_TAS = PrimitiveOp(OpKind.TAS)
+_READ_OP = PrimitiveOp(_READ)
+_LL_OP = PrimitiveOp(_LL)
+_FAI_OP = PrimitiveOp(_FAI)
+_TAS_OP = PrimitiveOp(_TAS)
 
 
 def read(loc: Location):
-    return (_READ, loc)
+    return (_READ_OP, loc)
 
 
 def write(loc: Location, value: int):
-    return (PrimitiveOp(OpKind.WRITE, value), loc)
+    return (PrimitiveOp(_WRITE, value), loc)
 
 
 def cas(loc: Location, expected: int, value: int):
-    return (PrimitiveOp(OpKind.CAS, value, expected), loc)
+    return (PrimitiveOp(_CAS, value, expected), loc)
 
 
 def ll(loc: Location):
-    return (_LL, loc)
+    return (_LL_OP, loc)
 
 
 def sc(loc: Location, value: int):
-    return (PrimitiveOp(OpKind.SC, value), loc)
+    return (PrimitiveOp(_SC, value), loc)
 
 
 def fai(loc: Location):
-    return (_FAI, loc)
+    return (_FAI_OP, loc)
 
 
 def fas(loc: Location, value: int):
-    return (PrimitiveOp(OpKind.FAS, value), loc)
+    return (PrimitiveOp(_FAS, value), loc)
 
 
 def tas(loc: Location):
-    return (_TAS, loc)
+    return (_TAS_OP, loc)
 
 
 @dataclass(slots=True)
@@ -187,8 +194,9 @@ class Memory:
             raise ConfigError(f"home {home} outside 1..{self.n}")
         if name in self._names:
             raise ConfigError(f"location name {name!r} already allocated")
-        _check_word(init)
-        loc = Location(uid=len(self._locations), name=name, home=home)
+        if not WORD_MIN <= init <= WORD_MAX:
+            _check_word(init)  # raises
+        loc = Location(len(self._locations), name, home)
         self._locations.append(loc)
         self._homed = None
         self._names.add(name)
@@ -247,7 +255,7 @@ class Memory:
         :meth:`reset_word` rebuilds it without re-running any program."""
         uid = event.loc
         writer = self._writers[uid]
-        if event.op.kind is OpKind.LL:
+        if event.op.kind is _LL:
             self._links[uid].add(event.proc)
         if event.value_written is not None:
             self._values[uid] = event.value_written
@@ -261,7 +269,7 @@ class Memory:
 
     # -- execution ----------------------------------------------------------
 
-    def apply(self, proc: int, op: PrimitiveOp, loc: Location, *, seq: int, call_id: int) -> Event:
+    def apply(self, proc: int, op: PrimitiveOp, loc: Location, seq: int, call_id: int) -> Event:
         """Atomically apply one primitive and return the recorded event."""
         kind = op.kind
         uid = loc.uid
@@ -271,33 +279,33 @@ class Memory:
         written: int | None = None
         outcome = True
 
-        if kind is OpKind.READ:
+        if kind is _READ:
             value_read = old
-        elif kind is OpKind.WRITE:
+        elif kind is _WRITE:
             written = op.value
-        elif kind is OpKind.CAS:
+        elif kind is _CAS:
             value_read = old
             if old == op.expected:
                 written = op.value
             else:
                 outcome = False
-        elif kind is OpKind.LL:
+        elif kind is _LL:
             value_read = old
             self._links[uid].add(proc)
-        elif kind is OpKind.SC:
+        elif kind is _SC:
             # An SC attempt consumes the reservation either way.
             if proc in self._links[uid]:
                 written = op.value
             else:
                 outcome = False
             self._links[uid].discard(proc)
-        elif kind is OpKind.FAI:
+        elif kind is _FAI:
             value_read = old
             written = old + 1
-        elif kind is OpKind.FAS:
+        elif kind is _FAS:
             value_read = old
             written = op.value
-        elif kind is OpKind.TAS:
+        elif kind is _TAS:
             value_read = old
             if old == 0:
                 written = 1

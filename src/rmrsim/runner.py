@@ -26,6 +26,10 @@ access.
 
 Per event a step calls ``Memory.apply`` and ``RmrLedger.record`` (every
 charge at once) once each, and resumes the procedure body once.
+
+A closed call record is never changed: :meth:`Runner.history` shares it,
+so a rollback that reopens a call, or a compaction that renumbers one,
+puts a new record in its place.  An open record keeps its identity.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from .errors import (
     StepBudgetExceeded,
 )
 from .memory import Event, Memory, OpKind
+
+_SC = OpKind.SC
 
 DEFAULT_BUDGET = 100_000
 
@@ -101,7 +107,8 @@ class CallRecord:
 
     ``start_seq`` is the seq of the call's first event (a call with no
     events has not begun); ``end_seq`` is the seq of the event on which the
-    call returned, or None while the call is open.
+    call returned, or None while the call is open.  Once closed, a record
+    is never changed, since histories share it.
     """
 
     call_id: int
@@ -169,10 +176,16 @@ class SeededRandom:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._bits = random.Random(seed).getrandbits
 
     def choose(self, runnable: Sequence[int]) -> int | None:
-        return runnable[self._rng.randrange(len(runnable))]
+        # What randrange(n) draws, without its argument checks.
+        n = len(runnable)
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        return runnable[r]
 
 
 class ExplicitSchedule:
@@ -270,6 +283,7 @@ class Runner:
         self.ctxs = {
             pid: algorithm.make_ctx(pid, self.locs) for pid in range(1, self.n + 1)
         }
+        self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
         # Read through the ``events``, ``calls`` and ``trace`` properties,
         # which compact them first.  An erasure leaves None in the place of
         # what it took out, and raw positions in seqs and call ids.
@@ -362,11 +376,14 @@ class Runner:
         return self._observed[p]
 
     def history(self) -> History:
+        """A snapshot of the run.  It shares the closed call records, which
+        never change, and copies the open ones."""
         if self._erased is not None:
             self._compact()
         return History(
             events=list(self._events),
-            calls=[CallRecord(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
+            calls=[c if c.end_seq is not None else CallRecord(c.call_id, c.proc, c.kind,
+                                                              c.response, c.start_seq)
                    for c in self._calls],
             finished=frozenset(self._terminated),
             incomplete=bool(self._live),
@@ -392,7 +409,7 @@ class Runner:
         if self._undo is not None:
             self._journal(pid, op, loc.uid)
         events = self._events
-        ev = self.mem.apply(pid, op, loc, seq=len(events), call_id=rec.call_id)
+        ev = self.mem.apply(pid, op, loc, len(events), rec.call_id)
         self._trace.append(pid)
         events.append(ev)
         if self.ledger is not None:
@@ -402,7 +419,7 @@ class Runner:
         state.pending = None
         try:
             # An SC responds with its verdict; a write with value_read, None.
-            state.pending = state.gen.send(ev.outcome if kind is OpKind.SC else ev.value_read)
+            state.pending = state.gen.send(ev.outcome if kind is _SC else ev.value_read)
         except StopIteration as stop:
             rec.response = stop.value
             rec.end_seq = ev.seq
@@ -693,7 +710,6 @@ class Runner:
             if rec.start_seq is not None and rec.start_seq < start:
                 start = rec.start_seq
             ids.append(len(kept_calls))
-            rec.call_id = len(kept_calls)
             kept_calls.append(rec)
         seqs: list[int] = []  # new seq of each event from ``start`` on
         kept: list[Event] = []
@@ -706,11 +722,17 @@ class Runner:
                 kept.append(Event(seq, e.proc, e.op, e.loc, e.home, e.value_read,
                                   e.value_written, e.outcome, call_id,
                                   writers.get(pos, e.writer_before)))
-        for rec in kept_calls:
-            if rec.start_seq is not None and rec.start_seq >= start:
-                rec.start_seq = seqs[rec.start_seq - start]
-            if rec.end_seq is not None and rec.end_seq >= start:
-                rec.end_seq = seqs[rec.end_seq - start]
+        for i, rec in enumerate(kept_calls):
+            start_seq, end_seq = rec.start_seq, rec.end_seq
+            if start_seq is not None and start_seq >= start:
+                start_seq = seqs[start_seq - start]
+            if end_seq is None:  # open: renumbered in place
+                rec.call_id, rec.start_seq = i, start_seq
+                continue
+            if end_seq >= start:
+                end_seq = seqs[end_seq - start]
+            if (i, start_seq, end_seq) != (rec.call_id, rec.start_seq, rec.end_seq):
+                kept_calls[i] = CallRecord(i, rec.proc, rec.kind, rec.response, start_seq, end_seq)
         events[start:] = kept
         calls[:] = kept_calls
         self._trace[:] = [entry for entry in self._trace if entry is not None]
@@ -780,7 +802,9 @@ class Runner:
             state.gen = None
             self.ctxs[pid].state = ctx_state
         else:
-            rec.response = rec.end_seq = None
+            if rec.end_seq is not None:  # closed since: reopen it as a new record
+                rec = state.call = self._calls[rec.call_id] = CallRecord(
+                    rec.call_id, pid, rec.kind)
             rec.start_seq = start_seq
             # The saved generator has moved on if the process stepped since
             # the save, or if it stepped under a later checkpoint whose
@@ -806,7 +830,7 @@ class Runner:
                            "it cannot be rewound")
         ctx = self.ctxs[pid]
         ctx.state = dict(state.start_state)
-        gen = self._body(rec.kind, ctx)
+        gen = self._bodies[rec.kind](ctx)
         try:
             req = next(gen)
             if rec.start_seq is not None:
@@ -815,7 +839,7 @@ class Runner:
                         op = e.op
                         if req[1].uid != e.loc or (req[0] is not op and req[0] != op):
                             _diverged(pid, req, op, e.loc)
-                        req = gen.send(e.outcome if op.kind is OpKind.SC else e.value_read)
+                        req = gen.send(e.outcome if op.kind is _SC else e.value_read)
         except StopIteration:
             raise ReplayDivergence(
                 f"process {pid}'s {rec.kind} returned early when rebuilt"
@@ -841,6 +865,8 @@ class Runner:
         return WAIT if state.calls_made < 1 else None
 
     def _ensure_pending(self, pid: int):
+        """The process's next request, after beginning its next call if none
+        is open; None if it has no call to make."""
         state = self._procs[pid]
         if state.pending is not None:
             return state.pending
@@ -848,15 +874,21 @@ class Runner:
             raise AssertionError("open call without a pending operation")
         if self._undo is not None:
             self._touch(pid)
-        if state.forced:
-            kind = state.forced.pop(0)
-            forced = True
-        else:
-            kind = state.next_kind
-            forced = False
+        forced = bool(state.forced)
+        kind = state.forced.pop(0) if forced else state.next_kind
         if kind is None:
             return None
-        self._begin_call(pid, kind, forced)
+        if kind == SIGNAL and pid in self._signaled:
+            raise RoleError(f"process {pid} may call Signal at most once")
+        self.algorithm.validate_call(pid, kind, self._pollers)
+        (self._signaled if kind == SIGNAL else self._pollers).add(pid)
+        if not forced:
+            state.calls_made += 1
+        rec = state.call = CallRecord(len(self._calls), pid, kind)
+        self._calls.append(rec)
+        ctx = self.ctxs[pid]
+        state.start_state = None if self._undo is None else dict(ctx.state)
+        state.gen = self._bodies[kind](ctx)
         try:
             state.pending = next(state.gen)
         except StopIteration:
@@ -864,31 +896,6 @@ class Runner:
                 f"{self.algorithm.name}.{kind} performed no memory access"
             ) from None
         return state.pending
-
-    def _begin_call(self, pid: int, kind: str, forced: bool) -> None:
-        if kind == SIGNAL and pid in self._signaled:
-            raise RoleError(f"process {pid} may call Signal at most once")
-        self.algorithm.validate_call(pid, kind, self._pollers)
-        if kind == SIGNAL:
-            self._signaled.add(pid)
-        else:
-            self._pollers.add(pid)
-        state = self._procs[pid]
-        if not forced:
-            state.calls_made += 1
-        rec = CallRecord(call_id=len(self._calls), proc=pid, kind=kind)
-        self._calls.append(rec)
-        state.call = rec
-        ctx = self.ctxs[pid]
-        state.start_state = None if self._undo is None else dict(ctx.state)
-        state.gen = self._body(kind, ctx)
-
-    def _body(self, kind: str, ctx):
-        if kind == POLL:
-            return self.algorithm.poll(ctx)
-        if kind == SIGNAL:
-            return self.algorithm.signal(ctx)
-        return self.algorithm.wait(ctx)
 
     def _terminate(self, pid: int) -> None:
         self._terminated.add(pid)

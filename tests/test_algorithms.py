@@ -303,7 +303,7 @@ def test_queue_capacity_guard():
     runner = Runner(algo, {2: poll_until_true()})
     tail_op, tail_loc = __import__("rmrsim.memory", fromlist=["fai"]).fai(runner.locs.tail)
     for seq in range(2):
-        runner.mem.apply(1, tail_op, tail_loc, seq=seq, call_id=0)
+        runner.mem.apply(1, tail_op, tail_loc, seq, 0)
     with pytest.raises(CapacityError):
         runner.run_call(2)
 

@@ -51,6 +51,22 @@ def test_run_repeated_waiter_ids_refused(capsys):
     assert "[3] repeated" in err
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("algo", ["dsm_registration", "dsm_registration+blocking"])
+def test_waiter_that_is_the_designated_signaler_refused(capsys, command, algo):
+    # Process 1 signals dsm_registration; as a waiter it would lose its role.
+    code, out, err = run_cli(capsys, command, "--algo", algo, "--n", "3", "--waiters", "1,2")
+    assert (code, out) == (2, "")
+    assert f"waiter id 1 is {algo}'s designated signaler" in err
+
+
+def test_waiters_beside_the_designated_signaler_accepted(capsys):
+    code, out, _ = run_cli(capsys, "run", "--algo", "dsm_registration", "--n", "3",
+                           "--waiters", "2,3")
+    assert code == 0
+    assert json.loads(out)["k"] == 3
+
+
 def test_run_reproducible_byte_for_byte(capsys):
     argv = ("run", "--algo", "dsm_queue", "--n", "6", "--seed", "42")
     _, first, _ = run_cli(capsys, *argv)

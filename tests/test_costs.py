@@ -20,7 +20,7 @@ from rmrsim.memory import Memory, OpKind, cas, fai, fas, ll, read, sc, tas, writ
 
 def apply(mem, proc, request, seq=0):
     op, loc = request
-    return mem.apply(proc, op, loc, seq=seq, call_id=0)
+    return mem.apply(proc, op, loc, seq, 0)
 
 
 def events_from(mem, script):

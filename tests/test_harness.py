@@ -44,7 +44,7 @@ def raw_events(n, script):
     events = []
     for i, (proc, fn, name, *args) in enumerate(script.pop("ops")):
         op, loc = fn(locs[name], *args)
-        events.append(mem.apply(proc, op, loc, seq=i, call_id=i))
+        events.append(mem.apply(proc, op, loc, i, i))
     return events
 
 

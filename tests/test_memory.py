@@ -4,9 +4,12 @@ import pytest
 
 from rmrsim.errors import CapacityError, ConfigError
 from rmrsim.memory import (
-    Memory,
     NIL,
+    WORD_MAX,
+    WORD_MIN,
+    Memory,
     OpKind,
+    PrimitiveOp,
     cas,
     fai,
     fas,
@@ -21,7 +24,7 @@ from rmrsim.memory import (
 
 def apply(mem, proc, request, seq=0, call_id=0):
     op, loc = request
-    return mem.apply(proc, op, loc, seq=seq, call_id=call_id)
+    return mem.apply(proc, op, loc, seq, call_id)
 
 
 def test_alloc_basic():
@@ -215,6 +218,53 @@ def test_word_range_enforced():
     x = mem.alloc("x", home=1)
     with pytest.raises(CapacityError):
         apply(mem, 1, write(x, 1 << 70))
+    for init in (WORD_MAX + 1, WORD_MIN - 1):
+        with pytest.raises(CapacityError):
+            mem.alloc(f"y{init}", home=1, init=init)
+    assert mem.value(mem.alloc("top", home=1, init=WORD_MAX)) == WORD_MAX
+    assert mem.value(mem.alloc("bottom", home=1, init=WORD_MIN)) == WORD_MIN
+
+
+# Per kind: operands, the word's value before, whether process 1 holds an
+# LL link on it; then the event's value read, value written and outcome,
+# and whether process 1 (and process 3, which linked first) holds a link
+# after.  Process 2 wrote the word last before the op.
+APPLY_TABLE = [
+    (OpKind.READ, {}, 5, False, (5, None, True), False),
+    (OpKind.WRITE, {"value": 7}, 5, False, (None, 7, True), False),
+    (OpKind.CAS, {"expected": 5, "value": 7}, 5, False, (5, 7, True), False),
+    (OpKind.CAS, {"expected": 4, "value": 7}, 5, False, (5, None, False), False),
+    (OpKind.LL, {}, 5, False, (5, None, True), True),
+    (OpKind.SC, {"value": 7}, 5, True, (None, 7, True), False),
+    (OpKind.SC, {"value": 7}, 5, False, (None, None, False), False),
+    (OpKind.FAI, {}, 5, False, (5, 6, True), False),
+    (OpKind.FAS, {"value": 7}, 5, False, (5, 7, True), False),
+    (OpKind.TAS, {}, 0, False, (0, 1, True), False),
+    (OpKind.TAS, {}, 5, False, (5, None, False), False),
+]
+
+
+def test_apply_table_covers_every_kind():
+    assert {row[0] for row in APPLY_TABLE} == set(OpKind)
+
+
+@pytest.mark.parametrize("kind, operands, before, linked, expected, linked_after", APPLY_TABLE)
+def test_apply_table(kind, operands, before, linked, expected, linked_after):
+    # Builds each op from the enum member itself, so a kind constant bound
+    # to the wrong member sends it down the wrong branch and fails here.
+    mem = Memory(3)
+    x = mem.alloc("x", home=2)
+    apply(mem, 2, write(x, before))
+    apply(mem, 3, ll(x))
+    if linked:
+        apply(mem, 1, ll(x))
+    ev = mem.apply(1, PrimitiveOp(kind, **operands), x, 9, 4)
+    assert (ev.value_read, ev.value_written, ev.outcome) == expected
+    assert (ev.seq, ev.proc, ev.loc, ev.home, ev.call_id, ev.writer_before) == (9, 1, x.uid, 2, 4, 2)
+    written = expected[1]
+    _, value, writer, links = mem.save_word(x.uid)
+    assert (value, writer) == ((before, 2) if written is None else (written, 1))
+    assert links == ({1} if linked_after else set()) | (set() if written is not None else {3})
 
 
 def test_event_kind_sets():

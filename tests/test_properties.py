@@ -10,6 +10,7 @@ engine implements them.
 """
 
 from contextlib import suppress
+from copy import deepcopy
 from dataclasses import dataclass
 from itertools import islice
 from types import SimpleNamespace
@@ -629,3 +630,81 @@ def test_checkpoints_agree_with_replay_under_any_mix_of_actions(data):
     while seen:
         runner.rollback(close=True)
         assert observable_state(runner) == seen.pop()
+
+
+def enumerate_in_place(runner: Runner, pids: list[int], depth: int, visit) -> None:
+    """Every interleaving of ``pids``' next ``depth`` steps, on the run
+    itself, backtracked as ``enumerate_histories`` backtracks: a checkpoint
+    at each node with a choice, rolled back and closed once its last choice
+    is taken.  ``visit`` runs at each leaf; the run ends as it began."""
+    start = len(runner.events)
+    runner.checkpoint()
+    untried: list[list[int]] = []
+    while True:
+        while len(runner.events) - start < depth:
+            choices = [pid for pid in runner.runnable() if pid in pids]
+            if not choices:
+                break
+            if len(choices) > 1:
+                runner.checkpoint()
+                untried.append(choices[:0:-1])
+            runner.step(choices[0])
+        visit()
+        if not untried:
+            break
+        alternatives = untried[-1]
+        pid = alternatives.pop()
+        if not alternatives:
+            untried.pop()
+        runner.rollback(close=not alternatives)
+        runner.step(pid)
+    runner.rollback(close=True)
+
+
+SNAPSHOT_ACTIONS = st.sampled_from(("step", "step", "step", "force", "enumerate", "probe", "erase"))
+
+
+@given(st.data())
+def test_histories_stay_as_taken(data):
+    # A history shares the run's closed call records, so nothing the run
+    # does afterwards may change one: steps, queued Polls, nested rollbacks
+    # that reopen a call, probes, erasures and the compaction after them.
+    name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
+    actions = data.draw(st.lists(st.tuples(SNAPSHOT_ACTIONS, st.integers(0, 7)),
+                                 min_size=10, max_size=40))
+    runner = Runner(build(name, n), roles)
+    taken = []
+
+    def snapshot():
+        history = runner.history()
+        taken.append((history, deepcopy(history)))
+
+    waiters = sorted(pid for pid in roles if pid != 1)
+    for action, k in actions:
+        live = runner.runnable()
+        # Processes between calls: a rollback can rebuild any call they begin.
+        idle = [pid for pid in live if runner.open_call(pid) is None]
+        if action == "step" and live:
+            runner.step(live[k % len(live)])
+        elif action == "force":
+            pid = waiters[k % len(waiters)]
+            if pid not in runner.terminated:
+                runner.force_next_call(pid, POLL)
+        elif action == "enumerate" and idle:
+            enumerate_in_place(runner, idle, 2 + k % 4, snapshot)
+        elif action == "probe":
+            probed = [pid for pid in waiters
+                      if pid not in runner.terminated and runner.open_call(pid) is None]
+            with runner.probe(probed):
+                for pid in probed:
+                    runner.force_next_call(pid, POLL)
+                    with suppress(StepBudgetExceeded):  # a Poll spinning on its own
+                        runner.run_call(pid, max_steps=10)
+                snapshot()
+        elif action == "erase":
+            erasable = [p for p in sorted(runner.active()) if _erasure_safe(runner, p)]
+            if erasable:
+                runner.erase(erasable[k % len(erasable)])
+        snapshot()
+    for history, copy in taken:
+        assert history == copy

@@ -1,5 +1,6 @@
 """Engine behavior: scripts, policies, determinism, budgets, and replay."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -47,6 +48,19 @@ def test_identical_seed_identical_history():
     assert [(c.proc, c.kind, c.response) for c in h1.calls] == [
         (c.proc, c.kind, c.response) for c in h2.calls
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29, 2**40 + 3])
+def test_seeded_draws_equal_randrange_draw_for_draw(seed):
+    # Lengths 1..300 interleaved, with 1, the powers of two and 2^k +- 1
+    # three times more, since a draw retries more often just above 2^k.
+    special = [1] + [m for k in range(1, 9) for m in (2**k - 1, 2**k, 2**k + 1)]
+    lengths = list(range(1, 301)) + special * 3
+    random.Random(seed + 1).shuffle(lengths)
+    policy, reference = SeededRandom(seed), random.Random(seed)
+    for n in lengths:
+        runnable = list(range(10, 10 + n))
+        assert policy.choose(runnable) == runnable[reference.randrange(n)]
 
 
 def test_different_seeds_usually_differ():
