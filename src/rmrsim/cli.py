@@ -18,6 +18,7 @@ and goes through the same parser; flags win over file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -126,6 +127,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+@functools.cache  # one per process: no default is a mutable object
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmrsim",
@@ -193,13 +195,17 @@ def _parse_waiters(raw, n: int, algo: str = "") -> tuple[int, ...]:
     return tuple(range(2, count + 2))
 
 
-def _parse_policy(raw: str, seed: int):
+def _parse_policy(raw: str, seed: int, n: int):
     if raw == "random":
         return SeededRandom(seed)
     if raw == "rr":
         return RoundRobin()
     if raw.startswith("explicit:"):
-        return ExplicitSchedule(int(x) for x in raw[len("explicit:"):].split(","))
+        ids = [int(x) for x in raw[len("explicit:"):].split(",")]
+        for pid in ids:
+            if not 1 <= pid <= n:
+                raise ConfigError(f"schedule id {pid} outside 1..{n}")
+        return ExplicitSchedule(ids)
     raise ConfigError(f"unknown schedule {raw!r}")
 
 
@@ -255,7 +261,7 @@ def build_run_record(cfg: dict) -> dict:
 def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
     algorithm, roles = _build_roles(cfg, cfg["n"], poll_until_true())
     runner = Runner(algorithm, roles)
-    runner.drive(_parse_policy(cfg["schedule"], cfg["seed"]), cfg["budget"])
+    runner.drive(_parse_policy(cfg["schedule"], cfg["seed"], cfg["n"]), cfg["budget"])
     history = runner.history()
     violations = checker.check_polling(history) + checker.check_blocking(history)
     ledger = runner.ledger

@@ -1,9 +1,11 @@
 """Exploration and proof-style tooling over recorded runs.
 
-* exhaustive bounded enumeration of interleavings (stateless: no state is
-  remembered across branches; one run backtracks to each branching point
-  by rolling back a checkpoint, and every history is exactly what a normal
-  run of its schedule produces);
+* exhaustive bounded enumeration of interleavings over a DAG of the
+  configurations met, memoized by the run's configuration key: a new
+  configuration is explored by stepping, one run backtracking to each
+  branching point by rolling back a checkpoint; one met again is walked
+  from its recorded steps.  Every history is exactly what a normal run of
+  its schedule produces;
 * solo extensions and a stability probe: a process is *stable* when letting
   it poll alone forever would never cost another remote reference;
 * the observation relations (who read whose value, who touched whose
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .algorithms import READ_WRITE
 from .memory import Event, OpKind
-from .runner import POLL, SIGNAL, History, Runner, Script, poll_until_true
+from .runner import POLL, SIGNAL, CallRecord, History, Runner, Script, poll_until_true
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_ENUM_BUDGET = 1_000_000
@@ -52,45 +54,138 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     """Yield every schedule interleaving up to ``depth`` steps, once each.
 
     Depth-first over scheduling choices, lowest process first, on one run
-    without a ledger: a checkpoint is taken at each node with more than one
-    choice, and after each history the run rolls back to the deepest node
-    with a choice left and takes it.  A history is maximal when every
-    process terminated or the depth was reached (the latter are yielded
-    with ``incomplete`` set).  Raises :class:`EnumerationOverflow` past
-    ``max_histories``, and :class:`ReplayDivergence` when a call rebuilt
-    on a rollback asks for another step than it took, which a protocol
-    keeping state outside ``ctx.state`` does.
+    without a ledger, over a DAG of configurations keyed by
+    :meth:`Runner.configuration` (which holds the depth).  A configuration
+    met first is explored by stepping, each step recorded as an edge: a
+    checkpoint is taken at each node with more than one choice, and after
+    each history the run rolls back to the deepest one with a choice left.
+    One met again is not stepped from: its recorded edges are walked after
+    the run's prefix, yielding what stepping would, in the same order, as
+    long as the protocol keeps its state in ``ctx.state``, which the
+    rollback's rebuild of a call assumes too.
+
+    A history is maximal when every process terminated or the depth was
+    reached (the latter are yielded with ``incomplete`` set).  Raises
+    :class:`EnumerationOverflow` past ``max_histories`` histories, and
+    :class:`ReplayDivergence` when a call rebuilt on a rollback asks for
+    another step than it took, which a protocol keeping state outside
+    ``ctx.state`` does.
     """
     run = Runner(algorithm, roles, with_ledger=False)
     # Never rolled back: it keeps the journal on, so that every call starts
-    # under a checkpoint and can be rebuilt.
+    # under a checkpoint, can be rebuilt and has a part in the key.
     run.checkpoint()
     events = run.events  # the run's own list, which backtracking truncates
-    # Per branching checkpoint, innermost last: its choices not yet taken,
-    # the next one last.
-    untried: list[list[int]] = []
+    memo: dict[tuple, _Node] = {}  # local to this enumeration
+    # Per branching checkpoint, innermost last: its node, and its choices
+    # not yet taken, the next one last.
+    untried: list[tuple[_Node, list[int]]] = []
     explored = 0
+    node, met = _Node(), False
     while True:
-        while len(events) < depth:
-            choices = run.runnable()
+        while not met:  # a new configuration: step from it
+            choices = run.runnable() if len(events) < depth else ()
             if not choices:
+                node.end = (run.terminated, bool(run.runnable()))
                 break
             if len(choices) > 1:
                 run.checkpoint()
-                untried.append(choices[:0:-1])
-            run.step(choices[0])
-        explored += 1
-        if explored > max_histories:
-            raise EnumerationOverflow(explored - 1, max_histories)
-        yield run.history()
+                untried.append((node, choices[:0:-1]))
+            node, met = _advance(run, memo, node, choices[0])
+        for history in _walk(run, node):
+            explored += 1
+            if explored > max_histories:
+                raise EnumerationOverflow(explored - 1, max_histories)
+            yield history
         if not untried:
             return
-        alternatives = untried[-1]
+        node, alternatives = untried[-1]
         pid = alternatives.pop()
         if not alternatives:
             untried.pop()
         run.rollback(close=not alternatives)
-        run.step(pid)
+        node, met = _advance(run, memo, node, pid)
+
+
+class _Node:
+    """A configuration the enumeration met.  ``edges`` are its steps in
+    choice order, each ``(pid, event, child, opened, closed)``: ``opened``
+    is the open record of a call the step began, ``closed`` the record of a
+    call it ended.  ``end`` is ``(finished, incomplete)`` where a history
+    ends."""
+
+    __slots__ = ("edges", "end")
+
+    def __init__(self):
+        self.edges: list[tuple] = []
+        self.end: tuple | None = None
+
+
+def _advance(run: Runner, memo: dict, node: _Node, pid: int) -> tuple[_Node, bool]:
+    """Step ``pid`` from ``node``'s configuration and record the edge;
+    return the configuration reached and whether it was met before."""
+    ev = run.step(pid)
+    fresh = _Node()  # setdefault hashes the key once; get and set would twice
+    child = memo.setdefault(run.configuration(), fresh)
+    rec = run.calls[ev.call_id]
+    node.edges.append((
+        pid, ev, child,
+        CallRecord(ev.call_id, pid, rec.kind, None, ev.seq) if rec.start_seq == ev.seq else None,
+        rec if rec.end_seq is not None else None,
+    ))
+    return child, child is not fresh
+
+
+def _walk(run: Runner, node: _Node):
+    """The histories below ``node``, the configuration the run is at, from
+    its recorded edges; the run is not stepped.
+
+    A recorded event of a call open at a node carries the call's id on the
+    path the node was recorded from, so per edge it is relabelled with the
+    id on this path when the two differ.  Calls begun below the node have
+    the same ids on every path, since the key holds the call count.  The
+    enumeration queues no calls, so the trace has one entry per event.
+    """
+    if node.end is not None:
+        yield run.history()
+        return
+    events, trace = list(run.events), list(run.trace)
+    # The id of each process's open call on this path, by pid.
+    opened = (None, *(rec and rec.call_id for rec in map(run.open_call, range(1, run.n + 1))))
+    stack = [(iter(node.edges), list(run.calls), opened)]
+    while stack:
+        edges, calls, opened = stack[-1]
+        edge = next(edges, None)
+        if edge is None:
+            stack.pop()
+            continue
+        pid, ev, child, begun, closed = edge
+        seq, cid = ev.seq, ev.call_id
+        del events[seq:]
+        del trace[seq:]
+        if begun is not None:
+            calls = calls + [begun]
+            if closed is None:
+                opened = (*opened[:pid], cid, *opened[pid + 1:])
+        elif opened[pid] != cid:
+            cid = opened[pid]
+            ev = Event(seq, pid, ev.op, ev.loc, ev.home, ev.value_read, ev.value_written,
+                       ev.outcome, cid, ev.writer_before)
+        if closed is not None:
+            calls = calls.copy()
+            calls[cid] = CallRecord(cid, pid, closed.kind, closed.response,
+                                    calls[cid].start_seq, seq)
+            if begun is None:
+                opened = (*opened[:pid], None, *opened[pid + 1:])
+        events.append(ev)
+        trace.append(pid)
+        if child.end is None:
+            stack.append((iter(child.edges), calls, opened))
+            continue
+        # Open records are copied, as ``Runner.history`` copies them.
+        yield History(list(events), [c if c.end_seq is not None else CallRecord(
+            c.call_id, c.proc, c.kind, c.response, c.start_seq) for c in calls],
+            *child.end, tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,13 @@ class Memory:
         values = self._values
         return tuple((uid, values[uid]) for uid in self._homed[home])
 
+    def words(self, links: bool) -> tuple:
+        """Every word's value and last writer, and with ``links`` its LL
+        links, as one hashable tuple."""
+        if links:
+            return (*self._values, *self._writers, *map(frozenset, self._links))
+        return (*self._values, *self._writers)
+
     # -- undo ---------------------------------------------------------------
 
     def save_word(self, uid: int) -> tuple:

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .memory import Event, Memory, OpKind
 
-_SC = OpKind.SC
+_SC, _LL = OpKind.SC, OpKind.LL
 
 DEFAULT_BUDGET = 100_000
 
@@ -212,12 +212,15 @@ class ExplicitSchedule:
 
 class _ProcState:
     """``next_kind`` is the script's next call as of the last return, read
-    when the process starts a call; ``start_state`` is a copy of
-    ``ctx.state`` at the open call's start, taken while a checkpoint is
-    open, which a rollback restarts the call body from."""
+    when the process starts a call.  ``part`` is the process's share of the
+    configuration key: in a call begun under a checkpoint, the call's kind,
+    ``ctx.state`` as the call found it (which a rollback restarts the body
+    from; never the current one, which a body may change before it yields),
+    calls made, ``saw_true``, next kind, role flags and responses so far.
+    Between calls, once a key is asked for: the same without a call."""
 
     __slots__ = ("gen", "call", "pending", "calls_made", "saw_true", "forced",
-                 "next_kind", "start_state")
+                 "next_kind", "part")
 
     def __init__(self):
         self.gen = None
@@ -227,7 +230,7 @@ class _ProcState:
         self.saw_true = False
         self.forced: list[str] = []
         self.next_kind: str | None = None
-        self.start_state: dict | None = None
+        self.part: tuple | None = None
 
 
 class _Erased:
@@ -390,6 +393,31 @@ class Runner:
             trace=tuple(self._trace),
         )
 
+    def configuration(self) -> tuple:
+        """A hashable key of what the run's further steps depend on, the
+        ledger aside: the event and call counts, the words' values and last
+        writers (and LL links, if the protocol declares LL), and each
+        process's queued calls and ``part`` (see ``_ProcState``).  Two runs
+        with equal keys take the same steps, up to the ids and start seqs
+        of the calls open now, if the protocol keeps its state in
+        ``ctx.state``, as a rollback's generator rebuild assumes too.  A
+        call begun with no checkpoint open has no part: :class:`SimError`.
+        """
+        if self._erased is not None:
+            self._compact()
+        key = [len(self._events), len(self._calls), self.mem.words(_LL in self._primitives)]
+        for pid, state in self._procs.items():
+            part = state.part
+            if part is None:
+                if state.call is not None:
+                    raise SimError(f"process {pid}'s call began before any checkpoint; "
+                                   "it has no key")
+                part = state.part = (
+                    state.calls_made, state.saw_true, state.next_kind, pid in self._terminated,
+                    pid in self._pollers, pid in self._signaled, tuple(self.ctxs[pid].state.items()))
+            key += (part, tuple(state.forced))
+        return tuple(key)
+
     # -- scheduling -------------------------------------------------------
 
     def step(self, pid: int) -> Event:
@@ -406,7 +434,8 @@ class Runner:
                 f"{self.algorithm.name} issued undeclared primitive {kind.value}"
             )
         rec = state.call
-        if self._undo is not None:
+        undo = self._undo
+        if undo is not None:
             self._journal(pid, op, loc.uid)
         events = self._events
         ev = self.mem.apply(pid, op, loc, len(events), rec.call_id)
@@ -417,14 +446,16 @@ class Runner:
         if rec.start_seq is None:
             rec.start_seq = ev.seq
         state.pending = None
+        # An SC responds with its verdict; a write with value_read, None.
+        response = ev.outcome if kind is _SC else ev.value_read
+        if undo is not None and state.part is not None:
+            state.part += (response,)
         try:
-            # An SC responds with its verdict; a write with value_read, None.
-            state.pending = state.gen.send(ev.outcome if kind is _SC else ev.value_read)
+            state.pending = state.gen.send(response)
         except StopIteration as stop:
             rec.response = stop.value
             rec.end_seq = ev.seq
-            state.gen = None
-            state.call = None
+            state.gen = state.call = state.part = None
             if rec.kind == POLL and stop.value:
                 state.saw_true = True
             state.next_kind = self._script_next(pid)
@@ -782,8 +813,7 @@ class Runner:
         rec = state.call
         return (
             state.gen, rec, state.pending, None if rec is None else rec.start_seq,
-            state.calls_made, state.saw_true, list(state.forced), state.next_kind,
-            state.start_state,
+            state.calls_made, state.saw_true, list(state.forced), state.next_kind, state.part,
             # An open call's own steps alone change ctx.state, and after
             # them the generator rebuild restores it.
             dict(self.ctxs[pid].state) if rec is None else None,
@@ -793,11 +823,11 @@ class Runner:
 
     def _restore_process(self, pid: int, saved: tuple, stepped: bool) -> None:
         (gen, rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
-         start_state, ctx_state, row, absent) = saved
+         part, ctx_state, row, absent) = saved
         state = self._procs[pid]
         state.call, state.pending = rec, pending
         state.calls_made, state.saw_true, state.forced = calls_made, saw_true, forced
-        state.next_kind, state.start_state = next_kind, start_state
+        state.next_kind, state.part = next_kind, part
         if rec is None:
             state.gen = None
             self.ctxs[pid].state = ctx_state
@@ -825,11 +855,11 @@ class Runner:
         match the recorded one, and the last the pending one."""
         state = self._procs[pid]
         rec = state.call
-        if state.start_state is None:
+        if state.part is None:
             raise SimError(f"process {pid}'s call began before any checkpoint; "
                            "it cannot be rewound")
         ctx = self.ctxs[pid]
-        ctx.state = dict(state.start_state)
+        ctx.state = dict(state.part[1])
         gen = self._bodies[rec.kind](ctx)
         try:
             req = next(gen)
@@ -887,7 +917,9 @@ class Runner:
         rec = state.call = CallRecord(len(self._calls), pid, kind)
         self._calls.append(rec)
         ctx = self.ctxs[pid]
-        state.start_state = None if self._undo is None else dict(ctx.state)
+        state.part = None if self._undo is None else (
+            kind, tuple(ctx.state.items()), state.calls_made, state.saw_true, state.next_kind,
+            pid in self._pollers, pid in self._signaled)
         state.gen = self._bodies[kind](ctx)
         try:
             state.pending = next(state.gen)

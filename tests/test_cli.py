@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rmrsim
+from rmrsim import cli
 from rmrsim.cli import SWEEP_COLUMNS, main
 
 
@@ -82,6 +83,13 @@ def test_run_detects_violation(capsys):
     assert code == 1
     record = json.loads(out)
     assert any(v["kind"] == "POLL_FALSE_AFTER_SIGNAL" for v in record["violations"])
+
+
+def test_parser_built_once_per_process(capsys):
+    run_cli(capsys, "run", "--algo", "cc_flag", "--n", "3")
+    first = cli._build_parser()
+    run_cli(capsys, "check", "--algo", "cc_flag", "--schedule", "exhaustive:4")
+    assert cli._build_parser() is first
 
 
 def test_check_clean_algorithm(capsys):
@@ -252,6 +260,10 @@ def test_missing_algorithm_usage_error(capsys):
                  id="check-depth-0"),
     pytest.param(("check", "--algo", "cc_flag", "--polls", "0"), None, "poll",
                  id="check-polls-0"),
+    # An id that can never run would end the run with a plausible empty record.
+    *(pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--schedule", f"explicit:{ids}"),
+                   None, f"schedule id {bad} outside 1..3", id=f"run-explicit-{bad}")
+      for ids, bad in (("9,0,-1", 9), ("2,1,0", 0), ("1,2,4", 4), ("3,-2", -2))),
 ])
 def test_nonsensical_input_refused(capsys, monkeypatch, argv, env, needle):
     if env is None:

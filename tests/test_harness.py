@@ -79,16 +79,24 @@ def test_enumerate_depth_prunes():
     assert len(histories[0].events) == 5
 
 
-def test_enumeration_builds_one_runner_and_steps_each_prefix_once(monkeypatch):
-    counts = {"init": 0, "step": 0}
+def test_enumeration_builds_one_runner_and_steps_each_dag_edge_once(monkeypatch):
+    # The schedule tree has 37,742 edges, but only 1,144 distinct
+    # (configuration, choice) pairs: each is stepped exactly once, every
+    # choice of a configuration stepped from is taken, and the histories
+    # below a configuration met again are walked, not stepped.
+    inits = []
+    stepped = []  # (configuration, pid) per step
+    choices = {}  # configuration -> its runnable processes
     init, step = Runner.__init__, Runner.step
 
     def counted_init(self, *args, **kwargs):
-        counts["init"] += 1
+        inits.append(self)
         init(self, *args, **kwargs)
 
     def counted_step(self, pid):
-        counts["step"] += 1
+        key = self.configuration()
+        stepped.append((key, pid))
+        choices[key] = self.runnable()
         return step(self, pid)
 
     monkeypatch.setattr(Runner, "__init__", counted_init)
@@ -96,10 +104,14 @@ def test_enumeration_builds_one_runner_and_steps_each_prefix_once(monkeypatch):
     algo = make_algorithm("dsm_queue", 3)
     roles = {2: poll_at_most(2), 3: poll_at_most(2), 1: signal_once()}
     prefixes = set()
+    histories = 0
     for history in enumerate_histories(algo, roles, depth=25):
+        histories += 1
         prefixes.update(history.trace[:k] for k in range(1, len(history.trace) + 1))
-    assert counts == {"init": 1, "step": len(prefixes)}
-    assert len(prefixes) == 37_742
+    assert (histories, len(prefixes)) == (10_298, 37_742)
+    assert len(inits) == 1
+    assert len(stepped) == len(set(stepped)) == 1_144
+    assert set(stepped) == {(key, pid) for key, pids in choices.items() for pid in pids}
 
 
 #: Poll bodies started so far, across every run: state outside ctx.state.

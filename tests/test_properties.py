@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, strategies as st
 
 from rmrsim.algorithms import Blocking, SignalingAlgorithm, make_algorithm
@@ -27,7 +28,13 @@ from rmrsim.costs import (
     classify_dsm,
     count_messages,
 )
-from rmrsim.errors import SimError, StabilityUndecided, StepBudgetExceeded
+from rmrsim.errors import (
+    EnumerationOverflow,
+    RoleError,
+    SimError,
+    StabilityUndecided,
+    StepBudgetExceeded,
+)
 from rmrsim.harness import (
     StabilityResult,
     _erasure_safe,
@@ -36,7 +43,7 @@ from rmrsim.harness import (
     stability,
     validate_erasure,
 )
-from rmrsim.memory import OpKind, cas, ll, read, sc, write
+from rmrsim.memory import WORD_MAX, OpKind, cas, fai, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
     Runner,
@@ -569,12 +576,12 @@ def replay_enumeration(algorithm, roles, depth):
 ENUM_LIMIT = 400
 
 
-def first_histories(histories) -> tuple:
-    """Up to ``ENUM_LIMIT`` histories, and the kind of error that ended
-    the enumeration early, if any."""
+def first_histories(histories, limit: int | None = ENUM_LIMIT) -> tuple:
+    """Up to ``limit`` histories (all of them for None), and the kind of
+    error that ended the enumeration early, if any."""
     taken = []
     try:
-        for history in islice(histories, ENUM_LIMIT):
+        for history in islice(histories, limit):
             taken.append(history)
     except SimError as exc:
         return taken, type(exc).__name__
@@ -591,6 +598,223 @@ def test_in_place_enumeration_matches_replay_oracle(data):
     # Histories compare on every event field, every call record, finished,
     # incomplete and the trace.
     assert got == want
+
+
+# -- the enumeration's memo against the key-free oracle ----------------------
+
+
+def criterion_3(name, params, polls, depth):
+    """A criterion-3 style setting: process 1 signals once, the others poll
+    at most ``polls[pid]`` times."""
+    roles = {pid: poll_at_most(calls) for pid, calls in polls}
+    roles[1] = signal_once()
+    return pytest.param(make_algorithm(name, 3, **dict(params)), roles, depth,
+                        id=f"{name}-{depth}")
+
+
+def blocking(name, depth):
+    roles = {2: wait_once(), 3: wait_once(), 1: signal_once()}
+    return pytest.param(make_algorithm(name, 3), roles, depth, id=f"{name}-{depth}")
+
+
+TWO_POLLS = ((2, 2), (3, 2))
+FIXED = (("waiters", (2, 3)),)
+CRITERION_3 = (
+    ("cc_flag", (), TWO_POLLS),
+    ("dsm_single_waiter", (), ((2, 2),)),
+    ("dsm_fixed_waiters", FIXED, TWO_POLLS),
+    ("dsm_fixed_waiters_term", FIXED, ((2, 2), (3, 1))),
+    ("dsm_registration", (), TWO_POLLS),
+    ("dsm_queue", (), TWO_POLLS),
+)
+
+
+@pytest.mark.parametrize("algorithm, roles, depth", [
+    *(criterion_3(name, params, polls, 12) for name, params, polls in CRITERION_3),
+    criterion_3("dsm_registration", (), TWO_POLLS, 25),
+    criterion_3("dsm_queue", (), TWO_POLLS, 25),
+    criterion_3("mutant_single_waiter", (), ((2, 2),), 25),
+    blocking("cc_flag+blocking", 10),
+    blocking("dsm_queue+blocking", 10),
+])
+def test_memoized_enumeration_equals_oracle_completely(algorithm, roles, depth):
+    got = first_histories(enumerate_histories(algorithm, roles, depth), None)
+    assert got == first_histories(replay_enumeration(algorithm, roles, depth), None)
+    assert got[1] is None and len(got[0]) > 1
+
+
+class Echo(SignalingAlgorithm):
+    """Poll writes 1 into a shared word, then reads it; Signal reads it.
+    Both pollers' writes leave the same value, but not the same last
+    writer, which the reads after them report."""
+
+    name = "echo"
+
+    def setup(self, mem):
+        return SimpleNamespace(word=mem.alloc("word", home=1))
+
+    def poll(self, ctx):
+        yield write(ctx.locs.word, 1)
+        return bool((yield read(ctx.locs.word)))
+
+    def signal(self, ctx):
+        yield read(ctx.locs.word)
+
+
+class Relink(SignalingAlgorithm):
+    """Poll LLs a word and SCs 0 into it; Signal writes 0 into it.  A Signal
+    before a Poll's LL and one between its LL and SC leave the same value,
+    writer and responses, but only the first leaves the link, so the SC
+    succeeds after it and fails after the second."""
+
+    name = "relink"
+    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
+
+    def setup(self, mem):
+        return SimpleNamespace(word=mem.alloc("word", home=1))
+
+    def poll(self, ctx):
+        yield ll(ctx.locs.word)
+        return bool((yield sc(ctx.locs.word, 0)))
+
+    def signal(self, ctx):
+        yield write(ctx.locs.word, 0)
+
+
+class Forgetful(SignalingAlgorithm):
+    """The first Poll keeps the flag it read in ``ctx.state``; the second
+    pops it before its first yield, reads ``a``, then reads ``a`` again if
+    the flag was set and ``b`` if not.  After its first step the second
+    Poll has the same ``ctx.state`` and responses either way, but not the
+    same next step."""
+
+    name = "forgetful"
+
+    def setup(self, mem):
+        return SimpleNamespace(flag=mem.alloc("flag", home=1), a=mem.alloc("a", home=1),
+                               b=mem.alloc("b", home=1))
+
+    def poll(self, ctx):
+        if "flag" not in ctx.state:
+            ctx.state["flag"] = yield read(ctx.locs.flag)
+            return False
+        flag = ctx.state.pop("flag")
+        yield read(ctx.locs.a)
+        yield read(ctx.locs.a if flag else ctx.locs.b)
+        return bool(flag)
+
+    def signal(self, ctx):
+        yield write(ctx.locs.flag, 1)
+
+
+@pytest.mark.parametrize("algorithm, roles, seen, values", [
+    pytest.param(Echo(3), {2: poll_at_most(1), 3: poll_at_most(1), 1: signal_once()},
+                 lambda e: e.writer_before if e.proc == 1 else None, {2, 3}, id="writer"),
+    pytest.param(Relink(2), {2: poll_at_most(1), 1: signal_once()},
+                 lambda e: e.outcome if e.op.kind is OpKind.SC else None, {True, False},
+                 id="links"),
+    pytest.param(Drift(3), {2: poll_at_most(3), 3: poll_at_most(2), 1: signal_once()},
+                 lambda e: e.outcome if e.op.kind is OpKind.SC else None, {True}, id="drift"),
+    pytest.param(Forgetful(2), {2: poll_at_most(2), 1: signal_once()},
+                 lambda e: e.loc if e.proc == 2 and e.loc else None, {1, 2}, id="start-state"),
+])
+def test_memo_tells_apart_configurations_only_the_key_separates(algorithm, roles, seen, values):
+    # Keyed without last writers, LL links or the call's start state, two
+    # of these configurations would share one recorded future.  ``seen``
+    # picks what differs between them: who wrote what the Signal reads,
+    # an SC's verdict, or which word the second Poll reads.
+    got = first_histories(enumerate_histories(algorithm, roles, 20), None)
+    assert got == first_histories(replay_enumeration(algorithm, roles, 20), None)
+    assert {seen(e) for history in got[0] for e in history.events} - {None} == values
+
+
+def test_overflow_inside_a_walk_counts_as_the_oracle_does(monkeypatch):
+    # A history walked from a recorded configuration takes no step, so a
+    # limit between two of them falls inside a walk.
+    algorithm = make_algorithm("dsm_queue", 3)
+    roles = {2: poll_at_most(2), 3: poll_at_most(2), 1: signal_once()}
+    want = list(replay_enumeration(algorithm, roles, 25))
+    steps = []
+    step = Runner.step
+
+    def counted_step(self, pid):
+        steps.append(pid)
+        return step(self, pid)
+
+    monkeypatch.setattr(Runner, "step", counted_step)
+    before = []  # steps taken before each history
+    for _ in enumerate_histories(algorithm, roles, 25):
+        before.append(len(steps))
+    walked = [k for k in range(1, len(before)) if before[k] == before[k - 1]]
+    assert len(before) == len(want) and len(walked) > len(want) // 2
+    for limit in (walked[0], walked[len(walked) // 2], walked[-1]):
+        got = []
+        with pytest.raises(EnumerationOverflow) as err:
+            for history in enumerate_histories(algorithm, roles, 25, max_histories=limit):
+                got.append(history)
+        assert err.value.explored == limit
+        assert got == want[:limit]
+
+
+class Brittle(SignalingAlgorithm):
+    """Poll reads a counter of its own, then the flag, and once the flag is
+    set adds one to the counter.  Process 1's counter starts at the top of
+    the word range, so that overflows (a ``CapacityError``).  With
+    ``ordered`` set, process 1 must poll before any other process does, or
+    its first Poll is a ``RoleError``."""
+
+    name = "brittle"
+    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.FAI})
+
+    def __init__(self, n: int, ordered: bool = False):
+        super().__init__(n)
+        self.ordered = ordered
+
+    def setup(self, mem):
+        return SimpleNamespace(flag=mem.alloc("flag", home=1), counter={
+            pid: mem.alloc(f"counter[{pid}]", home=pid, init=WORD_MAX if pid == 1 else 0)
+            for pid in range(1, self.n + 1)})
+
+    def poll(self, ctx):
+        yield read(ctx.locs.counter[ctx.pid])  # commutes with the others' steps
+        if (yield read(ctx.locs.flag)):
+            yield fai(ctx.locs.counter[ctx.pid])
+        return False
+
+    def signal(self, ctx):
+        yield write(ctx.locs.flag, 1)
+
+    def validate_call(self, pid, kind, pollers):
+        if self.ordered and pid == 1 and pollers and pid not in pollers:
+            raise RoleError(f"{self.name}: process 1 polls after {sorted(pollers)}")
+
+
+@pytest.mark.parametrize("algorithm, roles, error", [
+    pytest.param(Brittle(4), {1: poll_at_most(2), 2: poll_at_most(2), 4: signal_once()},
+                 "CapacityError", id="capacity"),
+    pytest.param(Brittle(4, ordered=True), {1: poll_at_most(1), 2: poll_at_most(1),
+                                            3: poll_at_most(1)}, "RoleError", id="role"),
+])
+def test_errors_come_after_the_oracles_histories(monkeypatch, algorithm, roles, error):
+    want = first_histories(replay_enumeration(algorithm, roles, 12), None)
+    steps = []
+    step = Runner.step
+
+    def counted_step(self, pid):
+        steps.append(pid)
+        return step(self, pid)
+
+    monkeypatch.setattr(Runner, "step", counted_step)
+    before = []  # steps taken before each history
+    got = []
+    with pytest.raises(SimError) as err:
+        for history in enumerate_histories(algorithm, roles, 12):
+            before.append(len(steps))
+            got.append(history)
+    assert (got, type(err.value).__name__) == want
+    assert want[1] == error
+    # Some of the histories before the error were walked, not stepped.
+    assert any(before[k] == before[k - 1] for k in range(1, len(before)))
 
 
 ACTIONS = st.sampled_from(("step", "step", "step", "force", "checkpoint", "rollback", "close"))
