@@ -4,7 +4,10 @@ The polling contract has two directions: a Poll that returns true needs
 some Signal to have already begun (its first step precedes the Poll's
 returning step), and a Poll that returns false forbids any Signal having
 completed before the Poll began.  The blocking contract is one-sided: a
-Wait may return only after some Signal has begun.
+Wait may return only after some Signal has begun.  Each contract costs
+two passes over a history's call records: one finds the earliest begun
+and completed Signal, one decides every Poll or Wait from those marks.
+Violations come out in call order.
 
 Budgets are falsification-only: a wait-freedom bound or an amortized
 per-participant RMR bound can be refuted by a history, never proven.
@@ -24,6 +27,8 @@ WAIT_BEFORE_SIGNAL = "WAIT_BEFORE_SIGNAL"
 WAITFREE_BUDGET = "WAITFREE_BUDGET"
 AMORTIZED_BUDGET = "AMORTIZED_BUDGET"
 HARNESS_MISUSE = "HARNESS_MISUSE"
+
+_NEVER = float("inf")  # the seq of a Signal that never began or never completed
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,71 +56,61 @@ def check_polling(history: History) -> list[Violation]:
     has not begun).  Polls issued after the caller already got true are
     harness misuse: flagged, excluded from the bullet checks.
     """
-    out: list[Violation] = []
-    begun_signals = [
-        c for c in history.calls if c.kind == SIGNAL and c.start_seq is not None
-    ]
-    completed_signals = [c for c in begun_signals if c.end_seq is not None]
-    earliest_begun = min((c.start_seq for c in begun_signals), default=None)
+    calls = history.calls
+    first_begun = first_end = _NEVER
+    for c in calls:
+        if c.kind == SIGNAL and c.start_seq is not None:
+            if c.start_seq < first_begun:
+                first_begun = c.start_seq
+            if c.end_seq is not None and c.end_seq < first_end:
+                first_end = c.end_seq
 
+    out: list[Violation] = []
     got_true_at: dict[int, int] = {}
-    for call in history.calls:
+    for call in calls:
         if call.kind != POLL:
             continue
         true_seq = got_true_at.get(call.proc)
         if true_seq is not None:
             out.append(Violation(
-                HARNESS_MISUSE,
-                call_ids=(call.call_id,),
-                seqs=(true_seq,),
-                message=f"process {call.proc} polled again after a true response",
-            ))
+                HARNESS_MISUSE, call_ids=(call.call_id,), seqs=(true_seq,),
+                message=f"process {call.proc} polled again after a true response"))
+        elif call.end_seq is None:
             continue
-        if call.end_seq is None:
-            continue
-        if call.response:
+        elif call.response:
             got_true_at[call.proc] = call.end_seq
-            if earliest_begun is None or earliest_begun >= call.end_seq:
+            if first_begun >= call.end_seq:
                 out.append(Violation(
-                    POLL_TRUE_NO_SIGNAL,
-                    call_ids=(call.call_id,),
-                    seqs=(call.end_seq,),
-                    message=f"poll by {call.proc} returned true before any signal began",
-                ))
-        else:
+                    POLL_TRUE_NO_SIGNAL, call_ids=(call.call_id,), seqs=(call.end_seq,),
+                    message=f"poll by {call.proc} returned true before any signal began"))
+        elif first_end < call.start_seq:
+            # The violation is certain; blame the first such Signal in call order.
             culprit = next(
-                (s for s in completed_signals if s.end_seq < call.start_seq), None
+                s for s in calls if s.kind == SIGNAL and s.start_seq is not None
+                and s.end_seq is not None and s.end_seq < call.start_seq
             )
-            if culprit is not None:
-                out.append(Violation(
-                    POLL_FALSE_AFTER_SIGNAL,
-                    call_ids=(call.call_id, culprit.call_id),
-                    seqs=(call.start_seq, culprit.end_seq),
-                    message=(
-                        f"poll by {call.proc} returned false although signal "
-                        f"by {culprit.proc} completed first"
-                    ),
-                ))
+            out.append(Violation(
+                POLL_FALSE_AFTER_SIGNAL, call_ids=(call.call_id, culprit.call_id),
+                seqs=(call.start_seq, culprit.end_seq),
+                message=(f"poll by {call.proc} returned false although signal "
+                         f"by {culprit.proc} completed first")))
     return out
 
 
 def check_blocking(history: History) -> list[Violation]:
     """A completed Wait needs some Signal begun before its return."""
+    calls = history.calls
+    first_begun = _NEVER
+    for c in calls:
+        if c.kind == SIGNAL and c.start_seq is not None and c.start_seq < first_begun:
+            first_begun = c.start_seq
+
     out: list[Violation] = []
-    begun = [
-        c.start_seq for c in history.calls
-        if c.kind == SIGNAL and c.start_seq is not None
-    ]
-    for call in history.calls:
-        if call.kind != WAIT or call.end_seq is None:
-            continue
-        if not any(s < call.end_seq for s in begun):
+    for call in calls:
+        if call.kind == WAIT and call.end_seq is not None and first_begun >= call.end_seq:
             out.append(Violation(
-                WAIT_BEFORE_SIGNAL,
-                call_ids=(call.call_id,),
-                seqs=(call.end_seq,),
-                message=f"wait by {call.proc} returned before any signal began",
-            ))
+                WAIT_BEFORE_SIGNAL, call_ids=(call.call_id,), seqs=(call.end_seq,),
+                message=f"wait by {call.proc} returned before any signal began"))
     return out
 
 

@@ -195,7 +195,7 @@ def _parse_waiters(raw, n: int, algo: str = "") -> tuple[int, ...]:
     return tuple(range(2, count + 2))
 
 
-def _parse_policy(raw: str, seed: int, n: int):
+def _parse_policy(raw: str, seed: int, n: int, roles):
     if raw == "random":
         return SeededRandom(seed)
     if raw == "rr":
@@ -205,6 +205,8 @@ def _parse_policy(raw: str, seed: int, n: int):
         for pid in ids:
             if not 1 <= pid <= n:
                 raise ConfigError(f"schedule id {pid} outside 1..{n}")
+            if pid not in roles:
+                raise ConfigError(f"schedule id {pid} names a process with no role")
         return ExplicitSchedule(ids)
     raise ConfigError(f"unknown schedule {raw!r}")
 
@@ -261,7 +263,7 @@ def build_run_record(cfg: dict) -> dict:
 def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
     algorithm, roles = _build_roles(cfg, cfg["n"], poll_until_true())
     runner = Runner(algorithm, roles)
-    runner.drive(_parse_policy(cfg["schedule"], cfg["seed"], cfg["n"]), cfg["budget"])
+    runner.drive(_parse_policy(cfg["schedule"], cfg["seed"], cfg["n"], roles), cfg["budget"])
     history = runner.history()
     violations = checker.check_polling(history) + checker.check_blocking(history)
     ledger = runner.ledger

@@ -95,6 +95,21 @@ def test_poll_after_true_is_misuse_not_algorithm_failure():
     assert real_violations(violations) == []
 
 
+def test_false_poll_blames_first_completed_signal_in_call_order():
+    # Call order (0, 1) differs from end order (1 ends at 2, 0 at 5).
+    signals = [
+        rec(0, 1, "Signal", None, start=0, end=5),
+        rec(1, 3, "Signal", None, start=1, end=2),
+    ]
+    after_both = check_polling(synthetic([*signals, rec(2, 2, "Poll", False, start=6, end=7)]))
+    assert [(v.kind, v.call_ids, v.seqs) for v in after_both] == [
+        (POLL_FALSE_AFTER_SIGNAL, (2, 0), (6, 5))]
+    between = check_polling(synthetic([*signals, rec(2, 2, "Poll", False, start=3, end=4)]))
+    assert [(v.kind, v.call_ids, v.seqs) for v in between] == [
+        (POLL_FALSE_AFTER_SIGNAL, (2, 1), (3, 2))]
+    assert "signal by 3 completed first" in between[0].message
+
+
 def test_violation_serialization():
     history = synthetic([rec(0, 2, "Poll", True, start=4, end=4)])
     blob = json.dumps([v.to_dict() for v in check_polling(history)])
@@ -136,6 +151,15 @@ def test_wait_after_signal_ok():
 def test_wait_return_without_any_signal_flagged():
     history = synthetic([rec(0, 2, "Wait", True, start=0, end=1)])
     assert [v.kind for v in check_blocking(history)] == [WAIT_BEFORE_SIGNAL]
+
+
+def test_wait_during_open_signal_allowed():
+    # Only a begun Signal is needed, not a completed one.
+    history = synthetic([
+        rec(0, 1, "Signal", None, start=0, end=None),
+        rec(1, 2, "Wait", True, start=1, end=2),
+    ])
+    assert check_blocking(history) == []
 
 
 def test_open_wait_is_fine():

@@ -264,6 +264,10 @@ def test_missing_algorithm_usage_error(capsys):
     *(pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--schedule", f"explicit:{ids}"),
                    None, f"schedule id {bad} outside 1..3", id=f"run-explicit-{bad}")
       for ids, bad in (("9,0,-1", 9), ("2,1,0", 0), ("1,2,4", 4), ("3,-2", -2))),
+    # Process 3 has no role, so it could never take a step.
+    pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--waiters", "1",
+                  "--schedule", "explicit:3,3,3"), None,
+                 "schedule id 3 names a process with no role", id="run-explicit-no-role"),
 ])
 def test_nonsensical_input_refused(capsys, monkeypatch, argv, env, needle):
     if env is None:

@@ -5,8 +5,8 @@ one defined here (plain or ``+blocking``), on n <= 6 processes, a random
 mix of waiter scripts with or without a signaler, a seeded random schedule
 cut at a random step budget, and sometimes an extra Poll forced on a
 waiter.  The properties pin what replay, forking, checkpoints, probing,
-erasure, enumeration and the ledger promise, independently of how the
-engine implements them.
+erasure, enumeration, the ledger and the contract checkers promise,
+independently of how the engine implements them.
 """
 
 from contextlib import suppress
@@ -16,9 +16,18 @@ from itertools import islice
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rmrsim.algorithms import Blocking, SignalingAlgorithm, make_algorithm
+from rmrsim.checker import (
+    HARNESS_MISUSE,
+    POLL_FALSE_AFTER_SIGNAL,
+    POLL_TRUE_NO_SIGNAL,
+    WAIT_BEFORE_SIGNAL,
+    Violation,
+    check_blocking,
+    check_polling,
+)
 from rmrsim.costs import (
     CacheState,
     MessageMode,
@@ -46,6 +55,10 @@ from rmrsim.harness import (
 from rmrsim.memory import WORD_MAX, OpKind, cas, fai, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
+    SIGNAL,
+    WAIT,
+    CallRecord,
+    History,
     Runner,
     SeededRandom,
     poll_at_most,
@@ -932,3 +945,134 @@ def test_histories_stay_as_taken(data):
         snapshot()
     for history, copy in taken:
         assert history == copy
+
+
+# -- the contract checkers against their generator-based oracles --------------
+
+
+def oracle_polling(history):
+    """``check_polling`` as it was before its flat passes, kept verbatim."""
+    out: list[Violation] = []
+    begun_signals = [
+        c for c in history.calls if c.kind == SIGNAL and c.start_seq is not None
+    ]
+    completed_signals = [c for c in begun_signals if c.end_seq is not None]
+    earliest_begun = min((c.start_seq for c in begun_signals), default=None)
+
+    got_true_at: dict[int, int] = {}
+    for call in history.calls:
+        if call.kind != POLL:
+            continue
+        true_seq = got_true_at.get(call.proc)
+        if true_seq is not None:
+            out.append(Violation(
+                HARNESS_MISUSE,
+                call_ids=(call.call_id,),
+                seqs=(true_seq,),
+                message=f"process {call.proc} polled again after a true response",
+            ))
+            continue
+        if call.end_seq is None:
+            continue
+        if call.response:
+            got_true_at[call.proc] = call.end_seq
+            if earliest_begun is None or earliest_begun >= call.end_seq:
+                out.append(Violation(
+                    POLL_TRUE_NO_SIGNAL,
+                    call_ids=(call.call_id,),
+                    seqs=(call.end_seq,),
+                    message=f"poll by {call.proc} returned true before any signal began",
+                ))
+        else:
+            culprit = next(
+                (s for s in completed_signals if s.end_seq < call.start_seq), None
+            )
+            if culprit is not None:
+                out.append(Violation(
+                    POLL_FALSE_AFTER_SIGNAL,
+                    call_ids=(call.call_id, culprit.call_id),
+                    seqs=(call.start_seq, culprit.end_seq),
+                    message=(
+                        f"poll by {call.proc} returned false although signal "
+                        f"by {culprit.proc} completed first"
+                    ),
+                ))
+    return out
+
+
+def oracle_blocking(history):
+    """``check_blocking`` as it was before its flat passes, kept verbatim."""
+    out: list[Violation] = []
+    begun = [
+        c.start_seq for c in history.calls
+        if c.kind == SIGNAL and c.start_seq is not None
+    ]
+    for call in history.calls:
+        if call.kind != WAIT or call.end_seq is None:
+            continue
+        if not any(s < call.end_seq for s in begun):
+            out.append(Violation(
+                WAIT_BEFORE_SIGNAL,
+                call_ids=(call.call_id,),
+                seqs=(call.end_seq,),
+                message=f"wait by {call.proc} returned before any signal began",
+            ))
+    return out
+
+
+def assert_checkers_match_oracles(history) -> None:
+    # Violations are frozen dataclasses: equal lists mean equal kinds, call
+    # ids, seqs and messages, in the same order.
+    assert check_polling(history) == oracle_polling(history), history.calls
+    assert check_blocking(history) == oracle_blocking(history), history.calls
+
+
+@st.composite
+def call_lists(draw) -> list[CallRecord]:
+    """Calls in an arbitrary call order, their seqs unrelated to it and
+    sometimes tied: Signals unbegun, open or completed; Polls true, false,
+    open or after a true response; Waits open or returned."""
+    records = []
+    for call_id in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from((SIGNAL, SIGNAL, POLL, POLL, WAIT)))
+        start = end = response = None
+        stage = draw(st.sampled_from(("unbegun", "open", "completed", "completed")))
+        if stage != "unbegun":
+            # Signals early and short, so later Polls often follow several.
+            start = draw(st.integers(0, 4 if kind == SIGNAL else 8))
+        if stage == "completed":
+            end = start + draw(st.integers(0, 3))
+            response = {POLL: draw(st.booleans()), WAIT: True}.get(kind)
+        records.append(CallRecord(call_id, draw(st.integers(1, 2)), kind, response,
+                                  start, end))
+    return records
+
+
+@settings(max_examples=400)  # cheap examples; ties at the bounds need many
+@given(call_lists())
+def test_contract_checkers_match_oracles_on_synthetic_calls(records):
+    assert_checkers_match_oracles(
+        History(events=[], calls=records, finished=frozenset(), incomplete=False, trace=()))
+
+
+#: The configurations of perfbench's ``enum`` workload: the criterion-3
+#: settings and the mutant.
+ENUM_WORKLOAD = (
+    *((name, params, polls, 12 if name == "dsm_fixed_waiters_term" else 25)
+      for name, params, polls in CRITERION_3),
+    ("mutant_single_waiter", (), ((2, 2),), 25),
+)
+
+
+def test_contract_checkers_match_oracles_on_every_enum_workload_history():
+    histories = violations = 0
+    for name, params, polls, depth in ENUM_WORKLOAD:
+        roles = {pid: poll_at_most(calls) for pid, calls in polls}
+        roles[1] = signal_once()
+        for history in enumerate_histories(make_algorithm(name, 3, **dict(params)),
+                                           roles, depth):
+            assert_checkers_match_oracles(history)
+            histories += 1
+            violations += len(oracle_polling(history))
+    assert histories == 21_248
+    assert violations > 0  # the mutant's false Polls are among them
