@@ -235,12 +235,19 @@ def _emit(cfg: dict, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _make_algorithm(name: str, n: int, waiters: tuple[int, ...]):
+    """The registered algorithm; a fixed-waiter protocol gets ``waiters``
+    as its fixed set."""
+    params = {"waiters": waiters} if name.startswith("dsm_fixed_waiters") else {}
+    return make_algorithm(name, n, **params)
+
+
 def _build_roles(cfg: dict, n: int, poller):
     """The algorithm and its roles: each waiter runs Wait under
     ``+blocking`` and the ``poller`` script otherwise; the designated
     signaler, or else the lowest non-waiter, signals once."""
-    algorithm = make_algorithm(cfg["algo"], n)
     waiters = _parse_waiters(cfg["waiters"], n, cfg["algo"])
+    algorithm = _make_algorithm(cfg["algo"], n, waiters)
     signaler = algorithm.designated_signaler
     if signaler in waiters:
         raise ConfigError(f"waiter id {signaler} is {algorithm.name}'s designated signaler")
@@ -343,9 +350,8 @@ def _drill(cfg: dict, w_count: int):
     if n < w_count + 1:
         raise ConfigError(f"n={n} cannot host {w_count} waiters plus a signaler")
     waiters = tuple(range(2, w_count + 2))
-    params = {"waiters": waiters} if cfg["algo"].startswith("dsm_fixed_waiters") else {}
     return adversary_separation(
-        make_algorithm(cfg["algo"], n, **params),
+        _make_algorithm(cfg["algo"], n, waiters),
         waiters=waiters,
         model=Model(cfg["model"]),
         signaler=cfg["signaler"],

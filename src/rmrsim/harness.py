@@ -64,6 +64,12 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     long as the protocol keeps its state in ``ctx.state``, which the
     rollback's rebuild of a call assumes too.
 
+    A walked history costs about its own event, call and trace sequences.
+    It shares with other histories, which is why none may change them, the
+    recorded events and call records and the relabelled events (each built
+    once per enumeration); the prefix's open records are copied once per
+    walk, and the trace is read off the events.
+
     A history is maximal when every process terminated or the depth was
     reached (the latter are yielded with ``incomplete`` set).  Raises
     :class:`EnumerationOverflow` past ``max_histories`` histories, and
@@ -77,6 +83,9 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     run.checkpoint()
     events = run.events  # the run's own list, which backtracking truncates
     memo: dict[tuple, _Node] = {}  # local to this enumeration
+    # _walk's relabelled events, by the recorded event's id and the path's
+    # call id; the memo keeps every recorded event, so no id is reused.
+    relabelled: dict[tuple, Event] = {}
     # Per branching checkpoint, innermost last: its node, and its choices
     # not yet taken, the next one last.
     untried: list[tuple[_Node, list[int]]] = []
@@ -92,7 +101,7 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
                 run.checkpoint()
                 untried.append((node, choices[:0:-1]))
             node, met = _advance(run, memo, node, choices[0])
-        for history in _walk(run, node):
+        for history in _walk(run, node, depth, relabelled):
             explored += 1
             if explored > max_histories:
                 raise EnumerationOverflow(explored - 1, max_histories)
@@ -109,10 +118,10 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
 
 class _Node:
     """A configuration the enumeration met.  ``edges`` are its steps in
-    choice order, each ``(pid, event, child, opened, closed)``: ``opened``
-    is the open record of a call the step began, ``closed`` the record of a
-    call it ended.  ``end`` is ``(finished, incomplete)`` where a history
-    ends."""
+    choice order, each ``(pid, event, child, begun, closed)``: ``begun`` is
+    the record of a call the step began, ``closed`` the record of a call it
+    ended, the same record when it did both.  Neither is ever changed.
+    ``end`` is ``(finished, incomplete)`` where a history ends."""
 
     __slots__ = ("edges", "end")
 
@@ -128,64 +137,82 @@ def _advance(run: Runner, memo: dict, node: _Node, pid: int) -> tuple[_Node, boo
     fresh = _Node()  # setdefault hashes the key once; get and set would twice
     child = memo.setdefault(run.configuration(), fresh)
     rec = run.calls[ev.call_id]
-    node.edges.append((
-        pid, ev, child,
-        CallRecord(ev.call_id, pid, rec.kind, None, ev.seq) if rec.start_seq == ev.seq else None,
-        rec if rec.end_seq is not None else None,
-    ))
+    closed = rec if rec.end_seq is not None else None
+    begun = None
+    if rec.start_seq == ev.seq:
+        begun = closed or CallRecord(ev.call_id, pid, rec.kind, None, ev.seq)
+    node.edges.append((pid, ev, child, begun, closed))
     return child, child is not fresh
 
 
-def _walk(run: Runner, node: _Node):
+def _walk(run: Runner, node: _Node, depth: int, relabelled: dict):
     """The histories below ``node``, the configuration the run is at, from
     its recorded edges; the run is not stepped.
 
     A recorded event of a call open at a node carries the call's id on the
     path the node was recorded from, so per edge it is relabelled with the
     id on this path when the two differ.  Calls begun below the node have
-    the same ids on every path, since the key holds the call count.  The
-    enumeration queues no calls, so the trace has one entry per event.
+    the same ids on every path, since the key holds the call count.
+
+    Histories share what nothing changes: the recorded events, the
+    relabelled ones, built once per recorded event and path id in
+    ``relabelled``, and the call records stored on edges.  A recorded
+    closed record is shared when this path's call has its id and start seq,
+    which always holds for a call begun on the same edge; otherwise a new
+    one is built.  The prefix's open records, which the run goes on
+    changing, are copied once per walk, so a leaf's call list is a plain
+    copy.  The enumeration queues no calls, so each event's process is its
+    trace entry, and a leaf reads its trace off its events.
     """
     if node.end is not None:
         yield run.history()
         return
-    events, trace = list(run.events), list(run.trace)
-    # The id of each process's open call on this path, by pid.
-    opened = (None, *(rec and rec.call_id for rec in map(run.open_call, range(1, run.n + 1))))
-    stack = [(iter(node.edges), list(run.calls), opened)]
-    while stack:
-        edges, calls, opened = stack[-1]
-        edge = next(edges, None)
-        if edge is None:
-            stack.pop()
-            continue
-        pid, ev, child, begun, closed = edge
-        seq, cid = ev.seq, ev.call_id
-        del events[seq:]
-        del trace[seq:]
-        if begun is not None:
-            calls = calls + [begun]
-            if closed is None:
-                opened = (*opened[:pid], cid, *opened[pid + 1:])
-        elif opened[pid] != cid:
-            cid = opened[pid]
-            ev = Event(seq, pid, ev.op, ev.loc, ev.home, ev.value_read, ev.value_written,
-                       ev.outcome, cid, ev.writer_before)
-        if closed is not None:
-            calls = calls.copy()
-            calls[cid] = CallRecord(cid, pid, closed.kind, closed.response,
-                                    calls[cid].start_seq, seq)
-            if begun is None:
-                opened = (*opened[:pid], None, *opened[pid + 1:])
-        events.append(ev)
-        trace.append(pid)
-        if child.end is None:
-            stack.append((iter(child.edges), calls, opened))
-            continue
-        # Open records are copied, as ``Runner.history`` copies them.
-        yield History(list(events), [c if c.end_seq is not None else CallRecord(
-            c.call_id, c.proc, c.kind, c.response, c.start_seq) for c in calls],
-            *child.end, tuple(trace))
+    # Each edge's event goes in at its seq; a leaf takes the events up to its own.
+    events = run.events + [None] * (depth - len(run.events))
+    calls = [c if c.end_seq is not None else CallRecord(c.call_id, c.proc, c.kind, c.response,
+                                                        c.start_seq) for c in run.calls]
+    # The id of each process's open call on this path, by pid.  A closed
+    # call's id is left in place: its process's next step begins a call,
+    # which sets a new one.
+    opened = [None, *(rec and rec.call_id for rec in map(run.open_call, range(1, run.n + 1)))]
+    edges = iter(node.edges)
+    stack = []  # per level above this one: its edges left, calls and open ids
+    while True:
+        for pid, ev, child, begun, closed in edges:
+            path_calls, path_opened = calls, opened
+            if begun is not None:
+                path_calls = calls + [begun]
+                if closed is None:
+                    path_opened = opened.copy()
+                    path_opened[pid] = ev.call_id
+            else:
+                cid = opened[pid]
+                if cid != ev.call_id:
+                    key = (id(ev), cid)
+                    relabel = relabelled.get(key)
+                    if relabel is None:
+                        relabel = relabelled[key] = Event(
+                            ev.seq, pid, ev.op, ev.loc, ev.home, ev.value_read,
+                            ev.value_written, ev.outcome, cid, ev.writer_before)
+                    ev = relabel
+                if closed is not None:
+                    start = calls[cid].start_seq
+                    if closed.call_id != cid or closed.start_seq != start:
+                        closed = CallRecord(cid, pid, closed.kind, closed.response, start,
+                                            ev.seq)
+                    path_calls = calls.copy()
+                    path_calls[cid] = closed
+            events[ev.seq] = ev
+            if child.end is None:
+                stack.append((edges, calls, opened))
+                edges, calls, opened = iter(child.edges), path_calls, path_opened
+                break
+            taken = events[:ev.seq + 1]
+            yield History(taken, list(path_calls), *child.end, tuple([e.proc for e in taken]))
+        else:
+            if not stack:
+                return
+            edges, calls, opened = stack.pop()
 
 
 # ---------------------------------------------------------------------------

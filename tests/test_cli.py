@@ -68,6 +68,18 @@ def test_waiters_beside_the_designated_signaler_accepted(capsys):
     assert json.loads(out)["k"] == 3
 
 
+@pytest.mark.parametrize("algo", ["dsm_fixed_waiters_term", "dsm_fixed_waiters_term+blocking"])
+def test_run_fixed_waiter_set_is_the_waiters_option(capsys, algo):
+    # Two waiters, 2 and 3: the signaler waits for and notifies just them.
+    # Built with the default set 2..4, it would spin on process 4's presence
+    # flag to the step budget.
+    code, out, _ = run_cli(capsys, "run", "--algo", algo, "--n", "4", "--waiters", "2")
+    record = json.loads(out)
+    assert (code, record["incomplete"]) == (0, False)
+    assert sorted(record["per_process"]) == ["1", "2", "3"]
+    assert record["per_process"]["1"]["rmr_dsm"] == 2
+
+
 def test_run_reproducible_byte_for_byte(capsys):
     argv = ("run", "--algo", "dsm_queue", "--n", "6", "--seed", "42")
     _, first, _ = run_cli(capsys, *argv)

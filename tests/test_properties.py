@@ -947,6 +947,31 @@ def test_histories_stay_as_taken(data):
         assert history == copy
 
 
+# Built by name as well; EVERY_PRIMITIVE keeps to Drift and Scribble.
+TEST_ALGORITHMS.update({cls.name: cls for cls in (Echo, Relink)})
+#: Every primitive mix, plus protocols whose paths only the memo's key tells
+#: apart (by last writer, by LL link), so that walks meet them.
+WALKED = EVERY_PRIMITIVE + ("echo", "relink")
+
+
+@given(st.data())
+def test_walked_histories_stay_as_taken(data):
+    # Walked histories share recorded events, recorded call records and
+    # relabelled events with each other, while the run goes on stepping and
+    # rolling back below them.  Each history is copied as it is yielded and
+    # must equal its copy once the enumeration is over.
+    name, n, roles = draw_setting(data.draw, WALKED, 4)
+    depth = data.draw(st.integers(1, 10))
+    taken = []
+    with suppress(EnumerationOverflow):
+        for history in enumerate_histories(build(name, n), roles, depth,
+                                           max_histories=ENUM_LIMIT):
+            taken.append((history, deepcopy(history)))
+    assert taken
+    for history, copy in taken:
+        assert history == copy
+
+
 # -- the contract checkers against their generator-based oracles --------------
 
 
