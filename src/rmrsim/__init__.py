@@ -15,7 +15,6 @@ from .checker import (
 from .costs import (
     CacheState,
     LOCAL,
-    MessageMode,
     Model,
     RMR,
     RmrLedger,
@@ -41,13 +40,10 @@ from .harness import (
     adversary_separation,
     enumerate_histories,
     erase,
-    sees,
-    solo_extend,
     stability,
-    touches,
     validate_erasure,
 )
-from .memory import Event, Location, Memory, NIL, OpKind, PrimitiveOp, last_writer
+from .memory import Event, Location, Memory, NIL, OpKind, PrimitiveOp
 from .runner import (
     CallRecord,
     ExplicitSchedule,

@@ -342,13 +342,11 @@ REGISTRY = {
 
 def make_algorithm(name: str, n: int, **params) -> SignalingAlgorithm:
     """Build a registered algorithm; append ``+blocking`` to wrap Wait."""
-    base, _, suffix = name.partition("+")
+    base, plus, suffix = name.partition("+")
     factory = REGISTRY.get(base)
     if factory is None:
         raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(REGISTRY)}")
+    if plus and suffix != "blocking":
+        raise ConfigError(f"unknown algorithm variant {suffix!r}; the one variant is +blocking")
     algorithm = factory(n=n, **params)
-    if suffix == "blocking":
-        algorithm = Blocking(algorithm)
-    elif suffix:
-        raise ConfigError(f"unknown algorithm variant {suffix!r}")
-    return algorithm
+    return Blocking(algorithm) if plus else algorithm

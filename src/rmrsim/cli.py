@@ -33,10 +33,10 @@ from .runner import (
     DEFAULT_BUDGET,
     ExplicitSchedule,
     RoundRobin,
-    Runner,
     SeededRandom,
     poll_at_most,
     poll_until_true,
+    run,
     signal_once,
     wait_once,
 )
@@ -262,18 +262,13 @@ def _build_roles(cfg: dict, n: int, poller):
     return algorithm, roles
 
 
-def build_run_record(cfg: dict) -> dict:
-    """One simulation, checked; the record the run command emits."""
-    return _checked_run(cfg)[0]
-
-
 def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
+    """One simulation, checked: the record the run command emits, and its
+    violations."""
     algorithm, roles = _build_roles(cfg, cfg["n"], poll_until_true())
-    runner = Runner(algorithm, roles)
-    runner.drive(_parse_policy(cfg["schedule"], cfg["seed"], cfg["n"], roles), cfg["budget"])
-    history = runner.history()
+    policy = _parse_policy(cfg["schedule"], cfg["seed"], cfg["n"], roles)
+    history, ledger = run(algorithm, roles, policy, budget=cfg["budget"])
     violations = checker.check_polling(history) + checker.check_blocking(history)
-    ledger = runner.ledger
     participants = sorted(history.participants)
     record = {
         "algorithm": algorithm.name,

@@ -29,11 +29,6 @@ class Model(Enum):
     CC = "cc"
 
 
-class MessageMode(Enum):
-    BUS = "bus"
-    IDEAL_DIRECTORY = "ideal_directory"
-
-
 #: Metric key order used in every serialized record.
 METRIC_NAMES = ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
 
@@ -54,10 +49,6 @@ class CacheState:
 
     def __init__(self):
         self._holders: dict[int, set[int]] = {}
-
-    def holds(self, proc: int, loc: int) -> bool:
-        h = self._holders.get(loc)
-        return h is not None and proc in h
 
     def held_by(self, proc: int) -> tuple[int, ...]:
         """Locations ``proc`` currently holds, in uid order."""
@@ -87,13 +78,13 @@ class CacheState:
             self._holders[loc] = arg
 
 
-def count_messages(event: Event, cache: CacheState, mode: MessageMode) -> int:
-    """Invalidation messages the event triggers, given the cache state
-    *before* the event is applied to it.  Trivial operations send none."""
+def count_messages(event: Event, cache: CacheState) -> int:
+    """Ideal-directory invalidation messages the event triggers: one per
+    copy held by another process, given the cache state *before* the event
+    is applied to it.  Trivial operations send none.  (On a bus a
+    nontrivial attempt sends one broadcast: the ledger's ``msg_bus``.)"""
     if event.op.trivial:
         return 0
-    if mode is MessageMode.BUS:
-        return 1
     remote = cache._holders.get(event.loc)
     if not remote:
         return 0
@@ -124,7 +115,7 @@ def classify_cc(event: Event, cache: CacheState) -> str:
 
 def _cc_costs(event: Event, cache: CacheState) -> tuple[int, int]:
     """The event's directory messages and CC RMRs (0 or 1); updates ``cache``."""
-    msgs = count_messages(event, cache, MessageMode.IDEAL_DIRECTORY)
+    msgs = count_messages(event, cache)
     return msgs, classify_cc(event, cache) is RMR
 
 
@@ -133,19 +124,18 @@ class RmrLedger:
 
     One count table: a row per process id, a column per metric in
     ``METRIC_NAMES`` order (DSM RMRs, CC RMRs, bus and ideal-directory
-    invalidation messages, steps).  Also tracks the participant and
-    finished process sets.  All counts are nonnegative; they only grow,
-    except when :meth:`drop` takes a process out.
+    invalidation messages, steps).  Also tracks the participant set.  All
+    counts are nonnegative; they only grow, except when :meth:`drop` takes
+    a process out.
     """
 
-    __slots__ = ("n", "cache", "_rows", "participants", "finished")
+    __slots__ = ("n", "cache", "_rows", "participants")
 
     def __init__(self, n: int):
         self.n = n
         self.cache = CacheState()
         self._rows = [[0] * len(METRIC_NAMES) for _ in range(n + 1)]
         self.participants: set[int] = set()
-        self.finished: set[int] = set()
 
     def record(self, event: Event) -> None:
         """Charge one event: :func:`classify_dsm`, :func:`count_messages`
@@ -173,10 +163,6 @@ class RmrLedger:
             row[3] += len(holders) - (p in holders)
             holders.clear()
             holders.add(p)
-
-    def mark_finished(self, proc: int) -> None:
-        if proc in self.participants:
-            self.finished.add(proc)
 
     def drop(self, proc: int, events: list[Event],
              copies: list[tuple[int, int | None]] = ()) -> None:

@@ -6,14 +6,14 @@
   branching point by rolling back a checkpoint; one met again is walked
   from its recorded steps.  Every history is exactly what a normal run of
   its schedule produces;
-* solo extensions and a stability probe: a process is *stable* when letting
-  it poll alone forever would never cost another remote reference;
-* the observation relations (who read whose value, who touched whose
-  module) and erasure: removing every step of an unobserved process yields
-  another legal run, which is certified rather than trusted.  ``erase``
-  builds it by replay and compares, the slow oracle, after the scan
-  ``validate_erasure``; the drill asks the run's observed-by count instead,
-  erases in place and certifies all its erasures with one replay at the end;
+* a stability probe: a process is *stable* when letting it poll alone
+  forever would never cost another remote reference;
+* erasure: removing every step of a process nobody observed (read a value
+  it last wrote) yields another legal run, which is certified rather than
+  trusted.  The drill asks the run's observed-by count
+  (``Runner.observers``), erases in place and certifies all its erasures
+  with one replay at the end; ``erase`` builds the run by replay and
+  compares, the slow oracle, after the scan ``validate_erasure``;
 * the adversary drill: stabilize a crowd of waiters, then make a signaler
   run alone and count what it must spend to reach them all.
 """
@@ -216,22 +216,8 @@ def _walk(run: Runner, node: _Node, depth: int, relabelled: dict):
 
 
 # ---------------------------------------------------------------------------
-# Solo runs and stability
+# Stability
 # ---------------------------------------------------------------------------
-
-
-def solo_extend(base: Runner, pid: int, *, calls: int) -> Runner:
-    """Fork the run and let only ``pid`` make up to ``calls`` further
-    Polls, each within the default horizon.  Polling stops early once a
-    call returns true (no further polls would be legal)."""
-    if pid in base.terminated:
-        raise SimError(f"process {pid} has terminated")
-    fork = base.fork()
-    for _ in range(calls):
-        fork.force_next_call(pid, POLL)
-        if fork.run_call(pid, max_steps=DEFAULT_HORIZON).response:
-            break
-    return fork
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,22 +288,8 @@ def _configuration(runner: Runner, pid: int, model: Model) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Observation relations and erasure
+# Erasure
 # ---------------------------------------------------------------------------
-
-
-def sees(history: History, p: int, q: int) -> bool:
-    """Did ``p`` read a value whose last writer was ``q``?  Covers every
-    primitive whose response exposes the location's value."""
-    return any(
-        e.proc == p and e.op.reads_value and e.writer_before == q
-        for e in history.events
-    )
-
-
-def touches(history: History, p: int, q: int) -> bool:
-    """Did ``p`` access any location homed at ``q``?"""
-    return any(e.proc == p and e.home == q for e in history.events)
 
 
 def validate_erasure(history: History | list, p: int) -> bool:
@@ -368,7 +340,7 @@ def erase(base: Runner, p: int) -> Runner:
     steps are then compared against their originals; any difference means
     the validator is wrong and raises :class:`ReplayDivergence`.  This is
     the slow oracle that ``Runner.erase``, the in-place erasure, is tested
-    against.
+    against.  No product path calls it; the perfbench tracer hooks it by name.
     """
     if not base.is_active(p):
         raise SimError(f"process {p} is not active; only active processes can be erased")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 from .errors import CapacityError, ConfigError
 
@@ -53,10 +52,6 @@ class OpKind(Enum):
 # against: ``OpKind.X`` goes through the enum metaclass on every lookup.
 _READ, _WRITE, _CAS, _LL = OpKind.READ, OpKind.WRITE, OpKind.CAS, OpKind.LL
 _SC, _FAI, _FAS, _TAS = OpKind.SC, OpKind.FAI, OpKind.FAS, OpKind.TAS
-
-#: The flags as kind sets.
-TRIVIAL_KINDS = frozenset(k for k in OpKind if k.trivial)
-VALUE_READING_KINDS = frozenset(k for k in OpKind if k.reads_value)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -330,17 +325,6 @@ class Memory:
 
         return Event(seq, proc, op, uid, loc.home, value_read, written, outcome,
                      call_id, writer_before)
-
-
-def last_writer(events: Iterable[Event], loc: Location | int) -> int | None:
-    """Process of the most recent memory-modifying event on ``loc`` in the
-    given event prefix, or None if the location was never written there."""
-    uid = loc if isinstance(loc, int) else loc.uid
-    found: int | None = None
-    for e in events:
-        if e.loc == uid and e.value_written is not None:
-            found = e.proc
-    return found
 
 
 def _check_word(value: int) -> None:

@@ -5,8 +5,8 @@ the procedure bodies are generators that yield one primitive operation per
 step.  The engine owns all interleaving: a scheduled step applies exactly
 one memory operation of one process.  Interleaving decisions are recorded
 in a *trace*, so any run can be rebuilt bit-identically by replaying the
-trace, which is what forking and the determinism guarantees rest on, and
-what certifies an erasure.
+trace, which is what the determinism guarantees rest on, and what
+certifies an erasure.
 
 A *checkpoint* lets the run go on and then come back: while one is open,
 each step journals the word it changes and each process's state is saved
@@ -143,13 +143,6 @@ class History:
     def participants(self) -> frozenset[int]:
         return frozenset(e.proc for e in self.events)
 
-    @property
-    def active(self) -> frozenset[int]:
-        return self.participants - self.finished
-
-    def calls_of(self, proc: int) -> list[CallRecord]:
-        return [c for c in self.calls if c.proc == proc]
-
 
 # ---------------------------------------------------------------------------
 # Scheduling policies
@@ -264,9 +257,8 @@ class Runner:
     :meth:`rollback` let a run branch and come back in place, which costs
     the steps taken since instead of a replay of the whole trace;
     :meth:`probe` runs extra calls of some processes under a checkpoint and
-    rolls them back.  :meth:`fork` replays the trace into a fresh,
-    independent instance; :meth:`erase` removes a process in place, at the
-    cost of what that process touched instead of a replay.
+    rolls them back.  :meth:`erase` removes a process in place, at the cost
+    of what that process touched instead of a replay.
     """
 
     def __init__(self, algorithm, roles: dict[int, Script], *, with_ledger: bool = True):
@@ -360,11 +352,8 @@ class Runner:
             return frozenset(self.ledger.participants)
         return frozenset(e.proc for e in self._events)
 
-    def active(self) -> frozenset[int]:
-        return self.participants() - self._terminated
-
     def is_active(self, pid: int) -> bool:
-        """``pid in self.active()``, without building the set."""
+        """Whether ``pid`` has taken a step and not terminated."""
         if pid in self._terminated:
             return False
         if self.ledger is not None:
@@ -460,7 +449,8 @@ class Runner:
                 state.saw_true = True
             state.next_kind = self._script_next(pid)
             if state.next_kind is None and not state.forced:
-                self._terminate(pid)
+                self._terminated.add(pid)
+                self._set_live(pid, False)
         return ev
 
     def drive(self, policy, budget: int = DEFAULT_BUDGET) -> None:
@@ -602,7 +592,8 @@ class Runner:
         return run
 
     def fork(self) -> "Runner":
-        """Independent copy rebuilt by replaying this run's trace."""
+        """Independent copy rebuilt by replaying this run's trace.  No
+        product path calls it; the perfbench tracer hooks it by name."""
         return Runner.replay(self.algorithm, self.roles, list(self.trace))
 
     # -- erasure ----------------------------------------------------------
@@ -805,8 +796,7 @@ class Runner:
         shrinks, so a rollback only drops what was added."""
         if self.ledger is None:
             return self._terminated, self._pollers, self._signaled
-        return (self._terminated, self._pollers, self._signaled,
-                self.ledger.participants, self.ledger.finished)
+        return self._terminated, self._pollers, self._signaled, self.ledger.participants
 
     def _save_process(self, pid: int) -> tuple:
         state = self._procs[pid]
@@ -928,12 +918,6 @@ class Runner:
                 f"{self.algorithm.name}.{kind} performed no memory access"
             ) from None
         return state.pending
-
-    def _terminate(self, pid: int) -> None:
-        self._terminated.add(pid)
-        if self.ledger is not None:
-            self.ledger.mark_finished(pid)
-        self._set_live(pid, False)
 
     def _set_live(self, pid: int, live: bool) -> None:
         """Put ``pid`` in or out of the runnable list, kept sorted so that

@@ -6,7 +6,6 @@ accumulator that criterion 7 audits; running criterion 7 alone falls back
 to a small battery of its own.
 """
 
-import json
 from statistics import linear_regression
 
 from rmrsim.algorithms import make_algorithm
@@ -16,18 +15,16 @@ from rmrsim.checker import (
     check_polling,
     real_violations,
 )
-from rmrsim.cli import build_run_record
 from rmrsim.costs import CacheState, Model, RMR, classify_cc, classify_dsm
 from rmrsim.harness import (
     adversary_separation,
     enumerate_histories,
     erase,
-    solo_extend,
     stability,
     validate_erasure,
 )
-from rmrsim.memory import TRIVIAL_KINDS
 from rmrsim.runner import (
+    POLL,
     Runner,
     SeededRandom,
     poll_at_most,
@@ -36,17 +33,19 @@ from rmrsim.runner import (
     signal_once,
 )
 
+from test_golden import run_case
+
 # (ledger msg_dir, ledger msg_bus, independent attempt count, independent
 # CC read-RMR count) per registered run; criterion 7 audits the totals.
 MESSAGE_AUDIT: list[tuple[int, int, int, int]] = []
 
 
 def register_run(events, msg_dir_total: int, msg_bus_total: int) -> None:
-    attempts = sum(1 for e in events if e.op.kind not in TRIVIAL_KINDS)
+    attempts = sum(1 for e in events if not e.op.trivial)
     cache = CacheState()
     cc_reads = sum(
         1 for e in events
-        if e.op.kind in TRIVIAL_KINDS and classify_cc(e, cache) is RMR
+        if e.op.trivial and classify_cc(e, cache) is RMR
     )
     MESSAGE_AUDIT.append((msg_dir_total, msg_bus_total, attempts, cc_reads))
 
@@ -113,7 +112,7 @@ def test_criterion_2_dsm_algorithm_bounds():
     for seed in range(1000):
         history, ledger = run(algo, waiter_roles(range(2, n + 1), 1), SeededRandom(seed))
         for w in range(2, n + 1):
-            first = next(c for c in history.calls_of(w) if c.kind == "Poll")
+            first = next(c for c in history.calls if c.proc == w and c.kind == "Poll")
             assert dsm_rmrs_of_call(history, first) == 3
         assert ledger.rmr(Model.DSM, 1) <= 3 * (n - 1) + 5
         assert ledger.rmr(Model.DSM, 1) <= n - 1  # exact with globals at the signaler
@@ -212,7 +211,7 @@ def test_criterion_6_tool_soundness():
             algo = make_algorithm(name, 6, **params)
             runner = Runner(algo, waiter_roles(range(2, 7)))
             runner.drive(SeededRandom(seed), 50)
-            for target in sorted(runner.active()):
+            for target in sorted(runner.participants() - runner.terminated):
                 assert validate_erasure(runner.history(), target)
                 before = len(runner.events)
                 own = sum(1 for e in runner.events if e.proc == target)
@@ -223,7 +222,7 @@ def test_criterion_6_tool_soundness():
     assert erasures >= 1000
 
     # (b) every stable verdict survives a 10x longer solo extension with
-    # zero DSM RMRs.
+    # zero DSM RMRs: the extra Polls run inside a probe of the waiter.
     verdicts = 0
     for name in ("dsm_queue", "dsm_registration", "dsm_fixed_waiters",
                  "dsm_fixed_waiters_term"):
@@ -235,22 +234,25 @@ def test_criterion_6_tool_soundness():
         for w in range(2, 7):
             verdict = stability(runner, w)
             assert verdict.stable
-            solo = solo_extend(runner, w, calls=10 * verdict.solo_calls)
-            assert solo.ledger.rmr(Model.DSM, w) == runner.ledger.rmr(Model.DSM, w)
+            before = runner.ledger.rmr(Model.DSM, w)
+            with runner.probe((w,)):
+                for _ in range(10 * verdict.solo_calls):
+                    runner.force_next_call(w, POLL)
+                    if runner.run_call(w).response:
+                        break
+                assert runner.ledger.rmr(Model.DSM, w) == before
             verdicts += 1
 
-    # (c) a hundred configuration+seed pairs reproduce byte-identically.
+    # (c) a hundred configuration+seed pairs reproduce byte-identically:
+    # two ``rmrsim run`` command lines print the same.
     pairs = 0
     for name in ("cc_flag", "dsm_queue", "dsm_registration", "dsm_fixed_waiters"):
         for n in (3, 5):
             for seed in range(13):
-                cfg = {
-                    "algo": name, "model": "dsm", "n": n, "waiters": None,
-                    "schedule": "random", "seed": seed, "budget": 10_000,
-                }
-                first = json.dumps(build_run_record(dict(cfg)), sort_keys=True)
-                second = json.dumps(build_run_record(dict(cfg)), sort_keys=True)
-                assert first == second
+                argv = f"run --algo {name} --n {n} --seed {seed} --budget 10000"
+                first = run_case(argv)
+                assert first["exit"] == 0 and first["stdout"]
+                assert run_case(argv) == first
                 pairs += 1
     assert pairs >= 100
     print(f"criterion 6: PASS ({erasures} erasures, {verdicts} stable "

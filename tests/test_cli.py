@@ -276,6 +276,9 @@ def test_missing_algorithm_usage_error(capsys):
     *(pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--schedule", f"explicit:{ids}"),
                    None, f"schedule id {bad} outside 1..3", id=f"run-explicit-{bad}")
       for ids, bad in (("9,0,-1", 9), ("2,1,0", 0), ("1,2,4", 4), ("3,-2", -2))),
+    # An empty variant would run the base protocol under a name it does not have.
+    pytest.param(("run", "--algo", "cc_flag+", "--n", "3"), None,
+                 "unknown algorithm variant ''", id="run-empty-variant"),
     # Process 3 has no role, so it could never take a step.
     pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--waiters", "1",
                   "--schedule", "explicit:3,3,3"), None,

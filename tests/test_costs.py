@@ -7,7 +7,6 @@ import pytest
 from rmrsim.costs import (
     CacheState,
     LOCAL,
-    MessageMode,
     Model,
     RMR,
     RmrLedger,
@@ -83,8 +82,7 @@ def test_cc_write_invalidates_remote_copies():
     cache = CacheState()
     classify_cc(apply(mem, 2, read(b)), cache)
     assert classify_cc(apply(mem, 1, write(b, 1)), cache) is RMR
-    assert not cache.holds(2, b.uid)
-    assert cache.holds(1, b.uid)
+    assert cache.pairs() == {(1, b.uid)}
     assert classify_cc(apply(mem, 2, read(b)), cache) is RMR
 
 
@@ -102,7 +100,7 @@ def test_cc_failed_attempts_charged_and_invalidating():
     failed = apply(mem, 3, cas(x, expected=0, value=5))
     assert failed.value_written is None
     assert classify_cc(failed, cache) is RMR
-    assert not cache.holds(2, x.uid)
+    assert (2, x.uid) not in cache.pairs()
 
 
 def test_cc_write_costs_rmr_even_with_cached_copy():
@@ -126,22 +124,25 @@ def _three_remote_copies():
 
 
 def test_messages_bus_broadcast_is_one():
-    mem, b, cache = _three_remote_copies()
-    ev = apply(mem, 1, write(b, 1))
-    assert count_messages(ev, cache, MessageMode.BUS) == 1
+    mem, b, _ = _three_remote_copies()
+    ledger = RmrLedger(4)
+    ledger.record(apply(mem, 1, write(b, 1)))
+    assert ledger.per_process(1)["msg_bus"] == 1
 
 
 def test_messages_ideal_directory_counts_remote_holders():
     mem, b, cache = _three_remote_copies()
     ev = apply(mem, 1, write(b, 1))
-    assert count_messages(ev, cache, MessageMode.IDEAL_DIRECTORY) == 3
+    assert count_messages(ev, cache) == 3
 
 
 def test_messages_none_for_reads():
     mem, b, cache = _three_remote_copies()
     ev = apply(mem, 1, read(b))
-    assert count_messages(ev, cache, MessageMode.BUS) == 0
-    assert count_messages(ev, cache, MessageMode.IDEAL_DIRECTORY) == 0
+    assert count_messages(ev, cache) == 0
+    ledger = RmrLedger(4)
+    ledger.record(ev)
+    assert ledger.per_process(1)["msg_bus"] == 0
 
 
 def test_messages_own_copy_not_counted():
@@ -150,7 +151,7 @@ def test_messages_own_copy_not_counted():
     cache = CacheState()
     classify_cc(apply(mem, 1, read(b)), cache)
     ev = apply(mem, 1, write(b, 1))
-    assert count_messages(ev, cache, MessageMode.IDEAL_DIRECTORY) == 0
+    assert count_messages(ev, cache) == 0
 
 
 # -- ledger -----------------------------------------------------------------
@@ -246,10 +247,7 @@ def test_per_event_message_bounds():
     events, _, n = _random_soup(23)
     cache = CacheState()
     for e in events:
-        bus = count_messages(e, cache, MessageMode.BUS)
-        dirm = count_messages(e, cache, MessageMode.IDEAL_DIRECTORY)
-        assert bus <= 1
-        assert dirm <= n - 1
+        assert count_messages(e, cache) <= n - 1
         classify_cc(e, cache)
 
 
@@ -325,11 +323,11 @@ def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
         ledger.record(e)
         classify_cc(e, cache)
     assert last.outcome is ok
-    assert cache.holds(2, last.loc) is issuer_holds and cache.holds(3, last.loc)
+    assert ((2, last.loc) in cache.pairs()) is issuer_holds and (3, last.loc) in cache.pairs()
     others = [ledger.row(1), ledger.row(3)]
     start = ledger.row(2)
-    bus = count_messages(last, cache, MessageMode.BUS)
-    directory = count_messages(last, cache, MessageMode.IDEAL_DIRECTORY)
+    bus = not last.op.trivial
+    directory = count_messages(last, cache)
     cc = classify_cc(last, cache) is RMR  # moves the cache past ``last``
     expected = [classify_dsm(last) is RMR, cc, bus, directory, 1]
     ledger.record(last)

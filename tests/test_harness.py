@@ -20,14 +20,12 @@ from rmrsim.harness import (
     adversary_separation,
     enumerate_histories,
     erase,
-    sees,
-    solo_extend,
     stability,
-    touches,
     validate_erasure,
 )
 from rmrsim.memory import Event, Memory, OpKind, ll, read, sc, write
 from rmrsim.runner import (
+    POLL,
     SIGNAL,
     Runner,
     SeededRandom,
@@ -182,39 +180,55 @@ def test_enumerate_overflow():
 # -- solo runs and stability --------------------------------------------------
 
 
+def solo_polls(runner, pid, calls):
+    """Let ``pid`` alone make ``calls`` further Polls, inside an open probe
+    of it, stopping after one that returns true."""
+    for _ in range(calls):
+        runner.force_next_call(pid, POLL)
+        if runner.run_call(pid).response:
+            break
+
+
 def test_solo_extend_stable_waiter_pays_nothing():
     algo = make_algorithm("dsm_queue", 4)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
     before = runner.ledger.rmr(Model.DSM, 2)
-    solo = solo_extend(runner, 2, calls=100)
-    assert solo.ledger.rmr(Model.DSM, 2) == before
-    assert len(solo.events) == len(runner.events) + 100
+    steps = len(runner.events)
+    with runner.probe((2,)):
+        solo_polls(runner, 2, 100)
+        assert runner.ledger.rmr(Model.DSM, 2) == before
+        assert len(runner.events) == steps + 100
+    assert len(runner.events) == steps
 
 
 def test_solo_extend_cc_flag_waiter_pays_per_poll_under_dsm():
     algo = make_algorithm("cc_flag", 3)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
-    solo = solo_extend(runner, 2, calls=50)
-    assert solo.ledger.rmr(Model.DSM, 2) == runner.ledger.rmr(Model.DSM, 2) + 50
+    before = runner.ledger.rmr(Model.DSM, 2)
+    with runner.probe((2,)):
+        solo_polls(runner, 2, 50)
+        assert runner.ledger.rmr(Model.DSM, 2) == before + 50
+    assert runner.ledger.rmr(Model.DSM, 2) == before
 
 
 def test_solo_extend_replays_identically():
     algo = make_algorithm("dsm_queue", 3)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
-    solo = solo_extend(runner, 2, calls=5)
-    twin = Runner.replay(algo, solo.roles, list(solo.trace))
-    assert [e.signature() for e in twin.events] == [e.signature() for e in solo.events]
+    with runner.probe((2,)):
+        solo_polls(runner, 2, 5)
+        twin = Runner.replay(algo, runner.roles, list(runner.trace))
+        assert [e.signature() for e in twin.events] == [e.signature() for e in runner.events]
 
 
 def test_solo_extend_terminated_process_rejected():
     algo = make_algorithm("cc_flag", 2)
     runner = Runner(algo, {1: signal_once()})
     runner.run_call(1)
-    with pytest.raises(SimError):
-        solo_extend(runner, 1, calls=1)
+    with pytest.raises(SimError, match="terminated"), runner.probe((1,)):
+        solo_polls(runner, 1, 1)
 
 
 def test_stability_verdicts_dsm():
@@ -282,41 +296,33 @@ def test_stable_verdicts_survive_long_solo_runs():
         runner.run_call(3)
         verdict = stability(runner, 2)
         assert verdict.stable
-        solo = solo_extend(runner, 2, calls=10 * verdict.solo_calls)
-        assert solo.ledger.rmr(Model.DSM, 2) == runner.ledger.rmr(Model.DSM, 2)
+        before = runner.ledger.rmr(Model.DSM, 2)
+        with runner.probe((2,)):
+            solo_polls(runner, 2, 10 * verdict.solo_calls)
+            assert runner.ledger.rmr(Model.DSM, 2) == before
 
 
-# -- observation relations ----------------------------------------------------
+# -- observation ------------------------------------------------------------
 
 
-def test_sees_via_read_of_last_write():
-    events = raw_events(2, {
-        "locs": [("x", 1)],
-        "ops": [(1, write, "x", 5), (2, read, "x")],
-    })
-    history = SimpleNamespace(events=events)
-    assert sees(history, 2, 1)
-    assert not sees(history, 1, 2)
+def test_observed_via_read_of_last_write():
+    # cc_flag: waiter 2 polls the flag after signaler 1 wrote it, so 2
+    # observed 1; 2 wrote nothing anyone read.
+    runner = Runner(make_algorithm("cc_flag", 3), {1: signal_once(), 2: poll_at_most(1)})
+    runner.run_call(1)
+    runner.run_call(2)
+    assert (runner.observers(1), runner.observers(2)) == (1, 0)
+    history = runner.history()
+    assert not validate_erasure(history, 1)
+    assert validate_erasure(history, 2)
 
 
-def test_touches_via_home_access():
-    events = raw_events(3, {
-        "locs": [("v", 2)],
-        "ops": [(1, write, "v", 1)],
-    })
-    history = SimpleNamespace(events=events)
-    assert touches(history, 1, 2)
-    assert not sees(history, 1, 2)
-
-
-def test_neither_sees_nor_touches_without_contact():
+def test_unobserved_without_contact():
     events = raw_events(3, {
         "locs": [("a", 1), ("b", 2)],
         "ops": [(1, read, "a"), (2, read, "b")],
     })
-    history = SimpleNamespace(events=events)
-    assert not sees(history, 1, 2) and not sees(history, 2, 1)
-    assert not touches(history, 1, 2) and not touches(history, 2, 1)
+    assert validate_erasure(events, 1) and validate_erasure(events, 2)
 
 
 def test_validate_erasure_invisible_writer():

@@ -13,7 +13,6 @@ from rmrsim.memory import (
     cas,
     fai,
     fas,
-    last_writer,
     ll,
     read,
     sc,
@@ -25,6 +24,17 @@ from rmrsim.memory import (
 def apply(mem, proc, request, seq=0, call_id=0):
     op, loc = request
     return mem.apply(proc, op, loc, seq, call_id)
+
+
+def last_writer(events, loc):
+    """Process of the most recent memory-modifying event on ``loc`` in the
+    given event prefix, or None if the location was never written there:
+    the oracle for ``Event.writer_before``."""
+    found = None
+    for e in events:
+        if e.loc == loc.uid and e.value_written is not None:
+            found = e.proc
+    return found
 
 
 def test_alloc_basic():
@@ -268,12 +278,10 @@ def test_apply_table(kind, operands, before, linked, expected, linked_after):
 
 
 def test_event_kind_sets():
-    from rmrsim.memory import TRIVIAL_KINDS, VALUE_READING_KINDS
-
-    assert OpKind.READ in TRIVIAL_KINDS and OpKind.LL in TRIVIAL_KINDS
-    assert OpKind.WRITE not in TRIVIAL_KINDS
-    assert OpKind.SC not in VALUE_READING_KINDS
-    assert OpKind.CAS in VALUE_READING_KINDS
+    assert {k for k in OpKind if k.trivial} == {OpKind.READ, OpKind.LL}
+    assert {k for k in OpKind if not k.reads_value} == {OpKind.WRITE, OpKind.SC}
+    assert all(PrimitiveOp(k).trivial is k.trivial for k in OpKind)
+    assert all(PrimitiveOp(k).reads_value is k.reads_value for k in OpKind)
 
 
 def test_nil_is_zero_and_ids_start_at_one():

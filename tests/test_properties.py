@@ -30,7 +30,6 @@ from rmrsim.checker import (
 )
 from rmrsim.costs import (
     CacheState,
-    MessageMode,
     Model,
     RMR,
     classify_cc,
@@ -233,8 +232,8 @@ def recount(events, n: int) -> dict[int, dict[str, int]]:
         row = rows[e.proc]
         row["steps"] += 1
         row["rmr_dsm"] += classify_dsm(e) is RMR
-        row["msg_bus"] += count_messages(e, cache, MessageMode.BUS)
-        row["msg_dir"] += count_messages(e, cache, MessageMode.IDEAL_DIRECTORY)
+        row["msg_bus"] += not e.op.trivial
+        row["msg_dir"] += count_messages(e, cache)
         row["rmr_cc"] += classify_cc(e, cache) is RMR
     return rows
 
@@ -305,7 +304,8 @@ def test_directory_messages_bounded_by_cc_rmrs(cfg):
 def test_validated_erasure_keeps_survivors_and_commutes(cfg):
     runner = execute(cfg)
     history = runner.history()
-    erasable = [p for p in sorted(runner.active()) if validate_erasure(history, p)]
+    active = runner.participants() - runner.terminated
+    erasable = [p for p in sorted(active) if validate_erasure(history, p)]
     for p in erasable:
         erased = erase(runner, p)
         assert signatures(erased) == signatures(runner, skip=(p,))
@@ -344,7 +344,8 @@ def check_in_place_erase(cfg: Config) -> None:
     equals the oracle chain."""
     runner = execute(cfg)
     history = runner.history()
-    erasable = [p for p in sorted(runner.active()) if validate_erasure(history, p)]
+    active = runner.participants() - runner.terminated
+    erasable = [p for p in sorted(active) if validate_erasure(history, p)]
     for p in erasable:
         oracle = erase(runner, p)
         live = execute(cfg)
@@ -386,7 +387,7 @@ def erased_twice(cfg: Config, p: int) -> tuple[Runner, Runner]:
         live.step(pid)
         oracle.step(pid)
     history = oracle.history()
-    for q in sorted(oracle.active()):
+    for q in sorted(oracle.participants() - oracle.terminated):
         if validate_erasure(history, q):
             live.erase(q)
             oracle = erase(oracle, q)
@@ -426,7 +427,8 @@ def test_observed_by_index_matches_scan_oracle(cfg, rnd):
     runner = execute(cfg)
 
     def agree() -> list[int]:
-        verdicts = {p: _erasure_safe(runner, p) for p in sorted(runner.active())}
+        active = runner.participants() - runner.terminated
+        verdicts = {p: _erasure_safe(runner, p) for p in sorted(active)}
         history = runner.history()
         assert verdicts == {p: validate_erasure(history, p) for p in verdicts}
         return [p for p, safe in verdicts.items() if safe]
@@ -517,12 +519,12 @@ def observable_state(runner: Runner) -> tuple:
 def test_stability_probe_matches_fork_oracle_and_rolls_back(cfg, model, horizon):
     # Drift and small horizons make StabilityUndecided a common outcome.
     runner = execute(cfg)
-    for pid in sorted(runner.active()):
+    for pid in sorted(runner.participants() - runner.terminated):
         if runner.open_call(pid) is not None:
             with suppress(StepBudgetExceeded):  # a Wait spinning on its own
                 runner.run_call(pid, max_steps=20)
     trace = list(runner.trace)
-    for pid in sorted(runner.active()):
+    for pid in sorted(runner.participants() - runner.terminated):
         if runner.open_call(pid) is not None:
             continue
         before = observable_state(runner)
@@ -939,7 +941,8 @@ def test_histories_stay_as_taken(data):
                         runner.run_call(pid, max_steps=10)
                 snapshot()
         elif action == "erase":
-            erasable = [p for p in sorted(runner.active()) if _erasure_safe(runner, p)]
+            active = runner.participants() - runner.terminated
+            erasable = [p for p in sorted(active) if _erasure_safe(runner, p)]
             if erasable:
                 runner.erase(erasable[k % len(erasable)])
         snapshot()

@@ -410,10 +410,10 @@ def test_rollback_cannot_rewind_a_call_begun_before_any_checkpoint():
 def test_history_sets():
     algo = make_algorithm("cc_flag", 4)
     roles = waiter_signaler_roles([2, 3], 1)  # process 4 stays idle
-    history, _ = run(algo, roles, RoundRobin())
-    assert history.participants == {1, 2, 3}
+    history, ledger = run(algo, roles, RoundRobin())
+    assert history.participants == {1, 2, 3} == ledger.participants
     assert history.finished <= history.participants
-    assert history.active == set()
+    assert history.participants - history.finished == set()
 
 
 def test_history_snapshot_stays_put():
@@ -440,16 +440,8 @@ def test_is_active_agrees_with_active(with_ledger):
     runner = Runner(algo, roles, with_ledger=with_ledger)
     for pid in (2, 3):
         runner.run_call(pid)  # 2 stays active; 3 terminates after its one poll
-    assert runner.active() == {2}
+    assert runner.participants() - runner.terminated == {2}
     assert [p for p in range(1, 5) if runner.is_active(p)] == [2]
-
-
-def test_ledger_finished_matches_history():
-    algo = make_algorithm("cc_flag", 3)
-    roles = waiter_signaler_roles([2, 3], 1)
-    history, ledger = run(algo, roles, RoundRobin())
-    assert ledger.finished == set(history.finished)
-    assert ledger.participants == set(history.participants)
 
 
 def test_seq_values_dense():
@@ -462,7 +454,7 @@ def test_call_intervals_never_overlap_per_process():
     algo = make_algorithm("dsm_registration", 4)
     history, _ = run(algo, waiter_signaler_roles([2, 3, 4], 1), SeededRandom(2))
     for proc in history.participants:
-        calls = [c for c in history.calls_of(proc) if c.start_seq is not None]
+        calls = [c for c in history.calls if c.proc == proc and c.start_seq is not None]
         for earlier, later in zip(calls, calls[1:]):
             assert earlier.end_seq is not None
             assert earlier.end_seq < later.start_seq
