@@ -29,6 +29,9 @@ class Model(Enum):
     CC = "cc"
 
 
+_DSM = Model.DSM  # ``Model.DSM`` goes through the enum metaclass on every lookup
+
+
 #: Metric key order used in every serialized record.
 METRIC_NAMES = ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
 
@@ -50,9 +53,10 @@ class CacheState:
     def __init__(self):
         self._holders: dict[int, set[int]] = {}
 
-    def held_by(self, proc: int) -> tuple[int, ...]:
-        """Locations ``proc`` currently holds, in uid order."""
-        return tuple(sorted(u for u, h in self._holders.items() if proc in h))
+    def held_among(self, proc: int, locs) -> tuple[int, ...]:
+        """Those of ``locs`` that ``proc`` currently holds, in uid order."""
+        holders = self._holders
+        return tuple(sorted([u for u in locs if proc in holders.get(u, ())]))
 
     def pairs(self) -> set[tuple[int, int]]:
         return {(p, u) for u, h in self._holders.items() for p in h}
@@ -210,7 +214,7 @@ class RmrLedger:
         self._rows[proc] = row
 
     def rmr(self, model: Model, proc: int) -> int:
-        return self._rows[proc][0 if model is Model.DSM else 1]
+        return self._rows[proc][0 if model is _DSM else 1]
 
     def per_process(self, proc: int) -> dict[str, int]:
         """Metrics for one process under the fixed metric names."""

@@ -37,6 +37,8 @@ from .algorithms import READ_WRITE
 from .memory import Event, OpKind
 from .runner import POLL, SIGNAL, CallRecord, History, Runner, Script, poll_until_true
 
+_DSM = Model.DSM
+
 DEFAULT_HORIZON = 10_000
 DEFAULT_ENUM_BUDGET = 1_000_000
 #: Drill limits: polling rounds to reach stability, and steps for Signal.
@@ -66,9 +68,10 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
 
     A walked history costs about its own event, call and trace sequences.
     It shares with other histories, which is why none may change them, the
-    recorded events and call records and the relabelled events (each built
-    once per enumeration); the prefix's open records are copied once per
-    walk, and the trace is read off the events.
+    recorded events and call records and the relabelled events and call
+    records (each built once per enumeration); the prefix's open records
+    are copied once per walk, and the trace is a prefix of the walk's
+    process list.
 
     A history is maximal when every process terminated or the depth was
     reached (the latter are yielded with ``incomplete`` set).  Raises
@@ -84,8 +87,10 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     events = run.events  # the run's own list, which backtracking truncates
     memo: dict[tuple, _Node] = {}  # local to this enumeration
     # _walk's relabelled events, by the recorded event's id and the path's
-    # call id; the memo keeps every recorded event, so no id is reused.
-    relabelled: dict[tuple, Event] = {}
+    # call id, and its rebuilt closed call records, by the recorded record's
+    # id, the path's call id and start seq; the memo keeps every recorded
+    # event and record, so no id is reused.
+    relabelled: dict[tuple, Event | CallRecord] = {}
     # Per branching checkpoint, innermost last: its node, and its choices
     # not yet taken, the next one last.
     untried: list[tuple[_Node, list[int]]] = []
@@ -158,17 +163,20 @@ def _walk(run: Runner, node: _Node, depth: int, relabelled: dict):
     relabelled ones, built once per recorded event and path id in
     ``relabelled``, and the call records stored on edges.  A recorded
     closed record is shared when this path's call has its id and start seq,
-    which always holds for a call begun on the same edge; otherwise a new
-    one is built.  The prefix's open records, which the run goes on
+    which always holds for a call begun on the same edge; otherwise one is
+    built once per recorded record, path id and start seq, also in
+    ``relabelled``.  The prefix's open records, which the run goes on
     changing, are copied once per walk, so a leaf's call list is a plain
     copy.  The enumeration queues no calls, so each event's process is its
-    trace entry, and a leaf reads its trace off its events.
+    trace entry: a leaf's trace is a prefix of the walk's process list.
     """
     if node.end is not None:
         yield run.history()
         return
-    # Each edge's event goes in at its seq; a leaf takes the events up to its own.
-    events = run.events + [None] * (depth - len(run.events))
+    # Each edge's event, and its process, goes in at its seq; a leaf takes
+    # the events and processes up to its own.
+    pad = [None] * (depth - len(run.events))
+    events, procs = run.events + pad, run.trace + pad
     calls = [c if c.end_seq is not None else CallRecord(c.call_id, c.proc, c.kind, c.response,
                                                         c.start_seq) for c in run.calls]
     # The id of each process's open call on this path, by pid.  A closed
@@ -198,17 +206,23 @@ def _walk(run: Runner, node: _Node, depth: int, relabelled: dict):
                 if closed is not None:
                     start = calls[cid].start_seq
                     if closed.call_id != cid or closed.start_seq != start:
-                        closed = CallRecord(cid, pid, closed.kind, closed.response, start,
-                                            ev.seq)
+                        key = (id(closed), cid, start)
+                        rebuilt = relabelled.get(key)
+                        if rebuilt is None:
+                            rebuilt = relabelled[key] = CallRecord(
+                                cid, pid, closed.kind, closed.response, start, ev.seq)
+                        closed = rebuilt
                     path_calls = calls.copy()
                     path_calls[cid] = closed
-            events[ev.seq] = ev
+            seq = ev.seq
+            events[seq] = ev
+            procs[seq] = pid
             if child.end is None:
                 stack.append((edges, calls, opened))
                 edges, calls, opened = iter(child.edges), path_calls, path_opened
                 break
-            taken = events[:ev.seq + 1]
-            yield History(taken, list(path_calls), *child.end, tuple([e.proc for e in taken]))
+            seq += 1
+            yield History(events[:seq], list(path_calls), *child.end, tuple(procs[:seq]))
         else:
             if not stack:
                 return
@@ -247,19 +261,21 @@ def stability(base: Runner, pid: int, *, model: Model = Model.DSM,
 
 
 def _solo_stability(run: Runner, pid: int, model: Model, horizon: int) -> StabilityResult:
+    # Each poll returns at once if it paid an RMR, so the count the polls
+    # are checked against stays the one the probe began with.
+    rmr, paid = run.ledger.rmr, run.ledger.rmr(model, pid)
     seen = {_configuration(run, pid, model)}
     for made in range(1, horizon + 1):
-        before = run.ledger.rmr(model, pid)
         run.force_next_call(pid, POLL)
         try:
             rec = run.run_call(pid, max_steps=horizon)
         except StepBudgetExceeded:
-            if run.ledger.rmr(model, pid) > before:
+            if rmr(model, pid) > paid:
                 return StabilityResult(stable=False, solo_calls=made)
             raise StabilityUndecided(
                 f"process {pid}: poll did not return within {horizon} steps"
             ) from None
-        if run.ledger.rmr(model, pid) > before:
+        if rmr(model, pid) > paid:
             return StabilityResult(stable=False, solo_calls=made)
         if rec.response:
             return StabilityResult(stable=True, solo_calls=made)
@@ -278,13 +294,12 @@ def _configuration(runner: Runner, pid: int, model: Model) -> tuple:
     """Everything a solo run of ``pid`` can branch on without paying an RMR:
     its persistent local state plus the values it can read locally (its own
     module under DSM; its valid cached copies under CC)."""
-    state = tuple(sorted(runner.ctxs[pid].state.items()))
-    if model is Model.DSM:
-        mem = runner.mem.module_snapshot(pid)
-    else:
-        held = runner.ledger.cache.held_by(pid)
-        mem = tuple((uid, runner.mem.value(uid)) for uid in held)
-    return (state, mem)
+    state = runner.ctxs[pid].state
+    state = tuple(sorted(state.items())) if state else ()
+    if model is _DSM:
+        return state, runner.mem.module_snapshot(pid)
+    value = runner.mem.value
+    return state, tuple([(uid, value(uid)) for uid in runner.cached(pid)])
 
 
 # ---------------------------------------------------------------------------

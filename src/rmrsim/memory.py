@@ -221,7 +221,7 @@ class Memory:
             for loc in self._locations:
                 self._homed[loc.home].append(loc.uid)
         values = self._values
-        return tuple((uid, values[uid]) for uid in self._homed[home])
+        return tuple([(uid, values[uid]) for uid in self._homed[home]])
 
     def words(self, links: bool) -> tuple:
         """Every word's value and last writer, and with ``links`` its LL

@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 import random
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -295,6 +294,11 @@ class Runner:
         self._live: list[int] = [
             pid for pid, state in self._procs.items() if state.next_kind is not None
         ]
+        # The sets a process's steps can add it to; none of them ever
+        # shrinks, so a rollback only drops what was added.
+        self._pid_sets = (self._terminated, self._pollers, self._signaled)
+        if self.ledger is not None:
+            self._pid_sets += (self.ledger.participants,)
         # Set while a checkpoint is open: per step, in step order, the
         # process, the word it is about to change and that word's cache
         # holders.
@@ -305,9 +309,11 @@ class Runner:
         self._saved: dict[int, tuple] | None = None  # the innermost one's
         self._probed: frozenset[int] | None = None  # set while a probe is open
         # Per process p, how many value-reading events of others have p as
-        # their writer before, folded over the first ``_observed_upto``
-        # events; built by the first query.
+        # their writer before, and the words p accessed, folded over the
+        # first ``_observed_upto`` events; built by the first query.  The
+        # words only grow: a rollback or an erasure leaves a superset.
         self._observed: list[int] | None = None
+        self._accessed: list[set[int]] | None = None
         self._observed_upto = 0
         # Set from an erasure to the next compaction.
         self._erased: _Erased | None = None
@@ -367,6 +373,14 @@ class Runner:
         self._fold_observed()
         return self._observed[p]
 
+    def cached(self, pid: int) -> tuple[int, ...]:
+        """The words ``pid`` holds a valid CC copy of, in uid order.  Only
+        an access leaves a process a copy, so the words it accessed, folded
+        like the observed-by count, are filtered by the cache's holders: the
+        cost of what ``pid`` touched, not of every cached word."""
+        self._fold_observed()
+        return self.ledger.cache.held_among(pid, self._accessed[pid])
+
     def history(self) -> History:
         """A snapshot of the run.  It shares the closed call records, which
         never change, and copies the open ones."""
@@ -424,14 +438,19 @@ class Runner:
             )
         rec = state.call
         undo = self._undo
-        if undo is not None:
-            self._journal(pid, op, loc.uid)
+        ledger = self.ledger
+        if undo is not None:  # journal the word and its cache holders
+            if pid not in self._saved:
+                self._touch(pid)
+            uid = loc.uid
+            undo.append((pid, self.mem.save_word(uid),
+                         None if ledger is None else ledger.cache.save(pid, uid, op.trivial)))
         events = self._events
         ev = self.mem.apply(pid, op, loc, len(events), rec.call_id)
         self._trace.append(pid)
         events.append(ev)
-        if self.ledger is not None:
-            self.ledger.record(ev)
+        if ledger is not None:
+            ledger.record(ev)
         if rec.start_seq is None:
             rec.start_seq = ev.seq
         state.pending = None
@@ -468,11 +487,13 @@ class Runner:
             raise ConfigError(f"unknown procedure {kind!r}")
         if pid in self._terminated:
             raise SimError(f"process {pid} has terminated")
-        if self._undo is not None:
+        if self._undo is not None and pid not in self._saved:
             self._touch(pid)
         self._trace.append(("force", pid, kind))
-        self._procs[pid].forced.append(kind)
-        self._set_live(pid, True)
+        state = self._procs[pid]
+        if state.call is None and state.next_kind is None and not state.forced:
+            self._set_live(pid, True)  # see _restore_process
+        state.forced.append(kind)
 
     def run_call(self, pid: int, *, max_steps: int = DEFAULT_BUDGET) -> CallRecord:
         """Step ``pid`` until its current (or next) procedure call returns."""
@@ -552,32 +573,16 @@ class Runner:
             else:
                 self._undo = self._saved = None
 
-    @contextmanager
-    def probe(self, pids: Iterable[int]):
+    def probe(self, pids: Iterable[int]) -> "_Probe":
         """Let ``pids`` make further calls on this run, then undo them.
 
-        A checkpoint under which only these processes may start calls or
-        step; on exit, also by an exception, it is rolled back and closed.
-        Each process must be between calls, since the probe asks what its
-        further calls would do.  Probes do not nest.
+        A context manager: on entry, a checkpoint under which only these
+        processes may start calls or step; on exit, also by an exception,
+        it is rolled back and closed.  Each process must be between calls,
+        since the probe asks what its further calls would do.  Probes do
+        not nest.
         """
-        if self._probed is not None:
-            raise SimError("a probe is already open")
-        if self.ledger is None:
-            raise SimError("a probe restores the ledger; this run keeps none")
-        pids = frozenset(pids)
-        for pid in pids:
-            if self._procs[pid].call is not None:
-                raise SimError(f"process {pid} is mid-call; a probe starts between calls")
-        depth = len(self._checkpoints)
-        self.checkpoint()
-        self._probed = pids
-        try:
-            yield self
-        finally:
-            self._probed = None
-            while len(self._checkpoints) > depth:
-                self.rollback(close=True)
+        return _Probe(self, pids)
 
     # -- replay -----------------------------------------------------------
 
@@ -761,9 +766,18 @@ class Runner:
         self._observed_upto = len(events)
 
     def _fold_observed(self) -> None:
+        """Fold the events added since the last fold into the observed-by
+        counts and the words accessed."""
         if self._observed is None:
             self._observed = [0] * (self.n + 1)
-        self._observe(self._events[self._observed_upto:], 1)
+            self._accessed = [set() for _ in range(self.n + 1)]
+        elif self._observed_upto == len(self._events):
+            return
+        new = self._events[self._observed_upto:]
+        self._observe(new, 1)
+        accessed = self._accessed
+        for e in new:
+            accessed[e.proc].add(e.loc)
         self._observed_upto = len(self._events)
 
     def _observe(self, events: Iterable[Event], sign: int) -> None:
@@ -776,45 +790,35 @@ class Runner:
     # -- internals ----------------------------------------------------------
 
     def _touch(self, pid: int) -> None:
-        """Under an open checkpoint, before ``pid``'s state first changes:
-        refuse a process outside an open probe, and save the state."""
+        """Under an open checkpoint, before ``pid``'s state first changes
+        (the caller checks that it is not saved yet): refuse a process
+        outside an open probe, and save the state.  Every process saved
+        under an open probe passed the refusal, even under a checkpoint
+        nested in it, so a saved one needs no second look."""
         if self._probed is not None and pid not in self._probed:
             raise SchedulingError(f"process {pid} is outside the open probe")
-        if pid not in self._saved:
-            self._saved[pid] = self._save_process(pid)
-
-    def _journal(self, pid: int, op, uid: int) -> None:
-        self._touch(pid)
-        ledger = self.ledger
-        self._undo.append((
-            pid, self.mem.save_word(uid),
-            None if ledger is None else ledger.cache.save(pid, uid, op.trivial),
-        ))
-
-    def _pid_sets(self) -> tuple[set[int], ...]:
-        """The sets a process's steps can add it to; none of them ever
-        shrinks, so a rollback only drops what was added."""
-        if self.ledger is None:
-            return self._terminated, self._pollers, self._signaled
-        return self._terminated, self._pollers, self._signaled, self.ledger.participants
-
-    def _save_process(self, pid: int) -> tuple:
         state = self._procs[pid]
         rec = state.call
-        return (
+        ledger = self.ledger
+        self._saved[pid] = (
             state.gen, rec, state.pending, None if rec is None else rec.start_seq,
             state.calls_made, state.saw_true, list(state.forced), state.next_kind, state.part,
             # An open call's own steps alone change ctx.state, and after
             # them the generator rebuild restores it.
             dict(self.ctxs[pid].state) if rec is None else None,
-            None if self.ledger is None else self.ledger.row(pid),
-            [members for members in self._pid_sets() if pid not in members],
+            None if ledger is None else ledger.row(pid),
+            [members for members in self._pid_sets if pid not in members],
         )
 
     def _restore_process(self, pid: int, saved: tuple, stepped: bool) -> None:
         (gen, rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
          part, ctx_state, row, absent) = saved
         state = self._procs[pid]
+        # A process is runnable exactly while it has an open, a queued or a
+        # scripted call.
+        live = rec is not None or bool(forced) or next_kind is not None
+        if live != (state.call is not None or bool(state.forced) or state.next_kind is not None):
+            self._set_live(pid, live)
         state.call, state.pending = rec, pending
         state.calls_made, state.saw_true, state.forced = calls_made, saw_true, forced
         state.next_kind, state.part = next_kind, part
@@ -832,9 +836,6 @@ class Runner:
             state.gen = gen if gen is state.gen and not stepped else self._rebuild(pid)
         if row is not None:
             self.ledger.set_row(pid, row)
-        # A process is runnable exactly while it has an open, a queued or a
-        # scripted call.
-        self._set_live(pid, rec is not None or bool(forced) or next_kind is not None)
         for members in absent:
             members.discard(pid)
 
@@ -892,7 +893,7 @@ class Runner:
             return state.pending
         if state.gen is not None:  # pragma: no cover - engine invariant
             raise AssertionError("open call without a pending operation")
-        if self._undo is not None:
+        if self._undo is not None and pid not in self._saved:
             self._touch(pid)
         forced = bool(state.forced)
         kind = state.forced.pop(0) if forced else state.next_kind
@@ -929,6 +930,37 @@ class Runner:
                 del runnable[i]
         elif live:
             runnable.insert(i, pid)
+
+
+class _Probe:
+    """The context manager :meth:`Runner.probe` returns."""
+
+    __slots__ = ("_run", "_pids", "_depth")
+
+    def __init__(self, run: Runner, pids: Iterable[int]):
+        self._run = run
+        self._pids = pids
+
+    def __enter__(self) -> Runner:
+        run = self._run
+        if run._probed is not None:
+            raise SimError("a probe is already open")
+        if run.ledger is None:
+            raise SimError("a probe restores the ledger; this run keeps none")
+        pids = frozenset(self._pids)
+        for pid in pids:
+            if run._procs[pid].call is not None:
+                raise SimError(f"process {pid} is mid-call; a probe starts between calls")
+        self._depth = len(run._checkpoints)
+        run.checkpoint()
+        run._probed = pids
+        return run
+
+    def __exit__(self, *exc_info) -> None:
+        run = self._run
+        run._probed = None
+        while len(run._checkpoints) > self._depth:
+            run.rollback(close=True)
 
 
 def _diverged(pid: int, req, op, uid: int):

@@ -6,7 +6,7 @@ import pytest
 
 from rmrsim import harness, memory, runner as runner_module
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
-from rmrsim.costs import Model, RmrLedger
+from rmrsim.costs import CacheState, Model, RmrLedger
 from rmrsim.errors import (
     ConfigError,
     DrillNotApplicable,
@@ -644,6 +644,51 @@ def test_erase_drill_work_grows_linearly_in_w(erasure_work, name, model):
     assert small["refolded"] >= 64
     for kind in ("built", "refolded"):
         assert large[kind] <= 4.5 * small[kind], (kind, work)
+
+
+@pytest.fixture
+def held_visits(monkeypatch):
+    """Entries read from every cache's holder table: one per lookup, and
+    one per entry of a scan over the table."""
+    counts = {"visited": 0}
+
+    class CountedHolders(dict):
+        def get(self, key, default=None):
+            counts["visited"] += 1
+            return dict.get(self, key, default)
+
+        def __getitem__(self, key):
+            counts["visited"] += 1
+            return dict.__getitem__(self, key)
+
+        def items(self):
+            counts["visited"] += len(self)
+            return dict.items(self)
+
+    init = CacheState.__init__
+
+    def counted_init(self):
+        init(self)
+        self._holders = CountedHolders()
+
+    monkeypatch.setattr(CacheState, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["dsm_queue", "dsm_fixed_waiters", "dsm_registration"])
+def test_cc_drill_holder_work_grows_linearly_in_w(held_visits, name):
+    # A CC stability probe reads the holders of the locations its waiter
+    # was given copies of, not every cached word of the run, which grows
+    # with W: a 4x step in W may not cost 4.5x the holder entries visited.
+    work = []
+    for w in (64, 256):
+        held_visits["visited"] = 0
+        report = adversary_separation(make_algorithm(name, w + 1), model=Model.CC, signaler=1)
+        assert (report.status, report.post_poll_ok) == ("ok", True)
+        work.append(held_visits["visited"])
+    small, large = work
+    assert small >= 64
+    assert large <= 4.5 * small, work
 
 
 def test_certifying_replay_catches_a_wrong_erasure(monkeypatch):

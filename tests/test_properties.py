@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmrsim import harness
 from rmrsim.algorithms import Blocking, SignalingAlgorithm, make_algorithm
 from rmrsim.checker import (
     HARNESS_MISUSE,
@@ -46,6 +47,7 @@ from rmrsim.errors import (
 from rmrsim.harness import (
     StabilityResult,
     _erasure_safe,
+    _verify_post_polls,
     enumerate_histories,
     erase,
     stability,
@@ -486,8 +488,14 @@ def configuration(runner: Runner, pid: int, model: Model) -> tuple:
     state = tuple(sorted(runner.ctxs[pid].state.items()))
     if model is Model.DSM:
         return state, runner.mem.module_snapshot(pid)
-    held = runner.ledger.cache.held_by(pid)
+    held = held_scan(runner.ledger.cache, pid)
     return state, tuple((uid, runner.mem.value(uid)) for uid in held)
+
+
+def held_scan(cache: CacheState, proc: int) -> tuple[int, ...]:
+    """The words ``proc`` holds, by a scan of every holder set: the oracle
+    for ``Runner.cached``, which filters the words ``proc`` accessed."""
+    return tuple(sorted(uid for p, uid in cache.pairs() if p == proc))
 
 
 def outcome(probe) -> tuple:
@@ -539,6 +547,78 @@ def test_stability_probe_matches_fork_oracle_and_rolls_back(cfg, model, horizon)
     assert signatures(runner) == signatures(twin)
     assert calls(runner) == calls(twin)
     assert ledger_state(runner) == ledger_state(twin)
+
+
+@given(configs(EVERY_PRIMITIVE), st.randoms(use_true_random=False))
+def test_cached_words_match_holder_scan(cfg, rnd):
+    # Runner.cached filters the words a process accessed, an index that
+    # only grows, by the holder sets; it equals the scan of every holder
+    # set after steps, erasures (whose refolds and copy drops change
+    # holders), inside a probe that stepped, after its rollback, and after
+    # steps that refill what the rollback took out of the events.
+    runner = execute(cfg)
+
+    def agree() -> None:
+        for p in range(1, runner.n + 1):
+            assert runner.cached(p) == held_scan(runner.ledger.cache, p)
+
+    def steps(count: int) -> None:
+        for _ in range(count):
+            runnable = runner.runnable()
+            if not runnable:
+                break
+            runner.step(rnd.choice(runnable))
+
+    for _ in range(2):
+        agree()
+        active = runner.participants() - runner.terminated
+        erasable = [p for p in sorted(active) if _erasure_safe(runner, p)]
+        if not erasable:
+            break
+        runner.erase(rnd.choice(erasable))
+        steps(rnd.randrange(8))
+    agree()
+    probed = [pid for pid, script in cfg.roles.items() if script.kind != "signal"
+              and pid not in runner.terminated and runner.open_call(pid) is None]
+    with runner.probe(probed):
+        for pid in probed:
+            runner.force_next_call(pid, POLL)
+            with suppress(StepBudgetExceeded):  # a Poll spinning on its own
+                runner.run_call(pid, max_steps=20)
+        agree()
+    agree()
+    steps(rnd.randrange(8))
+    agree()
+
+
+def fork_post_polls(fork: Runner, waiters) -> bool:
+    """The post-Signal check as it ran on a replayed fork of the run: the
+    oracle for the in-place probe of ``_verify_post_polls``."""
+    for w in [w for w in waiters if fork.is_active(w)]:
+        fork.force_next_call(w, POLL)
+        if not fork.run_call(w).response:
+            return False
+    return True
+
+
+@given(configs(), st.sampled_from(Model))
+def test_post_poll_probe_matches_fork_oracle_and_rolls_back(cfg, model):
+    # The drill's last check, on a run with or without a Signal, after the
+    # stability probes the drill runs before it under the model: every
+    # active waiter between calls polls once more, in a probe.
+    runner = execute(cfg)
+    for pid in sorted(runner.participants() - runner.terminated):
+        if runner.open_call(pid) is not None:
+            with suppress(StepBudgetExceeded):  # a Wait spinning on its own
+                runner.run_call(pid, max_steps=20)
+    waiters = [pid for pid, script in cfg.roles.items()
+               if script.kind != "signal" and runner.open_call(pid) is None]
+    for pid in waiters:
+        outcome(lambda: stability(runner, pid, model=model, horizon=6))
+    before = observable_state(runner)
+    expected = outcome(lambda: fork_post_polls(runner.fork(), waiters))
+    assert outcome(lambda: _verify_post_polls(runner, waiters)) == expected
+    assert observable_state(runner) == before
 
 
 @given(configs(EVERY_PRIMITIVE))
@@ -1090,6 +1170,39 @@ ENUM_WORKLOAD = (
       for name, params, polls in CRITERION_3),
     ("mutant_single_waiter", (), ((2, 2),), 25),
 )
+
+
+def test_walk_builds_each_rebuilt_call_record_once(monkeypatch):
+    # A walked path whose call has another id or start seq than a recorded
+    # closed record gets a rebuilt one, built once per (recorded record,
+    # path call id, start seq) and then shared: over the enum workload, the
+    # 20,509 records built per history path fall to 2,317 distinct keys.
+    built = []
+    tables = []  # each enumeration's table of what its walks rebuilt
+    walk = harness._walk
+
+    def record(*args):
+        rec = CallRecord(*args)
+        if rec.end_seq is not None:
+            built.append(rec)
+        return rec
+
+    def captured(run, node, depth, relabelled):
+        if not tables or tables[-1] is not relabelled:
+            tables.append(relabelled)
+        return walk(run, node, depth, relabelled)
+
+    monkeypatch.setattr(harness, "CallRecord", record)
+    monkeypatch.setattr(harness, "_walk", captured)
+    histories = 0
+    for name, params, polls, depth in ENUM_WORKLOAD:
+        roles = {pid: poll_at_most(calls) for pid, calls in polls}
+        roles[1] = signal_once()
+        for _ in enumerate_histories(make_algorithm(name, 3, **dict(params)), roles, depth):
+            histories += 1
+    keys = sum(isinstance(value, CallRecord) for table in tables for value in table.values())
+    assert histories == 21_248
+    assert len(built) == keys == 2_317
 
 
 def test_contract_checkers_match_oracles_on_every_enum_workload_history():
