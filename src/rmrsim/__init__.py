@@ -20,7 +20,6 @@ from .costs import (
     RmrLedger,
     classify_cc,
     classify_dsm,
-    count_messages,
 )
 from .errors import (
     CapacityError,

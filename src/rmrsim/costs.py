@@ -58,9 +58,6 @@ class CacheState:
         holders = self._holders
         return tuple(sorted([u for u in locs if proc in holders.get(u, ())]))
 
-    def pairs(self) -> set[tuple[int, int]]:
-        return {(p, u) for u, h in self._holders.items() for p in h}
-
     def save(self, proc: int, loc: int, trivial: bool) -> tuple | None:
         """What :meth:`restore` needs to undo a step of ``proc`` on ``loc``:
         None if the step keeps the holders, ``("drop", loc, proc)`` if it
@@ -82,22 +79,8 @@ class CacheState:
             self._holders[loc] = arg
 
 
-def count_messages(event: Event, cache: CacheState) -> int:
-    """Ideal-directory invalidation messages the event triggers: one per
-    copy held by another process, given the cache state *before* the event
-    is applied to it.  Trivial operations send none.  (On a bus a
-    nontrivial attempt sends one broadcast: the ledger's ``msg_bus``.)"""
-    if event.op.trivial:
-        return 0
-    remote = cache._holders.get(event.loc)
-    if not remote:
-        return 0
-    return len(remote) - (1 if event.proc in remote else 0)
-
-
 def classify_cc(event: Event, cache: CacheState) -> str:
-    """CC rule.  Mutates ``cache`` to reflect the event; when message counts
-    are wanted, call :func:`count_messages` on the pre-state first."""
+    """CC rule.  Mutates ``cache`` to reflect the event."""
     holders = cache._holders.get(event.loc)
     if event.op.trivial:
         if holders is not None and event.proc in holders:
@@ -117,20 +100,13 @@ def classify_cc(event: Event, cache: CacheState) -> str:
     return RMR
 
 
-def _cc_costs(event: Event, cache: CacheState) -> tuple[int, int]:
-    """The event's directory messages and CC RMRs (0 or 1); updates ``cache``."""
-    msgs = count_messages(event, cache)
-    return msgs, classify_cc(event, cache) is RMR
-
-
 class RmrLedger:
     """Per-process cost accounting folded over an event sequence.
 
     One count table: a row per process id, a column per metric in
     ``METRIC_NAMES`` order (DSM RMRs, CC RMRs, bus and ideal-directory
     invalidation messages, steps).  Also tracks the participant set.  All
-    counts are nonnegative; they only grow, except when :meth:`drop` takes
-    a process out.
+    counts are nonnegative and only grow.
     """
 
     __slots__ = ("n", "cache", "_rows", "participants")
@@ -142,8 +118,9 @@ class RmrLedger:
         self.participants: set[int] = set()
 
     def record(self, event: Event) -> None:
-        """Charge one event: :func:`classify_dsm`, :func:`count_messages`
-        and :func:`classify_cc` folded over a single holder-set lookup."""
+        """Charge one event: :func:`classify_dsm`, the ideal-directory
+        count (one message per copy another process held before the event)
+        and :func:`classify_cc`, folded over a single holder-set lookup."""
         p = event.proc
         row = self._rows[p]  # columns: rmr_dsm, rmr_cc, msg_bus, msg_dir, steps
         row[4] += 1
@@ -167,44 +144,6 @@ class RmrLedger:
             row[3] += len(holders) - (p in holders)
             holders.clear()
             holders.add(p)
-
-    def drop(self, proc: int, events: list[Event],
-             copies: list[tuple[int, int | None]] = ()) -> None:
-        """Take out every event of ``proc``, as if it had never run.
-
-        ``events`` must be every event, in order, on the locations where
-        ``proc`` made a nontrivial attempt, its own included.  A CC charge
-        and a directory message count depend only on the holders of the
-        event's own location, so folding these events with and without
-        ``proc`` gives each other process's correction and the holders
-        those locations end with.  On a location it only read, its copies
-        changed nothing but the directory messages of the attempts that
-        invalidated them: ``copies`` holds (location, invalidator) once per
-        copy, with invalidator None for a copy still held.  DSM, bus and
-        step counts of the others do not depend on ``proc``.
-        """
-        with_proc, without = CacheState(), CacheState()
-        for e in events:
-            msgs, rmr = _cc_costs(e, with_proc)
-            if e.proc != proc:
-                new_msgs, new_rmr = _cc_costs(e, without)
-                row = self._rows[e.proc]
-                row[1] += new_rmr - rmr
-                row[3] += new_msgs - msgs
-        self._rows[proc] = [0] * len(METRIC_NAMES)
-        self.participants.discard(proc)
-        holders = self.cache._holders
-        for loc in {e.loc for e in events}:
-            refolded = without._holders.get(loc)
-            if refolded is None:
-                holders.pop(loc, None)
-            else:
-                holders[loc] = refolded
-        for loc, invalidator in copies:
-            if invalidator is None:
-                holders[loc].discard(proc)
-            else:
-                self._rows[invalidator][3] -= 1
 
     def row(self, proc: int) -> list[int]:
         """A copy of one process's counts, for :meth:`set_row`."""

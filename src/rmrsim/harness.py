@@ -11,8 +11,9 @@
 * erasure: removing every step of a process nobody observed (read a value
   it last wrote) yields another legal run, which is certified rather than
   trusted.  The drill asks the run's observed-by count
-  (``Runner.observers``), erases in place and certifies all its erasures
-  with one replay at the end; ``erase`` builds the run by replay and
+  (``Runner.observers``) and erases in place for the Signal's steps to
+  come; the erased run it reports is one replay of the surviving trace,
+  which certifies every erasure at once.  ``erase`` replays per erasure and
   compares, the slow oracle, after the scan ``validate_erasure``;
 * the adversary drill: stabilize a crowd of waiters, then make a signaler
   run alone and count what it must spend to reach them all.
@@ -21,6 +22,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .costs import Model
 from .errors import (
@@ -234,8 +236,7 @@ def _walk(run: Runner, node: _Node, depth: int, relabelled: dict):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class StabilityResult:
+class StabilityResult(NamedTuple):
     stable: bool
     solo_calls: int
 
@@ -366,29 +367,24 @@ def erase(base: Runner, p: int) -> Runner:
         if (entry[1] if isinstance(entry, tuple) else entry) != p
     ]
     replayed = Runner.replay(base.algorithm, base.roles, trace)
-    _assert_survivors_match(base, replayed, p)
+    _assert_survivors_match([e for e in base.events if e.proc != p],
+                            [c for c in base.calls if c.proc != p], replayed)
     return replayed
 
 
-def _assert_survivors_match(base: Runner, replayed: Runner, p: int) -> None:
-    original = [e.signature() for e in base.events if e.proc != p]
-    rebuilt = [e.signature() for e in replayed.events]
-    if original != rebuilt:
-        raise ReplayDivergence(f"erasing {p} changed surviving steps")
+def _assert_survivors_match(events: list[Event], calls: list[CallRecord],
+                            replayed: Runner) -> None:
+    """The survivors' steps (:meth:`Event.signature`) and the kinds and
+    responses of their begun calls, in order, must be the replay's, or
+    :class:`ReplayDivergence`."""
+    if [e.signature() for e in events] != [e.signature() for e in replayed.events]:
+        raise ReplayDivergence("the survivors' events differ from a replay of their trace")
     # A call with no steps yet has not begun; it materializes lazily and is
     # not part of the run being compared.
-    original_calls = [
-        (c.proc, c.kind, c.response)
-        for c in base.calls
-        if c.proc != p and c.start_seq is not None
-    ]
-    rebuilt_calls = [
-        (c.proc, c.kind, c.response)
-        for c in replayed.calls
-        if c.start_seq is not None
-    ]
-    if original_calls != rebuilt_calls:
-        raise ReplayDivergence(f"erasing {p} changed surviving calls")
+    begun = [(c.proc, c.kind, c.response) for c in calls if c.start_seq is not None]
+    if begun != [(c.proc, c.kind, c.response) for c in replayed.calls
+                 if c.start_seq is not None]:
+        raise ReplayDivergence("the survivors' calls differ from a replay of their trace")
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +451,9 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
     write into such a waiter's module, that waiter is erased first, and any
     unobserved waiters left after Signal are erased too; the surviving
     history then has few participants but all of the signaler's spending.
-    Erasures run in place, and one replay of the final trace certifies them
-    all: a difference raises :class:`ReplayDivergence`.
+    Erasures run in place, for the Signal's steps to come; the report reads
+    the erased run from one replay of the surviving trace, which certifies
+    them all: a difference raises :class:`ReplayDivergence`.
     """
     if erase_on_discovery and not algorithm.primitives <= READ_WRITE:
         raise DrillNotApplicable(
@@ -519,7 +516,7 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
         # The signaler may be one of the waiters; it is never erased.
         report.erased += _erase_unobserved(runner, [w for w in waiters if w != s])
     if report.erased:
-        _certify(runner)
+        runner = _certify(runner)
 
     report.post_poll_ok = _verify_post_polls(runner, waiters)
     ledger = runner.ledger
@@ -584,27 +581,14 @@ def _erase_unobserved(runner: Runner, waiters) -> int:
     return erased
 
 
-def _certify(runner: Runner) -> None:
-    """One replay of the run's trace must rebuild the run exactly.  After
-    in-place erasures, a difference means an erased process was observed
-    after all, and raises :class:`ReplayDivergence`."""
-    rebuilt = _image(Runner.replay(runner.algorithm, runner.roles, runner.trace))
-    for part, live in _image(runner).items():
-        if live != rebuilt[part]:
-            raise ReplayDivergence(f"the erased run's {part} differ from a replay of its trace")
-
-
-def _image(run: Runner) -> dict:
-    ledger = run.ledger
-    return {
-        "events": run.events,
-        "started calls": [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
-                          for c in run.calls if c.start_seq is not None],
-        "ledger rows": [ledger.row(p) for p in range(run.n + 1)],
-        "cache holders": ledger.cache.pairs(),
-        "memory words": [run.mem.save_word(uid) for uid in range(len(run.mem.image()))],
-        "participants": run.participants(),
-    }
+def _certify(runner: Runner) -> Runner:
+    """The erased run: one replay of the run's surviving trace, in which
+    every survivor must take the steps and get the responses it had.  A
+    difference means an erased process was observed after all, and raises
+    :class:`ReplayDivergence`."""
+    rebuilt = runner.fork()
+    _assert_survivors_match(runner.events, runner.calls, rebuilt)
+    return rebuilt
 
 
 def _verify_post_polls(runner: Runner, waiters) -> bool:

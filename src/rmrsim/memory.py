@@ -210,10 +210,6 @@ class Memory:
         """Process whose write was applied most recently, or None."""
         return self._writers[loc if isinstance(loc, int) else loc.uid]
 
-    def image(self) -> tuple[int, ...]:
-        """Snapshot of all location values, in allocation order."""
-        return tuple(self._values)
-
     def module_snapshot(self, home: int) -> tuple[tuple[int, int], ...]:
         """(uid, value) pairs for every location homed at ``home``."""
         if self._homed is None:
@@ -249,21 +245,19 @@ class Memory:
         written, no links."""
         self.restore_word((uid, self._inits[uid], None, set()))
 
-    def redo(self, event: Event) -> int | None:
+    def redo(self, event: Event) -> None:
         """Apply a recorded event's effect on its word again, as recorded:
         an LL links, a write lands and clears the links.  (A recorded SC
-        that failed had no link to consume.)  Returns the word's writer
-        before the event.  Folding a word's events in order from
-        :meth:`reset_word` rebuilds it without re-running any program."""
+        that failed had no link to consume.)  Folding a word's events in
+        order from :meth:`reset_word` rebuilds it without re-running any
+        program."""
         uid = event.loc
-        writer = self._writers[uid]
         if event.op.kind is _LL:
             self._links[uid].add(event.proc)
         if event.value_written is not None:
             self._values[uid] = event.value_written
             self._writers[uid] = event.proc
             self._links[uid].clear()
-        return writer
 
     def unlink(self, uid: int, proc: int) -> None:
         """Drop ``proc``'s LL link on a word, if it holds one."""

@@ -15,9 +15,10 @@ generator that moved by re-sending its recorded responses.  Exhaustive
 enumeration backtracks this way, and a *probe* ("what if these processes
 made more calls from here?") is a checkpoint that only the probed
 processes may act under.  An *erasure* takes a process nobody observed out
-of the live run, leaving what a replay without it would build; it costs
-what the process touched, and the renumbering it leaves waits for one
-compaction pass before anything reads the run as a whole.
+of the live run, at the cost of what the process touched, so that the
+others step on as in a replay without it; the erased run itself, numbered
+and charged as a run, is that replay (:meth:`Runner.fork`), which
+certifies the erasure.
 
 Procedure-call rules enforced here: a process makes calls one at a time,
 calls Signal at most once, and a scripted poller stops polling after a call
@@ -28,8 +29,8 @@ Per event a step calls ``Memory.apply`` and ``RmrLedger.record`` (every
 charge at once) once each, and resumes the procedure body once.
 
 A closed call record is never changed: :meth:`Runner.history` shares it,
-so a rollback that reopens a call, or a compaction that renumbers one,
-puts a new record in its place.  An open record keeps its identity.
+so a rollback that reopens a call puts a new record in its place.  An open
+record keeps its identity.
 """
 
 from __future__ import annotations
@@ -226,27 +227,17 @@ class _ProcState:
 
 
 class _Erased:
-    """What erasures leave for the next compaction, with the indexes they
-    find their work through.
+    """The indexes erasures find their work through: ``by_proc`` gives each
+    process's event, call and trace positions, ``by_word`` each word's
+    event positions.  They cover the first ``upto`` events, calls and trace
+    entries."""
 
-    ``by_proc`` gives each process's event, call and trace positions;
-    ``by_word`` each word's event positions, and ``attempts`` those of its
-    nontrivial events.  They cover the first ``upto`` events, calls and
-    trace entries.  ``first_event`` and ``first_call`` are the lowest
-    positions erased; ``writers`` holds, by position, the writer before of
-    each event an erasure refolded to another one.
-    """
-
-    __slots__ = ("by_proc", "by_word", "attempts", "upto", "first_event", "first_call",
-                 "writers")
+    __slots__ = ("by_proc", "by_word", "upto")
 
     def __init__(self, n: int):
         self.by_proc = [([], [], []) for _ in range(n + 1)]
         self.by_word: defaultdict[int, list[int]] = defaultdict(list)
-        self.attempts: defaultdict[int, list[int]] = defaultdict(list)
         self.upto = (0, 0, 0)
-        self.first_event = self.first_call = 1 << 62
-        self.writers: dict[int, int | None] = {}
 
 
 class Runner:
@@ -256,8 +247,9 @@ class Runner:
     :meth:`rollback` let a run branch and come back in place, which costs
     the steps taken since instead of a replay of the whole trace;
     :meth:`probe` runs extra calls of some processes under a checkpoint and
-    rolls them back.  :meth:`erase` removes a process in place, at the cost
-    of what that process touched instead of a replay.
+    rolls them back.  :meth:`erase` takes a process out in place, at the
+    cost of what that process touched, for the steps still to come; one
+    :meth:`fork` then builds the erased run.
     """
 
     def __init__(self, algorithm, roles: dict[int, Script], *, with_ledger: bool = True):
@@ -278,9 +270,8 @@ class Runner:
             pid: algorithm.make_ctx(pid, self.locs) for pid in range(1, self.n + 1)
         }
         self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
-        # Read through the ``events``, ``calls`` and ``trace`` properties,
-        # which compact them first.  An erasure leaves None in the place of
-        # what it took out, and raw positions in seqs and call ids.
+        # An erasure leaves None in the place of what it took out, which the
+        # ``events``, ``calls`` and ``trace`` properties skip.
         self._events: list[Event | None] = []
         self._calls: list[CallRecord | None] = []
         self._trace: list = []
@@ -315,32 +306,28 @@ class Runner:
         self._observed: list[int] | None = None
         self._accessed: list[set[int]] | None = None
         self._observed_upto = 0
-        # Set from an erasure to the next compaction.
+        # Set by the first erasure, for good.
         self._erased: _Erased | None = None
 
     # -- public state -----------------------------------------------------
 
     @property
     def events(self) -> list[Event]:
-        """The run's events; ``events[i].seq == i``."""
-        if self._erased is not None:
-            self._compact()
-        return self._events
+        """The run's events; ``events[i].seq == i`` until an erasure, after
+        which the survivors' keep their seqs."""
+        return self._kept(self._events)
 
     @property
     def calls(self) -> list[CallRecord]:
-        """Every call begun, in the order begun; ``calls[i].call_id == i``."""
-        if self._erased is not None:
-            self._compact()
-        return self._calls
+        """Every call begun, in the order begun; ``calls[i].call_id == i``
+        until an erasure, after which the survivors' keep their ids."""
+        return self._kept(self._calls)
 
     @property
     def trace(self) -> list:
         """The replay recipe: a pid per step, ``("force", pid, kind)`` per
         queued call."""
-        if self._erased is not None:
-            self._compact()
-        return self._trace
+        return self._kept(self._trace)
 
     @property
     def terminated(self) -> frozenset[int]:
@@ -385,7 +372,7 @@ class Runner:
         """A snapshot of the run.  It shares the closed call records, which
         never change, and copies the open ones."""
         if self._erased is not None:
-            self._compact()
+            self._refuse("history()")
         return History(
             events=list(self._events),
             calls=[c if c.end_seq is not None else CallRecord(c.call_id, c.proc, c.kind,
@@ -407,7 +394,7 @@ class Runner:
         call begun with no checkpoint open has no part: :class:`SimError`.
         """
         if self._erased is not None:
-            self._compact()
+            self._refuse("configuration()")
         key = [len(self._events), len(self._calls), self.mem.words(_LL in self._primitives)]
         for pid, state in self._procs.items():
             part = state.part
@@ -473,8 +460,9 @@ class Runner:
         return ev
 
     def drive(self, policy, budget: int = DEFAULT_BUDGET) -> None:
-        """Step per policy until nothing is runnable or the budget is spent."""
-        live, events, choose, step = self._live, self.events, policy.choose, self.step
+        """Step per policy until nothing is runnable or the budget, counted
+        in events taken (erased ones too), is spent."""
+        live, events, choose, step = self._live, self._events, policy.choose, self.step
         while live and len(events) < budget:
             pid = choose(live)
             if pid is None:
@@ -524,7 +512,7 @@ class Runner:
         open call's generator and record.
         """
         if self._erased is not None:
-            self._compact()
+            self._refuse("checkpoint()")
         if self._undo is None:
             self._undo = []
         self._saved = {}
@@ -597,60 +585,63 @@ class Runner:
         return run
 
     def fork(self) -> "Runner":
-        """Independent copy rebuilt by replaying this run's trace.  No
-        product path calls it; the perfbench tracer hooks it by name."""
+        """Independent copy rebuilt by replaying this run's trace: after an
+        erasure, the erased run, numbered and charged as a run."""
         return Runner.replay(self.algorithm, self.roles, list(self.trace))
 
     # -- erasure ----------------------------------------------------------
 
     def erase(self, p: int) -> None:
         """Take every step, call and trace entry of ``p`` out of this run,
-        leaving what a replay of the remaining trace would build.
+        so that the others step on as in a replay of the remaining trace.
 
         Sound only if no other process observed ``p`` (see
         ``harness.validate_erasure``), which is not checked here: the other
-        processes keep their events' values and their programs keep the
-        responses they got.  It costs what ``p`` touched, not the run:
+        processes keep their events and their programs keep the responses
+        they got.  It costs what ``p`` touched, found through a per-process
+        and a per-word index, not the run: ``p``'s entries are marked dead,
+        each word ``p`` made a nontrivial attempt on is refolded from its
+        initial value over the others' events on it, and on a word ``p``
+        only read its LL link goes.  The observed-by counts lose ``p``'s
+        reads, the ledger's participants lose ``p``, and ``p`` is left as
+        if it never ran.
 
-        * ``p``'s events, calls and trace entries, found through a
-          per-process index, are marked dead;
-        * each word ``p`` made a nontrivial attempt on is refolded from its
-          initial value over the others' events on it, found through a
-          per-word index, and so are its cache holders and the others' CC
-          and directory counts on it;
-        * on a word ``p`` only read, its links and copies go, and so does
-          one directory message of each attempt that invalidated a copy.
-
-        The survivors' events and calls are renumbered as a replay numbers
-        them, the events as new objects because :meth:`history` snapshots
-        share the old ones, by one compaction pass before anything reads
-        the run as a whole (:attr:`events`, :attr:`calls`, :attr:`trace`,
-        :meth:`history`, :meth:`checkpoint`, :meth:`fork`).  ``p`` is left
-        as if it never ran.  Refused while a checkpoint or probe is open,
-        without a ledger, and for a process not active.
+        What the steps to come do not read is left for :meth:`fork`, the
+        replay that builds and certifies the erased run: :attr:`events`,
+        :attr:`calls` and :attr:`trace` give the survivors under their old
+        seqs and call ids, the ledger keeps its counts and cache holders,
+        and :meth:`history`, :meth:`configuration` and :meth:`checkpoint`
+        (so :meth:`probe`) are refused.  Refused while a checkpoint or probe
+        is open, without a ledger, and for a process not active.
         """
         if self._undo is not None:
             raise SimError("cannot erase while a checkpoint or probe is open")
         if self.ledger is None:
-            raise SimError("erasure corrects the ledger; this run keeps none")
+            raise SimError("erasure keeps the ledger's participants; this run keeps no ledger")
         if not self.is_active(p):
             raise SimError(f"process {p} is not active; only active processes can be erased")
         erased = self._index()
         self._fold_observed()
-        events = self._events
+        events, mem = self._events, self.mem
         own_events, own_calls, own_trace = erased.by_proc[p]
         erased.by_proc[p] = ([], [], [])
-        doomed = {pos: events[pos] for pos in own_events}
-        self._observe(doomed.values(), -1)
+        doomed = [events[pos] for pos in own_events]
+        self._observe(doomed, -1)
         for pos in own_events:
             events[pos] = None
         for pos in own_calls:
             self._calls[pos] = None
         for pos in own_trace:
             self._trace[pos] = None
-        erased.first_event = min(erased.first_event, own_events[0])
-        erased.first_call = min(erased.first_call, own_calls[0])
-        self._refold(p, doomed)
+        attempted = {e.loc for e in doomed if not e.op.trivial}
+        for uid in attempted:
+            mem.reset_word(uid)
+            for pos in erased.by_word[uid]:
+                if events[pos] is not None:
+                    mem.redo(events[pos])
+        for uid in {e.loc for e in doomed} - attempted:
+            mem.unlink(uid, p)
+        self.ledger.participants.discard(p)
         self._procs[p] = fresh = _ProcState()
         fresh.next_kind = self._script_next(p)
         self.ctxs[p] = self.algorithm.make_ctx(p, self.locs)
@@ -658,57 +649,19 @@ class Runner:
         self._signaled.discard(p)
         self._set_live(p, fresh.next_kind is not None)
 
-    def _refold(self, p: int, doomed: dict[int, Event]) -> None:
-        """Bring memory and the ledger up to the erasure of ``p``, whose
-        events, by position, are ``doomed``."""
-        erased, events, mem = self._erased, self._events, self.mem
-        attempted = {e.loc for e in doomed.values() if not e.op.trivial}
-        refold = []  # every event on those words, p's included
-        for uid in attempted:
-            mem.reset_word(uid)
-            for pos in erased.by_word[uid]:
-                e = events[pos]
-                if e is None:
-                    e = doomed.get(pos)
-                    if e is not None:
-                        refold.append(e)
-                    continue
-                refold.append(e)
-                writer = mem.redo(e)
-                # An erasure only takes writers away, so a changed writer
-                # never changes back.
-                if writer != e.writer_before:
-                    erased.writers[pos] = writer
-        # On a word only read, a copy lasted to the next live attempt on it.
-        copies = {}
-        for pos, e in doomed.items():
-            uid = e.loc
-            if uid in attempted:
-                continue
-            mem.unlink(uid, p)
-            later = erased.attempts.get(uid, ())
-            i = bisect.bisect(later, pos)
-            while i < len(later) and events[later[i]] is None:
-                i += 1
-            at = later[i] if i < len(later) else None
-            copies[uid, at] = None if at is None else events[at].proc
-        self.ledger.drop(p, refold, [(uid, by) for (uid, _), by in copies.items()])
-
     def _index(self) -> "_Erased":
         """The erasure indexes, extended to the events, calls and trace
         entries added since they were last used."""
         erased = self._erased
         if erased is None:
             erased = self._erased = _Erased(self.n)
-        by_proc, by_word, attempts = erased.by_proc, erased.by_word, erased.attempts
+        by_proc, by_word = erased.by_proc, erased.by_word
         n_events, n_calls, n_trace = erased.upto
         events, calls, trace = self._events, self._calls, self._trace
         for pos in range(n_events, len(events)):
             e = events[pos]
             by_proc[e.proc][0].append(pos)
             by_word[e.loc].append(pos)
-            if not e.op.trivial:
-                attempts[e.loc].append(pos)
         for pos in range(n_calls, len(calls)):
             by_proc[calls[pos].proc][1].append(pos)
         for pos in range(n_trace, len(trace)):
@@ -717,53 +670,14 @@ class Runner:
         erased.upto = len(events), len(calls), len(trace)
         return erased
 
-    def _compact(self) -> None:
-        """Renumber the run after erasures, as a replay of its trace would
-        number it, in one pass from the first place that changes."""
-        erased = self._erased
-        self._fold_observed()
-        self._erased = None
-        events, calls = self._events, self._calls
-        first = erased.first_call
-        # The events to rebuild start at the first erased one, or earlier
-        # at the first step of a call whose id moves.
-        start = erased.first_event
-        ids: list[int | None] = []  # new id of each call from ``first`` on
-        kept_calls = calls[:first]
-        for rec in calls[first:]:
-            if rec is None:
-                ids.append(None)
-                continue
-            if rec.start_seq is not None and rec.start_seq < start:
-                start = rec.start_seq
-            ids.append(len(kept_calls))
-            kept_calls.append(rec)
-        seqs: list[int] = []  # new seq of each event from ``start`` on
-        kept: list[Event] = []
-        writers = erased.writers
-        for pos, e in enumerate(events[start:], start):
-            seq = start + len(kept)
-            seqs.append(seq)
-            if e is not None:
-                call_id = e.call_id if e.call_id < first else ids[e.call_id - first]
-                kept.append(Event(seq, e.proc, e.op, e.loc, e.home, e.value_read,
-                                  e.value_written, e.outcome, call_id,
-                                  writers.get(pos, e.writer_before)))
-        for i, rec in enumerate(kept_calls):
-            start_seq, end_seq = rec.start_seq, rec.end_seq
-            if start_seq is not None and start_seq >= start:
-                start_seq = seqs[start_seq - start]
-            if end_seq is None:  # open: renumbered in place
-                rec.call_id, rec.start_seq = i, start_seq
-                continue
-            if end_seq >= start:
-                end_seq = seqs[end_seq - start]
-            if (i, start_seq, end_seq) != (rec.call_id, rec.start_seq, rec.end_seq):
-                kept_calls[i] = CallRecord(i, rec.proc, rec.kind, rec.response, start_seq, end_seq)
-        events[start:] = kept
-        calls[:] = kept_calls
-        self._trace[:] = [entry for entry in self._trace if entry is not None]
-        self._observed_upto = len(events)
+    def _kept(self, entries: list) -> list:
+        """The run's own list, or after an erasure the survivors in it."""
+        if self._erased is None:
+            return entries
+        return [x for x in entries if x is not None]
+
+    def _refuse(self, what: str):
+        raise SimError(f"{what} refused after an erasure; fork() replays the erased run")
 
     def _fold_observed(self) -> None:
         """Fold the events added since the last fold into the observed-by

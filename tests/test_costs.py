@@ -12,9 +12,10 @@ from rmrsim.costs import (
     RmrLedger,
     classify_cc,
     classify_dsm,
-    count_messages,
 )
 from rmrsim.memory import Memory, OpKind, cas, fai, fas, ll, read, sc, tas, write
+
+from test_properties import count_messages, holder_pairs
 
 
 def apply(mem, proc, request, seq=0):
@@ -82,7 +83,7 @@ def test_cc_write_invalidates_remote_copies():
     cache = CacheState()
     classify_cc(apply(mem, 2, read(b)), cache)
     assert classify_cc(apply(mem, 1, write(b, 1)), cache) is RMR
-    assert cache.pairs() == {(1, b.uid)}
+    assert holder_pairs(cache) == {(1, b.uid)}
     assert classify_cc(apply(mem, 2, read(b)), cache) is RMR
 
 
@@ -100,7 +101,7 @@ def test_cc_failed_attempts_charged_and_invalidating():
     failed = apply(mem, 3, cas(x, expected=0, value=5))
     assert failed.value_written is None
     assert classify_cc(failed, cache) is RMR
-    assert (2, x.uid) not in cache.pairs()
+    assert (2, x.uid) not in holder_pairs(cache)
 
 
 def test_cc_write_costs_rmr_even_with_cached_copy():
@@ -323,7 +324,8 @@ def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
         ledger.record(e)
         classify_cc(e, cache)
     assert last.outcome is ok
-    assert ((2, last.loc) in cache.pairs()) is issuer_holds and (3, last.loc) in cache.pairs()
+    held = holder_pairs(cache)
+    assert ((2, last.loc) in held) is issuer_holds and (3, last.loc) in held
     others = [ledger.row(1), ledger.row(3)]
     start = ledger.row(2)
     bus = not last.op.trivial
@@ -333,4 +335,4 @@ def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
     ledger.record(last)
     assert [now - was for now, was in zip(ledger.row(2), start)] == expected
     assert [ledger.row(1), ledger.row(3)] == others
-    assert ledger.cache.pairs() == cache.pairs()
+    assert holder_pairs(ledger.cache) == holder_pairs(cache)

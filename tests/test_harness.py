@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from rmrsim import harness, memory, runner as runner_module
+from rmrsim import harness, memory
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
-from rmrsim.costs import CacheState, Model, RmrLedger
+from rmrsim.costs import CacheState, Model
 from rmrsim.errors import (
     ConfigError,
     DrillNotApplicable,
@@ -593,20 +593,20 @@ def test_drill_probes_rebuild_nothing(rebuilds):
 
 
 def test_erase_drill_certifies_with_one_replay(rebuilds):
-    # Erasures run in place; one replay at the end certifies them all.
+    # Erasures run in place; one fork at the end builds the erased run the
+    # report reads and certifies every erasure.
     algo = make_algorithm("dsm_fixed_waiters", 33, waiters=range(2, 34))
     report = adversary_separation(algo, erase_on_discovery=True)
     assert report.erased == 32
-    assert rebuilds == {"fork": 0, "replay": 1}
+    assert rebuilds == {"fork": 1, "replay": 1}
 
 
 @pytest.fixture
 def erasure_work(monkeypatch):
-    """Counts of Event objects built, and of the events erasures refold:
-    those sent to Memory.redo and to RmrLedger.drop, with its per-copy
-    corrections."""
+    """Counts of Event objects built, and of the words erasures refold or
+    unlink: the events sent to Memory.redo and the calls of Memory.unlink."""
     counts = {"built": 0, "refolded": 0}
-    redo, drop = Memory.redo, RmrLedger.drop
+    redo, unlink = Memory.redo, Memory.unlink
 
     def built(*args):
         counts["built"] += 1
@@ -616,14 +616,13 @@ def erasure_work(monkeypatch):
         counts["refolded"] += 1
         return redo(self, event)
 
-    def counted_drop(self, procs, events, *copies):
-        counts["refolded"] += len(events) + sum(map(len, copies))
-        return drop(self, procs, events, *copies)
+    def counted_unlink(self, uid, proc):
+        counts["refolded"] += 1
+        return unlink(self, uid, proc)
 
     monkeypatch.setattr(memory, "Event", built)
-    monkeypatch.setattr(runner_module, "Event", built)
     monkeypatch.setattr(Memory, "redo", counted_redo)
-    monkeypatch.setattr(RmrLedger, "drop", counted_drop)
+    monkeypatch.setattr(Memory, "unlink", counted_unlink)
     return counts
 
 
@@ -631,8 +630,8 @@ def erasure_work(monkeypatch):
     ("dsm_fixed_waiters", Model.DSM), ("dsm_registration", Model.DSM), ("cc_flag", Model.CC),
 ])
 def test_erase_drill_work_grows_linearly_in_w(erasure_work, name, model):
-    # Each erasure costs what its waiter touched, and one compaction
-    # renumbers the run: a 4x step in W may not cost 4.5x the work.
+    # Each erasure costs what its waiter touched, and one replay builds the
+    # erased run: a 4x step in W may not cost 4.5x the work.
     work = []
     for w in (64, 256):
         erasure_work.update(built=0, refolded=0)

@@ -35,7 +35,6 @@ from rmrsim.costs import (
     RMR,
     classify_cc,
     classify_dsm,
-    count_messages,
 )
 from rmrsim.errors import (
     EnumerationOverflow,
@@ -109,11 +108,12 @@ class Drift(SignalingAlgorithm):
 
 
 class Scribble(SignalingAlgorithm):
-    """Poll overwrites a board word nobody reads, reads a ping word and
+    """Poll overwrites a board word nobody reads, LLs a ping word and
     tries a CAS on it that always fails, then LLs the flag, which only
     Signal writes, and returns false.  Every poller stays active and
     unobserved, yet erasing one changes the others' writers before, CC
-    charges, directory messages and links."""
+    charges, directory messages and links, and the refold of the ping word
+    its CAS attempted must give the others their links back."""
 
     name = "scribble"
     primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.CAS, OpKind.LL, OpKind.SC})
@@ -127,7 +127,7 @@ class Scribble(SignalingAlgorithm):
 
     def poll(self, ctx):
         yield write(ctx.locs.board, ctx.pid)
-        yield read(ctx.locs.ping)
+        yield ll(ctx.locs.ping)
         yield cas(ctx.locs.ping, 1, 2)
         yield ll(ctx.locs.flag)
         return False
@@ -222,7 +222,23 @@ def started_calls(runner: Runner, skip=()) -> list:
 def ledger_state(runner: Runner) -> tuple:
     ledger = runner.ledger
     rows = tuple(tuple(ledger.per_process(p).items()) for p in range(1, runner.n + 1))
-    return rows, ledger.cache.pairs()
+    return rows, holder_pairs(ledger.cache)
+
+
+def holder_pairs(cache: CacheState) -> set[tuple[int, int]]:
+    """Every (process, word) pair with a valid copy, by a scan of the cache."""
+    return {(p, uid) for uid, holders in cache._holders.items() for p in holders}
+
+
+def count_messages(event, cache: CacheState) -> int:
+    """The directory rule: an event's ideal-directory invalidation messages,
+    one per copy another process holds in ``cache``, the state before the
+    event.  Trivial operations send none.  The oracle for the ledger's
+    ``msg_dir`` column."""
+    if event.op.trivial:
+        return 0
+    holders = cache._holders.get(event.loc, ())
+    return len(holders) - (event.proc in holders)
 
 
 def recount(events, n: int) -> dict[int, dict[str, int]]:
@@ -327,6 +343,33 @@ def erased_state(runner: Runner) -> tuple:
     return runner.events, observable_state(runner)
 
 
+def assert_erased_as(live: Runner, oracle: Runner) -> None:
+    """An in-place erasure keeps right what the steps to come read: the
+    survivors' steps, the words and LL links, the observed-by counts and who
+    is active and runnable.  Its fork, the erased run, is the oracle's run
+    in full."""
+    assert erased_state(live.fork()) == erased_state(oracle)
+    assert signatures(live) == signatures(oracle)
+    assert live.mem.words(True) == oracle.mem.words(True)
+    assert ([live.observers(p) for p in range(1, live.n + 1)]
+            == [oracle.observers(p) for p in range(1, oracle.n + 1)])
+    assert live.participants() == oracle.participants()
+    assert live.runnable() == oracle.runnable()
+    assert live.terminated == oracle.terminated
+
+
+def step_both(live: Runner, oracle: Runner, policy, steps: int) -> None:
+    """Step both runs alike: ``steps`` choices of ``policy`` among the live
+    run's runnable processes."""
+    for _ in range(steps):
+        runnable = live.runnable()
+        if not runnable:
+            break
+        pid = policy.choose(runnable)
+        live.step(pid)
+        oracle.step(pid)
+
+
 @given(configs())
 def test_in_place_erase_matches_replay_oracle(cfg):
     check_in_place_erase(cfg)
@@ -340,10 +383,10 @@ def test_in_place_erase_refolds_shared_words(cfg):
 
 
 def check_in_place_erase(cfg: Config) -> None:
-    """``Runner.erase`` in place equals the ``harness.erase`` replay oracle,
-    also after both runs go on under one schedule, and in the drill's own
-    pattern; two erasures commute, and erasing every erasable process
-    equals the oracle chain."""
+    """``Runner.erase`` in place agrees with the ``harness.erase`` replay
+    oracle, also after both runs go on under one schedule, and in the
+    drill's own pattern; two erasures commute, and erasing every erasable
+    process equals the oracle chain."""
     runner = execute(cfg)
     history = runner.history()
     active = runner.participants() - runner.terminated
@@ -353,10 +396,10 @@ def check_in_place_erase(cfg: Config) -> None:
         live = execute(cfg)
         live.erase(p)
         assert live.ctxs[p].state == oracle.ctxs[p].state == {}
-        assert erased_state(live) == erased_state(oracle)
-        for run in (live, oracle):  # the erased process runs again, from scratch
-            run.drive(SeededRandom(cfg.seed + 3), len(run.events) + 30)
-        assert erased_state(live) == erased_state(oracle)
+        assert_erased_as(live, oracle)
+        # The erased process runs again, from scratch.
+        step_both(live, oracle, SeededRandom(cfg.seed + 3), 30)
+        assert_erased_as(live, oracle)
     if erasable:
         check_deferred_erase(cfg, erasable[0])
     if len(erasable) >= 2:
@@ -366,28 +409,23 @@ def check_in_place_erase(cfg: Config) -> None:
         pq.erase(q)
         qp.erase(q)
         qp.erase(p)
-        assert erased_state(pq) == erased_state(qp) == erased_state(erase(erase(runner, p), q))
+        oracle = erase(erase(runner, p), q)
+        assert_erased_as(pq, oracle)
+        assert_erased_as(qp, oracle)
         every, oracle = execute(cfg), runner
         for p in erasable:
             every.erase(p)
             oracle = erase(oracle, p)
-        assert erased_state(every) == erased_state(oracle)
+        assert_erased_as(every, oracle)
 
 
 def erased_twice(cfg: Config, p: int) -> tuple[Runner, Runner]:
     """The drill's pattern, on a live run and on the replay oracle: erase
     ``p``, let the processes step, erase the first process then erasable,
-    if any.  The live run is left uncompacted."""
+    if any."""
     live, oracle = execute(cfg), erase(execute(cfg), p)
     live.erase(p)
-    policy = SeededRandom(cfg.seed + 5)
-    for _ in range(12):
-        runnable = live.runnable()
-        if not runnable:
-            break
-        pid = policy.choose(runnable)
-        live.step(pid)
-        oracle.step(pid)
+    step_both(live, oracle, SeededRandom(cfg.seed + 5), 12)
     history = oracle.history()
     for q in sorted(oracle.participants() - oracle.terminated):
         if validate_erasure(history, q):
@@ -398,43 +436,56 @@ def erased_twice(cfg: Config, p: int) -> tuple[Runner, Runner]:
 
 
 def check_deferred_erase(cfg: Config, p: int) -> None:
-    """Whatever reads the live run first after deferred erasures, history,
-    a checkpoint or a fork, sees what the oracle has."""
+    """After the drill's pattern, whatever reads the erased run as a whole
+    is refused and names the fork, and the fork is the oracle's run."""
     live, oracle = erased_twice(cfg, p)
-    assert live.history() == oracle.history()
-    assert erased_state(live) == erased_state(oracle)
+    for whole in (live.history, live.configuration, live.checkpoint):
+        with pytest.raises(SimError, match="fork"):
+            whole()
+    with pytest.raises(SimError, match="fork"):
+        with live.probe([]):
+            pass
+    assert_erased_as(live, oracle)
 
-    live, oracle = erased_twice(cfg, p)
-    live.checkpoint()
-    oracle.checkpoint()
-    for pid in live.runnable():  # each call rewound here begins under the checkpoint
-        if live.open_call(pid) is None:
-            live.step(pid)
-            oracle.step(pid)
-    assert erased_state(live) == erased_state(oracle)
-    live.rollback(close=True)
-    oracle.rollback(close=True)
-    assert erased_state(live) == erased_state(oracle)
 
-    live, oracle = erased_twice(cfg, p)
-    assert erased_state(live.fork()) == erased_state(oracle)
+@given(st.one_of(configs(EVERY_PRIMITIVE), configs((Scribble.name,))))
+def test_certified_erasures_equal_the_oracle_chain(cfg):
+    # The drill's pattern, then its certificate: the run _certify returns
+    # is the oracle chain's, field for field, also where the erased
+    # processes shared words with the survivors.
+    runner = execute(cfg)
+    history = runner.history()
+    erasable = [p for p in sorted(runner.participants() - runner.terminated)
+                if validate_erasure(history, p)]
+    if erasable:
+        live, oracle = erased_twice(cfg, erasable[0])
+        assert harness._certify(live).history() == oracle.history()
 
 
 @given(configs(EVERY_PRIMITIVE), st.randoms(use_true_random=False))
 def test_observed_by_index_matches_scan_oracle(cfg, rnd):
     # The drill's verdict, from the run's observed-by count, equals the scan
-    # of validate_erasure for every active process: before and after each of
-    # a few random erasures with steps between them, and inside and after a
-    # probe that stepped.
+    # of validate_erasure over the run's replay for every active process:
+    # inside and after a probe that stepped, then before and after each of
+    # a few random erasures with steps between them.
     runner = execute(cfg)
 
     def agree() -> list[int]:
         active = runner.participants() - runner.terminated
         verdicts = {p: _erasure_safe(runner, p) for p in sorted(active)}
-        history = runner.history()
+        history = runner.fork().history()
         assert verdicts == {p: validate_erasure(history, p) for p in verdicts}
         return [p for p, safe in verdicts.items() if safe]
 
+    # Any waiter between calls, begun or not, polls once more.
+    probed = [pid for pid, script in cfg.roles.items() if script.kind != "signal"
+              and pid not in runner.terminated and runner.open_call(pid) is None]
+    with runner.probe(probed):
+        for pid in probed:
+            runner.force_next_call(pid, POLL)
+            with suppress(StepBudgetExceeded):  # a Poll spinning on its own
+                runner.run_call(pid, max_steps=20)
+        agree()
     for _ in range(3):
         erasable = agree()
         if not erasable:
@@ -445,16 +496,6 @@ def test_observed_by_index_matches_scan_oracle(cfg, rnd):
             if not runnable:
                 break
             runner.step(rnd.choice(runnable))
-    agree()
-    # Any waiter between calls, begun or not, polls once more.
-    probed = [pid for pid, script in cfg.roles.items() if script.kind != "signal"
-              and pid not in runner.terminated and runner.open_call(pid) is None]
-    with runner.probe(probed):
-        for pid in probed:
-            runner.force_next_call(pid, POLL)
-            with suppress(StepBudgetExceeded):  # a Poll spinning on its own
-                runner.run_call(pid, max_steps=20)
-        agree()
     agree()
 
 
@@ -495,7 +536,7 @@ def configuration(runner: Runner, pid: int, model: Model) -> tuple:
 def held_scan(cache: CacheState, proc: int) -> tuple[int, ...]:
     """The words ``proc`` holds, by a scan of every holder set: the oracle
     for ``Runner.cached``, which filters the words ``proc`` accessed."""
-    return tuple(sorted(uid for p, uid in cache.pairs() if p == proc))
+    return tuple(sorted(uid for p, uid in holder_pairs(cache) if p == proc))
 
 
 def outcome(probe) -> tuple:
@@ -509,12 +550,11 @@ def outcome(probe) -> tuple:
 
 
 def observable_state(runner: Runner) -> tuple:
-    words = len(runner.mem.image())
     return (
         signatures(runner),
         calls(runner),
         list(runner.trace),
-        [runner.mem.save_word(uid) for uid in range(words)],
+        runner.mem.words(True),
         ledger_state(runner),
         runner.participants(),
         {p: dict(runner.ctxs[p].state) for p in runner.ctxs},
@@ -553,9 +593,10 @@ def test_stability_probe_matches_fork_oracle_and_rolls_back(cfg, model, horizon)
 def test_cached_words_match_holder_scan(cfg, rnd):
     # Runner.cached filters the words a process accessed, an index that
     # only grows, by the holder sets; it equals the scan of every holder
-    # set after steps, erasures (whose refolds and copy drops change
-    # holders), inside a probe that stepped, after its rollback, and after
-    # steps that refill what the rollback took out of the events.
+    # set after steps, inside a probe that stepped, after its rollback, and
+    # after steps that refill what the rollback took out of the events.
+    # (The drill asks it only before any erasure, which leaves the holder
+    # sets to the replay.)
     runner = execute(cfg)
 
     def agree() -> None:
@@ -569,14 +610,8 @@ def test_cached_words_match_holder_scan(cfg, rnd):
                 break
             runner.step(rnd.choice(runnable))
 
-    for _ in range(2):
-        agree()
-        active = runner.participants() - runner.terminated
-        erasable = [p for p in sorted(active) if _erasure_safe(runner, p)]
-        if not erasable:
-            break
-        runner.erase(rnd.choice(erasable))
-        steps(rnd.randrange(8))
+    agree()
+    steps(rnd.randrange(8))
     agree()
     probed = [pid for pid, script in cfg.roles.items() if script.kind != "signal"
               and pid not in runner.terminated and runner.open_call(pid) is None]
@@ -987,7 +1022,8 @@ SNAPSHOT_ACTIONS = st.sampled_from(("step", "step", "step", "force", "enumerate"
 def test_histories_stay_as_taken(data):
     # A history shares the run's closed call records, so nothing the run
     # does afterwards may change one: steps, queued Polls, nested rollbacks
-    # that reopen a call, probes, erasures and the compaction after them.
+    # that reopen a call, probes, and an erasure, which ends the actions
+    # because an erased run has no history of its own.
     name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
     actions = data.draw(st.lists(st.tuples(SNAPSHOT_ACTIONS, st.integers(0, 7)),
                                  min_size=10, max_size=40))
@@ -1025,6 +1061,7 @@ def test_histories_stay_as_taken(data):
             erasable = [p for p in sorted(active) if _erasure_safe(runner, p)]
             if erasable:
                 runner.erase(erasable[k % len(erasable)])
+                break
         snapshot()
     for history, copy in taken:
         assert history == copy

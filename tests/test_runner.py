@@ -23,6 +23,8 @@ from rmrsim.runner import (
     wait_once,
 )
 
+from test_properties import holder_pairs
+
 
 def waiter_signaler_roles(waiters, signaler, script=None):
     roles = {w: (script or poll_until_true()) for w in waiters}
@@ -139,7 +141,7 @@ def test_replay_rebuilds_run_exactly():
     runner.drive(SeededRandom(3), 10_000)
     twin = Runner.replay(algo, roles, list(runner.trace))
     assert [e.signature() for e in twin.events] == [e.signature() for e in runner.events]
-    assert twin.mem.image() == runner.mem.image()
+    assert twin.mem.words(True) == runner.mem.words(True)
     assert twin.terminated == runner.terminated
 
 
@@ -151,7 +153,7 @@ def test_memory_image_determinism_on_prefix():
     prefix = list(runner.trace)[: len(runner.trace) // 2]
     partial = Runner.replay(algo, roles, prefix)
     again = Runner.replay(algo, roles, prefix)
-    assert partial.mem.image() == again.mem.image()
+    assert partial.mem.words(True) == again.mem.words(True)
 
 
 def test_fork_is_independent():
@@ -183,10 +185,9 @@ def observable(runner):
         [e.signature() for e in runner.events],
         [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq) for c in runner.calls],
         list(runner.trace),
-        runner.mem.image(),
-        [runner.mem.current_writer(uid) for uid in range(len(runner.mem.image()))],
+        runner.mem.words(True),
         [runner.ledger.per_process(p) for p in range(1, runner.n + 1)],
-        runner.ledger.cache.pairs(),
+        holder_pairs(runner.ledger.cache),
         runner.participants(),
         runner.runnable(),
         runner.terminated,
@@ -525,5 +526,24 @@ def test_erase_renumbers_a_call_begun_before_its_first_step():
     runner.step(2)
     oracle = erase(runner, 2)
     runner.erase(2)
-    assert runner.events == oracle.events
-    assert [(c.call_id, c.proc, c.start_seq) for c in runner.calls] == [(0, 3, 0)]
+    # The live run keeps the survivors' numbering; its fork renumbers.
+    assert [(c.call_id, c.proc, c.start_seq) for c in runner.calls] == [(1, 3, 0)]
+    fork = runner.fork()
+    assert fork.events == oracle.events
+    assert [(c.call_id, c.proc, c.start_seq) for c in fork.calls] == [(0, 3, 0)]
+
+
+def test_erased_run_refuses_whole_run_reads():
+    # Seqs and call ids keep their gaps and the ledger its old counts, so
+    # whatever reads the run as a whole is refused and names the fork.
+    runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.run_call(2)
+    runner.run_call(3)
+    runner.erase(2)
+    for whole in (runner.history, runner.configuration, runner.checkpoint):
+        with pytest.raises(SimError, match=r"after an erasure; fork\(\)"):
+            whole()
+    with pytest.raises(SimError, match="fork"):
+        with runner.probe([3]):
+            pass
+    assert runner.fork().history().participants == {3}

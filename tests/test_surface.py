@@ -1,8 +1,9 @@
 """The engine has no function that only tests call.
 
-Every golden command line, plus one ``check_amortized`` call, runs under a
-profile hook; every function defined in the engine modules must be entered,
-except the few named in ``UNREACHED`` with the reason each one stays.
+Every golden command line, plus a ``check_amortized`` call per model, runs
+under a profile hook; every function defined in the engine modules must be
+entered, except the few named in ``UNREACHED`` with the reason each one
+stays.
 """
 
 import inspect
@@ -23,7 +24,6 @@ ENGINE = (memory, costs, runner, harness)
 #: Functions no product path enters, by qualified name, and why each stays.
 UNREACHED = {
     "memory.OpKind.__new__": "runs once, when the enum class is built at import",
-    "memory.Event.signature": "the erase oracle's survivor comparison",
     "memory.Memory.redo": "refolds a word a waiter wrote; no drill erases such a waiter",
     "memory._check_word": "error path: a value outside the 64-bit word",
     "memory.cas": "no library protocol issues CAS",
@@ -31,10 +31,9 @@ UNREACHED = {
     "memory.sc": "no library protocol issues SC",
     "memory.fas": "no library protocol issues FAS",
     "memory.tas": "no library protocol issues TAS",
-    "runner.Runner.fork": "perfbench/tracing.py hooks it by name",
     "runner._diverged": "error path: a rebuilt call asks for another step",
+    "runner.Runner._refuse": "error path: an erased run read as a whole",
     "harness.erase": "the erase oracle; perfbench/tracing.py hooks it by name",
-    "harness._assert_survivors_match": "the erase oracle's survivor comparison",
     "harness.validate_erasure": "the erase oracle's observation scan",
     "harness._sc_independent": "the SC scan, run only for a protocol that declares SC",
 }
@@ -80,6 +79,7 @@ def _entered() -> set:
         run = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true(), 1: signal_once()})
         run.drive(RoundRobin())
         check_amortized(run.history(), c=3, model=Model.DSM)
+        check_amortized(run.history(), c=3, model=Model.CC)
     finally:
         sys.setprofile(None)
     return entered
