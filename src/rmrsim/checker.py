@@ -15,6 +15,7 @@ per-participant RMR bound can be refuted by a history, never proven.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -116,16 +117,21 @@ def check_blocking(history: History) -> list[Violation]:
 
 def check_waitfree(histories: Iterable[History], bound: int) -> list[Violation]:
     """Flag every call (open or completed) that took more than ``bound``
-    steps of its own process."""
+    steps of its own process: its process's events from its start seq to
+    its end seq, or to the last event while it is open."""
     if bound < 1:
         raise ValueError("step bound must be at least 1")
     out: list[Violation] = []
     for history in histories:
-        steps: dict[int, int] = {}
+        seqs: dict[int, list[int]] = {}  # each process's event seqs, ascending
         for e in history.events:
-            steps[e.call_id] = steps.get(e.call_id, 0) + 1
+            seqs.setdefault(e.proc, []).append(e.seq)
         for call in history.calls:
-            taken = steps.get(call.call_id, 0)
+            if call.start_seq is None:
+                continue
+            own = seqs[call.proc]
+            end = _NEVER if call.end_seq is None else call.end_seq
+            taken = bisect.bisect_right(own, end) - bisect.bisect_left(own, call.start_seq)
             if taken > bound:
                 out.append(Violation(
                     WAITFREE_BUDGET,

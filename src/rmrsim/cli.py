@@ -28,7 +28,7 @@ from . import checker
 from .algorithms import make_algorithm
 from .costs import Model
 from .errors import ConfigError, DrillNotApplicable, EnumerationOverflow, SimError
-from .harness import adversary_separation, enumerate_histories
+from .harness import RECORD_KEYS, adversary_separation, enumerate_histories
 from .runner import (
     DEFAULT_BUDGET,
     ExplicitSchedule,
@@ -46,11 +46,6 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_INAPPLICABLE = 4
-
-SWEEP_COLUMNS = (
-    "algorithm", "model", "W", "k", "signaler_rmrs",
-    "total_rmr_dsm", "total_rmr_cc", "msg_bus", "msg_dir",
-)
 
 COMMANDS = {
     "run": "run one simulation and check the polling/blocking contracts",
@@ -377,8 +372,8 @@ def _cmd_drill(cfg: dict) -> int:
     elif cfg["format"] == "json":
         _emit(cfg, json.dumps(records, sort_keys=True, indent=2))
     else:
-        lines = [",".join(SWEEP_COLUMNS)]
-        lines.extend(",".join(str(r[col]) for col in SWEEP_COLUMNS) for r in records)
+        lines = [",".join(RECORD_KEYS)]
+        lines.extend(",".join(str(r[col]) for col in RECORD_KEYS) for r in records)
         _emit(cfg, "\n".join(lines))
     if not report.post_poll_ok:
         print("error: a stable waiter polled false after Signal completed", file=sys.stderr)

@@ -105,17 +105,15 @@ class RmrLedger:
 
     One count table: a row per process id, a column per metric in
     ``METRIC_NAMES`` order (DSM RMRs, CC RMRs, bus and ideal-directory
-    invalidation messages, steps).  Also tracks the participant set.  All
-    counts are nonnegative and only grow.
+    invalidation messages, steps).  Counts are nonnegative and only grow.
     """
 
-    __slots__ = ("n", "cache", "_rows", "participants")
+    __slots__ = ("n", "cache", "_rows")
 
     def __init__(self, n: int):
         self.n = n
         self.cache = CacheState()
         self._rows = [[0] * len(METRIC_NAMES) for _ in range(n + 1)]
-        self.participants: set[int] = set()
 
     def record(self, event: Event) -> None:
         """Charge one event: :func:`classify_dsm`, the ideal-directory
@@ -124,7 +122,6 @@ class RmrLedger:
         p = event.proc
         row = self._rows[p]  # columns: rmr_dsm, rmr_cc, msg_bus, msg_dir, steps
         row[4] += 1
-        self.participants.add(p)
         if event.home != p:
             row[0] += 1
         holders = self.cache._holders.get(event.loc)

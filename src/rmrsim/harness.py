@@ -70,10 +70,9 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
 
     A walked history costs about its own event, call and trace sequences.
     It shares with other histories, which is why none may change them, the
-    recorded events and call records and the relabelled events and call
-    records (each built once per enumeration); the prefix's open records
-    are copied once per walk, and the trace is a prefix of the walk's
-    process list.
+    recorded events and call records and the rebuilt closed call records
+    (each built once per enumeration); the prefix's open records are copied
+    once per walk, and the trace is a prefix of the walk's process list.
 
     A history is maximal when every process terminated or the depth was
     reached (the latter are yielded with ``incomplete`` set).  Raises
@@ -88,11 +87,10 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     run.checkpoint()
     events = run.events  # the run's own list, which backtracking truncates
     memo: dict[tuple, _Node] = {}  # local to this enumeration
-    # _walk's relabelled events, by the recorded event's id and the path's
-    # call id, and its rebuilt closed call records, by the recorded record's
-    # id, the path's call id and start seq; the memo keeps every recorded
-    # event and record, so no id is reused.
-    relabelled: dict[tuple, Event | CallRecord] = {}
+    # _walk's rebuilt closed call records, by the recorded record's id, the
+    # path's call id and start seq; the memo keeps every recorded record, so
+    # no id is reused.
+    relabelled: dict[tuple, CallRecord] = {}
     # Per branching checkpoint, innermost last: its node, and its choices
     # not yet taken, the next one last.
     untried: list[tuple[_Node, list[int]]] = []
@@ -140,14 +138,16 @@ class _Node:
 def _advance(run: Runner, memo: dict, node: _Node, pid: int) -> tuple[_Node, bool]:
     """Step ``pid`` from ``node``'s configuration and record the edge;
     return the configuration reached and whether it was met before."""
+    rec = run.open_call(pid)
     ev = run.step(pid)
+    if rec is None:  # the step began a call
+        rec = run.calls[-1]
     fresh = _Node()  # setdefault hashes the key once; get and set would twice
     child = memo.setdefault(run.configuration(), fresh)
-    rec = run.calls[ev.call_id]
     closed = rec if rec.end_seq is not None else None
     begun = None
     if rec.start_seq == ev.seq:
-        begun = closed or CallRecord(ev.call_id, pid, rec.kind, None, ev.seq)
+        begun = closed or CallRecord(rec.call_id, pid, rec.kind, None, ev.seq)
     node.edges.append((pid, ev, child, begun, closed))
     return child, child is not fresh
 
@@ -156,21 +156,20 @@ def _walk(run: Runner, node: _Node, depth: int, relabelled: dict):
     """The histories below ``node``, the configuration the run is at, from
     its recorded edges; the run is not stepped.
 
-    A recorded event of a call open at a node carries the call's id on the
-    path the node was recorded from, so per edge it is relabelled with the
-    id on this path when the two differ.  Calls begun below the node have
+    Events name no call, so recorded events are shared as they are.  A
+    call open at a node may have another id and start seq on this path than
+    on the one the node was recorded from; calls begun below the node have
     the same ids on every path, since the key holds the call count.
 
-    Histories share what nothing changes: the recorded events, the
-    relabelled ones, built once per recorded event and path id in
-    ``relabelled``, and the call records stored on edges.  A recorded
-    closed record is shared when this path's call has its id and start seq,
-    which always holds for a call begun on the same edge; otherwise one is
-    built once per recorded record, path id and start seq, also in
-    ``relabelled``.  The prefix's open records, which the run goes on
-    changing, are copied once per walk, so a leaf's call list is a plain
-    copy.  The enumeration queues no calls, so each event's process is its
-    trace entry: a leaf's trace is a prefix of the walk's process list.
+    Histories share what nothing changes: the recorded events and the call
+    records stored on edges.  A recorded closed record is shared when this
+    path's call has its id and start seq, which always holds for a call
+    begun on the same edge; otherwise one is built once per recorded
+    record, path id and start seq, in ``relabelled``.  The prefix's open
+    records, which the run goes on changing, are copied once per walk, so
+    a leaf's call list is a plain copy.  The enumeration queues no calls,
+    so each event's process is its trace entry: a leaf's trace is a prefix
+    of the walk's process list.
     """
     if node.end is not None:
         yield run.history()
@@ -194,28 +193,19 @@ def _walk(run: Runner, node: _Node, depth: int, relabelled: dict):
                 path_calls = calls + [begun]
                 if closed is None:
                     path_opened = opened.copy()
-                    path_opened[pid] = ev.call_id
-            else:
+                    path_opened[pid] = begun.call_id
+            elif closed is not None:
                 cid = opened[pid]
-                if cid != ev.call_id:
-                    key = (id(ev), cid)
-                    relabel = relabelled.get(key)
-                    if relabel is None:
-                        relabel = relabelled[key] = Event(
-                            ev.seq, pid, ev.op, ev.loc, ev.home, ev.value_read,
-                            ev.value_written, ev.outcome, cid, ev.writer_before)
-                    ev = relabel
-                if closed is not None:
-                    start = calls[cid].start_seq
-                    if closed.call_id != cid or closed.start_seq != start:
-                        key = (id(closed), cid, start)
-                        rebuilt = relabelled.get(key)
-                        if rebuilt is None:
-                            rebuilt = relabelled[key] = CallRecord(
-                                cid, pid, closed.kind, closed.response, start, ev.seq)
-                        closed = rebuilt
-                    path_calls = calls.copy()
-                    path_calls[cid] = closed
+                start = calls[cid].start_seq
+                if closed.call_id != cid or closed.start_seq != start:
+                    key = (id(closed), cid, start)
+                    rebuilt = relabelled.get(key)
+                    if rebuilt is None:
+                        rebuilt = relabelled[key] = CallRecord(
+                            cid, pid, closed.kind, closed.response, start, ev.seq)
+                    closed = rebuilt
+                path_calls = calls.copy()
+                path_calls[cid] = closed
             seq = ev.seq
             events[seq] = ev
             procs[seq] = pid
@@ -253,6 +243,8 @@ def stability(base: Runner, pid: int, *, model: Model = Model.DSM,
     run in a zero-cost cycle.  Raises :class:`StabilityUndecided` when the
     horizon is hit first.
     """
+    if base.ledger is None:
+        raise SimError("stability reads the ledger's charges; this run keeps none")
     if not base.is_active(pid):
         raise SimError(f"process {pid} is not active")
     if base.open_call(pid) is not None:
@@ -392,6 +384,11 @@ def _assert_survivors_match(events: list[Event], calls: list[CallRecord],
 # ---------------------------------------------------------------------------
 
 
+#: A drill record's keys, in the order of the sweep's CSV columns.
+RECORD_KEYS = ("algorithm", "model", "W", "k", "signaler_rmrs",
+               "total_rmr_dsm", "total_rmr_cc", "msg_bus", "msg_dir")
+
+
 @dataclass(slots=True)
 class SeparationReport:
     """Outcome of one adversary drill.
@@ -419,18 +416,8 @@ class SeparationReport:
     history: History | None = None
 
     def to_record(self) -> dict:
-        """The fixed wire format: exactly these nine keys."""
-        return {
-            "algorithm": self.algorithm,
-            "model": self.model,
-            "W": self.W,
-            "k": self.k,
-            "signaler_rmrs": self.signaler_rmrs,
-            "total_rmr_dsm": self.total_rmr_dsm,
-            "total_rmr_cc": self.total_rmr_cc,
-            "msg_bus": self.msg_bus,
-            "msg_dir": self.msg_dir,
-        }
+        """The fixed wire format: the fields named in ``RECORD_KEYS``."""
+        return {key: getattr(self, key) for key in RECORD_KEYS}
 
 
 def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,

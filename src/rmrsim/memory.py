@@ -134,6 +134,9 @@ class Event:
     (a failed CAS/SC/TAS leaves it ``None``).  ``writer_before`` is the
     process whose write was last applied to the location before this event,
     which is what the observation relation and erasure validation need.
+    The event names no call: a process makes one call at a time, so the
+    step is in the call of ``proc`` whose ``[start_seq, end_seq]`` holds
+    ``seq``.
     """
 
     seq: int
@@ -144,7 +147,6 @@ class Event:
     value_read: int | None
     value_written: int | None
     outcome: bool
-    call_id: int
     writer_before: int | None
 
     def signature(self) -> tuple:
@@ -265,8 +267,8 @@ class Memory:
 
     # -- execution ----------------------------------------------------------
 
-    def apply(self, proc: int, op: PrimitiveOp, loc: Location, seq: int, call_id: int) -> Event:
-        """Atomically apply one primitive and return the recorded event."""
+    def apply(self, proc: int, op: PrimitiveOp, loc: Location, seq: int) -> Event:
+        """Atomically apply one primitive; return its event, numbered ``seq``."""
         kind = op.kind
         uid = loc.uid
         old = self._values[uid]
@@ -317,8 +319,7 @@ class Memory:
             self._writers[uid] = proc
             self._links[uid].clear()
 
-        return Event(seq, proc, op, uid, loc.home, value_read, written, outcome,
-                     call_id, writer_before)
+        return Event(seq, proc, op, uid, loc.home, value_read, written, outcome, writer_before)
 
 
 def _check_word(value: int) -> None:

@@ -277,6 +277,7 @@ class Runner:
         self._trace: list = []
         self.ledger: RmrLedger | None = RmrLedger(self.n) if with_ledger else None
         self._procs = {pid: _ProcState() for pid in range(1, self.n + 1)}
+        self._participants: set[int] = set()
         self._terminated: set[int] = set()
         self._pollers: set[int] = set()
         self._signaled: set[int] = set()
@@ -287,9 +288,7 @@ class Runner:
         ]
         # The sets a process's steps can add it to; none of them ever
         # shrinks, so a rollback only drops what was added.
-        self._pid_sets = (self._terminated, self._pollers, self._signaled)
-        if self.ledger is not None:
-            self._pid_sets += (self.ledger.participants,)
+        self._pid_sets = (self._participants, self._terminated, self._pollers, self._signaled)
         # Set while a checkpoint is open: per step, in step order, the
         # process, the word it is about to change and that word's cache
         # holders.
@@ -341,17 +340,11 @@ class Runner:
         return self._procs[pid].call
 
     def participants(self) -> frozenset[int]:
-        if self.ledger is not None:
-            return frozenset(self.ledger.participants)
-        return frozenset(e.proc for e in self._events)
+        return frozenset(self._participants)
 
     def is_active(self, pid: int) -> bool:
         """Whether ``pid`` has taken a step and not terminated."""
-        if pid in self._terminated:
-            return False
-        if self.ledger is not None:
-            return pid in self.ledger.participants
-        return any(e.proc == pid for e in self._events)
+        return pid in self._participants and pid not in self._terminated
 
     def observers(self, p: int) -> int:
         """How many value-reading events of other processes read a value
@@ -433,9 +426,10 @@ class Runner:
             undo.append((pid, self.mem.save_word(uid),
                          None if ledger is None else ledger.cache.save(pid, uid, op.trivial)))
         events = self._events
-        ev = self.mem.apply(pid, op, loc, len(events), rec.call_id)
+        ev = self.mem.apply(pid, op, loc, len(events))
         self._trace.append(pid)
         events.append(ev)
+        self._participants.add(pid)
         if ledger is not None:
             ledger.record(ev)
         if rec.start_seq is None:
@@ -603,21 +597,19 @@ class Runner:
         each word ``p`` made a nontrivial attempt on is refolded from its
         initial value over the others' events on it, and on a word ``p``
         only read its LL link goes.  The observed-by counts lose ``p``'s
-        reads, the ledger's participants lose ``p``, and ``p`` is left as
-        if it never ran.
+        reads, the participants lose ``p``, and ``p`` is left as if it
+        never ran.
 
         What the steps to come do not read is left for :meth:`fork`, the
         replay that builds and certifies the erased run: :attr:`events`,
         :attr:`calls` and :attr:`trace` give the survivors under their old
-        seqs and call ids, the ledger keeps its counts and cache holders,
-        and :meth:`history`, :meth:`configuration` and :meth:`checkpoint`
-        (so :meth:`probe`) are refused.  Refused while a checkpoint or probe
-        is open, without a ledger, and for a process not active.
+        seqs and call ids, the ledger is dropped (the fork charges the
+        erased run), and :meth:`history`, :meth:`configuration` and
+        :meth:`checkpoint` (so :meth:`probe`) are refused.  Refused while a
+        checkpoint or probe is open, and for a process not active.
         """
         if self._undo is not None:
             raise SimError("cannot erase while a checkpoint or probe is open")
-        if self.ledger is None:
-            raise SimError("erasure keeps the ledger's participants; this run keeps no ledger")
         if not self.is_active(p):
             raise SimError(f"process {p} is not active; only active processes can be erased")
         erased = self._index()
@@ -641,7 +633,8 @@ class Runner:
                     mem.redo(events[pos])
         for uid in {e.loc for e in doomed} - attempted:
             mem.unlink(uid, p)
-        self.ledger.participants.discard(p)
+        self._participants.discard(p)
+        self.ledger = None
         self._procs[p] = fresh = _ProcState()
         fresh.next_kind = self._script_next(p)
         self.ctxs[p] = self.algorithm.make_ctx(p, self.locs)
@@ -859,8 +852,6 @@ class _Probe:
         run = self._run
         if run._probed is not None:
             raise SimError("a probe is already open")
-        if run.ledger is None:
-            raise SimError("a probe restores the ledger; this run keeps none")
         pids = frozenset(self._pids)
         for pid in pids:
             if run._procs[pid].call is not None:

@@ -58,9 +58,12 @@ def waiter_roles(waiters, signaler=None, script=None):
 
 
 def dsm_rmrs_of_call(history, call):
+    """The call's DSM RMRs: its process's events from its start seq to its
+    end seq, or to the last event while it is open."""
+    last = history.events[-1].seq if call.end_seq is None else call.end_seq
     return sum(
         1 for e in history.events
-        if e.call_id == call.call_id and classify_dsm(e) is RMR
+        if e.proc == call.proc and call.start_seq <= e.seq <= last and classify_dsm(e) is RMR
     )
 
 
@@ -74,8 +77,8 @@ def test_criterion_1_cc_upper_bound():
             runner = Runner(algo, waiter_roles(range(2, n + 1), 1))
             runner.drive(SeededRandom(seed), 100_000)
             ledger = runner.ledger
-            k = len(ledger.participants)
-            assert all(ledger.rmr(Model.CC, p) <= 2 for p in ledger.participants)
+            k = len(runner.participants())
+            assert all(ledger.rmr(Model.CC, p) <= 2 for p in runner.participants())
             assert ledger.total_rmr_cc <= 2 * k + 1
             worst_total = max(worst_total, ledger.total_rmr_cc)
             register_run(runner.events, ledger.total_msg_dir, ledger.total_msg_bus)

@@ -21,9 +21,12 @@ from rmrsim.runner import (
 
 
 def dsm_rmrs_of_call(history, call):
+    """The call's DSM RMRs: its process's events from its start seq to its
+    end seq, or to the last event while it is open."""
+    last = history.events[-1].seq if call.end_seq is None else call.end_seq
     return sum(
         1 for e in history.events
-        if e.call_id == call.call_id and classify_dsm(e) is RMR
+        if e.proc == call.proc and call.start_seq <= e.seq <= last and classify_dsm(e) is RMR
     )
 
 
@@ -303,7 +306,7 @@ def test_queue_capacity_guard():
     runner = Runner(algo, {2: poll_until_true()})
     tail_op, tail_loc = __import__("rmrsim.memory", fromlist=["fai"]).fai(runner.locs.tail)
     for seq in range(2):
-        runner.mem.apply(1, tail_op, tail_loc, seq, 0)
+        runner.mem.apply(1, tail_op, tail_loc, seq)
     with pytest.raises(CapacityError):
         runner.run_call(2)
 

@@ -10,7 +10,8 @@ import pytest
 
 import rmrsim
 from rmrsim import cli
-from rmrsim.cli import SWEEP_COLUMNS, main
+from rmrsim.cli import main
+from rmrsim.harness import RECORD_KEYS
 
 
 def run_cli(capsys, *argv):
@@ -174,9 +175,9 @@ def test_sweep_csv_columns_fixed(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--algo", "dsm_fixed_waiters", "--W", "4,8")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[0] == ",".join(RECORD_KEYS)
     assert len(lines) == 3
-    first = dict(zip(SWEEP_COLUMNS, lines[1].split(",")))
+    first = dict(zip(RECORD_KEYS, lines[1].split(",")))
     assert first["algorithm"] == "dsm_fixed_waiters"
     assert int(first["W"]) == 4
     assert int(first["signaler_rmrs"]) >= 3
@@ -417,7 +418,7 @@ def test_sweep_prints_failing_row_then_exits_one(capsys):
     code, out, err = run_cli(capsys, "sweep", "--algo", "mutant_single_waiter", "--W", "1")
     assert code == 1
     lines = out.strip().splitlines()
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[0] == ",".join(RECORD_KEYS)
     assert lines[1].startswith("mutant_single_waiter,dsm,1,")
     assert "polled false" in err
 

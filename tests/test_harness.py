@@ -42,7 +42,7 @@ def raw_events(n, script):
     events = []
     for i, (proc, fn, name, *args) in enumerate(script.pop("ops")):
         op, loc = fn(locs[name], *args)
-        events.append(mem.apply(proc, op, loc, i, i))
+        events.append(mem.apply(proc, op, loc, i))
     return events
 
 
@@ -259,6 +259,21 @@ def test_stability_requires_between_calls():
     runner.step(2)
     with pytest.raises(SimError):
         stability(runner, 2)
+
+
+def test_stability_requires_a_ledger():
+    # It reads the probed process's charges: a run without a ledger, made
+    # so or by an erasure, is refused.
+    algo = make_algorithm("cc_flag", 3)
+    bare = Runner(algo, {2: poll_until_true()}, with_ledger=False)
+    bare.run_call(2)
+    erased = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
+    erased.run_call(2)
+    erased.run_call(3)
+    erased.erase(2)
+    for runner, pid in ((bare, 2), (erased, 3)):
+        with pytest.raises(SimError, match="ledger"):
+            stability(runner, pid)
 
 
 class _UnboundedCounter(SignalingAlgorithm):

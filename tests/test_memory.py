@@ -21,9 +21,9 @@ from rmrsim.memory import (
 )
 
 
-def apply(mem, proc, request, seq=0, call_id=0):
+def apply(mem, proc, request, seq=0):
     op, loc = request
-    return mem.apply(proc, op, loc, seq, call_id)
+    return mem.apply(proc, op, loc, seq)
 
 
 def last_writer(events, loc):
@@ -268,9 +268,9 @@ def test_apply_table(kind, operands, before, linked, expected, linked_after):
     apply(mem, 3, ll(x))
     if linked:
         apply(mem, 1, ll(x))
-    ev = mem.apply(1, PrimitiveOp(kind, **operands), x, 9, 4)
+    ev = mem.apply(1, PrimitiveOp(kind, **operands), x, 9)
     assert (ev.value_read, ev.value_written, ev.outcome) == expected
-    assert (ev.seq, ev.proc, ev.loc, ev.home, ev.call_id, ev.writer_before) == (9, 1, x.uid, 2, 4, 2)
+    assert (ev.seq, ev.proc, ev.loc, ev.home, ev.writer_before) == (9, 1, x.uid, 2, 2)
     written = expected[1]
     _, value, writer, links = mem.save_word(x.uid)
     assert (value, writer) == ((before, 2) if written is None else (written, 1))

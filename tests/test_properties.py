@@ -28,6 +28,7 @@ from rmrsim.checker import (
     Violation,
     check_blocking,
     check_polling,
+    check_waitfree,
 )
 from rmrsim.costs import (
     CacheState,
@@ -266,6 +267,47 @@ def test_replay_reproduces_the_run(cfg):
     fork = runner.fork()
     assert signatures(fork) == signatures(runner)
     assert ledger_state(fork) == ledger_state(runner)
+
+
+def execute_noting_calls(cfg: Config) -> tuple[Runner, list[CallRecord]]:
+    """:func:`execute`'s run, stepped here one step at a time, with the call
+    each step's process had open, noted as it stepped: the open call before
+    the step, or the call the step began, the last one begun."""
+    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    owners = []
+
+    def drive(policy, budget):
+        while runner.runnable() and len(runner.events) < budget:
+            pid = policy.choose(runner.runnable())
+            rec = runner.open_call(pid)
+            runner.step(pid)
+            owners.append(runner.calls[-1] if rec is None else rec)
+
+    drive(SeededRandom(cfg.seed), cfg.budget)
+    if cfg.forced is not None and cfg.forced not in runner.terminated:
+        runner.force_next_call(cfg.forced, POLL)
+        drive(SeededRandom(cfg.seed + 1), len(runner.events) + 40)
+    return runner, owners
+
+
+@given(configs())
+def test_an_events_call_is_the_interval_holding_it(cfg):
+    # An event names no call: its process's call whose [start_seq, end_seq]
+    # holds its seq (to the end while open) is the one noted as open, and
+    # check_waitfree's per-call step counts are the counts noted.
+    runner, owners = execute_noting_calls(cfg)
+    assert runner.trace == execute(cfg).trace
+    history = runner.history()
+    for e in history.events:
+        holding = [c for c in history.calls if c.proc == e.proc and c.start_seq is not None
+                   and c.start_seq <= e.seq <= (e.seq if c.end_seq is None else c.end_seq)]
+        assert [c.call_id for c in holding] == [owners[e.seq].call_id]
+    steps = {}
+    for rec in owners:
+        steps[rec.call_id] = steps.get(rec.call_id, 0) + 1
+    for bound in range(1, max(steps.values(), default=0) + 1):
+        flagged = [v.call_ids[0] for v in check_waitfree([history], bound)]
+        assert flagged == sorted(cid for cid, taken in steps.items() if taken > bound)
 
 
 @given(configs(EVERY_PRIMITIVE))
@@ -1077,9 +1119,9 @@ WALKED = EVERY_PRIMITIVE + ("echo", "relink")
 @given(st.data())
 def test_walked_histories_stay_as_taken(data):
     # Walked histories share recorded events, recorded call records and
-    # relabelled events with each other, while the run goes on stepping and
-    # rolling back below them.  Each history is copied as it is yielded and
-    # must equal its copy once the enumeration is over.
+    # rebuilt call records with each other, while the run goes on stepping
+    # and rolling back below them.  Each history is copied as it is yielded
+    # and must equal its copy once the enumeration is over.
     name, n, roles = draw_setting(data.draw, WALKED, 4)
     depth = data.draw(st.integers(1, 10))
     taken = []
@@ -1237,7 +1279,7 @@ def test_walk_builds_each_rebuilt_call_record_once(monkeypatch):
         roles[1] = signal_once()
         for _ in enumerate_histories(make_algorithm(name, 3, **dict(params)), roles, depth):
             histories += 1
-    keys = sum(isinstance(value, CallRecord) for table in tables for value in table.values())
+    keys = sum(map(len, tables))
     assert histories == 21_248
     assert len(built) == keys == 2_317
 

@@ -268,10 +268,11 @@ def test_probe_refusals():
         with pytest.raises(SchedulingError):
             fresh.peek(3)  # would start 3's first call
     assert fresh.calls == []
+    # A run without a ledger may be probed: only stability reads charges.
     bare = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)}, with_ledger=False)
-    with pytest.raises(SimError, match="ledger"):
-        with bare.probe([2]):
-            pass
+    with bare.probe([2]):
+        bare.run_call(2)
+    assert bare.calls == [] and bare.participants() == set()
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -411,8 +412,10 @@ def test_rollback_cannot_rewind_a_call_begun_before_any_checkpoint():
 def test_history_sets():
     algo = make_algorithm("cc_flag", 4)
     roles = waiter_signaler_roles([2, 3], 1)  # process 4 stays idle
-    history, ledger = run(algo, roles, RoundRobin())
-    assert history.participants == {1, 2, 3} == ledger.participants
+    runner = Runner(algo, roles)
+    runner.drive(RoundRobin())
+    history = runner.history()
+    assert history.participants == {1, 2, 3} == runner.participants()
     assert history.finished <= history.participants
     assert history.participants - history.finished == set()
 
@@ -490,12 +493,13 @@ def test_erase_refusals():
         with pytest.raises(SimError, match="not active"):
             runner.erase(pid)
     assert ([e.signature() for e in runner.events], list(runner.trace)) == before
-    bare = Runner(algo, roles, with_ledger=False)
-    bare.run_call(2)
-    with pytest.raises(SimError, match="ledger"):
-        bare.erase(2)
     runner.erase(2)
     assert [e.proc for e in runner.events] == [3]
+    # The participant set is the run's, so a run without a ledger erases too.
+    bare = Runner(algo, roles, with_ledger=False)
+    bare.run_call(2)
+    bare.erase(2)
+    assert bare.participants() == set() and bare.events == []
 
 
 def test_erased_single_waiter_frees_its_place():
@@ -534,8 +538,9 @@ def test_erase_renumbers_a_call_begun_before_its_first_step():
 
 
 def test_erased_run_refuses_whole_run_reads():
-    # Seqs and call ids keep their gaps and the ledger its old counts, so
-    # whatever reads the run as a whole is refused and names the fork.
+    # Seqs and call ids keep their gaps, so whatever reads the run as a
+    # whole is refused and names the fork; a probe is refused by its
+    # checkpoint.
     runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true(), 3: poll_until_true()})
     runner.run_call(2)
     runner.run_call(3)
@@ -547,3 +552,17 @@ def test_erased_run_refuses_whole_run_reads():
         with runner.probe([3]):
             pass
     assert runner.fork().history().participants == {3}
+
+
+def test_erased_run_keeps_no_stale_ledger():
+    # The erased waiter's poll is charged nowhere: the live run drops its
+    # ledger, and the fork charges the one poll left.
+    runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.run_call(2)
+    runner.run_call(3)
+    runner.erase(2)
+    assert runner.ledger is None
+    fork = runner.fork()
+    assert runner.participants() == fork.participants() == {3}
+    assert not runner.is_active(2)
+    assert fork.ledger.totals()["steps"] == 1
