@@ -56,6 +56,7 @@ from .runner import (
     run,
     signal_once,
     wait_once,
+    waiter_roles,
 )
 
 __version__ = "0.1.0"

@@ -47,14 +47,25 @@ class SignalingAlgorithm:
     primitives: frozenset = READ_WRITE
     #: Only this process may call Signal, when set.
     designated_signaler: int | None = None
+    #: Whether a run's waiters call Wait, once, instead of polling.
+    blocking = False
+    #: How many waiters a run has by default, from process 2 on; None for
+    #: every process but 1.
+    default_waiter_count: int | None = None
 
-    def __init__(self, n: int, home: int = 1):
+    def __init__(self, n: int, home: int = 1, waiters=None):
         if n < 1:
             raise ConfigError(f"need at least one process, got n={n}")
         if not 1 <= home <= n:
             raise ConfigError(f"global home {home} outside 1..{n}")
         self.n = n
         self.home = home
+        if waiters is None:
+            waiters = range(2, n + 1)[:self.default_waiter_count]
+        #: The processes that wait in a run of this protocol, ascending.
+        self.waiters = tuple(sorted(set(waiters)))
+        if self.waiters and (self.waiters[0] < 1 or self.waiters[-1] > n):
+            raise ConfigError(f"waiter ids {self.waiters} outside 1..{n}")
 
     def make_ctx(self, pid: int, locs) -> Ctx:
         return Ctx(pid, self.n, locs)
@@ -113,6 +124,7 @@ class SingleWaiter(SignalingAlgorithm):
     """
 
     name = "dsm_single_waiter"
+    default_waiter_count = 1
 
     def setup(self, mem: Memory):
         return SimpleNamespace(
@@ -167,16 +179,10 @@ class FixedWaiters(SignalingAlgorithm):
     """
 
     def __init__(self, n: int, waiters=None, home: int = 1, terminating: bool = False):
-        super().__init__(n, home)
-        if waiters is None:
-            waiters = range(2, n + 1)
-        waiters = tuple(sorted(set(waiters)))
-        if not waiters:
+        super().__init__(n, home, waiters)
+        if not self.waiters:
             raise ConfigError("fixed waiter set must be nonempty")
-        if waiters[0] < 1 or waiters[-1] > n:
-            raise ConfigError(f"waiter ids {waiters} outside 1..{n}")
-        self.waiters = waiters
-        self._waiter_set = frozenset(waiters)
+        self._waiter_set = frozenset(self.waiters)
         self.terminating = terminating
         self.name = "dsm_fixed_waiters_term" if terminating else "dsm_fixed_waiters"
 
@@ -219,16 +225,15 @@ class Registration(SignalingAlgorithm):
 
     name = "dsm_registration"
 
-    def __init__(self, n: int, signaler: int = 1):
-        super().__init__(n, home=signaler)
-        self.signaler = signaler
+    def __init__(self, n: int, signaler: int = 1, waiters=None):
+        super().__init__(n, signaler, waiters)
         self.designated_signaler = signaler
 
     def setup(self, mem: Memory):
         ids = range(1, self.n + 1)
         return SimpleNamespace(
-            registered={i: mem.alloc(f"registered[{i}]", home=self.signaler, init=0) for i in ids},
-            done=mem.alloc("signaled", home=self.signaler, init=0),
+            registered={i: mem.alloc(f"registered[{i}]", home=self.home, init=0) for i in ids},
+            done=mem.alloc("signaled", home=self.home, init=0),
             notify=_per_process(mem, "notify", ids),
         )
 
@@ -246,8 +251,8 @@ class Registration(SignalingAlgorithm):
                 yield write(ctx.locs.notify[i], 1)
 
     def validate_call(self, pid: int, kind: str, pollers: set[int]) -> None:
-        if kind == "Signal" and pid != self.signaler:
-            raise RoleError(f"{self.name}: only process {self.signaler} may signal")
+        if kind == "Signal" and pid != self.designated_signaler:
+            raise RoleError(f"{self.name}: only process {self.designated_signaler} may signal")
 
 
 class QueueSignaling(SignalingAlgorithm):
@@ -295,10 +300,13 @@ class QueueSignaling(SignalingAlgorithm):
 class Blocking(SignalingAlgorithm):
     """Blocking wrapper: Wait repeatedly runs the inner Poll until true."""
 
+    blocking = True
+
     def __init__(self, inner: SignalingAlgorithm):
         self.inner = inner
         self.n = inner.n
         self.home = inner.home
+        self.waiters = inner.waiters
         self.name = inner.name + "+blocking"
         self.primitives = inner.primitives
         self.designated_signaler = inner.designated_signaler
@@ -341,7 +349,8 @@ REGISTRY = {
 
 
 def make_algorithm(name: str, n: int, **params) -> SignalingAlgorithm:
-    """Build a registered algorithm; append ``+blocking`` to wrap Wait."""
+    """Build a registered algorithm; append ``+blocking`` to wrap Wait.
+    Every protocol takes ``waiters``, the processes that wait in its runs."""
     base, plus, suffix = name.partition("+")
     factory = REGISTRY.get(base)
     if factory is None:

@@ -39,6 +39,7 @@ from .runner import (
     run,
     signal_once,
     wait_once,
+    waiter_roles,
 )
 
 EXIT_OK = 0
@@ -57,10 +58,6 @@ COMMANDS = {
 
 def int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
-
-
-def auto_or_pid(text: str):
-    return text if text == "auto" else int(text)
 
 
 EVERY = dict.fromkeys(COMMANDS)
@@ -87,8 +84,9 @@ OPTIONS = (
     ("--out", {"help": "output file (default stdout)"}, EVERY),
     ("--format", {"choices": ["json", "csv"], "help": "output format"}, {"sweep": "csv"}),
     ("--polls", {"type": int, "help": "poll bound per waiter"}, {"check": 2}),
-    ("--signaler", {"type": auto_or_pid, "help": "drill signaler: auto or a process id"},
-     {"adversary": "auto", "sweep": "1"}),
+    ("--signaler", {"type": int, "help": "drill signaler: a process id (default: the "
+                                         "designated one, else the lowest non-waiter)"},
+     {"adversary": None, "sweep": None}),
     ("--erase", {"action": "store_true",
                  "help": "erase unobserved waiters the drill signaler discovers"},
      {"adversary": False, "sweep": False}),
@@ -173,21 +171,20 @@ def _at_least_one(what: str, value: int) -> int:
     return value
 
 
-def _parse_waiters(raw, n: int, algo: str = "") -> tuple[int, ...]:
-    """One number means 'that many waiters starting at process 2'."""
+def _parse_waiters(raw, n: int):
+    """One number means 'that many waiters starting at process 2'; none
+    means the protocol's default set."""
     if raw is None:
-        if algo.startswith("dsm_single_waiter") or algo.startswith("mutant_single"):
-            return (2,)
-        return tuple(range(2, n + 1))
+        return None
     if len(raw) > 1:
         repeated = sorted(w for w, times in Counter(raw).items() if times > 1)
         if repeated:
             raise ConfigError(f"waiter ids {repeated} repeated in --waiters")
-        return tuple(sorted(raw))
+        return raw
     count = raw[0]
     if count < 1 or count > n - 1:
         raise ConfigError(f"waiter count {count} needs 1..{n - 1} (one process must signal)")
-    return tuple(range(2, count + 2))
+    return range(2, count + 2)
 
 
 def _parse_policy(raw: str, seed: int, n: int, roles):
@@ -230,29 +227,12 @@ def _emit(cfg: dict, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _make_algorithm(name: str, n: int, waiters: tuple[int, ...]):
-    """The registered algorithm; a fixed-waiter protocol gets ``waiters``
-    as its fixed set."""
-    params = {"waiters": waiters} if name.startswith("dsm_fixed_waiters") else {}
-    return make_algorithm(name, n, **params)
-
-
-def _build_roles(cfg: dict, n: int, poller):
-    """The algorithm and its roles: each waiter runs Wait under
-    ``+blocking`` and the ``poller`` script otherwise; the designated
-    signaler, or else the lowest non-waiter, signals once."""
-    waiters = _parse_waiters(cfg["waiters"], n, cfg["algo"])
-    algorithm = _make_algorithm(cfg["algo"], n, waiters)
-    signaler = algorithm.designated_signaler
-    if signaler in waiters:
-        raise ConfigError(f"waiter id {signaler} is {algorithm.name}'s designated signaler")
-    if signaler is None:
-        candidates = sorted(set(range(1, n + 1)) - set(waiters))
-        if not candidates:
-            raise ConfigError("no process left to signal; lower the waiter count")
-        signaler = candidates[0]
-    waiter_script = wait_once() if cfg["algo"].endswith("+blocking") else poller
-    roles = {w: waiter_script for w in waiters}
+def _algorithm_and_roles(cfg: dict, n: int, poller):
+    """The algorithm and its roles: each waiter runs Wait where the
+    protocol blocks and the ``poller`` script otherwise; the default
+    signaler signals once."""
+    algorithm = make_algorithm(cfg["algo"], n, waiters=_parse_waiters(cfg["waiters"], n))
+    roles, signaler = waiter_roles(algorithm, wait_once() if algorithm.blocking else poller)
     roles[signaler] = signal_once()
     return algorithm, roles
 
@@ -260,7 +240,7 @@ def _build_roles(cfg: dict, n: int, poller):
 def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
     """One simulation, checked: the record the run command emits, and its
     violations."""
-    algorithm, roles = _build_roles(cfg, cfg["n"], poll_until_true())
+    algorithm, roles = _algorithm_and_roles(cfg, cfg["n"], poll_until_true())
     policy = _parse_policy(cfg["schedule"], cfg["seed"], cfg["n"], roles)
     history, ledger = run(algorithm, roles, policy, budget=cfg["budget"])
     violations = checker.check_polling(history) + checker.check_blocking(history)
@@ -307,7 +287,7 @@ def _cmd_check(cfg: dict) -> int:
         raise ConfigError("check requires an exhaustive:DEPTH schedule")
     depth = _at_least_one("exhaustive depth", int(depth))
     polls = _at_least_one("poll bound", cfg["polls"])
-    algorithm, roles = _build_roles(cfg, n, poll_at_most(polls))
+    algorithm, roles = _algorithm_and_roles(cfg, n, poll_at_most(polls))
 
     histories = 0
     violations: list[checker.Violation] = []
@@ -339,10 +319,8 @@ def _drill(cfg: dict, w_count: int):
     n = w_count + 1 if cfg["n"] is None else cfg["n"]
     if n < w_count + 1:
         raise ConfigError(f"n={n} cannot host {w_count} waiters plus a signaler")
-    waiters = tuple(range(2, w_count + 2))
     return adversary_separation(
-        _make_algorithm(cfg["algo"], n, waiters),
-        waiters=waiters,
+        make_algorithm(cfg["algo"], n, waiters=range(2, w_count + 2)),
         model=Model(cfg["model"]),
         signaler=cfg["signaler"],
         erase_on_discovery=cfg["erase"],

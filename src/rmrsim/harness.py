@@ -37,7 +37,16 @@ from .errors import (
 )
 from .algorithms import READ_WRITE
 from .memory import Event, OpKind
-from .runner import POLL, SIGNAL, CallRecord, History, Runner, Script, poll_until_true
+from .runner import (
+    POLL,
+    SIGNAL,
+    CallRecord,
+    History,
+    Runner,
+    Script,
+    poll_until_true,
+    waiter_roles,
+)
 
 _DSM = Model.DSM
 
@@ -420,17 +429,18 @@ class SeparationReport:
         return {key: getattr(self, key) for key in RECORD_KEYS}
 
 
-def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
-                         signaler: int | str = "auto",
+def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int | None = None,
                          erase_on_discovery: bool = False) -> SeparationReport:
-    """Run the two-phase separation drill.
+    """Run the two-phase separation drill on ``algorithm``'s waiters.
 
-    Phase one schedules the waiters' polls round-robin, one complete poll
-    per waiter per round, until the stability probe reports every waiter
-    stable (or gives up).  Each waiter then has no open call.  Phase two
-    picks a signaler: the instance's designated one if any, an explicit id,
-    or (AUTO) the lowest process whose memory module nobody wrote, and runs
-    its Signal alone to completion, counting its remote references.
+    Phase one schedules the waiters' polls (Poll, also under ``+blocking``)
+    round-robin, one complete poll per waiter per round, until the
+    stability probe reports every waiter stable (or gives up).  Each waiter
+    then has no open call.  Phase two runs a Signal alone to completion,
+    counting its remote references.  The process that signals is the one
+    :func:`waiter_roles` picks, the designated signaler, else the lowest
+    process that does not wait, unless ``signaler`` names another: a
+    waiter may signal, but a designated signaler admits no other.
 
     With ``erase_on_discovery`` (read/write-only algorithms; any other
     raises :class:`DrillNotApplicable`), whenever the signaler is about to
@@ -447,12 +457,18 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
             f"erase mode needs a read/write-only algorithm; {algorithm.name} uses "
             + ", ".join(sorted(k.value for k in algorithm.primitives - READ_WRITE))
         )
-    if waiters is None:
-        waiters = getattr(algorithm, "waiters", None) or tuple(range(2, algorithm.n + 1))
-    waiters = tuple(sorted(waiters))
-    w_count = len(waiters)
-    report = SeparationReport(algorithm=algorithm.name, model=model.value, W=w_count)
-    roles = {w: poll_until_true() for w in waiters}
+    roles, s = waiter_roles(algorithm, poll_until_true())
+    if signaler is not None:
+        if not 1 <= signaler <= algorithm.n:
+            raise ConfigError(f"signaler {signaler} outside 1..{algorithm.n}")
+        if algorithm.designated_signaler not in (None, signaler):
+            raise DrillNotApplicable(
+                f"{algorithm.name} fixes the signaler to {algorithm.designated_signaler}"
+            )
+        s = signaler
+    waiters = algorithm.waiters
+    report = SeparationReport(algorithm=algorithm.name, model=model.value, W=len(waiters),
+                              signaler=s)
     runner = Runner(algorithm, roles)
 
     unstable: list[int] = list(waiters)
@@ -479,9 +495,6 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
             f"waiters {unstable[:8]} still pay RMRs after {MAX_ROUNDS} polling rounds"
         )
         return report
-
-    s = _pick_signaler(runner, algorithm, signaler)
-    report.signaler = s
 
     runner.force_next_call(s, SIGNAL)
     runner.peek(s)  # begins the Signal, so its record can be kept
@@ -515,26 +528,6 @@ def adversary_separation(algorithm, *, waiters=None, model: Model = Model.DSM,
     report.msg_dir = ledger.total_msg_dir
     report.history = runner.history()
     return report
-
-
-def _pick_signaler(runner: Runner, algorithm, choice) -> int:
-    if choice != "auto" and not 1 <= int(choice) <= runner.n:
-        raise ConfigError(f"signaler {choice} outside 1..{runner.n}")
-    if algorithm.designated_signaler is not None:
-        if choice not in ("auto", algorithm.designated_signaler):
-            raise DrillNotApplicable(
-                f"{algorithm.name} fixes the signaler to {algorithm.designated_signaler}"
-            )
-        return algorithm.designated_signaler
-    if choice != "auto":
-        return int(choice)
-    written = {e.home for e in runner.events if e.value_written is not None}
-    for pid in range(1, runner.n + 1):
-        if pid not in written:
-            return pid
-    raise DrillNotApplicable(
-        "every process's memory module was written; rerun with a larger n"
-    )
 
 
 def _discovery_target(runner: Runner, s: int) -> int | None:

@@ -96,6 +96,21 @@ def wait_once() -> Script:
     return Script("wait", 1)
 
 
+def waiter_roles(algorithm, script: Script) -> tuple[dict[int, Script], int]:
+    """Roles in which each of ``algorithm``'s waiters runs ``script``, and
+    the process that signals by default: the designated signaler, else the
+    lowest process that does not wait."""
+    waiters = algorithm.waiters
+    signaler = algorithm.designated_signaler
+    if signaler in waiters:
+        raise ConfigError(f"waiter id {signaler} is {algorithm.name}'s designated signaler")
+    if signaler is None:
+        signaler = next((p for p in range(1, algorithm.n + 1) if p not in waiters), None)
+        if signaler is None:
+            raise ConfigError("no process left to signal; lower the waiter count")
+    return dict.fromkeys(waiters, script), signaler
+
+
 # ---------------------------------------------------------------------------
 # Histories
 # ---------------------------------------------------------------------------
@@ -358,6 +373,8 @@ class Runner:
         an access leaves a process a copy, so the words it accessed, folded
         like the observed-by count, are filtered by the cache's holders: the
         cost of what ``pid`` touched, not of every cached word."""
+        if self.ledger is None:
+            raise SimError("cached() reads the ledger's cache; this run keeps none")
         self._fold_observed()
         return self.ledger.cache.held_among(pid, self._accessed[pid])
 

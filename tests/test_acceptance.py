@@ -165,9 +165,8 @@ def test_criterion_4_separation_curve():
         costs = []
         for w in w_points:
             n = w + 1
-            params = {"waiters": tuple(range(2, n + 1))} if name == "dsm_fixed_waiters" else {}
-            algo = make_algorithm(name, n, **params)
-            report = adversary_separation(algo, waiters=range(2, n + 1), signaler=1)
+            algo = make_algorithm(name, n, waiters=range(2, n + 1))
+            report = adversary_separation(algo, signaler=1)
             assert report.status == "ok"
             assert report.post_poll_ok
             assert report.signaler_rmrs >= w - 1, (name, w)
@@ -178,8 +177,8 @@ def test_criterion_4_separation_curve():
 
     flat = []
     for w in w_points:
-        algo = make_algorithm("cc_flag", w + 1)
-        report = adversary_separation(algo, waiters=range(2, w + 2), model=Model.CC)
+        algo = make_algorithm("cc_flag", w + 1, waiters=range(2, w + 2))
+        report = adversary_separation(algo, model=Model.CC)
         assert report.signaler_rmrs == 1, (w, report.signaler_rmrs)
         flat.append(report.signaler_rmrs)
         register_run(report.history.events, report.msg_dir, report.msg_bus)

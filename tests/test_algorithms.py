@@ -52,6 +52,22 @@ def test_registry_blocking_suffix():
     assert algo.name == "dsm_queue+blocking"
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY) + [n + "+blocking" for n in sorted(REGISTRY)])
+def test_every_protocol_owns_its_waiter_set(name):
+    # The default is every process but 1, or process 2 alone for a
+    # single-waiter protocol; a given set is kept, ascending.
+    single = name.startswith(("dsm_single_waiter", "mutant_single_waiter"))
+    assert make_algorithm(name, 5).waiters == ((2,) if single else (2, 3, 4, 5))
+    assert make_algorithm(name, 5, waiters=[5, 3]).waiters == (3, 5)
+    assert make_algorithm(name, 5).blocking == name.endswith("+blocking")
+
+
+def test_registration_keeps_one_signaler():
+    algo = make_algorithm("dsm_registration", 4, signaler=3)
+    assert algo.designated_signaler == algo.home == 3
+    assert not hasattr(algo, "signaler")
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ConfigError):
         make_algorithm("nope", 4)

@@ -194,6 +194,38 @@ def test_sweep_json_format(capsys):
     assert all(r["signaler_rmrs"] >= r["W"] - 1 for r in rows)
 
 
+# Per case, its small W and the exit code at W = small and W = 16.  The
+# single-waiter mutant fails its post-poll check at W = 1 and refuses 16
+# waiters.
+DRILL_CASES = {
+    "dsm_queue": (4, 0, 0),
+    "dsm_fixed_waiters": (4, 0, 0),
+    "dsm_fixed_waiters --erase": (4, 0, 0),
+    "dsm_registration": (4, 0, 0),
+    "dsm_registration --erase": (4, 0, 0),
+    "cc_flag --model cc": (4, 0, 0),
+    "mutant_single_waiter": (1, 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRILL_CASES))
+@pytest.mark.parametrize("large", [False, True], ids=["W-small", "W-16"])
+@pytest.mark.parametrize("spare", [0, 4], ids=["n-default", "n-W+4"])
+def test_adversary_prints_the_record_sweep_lists(capsys, case, large, spare):
+    # Both commands signal with the same process, so they agree at each W,
+    # also with idle processes beyond the waiters.
+    small, small_code, large_code = DRILL_CASES[case]
+    w = 16 if large else small
+    argv = ["--algo", *case.split(), "--W", str(w)]
+    if spare:
+        argv += ["--n", str(w + spare)]
+    code, out, err = run_cli(capsys, "adversary", *argv)
+    listed_code, listed, listed_err = run_cli(capsys, "sweep", *argv, "--format", "json")
+    assert code == listed_code == (large_code if large else small_code)
+    assert err == listed_err
+    assert ([json.loads(out)] if out else []) == (json.loads(listed) if listed else [])
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "record.json"
     code, out, _ = run_cli(

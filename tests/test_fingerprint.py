@@ -2,7 +2,7 @@
 
 The goldens run at n <= 5, so a scheduler draw among more runnable
 processes, and everything downstream of it, is pinned nowhere else.  Each
-case is a ``run`` of the CLI's roles for one registered protocol (or its
+case is a ``run`` of the default roles of one registered protocol (or its
 ``+blocking`` variant) under a seeded random schedule with the default
 budget.  Its digest covers the event count, the ledger totals and
 per-process rows, and (proc, kind, response, start_seq, end_seq) of every
@@ -14,9 +14,16 @@ import json
 
 import pytest
 
-from rmrsim import cli
-from rmrsim.algorithms import REGISTRY
-from rmrsim.runner import DEFAULT_BUDGET, Runner, SeededRandom, poll_until_true
+from rmrsim.algorithms import REGISTRY, make_algorithm
+from rmrsim.runner import (
+    DEFAULT_BUDGET,
+    Runner,
+    SeededRandom,
+    poll_until_true,
+    signal_once,
+    wait_once,
+    waiter_roles,
+)
 
 NS = (16, 64)
 SEEDS = (0, 7, 29)
@@ -24,7 +31,10 @@ ALGOS = tuple(name + suffix for name in sorted(REGISTRY) for suffix in ("", "+bl
 
 
 def fingerprint(algo: str, n: int, seed: int) -> str:
-    algorithm, roles = cli._build_roles({"algo": algo, "waiters": None}, n, poll_until_true())
+    algorithm = make_algorithm(algo, n)
+    waiter = wait_once() if algorithm.blocking else poll_until_true()
+    roles, signaler = waiter_roles(algorithm, waiter)
+    roles[signaler] = signal_once()
     run = Runner(algorithm, roles)
     run.drive(SeededRandom(seed), DEFAULT_BUDGET)
     history, ledger = run.history(), run.ledger

@@ -487,8 +487,8 @@ def test_erase_refused_when_observed():
 
 
 def test_drill_queue_signaler_pays_per_waiter():
-    algo = make_algorithm("dsm_queue", 9)
-    report = adversary_separation(algo, waiters=range(2, 10), signaler=1)
+    algo = make_algorithm("dsm_queue", 9, waiters=range(2, 10))
+    report = adversary_separation(algo, signaler=1)
     assert report.status == "ok"
     assert report.signaler_rmrs >= 8
     assert report.post_poll_ok
@@ -496,14 +496,13 @@ def test_drill_queue_signaler_pays_per_waiter():
 
 
 def test_drill_registration_signaler_pays_per_waiter():
-    algo = make_algorithm("dsm_registration", 9, signaler=1)
-    report = adversary_separation(algo, waiters=range(2, 10))
+    algo = make_algorithm("dsm_registration", 9, signaler=1, waiters=range(2, 10))
+    report = adversary_separation(algo)
     assert report.signaler_rmrs >= 8
 
 
-def test_drill_fixed_waiters_auto_signaler():
-    # Nothing is written while fixed waiters poll, so the scan picks
-    # process 1, which is outside the waiter set here.
+def test_drill_fixed_waiters_default_signaler():
+    # Process 1 is the lowest process outside the waiter set.
     algo = make_algorithm("dsm_fixed_waiters", 9, waiters=range(2, 10))
     report = adversary_separation(algo)
     assert report.signaler == 1
@@ -526,8 +525,8 @@ def test_drill_cc_flag_under_dsm_non_stabilizing():
 
 def test_drill_rw_algorithms_meet_lower_bound():
     for name in ("dsm_fixed_waiters", "dsm_registration"):
-        algo = make_algorithm(name, 7, **({"waiters": range(2, 8)} if "fixed" in name else {}))
-        report = adversary_separation(algo, waiters=range(2, 8), signaler="auto")
+        algo = make_algorithm(name, 7, waiters=range(2, 8))
+        report = adversary_separation(algo)
         assert report.signaler_rmrs >= 6 - 1
 
 
@@ -555,8 +554,8 @@ def test_drill_queue_cost_tracks_waiter_count_exactly():
     # With the globals at the signaler, the scan is local and the only
     # remote steps are the notify writes: one per enqueued waiter.
     for w in (8, 16, 32):
-        algo = make_algorithm("dsm_queue", w + 1)
-        report = adversary_separation(algo, waiters=range(2, w + 2), signaler=1)
+        algo = make_algorithm("dsm_queue", w + 1, waiters=range(2, w + 2))
+        report = adversary_separation(algo, signaler=1)
         assert w <= report.signaler_rmrs <= w + 4
 
 
@@ -601,8 +600,8 @@ def rebuilds(monkeypatch):
 
 def test_drill_probes_rebuild_nothing(rebuilds):
     # Stability probes and the post-poll check run in place.
-    algo = make_algorithm("dsm_queue", 33)
-    report = adversary_separation(algo, waiters=range(2, 34), signaler=1)
+    algo = make_algorithm("dsm_queue", 33, waiters=range(2, 34))
+    report = adversary_separation(algo, signaler=1)
     assert report.status == "ok" and report.post_poll_ok
     assert rebuilds == {"fork": 0, "replay": 0}
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
-from rmrsim.errors import RoleError, SchedulingError, SimError
+from rmrsim.errors import ConfigError, RoleError, SchedulingError, SimError
 from rmrsim.harness import erase
 from rmrsim.memory import OpKind, ll, read, sc, write
 from rmrsim.runner import (
@@ -21,6 +21,7 @@ from rmrsim.runner import (
     run,
     signal_once,
     wait_once,
+    waiter_roles,
 )
 
 from test_properties import holder_pairs
@@ -566,3 +567,45 @@ def test_erased_run_keeps_no_stale_ledger():
     assert runner.participants() == fork.participants() == {3}
     assert not runner.is_active(2)
     assert fork.ledger.totals()["steps"] == 1
+
+
+def test_cached_requires_a_ledger():
+    # The CC copies live in the ledger's cache: a run without one, made so
+    # or by an erasure, is refused like stability, not with AttributeError.
+    algo = make_algorithm("cc_flag", 3)
+    bare = Runner(algo, {2: poll_until_true()}, with_ledger=False)
+    bare.run_call(2)
+    erased = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
+    erased.run_call(2)
+    erased.run_call(3)
+    erased.erase(2)
+    for runner, pid in ((bare, 2), (erased, 3)):
+        with pytest.raises(SimError, match="ledger"):
+            runner.cached(pid)
+
+
+@pytest.mark.parametrize("name, waiters, roles, signaler", [
+    ("cc_flag", None, (2, 3, 4), 1),
+    ("dsm_single_waiter", None, (2,), 1),
+    ("mutant_single_waiter+blocking", None, (2,), 1),
+    ("dsm_queue", (1, 3), (1, 3), 2),
+    ("dsm_registration", (2, 4), (2, 4), 1),
+    ("dsm_registration", None, (2, 3, 4), 1),
+    ("dsm_fixed_waiters_term", (4, 2), (2, 4), 1),
+])
+def test_waiter_roles_default_signaler(name, waiters, roles, signaler):
+    # The protocol's waiters each get the script; the designated signaler,
+    # else the lowest process that does not wait, signals.
+    script = poll_at_most(2)
+    got, got_signaler = waiter_roles(make_algorithm(name, 4, waiters=waiters), script)
+    assert got == dict.fromkeys(roles, script)
+    assert got_signaler == signaler
+
+
+@pytest.mark.parametrize("name, waiters, needle", [
+    ("dsm_registration", (1, 2), "waiter id 1 is dsm_registration's designated signaler"),
+    ("cc_flag", (1, 2, 3), "no process left to signal"),
+])
+def test_waiter_roles_refusals(name, waiters, needle):
+    with pytest.raises(ConfigError, match=needle):
+        waiter_roles(make_algorithm(name, 3, waiters=waiters), poll_until_true())
