@@ -41,6 +41,10 @@ class SignalingAlgorithm:
     Instances hold no run state; ``setup`` allocates this protocol's
     locations into a fresh memory image and every simulation keeps its own
     contexts, so one instance can back any number of independent runs.
+
+    A subclass writes Signal and Poll.  Wait is Poll repeated until it
+    returns true, and exists only on an instance :func:`make_algorithm`
+    built as ``name+blocking``.
     """
 
     name = "signaling"
@@ -53,22 +57,19 @@ class SignalingAlgorithm:
     #: every process but 1.
     default_waiter_count: int | None = None
 
-    def __init__(self, n: int, home: int = 1, waiters=None):
+    #: The process whose module holds the global words.
+    home = 1
+
+    def __init__(self, n: int, waiters=None):
         if n < 1:
             raise ConfigError(f"need at least one process, got n={n}")
-        if not 1 <= home <= n:
-            raise ConfigError(f"global home {home} outside 1..{n}")
         self.n = n
-        self.home = home
         if waiters is None:
             waiters = range(2, n + 1)[:self.default_waiter_count]
         #: The processes that wait in a run of this protocol, ascending.
         self.waiters = tuple(sorted(set(waiters)))
         if self.waiters and (self.waiters[0] < 1 or self.waiters[-1] > n):
             raise ConfigError(f"waiter ids {self.waiters} outside 1..{n}")
-
-    def make_ctx(self, pid: int, locs) -> Ctx:
-        return Ctx(pid, self.n, locs)
 
     def setup(self, mem: Memory):
         raise NotImplementedError
@@ -80,7 +81,11 @@ class SignalingAlgorithm:
         raise NotImplementedError
 
     def wait(self, ctx: Ctx):
-        raise ConfigError(f"{self.name} has no Wait procedure; use {self.name}+blocking")
+        if not self.blocking:
+            raise ConfigError(f"{self.name} has no Wait procedure; use {self.name}+blocking")
+        while True:
+            if (yield from self.poll(ctx)):
+                return True
 
     def validate_roles(self, roles) -> None:
         """Hook for construction-time role checks."""
@@ -92,9 +97,9 @@ class SignalingAlgorithm:
 class CcFlag(SignalingAlgorithm):
     """One shared flag word.
 
-    Signal writes the flag; Poll reads it; Wait spins on it.  Under the CC
-    model the spin is cached, so every process pays O(1) remote references.
-    Under the DSM model every poll by a non-owner is remote.
+    Signal writes the flag; Poll reads it.  Under the CC model a waiter's
+    repeated reads are cached, so every process pays O(1) remote
+    references.  Under the DSM model every poll by a non-owner is remote.
     """
 
     name = "cc_flag"
@@ -107,11 +112,6 @@ class CcFlag(SignalingAlgorithm):
 
     def signal(self, ctx: Ctx):
         yield write(ctx.locs.flag, 1)
-
-    def wait(self, ctx: Ctx):
-        while True:
-            if (yield read(ctx.locs.flag)):
-                return True
 
 
 class SingleWaiter(SignalingAlgorithm):
@@ -147,7 +147,7 @@ class SingleWaiter(SignalingAlgorithm):
             yield write(ctx.locs.notify[waiter], 1)
 
     def validate_roles(self, roles) -> None:
-        waiters = [p for p, s in roles.items() if s.kind in ("poll", "wait")]
+        waiters = [p for p, s in roles.items() if s.kind != "Signal"]
         if len(waiters) > 1:
             raise RoleError(f"{self.name} supports a single waiter, got {sorted(waiters)}")
 
@@ -178,8 +178,8 @@ class FixedWaiters(SignalingAlgorithm):
     until every fixed waiter has shown up.
     """
 
-    def __init__(self, n: int, waiters=None, home: int = 1, terminating: bool = False):
-        super().__init__(n, home, waiters)
+    def __init__(self, n: int, waiters=None, terminating: bool = False):
+        super().__init__(n, waiters)
         if not self.waiters:
             raise ConfigError("fixed waiter set must be nonempty")
         self._waiter_set = frozenset(self.waiters)
@@ -226,8 +226,10 @@ class Registration(SignalingAlgorithm):
     name = "dsm_registration"
 
     def __init__(self, n: int, signaler: int = 1, waiters=None):
-        super().__init__(n, signaler, waiters)
-        self.designated_signaler = signaler
+        super().__init__(n, waiters)
+        if not 1 <= signaler <= n:
+            raise ConfigError(f"signaler {signaler} outside 1..{n}")
+        self.home = self.designated_signaler = signaler
 
     def setup(self, mem: Memory):
         ids = range(1, self.n + 1)
@@ -297,41 +299,6 @@ class QueueSignaling(SignalingAlgorithm):
                 yield write(ctx.locs.notify[waiter], 1)
 
 
-class Blocking(SignalingAlgorithm):
-    """Blocking wrapper: Wait repeatedly runs the inner Poll until true."""
-
-    blocking = True
-
-    def __init__(self, inner: SignalingAlgorithm):
-        self.inner = inner
-        self.n = inner.n
-        self.home = inner.home
-        self.waiters = inner.waiters
-        self.name = inner.name + "+blocking"
-        self.primitives = inner.primitives
-        self.designated_signaler = inner.designated_signaler
-
-    def setup(self, mem: Memory):
-        return self.inner.setup(mem)
-
-    def poll(self, ctx: Ctx):
-        return (yield from self.inner.poll(ctx))
-
-    def signal(self, ctx: Ctx):
-        return (yield from self.inner.signal(ctx))
-
-    def wait(self, ctx: Ctx):
-        while True:
-            if (yield from self.inner.poll(ctx)):
-                return True
-
-    def validate_roles(self, roles) -> None:
-        self.inner.validate_roles(roles)
-
-    def validate_call(self, pid: int, kind: str, pollers: set[int]) -> None:
-        self.inner.validate_call(pid, kind, pollers)
-
-
 def _per_process(mem: Memory, label: str, ids) -> dict:
     """One word per process id, each homed at its own process."""
     return {i: mem.alloc(f"{label}[{i}]", home=i, init=0) for i in ids}
@@ -349,7 +316,7 @@ REGISTRY = {
 
 
 def make_algorithm(name: str, n: int, **params) -> SignalingAlgorithm:
-    """Build a registered algorithm; append ``+blocking`` to wrap Wait.
+    """Build a registered algorithm; append ``+blocking`` to give it Wait.
     Every protocol takes ``waiters``, the processes that wait in its runs."""
     base, plus, suffix = name.partition("+")
     factory = REGISTRY.get(base)
@@ -358,4 +325,7 @@ def make_algorithm(name: str, n: int, **params) -> SignalingAlgorithm:
     if plus and suffix != "blocking":
         raise ConfigError(f"unknown algorithm variant {suffix!r}; the one variant is +blocking")
     algorithm = factory(n=n, **params)
-    return Blocking(algorithm) if plus else algorithm
+    if plus:
+        algorithm.blocking = True
+        algorithm.name += "+blocking"
+    return algorithm

@@ -41,6 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .algorithms import Ctx
 from .costs import RmrLedger
 from .errors import (
     ConfigError,
@@ -69,11 +70,12 @@ _CALL_KINDS = (POLL, SIGNAL, WAIT)
 
 @dataclass(frozen=True, slots=True)
 class Script:
-    """What a process plans to call.
+    """What a process plans to call: ``kind``, one of POLL, SIGNAL and
+    WAIT, until a Poll returns true or after ``max_calls`` calls.
 
-    ``poll`` scripts call Poll repeatedly until a call returns true; a
-    ``max_calls`` bound lets the process give up and terminate after that
-    many false responses.  ``signal`` and ``wait`` scripts make one call.
+    A poller without a bound polls until true; one with a bound gives up
+    and terminates after that many false responses.  ``signal_once`` and
+    ``wait_once`` make one call.
     """
 
     kind: str
@@ -81,19 +83,19 @@ class Script:
 
 
 def poll_until_true() -> Script:
-    return Script("poll", None)
+    return Script(POLL, None)
 
 
 def poll_at_most(calls: int) -> Script:
-    return Script("poll", calls)
+    return Script(POLL, calls)
 
 
 def signal_once() -> Script:
-    return Script("signal", 1)
+    return Script(SIGNAL, 1)
 
 
 def wait_once() -> Script:
-    return Script("wait", 1)
+    return Script(WAIT, 1)
 
 
 def waiter_roles(algorithm, script: Script) -> tuple[dict[int, Script], int]:
@@ -273,7 +275,7 @@ class Runner:
         for pid, script in roles.items():
             if not 1 <= pid <= self.n:
                 raise ConfigError(f"role process {pid} outside 1..{self.n}")
-            if script.kind not in ("poll", "signal", "wait"):
+            if script.kind not in _CALL_KINDS:
                 raise ConfigError(f"unknown script kind {script.kind!r}")
         algorithm.validate_roles(roles)
         self.roles = dict(roles)
@@ -281,9 +283,7 @@ class Runner:
         self.locs = algorithm.setup(self.mem)
         # A tuple matches by identity; a set would call Enum.__hash__, in Python.
         self._primitives = tuple(algorithm.primitives)
-        self.ctxs = {
-            pid: algorithm.make_ctx(pid, self.locs) for pid in range(1, self.n + 1)
-        }
+        self.ctxs = {pid: Ctx(pid, self.n, self.locs) for pid in range(1, self.n + 1)}
         self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
         # An erasure leaves None in the place of what it took out, which the
         # ``events``, ``calls`` and ``trace`` properties skip.
@@ -654,7 +654,7 @@ class Runner:
         self.ledger = None
         self._procs[p] = fresh = _ProcState()
         fresh.next_kind = self._script_next(p)
-        self.ctxs[p] = self.algorithm.make_ctx(p, self.locs)
+        self.ctxs[p] = Ctx(p, self.n, self.locs)
         self._pollers.discard(p)
         self._signaled.discard(p)
         self._set_live(p, fresh.next_kind is not None)
@@ -799,15 +799,11 @@ class Runner:
         if script is None:
             return None
         state = self._procs[pid]
-        if script.kind == "poll":
-            if state.saw_true:
-                return None
-            if script.max_calls is not None and state.calls_made >= script.max_calls:
-                return None
-            return POLL
-        if script.kind == "signal":
-            return SIGNAL if state.calls_made < 1 else None
-        return WAIT if state.calls_made < 1 else None
+        if state.saw_true:
+            return None
+        if script.max_calls is not None and state.calls_made >= script.max_calls:
+            return None
+        return script.kind
 
     def _ensure_pending(self, pid: int):
         """The process's next request, after beginning its next call if none

@@ -8,6 +8,7 @@ from rmrsim.costs import Model, RMR, classify_dsm
 from rmrsim.errors import CapacityError, ConfigError, RoleError
 from rmrsim.memory import OpKind
 from rmrsim.runner import (
+    WAIT,
     ExplicitSchedule,
     RoundRobin,
     Runner,
@@ -66,6 +67,8 @@ def test_registration_keeps_one_signaler():
     algo = make_algorithm("dsm_registration", 4, signaler=3)
     assert algo.designated_signaler == algo.home == 3
     assert not hasattr(algo, "signaler")
+    with pytest.raises(ConfigError, match="signaler 9 outside 1..4"):
+        make_algorithm("dsm_registration", 4, signaler=9)
 
 
 def test_unknown_algorithm_rejected():
@@ -339,7 +342,7 @@ def test_queue_any_process_may_signal():
 
 
 def test_wait_returns_only_after_signal_begun():
-    algo = make_algorithm("cc_flag", 3)
+    algo = make_algorithm("cc_flag+blocking", 3)
     roles = {2: wait_once(), 3: wait_once(), 1: signal_once()}
     for seed in range(30):
         history, _ = run(algo, roles, SeededRandom(seed))
@@ -348,7 +351,7 @@ def test_wait_returns_only_after_signal_begun():
 
 
 def test_wait_without_signal_never_returns():
-    algo = make_algorithm("cc_flag", 2)
+    algo = make_algorithm("cc_flag+blocking", 2)
     history, _ = run(algo, {2: wait_once()}, RoundRobin(), budget=200)
     assert history.incomplete
     wait = history.calls[0]
@@ -357,13 +360,32 @@ def test_wait_without_signal_never_returns():
 
 
 def test_wait_over_cc_flag_costs_at_most_two_cc_rmrs():
-    algo = make_algorithm("cc_flag", 2)
+    algo = make_algorithm("cc_flag+blocking", 2)
     roles = {2: wait_once(), 1: signal_once()}
     history, ledger = run(
         algo, roles, ExplicitSchedule([2, 2, 2, 1, 2, 2])
     )
     assert next(c for c in history.calls if c.kind == "Wait").response is True
     assert ledger.rmr(Model.CC, 2) == 2
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_blocking_variant_is_the_base_protocol_with_wait(name):
+    base = make_algorithm(name, 4)
+    blocking = make_algorithm(name + "+blocking", 4)
+    kept = ("n", "waiters", "designated_signaler", "primitives", "home")
+    assert [getattr(blocking, a) for a in kept] == [getattr(base, a) for a in kept]
+    assert (blocking.name, blocking.blocking) == (name + "+blocking", True)
+    # The mark is on the instance built, never on its class.
+    later = make_algorithm(name, 4)
+    assert (later.name, later.blocking) == (name, False)
+    waiter = base.waiters[0]
+    with pytest.raises(ConfigError, match=r"\+blocking"):
+        Runner(base, {waiter: wait_once()}).step(waiter)
+    runner = Runner(base, {})
+    runner.force_next_call(waiter, WAIT)
+    with pytest.raises(ConfigError, match=r"\+blocking"):
+        runner.step(waiter)
 
 
 def test_blocking_wrapper_wait_loops_inner_poll():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmrsim import harness
-from rmrsim.algorithms import Blocking, SignalingAlgorithm, make_algorithm
+from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
 from rmrsim.checker import (
     HARNESS_MISUSE,
     POLL_FALSE_AFTER_SIGNAL,
@@ -147,7 +147,10 @@ def build(name: str, n: int):
     base, _, suffix = name.partition("+")
     if base in TEST_ALGORITHMS:
         algorithm = TEST_ALGORITHMS[base](n)
-        return Blocking(algorithm) if suffix == "blocking" else algorithm
+        if suffix == "blocking":
+            algorithm.blocking = True
+            algorithm.name += "+blocking"
+        return algorithm
     return make_algorithm(name, n)
 
 
@@ -520,7 +523,7 @@ def test_observed_by_index_matches_scan_oracle(cfg, rnd):
         return [p for p, safe in verdicts.items() if safe]
 
     # Any waiter between calls, begun or not, polls once more.
-    probed = [pid for pid, script in cfg.roles.items() if script.kind != "signal"
+    probed = [pid for pid, script in cfg.roles.items() if script.kind != SIGNAL
               and pid not in runner.terminated and runner.open_call(pid) is None]
     with runner.probe(probed):
         for pid in probed:
@@ -655,7 +658,7 @@ def test_cached_words_match_holder_scan(cfg, rnd):
     agree()
     steps(rnd.randrange(8))
     agree()
-    probed = [pid for pid, script in cfg.roles.items() if script.kind != "signal"
+    probed = [pid for pid, script in cfg.roles.items() if script.kind != SIGNAL
               and pid not in runner.terminated and runner.open_call(pid) is None]
     with runner.probe(probed):
         for pid in probed:
@@ -689,7 +692,7 @@ def test_post_poll_probe_matches_fork_oracle_and_rolls_back(cfg, model):
             with suppress(StepBudgetExceeded):  # a Wait spinning on its own
                 runner.run_call(pid, max_steps=20)
     waiters = [pid for pid, script in cfg.roles.items()
-               if script.kind != "signal" and runner.open_call(pid) is None]
+               if script.kind != SIGNAL and runner.open_call(pid) is None]
     for pid in waiters:
         outcome(lambda: stability(runner, pid, model=model, horizon=6))
     before = observable_state(runner)

@@ -514,7 +514,7 @@ def test_erased_single_waiter_frees_its_place():
 
 def test_erased_forced_process_leaves_the_runnable_list():
     # 3 has no script: only its queued Wait made it runnable.
-    runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true()})
+    runner = Runner(make_algorithm("cc_flag+blocking", 3), {2: poll_until_true()})
     runner.force_next_call(3, WAIT)
     runner.step(3)  # the flag is down, so the Wait spins on
     oracle = erase(runner, 3)
