@@ -68,7 +68,9 @@ class SignalingAlgorithm:
             waiters = range(2, n + 1)[:self.default_waiter_count]
         #: The processes that wait in a run of this protocol, ascending.
         self.waiters = tuple(sorted(set(waiters)))
-        if self.waiters and (self.waiters[0] < 1 or self.waiters[-1] > n):
+        if not self.waiters:
+            raise ConfigError(f"need at least one waiter among 1..{n}, got none")
+        if self.waiters[0] < 1 or self.waiters[-1] > n:
             raise ConfigError(f"waiter ids {self.waiters} outside 1..{n}")
 
     def setup(self, mem: Memory):
@@ -180,8 +182,6 @@ class FixedWaiters(SignalingAlgorithm):
 
     def __init__(self, n: int, waiters=None, terminating: bool = False):
         super().__init__(n, waiters)
-        if not self.waiters:
-            raise ConfigError("fixed waiter set must be nonempty")
         self._waiter_set = frozenset(self.waiters)
         self.terminating = terminating
         self.name = "dsm_fixed_waiters_term" if terminating else "dsm_fixed_waiters"

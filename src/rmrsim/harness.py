@@ -1,11 +1,11 @@
 """Exploration and proof-style tooling over recorded runs.
 
-* exhaustive bounded enumeration of interleavings over a DAG of the
-  configurations met, memoized by the run's configuration key: a new
-  configuration is explored by stepping, one run backtracking to each
-  branching point by rolling back a checkpoint; one met again is walked
-  from its recorded steps.  Every history is exactly what a normal run of
-  its schedule produces;
+* exhaustive bounded enumeration of interleavings: one walk over a DAG of
+  the configurations met, memoized by the run's configuration key, builds
+  every history from its path.  A new configuration gets its edges by
+  stepping, one run backtracking to each branching point by rolling back
+  a checkpoint; one met again, from its recorded steps.  Every history is
+  exactly what a normal run of its schedule produces;
 * a stability probe: a process is *stable* when letting it poll alone
   forever would never cost another remote reference;
 * erasure: removing every step of a process nobody observed (read a value
@@ -66,22 +66,23 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
                         max_histories: int = DEFAULT_ENUM_BUDGET):
     """Yield every schedule interleaving up to ``depth`` steps, once each.
 
-    Depth-first over scheduling choices, lowest process first, on one run
-    without a ledger, over a DAG of configurations keyed by
-    :meth:`Runner.configuration` (which holds the depth).  A configuration
-    met first is explored by stepping, each step recorded as an edge: a
-    checkpoint is taken at each node with more than one choice, and after
-    each history the run rolls back to the deepest one with a choice left.
-    One met again is not stepped from: its recorded edges are walked after
-    the run's prefix, yielding what stepping would, in the same order, as
-    long as the protocol keeps its state in ``ctx.state``, which the
-    rollback's rebuild of a call assumes too.
+    One depth-first walk, lowest process first, over a DAG of the
+    configurations met, keyed by :meth:`Runner.configuration` (which holds
+    the depth).  A configuration's edges come from stepping one run without
+    a ledger when the walk first meets it (:func:`_explore`), and from its
+    recorded edges after that, which yield what stepping would, in the same
+    order, as long as the protocol keeps its state in ``ctx.state``, as the
+    rollback's rebuild of a call assumes too.  The run steps only as the
+    walk asks for a new configuration's edges, so histories come out lazily.
 
-    A walked history costs about its own event, call and trace sequences.
-    It shares with other histories, which is why none may change them, the
-    recorded events and call records and the rebuilt closed call records
-    (each built once per enumeration); the prefix's open records are copied
-    once per walk, and the trace is a prefix of the walk's process list.
+    Every history is built from the walk's path, and shares with others,
+    which is why none may change them, the recorded events (which name no
+    call) and the call records on edges.  A call open at a node may have
+    another id and start seq on this path than where the node was recorded
+    (calls begun below it have the same ids on every path: the key holds
+    the call count); its recorded closed record is then rebuilt, once per
+    recorded record, path id and start seq.  No calls are queued, so each
+    event's process is its trace entry.
 
     A history is maximal when every process terminated or the depth was
     reached (the latter are yielded with ``incomplete`` set).  Raises
@@ -94,40 +95,58 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     # Never rolled back: it keeps the journal on, so that every call starts
     # under a checkpoint, can be rebuilt and has a part in the key.
     run.checkpoint()
-    events = run.events  # the run's own list, which backtracking truncates
     memo: dict[tuple, _Node] = {}  # local to this enumeration
-    # _walk's rebuilt closed call records, by the recorded record's id, the
-    # path's call id and start seq; the memo keeps every recorded record, so
-    # no id is reused.
+    # Rebuilt closed records by (recorded record's id, path call id, start
+    # seq); the memo keeps every recorded record, so no id is reused.
     relabelled: dict[tuple, CallRecord] = {}
-    # Per branching checkpoint, innermost last: its node, and its choices
-    # not yet taken, the next one last.
-    untried: list[tuple[_Node, list[int]]] = []
-    explored = 0
-    node, met = _Node(), False
+    # Each edge's event and process go in at its seq; a leaf takes those to its own.
+    events, procs = [None] * depth, [None] * depth
+    # For the deepest node with edges on the path, and in ``stack`` for each
+    # above it: its edges left, the path's call records by call id, and each
+    # process's open call id by pid (a closed call's stays till the next begins).
+    edges, stack = iter(()), []
+    calls, opened = path_calls, path_opened = [], [None] * (run.n + 1)
+    node, seq, explored = _Node(_end(run, depth)), 0, 0
     while True:
-        while not met:  # a new configuration: step from it
-            choices = run.runnable() if len(events) < depth else ()
-            if not choices:
-                node.end = (run.terminated, bool(run.runnable()))
-                break
-            if len(choices) > 1:
-                run.checkpoint()
-                untried.append((node, choices[:0:-1]))
-            node, met = _advance(run, memo, node, choices[0])
-        for history in _walk(run, node, depth, relabelled):
+        if node.end is None:
+            stack.append((edges, calls, opened))
+            edges = iter(node.edges) if node.edges else _explore(run, memo, node, depth)
+            calls, opened = path_calls, path_opened
+        else:
             explored += 1
             if explored > max_histories:
                 raise EnumerationOverflow(explored - 1, max_histories)
-            yield history
-        if not untried:
-            return
-        node, alternatives = untried[-1]
-        pid = alternatives.pop()
-        if not alternatives:
-            untried.pop()
-        run.rollback(close=not alternatives)
-        node, met = _advance(run, memo, node, pid)
+            yield History(events[:seq], list(path_calls), *node.end, tuple(procs[:seq]))
+        while True:  # the next edge, of the deepest node with one left
+            for pid, ev, node, begun, closed in edges:
+                break
+            else:
+                if not stack:
+                    return
+                edges, calls, opened = stack.pop()
+                continue
+            break
+        path_calls, path_opened = calls, opened
+        if begun is not None:
+            path_calls = calls + [begun]
+            if closed is None:
+                path_opened = opened.copy()
+                path_opened[pid] = begun.call_id
+        elif closed is not None:
+            cid = opened[pid]
+            start = calls[cid].start_seq
+            if closed.call_id != cid or closed.start_seq != start:
+                key = (id(closed), cid, start)
+                rebuilt = relabelled.get(key)
+                if rebuilt is None:
+                    rebuilt = relabelled[key] = CallRecord(
+                        cid, pid, closed.kind, closed.response, start, ev.seq)
+                closed = rebuilt
+            path_calls = calls.copy()
+            path_calls[cid] = closed
+        events[ev.seq] = ev
+        procs[ev.seq] = pid
+        seq = ev.seq + 1
 
 
 class _Node:
@@ -135,99 +154,53 @@ class _Node:
     choice order, each ``(pid, event, child, begun, closed)``: ``begun`` is
     the record of a call the step began, ``closed`` the record of a call it
     ended, the same record when it did both.  Neither is ever changed.
-    ``end`` is ``(finished, incomplete)`` where a history ends."""
+    ``end`` is ``(finished, incomplete)`` where a history ends, known when
+    the node is made; any other node has edges once the walk leaves it."""
 
     __slots__ = ("edges", "end")
 
-    def __init__(self):
+    def __init__(self, end: tuple | None = None):
         self.edges: list[tuple] = []
-        self.end: tuple | None = None
+        self.end = end
 
 
-def _advance(run: Runner, memo: dict, node: _Node, pid: int) -> tuple[_Node, bool]:
-    """Step ``pid`` from ``node``'s configuration and record the edge;
-    return the configuration reached and whether it was met before."""
-    rec = run.open_call(pid)
-    ev = run.step(pid)
-    if rec is None:  # the step began a call
-        rec = run.calls[-1]
-    fresh = _Node()  # setdefault hashes the key once; get and set would twice
-    child = memo.setdefault(run.configuration(), fresh)
-    closed = rec if rec.end_seq is not None else None
-    begun = None
-    if rec.start_seq == ev.seq:
-        begun = closed or CallRecord(rec.call_id, pid, rec.kind, None, ev.seq)
-    node.edges.append((pid, ev, child, begun, closed))
-    return child, child is not fresh
+def _end(run: Runner, depth: int) -> tuple | None:
+    """The ``end`` of the run's configuration: nothing is runnable or
+    ``depth`` steps are taken; else None."""
+    live = run.runnable()
+    if live and len(run.events) < depth:
+        return None
+    return run.terminated, bool(live)
 
 
-def _walk(run: Runner, node: _Node, depth: int, relabelled: dict):
-    """The histories below ``node``, the configuration the run is at, from
-    its recorded edges; the run is not stepped.
-
-    Events name no call, so recorded events are shared as they are.  A
-    call open at a node may have another id and start seq on this path than
-    on the one the node was recorded from; calls begun below the node have
-    the same ids on every path, since the key holds the call count.
-
-    Histories share what nothing changes: the recorded events and the call
-    records stored on edges.  A recorded closed record is shared when this
-    path's call has its id and start seq, which always holds for a call
-    begun on the same edge; otherwise one is built once per recorded
-    record, path id and start seq, in ``relabelled``.  The prefix's open
-    records, which the run goes on changing, are copied once per walk, so
-    a leaf's call list is a plain copy.  The enumeration queues no calls,
-    so each event's process is its trace entry: a leaf's trace is a prefix
-    of the walk's process list.
-    """
-    if node.end is not None:
-        yield run.history()
-        return
-    # Each edge's event, and its process, goes in at its seq; a leaf takes
-    # the events and processes up to its own.
-    pad = [None] * (depth - len(run.events))
-    events, procs = run.events + pad, run.trace + pad
-    calls = [c if c.end_seq is not None else CallRecord(c.call_id, c.proc, c.kind, c.response,
-                                                        c.start_seq) for c in run.calls]
-    # The id of each process's open call on this path, by pid.  A closed
-    # call's id is left in place: its process's next step begins a call,
-    # which sets a new one.
-    opened = [None, *(rec and rec.call_id for rec in map(run.open_call, range(1, run.n + 1)))]
-    edges = iter(node.edges)
-    stack = []  # per level above this one: its edges left, calls and open ids
-    while True:
-        for pid, ev, child, begun, closed in edges:
-            path_calls, path_opened = calls, opened
-            if begun is not None:
-                path_calls = calls + [begun]
-                if closed is None:
-                    path_opened = opened.copy()
-                    path_opened[pid] = begun.call_id
-            elif closed is not None:
-                cid = opened[pid]
-                start = calls[cid].start_seq
-                if closed.call_id != cid or closed.start_seq != start:
-                    key = (id(closed), cid, start)
-                    rebuilt = relabelled.get(key)
-                    if rebuilt is None:
-                        rebuilt = relabelled[key] = CallRecord(
-                            cid, pid, closed.kind, closed.response, start, ev.seq)
-                    closed = rebuilt
-                path_calls = calls.copy()
-                path_calls[cid] = closed
-            seq = ev.seq
-            events[seq] = ev
-            procs[seq] = pid
-            if child.end is None:
-                stack.append((edges, calls, opened))
-                edges, calls, opened = iter(child.edges), path_calls, path_opened
-                break
-            seq += 1
-            yield History(events[:seq], list(path_calls), *child.end, tuple(procs[:seq]))
-        else:
-            if not stack:
-                return
-            edges, calls, opened = stack.pop()
+def _explore(run: Runner, memo: dict, node: _Node, depth: int):
+    """The edges of ``node``, met first, stepped from its configuration,
+    where the run is when the first one is asked for, and recorded on
+    ``node`` as they are yielded.  More than one choice opens a checkpoint
+    there, rolled back to between them and closed for the last.  A child
+    met first gets its ``end``."""
+    choices = run.runnable()
+    last = len(choices) - 1
+    if last:
+        run.checkpoint()
+    for i, pid in enumerate(choices):
+        if i:
+            run.rollback(close=i == last)
+        rec = run.open_call(pid)
+        ev = run.step(pid)
+        if rec is None:  # the step began a call
+            rec = run.calls[-1]
+        fresh = _Node()  # setdefault hashes the key once; get and set would twice
+        child = memo.setdefault(run.configuration(), fresh)
+        if child is fresh:
+            fresh.end = _end(run, depth)
+        closed = rec if rec.end_seq is not None else None
+        begun = None
+        if rec.start_seq == ev.seq:
+            begun = closed or CallRecord(rec.call_id, pid, rec.kind, None, ev.seq)
+        edge = (pid, ev, child, begun, closed)
+        node.edges.append(edge)
+        yield edge
 
 
 # ---------------------------------------------------------------------------

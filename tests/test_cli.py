@@ -10,6 +10,7 @@ import pytest
 
 import rmrsim
 from rmrsim import cli
+from rmrsim.algorithms import REGISTRY
 from rmrsim.cli import main
 from rmrsim.harness import RECORD_KEYS
 
@@ -143,6 +144,15 @@ def test_check_large_n_rejected(capsys):
     code, _, err = run_cli(capsys, "check", "--algo", "cc_flag", "--n", "5")
     assert code == 2
     assert "n<=4" in err
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("algo", sorted(REGISTRY))
+def test_one_process_leaves_no_waiter_and_is_refused(capsys, command, algo):
+    # Process 1 would signal to nobody, and the run would have no Poll to check.
+    code, out, err = run_cli(capsys, command, "--algo", algo, "--n", "1")
+    assert (code, out) == (2, "")
+    assert "need at least one waiter among 1..1" in err
 
 
 def test_adversary_queue(capsys):

@@ -177,6 +177,36 @@ def test_enumerate_overflow():
     assert err.value.explored == 3
 
 
+@pytest.mark.parametrize("roles, depth, incomplete", [
+    pytest.param({}, 25, False, id="no-roles"),
+    pytest.param({2: poll_at_most(1), 1: signal_once()}, 0, True, id="depth-0"),
+])
+def test_enumeration_with_nothing_to_step_yields_one_empty_history(roles, depth, incomplete):
+    # The root is a leaf: one history, the one a run that takes no step has.
+    algo = make_algorithm("dsm_queue", 3)
+    histories = list(enumerate_histories(algo, roles, depth))
+    assert histories == [Runner(algo, roles).history()]
+    assert histories[0].incomplete is incomplete
+
+
+def test_enumeration_steps_only_as_far_as_its_histories(monkeypatch):
+    # Stopped by its budget after 10 of 10,298 histories, the enumeration
+    # has stepped along their paths, not the DAG's 1,144 edges.
+    steps = []
+    step = Runner.step
+
+    def counted_step(self, pid):
+        steps.append(pid)
+        return step(self, pid)
+
+    monkeypatch.setattr(Runner, "step", counted_step)
+    algo = make_algorithm("dsm_queue", 3)
+    roles = {2: poll_at_most(2), 3: poll_at_most(2), 1: signal_once()}
+    with pytest.raises(EnumerationOverflow):
+        list(enumerate_histories(algo, roles, depth=25, max_histories=10))
+    assert len(steps) <= 26
+
+
 # -- solo runs and stability --------------------------------------------------
 
 

@@ -1257,34 +1257,31 @@ ENUM_WORKLOAD = (
 def test_walk_builds_each_rebuilt_call_record_once(monkeypatch):
     # A walked path whose call has another id or start seq than a recorded
     # closed record gets a rebuilt one, built once per (recorded record,
-    # path call id, start seq) and then shared: over the enum workload, the
-    # 20,509 records built per history path fall to 2,317 distinct keys.
-    built = []
-    tables = []  # each enumeration's table of what its walks rebuilt
-    walk = harness._walk
+    # path call id, start seq) and then shared: over the enum workload,
+    # 2,317 rebuilt records fill 30,320 places in the histories' call lists.
+    built = {}  # by id; kept alive here, so no id is reused
 
     def record(*args):
         rec = CallRecord(*args)
         if rec.end_seq is not None:
-            built.append(rec)
+            built[id(rec)] = rec
         return rec
 
-    def captured(run, node, depth, relabelled):
-        if not tables or tables[-1] is not relabelled:
-            tables.append(relabelled)
-        return walk(run, node, depth, relabelled)
-
     monkeypatch.setattr(harness, "CallRecord", record)
-    monkeypatch.setattr(harness, "_walk", captured)
-    histories = 0
+    histories = held = 0
+    used = set()
     for name, params, polls, depth in ENUM_WORKLOAD:
         roles = {pid: poll_at_most(calls) for pid, calls in polls}
         roles[1] = signal_once()
-        for _ in enumerate_histories(make_algorithm(name, 3, **dict(params)), roles, depth):
+        for history in enumerate_histories(make_algorithm(name, 3, **dict(params)), roles, depth):
             histories += 1
-    keys = sum(map(len, tables))
+            for rec in history.calls:
+                if id(rec) in built:
+                    held += 1
+                    used.add(id(rec))
     assert histories == 21_248
-    assert len(built) == keys == 2_317
+    assert len(built) == len(used) == 2_317
+    assert held == 30_320
 
 
 def test_contract_checkers_match_oracles_on_every_enum_workload_history():
