@@ -53,31 +53,6 @@ class CacheState:
     def __init__(self):
         self._holders: dict[int, set[int]] = {}
 
-    def held_among(self, proc: int, locs) -> tuple[int, ...]:
-        """Those of ``locs`` that ``proc`` currently holds, in uid order."""
-        holders = self._holders
-        return tuple(sorted([u for u in locs if proc in holders.get(u, ())]))
-
-    def save(self, proc: int, loc: int, trivial: bool) -> tuple | None:
-        """What :meth:`restore` needs to undo a step of ``proc`` on ``loc``:
-        None if the step keeps the holders, ``("drop", loc, proc)`` if it
-        only adds the reader's copy, else the whole holder set it replaces."""
-        holders = self._holders.get(loc)
-        if not trivial:
-            return "put", loc, None if holders is None else set(holders)
-        if holders is None or proc not in holders:
-            return "drop", loc, proc
-        return None
-
-    def restore(self, saved: tuple) -> None:
-        action, loc, arg = saved
-        if action == "drop":
-            self._holders[loc].discard(arg)
-        elif arg is None:
-            self._holders.pop(loc, None)
-        else:
-            self._holders[loc] = arg
-
 
 def classify_cc(event: Event, cache: CacheState) -> str:
     """CC rule.  Mutates ``cache`` to reflect the event."""
@@ -101,76 +76,147 @@ def classify_cc(event: Event, cache: CacheState) -> str:
 
 
 class RmrLedger:
-    """Per-process cost accounting folded over an event sequence.
+    """Per-process cost accounting folded over a run's event list.
 
     One count table: a row per process id, a column per metric in
     ``METRIC_NAMES`` order (DSM RMRs, CC RMRs, bus and ideal-directory
     invalidation messages, steps).  Counts are nonnegative and only grow.
+    The ledger holds the list the run appends its events to and a cursor
+    into it: :meth:`record` charges the events past the cursor, and every
+    read charges first, so no read sees fewer events than the list holds.
     """
 
-    __slots__ = ("n", "cache", "_rows")
+    __slots__ = ("n", "_cache", "_rows", "_copied", "_events", "_charged")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, events: list[Event]):
         self.n = n
-        self.cache = CacheState()
+        self._cache = CacheState()
         self._rows = [[0] * len(METRIC_NAMES) for _ in range(n + 1)]
+        # Per process, every word it gained a copy of; only grows.
+        self._copied: list[set[int]] = [set() for _ in range(n + 1)]
+        self._events = events
+        self._charged = 0
 
-    def record(self, event: Event) -> None:
-        """Charge one event: :func:`classify_dsm`, the ideal-directory
-        count (one message per copy another process held before the event)
-        and :func:`classify_cc`, folded over a single holder-set lookup."""
-        p = event.proc
-        row = self._rows[p]  # columns: rmr_dsm, rmr_cc, msg_bus, msg_dir, steps
-        row[4] += 1
-        if event.home != p:
-            row[0] += 1
-        holders = self.cache._holders.get(event.loc)
-        if event.op.trivial:
-            if holders is None:
-                self.cache._holders[event.loc] = {p}
-                row[1] += 1
-            elif p not in holders:
-                holders.add(p)
-                row[1] += 1
+    def record(self) -> None:
+        """Charge each event past the cursor, in order: :func:`classify_dsm`,
+        the ideal-directory count (one message per copy another process held
+        before the event) and :func:`classify_cc`, folded over a single
+        holder-set lookup per event."""
+        events = self._events
+        if self._charged == len(events):
             return
-        row[1] += 1
-        row[2] += 1
-        if holders is None:
-            self.cache._holders[event.loc] = {p}
+        rows, holders_of, copied = self._rows, self._cache._holders, self._copied
+        for event in events[self._charged:]:
+            p, loc = event.proc, event.loc
+            row = rows[p]  # columns: rmr_dsm, rmr_cc, msg_bus, msg_dir, steps
+            row[4] += 1
+            if event.home != p:
+                row[0] += 1
+            holders = holders_of.get(loc)
+            if event.op.trivial:
+                if holders is None:
+                    holders_of[loc] = {p}
+                elif p in holders:
+                    continue
+                else:
+                    holders.add(p)
+                row[1] += 1
+                copied[p].add(loc)
+                continue
+            row[1] += 1
+            row[2] += 1
+            copied[p].add(loc)
+            if holders is None:
+                holders_of[loc] = {p}
+            else:
+                row[3] += len(holders) - (p in holders)
+                holders.clear()
+                holders.add(p)
+        self._charged = len(events)
+
+    def rewind(self, length: int) -> None:
+        """Move the cursor back to ``length`` events, after the run dropped
+        the rest; the caller puts back the rows and holder sets they
+        changed.  The words copied keep what those events added."""
+        self._charged = length
+
+    def detach(self) -> None:
+        """Charge what is left and let go of the event list: the counts
+        stay as they are from here on."""
+        self.record()
+        self._events, self._charged = [], 0
+
+    def save(self, proc: int, loc: int, trivial: bool) -> tuple | None:
+        """What :meth:`restore` needs to undo a step of ``proc`` on ``loc``:
+        None if the step keeps the holders, ``("drop", loc, proc)`` if it
+        only adds the reader's copy, else the whole holder set it replaces.
+        Read as charged, without a charge: the undo journal saves a step
+        while a checkpoint is open, when every event before it is charged."""
+        holders = self._cache._holders.get(loc)
+        if not trivial:
+            return "put", loc, None if holders is None else set(holders)
+        if holders is None or proc not in holders:
+            return "drop", loc, proc
+        return None
+
+    def restore(self, saved: tuple) -> None:
+        action, loc, arg = saved
+        holders_of = self._cache._holders
+        if action == "drop":
+            holders_of[loc].discard(arg)
+        elif arg is None:
+            holders_of.pop(loc, None)
         else:
-            row[3] += len(holders) - (p in holders)
-            holders.clear()
-            holders.add(p)
+            holders_of[loc] = arg
+
+    @property
+    def cache(self) -> CacheState:
+        self.record()
+        return self._cache
+
+    def held(self, proc: int) -> tuple[int, ...]:
+        """The words ``proc`` holds a valid copy of, in uid order: the words
+        it gained a copy of, filtered by their holder sets."""
+        holders_of = self.cache._holders
+        return tuple(sorted([u for u in self._copied[proc] if proc in holders_of.get(u, ())]))
 
     def row(self, proc: int) -> list[int]:
         """A copy of one process's counts, for :meth:`set_row`."""
+        self.record()
         return list(self._rows[proc])
 
     def set_row(self, proc: int, row: list[int]) -> None:
         self._rows[proc] = row
 
     def rmr(self, model: Model, proc: int) -> int:
+        self.record()
         return self._rows[proc][0 if model is _DSM else 1]
 
     def per_process(self, proc: int) -> dict[str, int]:
         """Metrics for one process under the fixed metric names."""
+        self.record()
         return dict(zip(METRIC_NAMES, self._rows[proc]))
 
     def totals(self) -> dict[str, int]:
+        self.record()
         return dict(zip(METRIC_NAMES, map(sum, zip(*self._rows))))
+
+    def _total(self, column: int) -> int:
+        self.record()
+        return sum(row[column] for row in self._rows)
 
     @property
     def total_rmr_dsm(self) -> int:
-        return sum(row[0] for row in self._rows)
+        return self._total(0)
 
     @property
     def total_rmr_cc(self) -> int:
-        return sum(row[1] for row in self._rows)
+        return self._total(1)
 
     @property
     def total_msg_bus(self) -> int:
-        return sum(row[2] for row in self._rows)
+        return self._total(2)
 
     @property
     def total_msg_dir(self) -> int:
-        return sum(row[3] for row in self._rows)
+        return self._total(3)

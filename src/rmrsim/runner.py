@@ -25,8 +25,11 @@ calls Signal at most once, and a scripted poller stops polling after a call
 returns true.  Every procedure call must perform at least one memory
 access.
 
-Per event a step calls ``Memory.apply`` and ``RmrLedger.record`` (every
-charge at once) once each, and resumes the procedure body once.
+Per event a step calls ``Memory.apply`` once and resumes the procedure
+body once.  The ledger charges on read: it folds the events added since
+its last charge when its counts are read, and a step charges its own event
+at once only while a checkpoint is open, for the journal and the process
+saves, which read the ledger.
 
 A closed call record is never changed: :meth:`Runner.history` shares it,
 so a rollback that reopens a call puts a new record in its place.  An open
@@ -290,7 +293,7 @@ class Runner:
         self._events: list[Event | None] = []
         self._calls: list[CallRecord | None] = []
         self._trace: list = []
-        self.ledger: RmrLedger | None = RmrLedger(self.n) if with_ledger else None
+        self.ledger: RmrLedger | None = RmrLedger(self.n, self._events) if with_ledger else None
         self._procs = {pid: _ProcState() for pid in range(1, self.n + 1)}
         self._participants: set[int] = set()
         self._terminated: set[int] = set()
@@ -314,11 +317,9 @@ class Runner:
         self._saved: dict[int, tuple] | None = None  # the innermost one's
         self._probed: frozenset[int] | None = None  # set while a probe is open
         # Per process p, how many value-reading events of others have p as
-        # their writer before, and the words p accessed, folded over the
-        # first ``_observed_upto`` events; built by the first query.  The
-        # words only grow: a rollback or an erasure leaves a superset.
+        # their writer before, folded over the first ``_observed_upto``
+        # events; built by the first query.
         self._observed: list[int] | None = None
-        self._accessed: list[set[int]] | None = None
         self._observed_upto = 0
         # Set by the first erasure, for good.
         self._erased: _Erased | None = None
@@ -369,14 +370,13 @@ class Runner:
         return self._observed[p]
 
     def cached(self, pid: int) -> tuple[int, ...]:
-        """The words ``pid`` holds a valid CC copy of, in uid order.  Only
-        an access leaves a process a copy, so the words it accessed, folded
-        like the observed-by count, are filtered by the cache's holders: the
-        cost of what ``pid`` touched, not of every cached word."""
+        """The words ``pid`` holds a valid CC copy of, in uid order, read
+        from the ledger alone (:meth:`RmrLedger.held`): the words ``pid``
+        gained a copy of filtered by their holders, the cost of what ``pid``
+        touched, not of every cached word."""
         if self.ledger is None:
             raise SimError("cached() reads the ledger's cache; this run keeps none")
-        self._fold_observed()
-        return self.ledger.cache.held_among(pid, self._accessed[pid])
+        return self.ledger.held(pid)
 
     def history(self) -> History:
         """A snapshot of the run.  It shares the closed call records, which
@@ -435,27 +435,28 @@ class Runner:
             )
         rec = state.call
         undo = self._undo
-        ledger = self.ledger
         if undo is not None:  # journal the word and its cache holders
             if pid not in self._saved:
                 self._touch(pid)
             uid = loc.uid
+            ledger = self.ledger
             undo.append((pid, self.mem.save_word(uid),
-                         None if ledger is None else ledger.cache.save(pid, uid, op.trivial)))
+                         None if ledger is None else ledger.save(pid, uid, op.trivial)))
         events = self._events
         ev = self.mem.apply(pid, op, loc, len(events))
         self._trace.append(pid)
         events.append(ev)
         self._participants.add(pid)
-        if ledger is not None:
-            ledger.record(ev)
         if rec.start_seq is None:
             rec.start_seq = ev.seq
         state.pending = None
         # An SC responds with its verdict; a write with value_read, None.
         response = ev.outcome if kind is _SC else ev.value_read
-        if undo is not None and state.part is not None:
-            state.part += (response,)
+        if undo is not None:
+            if ledger is not None:  # the next journal entry or save reads it
+                ledger.record()
+            if state.part is not None:
+                state.part += (response,)
         try:
             state.pending = state.gen.send(response)
         except StopIteration as stop:
@@ -516,14 +517,17 @@ class Runner:
     def checkpoint(self) -> None:
         """Open a checkpoint that :meth:`rollback` returns the run to.
 
-        Checkpoints nest.  While one is open each step journals the word it
-        is about to change (value, writer, links, cache holders), and each
-        process's state is saved before it first changes: script position,
-        queued calls, ``ctx.state``, ledger row, set memberships, and its
-        open call's generator and record.
+        Checkpoints nest.  The ledger charges the run so far first.  While
+        one is open each step charges its own event at once and journals the
+        word it is about to change (value, writer, links, cache holders),
+        and each process's state is saved before it first changes: script
+        position, queued calls, ``ctx.state``, ledger row, set memberships,
+        and its open call's generator and record.
         """
         if self._erased is not None:
             self._refuse("checkpoint()")
+        if self.ledger is not None:
+            self.ledger.record()
         if self._undo is None:
             self._undo = []
         self._saved = {}
@@ -536,30 +540,32 @@ class Runner:
         checkpoint, which stays open unless ``close`` is set.
 
         Words and cache holders come back from the journal, the event, call
-        and trace lists by truncation, the processes from their saves.  A
-        call open at the checkpoint whose process has stepped since gets a
-        fresh generator: the body restarts from ``ctx.state`` as the call
-        found it and is sent the call's recorded responses.  A request that
-        differs from the recorded one means the protocol keeps state outside
-        its context; it raises :class:`ReplayDivergence` and leaves the run
+        and trace lists by truncation, the ledger's cursor to the truncated
+        length, the processes from their saves.  A call open at the
+        checkpoint whose process has stepped since gets a fresh generator:
+        the body restarts from ``ctx.state`` as the call found it and is
+        sent the call's recorded responses.  A request that differs from
+        the recorded one means the protocol keeps state outside its
+        context; it raises :class:`ReplayDivergence` and leaves the run
         unusable.
         """
         if not self._checkpoints:
             raise SimError("no checkpoint is open")
         events, calls, trace, mark, saved = self._checkpoints[-1]
-        undo, mem = self._undo, self.mem
-        cache = None if self.ledger is None else self.ledger.cache
+        undo, mem, ledger = self._undo, self.mem, self.ledger
         stepped = set()
         for pid, word, holders in reversed(undo[mark:]):
             stepped.add(pid)
             mem.restore_word(word)
             if holders is not None:
-                cache.restore(holders)
+                ledger.restore(holders)
         del undo[mark:]
         if self._observed_upto > events:
             self._observe(self._events[events:self._observed_upto], -1)
             self._observed_upto = events
         del self._events[events:]
+        if ledger is not None:
+            ledger.rewind(events)
         del self._calls[calls:]
         del self._trace[trace:]
         for pid, state in saved.items():
@@ -620,15 +626,20 @@ class Runner:
         What the steps to come do not read is left for :meth:`fork`, the
         replay that builds and certifies the erased run: :attr:`events`,
         :attr:`calls` and :attr:`trace` give the survivors under their old
-        seqs and call ids, the ledger is dropped (the fork charges the
-        erased run), and :meth:`history`, :meth:`configuration` and
-        :meth:`checkpoint` (so :meth:`probe`) are refused.  Refused while a
-        checkpoint or probe is open, and for a process not active.
+        seqs and call ids, the ledger is charged, detached and dropped (a
+        reference held to it keeps the counts of the run before the
+        erasure; the fork charges the erased run), and :meth:`history`,
+        :meth:`configuration` and :meth:`checkpoint` (so :meth:`probe`) are
+        refused.  Refused while a checkpoint or probe is open, and for a
+        process not active.
         """
         if self._undo is not None:
             raise SimError("cannot erase while a checkpoint or probe is open")
         if not self.is_active(p):
             raise SimError(f"process {p} is not active; only active processes can be erased")
+        if self.ledger is not None:
+            self.ledger.detach()
+            self.ledger = None
         erased = self._index()
         self._fold_observed()
         events, mem = self._events, self.mem
@@ -651,7 +662,6 @@ class Runner:
         for uid in {e.loc for e in doomed} - attempted:
             mem.unlink(uid, p)
         self._participants.discard(p)
-        self.ledger = None
         self._procs[p] = fresh = _ProcState()
         fresh.next_kind = self._script_next(p)
         self.ctxs[p] = Ctx(p, self.n, self.locs)
@@ -691,17 +701,12 @@ class Runner:
 
     def _fold_observed(self) -> None:
         """Fold the events added since the last fold into the observed-by
-        counts and the words accessed."""
+        counts."""
         if self._observed is None:
             self._observed = [0] * (self.n + 1)
-            self._accessed = [set() for _ in range(self.n + 1)]
         elif self._observed_upto == len(self._events):
             return
-        new = self._events[self._observed_upto:]
-        self._observe(new, 1)
-        accessed = self._accessed
-        for e in new:
-            accessed[e.proc].add(e.loc)
+        self._observe(self._events[self._observed_upto:], 1)
         self._observed_upto = len(self._events)
 
     def _observe(self, events: Iterable[Event], sign: int) -> None:

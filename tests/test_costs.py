@@ -126,8 +126,7 @@ def _three_remote_copies():
 
 def test_messages_bus_broadcast_is_one():
     mem, b, _ = _three_remote_copies()
-    ledger = RmrLedger(4)
-    ledger.record(apply(mem, 1, write(b, 1)))
+    ledger = RmrLedger(4, [apply(mem, 1, write(b, 1))])
     assert ledger.per_process(1)["msg_bus"] == 1
 
 
@@ -141,8 +140,7 @@ def test_messages_none_for_reads():
     mem, b, cache = _three_remote_copies()
     ev = apply(mem, 1, read(b))
     assert count_messages(ev, cache) == 0
-    ledger = RmrLedger(4)
-    ledger.record(ev)
+    ledger = RmrLedger(4, [ev])
     assert ledger.per_process(1)["msg_bus"] == 0
 
 
@@ -161,8 +159,7 @@ def test_messages_own_copy_not_counted():
 def test_ledger_single_remote_write():
     mem = Memory(2)
     w = mem.alloc("w", home=1)
-    ledger = RmrLedger(2)
-    ledger.record(apply(mem, 2, write(w, 1)))
+    ledger = RmrLedger(2, [apply(mem, 2, write(w, 1))])
     assert ledger.rmr(Model.DSM, 2) == 1
     assert ledger.rmr(Model.CC, 2) == 1
     assert ledger.totals()["steps"] == ledger.per_process(2)["steps"] == 1
@@ -173,9 +170,8 @@ def test_ledger_cc_flag_roundtrip_by_hand():
     # (cold read + re-read after invalidation), signaler pays 1.
     mem = Memory(2)
     b = mem.alloc("b", home=1)
-    ledger = RmrLedger(2)
-    for proc, req in [(2, read(b)), (2, read(b)), (1, write(b, 1)), (2, read(b))]:
-        ledger.record(apply(mem, proc, req))
+    script = [(2, read(b)), (2, read(b)), (1, write(b, 1)), (2, read(b))]
+    ledger = RmrLedger(2, events_from(mem, script))
     assert ledger.rmr(Model.CC, 2) == 2
     assert ledger.rmr(Model.CC, 1) == 1
 
@@ -185,9 +181,8 @@ def test_ledger_same_trace_under_dsm():
     # remote, so the waiter pays 3 DSM RMRs.
     mem = Memory(2)
     b = mem.alloc("b", home=1)
-    ledger = RmrLedger(2)
-    for proc, req in [(2, read(b)), (2, read(b)), (1, write(b, 1)), (2, read(b))]:
-        ledger.record(apply(mem, proc, req))
+    script = [(2, read(b)), (2, read(b)), (1, write(b, 1)), (2, read(b))]
+    ledger = RmrLedger(2, events_from(mem, script))
     assert ledger.rmr(Model.DSM, 2) == 3
     assert ledger.rmr(Model.DSM, 1) == 0
 
@@ -196,8 +191,8 @@ def _random_soup(seed, n=4, steps=200):
     rng = random.Random(seed)
     mem = Memory(n)
     locs = [mem.alloc(f"l{i}", home=rng.randrange(1, n + 1)) for i in range(5)]
-    ledger = RmrLedger(n)
     events = []
+    ledger = RmrLedger(n, events)
     for i in range(steps):
         proc = rng.randrange(1, n + 1)
         loc = rng.choice(locs)
@@ -212,9 +207,7 @@ def _random_soup(seed, n=4, steps=200):
             req = fai(loc)
         else:
             req = tas(loc)
-        ev = apply(mem, proc, req, seq=i)
-        ledger.record(ev)
-        events.append(ev)
+        events.append(apply(mem, proc, req, seq=i))
     return events, ledger, n
 
 
@@ -259,18 +252,20 @@ def test_bus_messages_equal_nontrivial_attempts():
 
 
 def test_ledger_counts_monotone():
+    # Read after each event appended: each read charges the one new event.
     events, _, n = _random_soup(47, steps=80)
-    ledger = RmrLedger(n)
+    grown = []
+    ledger = RmrLedger(n, grown)
     prev = ledger.totals()
     for e in events:
-        ledger.record(e)
+        grown.append(e)
         now = ledger.totals()
         assert all(now[k] >= prev[k] for k in now)
         prev = now
 
 
 def test_metric_names_fixed():
-    ledger = RmrLedger(2)
+    ledger = RmrLedger(2, [])
     assert tuple(ledger.totals()) == ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
     assert tuple(ledger.per_process(1)) == ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
 
@@ -319,9 +314,9 @@ def _ending_in(kind, ok, issuer_holds):
 ])
 def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
     *before, last = _ending_in(kind, ok, issuer_holds)
-    ledger, cache = RmrLedger(3), CacheState()
+    events = list(before)
+    ledger, cache = RmrLedger(3, events), CacheState()
     for e in before:
-        ledger.record(e)
         classify_cc(e, cache)
     assert last.outcome is ok
     held = holder_pairs(cache)
@@ -332,7 +327,7 @@ def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
     directory = count_messages(last, cache)
     cc = classify_cc(last, cache) is RMR  # moves the cache past ``last``
     expected = [classify_dsm(last) is RMR, cc, bus, directory, 1]
-    ledger.record(last)
+    events.append(last)
     assert [now - was for now, was in zip(ledger.row(2), start)] == expected
     assert [ledger.row(1), ledger.row(3)] == others
     assert holder_pairs(ledger.cache) == holder_pairs(cache)

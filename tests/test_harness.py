@@ -283,6 +283,28 @@ def test_stability_cc_flag_under_cc_model():
     assert stability(runner, 2, model=Model.CC).stable
 
 
+def test_cc_stability_leaves_the_observed_by_counts_alone(monkeypatch):
+    # The probe reads the CC copies from the ledger alone, so its own
+    # events are neither folded into the observed-by counts nor unfolded
+    # by its rollback.
+    algo = make_algorithm("cc_flag", 3)
+    runner = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
+    runner.run_call(2)
+    runner.run_call(3)
+    observed = runner.observers(2)
+    signs = []
+    observe = Runner._observe
+
+    def counted(self, events, sign):
+        signs.append(sign)
+        return observe(self, events, sign)
+
+    monkeypatch.setattr(Runner, "_observe", counted)
+    assert stability(runner, 2, model=Model.CC).stable
+    assert signs == []
+    assert runner.observers(2) == observed
+
+
 def test_stability_requires_between_calls():
     algo = make_algorithm("dsm_queue", 3)
     runner = Runner(algo, {2: poll_until_true()})

@@ -671,6 +671,86 @@ def test_cached_words_match_holder_scan(cfg, rnd):
     agree()
 
 
+#: Every ledger read, and ``Runner.cached``, which reads the ledger alone.
+LEDGER_READS = ("rmr", "per_process", "totals", "total_rmr_dsm", "total_rmr_cc",
+                "total_msg_bus", "total_msg_dir", "row", "cache", "cached")
+INTERLUDES = st.sampled_from(("run.ledger", "reference", "probe", "checkpoint"))
+
+
+def recount_holders(events) -> set[tuple[int, int]]:
+    """The (process, word) copy pairs folded from raw events through the CC
+    rule: the oracle for the ledger's cache."""
+    cache = CacheState()
+    for e in events:
+        classify_cc(e, cache)
+    return holder_pairs(cache)
+
+
+def read_as_recounted(ledger, read: str, pid: int, model: Model, runner: Runner) -> tuple:
+    """One ``read`` of ``ledger`` and the value a recount of the run's events
+    gives for it."""
+    expected = recount(runner.events, runner.n)
+    totals = {k: sum(row[k] for row in expected.values()) for k in expected[1]}
+    if read == "rmr":
+        return ledger.rmr(model, pid), expected[pid][f"rmr_{model.value}"]
+    if read == "per_process":
+        return ledger.per_process(pid), expected[pid]
+    if read == "totals":
+        return ledger.totals(), totals
+    if read == "row":
+        return ledger.row(pid), list(expected[pid].values())
+    if read == "cache":
+        return holder_pairs(ledger.cache), recount_holders(runner.events)
+    if read == "cached":
+        held = sorted(uid for p, uid in recount_holders(runner.events) if p == pid)
+        return runner.cached(pid), tuple(held)
+    return getattr(ledger, read), totals[read.removeprefix("total_")]
+
+
+@given(configs(EVERY_PRIMITIVE), st.data())
+def test_every_ledger_read_sees_every_event(cfg, data):
+    # Steps with no checkpoint open leave their charges to the next read.
+    # Before each burst of them: one read, through run.ledger or through a
+    # reference taken before the first step; a stability probe of a waiter
+    # between calls; or a checkpoint, steps of processes that were between
+    # calls (on words nobody has touched, if it comes first), and a
+    # rollback.  Every read equals a recount of the events, and so does
+    # each kind of read made first on a replay of the whole run.
+    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    reference = runner.ledger
+    policy = SeededRandom(cfg.seed)
+    for _ in range(data.draw(st.integers(1, 8))):
+        interlude = data.draw(INTERLUDES)
+        if interlude == "probe":
+            between = [pid for pid in sorted(runner.participants() - runner.terminated)
+                       if runner.open_call(pid) is None and cfg.roles[pid].kind != SIGNAL]
+            if between:
+                pid = data.draw(st.sampled_from(between))
+                model = data.draw(st.sampled_from(Model))
+                outcome(lambda: stability(runner, pid, model=model, horizon=6))
+        elif interlude == "checkpoint":
+            # Only a call begun under the checkpoint can be rewound.
+            free = [pid for pid in runner.runnable() if runner.open_call(pid) is None]
+            runner.checkpoint()
+            for k in data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=8)):
+                live = [pid for pid in runner.runnable() if pid in free]
+                if live:
+                    runner.step(live[k % len(live)])
+            runner.rollback(close=True)
+        else:
+            ledger = runner.ledger if interlude == "run.ledger" else reference
+            got, expected = read_as_recounted(
+                ledger, data.draw(st.sampled_from(LEDGER_READS)),
+                data.draw(st.integers(1, runner.n)), data.draw(st.sampled_from(Model)), runner)
+            assert got == expected
+        runner.drive(policy, len(runner.events) + data.draw(st.integers(0, 12)))
+    pid, model = data.draw(st.integers(1, runner.n)), data.draw(st.sampled_from(Model))
+    for read in LEDGER_READS:
+        twin = Runner.replay(runner.algorithm, runner.roles, runner.trace)
+        got, expected = read_as_recounted(twin.ledger, read, pid, model, twin)
+        assert got == expected, read
+
+
 def fork_post_polls(fork: Runner, waiters) -> bool:
     """The post-Signal check as it ran on a replayed fork of the run: the
     oracle for the in-place probe of ``_verify_post_polls``."""

@@ -24,7 +24,7 @@ from rmrsim.runner import (
     waiter_roles,
 )
 
-from test_properties import holder_pairs
+from test_properties import holder_pairs, recount
 
 
 def waiter_signaler_roles(waiters, signaler, script=None):
@@ -567,6 +567,21 @@ def test_erased_run_keeps_no_stale_ledger():
     assert runner.participants() == fork.participants() == {3}
     assert not runner.is_active(2)
     assert fork.ledger.totals()["steps"] == 1
+
+
+def test_ledger_held_across_an_erasure_keeps_the_run_before_it():
+    # The erasure charges the ledger it drops and detaches it: a reference
+    # taken before the first step reads the run as it was, and neither the
+    # erased events nor the steps after the erasure reach it.
+    runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true(), 3: poll_until_true()})
+    ledger = runner.ledger
+    runner.run_call(2)
+    runner.run_call(3)
+    before = recount(runner.events, runner.n)
+    runner.erase(2)
+    runner.force_next_call(3, POLL)
+    runner.run_call(3)
+    assert [ledger.per_process(p) for p in (1, 2, 3)] == [before[p] for p in (1, 2, 3)]
 
 
 def test_cached_requires_a_ledger():
