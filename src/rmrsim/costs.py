@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .errors import SimError
 from .memory import Event
 
 LOCAL = "local"
@@ -84,9 +85,11 @@ class RmrLedger:
     The ledger holds the list the run appends its events to and a cursor
     into it: :meth:`record` charges the events past the cursor, and every
     read charges first, so no read sees fewer events than the list holds.
+    While the run has a checkpoint open (``checkpointed``, set by the run),
+    every read raises :class:`SimError`: those events may be rolled back.
     """
 
-    __slots__ = ("n", "_cache", "_rows", "_copied", "_events", "_charged")
+    __slots__ = ("n", "_cache", "_rows", "_copied", "_events", "_charged", "checkpointed")
 
     def __init__(self, n: int, events: list[Event]):
         self.n = n
@@ -96,12 +99,15 @@ class RmrLedger:
         self._copied: list[set[int]] = [set() for _ in range(n + 1)]
         self._events = events
         self._charged = 0
+        self.checkpointed = False
 
     def record(self) -> None:
         """Charge each event past the cursor, in order: :func:`classify_dsm`,
         the ideal-directory count (one message per copy another process held
         before the event) and :func:`classify_cc`, folded over a single
-        holder-set lookup per event."""
+        holder-set lookup per event.  Refused while a checkpoint is open."""
+        if self.checkpointed:
+            raise SimError("ledger read while a checkpoint is open; read it after, or a fork")
         events = self._events
         if self._charged == len(events):
             return
@@ -134,40 +140,11 @@ class RmrLedger:
                 holders.add(p)
         self._charged = len(events)
 
-    def rewind(self, length: int) -> None:
-        """Move the cursor back to ``length`` events, after the run dropped
-        the rest; the caller puts back the rows and holder sets they
-        changed.  The words copied keep what those events added."""
-        self._charged = length
-
     def detach(self) -> None:
         """Charge what is left and let go of the event list: the counts
         stay as they are from here on."""
         self.record()
         self._events, self._charged = [], 0
-
-    def save(self, proc: int, loc: int, trivial: bool) -> tuple | None:
-        """What :meth:`restore` needs to undo a step of ``proc`` on ``loc``:
-        None if the step keeps the holders, ``("drop", loc, proc)`` if it
-        only adds the reader's copy, else the whole holder set it replaces.
-        Read as charged, without a charge: the undo journal saves a step
-        while a checkpoint is open, when every event before it is charged."""
-        holders = self._cache._holders.get(loc)
-        if not trivial:
-            return "put", loc, None if holders is None else set(holders)
-        if holders is None or proc not in holders:
-            return "drop", loc, proc
-        return None
-
-    def restore(self, saved: tuple) -> None:
-        action, loc, arg = saved
-        holders_of = self._cache._holders
-        if action == "drop":
-            holders_of[loc].discard(arg)
-        elif arg is None:
-            holders_of.pop(loc, None)
-        else:
-            holders_of[loc] = arg
 
     @property
     def cache(self) -> CacheState:
@@ -179,14 +156,6 @@ class RmrLedger:
         it gained a copy of, filtered by their holder sets."""
         holders_of = self.cache._holders
         return tuple(sorted([u for u in self._copied[proc] if proc in holders_of.get(u, ())]))
-
-    def row(self, proc: int) -> list[int]:
-        """A copy of one process's counts, for :meth:`set_row`."""
-        self.record()
-        return list(self._rows[proc])
-
-    def set_row(self, proc: int, row: list[int]) -> None:
-        self._rows[proc] = row
 
     def rmr(self, model: Model, proc: int) -> int:
         self.record()

@@ -68,8 +68,8 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
 
     One depth-first walk, lowest process first, over a DAG of the
     configurations met, keyed by :meth:`Runner.configuration` (which holds
-    the depth).  A configuration's edges come from stepping one run without
-    a ledger when the walk first meets it (:func:`_explore`), and from its
+    the depth).  A configuration's edges come from stepping one run when
+    the walk first meets it (:func:`_explore`), and from its
     recorded edges after that, which yield what stepping would, in the same
     order, as long as the protocol keeps its state in ``ctx.state``, as the
     rollback's rebuild of a call assumes too.  The run steps only as the
@@ -91,9 +91,10 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     another step than it took, which a protocol keeping state outside
     ``ctx.state`` does.
     """
-    run = Runner(algorithm, roles, with_ledger=False)
+    run = Runner(algorithm, roles)
     # Never rolled back: it keeps the journal on, so that every call starts
-    # under a checkpoint, can be rebuilt and has a part in the key.
+    # under a checkpoint, can be rebuilt and has a part in the key; its
+    # ledger, which nothing charges under a checkpoint, goes unread.
     run.checkpoint()
     memo: dict[tuple, _Node] = {}  # local to this enumeration
     # Rebuilt closed records by (recorded record's id, path call id, start
@@ -224,37 +225,40 @@ def stability(base: Runner, pid: int, *, model: Model = Model.DSM,
     memory it can read locally) repeats between calls, which pins the solo
     run in a zero-cost cycle.  Raises :class:`StabilityUndecided` when the
     horizon is hit first.
+
+    The polls run in a probe, where the ledger answers no reads, so each is
+    charged from its own events; under CC against the copies ``pid`` held
+    before it, read from the ledger (so refused under an open checkpoint).
     """
-    if base.ledger is None:
-        raise SimError("stability reads the ledger's charges; this run keeps none")
     if not base.is_active(pid):
         raise SimError(f"process {pid} is not active")
     if base.open_call(pid) is not None:
         raise SimError(f"process {pid} is mid-call; stability is a between-calls question")
+    held = None if model is _DSM else base.cached(pid)
     with base.probe((pid,)):
-        return _solo_stability(base, pid, model, horizon)
+        return _solo_stability(base, pid, held, horizon)
 
 
-def _solo_stability(run: Runner, pid: int, model: Model, horizon: int) -> StabilityResult:
-    # Each poll returns at once if it paid an RMR, so the count the polls
-    # are checked against stays the one the probe began with.
-    rmr, paid = run.ledger.rmr, run.ledger.rmr(model, pid)
-    seen = {_configuration(run, pid, model)}
+def _solo_stability(run: Runner, pid: int, held: tuple[int, ...] | None,
+                    horizon: int) -> StabilityResult:
+    # Every event from here on is one of pid's; the first ``checked`` paid nothing.
+    events = run.events
+    checked = len(events)
+    seen = {_configuration(run, pid, held)}
     for made in range(1, horizon + 1):
         run.force_next_call(pid, POLL)
         try:
             rec = run.run_call(pid, max_steps=horizon)
         except StepBudgetExceeded:
-            if rmr(model, pid) > paid:
-                return StabilityResult(stable=False, solo_calls=made)
-            raise StabilityUndecided(
-                f"process {pid}: poll did not return within {horizon} steps"
-            ) from None
-        if rmr(model, pid) > paid:
+            rec = None
+        if _paid(events, checked, pid, held):
             return StabilityResult(stable=False, solo_calls=made)
+        if rec is None:
+            raise StabilityUndecided(f"process {pid}: poll did not return within {horizon} steps")
+        checked = len(events)
         if rec.response:
             return StabilityResult(stable=True, solo_calls=made)
-        config = _configuration(run, pid, model)
+        config = _configuration(run, pid, held)
         if config in seen:
             return StabilityResult(stable=True, solo_calls=made)
         seen.add(config)
@@ -265,16 +269,25 @@ def _solo_stability(run: Runner, pid: int, model: Model, horizon: int) -> Stabil
     )
 
 
-def _configuration(runner: Runner, pid: int, model: Model) -> tuple:
+def _paid(events: list[Event], start: int, pid: int, held: tuple[int, ...] | None) -> bool:
+    """Whether an event of ``pid`` from ``start`` on is an RMR: under DSM
+    (``held`` None) an access to another module, under CC a nontrivial
+    attempt or an access outside ``held``, which only such an event changes."""
+    if held is None:
+        return any(e.home != pid for e in events[start:])
+    return any(not e.op.trivial or e.loc not in held for e in events[start:])
+
+
+def _configuration(runner: Runner, pid: int, held: tuple[int, ...] | None) -> tuple:
     """Everything a solo run of ``pid`` can branch on without paying an RMR:
     its persistent local state plus the values it can read locally (its own
-    module under DSM; its valid cached copies under CC)."""
+    module under DSM; under CC the words in ``held``, its valid copies)."""
     state = runner.ctxs[pid].state
     state = tuple(sorted(state.items())) if state else ()
-    if model is _DSM:
+    if held is None:
         return state, runner.mem.module_snapshot(pid)
     value = runner.mem.value
-    return state, tuple([(uid, value(uid)) for uid in runner.cached(pid)])
+    return state, tuple([(uid, value(uid)) for uid in held])
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,8 @@ access.
 
 Per event a step calls ``Memory.apply`` once and resumes the procedure
 body once.  The ledger charges on read: it folds the events added since
-its last charge when its counts are read, and a step charges its own event
-at once only while a checkpoint is open, for the journal and the process
-saves, which read the ledger.
+its last charge when its counts are read.  It refuses every read while a
+checkpoint is open, so no step charges and a rollback has none to undo.
 
 A closed call record is never changed: :meth:`Runner.history` shares it,
 so a rollback that reopens a call puts a new record in its place.  An open
@@ -272,7 +271,7 @@ class Runner:
     :meth:`fork` then builds the erased run.
     """
 
-    def __init__(self, algorithm, roles: dict[int, Script], *, with_ledger: bool = True):
+    def __init__(self, algorithm, roles: dict[int, Script]):
         self.algorithm = algorithm
         self.n = algorithm.n
         for pid, script in roles.items():
@@ -293,7 +292,7 @@ class Runner:
         self._events: list[Event | None] = []
         self._calls: list[CallRecord | None] = []
         self._trace: list = []
-        self.ledger: RmrLedger | None = RmrLedger(self.n, self._events) if with_ledger else None
+        self.ledger: RmrLedger | None = RmrLedger(self.n, self._events)
         self._procs = {pid: _ProcState() for pid in range(1, self.n + 1)}
         self._participants: set[int] = set()
         self._terminated: set[int] = set()
@@ -308,8 +307,7 @@ class Runner:
         # shrinks, so a rollback only drops what was added.
         self._pid_sets = (self._participants, self._terminated, self._pollers, self._signaled)
         # Set while a checkpoint is open: per step, in step order, the
-        # process, the word it is about to change and that word's cache
-        # holders.
+        # process and the word it is about to change.
         self._undo: list | None = None
         # Open checkpoints, innermost last: the event, call and trace list
         # lengths, the undo log's length, and the processes' saved states.
@@ -371,11 +369,11 @@ class Runner:
 
     def cached(self, pid: int) -> tuple[int, ...]:
         """The words ``pid`` holds a valid CC copy of, in uid order, read
-        from the ledger alone (:meth:`RmrLedger.held`): the words ``pid``
-        gained a copy of filtered by their holders, the cost of what ``pid``
-        touched, not of every cached word."""
+        from the ledger alone (:meth:`RmrLedger.held`), so refused while a
+        checkpoint is open: the words ``pid`` gained a copy of filtered by
+        their holders, the cost of what ``pid`` touched."""
         if self.ledger is None:
-            raise SimError("cached() reads the ledger's cache; this run keeps none")
+            self._refuse("cached()")
         return self.ledger.held(pid)
 
     def history(self) -> History:
@@ -435,13 +433,10 @@ class Runner:
             )
         rec = state.call
         undo = self._undo
-        if undo is not None:  # journal the word and its cache holders
+        if undo is not None:  # journal the word
             if pid not in self._saved:
                 self._touch(pid)
-            uid = loc.uid
-            ledger = self.ledger
-            undo.append((pid, self.mem.save_word(uid),
-                         None if ledger is None else ledger.save(pid, uid, op.trivial)))
+            undo.append((pid, self.mem.save_word(loc.uid)))
         events = self._events
         ev = self.mem.apply(pid, op, loc, len(events))
         self._trace.append(pid)
@@ -452,11 +447,8 @@ class Runner:
         state.pending = None
         # An SC responds with its verdict; a write with value_read, None.
         response = ev.outcome if kind is _SC else ev.value_read
-        if undo is not None:
-            if ledger is not None:  # the next journal entry or save reads it
-                ledger.record()
-            if state.part is not None:
-                state.part += (response,)
+        if undo is not None and state.part is not None:
+            state.part += (response,)
         try:
             state.pending = state.gen.send(response)
         except StopIteration as stop:
@@ -517,19 +509,17 @@ class Runner:
     def checkpoint(self) -> None:
         """Open a checkpoint that :meth:`rollback` returns the run to.
 
-        Checkpoints nest.  The ledger charges the run so far first.  While
-        one is open each step charges its own event at once and journals the
-        word it is about to change (value, writer, links, cache holders),
-        and each process's state is saved before it first changes: script
-        position, queued calls, ``ctx.state``, ledger row, set memberships,
-        and its open call's generator and record.
+        Checkpoints nest.  While one is open each step journals the word it
+        is about to change (value, writer, links), each process's state is
+        saved before it first changes (script position, queued calls,
+        ``ctx.state``, set memberships, and its open call's generator and
+        record), and the ledger refuses every read.
         """
         if self._erased is not None:
             self._refuse("checkpoint()")
-        if self.ledger is not None:
-            self.ledger.record()
         if self._undo is None:
             self._undo = []
+            self.ledger.checkpointed = True
         self._saved = {}
         self._checkpoints.append(
             (len(self._events), len(self._calls), len(self._trace), len(self._undo), self._saved)
@@ -539,9 +529,9 @@ class Runner:
         """Put the run back exactly as it was at the innermost open
         checkpoint, which stays open unless ``close`` is set.
 
-        Words and cache holders come back from the journal, the event, call
-        and trace lists by truncation, the ledger's cursor to the truncated
-        length, the processes from their saves.  A call open at the
+        Words come back from the journal, the event, call and trace lists
+        by truncation, the processes from their saves; the ledger, which
+        charged nothing meanwhile, needs nothing.  A call open at the
         checkpoint whose process has stepped since gets a fresh generator:
         the body restarts from ``ctx.state`` as the call found it and is
         sent the call's recorded responses.  A request that differs from
@@ -552,20 +542,16 @@ class Runner:
         if not self._checkpoints:
             raise SimError("no checkpoint is open")
         events, calls, trace, mark, saved = self._checkpoints[-1]
-        undo, mem, ledger = self._undo, self.mem, self.ledger
+        undo, mem = self._undo, self.mem
         stepped = set()
-        for pid, word, holders in reversed(undo[mark:]):
+        for pid, word in reversed(undo[mark:]):
             stepped.add(pid)
             mem.restore_word(word)
-            if holders is not None:
-                ledger.restore(holders)
         del undo[mark:]
         if self._observed_upto > events:
             self._observe(self._events[events:self._observed_upto], -1)
             self._observed_upto = events
         del self._events[events:]
-        if ledger is not None:
-            ledger.rewind(events)
         del self._calls[calls:]
         del self._trace[trace:]
         for pid, state in saved.items():
@@ -577,6 +563,7 @@ class Runner:
                 self._saved = self._checkpoints[-1][4]
             else:
                 self._undo = self._saved = None
+                self.ledger.checkpointed = False
 
     def probe(self, pids: Iterable[int]) -> "_Probe":
         """Let ``pids`` make further calls on this run, then undo them.
@@ -728,20 +715,18 @@ class Runner:
             raise SchedulingError(f"process {pid} is outside the open probe")
         state = self._procs[pid]
         rec = state.call
-        ledger = self.ledger
         self._saved[pid] = (
             state.gen, rec, state.pending, None if rec is None else rec.start_seq,
             state.calls_made, state.saw_true, list(state.forced), state.next_kind, state.part,
             # An open call's own steps alone change ctx.state, and after
             # them the generator rebuild restores it.
             dict(self.ctxs[pid].state) if rec is None else None,
-            None if ledger is None else ledger.row(pid),
             [members for members in self._pid_sets if pid not in members],
         )
 
     def _restore_process(self, pid: int, saved: tuple, stepped: bool) -> None:
         (gen, rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
-         part, ctx_state, row, absent) = saved
+         part, ctx_state, absent) = saved
         state = self._procs[pid]
         # A process is runnable exactly while it has an open, a queued or a
         # scripted call.
@@ -763,8 +748,6 @@ class Runner:
             # the save, or if it stepped under a later checkpoint whose
             # rollback put a rebuilt generator in its place.
             state.gen = gen if gen is state.gen and not stepped else self._rebuild(pid)
-        if row is not None:
-            self.ledger.set_row(pid, row)
         for members in absent:
             members.discard(pid)
 

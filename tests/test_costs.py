@@ -306,6 +306,11 @@ def _ending_in(kind, ok, issuer_holds):
     return events_from(mem, script)
 
 
+def row(ledger: RmrLedger, proc: int) -> list[int]:
+    """One process's counts in metric order."""
+    return list(ledger.per_process(proc).values())
+
+
 @pytest.mark.parametrize("kind, ok, issuer_holds", [
     (kind, ok, holds)
     for kind in OpKind
@@ -321,13 +326,13 @@ def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
     assert last.outcome is ok
     held = holder_pairs(cache)
     assert ((2, last.loc) in held) is issuer_holds and (3, last.loc) in held
-    others = [ledger.row(1), ledger.row(3)]
-    start = ledger.row(2)
+    others = [row(ledger, 1), row(ledger, 3)]
+    start = row(ledger, 2)
     bus = not last.op.trivial
     directory = count_messages(last, cache)
     cc = classify_cc(last, cache) is RMR  # moves the cache past ``last``
     expected = [classify_dsm(last) is RMR, cc, bus, directory, 1]
     events.append(last)
-    assert [now - was for now, was in zip(ledger.row(2), start)] == expected
-    assert [ledger.row(1), ledger.row(3)] == others
+    assert [now - was for now, was in zip(row(ledger, 2), start)] == expected
+    assert [row(ledger, 1), row(ledger, 3)] == others
     assert holder_pairs(ledger.cache) == holder_pairs(cache)

@@ -211,8 +211,8 @@ def test_enumeration_steps_only_as_far_as_its_histories(monkeypatch):
 
 
 def solo_polls(runner, pid, calls):
-    """Let ``pid`` alone make ``calls`` further Polls, inside an open probe
-    of it, stopping after one that returns true."""
+    """Let ``pid`` alone make ``calls`` further Polls, on a fork or inside
+    an open probe of it, stopping after one that returns true."""
     for _ in range(calls):
         runner.force_next_call(pid, POLL)
         if runner.run_call(pid).response:
@@ -220,14 +220,20 @@ def solo_polls(runner, pid, calls):
 
 
 def test_solo_extend_stable_waiter_pays_nothing():
+    # The ledger answers no reads inside a probe, so the charges are read
+    # on a fork that polls with no checkpoint open; the probe takes the
+    # fork's steps and rolls them back.
     algo = make_algorithm("dsm_queue", 4)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
     before = runner.ledger.rmr(Model.DSM, 2)
     steps = len(runner.events)
+    fork = runner.fork()
+    solo_polls(fork, 2, 100)
+    assert fork.ledger.rmr(Model.DSM, 2) == before
     with runner.probe((2,)):
         solo_polls(runner, 2, 100)
-        assert runner.ledger.rmr(Model.DSM, 2) == before
+        assert [e.signature() for e in runner.events] == [e.signature() for e in fork.events]
         assert len(runner.events) == steps + 100
     assert len(runner.events) == steps
 
@@ -237,9 +243,11 @@ def test_solo_extend_cc_flag_waiter_pays_per_poll_under_dsm():
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
     before = runner.ledger.rmr(Model.DSM, 2)
+    fork = runner.fork()
+    solo_polls(fork, 2, 50)
+    assert fork.ledger.rmr(Model.DSM, 2) == before + 50
     with runner.probe((2,)):
         solo_polls(runner, 2, 50)
-        assert runner.ledger.rmr(Model.DSM, 2) == before + 50
     assert runner.ledger.rmr(Model.DSM, 2) == before
 
 
@@ -314,18 +322,17 @@ def test_stability_requires_between_calls():
 
 
 def test_stability_requires_a_ledger():
-    # It reads the probed process's charges: a run without a ledger, made
-    # so or by an erasure, is refused.
+    # The only run without a ledger is an erased one, which is refused
+    # under either model: its ledger, which the CC copies are read from,
+    # and its checkpoints, which the probe opens, are gone.
     algo = make_algorithm("cc_flag", 3)
-    bare = Runner(algo, {2: poll_until_true()}, with_ledger=False)
-    bare.run_call(2)
     erased = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
     erased.run_call(2)
     erased.run_call(3)
     erased.erase(2)
-    for runner, pid in ((bare, 2), (erased, 3)):
-        with pytest.raises(SimError, match="ledger"):
-            stability(runner, pid)
+    for model in Model:
+        with pytest.raises(SimError, match="refused after an erasure"):
+            stability(erased, 3, model=model)
 
 
 class _UnboundedCounter(SignalingAlgorithm):
@@ -363,10 +370,10 @@ def test_stable_verdicts_survive_long_solo_runs():
         runner.run_call(3)
         verdict = stability(runner, 2)
         assert verdict.stable
-        before = runner.ledger.rmr(Model.DSM, 2)
-        with runner.probe((2,)):
-            solo_polls(runner, 2, 10 * verdict.solo_calls)
-            assert runner.ledger.rmr(Model.DSM, 2) == before
+        fork = runner.fork()
+        before = fork.ledger.rmr(Model.DSM, 2)
+        solo_polls(fork, 2, 10 * verdict.solo_calls)
+        assert fork.ledger.rmr(Model.DSM, 2) == before
 
 
 # -- observation ------------------------------------------------------------

@@ -545,8 +545,9 @@ def test_observed_by_index_matches_scan_oracle(cfg, rnd):
 
 
 def fork_stability(fork: Runner, pid: int, model: Model, horizon: int) -> StabilityResult:
-    """The stability probe as it ran on a replayed fork of the run: the
-    oracle for the in-place probe."""
+    """The stability probe as it ran on a replayed fork of the run, with no
+    checkpoint open, reading the fork's ledger after each poll: the oracle
+    for the in-place probe, which decides from its own events."""
     seen = {configuration(fork, pid, model)}
     for made in range(1, horizon + 1):
         before = fork.ledger.rmr(model, pid)
@@ -594,13 +595,15 @@ def outcome(probe) -> tuple:
         return (type(exc).__name__, str(exc))
 
 
-def observable_state(runner: Runner) -> tuple:
+def observable_state(runner: Runner, ledger: bool = True) -> tuple:
+    """What a run shows; with ``ledger`` unset, all of it but the ledger,
+    which refuses reads while a checkpoint is open."""
     return (
         signatures(runner),
         calls(runner),
         list(runner.trace),
         runner.mem.words(True),
-        ledger_state(runner),
+        ledger_state(runner) if ledger else None,
         runner.participants(),
         {p: dict(runner.ctxs[p].state) for p in runner.ctxs},
         runner.runnable(),
@@ -634,19 +637,48 @@ def test_stability_probe_matches_fork_oracle_and_rolls_back(cfg, model, horizon)
     assert ledger_state(runner) == ledger_state(twin)
 
 
+@given(configs(EVERY_PRIMITIVE), st.integers(1, 12),
+       st.lists(st.integers(0, 40), min_size=1, max_size=3))
+def test_probe_decides_rmrs_as_the_ledger_does(cfg, horizon, bursts):
+    # stability() decides from its probe's own events whether a poll paid
+    # an RMR: under DSM an access to another module, under CC a nontrivial
+    # attempt or an access to a word outside the copies held before the
+    # probe opened.  The oracle polls a fork with no checkpoint open and
+    # reads its ledger after each poll.  Both give the same verdict and
+    # solo calls, or both leave it undecided, under either model, for every
+    # active process after each burst of steps of a random schedule and
+    # the end of its open call.
+    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    policy = SeededRandom(cfg.seed)
+    for burst in bursts:
+        runner.drive(policy, len(runner.events) + burst)
+        active = sorted(runner.participants() - runner.terminated)
+        for pid in active:
+            if runner.open_call(pid) is not None:
+                with suppress(StepBudgetExceeded):  # a Wait spinning on its own
+                    runner.run_call(pid, max_steps=20)
+        for pid in active:
+            if runner.is_active(pid) and runner.open_call(pid) is None:
+                for model in Model:
+                    expected = outcome(lambda: fork_stability(runner.fork(), pid, model, horizon))
+                    got = outcome(lambda: stability(runner, pid, model=model, horizon=horizon))
+                    assert got == expected
+
+
 @given(configs(EVERY_PRIMITIVE), st.randoms(use_true_random=False))
 def test_cached_words_match_holder_scan(cfg, rnd):
     # Runner.cached filters the words a process accessed, an index that
     # only grows, by the holder sets; it equals the scan of every holder
-    # set after steps, inside a probe that stepped, after its rollback, and
-    # after steps that refill what the rollback took out of the events.
-    # (The drill asks it only before any erasure, which leaves the holder
-    # sets to the replay.)
+    # set after steps, on a fork of a probe that stepped (the ledger
+    # answers no reads while the probe is open), after the probe's
+    # rollback, and after steps that refill what the rollback took out of
+    # the events.  (The drill asks it only before any erasure, which leaves
+    # the holder sets to the replay.)
     runner = execute(cfg)
 
-    def agree() -> None:
-        for p in range(1, runner.n + 1):
-            assert runner.cached(p) == held_scan(runner.ledger.cache, p)
+    def agree(run: Runner = runner) -> None:
+        for p in range(1, run.n + 1):
+            assert run.cached(p) == held_scan(run.ledger.cache, p)
 
     def steps(count: int) -> None:
         for _ in range(count):
@@ -665,7 +697,7 @@ def test_cached_words_match_holder_scan(cfg, rnd):
             runner.force_next_call(pid, POLL)
             with suppress(StepBudgetExceeded):  # a Poll spinning on its own
                 runner.run_call(pid, max_steps=20)
-        agree()
+        agree(runner.fork())
     agree()
     steps(rnd.randrange(8))
     agree()
@@ -673,7 +705,7 @@ def test_cached_words_match_holder_scan(cfg, rnd):
 
 #: Every ledger read, and ``Runner.cached``, which reads the ledger alone.
 LEDGER_READS = ("rmr", "per_process", "totals", "total_rmr_dsm", "total_rmr_cc",
-                "total_msg_bus", "total_msg_dir", "row", "cache", "cached")
+                "total_msg_bus", "total_msg_dir", "cache", "cached")
 INTERLUDES = st.sampled_from(("run.ledger", "reference", "probe", "checkpoint"))
 
 
@@ -697,8 +729,6 @@ def read_as_recounted(ledger, read: str, pid: int, model: Model, runner: Runner)
         return ledger.per_process(pid), expected[pid]
     if read == "totals":
         return ledger.totals(), totals
-    if read == "row":
-        return ledger.row(pid), list(expected[pid].values())
     if read == "cache":
         return holder_pairs(ledger.cache), recount_holders(runner.events)
     if read == "cached":
@@ -711,11 +741,12 @@ def read_as_recounted(ledger, read: str, pid: int, model: Model, runner: Runner)
 def test_every_ledger_read_sees_every_event(cfg, data):
     # Steps with no checkpoint open leave their charges to the next read.
     # Before each burst of them: one read, through run.ledger or through a
-    # reference taken before the first step; a stability probe of a waiter
-    # between calls; or a checkpoint, steps of processes that were between
-    # calls (on words nobody has touched, if it comes first), and a
-    # rollback.  Every read equals a recount of the events, and so does
-    # each kind of read made first on a replay of the whole run.
+    # reference taken before the first step; or a stability probe of a
+    # waiter between calls, or a checkpoint, steps of processes that were
+    # between calls (on words nobody has touched, if it comes first) and a
+    # rollback, each followed by a read once it has closed.  Every read
+    # equals a recount of the events, and so does each kind of read made
+    # first on a replay of the whole run.
     runner = Runner(build(cfg.name, cfg.n), cfg.roles)
     reference = runner.ledger
     policy = SeededRandom(cfg.seed)
@@ -737,12 +768,11 @@ def test_every_ledger_read_sees_every_event(cfg, data):
                 if live:
                     runner.step(live[k % len(live)])
             runner.rollback(close=True)
-        else:
-            ledger = runner.ledger if interlude == "run.ledger" else reference
-            got, expected = read_as_recounted(
-                ledger, data.draw(st.sampled_from(LEDGER_READS)),
-                data.draw(st.integers(1, runner.n)), data.draw(st.sampled_from(Model)), runner)
-            assert got == expected
+        ledger = reference if interlude == "reference" else runner.ledger
+        got, expected = read_as_recounted(
+            ledger, data.draw(st.sampled_from(LEDGER_READS)),
+            data.draw(st.integers(1, runner.n)), data.draw(st.sampled_from(Model)), runner)
+        assert got == expected
         runner.drive(policy, len(runner.events) + data.draw(st.integers(0, 12)))
     pid, model = data.draw(st.integers(1, runner.n)), data.draw(st.sampled_from(Model))
     for read in LEDGER_READS:
@@ -785,23 +815,25 @@ def test_post_poll_probe_matches_fork_oracle_and_rolls_back(cfg, model):
 def test_rollback_restores_the_run_exactly(cfg):
     # Checkpoint mid-run, go on (a forced Poll included), roll back: the run
     # is as it was, and goes on as a run that never left.
+    # The ledger is compared once the outermost checkpoint has closed: it
+    # answers no reads before.
     runner = Runner(build(cfg.name, cfg.n), cfg.roles)
     runner.checkpoint()  # calls begun from here on can be rewound
     runner.drive(SeededRandom(cfg.seed), cfg.budget)
-    before, trace = observable_state(runner), list(runner.trace)
+    before, trace = observable_state(runner, ledger=False), list(runner.trace)
     runner.checkpoint()
     runner.drive(SeededRandom(cfg.seed + 1), len(runner.events) + 20)
     if cfg.forced is not None and cfg.forced not in runner.terminated:
         runner.force_next_call(cfg.forced, POLL)
         runner.drive(SeededRandom(cfg.seed + 2), len(runner.events) + 20)
     runner.rollback()
-    assert observable_state(runner) == before
+    assert observable_state(runner, ledger=False) == before
     twin = Runner.replay(runner.algorithm, runner.roles, trace)
     for run in (runner, twin):
         run.drive(SeededRandom(cfg.seed + 3), len(run.events) + 30)
-    assert observable_state(runner) == observable_state(twin)
+    assert observable_state(runner, ledger=False) == observable_state(twin, ledger=False)
     runner.rollback(close=True)
-    assert observable_state(runner) == before
+    assert observable_state(runner, ledger=False) == before
     runner.rollback(close=True)
     assert observable_state(runner) == observable_state(Runner(runner.algorithm, runner.roles))
 
@@ -812,7 +844,7 @@ def replay_enumeration(algorithm, roles, depth):
     pending = [()]
     while pending:
         prefix = pending.pop()
-        runner = Runner(algorithm, roles, with_ledger=False)
+        runner = Runner(algorithm, roles)
         for pid in prefix:
             runner.step(pid)
         schedule = list(prefix)
@@ -1079,12 +1111,14 @@ ACTIONS = st.sampled_from(("step", "step", "step", "force", "checkpoint", "rollb
 def test_checkpoints_agree_with_replay_under_any_mix_of_actions(data):
     # Steps, queued Polls, checkpoints and rollbacks in any order: each
     # rollback restores the state its checkpoint saw, and the run always
-    # equals a replay of its trace.
+    # equals a replay of its trace.  The ledger, which answers no reads
+    # under a checkpoint, is compared after the last one closes: nothing
+    # the actions did reaches it.
     name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
     actions = data.draw(st.lists(st.tuples(ACTIONS, st.integers(0, 7)), min_size=20, max_size=80))
     runner = Runner(build(name, n), roles)
     runner.checkpoint()  # kept open, so that every call can be rewound
-    seen = [observable_state(runner)]
+    seen = [observable_state(runner, ledger=False)]
     waiters = sorted(pid for pid in roles if pid != 1)
     for action, k in actions:
         if action == "step":
@@ -1099,16 +1133,17 @@ def test_checkpoints_agree_with_replay_under_any_mix_of_actions(data):
             runner.force_next_call(pid, POLL)
         elif action == "checkpoint":
             runner.checkpoint()
-            seen.append(observable_state(runner))
+            seen.append(observable_state(runner, ledger=False))
         else:
             close = action == "close" and len(seen) > 1
             runner.rollback(close=close)
-            assert observable_state(runner) == (seen.pop() if close else seen[-1])
+            assert observable_state(runner, ledger=False) == (seen.pop() if close else seen[-1])
         twin = Runner.replay(runner.algorithm, runner.roles, runner.trace)
-        assert observable_state(runner) == observable_state(twin)
+        assert observable_state(runner, ledger=False) == observable_state(twin, ledger=False)
     while seen:
         runner.rollback(close=True)
-        assert observable_state(runner) == seen.pop()
+        assert observable_state(runner, ledger=False) == seen.pop()
+    assert observable_state(runner) == observable_state(Runner(runner.algorithm, runner.roles))
 
 
 def enumerate_in_place(runner: Runner, pids: list[int], depth: int, visit) -> None:

@@ -24,7 +24,9 @@ from rmrsim.runner import (
     waiter_roles,
 )
 
-from test_properties import holder_pairs, recount
+from rmrsim.costs import Model
+
+from test_properties import LEDGER_READS, holder_pairs, read_as_recounted, recount
 
 
 def waiter_signaler_roles(waiters, signaler, script=None):
@@ -181,14 +183,16 @@ def queue_after_signal():
     return runner
 
 
-def observable(runner):
+def observable(runner, ledger=True):
+    """What a run shows; with ``ledger`` unset, all of it but the ledger,
+    which refuses reads while a checkpoint is open."""
     return (
         [e.signature() for e in runner.events],
         [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq) for c in runner.calls],
         list(runner.trace),
         runner.mem.words(True),
-        [runner.ledger.per_process(p) for p in range(1, runner.n + 1)],
-        holder_pairs(runner.ledger.cache),
+        [runner.ledger.per_process(p) for p in range(1, runner.n + 1)] if ledger else None,
+        holder_pairs(runner.ledger.cache) if ledger else None,
         runner.participants(),
         runner.runnable(),
         runner.terminated,
@@ -269,11 +273,12 @@ def test_probe_refusals():
         with pytest.raises(SchedulingError):
             fresh.peek(3)  # would start 3's first call
     assert fresh.calls == []
-    # A run without a ledger may be probed: only stability reads charges.
-    bare = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)}, with_ledger=False)
-    with bare.probe([2]):
-        bare.run_call(2)
-    assert bare.calls == [] and bare.participants() == set()
+    # A run probed before any read: the probe charges nothing.
+    plain = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)})
+    with plain.probe([2]):
+        plain.run_call(2)
+    assert plain.calls == [] and plain.participants() == set()
+    assert plain.ledger.totals()["steps"] == 0
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -282,24 +287,29 @@ def test_probe_refusals():
 def test_rollback_rebuilds_a_call_that_changed_its_state_before_yielding():
     # dsm_queue's first Poll sets "enqueued" before its first request, so
     # the rebuilt body must start from the state the call found, not the
-    # state the rolled-back steps left.
-    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(2), 3: poll_at_most(1)})
+    # state the rolled-back steps left.  The ledger is compared once both
+    # checkpoints have closed.
+    roles = {2: poll_at_most(2), 3: poll_at_most(1)}
+    runner = Runner(make_algorithm("dsm_queue", 3), roles)
     runner.checkpoint()
     runner.step(2)  # FAI on the tail; 2 is mid-call
-    before = observable(runner)
+    before = observable(runner, ledger=False)
     runner.checkpoint()
     runner.step(2)
     runner.step(3)
     runner.step(2)  # 2's first Poll returns
     runner.step(2)  # and its second begins
     runner.rollback()
-    assert observable(runner) == before
+    assert observable(runner, ledger=False) == before
     assert runner.ctxs[2].state == {"enqueued": True}
     runner.drive(RoundRobin())
-    twin = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(2), 3: poll_at_most(1)})
+    twin = Runner(make_algorithm("dsm_queue", 3), roles)
     twin.step(2)
     twin.drive(RoundRobin())
-    assert observable(runner) == observable(twin)
+    assert observable(runner, ledger=False) == observable(twin, ledger=False)
+    runner.rollback(close=True)
+    runner.rollback(close=True)
+    assert observable(runner) == observable(Runner(make_algorithm("dsm_queue", 3), roles))
 
 
 def test_checkpoints_nest_and_close():
@@ -309,16 +319,16 @@ def test_checkpoints_nest_and_close():
     outer = observable(runner)
     runner.checkpoint()
     runner.step(3)
-    inner = observable(runner)
+    inner = observable(runner, ledger=False)
     runner.checkpoint()
     runner.step(3)
     runner.rollback()  # stays open
-    assert observable(runner) == inner
+    assert observable(runner, ledger=False) == inner
     runner.step(3)
     runner.rollback(close=True)
-    assert observable(runner) == inner
+    assert observable(runner, ledger=False) == inner
     runner.rollback(close=True)
-    assert observable(runner) == outer
+    assert observable(runner) == outer  # the ledger reads again, as it was
     with pytest.raises(SimError, match="no checkpoint"):
         runner.rollback()
 
@@ -327,7 +337,8 @@ def test_rollback_rebuilds_a_generator_an_inner_rollback_left_behind():
     # 2 is touched under the outer checkpoint without a step (a queued
     # call), then steps under the inner one.  Rolling back the inner one
     # rebuilds 2's generator, and the outer one must not bring back the
-    # generator those steps advanced.
+    # generator those steps advanced.  The ledgers are compared once every
+    # checkpoint has closed.
     def started():
         run = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1), 3: poll_at_most(1)})
         run.checkpoint()
@@ -335,17 +346,20 @@ def test_rollback_rebuilds_a_generator_an_inner_rollback_left_behind():
         return run
 
     runner = started()
-    before = observable(runner)
+    before = observable(runner, ledger=False)
     runner.checkpoint()
     runner.force_next_call(2, POLL)
     runner.checkpoint()
     runner.step(2)
     runner.rollback(close=True)
     runner.rollback(close=True)
-    assert observable(runner) == before
+    assert observable(runner, ledger=False) == before
     twin = started()
     for run in (runner, twin):
         run.drive(RoundRobin())
+    assert observable(runner, ledger=False) == observable(twin, ledger=False)
+    for run in (runner, twin):
+        run.rollback(close=True)
     assert observable(runner) == observable(twin)
 
 
@@ -391,14 +405,60 @@ def test_rollback_rebuilds_a_call_across_failed_and_successful_sc():
     runner.checkpoint()
     for pid in (1, 2, 1, 1, 1):  # LL, the write, a failing SC, LL, SC
         runner.step(pid)
-    before = observable(runner)
+    before = observable(runner, ledger=False)
     runner.checkpoint()
     runner.step(1)  # the read; Signal returns
     runner.rollback()
-    assert observable(runner) == before
+    assert observable(runner, ledger=False) == before
     runner.step(1)
     assert runner.calls[0].response is None and runner.calls[0].end_seq == 5
     assert [e.outcome for e in runner.events if e.op.kind is OpKind.SC] == [False, True]
+    runner.rollback(close=True)
+    runner.rollback(close=True)
+    assert observable(runner) == observable(Runner(Increment(2), roles))
+
+
+@pytest.mark.parametrize("read", LEDGER_READS)
+def test_ledger_reads_are_refused_while_a_checkpoint_is_open(read):
+    # Nothing charges the ledger under a checkpoint, so each read is
+    # refused until the outermost one closes, through run.ledger and
+    # through a reference taken before, also with no event added since it
+    # opened; then it equals a recount of the run's events.
+    runner = Runner(make_algorithm("cc_flag", 3), {1: signal_once(), 2: poll_until_true(),
+                                                   3: poll_at_most(2)})
+    reference = runner.ledger
+    runner.run_call(2)
+
+    def refused():
+        for ledger in (runner.ledger, reference):
+            with pytest.raises(SimError, match="checkpoint is open"):
+                read_as_recounted(ledger, read, 2, Model.CC, runner)
+
+    def recounted():
+        for ledger in (runner.ledger, reference):
+            for pid in (1, 2, 3):
+                for model in Model:
+                    got, expected = read_as_recounted(ledger, read, pid, model, runner)
+                    assert got == expected
+
+    runner.checkpoint()
+    refused()
+    runner.step(3)
+    runner.checkpoint()
+    refused()
+    runner.step(1)
+    runner.rollback(close=True)
+    refused()
+    runner.rollback(close=True)
+    recounted()
+    with runner.probe([2]):
+        refused()
+        runner.force_next_call(2, POLL)
+        runner.run_call(2)
+        refused()
+    recounted()
+    runner.drive(RoundRobin())
+    recounted()
 
 
 def test_rollback_cannot_rewind_a_call_begun_before_any_checkpoint():
@@ -438,13 +498,17 @@ def test_history_snapshot_stays_put():
     assert snapshot.calls[0].open
 
 
-@pytest.mark.parametrize("with_ledger", [True, False])
-def test_is_active_agrees_with_active(with_ledger):
+@pytest.mark.parametrize("erased", [True, False])
+def test_is_active_agrees_with_active(erased):
+    # Also on a run without a ledger, which only an erasure leaves.
     algo = make_algorithm("cc_flag", 4)
-    roles = {2: poll_until_true(), 3: poll_at_most(1)}  # 1 and 4 never run
-    runner = Runner(algo, roles, with_ledger=with_ledger)
+    roles = {2: poll_until_true(), 3: poll_at_most(1), 4: poll_until_true()}
+    runner = Runner(algo, roles)
     for pid in (2, 3):
         runner.run_call(pid)  # 2 stays active; 3 terminates after its one poll
+    if erased:
+        runner.run_call(4)
+        runner.erase(4)  # 4 is as if it never ran; 1 never runs
     assert runner.participants() - runner.terminated == {2}
     assert [p for p in range(1, 5) if runner.is_active(p)] == [2]
 
@@ -496,11 +560,14 @@ def test_erase_refusals():
     assert ([e.signature() for e in runner.events], list(runner.trace)) == before
     runner.erase(2)
     assert [e.proc for e in runner.events] == [3]
-    # The participant set is the run's, so a run without a ledger erases too.
-    bare = Runner(algo, roles, with_ledger=False)
-    bare.run_call(2)
-    bare.erase(2)
-    assert bare.participants() == set() and bare.events == []
+    # The participant set is the run's, so a run whose ledger an earlier
+    # erasure dropped erases too.
+    again = Runner(algo, roles)
+    for pid in (2, 4):
+        again.run_call(pid)
+    again.erase(4)
+    again.erase(2)
+    assert again.participants() == set() and again.events == []
 
 
 def test_erased_single_waiter_frees_its_place():
@@ -585,18 +652,16 @@ def test_ledger_held_across_an_erasure_keeps_the_run_before_it():
 
 
 def test_cached_requires_a_ledger():
-    # The CC copies live in the ledger's cache: a run without one, made so
-    # or by an erasure, is refused like stability, not with AttributeError.
+    # The CC copies live in the ledger's cache: a run without one, which
+    # only an erasure leaves, is refused like stability, not with
+    # AttributeError.
     algo = make_algorithm("cc_flag", 3)
-    bare = Runner(algo, {2: poll_until_true()}, with_ledger=False)
-    bare.run_call(2)
     erased = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
     erased.run_call(2)
     erased.run_call(3)
     erased.erase(2)
-    for runner, pid in ((bare, 2), (erased, 3)):
-        with pytest.raises(SimError, match="ledger"):
-            runner.cached(pid)
+    with pytest.raises(SimError, match="refused after an erasure"):
+        erased.cached(3)
 
 
 @pytest.mark.parametrize("name, waiters, roles, signaler", [
