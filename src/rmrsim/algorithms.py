@@ -214,7 +214,7 @@ class FixedWaiters(SignalingAlgorithm):
 
 
 class Registration(SignalingAlgorithm):
-    """One signaler fixed in advance; waiters register with it.
+    """One signaler, process 1, fixed in advance; waiters register with it.
 
     A waiter's first Poll sets its registration flag in the signaler's
     module and then reads the global done flag, which closes the race with
@@ -224,12 +224,7 @@ class Registration(SignalingAlgorithm):
     """
 
     name = "dsm_registration"
-
-    def __init__(self, n: int, signaler: int = 1, waiters=None):
-        super().__init__(n, waiters)
-        if not 1 <= signaler <= n:
-            raise ConfigError(f"signaler {signaler} outside 1..{n}")
-        self.home = self.designated_signaler = signaler
+    designated_signaler = 1  # the home of every global word
 
     def setup(self, mem: Memory):
         ids = range(1, self.n + 1)

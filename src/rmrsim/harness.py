@@ -10,9 +10,9 @@
   forever would never cost another remote reference;
 * erasure: removing every step of a process nobody observed (read a value
   it last wrote) yields another legal run, which is certified rather than
-  trusted.  The drill asks the run's observed-by count
-  (``Runner.observers``) and erases in place for the Signal's steps to
-  come; the erased run it reports is one replay of the surviving trace,
+  trusted.  The drill asks the observed-by count the run's erase index
+  keeps (``Runner.observers``) and erases in place for the Signal's steps
+  to come; the erased run it reports is one replay of the surviving trace,
   which certifies every erasure at once.  ``erase`` replays per erasure and
   compares, the slow oracle, after the scan ``validate_erasure``;
 * the adversary drill: stabilize a crowd of waiters, then make a signaler
@@ -232,8 +232,6 @@ def stability(base: Runner, pid: int, *, model: Model = Model.DSM,
     """
     if not base.is_active(pid):
         raise SimError(f"process {pid} is not active")
-    if base.open_call(pid) is not None:
-        raise SimError(f"process {pid} is mid-call; stability is a between-calls question")
     held = None if model is _DSM else base.cached(pid)
     with base.probe((pid,)):
         return _solo_stability(base, pid, held, horizon)
@@ -262,8 +260,6 @@ def _solo_stability(run: Runner, pid: int, held: tuple[int, ...] | None,
         if config in seen:
             return StabilityResult(stable=True, solo_calls=made)
         seen.add(config)
-        if len(seen) > horizon:
-            break
     raise StabilityUndecided(
         f"process {pid}: no repeat and no RMR within {horizon} configurations"
     )
@@ -280,14 +276,14 @@ def _paid(events: list[Event], start: int, pid: int, held: tuple[int, ...] | Non
 
 def _configuration(runner: Runner, pid: int, held: tuple[int, ...] | None) -> tuple:
     """Everything a solo run of ``pid`` can branch on without paying an RMR:
-    its persistent local state plus the values it can read locally (its own
-    module under DSM; under CC the words in ``held``, its valid copies)."""
+    its persistent local state, plus under DSM the values in its own
+    module.  Under CC the state alone: the words it can read locally are
+    those in ``held``, which no step changes before one pays."""
     state = runner.ctxs[pid].state
     state = tuple(sorted(state.items())) if state else ()
     if held is None:
         return state, runner.mem.module_snapshot(pid)
-    value = runner.mem.value
-    return state, tuple([(uid, value(uid)) for uid in held])
+    return state
 
 
 # ---------------------------------------------------------------------------

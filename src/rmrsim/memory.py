@@ -205,9 +205,6 @@ class Memory:
 
     # -- inspection ---------------------------------------------------------
 
-    def value(self, loc: Location | int) -> int:
-        return self._values[loc if isinstance(loc, int) else loc.uid]
-
     def current_writer(self, loc: Location | int) -> int | None:
         """Process whose write was applied most recently, or None."""
         return self._writers[loc if isinstance(loc, int) else loc.uid]

@@ -18,7 +18,8 @@ processes may act under.  An *erasure* takes a process nobody observed out
 of the live run, at the cost of what the process touched, so that the
 others step on as in a replay without it; the erased run itself, numbered
 and charged as a run, is that replay (:meth:`Runner.fork`), which
-certifies the erasure.
+certifies the erasure.  One erase index, built on first use, finds an
+erasure's work and counts who observed whom.
 
 Procedure-call rules enforced here: a process makes calls one at a time,
 calls Signal at most once, and a scripted poller stops polling after a call
@@ -26,9 +27,9 @@ returns true.  Every procedure call must perform at least one memory
 access.
 
 Per event a step calls ``Memory.apply`` once and resumes the procedure
-body once.  The ledger charges on read: it folds the events added since
-its last charge when its counts are read.  It refuses every read while a
-checkpoint is open, so no step charges and a rollback has none to undo.
+body once.  The ledger and the erase index fold the events added since
+they were last read when they are read.  Both refuse every read while a
+checkpoint is open, so no step folds and a rollback has none to undo.
 
 A closed call record is never changed: :meth:`Runner.history` shares it,
 so a rollback that reopens a call puts a new record in its place.  An open
@@ -246,16 +247,18 @@ class _ProcState:
 
 
 class _Erased:
-    """The indexes erasures find their work through: ``by_proc`` gives each
+    """The index erasures find their work through: ``by_proc`` gives each
     process's event, call and trace positions, ``by_word`` each word's
-    event positions.  They cover the first ``upto`` events, calls and trace
-    entries."""
+    event positions, ``observed[p]`` how many value-reading events of
+    others have ``p`` as their writer before.  It covers the first
+    ``upto`` events, calls and trace entries."""
 
-    __slots__ = ("by_proc", "by_word", "upto")
+    __slots__ = ("by_proc", "by_word", "observed", "upto")
 
     def __init__(self, n: int):
         self.by_proc = [([], [], []) for _ in range(n + 1)]
         self.by_word: defaultdict[int, list[int]] = defaultdict(list)
+        self.observed = [0] * (n + 1)
         self.upto = (0, 0, 0)
 
 
@@ -314,12 +317,7 @@ class Runner:
         self._checkpoints: list[tuple] = []
         self._saved: dict[int, tuple] | None = None  # the innermost one's
         self._probed: frozenset[int] | None = None  # set while a probe is open
-        # Per process p, how many value-reading events of others have p as
-        # their writer before, folded over the first ``_observed_upto``
-        # events; built by the first query.
-        self._observed: list[int] | None = None
-        self._observed_upto = 0
-        # Set by the first erasure, for good.
+        # Built by the first erasure or observed-by query, for good.
         self._erased: _Erased | None = None
 
     # -- public state -----------------------------------------------------
@@ -362,10 +360,10 @@ class Runner:
 
     def observers(self, p: int) -> int:
         """How many value-reading events of other processes read a value
-        whose last writer was ``p``.  Folded from the events added since the
-        last query; an erasure takes out its process's own reads."""
-        self._fold_observed()
-        return self._observed[p]
+        whose last writer was ``p``, from the erase index (so refused while
+        a checkpoint is open); an erasure takes out its process's own
+        reads."""
+        return self._index().observed[p]
 
     def cached(self, pid: int) -> tuple[int, ...]:
         """The words ``pid`` holds a valid CC copy of, in uid order, read
@@ -379,7 +377,7 @@ class Runner:
     def history(self) -> History:
         """A snapshot of the run.  It shares the closed call records, which
         never change, and copies the open ones."""
-        if self._erased is not None:
+        if self.ledger is None:
             self._refuse("history()")
         return History(
             events=list(self._events),
@@ -401,7 +399,7 @@ class Runner:
         ``ctx.state``, as a rollback's generator rebuild assumes too.  A
         call begun with no checkpoint open has no part: :class:`SimError`.
         """
-        if self._erased is not None:
+        if self.ledger is None:
             self._refuse("configuration()")
         key = [len(self._events), len(self._calls), self.mem.words(_LL in self._primitives)]
         for pid, state in self._procs.items():
@@ -513,9 +511,9 @@ class Runner:
         is about to change (value, writer, links), each process's state is
         saved before it first changes (script position, queued calls,
         ``ctx.state``, set memberships, and its open call's generator and
-        record), and the ledger refuses every read.
+        record), and the ledger and the erase index refuse every read.
         """
-        if self._erased is not None:
+        if self.ledger is None:
             self._refuse("checkpoint()")
         if self._undo is None:
             self._undo = []
@@ -530,12 +528,12 @@ class Runner:
         checkpoint, which stays open unless ``close`` is set.
 
         Words come back from the journal, the event, call and trace lists
-        by truncation, the processes from their saves; the ledger, which
-        charged nothing meanwhile, needs nothing.  A call open at the
-        checkpoint whose process has stepped since gets a fresh generator:
-        the body restarts from ``ctx.state`` as the call found it and is
-        sent the call's recorded responses.  A request that differs from
-        the recorded one means the protocol keeps state outside its
+        by truncation, the processes from their saves; the ledger and the
+        erase index, which read nothing meanwhile, need nothing.  A call
+        open at the checkpoint whose process has stepped since gets a fresh
+        generator: the body restarts from ``ctx.state`` as the call found it
+        and is sent the call's recorded responses.  A request that differs
+        from the recorded one means the protocol keeps state outside its
         context; it raises :class:`ReplayDivergence` and leaves the run
         unusable.
         """
@@ -548,9 +546,6 @@ class Runner:
             stepped.add(pid)
             mem.restore_word(word)
         del undo[mark:]
-        if self._observed_upto > events:
-            self._observe(self._events[events:self._observed_upto], -1)
-            self._observed_upto = events
         del self._events[events:]
         del self._calls[calls:]
         del self._trace[trace:]
@@ -602,13 +597,12 @@ class Runner:
         Sound only if no other process observed ``p`` (see
         ``harness.validate_erasure``), which is not checked here: the other
         processes keep their events and their programs keep the responses
-        they got.  It costs what ``p`` touched, found through a per-process
-        and a per-word index, not the run: ``p``'s entries are marked dead,
-        each word ``p`` made a nontrivial attempt on is refolded from its
-        initial value over the others' events on it, and on a word ``p``
-        only read its LL link goes.  The observed-by counts lose ``p``'s
-        reads, the participants lose ``p``, and ``p`` is left as if it
-        never ran.
+        they got.  It costs what ``p`` touched, found through the erase
+        index, not the run: ``p``'s entries are marked dead, each word ``p``
+        made a nontrivial attempt on is refolded from its initial value over
+        the others' events on it, and on a word ``p`` only read its LL link
+        goes.  The index's observed-by counts lose ``p``'s reads, the
+        participants lose ``p``, and ``p`` is left as if it never ran.
 
         What the steps to come do not read is left for :meth:`fork`, the
         replay that builds and certifies the erased run: :attr:`events`,
@@ -617,23 +611,20 @@ class Runner:
         reference held to it keeps the counts of the run before the
         erasure; the fork charges the erased run), and :meth:`history`,
         :meth:`configuration` and :meth:`checkpoint` (so :meth:`probe`) are
-        refused.  Refused while a checkpoint or probe is open, and for a
-        process not active.
+        refused.  Refused, changing nothing, while a checkpoint or probe is
+        open (by the index) and for a process not active.
         """
-        if self._undo is not None:
-            raise SimError("cannot erase while a checkpoint or probe is open")
+        erased = self._index()
         if not self.is_active(p):
             raise SimError(f"process {p} is not active; only active processes can be erased")
         if self.ledger is not None:
             self.ledger.detach()
             self.ledger = None
-        erased = self._index()
-        self._fold_observed()
         events, mem = self._events, self.mem
         own_events, own_calls, own_trace = erased.by_proc[p]
         erased.by_proc[p] = ([], [], [])
         doomed = [events[pos] for pos in own_events]
-        self._observe(doomed, -1)
+        _observe(erased.observed, doomed, -1)
         for pos in own_events:
             events[pos] = None
         for pos in own_calls:
@@ -657,14 +648,18 @@ class Runner:
         self._set_live(p, fresh.next_kind is not None)
 
     def _index(self) -> "_Erased":
-        """The erasure indexes, extended to the events, calls and trace
-        entries added since they were last used."""
+        """The erase index, extended to the events, calls and trace entries
+        added since it was last used.  Refused while a checkpoint or probe
+        is open, so that it never covers what a rollback takes out."""
+        if self._undo is not None:
+            raise SimError("the erase index is refused while a checkpoint or probe is open")
         erased = self._erased
         if erased is None:
             erased = self._erased = _Erased(self.n)
         by_proc, by_word = erased.by_proc, erased.by_word
         n_events, n_calls, n_trace = erased.upto
         events, calls, trace = self._events, self._calls, self._trace
+        _observe(erased.observed, events[n_events:], 1)
         for pos in range(n_events, len(events)):
             e = events[pos]
             by_proc[e.proc][0].append(pos)
@@ -679,29 +674,12 @@ class Runner:
 
     def _kept(self, entries: list) -> list:
         """The run's own list, or after an erasure the survivors in it."""
-        if self._erased is None:
+        if self.ledger is not None:
             return entries
         return [x for x in entries if x is not None]
 
     def _refuse(self, what: str):
         raise SimError(f"{what} refused after an erasure; fork() replays the erased run")
-
-    def _fold_observed(self) -> None:
-        """Fold the events added since the last fold into the observed-by
-        counts."""
-        if self._observed is None:
-            self._observed = [0] * (self.n + 1)
-        elif self._observed_upto == len(self._events):
-            return
-        self._observe(self._events[self._observed_upto:], 1)
-        self._observed_upto = len(self._events)
-
-    def _observe(self, events: Iterable[Event], sign: int) -> None:
-        counts = self._observed
-        for e in events:
-            writer = e.writer_before
-            if writer is not None and writer != e.proc and e.op.reads_value:
-                counts[writer] += sign
 
     # -- internals ----------------------------------------------------------
 
@@ -867,6 +845,15 @@ class _Probe:
         run._probed = None
         while len(run._checkpoints) > self._depth:
             run.rollback(close=True)
+
+
+def _observe(counts: list[int], events: Iterable[Event], sign: int) -> None:
+    """Add ``sign`` to ``counts[p]`` per value-reading event of another
+    process whose writer before is ``p``."""
+    for e in events:
+        writer = e.writer_before
+        if writer is not None and writer != e.proc and e.op.reads_value:
+            counts[writer] += sign
 
 
 def _diverged(pid: int, req, op, uid: int):

@@ -6,7 +6,7 @@ from rmrsim.algorithms import REGISTRY, make_algorithm
 from rmrsim.checker import check_blocking, check_polling
 from rmrsim.costs import Model, RMR, classify_dsm
 from rmrsim.errors import CapacityError, ConfigError, RoleError
-from rmrsim.memory import OpKind
+from rmrsim.memory import Memory, OpKind
 from rmrsim.runner import (
     WAIT,
     ExplicitSchedule,
@@ -64,11 +64,15 @@ def test_every_protocol_owns_its_waiter_set(name):
 
 
 def test_registration_keeps_one_signaler():
-    algo = make_algorithm("dsm_registration", 4, signaler=3)
-    assert algo.designated_signaler == algo.home == 3
+    # Process 1 alone may signal, and every global word is in its module.
+    algo = make_algorithm("dsm_registration", 4)
+    assert algo.designated_signaler == algo.home == 1
     assert not hasattr(algo, "signaler")
-    with pytest.raises(ConfigError, match="signaler 9 outside 1..4"):
-        make_algorithm("dsm_registration", 4, signaler=9)
+    locs = algo.setup(Memory(4))
+    assert {loc.home for loc in (locs.done, *locs.registered.values())} == {1}
+    for pid in (2, 3):
+        with pytest.raises(RoleError, match="only process 1 may signal"):
+            Runner(algo, {pid: signal_once()}).step(pid)
 
 
 def test_unknown_algorithm_rejected():
@@ -224,7 +228,7 @@ def test_fixed_waiters_term_same_signal_cost():
 
 
 def test_registration_waiter_costs():
-    algo = make_algorithm("dsm_registration", 4, signaler=1)
+    algo = make_algorithm("dsm_registration", 4)
     runner = Runner(algo, roles_with_signaler([2, 3], 1))
     first = runner.run_call(2)
     assert dsm_rmrs_of_call(runner.history(), first) == 2
@@ -233,7 +237,7 @@ def test_registration_waiter_costs():
 
 
 def test_registration_signal_pays_one_rmr_per_registered_waiter():
-    algo = make_algorithm("dsm_registration", 16, signaler=1)
+    algo = make_algorithm("dsm_registration", 16)
     runner = Runner(algo, roles_with_signaler(range(2, 16), 1))
     for w in range(2, 16):
         runner.run_call(w)
@@ -242,7 +246,7 @@ def test_registration_signal_pays_one_rmr_per_registered_waiter():
 
 
 def test_registration_wrong_signaler_rejected():
-    algo = make_algorithm("dsm_registration", 4, signaler=1)
+    algo = make_algorithm("dsm_registration", 4)
     runner = Runner(algo, {2: signal_once()})
     with pytest.raises(RoleError):
         runner.step(2)
@@ -252,7 +256,7 @@ def test_registration_race_registering_during_signal():
     # The waiter registers after the done flag is set but before the scan
     # reaches its registration word: its first poll reads true, no
     # notification needed, and the polling contract holds.
-    algo = make_algorithm("dsm_registration", 3, signaler=1)
+    algo = make_algorithm("dsm_registration", 3)
     roles = {1: signal_once(), 2: poll_until_true()}
     runner = Runner(algo, roles)
     runner.step(1)               # write done flag
@@ -266,7 +270,7 @@ def test_registration_race_registering_during_signal():
 
 
 def test_registration_race_scan_misses_late_registration():
-    algo = make_algorithm("dsm_registration", 3, signaler=1)
+    algo = make_algorithm("dsm_registration", 3)
     roles = {1: signal_once(), 2: poll_until_true()}
     runner = Runner(algo, roles)
     runner.step(1)               # write done flag
@@ -399,7 +403,7 @@ def test_blocking_wrapper_wait_loops_inner_poll():
 
 
 def test_blocking_wrapper_preserves_preconditions():
-    algo = make_algorithm("dsm_registration+blocking", 3, signaler=1)
+    algo = make_algorithm("dsm_registration+blocking", 3)
     runner = Runner(algo, {2: signal_once()})
     with pytest.raises(RoleError):
         runner.step(2)

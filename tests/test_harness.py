@@ -292,24 +292,24 @@ def test_stability_cc_flag_under_cc_model():
 
 
 def test_cc_stability_leaves_the_observed_by_counts_alone(monkeypatch):
-    # The probe reads the CC copies from the ledger alone, so its own
-    # events are neither folded into the observed-by counts nor unfolded
-    # by its rollback.
+    # The probe reads the CC copies from the ledger alone and never enters
+    # the erase index, so the index's observed-by counts never see the
+    # probe's events.
     algo = make_algorithm("cc_flag", 3)
     runner = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
     runner.run_call(2)
     runner.run_call(3)
     observed = runner.observers(2)
-    signs = []
-    observe = Runner._observe
+    entries = []
+    index = Runner._index
 
-    def counted(self, events, sign):
-        signs.append(sign)
-        return observe(self, events, sign)
+    def counted(self):
+        entries.append(len(self.events))
+        return index(self)
 
-    monkeypatch.setattr(Runner, "_observe", counted)
+    monkeypatch.setattr(Runner, "_index", counted)
     assert stability(runner, 2, model=Model.CC).stable
-    assert signs == []
+    assert entries == []
     assert runner.observers(2) == observed
 
 
@@ -480,12 +480,47 @@ def test_observed_by_count_follows_erasure_and_rollback():
     runner.run_call(2)
     with runner.probe([3]):
         runner.run_call(3)
-        assert runner.observers(2) == 1
+        with pytest.raises(SimError, match="checkpoint or probe"):
+            runner.observers(2)
     assert runner.observers(2) == 0
     runner = queue_of_two()
     assert (runner.observers(2), runner.observers(3)) == (1, 0)
     runner.erase(3)
     assert runner.observers(2) == 0
+
+
+@pytest.mark.parametrize("built_before", [False, True])
+def test_erase_index_refused_under_a_checkpoint(built_before):
+    # observers() and erase() read the erase index, which answers nothing
+    # while a checkpoint or a probe is open, whether or not it was built
+    # before they opened; a refused erasure changes nothing.  Once the
+    # outermost one closes, the counts cover the steps since, as the scan.
+    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.run_call(2)
+    if built_before:
+        assert runner.observers(2) == 0
+
+    def refused() -> None:
+        for read in (lambda: runner.observers(2), lambda: runner.erase(2)):
+            with pytest.raises(SimError, match="checkpoint or probe"):
+                read()
+        assert runner.ledger is not None and runner.is_active(2)
+
+    runner.checkpoint()
+    refused()
+    runner.run_call(3)  # 3's enqueue reads the tail 2 wrote
+    with runner.probe([3]):
+        runner.run_call(3)
+        refused()
+    refused()
+    runner.rollback(close=True)
+    runner.run_call(3)
+    history = runner.history()
+    assert [runner.observers(p) for p in (1, 2, 3)] == [
+        sum(e.proc != p and e.op.reads_value and e.writer_before == p for e in history.events)
+        for p in (1, 2, 3)] == [0, 1, 0]
+    assert [runner.observers(p) == 0 for p in (2, 3)] == [
+        validate_erasure(history, p) for p in (2, 3)]
 
 
 @pytest.mark.parametrize("order, erased", [((2, 3), 1), ((3, 2), 2)])
@@ -555,7 +590,7 @@ def test_drill_queue_signaler_pays_per_waiter():
 
 
 def test_drill_registration_signaler_pays_per_waiter():
-    algo = make_algorithm("dsm_registration", 9, signaler=1, waiters=range(2, 10))
+    algo = make_algorithm("dsm_registration", 9, waiters=range(2, 10))
     report = adversary_separation(algo)
     assert report.signaler_rmrs >= 8
 

@@ -41,7 +41,7 @@ def test_alloc_basic():
     mem = Memory(3)
     flag = mem.alloc("flag", home=1, init=0)
     assert flag.home == 1
-    assert mem.value(flag) == 0
+    assert mem.words(False)[flag.uid] == 0
 
 
 def test_alloc_per_process_home():
@@ -82,7 +82,7 @@ def test_write_event_fields():
     assert ev.value_written == 1
     assert ev.value_read is None
     assert ev.outcome is True
-    assert mem.value(b) == 1
+    assert mem.words(False)[b.uid] == 1
 
 
 def test_failed_cas_reads_but_does_not_write():
@@ -92,7 +92,7 @@ def test_failed_cas_reads_but_does_not_write():
     assert ev.outcome is False
     assert ev.value_read == 3
     assert ev.value_written is None
-    assert mem.value(x) == 3
+    assert mem.words(False)[x.uid] == 3
 
 
 def test_successful_cas_writes():
@@ -101,7 +101,7 @@ def test_successful_cas_writes():
     ev = apply(mem, 2, cas(x, expected=3, value=5))
     assert ev.outcome is True
     assert ev.value_written == 5
-    assert mem.value(x) == 5
+    assert mem.words(False)[x.uid] == 5
 
 
 def test_fai_returns_old_and_increments():
@@ -110,7 +110,7 @@ def test_fai_returns_old_and_increments():
     ev = apply(mem, 1, fai(tail))
     assert ev.value_read == 4
     assert ev.value_written == 5
-    assert mem.value(tail) == 5
+    assert mem.words(False)[tail.uid] == 5
 
 
 def test_fas_swaps():
@@ -118,19 +118,19 @@ def test_fas_swaps():
     x = mem.alloc("x", home=1, init=7)
     ev = apply(mem, 2, fas(x, 9))
     assert ev.value_read == 7
-    assert mem.value(x) == 9
+    assert mem.words(False)[x.uid] == 9
 
 
 def test_tas_sets_once():
     mem = Memory(2)
     x = mem.alloc("x", home=1, init=0)
     first = apply(mem, 1, tas(x))
-    assert first.outcome is True and first.value_read == 0 and mem.value(x) == 1
+    assert first.outcome is True and first.value_read == 0 and mem.words(False)[x.uid] == 1
     second = apply(mem, 2, tas(x))
     # A second TAS is a failed attempt: it observes 1 and writes nothing.
     assert second.outcome is False
     assert second.value_written is None
-    assert mem.value(x) == 1
+    assert mem.words(False)[x.uid] == 1
 
 
 def test_sc_without_ll_fails_quietly():
@@ -138,7 +138,7 @@ def test_sc_without_ll_fails_quietly():
     x = mem.alloc("x", home=1, init=0)
     ev = apply(mem, 1, sc(x, 5))
     assert ev.outcome is False
-    assert mem.value(x) == 0
+    assert mem.words(False)[x.uid] == 0
 
 
 def test_ll_sc_roundtrip():
@@ -147,7 +147,7 @@ def test_ll_sc_roundtrip():
     apply(mem, 1, ll(x))
     ev = apply(mem, 1, sc(x, 5))
     assert ev.outcome is True
-    assert mem.value(x) == 5
+    assert mem.words(False)[x.uid] == 5
 
 
 def test_sc_fails_after_intervening_write():
@@ -157,7 +157,7 @@ def test_sc_fails_after_intervening_write():
     apply(mem, 2, write(x, 9))
     ev = apply(mem, 1, sc(x, 5))
     assert ev.outcome is False
-    assert mem.value(x) == 9
+    assert mem.words(False)[x.uid] == 9
 
 
 def test_sc_attempt_consumes_link():
@@ -231,8 +231,10 @@ def test_word_range_enforced():
     for init in (WORD_MAX + 1, WORD_MIN - 1):
         with pytest.raises(CapacityError):
             mem.alloc(f"y{init}", home=1, init=init)
-    assert mem.value(mem.alloc("top", home=1, init=WORD_MAX)) == WORD_MAX
-    assert mem.value(mem.alloc("bottom", home=1, init=WORD_MIN)) == WORD_MIN
+    top = mem.alloc("top", home=1, init=WORD_MAX)
+    bottom = mem.alloc("bottom", home=1, init=WORD_MIN)
+    assert mem.words(False)[top.uid] == WORD_MAX
+    assert mem.words(False)[bottom.uid] == WORD_MIN
 
 
 # Per kind: operands, the word's value before, whether process 1 holds an
