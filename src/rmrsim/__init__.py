@@ -13,7 +13,6 @@ from .checker import (
     check_waitfree,
 )
 from .costs import (
-    CacheState,
     LOCAL,
     Model,
     RMR,

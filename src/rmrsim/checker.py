@@ -19,7 +19,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .costs import CacheState, Model, RMR, classify_cc, classify_dsm
+from .costs import Model, RMR, classify_cc, classify_dsm
 from .runner import History, POLL, SIGNAL, WAIT
 
 POLL_TRUE_NO_SIGNAL = "POLL_TRUE_NO_SIGNAL"
@@ -166,7 +166,7 @@ def check_amortized(history: History, c: int, model: Model) -> AmortizedResult:
     if model is Model.DSM:
         total = sum(1 for e in history.events if classify_dsm(e) is RMR)
     else:
-        cache = CacheState()
+        cache: dict[int, set[int]] = {}
         total = sum(1 for e in history.events if classify_cc(e, cache) is RMR)
     k = len(history.participants)
     passed = total <= c * k

@@ -165,6 +165,13 @@ def _config_argv(path: str, command: str) -> list[str]:
     return argv
 
 
+def _integer(what: str, text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} needs an integer, got {text!r}") from None
+
+
 def _at_least_one(what: str, value: int) -> int:
     if value < 1:
         raise ConfigError(f"{what} must be at least 1, got {value}")
@@ -193,7 +200,7 @@ def _parse_policy(raw: str, seed: int, n: int, roles):
     if raw == "rr":
         return RoundRobin()
     if raw.startswith("explicit:"):
-        ids = [int(x) for x in raw[len("explicit:"):].split(",")]
+        ids = [_integer("schedule explicit:", x) for x in raw[len("explicit:"):].split(",")]
         for pid in ids:
             if not 1 <= pid <= n:
                 raise ConfigError(f"schedule id {pid} outside 1..{n}")
@@ -259,7 +266,7 @@ def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
 
 def _cmd_run(cfg: dict) -> int:
     if cfg["budget"] is None:
-        cfg["budget"] = int(os.environ.get("RMRSIM_BUDGET") or DEFAULT_BUDGET)
+        cfg["budget"] = _integer("RMRSIM_BUDGET", os.environ.get("RMRSIM_BUDGET") or DEFAULT_BUDGET)
     _at_least_one("step budget", cfg["budget"])
     record, violations = _checked_run(cfg)
     _emit(cfg, json.dumps(record, sort_keys=True, indent=2))
@@ -285,7 +292,7 @@ def _cmd_check(cfg: dict) -> int:
     kind, _, depth = cfg["schedule"].partition(":")
     if kind != "exhaustive" or not depth:
         raise ConfigError("check requires an exhaustive:DEPTH schedule")
-    depth = _at_least_one("exhaustive depth", int(depth))
+    depth = _at_least_one("exhaustive depth", _integer("schedule exhaustive:DEPTH", depth))
     polls = _at_least_one("poll bound", cfg["polls"])
     algorithm, roles = _algorithm_and_roles(cfg, n, poll_at_most(polls))
 

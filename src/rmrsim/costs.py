@@ -8,6 +8,7 @@ Two charging rules classify every event as local or remote (RMR):
   local while the reader holds a valid copy; it is an RMR (and creates a
   copy) otherwise.  Any nontrivial attempt, including a failed CAS/SC/TAS,
   costs one RMR, destroys all remote copies, and refreshes the writer's own.
+  Its one state is a holder table: per word uid, who holds a valid copy.
 
 Invalidation traffic is counted for two interconnects: a broadcast bus
 (one message per nontrivial attempt) and an ideal directory (one message
@@ -42,34 +43,22 @@ def classify_dsm(event: Event) -> str:
     return RMR if event.home != event.proc else LOCAL
 
 
-class CacheState:
-    """Which processes hold a valid cached copy of which location.
-
-    The ideal cache never drops a copy spuriously; a copy disappears only
-    when some other process performs a nontrivial attempt on the location.
-    """
-
-    __slots__ = ("_holders",)
-
-    def __init__(self):
-        self._holders: dict[int, set[int]] = {}
-
-
-def classify_cc(event: Event, cache: CacheState) -> str:
-    """CC rule.  Mutates ``cache`` to reflect the event."""
-    holders = cache._holders.get(event.loc)
+def classify_cc(event: Event, cache: dict[int, set[int]]) -> str:
+    """CC rule.  ``cache`` maps a word's uid to the processes that hold a
+    valid copy of it; mutated to reflect the event."""
+    holders = cache.get(event.loc)
     if event.op.trivial:
         if holders is not None and event.proc in holders:
             return LOCAL
         if holders is None:
-            cache._holders[event.loc] = {event.proc}
+            cache[event.loc] = {event.proc}
         else:
             holders.add(event.proc)
         return RMR
     # Nontrivial attempt: write-through to memory, invalidate remote copies,
     # refresh the issuer's own copy.  Always an RMR, cached copy or not.
     if holders is None:
-        cache._holders[event.loc] = {event.proc}
+        cache[event.loc] = {event.proc}
     else:
         holders.clear()
         holders.add(event.proc)
@@ -82,21 +71,19 @@ class RmrLedger:
     One count table: a row per process id, a column per metric in
     ``METRIC_NAMES`` order (DSM RMRs, CC RMRs, bus and ideal-directory
     invalidation messages, steps).  Counts are nonnegative and only grow.
-    The ledger holds the list the run appends its events to and a cursor
-    into it: :meth:`record` charges the events past the cursor, and every
-    read charges first, so no read sees fewer events than the list holds.
+    Beside it, the CC holder table (:attr:`cache`).  The ledger holds the
+    list the run appends its events to and a cursor into it: :meth:`record`
+    charges the events past the cursor, and every read charges first, so no
+    read sees fewer events than the list holds.
     While the run has a checkpoint open (``checkpointed``, set by the run),
     every read raises :class:`SimError`: those events may be rolled back.
     """
 
-    __slots__ = ("n", "_cache", "_rows", "_copied", "_events", "_charged", "checkpointed")
+    __slots__ = ("_cache", "_rows", "_events", "_charged", "checkpointed")
 
     def __init__(self, n: int, events: list[Event]):
-        self.n = n
-        self._cache = CacheState()
+        self._cache: dict[int, set[int]] = {}
         self._rows = [[0] * len(METRIC_NAMES) for _ in range(n + 1)]
-        # Per process, every word it gained a copy of; only grows.
-        self._copied: list[set[int]] = [set() for _ in range(n + 1)]
         self._events = events
         self._charged = 0
         self.checkpointed = False
@@ -111,7 +98,7 @@ class RmrLedger:
         events = self._events
         if self._charged == len(events):
             return
-        rows, holders_of, copied = self._rows, self._cache._holders, self._copied
+        rows, holders_of = self._rows, self._cache
         for event in events[self._charged:]:
             p, loc = event.proc, event.loc
             row = rows[p]  # columns: rmr_dsm, rmr_cc, msg_bus, msg_dir, steps
@@ -127,11 +114,9 @@ class RmrLedger:
                 else:
                     holders.add(p)
                 row[1] += 1
-                copied[p].add(loc)
                 continue
             row[1] += 1
             row[2] += 1
-            copied[p].add(loc)
             if holders is None:
                 holders_of[loc] = {p}
             else:
@@ -147,15 +132,11 @@ class RmrLedger:
         self._events, self._charged = [], 0
 
     @property
-    def cache(self) -> CacheState:
+    def cache(self) -> dict[int, set[int]]:
+        """The CC holder table, charged to the end of the list: the
+        ledger's own dict, which the next charge changes."""
         self.record()
         return self._cache
-
-    def held(self, proc: int) -> tuple[int, ...]:
-        """The words ``proc`` holds a valid copy of, in uid order: the words
-        it gained a copy of, filtered by their holder sets."""
-        holders_of = self.cache._holders
-        return tuple(sorted([u for u in self._copied[proc] if proc in holders_of.get(u, ())]))
 
     def rmr(self, model: Model, proc: int) -> int:
         self.record()

@@ -226,62 +226,61 @@ def stability(base: Runner, pid: int, *, model: Model = Model.DSM,
     run in a zero-cost cycle.  Raises :class:`StabilityUndecided` when the
     horizon is hit first.
 
-    The polls run in a probe, where the ledger answers no reads, so each is
-    charged from its own events; under CC against the copies ``pid`` held
-    before it, read from the ledger (so refused under an open checkpoint).
+    The polls run in a probe, where nothing charges the ledger, so each is
+    charged from its own events: under CC against the ledger's holder
+    table, read once before the probe opens (so refused under an open
+    checkpoint) and unchanged until it closes.
     """
     if not base.is_active(pid):
         raise SimError(f"process {pid} is not active")
-    held = None if model is _DSM else base.cached(pid)
+    cache = None if model is _DSM or base.ledger is None else base.ledger.cache
     with base.probe((pid,)):
-        return _solo_stability(base, pid, held, horizon)
-
-
-def _solo_stability(run: Runner, pid: int, held: tuple[int, ...] | None,
-                    horizon: int) -> StabilityResult:
-    # Every event from here on is one of pid's; the first ``checked`` paid nothing.
-    events = run.events
-    checked = len(events)
-    seen = {_configuration(run, pid, held)}
-    for made in range(1, horizon + 1):
-        run.force_next_call(pid, POLL)
-        try:
-            rec = run.run_call(pid, max_steps=horizon)
-        except StepBudgetExceeded:
-            rec = None
-        if _paid(events, checked, pid, held):
-            return StabilityResult(stable=False, solo_calls=made)
-        if rec is None:
-            raise StabilityUndecided(f"process {pid}: poll did not return within {horizon} steps")
+        # Every event from here on is one of pid's; the first ``checked`` paid nothing.
+        events = base.events
         checked = len(events)
-        if rec.response:
-            return StabilityResult(stable=True, solo_calls=made)
-        config = _configuration(run, pid, held)
-        if config in seen:
-            return StabilityResult(stable=True, solo_calls=made)
-        seen.add(config)
+        seen = {_configuration(base, pid, cache)}
+        for made in range(1, horizon + 1):
+            base.force_next_call(pid, POLL)
+            try:
+                rec = base.run_call(pid, max_steps=horizon)
+            except StepBudgetExceeded:
+                rec = None
+            if _paid(events, checked, pid, cache):
+                return StabilityResult(stable=False, solo_calls=made)
+            if rec is None:
+                raise StabilityUndecided(
+                    f"process {pid}: poll did not return within {horizon} steps")
+            checked = len(events)
+            if rec.response:
+                return StabilityResult(stable=True, solo_calls=made)
+            config = _configuration(base, pid, cache)
+            if config in seen:
+                return StabilityResult(stable=True, solo_calls=made)
+            seen.add(config)
     raise StabilityUndecided(
         f"process {pid}: no repeat and no RMR within {horizon} configurations"
     )
 
 
-def _paid(events: list[Event], start: int, pid: int, held: tuple[int, ...] | None) -> bool:
+def _paid(events: list[Event], start: int, pid: int, cache: dict[int, set[int]] | None) -> bool:
     """Whether an event of ``pid`` from ``start`` on is an RMR: under DSM
-    (``held`` None) an access to another module, under CC a nontrivial
-    attempt or an access outside ``held``, which only such an event changes."""
-    if held is None:
+    (``cache`` None) an access to another module, under CC a nontrivial
+    attempt or an access to a word ``pid`` held no copy of in the holder
+    table ``cache``, which only such an event changes."""
+    if cache is None:
         return any(e.home != pid for e in events[start:])
-    return any(not e.op.trivial or e.loc not in held for e in events[start:])
+    return any(not e.op.trivial or pid not in cache.get(e.loc, ()) for e in events[start:])
 
 
-def _configuration(runner: Runner, pid: int, held: tuple[int, ...] | None) -> tuple:
+def _configuration(runner: Runner, pid: int, cache: dict[int, set[int]] | None) -> tuple:
     """Everything a solo run of ``pid`` can branch on without paying an RMR:
-    its persistent local state, plus under DSM the values in its own
-    module.  Under CC the state alone: the words it can read locally are
-    those in ``held``, which no step changes before one pays."""
+    its persistent local state, plus under DSM (``cache`` None) the values
+    in its own module.  Under CC the state alone: the words it can read
+    locally are those it holds a copy of, which no step changes before one
+    pays."""
     state = runner.ctxs[pid].state
     state = tuple(sorted(state.items())) if state else ()
-    if held is None:
+    if cache is None:
         return state, runner.mem.module_snapshot(pid)
     return state
 

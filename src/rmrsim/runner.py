@@ -365,15 +365,6 @@ class Runner:
         reads."""
         return self._index().observed[p]
 
-    def cached(self, pid: int) -> tuple[int, ...]:
-        """The words ``pid`` holds a valid CC copy of, in uid order, read
-        from the ledger alone (:meth:`RmrLedger.held`), so refused while a
-        checkpoint is open: the words ``pid`` gained a copy of filtered by
-        their holders, the cost of what ``pid`` touched."""
-        if self.ledger is None:
-            self._refuse("cached()")
-        return self.ledger.held(pid)
-
     def history(self) -> History:
         """A snapshot of the run.  It shares the closed call records, which
         never change, and copies the open ones."""

@@ -15,7 +15,7 @@ from rmrsim.checker import (
     check_polling,
     real_violations,
 )
-from rmrsim.costs import CacheState, Model, RMR, classify_cc, classify_dsm
+from rmrsim.costs import Model, RMR, classify_cc, classify_dsm
 from rmrsim.harness import (
     adversary_separation,
     enumerate_histories,
@@ -42,7 +42,7 @@ MESSAGE_AUDIT: list[tuple[int, int, int, int]] = []
 
 def register_run(events, msg_dir_total: int, msg_bus_total: int) -> None:
     attempts = sum(1 for e in events if not e.op.trivial)
-    cache = CacheState()
+    cache = {}
     cc_reads = sum(
         1 for e in events
         if e.op.trivial and classify_cc(e, cache) is RMR

@@ -326,6 +326,14 @@ def test_missing_algorithm_usage_error(capsys):
     pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--waiters", "1",
                   "--schedule", "explicit:3,3,3"), None,
                  "schedule id 3 names a process with no role", id="run-explicit-no-role"),
+    # A number that does not parse names the option it came from.
+    pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--schedule", "explicit:1,x"), None,
+                 "schedule explicit: needs an integer, got 'x'", id="run-explicit-not-a-number"),
+    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:abc"), None,
+                 "schedule exhaustive:DEPTH needs an integer, got 'abc'",
+                 id="check-depth-not-a-number"),
+    pytest.param(("run", "--algo", "cc_flag"), "abc", "RMRSIM_BUDGET needs an integer, got 'abc'",
+                 id="env-budget-not-a-number"),
 ])
 def test_nonsensical_input_refused(capsys, monkeypatch, argv, env, needle):
     if env is None:

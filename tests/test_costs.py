@@ -5,7 +5,6 @@ import random
 import pytest
 
 from rmrsim.costs import (
-    CacheState,
     LOCAL,
     Model,
     RMR,
@@ -70,7 +69,7 @@ def test_dsm_is_memoryless_under_permutation():
 def test_cc_repeat_read_local_until_invalidated():
     mem = Memory(2)
     b = mem.alloc("b", home=1)
-    cache = CacheState()
+    cache = {}
     first = apply(mem, 2, read(b))
     assert classify_cc(first, cache) is RMR
     again = apply(mem, 2, read(b))
@@ -80,7 +79,7 @@ def test_cc_repeat_read_local_until_invalidated():
 def test_cc_write_invalidates_remote_copies():
     mem = Memory(2)
     b = mem.alloc("b", home=1)
-    cache = CacheState()
+    cache = {}
     classify_cc(apply(mem, 2, read(b)), cache)
     assert classify_cc(apply(mem, 1, write(b, 1)), cache) is RMR
     assert holder_pairs(cache) == {(1, b.uid)}
@@ -90,13 +89,13 @@ def test_cc_write_invalidates_remote_copies():
 def test_cc_first_read_ever_is_rmr():
     mem = Memory(2)
     b = mem.alloc("b", home=1)
-    assert classify_cc(apply(mem, 2, read(b)), CacheState()) is RMR
+    assert classify_cc(apply(mem, 2, read(b)), {}) is RMR
 
 
 def test_cc_failed_attempts_charged_and_invalidating():
     mem = Memory(3)
     x = mem.alloc("x", home=1, init=1)
-    cache = CacheState()
+    cache = {}
     classify_cc(apply(mem, 2, read(x)), cache)
     failed = apply(mem, 3, cas(x, expected=0, value=5))
     assert failed.value_written is None
@@ -107,7 +106,7 @@ def test_cc_failed_attempts_charged_and_invalidating():
 def test_cc_write_costs_rmr_even_with_cached_copy():
     mem = Memory(2)
     b = mem.alloc("b", home=1)
-    cache = CacheState()
+    cache = {}
     classify_cc(apply(mem, 1, read(b)), cache)
     assert classify_cc(apply(mem, 1, write(b, 1)), cache) is RMR
 
@@ -118,7 +117,7 @@ def test_cc_write_costs_rmr_even_with_cached_copy():
 def _three_remote_copies():
     mem = Memory(4)
     b = mem.alloc("b", home=1)
-    cache = CacheState()
+    cache = {}
     for p in (2, 3, 4):
         classify_cc(apply(mem, p, read(b)), cache)
     return mem, b, cache
@@ -147,7 +146,7 @@ def test_messages_none_for_reads():
 def test_messages_own_copy_not_counted():
     mem = Memory(2)
     b = mem.alloc("b", home=1)
-    cache = CacheState()
+    cache = {}
     classify_cc(apply(mem, 1, read(b)), cache)
     ev = apply(mem, 1, write(b, 1))
     assert count_messages(ev, cache) == 0
@@ -215,7 +214,7 @@ def test_cc_read_bound_between_invalidations():
     # Between two nontrivial attempts by others on a location, a process
     # accrues at most one CC RMR from reads of it.
     events, _, n = _random_soup(11)
-    cache = CacheState()
+    cache = {}
     windows = {}  # (proc, loc) -> read RMRs since last foreign invalidation
     for e in events:
         label = classify_cc(e, cache)
@@ -239,7 +238,7 @@ def test_directory_messages_bounded_by_cc_rmrs():
 
 def test_per_event_message_bounds():
     events, _, n = _random_soup(23)
-    cache = CacheState()
+    cache = {}
     for e in events:
         assert count_messages(e, cache) <= n - 1
         classify_cc(e, cache)
@@ -320,7 +319,7 @@ def row(ledger: RmrLedger, proc: int) -> list[int]:
 def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
     *before, last = _ending_in(kind, ok, issuer_holds)
     events = list(before)
-    ledger, cache = RmrLedger(3, events), CacheState()
+    ledger, cache = RmrLedger(3, events), {}
     for e in before:
         classify_cc(e, cache)
     assert last.outcome is ok

@@ -6,7 +6,7 @@ import pytest
 
 from rmrsim import harness, memory
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
-from rmrsim.costs import CacheState, Model
+from rmrsim.costs import Model, RmrLedger
 from rmrsim.errors import (
     ConfigError,
     DrillNotApplicable,
@@ -291,8 +291,40 @@ def test_stability_cc_flag_under_cc_model():
     assert stability(runner, 2, model=Model.CC).stable
 
 
+class _Overwrite(SignalingAlgorithm):
+    """Process 3's Poll writes 0 to one word, every other Poll reads it;
+    every Poll returns false."""
+
+    name = "overwrite"
+
+    def setup(self, mem):
+        return SimpleNamespace(word=mem.alloc("word", home=1, init=0))
+
+    def poll(self, ctx):
+        if ctx.pid == 3:
+            yield write(ctx.locs.word, 0)
+        else:
+            yield read(ctx.locs.word)
+        return False
+
+    def signal(self, ctx):
+        yield write(ctx.locs.word, 1)
+
+
+def test_cc_stability_asks_for_the_pollers_own_copy():
+    # 2's read gains it a copy, so its next solo read is local.  3's write
+    # destroys that copy and leaves 3 the one holder: 2's next read misses,
+    # although somebody holds the word.
+    runner = Runner(_Overwrite(3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.run_call(2)
+    assert stability(runner, 2, model=Model.CC) == (True, 1)
+    runner.run_call(3)
+    assert runner.ledger.cache[runner.events[-1].loc] == {3}
+    assert stability(runner, 2, model=Model.CC) == (False, 1)
+
+
 def test_cc_stability_leaves_the_observed_by_counts_alone(monkeypatch):
-    # The probe reads the CC copies from the ledger alone and never enters
+    # The probe reads the CC holder table from the ledger alone and never enters
     # the erase index, so the index's observed-by counts never see the
     # probe's events.
     algo = make_algorithm("cc_flag", 3)
@@ -323,8 +355,8 @@ def test_stability_requires_between_calls():
 
 def test_stability_requires_a_ledger():
     # The only run without a ledger is an erased one, which is refused
-    # under either model: its ledger, which the CC copies are read from,
-    # and its checkpoints, which the probe opens, are gone.
+    # under either model: the probe's checkpoint needs the ledger, which
+    # the CC holder table is read from.
     algo = make_algorithm("cc_flag", 3)
     erased = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
     erased.run_call(2)
@@ -755,7 +787,7 @@ def test_erase_drill_work_grows_linearly_in_w(erasure_work, name, model):
 
 @pytest.fixture
 def held_visits(monkeypatch):
-    """Entries read from every cache's holder table: one per lookup, and
+    """Entries read from every ledger's holder table: one per lookup, and
     one per entry of a scan over the table."""
     counts = {"visited": 0}
 
@@ -772,13 +804,13 @@ def held_visits(monkeypatch):
             counts["visited"] += len(self)
             return dict.items(self)
 
-    init = CacheState.__init__
+    init = RmrLedger.__init__
 
-    def counted_init(self):
-        init(self)
-        self._holders = CountedHolders()
+    def counted_init(self, n, events):
+        init(self, n, events)
+        self._cache = CountedHolders()
 
-    monkeypatch.setattr(CacheState, "__init__", counted_init)
+    monkeypatch.setattr(RmrLedger, "__init__", counted_init)
     return counts
 
 

@@ -31,7 +31,6 @@ from rmrsim.checker import (
     check_waitfree,
 )
 from rmrsim.costs import (
-    CacheState,
     Model,
     RMR,
     classify_cc,
@@ -229,19 +228,19 @@ def ledger_state(runner: Runner) -> tuple:
     return rows, holder_pairs(ledger.cache)
 
 
-def holder_pairs(cache: CacheState) -> set[tuple[int, int]]:
+def holder_pairs(cache: dict[int, set[int]]) -> set[tuple[int, int]]:
     """Every (process, word) pair with a valid copy, by a scan of the cache."""
-    return {(p, uid) for uid, holders in cache._holders.items() for p in holders}
+    return {(p, uid) for uid, holders in cache.items() for p in holders}
 
 
-def count_messages(event, cache: CacheState) -> int:
+def count_messages(event, cache: dict[int, set[int]]) -> int:
     """The directory rule: an event's ideal-directory invalidation messages,
     one per copy another process holds in ``cache``, the state before the
     event.  Trivial operations send none.  The oracle for the ledger's
     ``msg_dir`` column."""
     if event.op.trivial:
         return 0
-    holders = cache._holders.get(event.loc, ())
+    holders = cache.get(event.loc, ())
     return len(holders) - (event.proc in holders)
 
 
@@ -249,7 +248,7 @@ def recount(events, n: int) -> dict[int, dict[str, int]]:
     """Per-process metrics folded from raw events through the charging rules."""
     rows = {p: dict.fromkeys(("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps"), 0)
             for p in range(1, n + 1)}
-    cache = CacheState()
+    cache = {}
     for e in events:
         row = rows[e.proc]
         row["steps"] += 1
@@ -344,7 +343,7 @@ def test_directory_messages_bounded_by_cc_read_rmrs(cfg):
             first_calls.setdefault(c.proc, c)
     if any(c.end_seq is None for c in first_calls.values()):
         return
-    cache = CacheState()
+    cache = {}
     cc_reads = 0
     for e in runner.events:
         if classify_cc(e, cache) is RMR and e.op.kind.value in TRIVIAL:
@@ -583,9 +582,8 @@ def configuration(runner: Runner, pid: int, model: Model) -> tuple:
     return state, tuple((uid, values[uid]) for uid in held)
 
 
-def held_scan(cache: CacheState, proc: int) -> tuple[int, ...]:
-    """The words ``proc`` holds, by a scan of every holder set: the oracle
-    for ``Runner.cached``, which filters the words ``proc`` accessed."""
+def held_scan(cache: dict[int, set[int]], proc: int) -> tuple[int, ...]:
+    """The words ``proc`` holds, by a scan of every holder set."""
     return tuple(sorted(uid for p, uid in holder_pairs(cache) if p == proc))
 
 
@@ -672,54 +670,16 @@ def test_probe_decides_rmrs_as_the_ledger_does(cfg, horizon, bursts):
                     assert got == expected
 
 
-@given(configs(EVERY_PRIMITIVE), st.randoms(use_true_random=False))
-def test_cached_words_match_holder_scan(cfg, rnd):
-    # Runner.cached filters the words a process accessed, an index that
-    # only grows, by the holder sets; it equals the scan of every holder
-    # set after steps, on a fork of a probe that stepped (the ledger
-    # answers no reads while the probe is open), after the probe's
-    # rollback, and after steps that refill what the rollback took out of
-    # the events.  (The drill asks it only before any erasure, which leaves
-    # the holder sets to the replay.)
-    runner = execute(cfg)
-
-    def agree(run: Runner = runner) -> None:
-        for p in range(1, run.n + 1):
-            assert run.cached(p) == held_scan(run.ledger.cache, p)
-
-    def steps(count: int) -> None:
-        for _ in range(count):
-            runnable = runner.runnable()
-            if not runnable:
-                break
-            runner.step(rnd.choice(runnable))
-
-    agree()
-    steps(rnd.randrange(8))
-    agree()
-    probed = [pid for pid, script in cfg.roles.items() if script.kind != SIGNAL
-              and pid not in runner.terminated and runner.open_call(pid) is None]
-    with runner.probe(probed):
-        for pid in probed:
-            runner.force_next_call(pid, POLL)
-            with suppress(StepBudgetExceeded):  # a Poll spinning on its own
-                runner.run_call(pid, max_steps=20)
-        agree(runner.fork())
-    agree()
-    steps(rnd.randrange(8))
-    agree()
-
-
-#: Every ledger read, and ``Runner.cached``, which reads the ledger alone.
+#: Every ledger read.
 LEDGER_READS = ("rmr", "per_process", "totals", "total_rmr_dsm", "total_rmr_cc",
-                "total_msg_bus", "total_msg_dir", "cache", "cached")
+                "total_msg_bus", "total_msg_dir", "cache")
 INTERLUDES = st.sampled_from(("run.ledger", "reference", "probe", "checkpoint"))
 
 
 def recount_holders(events) -> set[tuple[int, int]]:
     """The (process, word) copy pairs folded from raw events through the CC
     rule: the oracle for the ledger's cache."""
-    cache = CacheState()
+    cache = {}
     for e in events:
         classify_cc(e, cache)
     return holder_pairs(cache)
@@ -738,9 +698,6 @@ def read_as_recounted(ledger, read: str, pid: int, model: Model, runner: Runner)
         return ledger.totals(), totals
     if read == "cache":
         return holder_pairs(ledger.cache), recount_holders(runner.events)
-    if read == "cached":
-        held = sorted(uid for p, uid in recount_holders(runner.events) if p == pid)
-        return runner.cached(pid), tuple(held)
     return getattr(ledger, read), totals[read.removeprefix("total_")]
 
 

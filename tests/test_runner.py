@@ -651,19 +651,6 @@ def test_ledger_held_across_an_erasure_keeps_the_run_before_it():
     assert [ledger.per_process(p) for p in (1, 2, 3)] == [before[p] for p in (1, 2, 3)]
 
 
-def test_cached_requires_a_ledger():
-    # The CC copies live in the ledger's cache: a run without one, which
-    # only an erasure leaves, is refused like stability, not with
-    # AttributeError.
-    algo = make_algorithm("cc_flag", 3)
-    erased = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
-    erased.run_call(2)
-    erased.run_call(3)
-    erased.erase(2)
-    with pytest.raises(SimError, match="refused after an erasure"):
-        erased.cached(3)
-
-
 @pytest.mark.parametrize("name, waiters, roles, signaler", [
     ("cc_flag", None, (2, 3, 4), 1),
     ("dsm_single_waiter", None, (2,), 1),
