@@ -29,7 +29,6 @@ from .errors import (
     ReplayDivergence,
     RoleError,
     SimError,
-    StabilityUndecided,
     StepBudgetExceeded,
 )
 from .harness import (

@@ -36,10 +36,6 @@ class EnumerationOverflow(SimError):
         self.budget = budget
 
 
-class StabilityUndecided(SimError):
-    """The stability probe hit its horizon without a repeat or a remote reference."""
-
-
 class DrillNotApplicable(SimError):
     """The adversary drill cannot run for this algorithm/configuration."""
 

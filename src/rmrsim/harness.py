@@ -6,8 +6,8 @@
   stepping, one run backtracking to each branching point by rolling back
   a checkpoint; one met again, from its recorded steps.  Every history is
   exactly what a normal run of its schedule produces;
-* a stability probe: a process is *stable* when letting it poll alone
-  forever would never cost another remote reference;
+* a stability probe, one per list of processes: a process is *stable* when
+  letting it poll alone forever would never cost another remote reference;
 * erasure: removing every step of a process nobody observed (read a value
   it last wrote) yields another legal run, which is certified rather than
   trusted.  The drill asks the observed-by count the run's erase index
@@ -15,8 +15,9 @@
   to come; the erased run it reports is one replay of the surviving trace,
   which certifies every erasure at once.  ``erase`` replays per erasure and
   compares, the slow oracle, after the scan ``validate_erasure``;
-* the adversary drill: stabilize a crowd of waiters, then make a signaler
-  run alone and count what it must spend to reach them all.
+* the adversary drill: stabilize a crowd of waiters, one probe per polling
+  round, then make a signaler run alone and count what it must spend to
+  reach them all; its last check polls the waiters on the finished run.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
     ErasureRefused,
     ReplayDivergence,
     SimError,
-    StabilityUndecided,
     StepBudgetExceeded,
 )
 from .algorithms import READ_WRITE
@@ -214,52 +214,58 @@ class StabilityResult(NamedTuple):
     solo_calls: int
 
 
-def stability(base: Runner, pid: int, *, model: Model = Model.DSM,
-              horizon: int = DEFAULT_HORIZON) -> StabilityResult:
-    """Decide whether ``pid``, polling alone from here on, ever pays
-    another RMR under ``model``.
+def stability(base: Runner, pids, *, model: Model = Model.DSM,
+              horizon: int = DEFAULT_HORIZON) -> list[StabilityResult | None]:
+    """Decide for each of ``pids``, in order, whether it, polling alone from
+    here on, ever pays another RMR under ``model``.
 
     UNSTABLE as soon as a solo poll costs an RMR.  STABLE when a solo poll
     returns true (no further polls are legal) or when the configuration the
     process can observe without an RMR (its persistent state plus the
     memory it can read locally) repeats between calls, which pins the solo
-    run in a zero-cost cycle.  Raises :class:`StabilityUndecided` when the
-    horizon is hit first.
+    run in a zero-cost cycle.  None, undecided, when the horizon comes first.
 
-    The polls run in a probe, where nothing charges the ledger, so each is
-    charged from its own events: under CC against the ledger's holder
-    table, read once before the probe opens (so refused under an open
-    checkpoint) and unchanged until it closes.
+    One probe holds every process's polls, rolled back between processes.
+    Nothing charges the ledger in it, so each poll is charged from its own
+    events: under CC against the ledger's holder table, read once before
+    the probe opens (so refused under an open checkpoint).
     """
-    if not base.is_active(pid):
-        raise SimError(f"process {pid} is not active")
+    if horizon < 1:
+        raise ValueError("stability horizon must be at least 1")
+    pids = list(pids)
+    for pid in pids:
+        if not base.is_active(pid):
+            raise SimError(f"process {pid} is not active")
     cache = None if model is _DSM or base.ledger is None else base.ledger.cache
-    with base.probe((pid,)):
-        # Every event from here on is one of pid's; the first ``checked`` paid nothing.
-        events = base.events
+    with base.probe(pids):
+        return [_solo(base, pid, cache, horizon) for pid in pids]
+
+
+def _solo(run: Runner, pid: int, cache: dict[int, set[int]] | None,
+          horizon: int) -> StabilityResult | None:
+    """``pid``'s :func:`stability` verdict, from solo polls in the open probe,
+    rolled back first to its checkpoint: the run as it was."""
+    run.rollback()
+    # Every event from here on is one of pid's; the first ``checked`` paid nothing.
+    events = run.events
+    checked = len(events)
+    seen = {_configuration(run, pid, cache)}
+    for made in range(1, horizon + 1):
+        run.force_next_call(pid, POLL)
+        try:
+            rec = run.run_call(pid, max_steps=horizon)
+        except StepBudgetExceeded:
+            rec = None
+        if _paid(events, checked, pid, cache):
+            return StabilityResult(stable=False, solo_calls=made)
+        if rec is None:
+            return None
         checked = len(events)
-        seen = {_configuration(base, pid, cache)}
-        for made in range(1, horizon + 1):
-            base.force_next_call(pid, POLL)
-            try:
-                rec = base.run_call(pid, max_steps=horizon)
-            except StepBudgetExceeded:
-                rec = None
-            if _paid(events, checked, pid, cache):
-                return StabilityResult(stable=False, solo_calls=made)
-            if rec is None:
-                raise StabilityUndecided(
-                    f"process {pid}: poll did not return within {horizon} steps")
-            checked = len(events)
-            if rec.response:
-                return StabilityResult(stable=True, solo_calls=made)
-            config = _configuration(base, pid, cache)
-            if config in seen:
-                return StabilityResult(stable=True, solo_calls=made)
-            seen.add(config)
-    raise StabilityUndecided(
-        f"process {pid}: no repeat and no RMR within {horizon} configurations"
-    )
+        config = _configuration(run, pid, cache)
+        if rec.response or config in seen:
+            return StabilityResult(stable=True, solo_calls=made)
+        seen.add(config)
+    return None
 
 
 def _paid(events: list[Event], start: int, pid: int, cache: dict[int, set[int]] | None) -> bool:
@@ -415,10 +421,11 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
     """Run the two-phase separation drill on ``algorithm``'s waiters.
 
     Phase one schedules the waiters' polls (Poll, also under ``+blocking``)
-    round-robin, one complete poll per waiter per round, until the
-    stability probe reports every waiter stable (or gives up).  Each waiter
-    then has no open call.  Phase two runs a Signal alone to completion,
-    counting its remote references.  The process that signals is the one
+    round-robin, one complete poll per waiter per round, until the round's
+    one stability probe finds every waiter stable (undecided counts as
+    unstable), for at most ``MAX_ROUNDS`` rounds.  Each waiter then has no
+    open call.  Phase two runs a Signal alone to completion, counting its
+    remote references.  The process that signals is the one
     :func:`waiter_roles` picks, the designated signaler, else the lowest
     process that does not wait, unless ``signaler`` names another: a
     waiter may signal, but a designated signaler admits no other.
@@ -431,7 +438,8 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
     history then has few participants but all of the signaler's spending.
     Erasures run in place, for the Signal's steps to come; the report reads
     the erased run from one replay of the surviving trace, which certifies
-    them all: a difference raises :class:`ReplayDivergence`.
+    them all: a difference raises :class:`ReplayDivergence`.  Last, each
+    waiter still active polls once more on the finished run: ``post_poll_ok``.
     """
     if erase_on_discovery and not algorithm.primitives <= READ_WRITE:
         raise DrillNotApplicable(
@@ -461,13 +469,8 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
             report.status = "non_stabilizing"
             report.diagnosis = f"a poll by waiter {w} ran past {DEFAULT_HORIZON} steps"
             return report
-        unstable = []
-        for w in waiters:
-            try:
-                if not stability(runner, w, model=model).stable:
-                    unstable.append(w)
-            except StabilityUndecided:
-                unstable.append(w)
+        verdicts = stability(runner, waiters, model=model)
+        unstable = [w for w, v in zip(waiters, verdicts) if v is None or not v.stable]
         if not unstable:
             break
     if unstable:
@@ -499,7 +502,6 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
     if report.erased:
         runner = _certify(runner)
 
-    report.post_poll_ok = _verify_post_polls(runner, waiters)
     ledger = runner.ledger
     report.k = len(runner.participants())
     report.signaler_rmrs = ledger.rmr(model, s)
@@ -508,6 +510,8 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
     report.msg_bus = ledger.total_msg_bus
     report.msg_dir = ledger.total_msg_dir
     report.history = runner.history()
+    # Last: the history shares only closed call records, which never change.
+    report.post_poll_ok = _verify_post_polls(runner, waiters)
     return report
 
 
@@ -553,11 +557,10 @@ def _certify(runner: Runner) -> Runner:
 
 
 def _verify_post_polls(runner: Runner, waiters) -> bool:
-    """Every waiter still active must get true from its next poll."""
-    remaining = [w for w in waiters if runner.is_active(w)]
-    with runner.probe(remaining):
-        for w in remaining:
-            runner.force_next_call(w, POLL)
-            if not runner.run_call(w).response:
-                return False
+    """Every waiter still active must get true from its next poll, run on
+    ``runner`` itself, with no probe: the drill's run is finished."""
+    for w in [w for w in waiters if runner.is_active(w)]:
+        runner.force_next_call(w, POLL)
+        if not runner.run_call(w).response:
+            return False
     return True

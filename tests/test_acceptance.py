@@ -234,8 +234,7 @@ def test_criterion_6_tool_soundness():
         runner = Runner(algo, waiter_roles(range(2, 7)))
         for w in range(2, 7):
             runner.run_call(w)
-        for w in range(2, 7):
-            verdict = stability(runner, w)
+        for w, verdict in zip(range(2, 7), stability(runner, range(2, 7))):
             assert verdict.stable
             fork = runner.fork()
             before = fork.ledger.rmr(Model.DSM, w)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from rmrsim import harness, memory
-from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
+from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.costs import Model, RmrLedger
 from rmrsim.errors import (
     ConfigError,
@@ -14,7 +14,6 @@ from rmrsim.errors import (
     ErasureRefused,
     ReplayDivergence,
     SimError,
-    StabilityUndecided,
 )
 from rmrsim.harness import (
     adversary_separation,
@@ -276,19 +275,19 @@ def test_stability_verdicts_dsm():
         algo = make_algorithm(name, 3)
         runner = Runner(algo, {2: poll_until_true()})
         runner.run_call(2)
-        assert stability(runner, 2).stable
+        assert stability(runner, [2])[0].stable
 
     algo = make_algorithm("cc_flag", 3)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
-    assert not stability(runner, 2).stable
+    assert not stability(runner, [2])[0].stable
 
 
 def test_stability_cc_flag_under_cc_model():
     algo = make_algorithm("cc_flag", 3)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
-    assert stability(runner, 2, model=Model.CC).stable
+    assert stability(runner, [2], model=Model.CC)[0].stable
 
 
 class _Overwrite(SignalingAlgorithm):
@@ -317,10 +316,10 @@ def test_cc_stability_asks_for_the_pollers_own_copy():
     # although somebody holds the word.
     runner = Runner(_Overwrite(3), {2: poll_until_true(), 3: poll_until_true()})
     runner.run_call(2)
-    assert stability(runner, 2, model=Model.CC) == (True, 1)
+    assert stability(runner, [2], model=Model.CC) == [(True, 1)]
     runner.run_call(3)
     assert runner.ledger.cache[runner.events[-1].loc] == {3}
-    assert stability(runner, 2, model=Model.CC) == (False, 1)
+    assert stability(runner, [2], model=Model.CC) == [(False, 1)]
 
 
 def test_cc_stability_leaves_the_observed_by_counts_alone(monkeypatch):
@@ -340,7 +339,7 @@ def test_cc_stability_leaves_the_observed_by_counts_alone(monkeypatch):
         return index(self)
 
     monkeypatch.setattr(Runner, "_index", counted)
-    assert stability(runner, 2, model=Model.CC).stable
+    assert stability(runner, [2], model=Model.CC)[0].stable
     assert entries == []
     assert runner.observers(2) == observed
 
@@ -350,7 +349,7 @@ def test_stability_requires_between_calls():
     runner = Runner(algo, {2: poll_until_true()})
     runner.step(2)
     with pytest.raises(SimError):
-        stability(runner, 2)
+        stability(runner, [2])
 
 
 def test_stability_requires_a_ledger():
@@ -364,7 +363,7 @@ def test_stability_requires_a_ledger():
     erased.erase(2)
     for model in Model:
         with pytest.raises(SimError, match="refused after an erasure"):
-            stability(erased, 3, model=model)
+            stability(erased, [3], model=model)
 
 
 class _UnboundedCounter(SignalingAlgorithm):
@@ -390,8 +389,7 @@ def test_stability_undecided_reported_never_guessed():
     algo = _UnboundedCounter(2)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
-    with pytest.raises(StabilityUndecided):
-        stability(runner, 2, horizon=50)
+    assert stability(runner, [2], horizon=50) == [None]
 
 
 def test_stable_verdicts_survive_long_solo_runs():
@@ -400,7 +398,7 @@ def test_stable_verdicts_survive_long_solo_runs():
         runner = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
         runner.run_call(2)
         runner.run_call(3)
-        verdict = stability(runner, 2)
+        verdict, = stability(runner, [2])
         assert verdict.stable
         fork = runner.fork()
         before = fork.ledger.rmr(Model.DSM, 2)
@@ -643,10 +641,37 @@ def test_drill_cc_flag_under_cc_costs_one():
 
 
 def test_drill_cc_flag_under_dsm_non_stabilizing():
+    # Every waiter pays to read the remote flag in each round's probe.
     algo = make_algorithm("cc_flag", 5)
     report = adversary_separation(algo, model=Model.DSM)
     assert report.status == "non_stabilizing"
     assert report.signaler_rmrs is None
+    assert report.diagnosis == "waiters [2, 3, 4, 5] still pay RMRs after 8 polling rounds"
+
+
+def test_drill_counts_an_undecided_waiter_as_unstable(monkeypatch):
+    # Free polls that never repeat leave every verdict undecided at a small
+    # horizon, in each of the drill's rounds, and the drill gives up.
+    probe, verdicts = harness.stability, []
+
+    def short(runner, pids, *, model):
+        verdicts.append(probe(runner, pids, model=model, horizon=50))
+        return verdicts[-1]
+
+    monkeypatch.setattr(harness, "stability", short)
+    report = adversary_separation(_UnboundedCounter(3))
+    assert verdicts == [[None, None]] * harness.MAX_ROUNDS
+    assert report.status == "non_stabilizing"
+    assert report.diagnosis == "waiters [2, 3] still pay RMRs after 8 polling rounds"
+
+
+def test_stability_refuses_a_horizon_below_one():
+    algo = make_algorithm("dsm_queue", 3)
+    runner = Runner(algo, {2: poll_until_true()})
+    runner.run_call(2)
+    for horizon in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            stability(runner, [2], horizon=horizon)
 
 
 def test_drill_rw_algorithms_meet_lower_bound():
@@ -722,6 +747,37 @@ def rebuilds(monkeypatch):
     monkeypatch.setattr(Runner, "replay", classmethod(counted_replay))
     monkeypatch.setattr(Runner, "fork", counted_fork)
     return counts
+
+
+def _drill_outcome(name: str, w: int, model: Model, erase: bool):
+    """The drill's record, status, erasures and history, or its error."""
+    try:
+        report = adversary_separation(make_algorithm(name, w + 1, waiters=range(2, w + 2)),
+                                      model=model, erase_on_discovery=erase)
+    except SimError as exc:
+        return type(exc).__name__, str(exc)
+    history = report.history
+    if history is not None:
+        history = ([e.signature() for e in history.events],
+                   [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
+                    for c in history.calls],
+                   history.finished, history.incomplete, history.trace)
+    return report.to_record(), report.status, report.diagnosis, report.erased, history
+
+
+def test_post_poll_check_leaves_the_report_alone(monkeypatch):
+    # The post-poll check runs on the drill's run after the report has read
+    # it: with the check stubbed out, every record and history is the same.
+    # W = 1 lets the single-waiter protocols in.  dsm_fixed_waiters_term's
+    # erase drill spins its Signal a million steps (a known defect), so it
+    # runs without --erase only.
+    cases = [(name, w, model, erase) for name in sorted(REGISTRY) for w in (1, 2, 3, 4)
+             for model in Model for erase in (False, True)
+             if not (erase and name == "dsm_fixed_waiters_term")]
+    real = [_drill_outcome(*case) for case in cases]
+    monkeypatch.setattr(harness, "_verify_post_polls", lambda runner, waiters: True)
+    assert [_drill_outcome(*case) for case in cases] == real
+    assert sum(isinstance(got[0], dict) and got[3] > 0 for got in real) > 0
 
 
 def test_drill_probes_rebuild_nothing(rebuilds):

@@ -16,7 +16,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from rmrsim import harness
 from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
@@ -40,7 +40,6 @@ from rmrsim.errors import (
     EnumerationOverflow,
     RoleError,
     SimError,
-    StabilityUndecided,
     StepBudgetExceeded,
 )
 from rmrsim.harness import (
@@ -546,10 +545,12 @@ def test_observed_by_index_matches_scan_oracle(cfg, rnd):
     agree()
 
 
-def fork_stability(fork: Runner, pid: int, model: Model, horizon: int) -> StabilityResult:
+def fork_stability(fork: Runner, pid: int, model: Model,
+                   horizon: int) -> StabilityResult | None:
     """The stability probe as it ran on a replayed fork of the run, with no
     checkpoint open, reading the fork's ledger after each poll: the oracle
-    for the in-place probe, which decides from its own events."""
+    for the in-place probe, which decides from its own events.  None when
+    the horizon comes first."""
     seen = {configuration(fork, pid, model)}
     for made in range(1, horizon + 1):
         before = fork.ledger.rmr(model, pid)
@@ -559,7 +560,7 @@ def fork_stability(fork: Runner, pid: int, model: Model, horizon: int) -> Stabil
         except StepBudgetExceeded:
             if fork.ledger.rmr(model, pid) > before:
                 return StabilityResult(stable=False, solo_calls=made)
-            raise StabilityUndecided("poll ran past the horizon") from None
+            return None  # the poll ran past the horizon
         if fork.ledger.rmr(model, pid) > before:
             return StabilityResult(stable=False, solo_calls=made)
         if rec.response:
@@ -570,7 +571,7 @@ def fork_stability(fork: Runner, pid: int, model: Model, horizon: int) -> Stabil
         seen.add(config)
         if len(seen) > horizon:
             break
-    raise StabilityUndecided("no repeat within the horizon")
+    return None  # no repeat within the horizon
 
 
 def configuration(runner: Runner, pid: int, model: Model) -> tuple:
@@ -588,13 +589,13 @@ def held_scan(cache: dict[int, set[int]], proc: int) -> tuple[int, ...]:
 
 
 def outcome(probe) -> tuple:
-    """A probe's result, or the kind of error it raised."""
+    """A probe's result, ``("undecided",)`` for a None verdict, or the kind
+    of error it raised."""
     try:
-        return ("result", probe())
-    except StabilityUndecided:
-        return ("undecided",)
+        got = probe()
     except SimError as exc:
         return (type(exc).__name__, str(exc))
+    return ("undecided",) if got is None else ("result", got)
 
 
 def observable_state(runner: Runner, ledger: bool = True) -> tuple:
@@ -613,23 +614,69 @@ def observable_state(runner: Runner, ledger: bool = True) -> tuple:
     )
 
 
-@given(configs(ALGORITHMS + (Drift.name,)), st.sampled_from(Model), st.integers(1, 6))
+class Relay(SignalingAlgorithm):
+    """Process 2's Poll writes its call count into a word of process 3's
+    module; any other Poll reads its own word and, when that is odd, the
+    flag.  A solo poll of 2 flips what every later solo poll of 3 reads,
+    so a probe of 2 then 3 must roll back between them."""
+
+    name = "relay"
+
+    def setup(self, mem):
+        return SimpleNamespace(
+            flag=mem.alloc("flag", home=1),
+            mine={i: mem.alloc(f"mine[{i}]", home=i) for i in range(1, self.n + 1)},
+        )
+
+    def poll(self, ctx):
+        if ctx.pid == 2:
+            made = ctx.state["made"] = ctx.state.get("made", 0) + 1
+            yield write(ctx.locs.mine[min(3, self.n)], made)
+            return False
+        if (yield read(ctx.locs.mine[ctx.pid])) % 2:
+            return bool((yield read(ctx.locs.flag)))
+        return False
+
+    def signal(self, ctx):
+        yield write(ctx.locs.flag, 1)
+
+
+# Built by name; EVERY_PRIMITIVE keeps to Drift and Scribble.
+TEST_ALGORITHMS[Relay.name] = Relay
+
+
+@given(configs(ALGORITHMS + (Drift.name, Relay.name)), st.sampled_from(Model),
+       st.integers(1, 6))
+@example(Config("relay", 3, {2: poll_until_true(), 3: poll_until_true()}, 0, 8, None),
+         Model.DSM, 6)
 def test_stability_probe_matches_fork_oracle_and_rolls_back(cfg, model, horizon):
-    # Drift and small horizons make StabilityUndecided a common outcome.
+    # Drift and small horizons make an undecided verdict a common outcome.
+    # One probe decides every active process between calls, rolled back
+    # between them (Relay needs that): each verdict is the fork oracle's and
+    # a probe of that process alone's, or the call raises what the first
+    # process to raise alone raises.
     runner = execute(cfg)
     for pid in sorted(runner.participants() - runner.terminated):
         if runner.open_call(pid) is not None:
             with suppress(StepBudgetExceeded):  # a Wait spinning on its own
                 runner.run_call(pid, max_steps=20)
     trace = list(runner.trace)
-    for pid in sorted(runner.participants() - runner.terminated):
-        if runner.open_call(pid) is not None:
-            continue
-        before = observable_state(runner)
-        expected = outcome(lambda: fork_stability(runner.fork(), pid, model, horizon))
-        got = outcome(lambda: stability(runner, pid, model=model, horizon=horizon))
-        assert got == expected
-        assert observable_state(runner) == before
+    between = [pid for pid in sorted(runner.participants() - runner.terminated)
+               if runner.open_call(pid) is None]
+    before = observable_state(runner)
+    expected = [outcome(lambda: fork_stability(runner.fork(), pid, model, horizon))
+                for pid in between]
+    alone = [outcome(lambda: stability(runner, [pid], model=model, horizon=horizon)[0])
+             for pid in between]
+    assert alone == expected
+    assert observable_state(runner) == before
+    got = outcome(lambda: stability(runner, between, model=model, horizon=horizon))
+    raised = [o for o in expected if o[0] not in ("result", "undecided")]
+    if raised:
+        assert got == raised[0]
+    else:
+        assert got == ("result", [o[1] if o[0] == "result" else None for o in expected])
+    assert observable_state(runner) == before
     # The probed run goes on exactly as one that was never probed.
     twin = Runner.replay(runner.algorithm, runner.roles, trace)
     for run in (runner, twin):
@@ -666,7 +713,8 @@ def test_probe_decides_rmrs_as_the_ledger_does(cfg, horizon, bursts):
             if runner.is_active(pid) and runner.open_call(pid) is None:
                 for model in Model:
                     expected = outcome(lambda: fork_stability(runner.fork(), pid, model, horizon))
-                    got = outcome(lambda: stability(runner, pid, model=model, horizon=horizon))
+                    got = outcome(lambda: stability(runner, [pid], model=model,
+                                                    horizon=horizon)[0])
                     assert got == expected
 
 
@@ -722,7 +770,7 @@ def test_every_ledger_read_sees_every_event(cfg, data):
             if between:
                 pid = data.draw(st.sampled_from(between))
                 model = data.draw(st.sampled_from(Model))
-                outcome(lambda: stability(runner, pid, model=model, horizon=6))
+                outcome(lambda: stability(runner, [pid], model=model, horizon=6))
         elif interlude == "checkpoint":
             # Only a call begun under the checkpoint can be rewound.
             free = [pid for pid in runner.runnable() if runner.open_call(pid) is None]
@@ -747,7 +795,7 @@ def test_every_ledger_read_sees_every_event(cfg, data):
 
 def fork_post_polls(fork: Runner, waiters) -> bool:
     """The post-Signal check as it ran on a replayed fork of the run: the
-    oracle for the in-place probe of ``_verify_post_polls``."""
+    oracle for ``_verify_post_polls``, which runs on the drill's run."""
     for w in [w for w in waiters if fork.is_active(w)]:
         fork.force_next_call(w, POLL)
         if not fork.run_call(w).response:
@@ -756,10 +804,11 @@ def fork_post_polls(fork: Runner, waiters) -> bool:
 
 
 @given(configs(), st.sampled_from(Model))
-def test_post_poll_probe_matches_fork_oracle_and_rolls_back(cfg, model):
+def test_post_poll_check_matches_fork_oracle(cfg, model):
     # The drill's last check, on a run with or without a Signal, after the
-    # stability probes the drill runs before it under the model: every
-    # active waiter between calls polls once more, in a probe.
+    # stability probe the drill runs before it under the model: every
+    # active waiter between calls polls once more, on the run itself, which
+    # then goes on as the fork did.
     runner = execute(cfg)
     for pid in sorted(runner.participants() - runner.terminated):
         if runner.open_call(pid) is not None:
@@ -767,12 +816,13 @@ def test_post_poll_probe_matches_fork_oracle_and_rolls_back(cfg, model):
                 runner.run_call(pid, max_steps=20)
     waiters = [pid for pid, script in cfg.roles.items()
                if script.kind != SIGNAL and runner.open_call(pid) is None]
-    for pid in waiters:
-        outcome(lambda: stability(runner, pid, model=model, horizon=6))
-    before = observable_state(runner)
-    expected = outcome(lambda: fork_post_polls(runner.fork(), waiters))
+    active = [pid for pid in waiters if runner.is_active(pid)]
+    outcome(lambda: stability(runner, active, model=model, horizon=6))
+    fork = runner.fork()
+    expected = outcome(lambda: fork_post_polls(fork, waiters))
     assert outcome(lambda: _verify_post_polls(runner, waiters)) == expected
-    assert observable_state(runner) == before
+    assert signatures(runner) == signatures(fork)
+    assert calls(runner) == calls(fork)
 
 
 @given(configs(EVERY_PRIMITIVE))
