@@ -1,0 +1,115 @@
+"""Pinned records of the installed ``rmrsim`` at sizes the tests do not reach.
+
+Each pin runs one command and checks its exit code, a needle in its
+stderr, the fields of the JSON record it prints, and, where given, its
+peak RSS.  Run from the repository root after ``pip install -e .``:
+
+    python .github/pins.py
+
+A failing pin prints one line to stderr and the script exits 1, after
+running the rest.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# How a field is named in a failure message, where not by its own name.
+SHOWN = {"histories_explored": "histories", "violation_count": "violations"}
+
+# (label, argv, exit code, stderr needle, {field: value}, peak RSS bound in MB)
+PINS = [
+    # The separation certificate on the erase path, at 4x the largest W the
+    # tests cover: one participant left, who paid W RMRs.
+    ("adversary --erase --W 1024", "adversary --algo dsm_fixed_waiters --erase --W 1024",
+     0, None, {"k": 1, "signaler_rmrs": 1024}, None),
+    # The drill's default signaler at 4x the largest W the tests cover:
+    # process 1, as in sweep, not a waiter.
+    ("adversary dsm_queue --W 64", "adversary --algo dsm_queue --W 64",
+     0, None, {"k": 65, "signaler_rmrs": 64}, None),
+    # The CC drill at W = 1024: each round's one stability probe decides
+    # from its own events, against the ledger's holder table read before it
+    # opens, that a waiter polling its cached flag pays nothing; one
+    # signaler write then reaches every waiter.
+    ("adversary cc_flag --model cc --W 1024", "adversary --algo cc_flag --model cc --W 1024",
+     0, None, {"k": 1025, "signaler_rmrs": 1}, None),
+    # The CC drill at W = 1024 with waiters that attempt: each runs FAI on
+    # the tail and writes its slot, so every probe reads a holder table that
+    # other waiters' attempts have rewritten.
+    ("adversary dsm_queue --model cc --W 1024", "adversary --algo dsm_queue --model cc --W 1024",
+     0, None, {"k": 1025, "signaler_rmrs": 2050, "total_rmr_cc": 6146}, None),
+    # The CC erase drill at W = 1024: no waiter observed another, so the end
+    # of the Signal erases all 1,024 of them through the erase index, and
+    # the one signaler write is all that is charged.
+    ("adversary cc_flag --model cc --erase --W 1024",
+     "adversary --algo cc_flag --model cc --erase --W 1024",
+     0, None, {"k": 1, "signaler_rmrs": 1, "total_rmr_cc": 1}, None),
+    # The degenerate erase drill: the signaler reads the registrations in
+    # its own module, each waiter it would observe is erased first, and it
+    # is left alone, having paid nothing.
+    ("adversary dsm_registration --erase --W 1024",
+     "adversary --algo dsm_registration --erase --W 1024",
+     0, None, {"k": 1, "signaler_rmrs": 0}, None),
+    # The drill's unstable path at W = 1024: under DSM each cc_flag waiter
+    # pays to read the remote flag, so all 8 polling rounds, one stability
+    # probe of 1,024 waiters each, end unstable: exit 4.
+    ("adversary cc_flag --model dsm --W 1024", "adversary --algo cc_flag --model dsm --W 1024",
+     4, "still pay RMRs after 8 polling rounds", None, None),
+    # The enumeration DAG at n = 4, through 139,492 histories; the tests
+    # stop at n = 3 or a few hundred histories.
+    ("check dsm_registration n=4",
+     "check --algo dsm_registration --n 4 --schedule exhaustive:12 --polls 1",
+     0, None, {"histories_explored": 139492, "violation_count": 0}, None),
+    # Wait as Poll repeated, enumerated at depth 12; the tests stop at
+    # depth 11 for a +blocking protocol.
+    ("check dsm_queue+blocking n=3",
+     "check --algo dsm_queue+blocking --n 3 --schedule exhaustive:12",
+     0, None, {"histories_explored": 75402, "violation_count": 0}, None),
+    # The history budget on a DAG of 18.7 M paths: the walk steps only as
+    # far as the histories it yields, so the run stops at 1 M of them with
+    # a small memory peak (about 22 MB) instead of first building the whole
+    # DAG.
+    ("check dsm_queue n=4 depth 60",
+     "check --algo dsm_queue --n 4 --schedule exhaustive:60 --polls 10",
+     3, "enumeration budget exceeded", None, 100),
+]
+
+
+def run(argv: list[str]) -> tuple[int, str, str, float]:
+    """Exit code, stdout, stderr and peak RSS in MB of one command."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
+
+
+def check(label, args, code, needle, fields, rss_mb) -> str | None:
+    """The pin's failure message, or None."""
+    rc, stdout, stderr, peak_mb = run(["rmrsim", *args.split()])
+    if rc != code or (needle is not None and needle not in stderr):
+        return f"{label}: exit {rc}, {stderr!r}"
+    if fields is not None:
+        got = tuple(json.loads(stdout)[field] for field in fields)
+        if got != tuple(fields.values()):
+            return f"{label}: ({', '.join(SHOWN.get(f, f) for f in fields)}) = {got}"
+    if rss_mb is not None:
+        if peak_mb >= rss_mb:
+            return f"{label}: peak RSS {peak_mb:.1f} MB"
+        print(f"{label}: exit {code} at its budget, peak RSS {peak_mb:.1f} MB")
+    return None
+
+
+def main() -> int:
+    failures = [msg for msg in (check(*pin) for pin in PINS) if msg is not None]
+    for msg in failures:
+        print(msg, file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

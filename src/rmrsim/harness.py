@@ -460,7 +460,6 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
                               signaler=s)
     runner = Runner(algorithm, roles)
 
-    unstable: list[int] = list(waiters)
     for _ in range(MAX_ROUNDS):
         try:
             for w in waiters:
@@ -470,14 +469,16 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
             report.diagnosis = f"a poll by waiter {w} ran past {DEFAULT_HORIZON} steps"
             return report
         verdicts = stability(runner, waiters, model=model)
-        unstable = [w for w, v in zip(waiters, verdicts) if v is None or not v.stable]
-        if not unstable:
+        if all(v is not None and v.stable for v in verdicts):
             break
-    if unstable:
+    else:
         report.status = "non_stabilizing"
-        report.diagnosis = (
-            f"waiters {unstable[:8]} still pay RMRs after {MAX_ROUNDS} polling rounds"
-        )
+        paying = [w for w, v in zip(waiters, verdicts) if v is not None and not v.stable]
+        undecided = [w for w, v in zip(waiters, verdicts) if v is None]
+        report.diagnosis = "; ".join(
+            f"waiters {ws[:8]} ({len(ws)} of {report.W}) {why} after {MAX_ROUNDS} polling rounds"
+            for ws, why in ((paying, "still pay RMRs"),
+                            (undecided, "are undecided at the stability horizon")) if ws)
         return report
 
     runner.force_next_call(s, SIGNAL)

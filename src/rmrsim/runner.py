@@ -10,8 +10,8 @@ certifies an erasure.
 
 A *checkpoint* lets the run go on and then come back: while one is open,
 each step journals the word it changes and each process's state is saved
-before it first changes, and a rollback undoes both and rebuilds any
-generator that moved by re-sending its recorded responses.  Exhaustive
+before it first changes, and a rollback undoes both and rebuilds every
+call it reopens by re-sending its recorded responses.  Exhaustive
 enumeration backtracks this way, and a *probe* ("what if these processes
 made more calls from here?") is a checkpoint that only the probed
 processes may act under.  An *erasure* takes a process nobody observed out
@@ -31,18 +31,21 @@ body once.  The ledger and the erase index fold the events added since
 they were last read when they are read.  Both refuse every read while a
 checkpoint is open, so no step folds and a rollback has none to undo.
 
-A closed call record is never changed: :meth:`Runner.history` shares it,
-so a rollback that reopens a call puts a new record in its place.  An open
-record keeps its identity.
+The run's event, call and trace lists only grow, but for a rollback's
+truncation and the new record it puts in place of a closed call it reopens:
+:meth:`Runner.history` shares closed records, so none is ever changed.  An
+open record keeps its identity.  An erasure cuts nothing out of the lists:
+below its process's watermark, their entries no longer count.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algorithms import Ctx
 from .costs import RmrLedger
@@ -248,18 +251,20 @@ class _ProcState:
 
 class _Erased:
     """The index erasures find their work through: ``by_proc`` gives each
-    process's event, call and trace positions, ``by_word`` each word's
-    event positions, ``observed[p]`` how many value-reading events of
-    others have ``p`` as their writer before.  It covers the first
-    ``upto`` events, calls and trace entries."""
+    process's event positions since its last erasure, ``by_word`` each
+    word's, ``observed[p]`` how many value-reading events of others have
+    ``p`` as their writer before; it covers the first ``upto`` events.
+    ``dead[p]``, ``p``'s watermark, holds the event, call and trace list
+    lengths at its last erasure: its entries below them are erased."""
 
-    __slots__ = ("by_proc", "by_word", "observed", "upto")
+    __slots__ = ("by_proc", "by_word", "observed", "upto", "dead")
 
     def __init__(self, n: int):
-        self.by_proc = [([], [], []) for _ in range(n + 1)]
+        self.by_proc: list[list[int]] = [[] for _ in range(n + 1)]
         self.by_word: defaultdict[int, list[int]] = defaultdict(list)
         self.observed = [0] * (n + 1)
-        self.upto = (0, 0, 0)
+        self.upto = 0
+        self.dead = [(0, 0, 0)] * (n + 1)
 
 
 class Runner:
@@ -290,10 +295,8 @@ class Runner:
         self._primitives = tuple(algorithm.primitives)
         self.ctxs = {pid: Ctx(pid, self.n, self.locs) for pid in range(1, self.n + 1)}
         self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
-        # An erasure leaves None in the place of what it took out, which the
-        # ``events``, ``calls`` and ``trace`` properties skip.
-        self._events: list[Event | None] = []
-        self._calls: list[CallRecord | None] = []
+        self._events: list[Event] = []
+        self._calls: list[CallRecord] = []
         self._trace: list = []
         self.ledger: RmrLedger | None = RmrLedger(self.n, self._events)
         self._procs = {pid: _ProcState() for pid in range(1, self.n + 1)}
@@ -309,8 +312,8 @@ class Runner:
         # The sets a process's steps can add it to; none of them ever
         # shrinks, so a rollback only drops what was added.
         self._pid_sets = (self._participants, self._terminated, self._pollers, self._signaled)
-        # Set while a checkpoint is open: per step, in step order, the
-        # process and the word it is about to change.
+        # Set while a checkpoint is open: per step, in step order, the word
+        # it is about to change.
         self._undo: list | None = None
         # Open checkpoints, innermost last: the event, call and trace list
         # lengths, the undo log's length, and the processes' saved states.
@@ -326,19 +329,19 @@ class Runner:
     def events(self) -> list[Event]:
         """The run's events; ``events[i].seq == i`` until an erasure, after
         which the survivors' keep their seqs."""
-        return self._kept(self._events)
+        return self._kept(self._events, 0)
 
     @property
     def calls(self) -> list[CallRecord]:
         """Every call begun, in the order begun; ``calls[i].call_id == i``
         until an erasure, after which the survivors' keep their ids."""
-        return self._kept(self._calls)
+        return self._kept(self._calls, 1)
 
     @property
     def trace(self) -> list:
         """The replay recipe: a pid per step, ``("force", pid, kind)`` per
         queued call."""
-        return self._kept(self._trace)
+        return self._kept(self._trace, 2)
 
     @property
     def terminated(self) -> frozenset[int]:
@@ -425,7 +428,10 @@ class Runner:
         if undo is not None:  # journal the word
             if pid not in self._saved:
                 self._touch(pid)
-            undo.append((pid, self.mem.save_word(loc.uid)))
+            if state.part is None:
+                raise SimError(f"process {pid}'s call began before any checkpoint; "
+                               "it cannot step under one")
+            undo.append(self.mem.save_word(loc.uid))
         events = self._events
         ev = self.mem.apply(pid, op, loc, len(events))
         self._trace.append(pid)
@@ -436,7 +442,7 @@ class Runner:
         state.pending = None
         # An SC responds with its verdict; a write with value_read, None.
         response = ev.outcome if kind is _SC else ev.value_read
-        if undo is not None and state.part is not None:
+        if undo is not None:
             state.part += (response,)
         try:
             state.pending = state.gen.send(response)
@@ -501,8 +507,10 @@ class Runner:
         Checkpoints nest.  While one is open each step journals the word it
         is about to change (value, writer, links), each process's state is
         saved before it first changes (script position, queued calls,
-        ``ctx.state``, set memberships, and its open call's generator and
-        record), and the ledger and the erase index refuse every read.
+        ``ctx.state``, set memberships and its open call's record), and the
+        ledger and the erase index refuse every read.  A call begun before
+        any checkpoint cannot be rewound, so its steps are refused
+        (:class:`SimError`) before anything is applied.
         """
         if self.ledger is None:
             self._refuse("checkpoint()")
@@ -520,28 +528,26 @@ class Runner:
 
         Words come back from the journal, the event, call and trace lists
         by truncation, the processes from their saves; the ledger and the
-        erase index, which read nothing meanwhile, need nothing.  A call
-        open at the checkpoint whose process has stepped since gets a fresh
-        generator: the body restarts from ``ctx.state`` as the call found it
-        and is sent the call's recorded responses.  A request that differs
-        from the recorded one means the protocol keeps state outside its
-        context; it raises :class:`ReplayDivergence` and leaves the run
-        unusable.
+        erase index, which read nothing meanwhile, need nothing.  Every
+        open call it restores is rebuilt: the body restarts from
+        ``ctx.state`` as the call found it and is sent the call's recorded
+        responses; one begun before any checkpoint has not stepped since,
+        and keeps its generator.  A request that differs from the recorded
+        one means the protocol keeps state outside its context; it raises
+        :class:`ReplayDivergence` and leaves the run unusable.
         """
         if not self._checkpoints:
             raise SimError("no checkpoint is open")
         events, calls, trace, mark, saved = self._checkpoints[-1]
         undo, mem = self._undo, self.mem
-        stepped = set()
-        for pid, word in reversed(undo[mark:]):
-            stepped.add(pid)
+        for word in reversed(undo[mark:]):
             mem.restore_word(word)
         del undo[mark:]
         del self._events[events:]
         del self._calls[calls:]
         del self._trace[trace:]
         for pid, state in saved.items():
-            self._restore_process(pid, state, pid in stepped)
+            self._restore_process(pid, state)
         saved.clear()
         if close:
             self._checkpoints.pop()
@@ -551,7 +557,8 @@ class Runner:
                 self._undo = self._saved = None
                 self.ledger.checkpointed = False
 
-    def probe(self, pids: Iterable[int]) -> "_Probe":
+    @contextlib.contextmanager
+    def probe(self, pids: Iterable[int]) -> Iterator[Runner]:
         """Let ``pids`` make further calls on this run, then undo them.
 
         A context manager: on entry, a checkpoint under which only these
@@ -560,7 +567,21 @@ class Runner:
         since the probe asks what its further calls would do.  Probes do
         not nest.
         """
-        return _Probe(self, pids)
+        if self._probed is not None:
+            raise SimError("a probe is already open")
+        pids = frozenset(pids)
+        for pid in pids:
+            if self._procs[pid].call is not None:
+                raise SimError(f"process {pid} is mid-call; a probe starts between calls")
+        depth = len(self._checkpoints)
+        self.checkpoint()
+        self._probed = pids
+        try:
+            yield self
+        finally:
+            self._probed = None
+            while len(self._checkpoints) > depth:
+                self.rollback(close=True)
 
     # -- replay -----------------------------------------------------------
 
@@ -589,21 +610,23 @@ class Runner:
         ``harness.validate_erasure``), which is not checked here: the other
         processes keep their events and their programs keep the responses
         they got.  It costs what ``p`` touched, found through the erase
-        index, not the run: ``p``'s entries are marked dead, each word ``p``
-        made a nontrivial attempt on is refolded from its initial value over
-        the others' events on it, and on a word ``p`` only read its LL link
-        goes.  The index's observed-by counts lose ``p``'s reads, the
-        participants lose ``p``, and ``p`` is left as if it never ran.
+        index, not the run: the lists stay as they are and ``p``'s
+        watermark moves to their ends, each word ``p`` made a nontrivial
+        attempt on is refolded from its initial value over the surviving
+        events on it, and on a word ``p`` only read its LL link goes.  The
+        index's observed-by counts lose ``p``'s reads, the participants
+        lose ``p``, and ``p`` is left as if it never ran.
 
         What the steps to come do not read is left for :meth:`fork`, the
         replay that builds and certifies the erased run: :attr:`events`,
-        :attr:`calls` and :attr:`trace` give the survivors under their old
-        seqs and call ids, the ledger is charged, detached and dropped (a
-        reference held to it keeps the counts of the run before the
-        erasure; the fork charges the erased run), and :meth:`history`,
-        :meth:`configuration` and :meth:`checkpoint` (so :meth:`probe`) are
-        refused.  Refused, changing nothing, while a checkpoint or probe is
-        open (by the index) and for a process not active.
+        :attr:`calls` and :attr:`trace` give the entries at or above their
+        process's watermark under their old seqs and call ids, the ledger
+        is charged, detached and dropped (a reference held to it keeps the
+        counts of the run before the erasure; the fork charges the erased
+        run), and :meth:`history`, :meth:`configuration` and
+        :meth:`checkpoint` (so :meth:`probe`) are refused.  Refused,
+        changing nothing, while a checkpoint or probe is open (by the
+        index) and for a process not active.
         """
         erased = self._index()
         if not self.is_active(p):
@@ -611,23 +634,18 @@ class Runner:
         if self.ledger is not None:
             self.ledger.detach()
             self.ledger = None
-        events, mem = self._events, self.mem
-        own_events, own_calls, own_trace = erased.by_proc[p]
-        erased.by_proc[p] = ([], [], [])
-        doomed = [events[pos] for pos in own_events]
+        events, mem, dead = self._events, self.mem, erased.dead
+        doomed = [events[pos] for pos in erased.by_proc[p]]
+        erased.by_proc[p] = []
         _observe(erased.observed, doomed, -1)
-        for pos in own_events:
-            events[pos] = None
-        for pos in own_calls:
-            self._calls[pos] = None
-        for pos in own_trace:
-            self._trace[pos] = None
+        dead[p] = (len(events), len(self._calls), len(self._trace))
         attempted = {e.loc for e in doomed if not e.op.trivial}
         for uid in attempted:
             mem.reset_word(uid)
             for pos in erased.by_word[uid]:
-                if events[pos] is not None:
-                    mem.redo(events[pos])
+                e = events[pos]
+                if pos >= dead[e.proc][0]:
+                    mem.redo(e)
         for uid in {e.loc for e in doomed} - attempted:
             mem.unlink(uid, p)
         self._participants.discard(p)
@@ -639,35 +657,32 @@ class Runner:
         self._set_live(p, fresh.next_kind is not None)
 
     def _index(self) -> "_Erased":
-        """The erase index, extended to the events, calls and trace entries
-        added since it was last used.  Refused while a checkpoint or probe
-        is open, so that it never covers what a rollback takes out."""
+        """The erase index, extended to the events added since it was last
+        used.  Refused while a checkpoint or probe is open, so that it
+        never covers what a rollback takes out."""
         if self._undo is not None:
             raise SimError("the erase index is refused while a checkpoint or probe is open")
         erased = self._erased
         if erased is None:
             erased = self._erased = _Erased(self.n)
-        by_proc, by_word = erased.by_proc, erased.by_word
-        n_events, n_calls, n_trace = erased.upto
-        events, calls, trace = self._events, self._calls, self._trace
-        _observe(erased.observed, events[n_events:], 1)
-        for pos in range(n_events, len(events)):
+        by_proc, by_word, events = erased.by_proc, erased.by_word, self._events
+        _observe(erased.observed, events[erased.upto:], 1)
+        for pos in range(erased.upto, len(events)):
             e = events[pos]
-            by_proc[e.proc][0].append(pos)
+            by_proc[e.proc].append(pos)
             by_word[e.loc].append(pos)
-        for pos in range(n_calls, len(calls)):
-            by_proc[calls[pos].proc][1].append(pos)
-        for pos in range(n_trace, len(trace)):
-            entry = trace[pos]
-            by_proc[entry if type(entry) is int else entry[1]][2].append(pos)
-        erased.upto = len(events), len(calls), len(trace)
+        erased.upto = len(events)
         return erased
 
-    def _kept(self, entries: list) -> list:
-        """The run's own list, or after an erasure the survivors in it."""
+    def _kept(self, entries: list, which: int) -> list:
+        """The run's own list, or after an erasure its entries at or above
+        their process's watermark: ``which`` picks the list's own one."""
         if self.ledger is not None:
             return entries
-        return [x for x in entries if x is not None]
+        dead = [marks[which] for marks in self._erased.dead]
+        if which == 2:  # the trace: a pid per step, ("force", pid, kind)
+            return [x for i, x in enumerate(entries) if i >= dead[x if type(x) is int else x[1]]]
+        return [x for i, x in enumerate(entries) if i >= dead[x.proc]]
 
     def _refuse(self, what: str):
         raise SimError(f"{what} refused after an erasure; fork() replays the erased run")
@@ -677,15 +692,16 @@ class Runner:
     def _touch(self, pid: int) -> None:
         """Under an open checkpoint, before ``pid``'s state first changes
         (the caller checks that it is not saved yet): refuse a process
-        outside an open probe, and save the state.  Every process saved
-        under an open probe passed the refusal, even under a checkpoint
-        nested in it, so a saved one needs no second look."""
+        outside an open probe, and save the state, all but an open call's
+        generator, which a rollback rebuilds.  Every process saved under an
+        open probe passed the refusal, even under a checkpoint nested in
+        it, so a saved one needs no second look."""
         if self._probed is not None and pid not in self._probed:
             raise SchedulingError(f"process {pid} is outside the open probe")
         state = self._procs[pid]
         rec = state.call
         self._saved[pid] = (
-            state.gen, rec, state.pending, None if rec is None else rec.start_seq,
+            rec, state.pending, None if rec is None else rec.start_seq,
             state.calls_made, state.saw_true, list(state.forced), state.next_kind, state.part,
             # An open call's own steps alone change ctx.state, and after
             # them the generator rebuild restores it.
@@ -693,8 +709,8 @@ class Runner:
             [members for members in self._pid_sets if pid not in members],
         )
 
-    def _restore_process(self, pid: int, saved: tuple, stepped: bool) -> None:
-        (gen, rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
+    def _restore_process(self, pid: int, saved: tuple) -> None:
+        (rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
          part, ctx_state, absent) = saved
         state = self._procs[pid]
         # A process is runnable exactly while it has an open, a queued or a
@@ -713,10 +729,8 @@ class Runner:
                 rec = state.call = self._calls[rec.call_id] = CallRecord(
                     rec.call_id, pid, rec.kind)
             rec.start_seq = start_seq
-            # The saved generator has moved on if the process stepped since
-            # the save, or if it stepped under a later checkpoint whose
-            # rollback put a rebuilt generator in its place.
-            state.gen = gen if gen is state.gen and not stepped else self._rebuild(pid)
+            if part is not None:  # else begun before any checkpoint: not stepped since
+                state.gen = self._rebuild(pid)
         for members in absent:
             members.discard(pid)
 
@@ -727,9 +741,6 @@ class Runner:
         match the recorded one, and the last the pending one."""
         state = self._procs[pid]
         rec = state.call
-        if state.part is None:
-            raise SimError(f"process {pid}'s call began before any checkpoint; "
-                           "it cannot be rewound")
         ctx = self.ctxs[pid]
         ctx.state = dict(state.part[1])
         gen = self._bodies[rec.kind](ctx)
@@ -807,35 +818,6 @@ class Runner:
                 del runnable[i]
         elif live:
             runnable.insert(i, pid)
-
-
-class _Probe:
-    """The context manager :meth:`Runner.probe` returns."""
-
-    __slots__ = ("_run", "_pids", "_depth")
-
-    def __init__(self, run: Runner, pids: Iterable[int]):
-        self._run = run
-        self._pids = pids
-
-    def __enter__(self) -> Runner:
-        run = self._run
-        if run._probed is not None:
-            raise SimError("a probe is already open")
-        pids = frozenset(self._pids)
-        for pid in pids:
-            if run._procs[pid].call is not None:
-                raise SimError(f"process {pid} is mid-call; a probe starts between calls")
-        self._depth = len(run._checkpoints)
-        run.checkpoint()
-        run._probed = pids
-        return run
-
-    def __exit__(self, *exc_info) -> None:
-        run = self._run
-        run._probed = None
-        while len(run._checkpoints) > self._depth:
-            run.rollback(close=True)
 
 
 def _observe(counts: list[int], events: Iterable[Event], sign: int) -> None:

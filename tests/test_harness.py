@@ -646,7 +646,7 @@ def test_drill_cc_flag_under_dsm_non_stabilizing():
     report = adversary_separation(algo, model=Model.DSM)
     assert report.status == "non_stabilizing"
     assert report.signaler_rmrs is None
-    assert report.diagnosis == "waiters [2, 3, 4, 5] still pay RMRs after 8 polling rounds"
+    assert report.diagnosis == "waiters [2, 3, 4, 5] (4 of 4) still pay RMRs after 8 polling rounds"
 
 
 def test_drill_counts_an_undecided_waiter_as_unstable(monkeypatch):
@@ -662,7 +662,22 @@ def test_drill_counts_an_undecided_waiter_as_unstable(monkeypatch):
     report = adversary_separation(_UnboundedCounter(3))
     assert verdicts == [[None, None]] * harness.MAX_ROUNDS
     assert report.status == "non_stabilizing"
-    assert report.diagnosis == "waiters [2, 3] still pay RMRs after 8 polling rounds"
+    assert report.diagnosis == (
+        "waiters [2, 3] (2 of 2) are undecided at the stability horizon after 8 polling rounds")
+
+
+def test_drill_diagnosis_names_paying_and_undecided_waiters_apart(monkeypatch):
+    # Of the last round's verdicts, 2 pays and 3 is undecided; the paying
+    # list is cut at 8 ids, and the counts say how many there are.
+    def split(runner, pids, *, model):
+        return [None if w == 3 else harness.StabilityResult(False, 1) for w in pids]
+
+    monkeypatch.setattr(harness, "stability", split)
+    report = adversary_separation(make_algorithm("cc_flag", 11))
+    assert report.status == "non_stabilizing"
+    assert report.diagnosis == (
+        "waiters [2, 4, 5, 6, 7, 8, 9, 10] (9 of 10) still pay RMRs after 8 polling rounds; "
+        "waiters [3] (1 of 10) are undecided at the stability horizon after 8 polling rounds")
 
 
 def test_stability_refuses_a_horizon_below_one():

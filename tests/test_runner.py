@@ -462,12 +462,37 @@ def test_ledger_reads_are_refused_while_a_checkpoint_is_open(read):
 
 
 def test_rollback_cannot_rewind_a_call_begun_before_any_checkpoint():
+    # So the call may not step under one: the step is refused before
+    # anything is applied, and the run goes on as in a replay.
     runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)})
     runner.step(2)
     runner.checkpoint()
+    before = observable(runner, ledger=False)
+    with pytest.raises(SimError, match="began before any checkpoint; it cannot step under one"):
+        runner.step(2)
+    assert observable(runner, ledger=False) == before
+    runner.rollback(close=True)
+    runner.run_call(2)
+    twin = Runner.replay(runner.algorithm, runner.roles, [2])
+    twin.run_call(2)
+    assert observable(runner) == observable(twin)
+
+
+def test_rollback_keeps_a_call_begun_before_any_checkpoint_that_only_queued():
+    # A Poll queued under the checkpoint saves 2 without a step, so the
+    # rollback keeps the generator of the call 2 had open, and 2 goes on.
+    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1), 3: poll_at_most(1)})
     runner.step(2)
-    with pytest.raises(SimError, match="before any checkpoint"):
-        runner.rollback()
+    before = observable(runner)
+    runner.checkpoint()
+    runner.force_next_call(2, POLL)
+    runner.step(3)
+    runner.rollback(close=True)
+    assert observable(runner) == before
+    runner.drive(RoundRobin())
+    twin = Runner.replay(runner.algorithm, runner.roles, [2])
+    twin.drive(RoundRobin())
+    assert observable(runner) == observable(twin)
 
 
 def test_history_sets():
@@ -603,6 +628,29 @@ def test_erase_renumbers_a_call_begun_before_its_first_step():
     fork = runner.fork()
     assert fork.events == oracle.events
     assert [(c.call_id, c.proc, c.start_seq) for c in fork.calls] == [(0, 3, 0)]
+
+
+def test_erase_cuts_below_a_watermark_and_keeps_what_the_process_adds_after():
+    # 2's entries below its watermark are erased; the ones it adds running
+    # again stay, as in the fork, under the live run's seqs and call ids.
+    # Each Poll of 2 and 3 takes 3 events, so the watermarks differ.
+    runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_until_true(), 3: poll_until_true()})
+    runner.run_call(3)
+    runner.run_call(2)
+    runner.erase(2)
+    runner.run_call(2)
+    fork = runner.fork()
+    assert [e.signature() for e in runner.events] == [e.signature() for e in fork.events]
+    assert [e.seq for e in runner.events] == [0, 1, 2, 6, 7, 8]
+    assert ([(c.proc, c.kind, c.response) for c in runner.calls]
+            == [(c.proc, c.kind, c.response) for c in fork.calls]
+            == [(3, POLL, False), (2, POLL, False)])
+    assert [c.call_id for c in runner.calls] == [0, 2]
+    assert runner.trace == fork.trace == [3, 3, 3, 2, 2, 2]
+    runner.erase(2)
+    assert [e.proc for e in runner.events] == [3, 3, 3]
+    assert [c.proc for c in runner.calls] == [3]
+    assert runner.trace == [3, 3, 3]
 
 
 def test_erased_run_refuses_whole_run_reads():
