@@ -178,15 +178,19 @@ def _at_least_one(what: str, value: int) -> int:
     return value
 
 
+def _refuse_repeats(values, what: str, option: str) -> None:
+    repeated = sorted(v for v, times in Counter(values).items() if times > 1)
+    if repeated:
+        raise ConfigError(f"{what} {repeated} repeated in {option}")
+
+
 def _parse_waiters(raw, n: int):
     """One number means 'that many waiters starting at process 2'; none
     means the protocol's default set."""
     if raw is None:
         return None
     if len(raw) > 1:
-        repeated = sorted(w for w, times in Counter(raw).items() if times > 1)
-        if repeated:
-            raise ConfigError(f"waiter ids {repeated} repeated in --waiters")
+        _refuse_repeats(raw, "waiter ids", "--waiters")
         return raw
     count = raw[0]
     if count < 1 or count > n - 1:
@@ -342,6 +346,7 @@ def _cmd_drill(cfg: dict) -> int:
     sweep = cfg["command"] == "sweep"
     counts = cfg["W"] if sweep else [cfg["W"]]
     _at_least_one("waiter counts", min(counts))
+    _refuse_repeats(counts, "waiter counts", "--W")
     records = []
     for w_count in counts:
         report = _drill(cfg, w_count)

@@ -6,7 +6,7 @@ Two charging rules classify every event as local or remote (RMR):
   location homed at another process's module; a pure function of the event.
 * cache-coherent (CC): every process may cache any location.  A read is
   local while the reader holds a valid copy; it is an RMR (and creates a
-  copy) otherwise.  Any nontrivial attempt, including a failed CAS/SC/TAS,
+  copy) otherwise.  Any nontrivial attempt, including a failed CAS or SC,
   costs one RMR, destroys all remote copies, and refreshes the writer's own.
   Its one state is a holder table: per word uid, who holds a valid copy.
 

@@ -310,10 +310,9 @@ def validate_erasure(history: History | list, p: int) -> bool:
 
 def _erasure_safe(run: Runner, p: int) -> bool:
     """:func:`validate_erasure` on the live run, from its observed-by
-    count; the SC scan runs only for an algorithm that declares SC."""
-    if run.observers(p):
-        return False
-    return OpKind.SC not in run.algorithm.primitives or _sc_independent(run.events, p)
+    count.  The drill erases only in a read/write protocol, so no SC
+    verdict can depend on ``p``."""
+    return not run.observers(p)
 
 
 def _sc_independent(events: list[Event], p: int) -> bool:

@@ -44,21 +44,19 @@ class OpKind(Enum):
     LL = "ll", True, True
     SC = "sc", False, False
     FAI = "fai", False, True
-    FAS = "fas", False, True
-    TAS = "tas", False, True
 
 
 # The kinds as globals, bound one by one, for the hot paths to compare
 # against: ``OpKind.X`` goes through the enum metaclass on every lookup.
 _READ, _WRITE, _CAS, _LL = OpKind.READ, OpKind.WRITE, OpKind.CAS, OpKind.LL
-_SC, _FAI, _FAS, _TAS = OpKind.SC, OpKind.FAI, OpKind.FAS, OpKind.TAS
+_SC, _FAI = OpKind.SC, OpKind.FAI
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class PrimitiveOp:
     """One primitive operation with its operands.
 
-    ``value`` is the word to store (WRITE, CAS, SC, FAS); ``expected`` is the
+    ``value`` is the word to store (WRITE, CAS, SC); ``expected`` is the
     comparison operand of CAS.  ``trivial`` and ``reads_value`` are copied
     from the kind.  Treat an op, and a :class:`Location`, as immutable:
     neither is a frozen dataclass, because programs build an op per write
@@ -91,7 +89,6 @@ class Location:
 _READ_OP = PrimitiveOp(_READ)
 _LL_OP = PrimitiveOp(_LL)
 _FAI_OP = PrimitiveOp(_FAI)
-_TAS_OP = PrimitiveOp(_TAS)
 
 
 def read(loc: Location):
@@ -118,20 +115,12 @@ def fai(loc: Location):
     return (_FAI_OP, loc)
 
 
-def fas(loc: Location, value: int):
-    return (PrimitiveOp(_FAS, value), loc)
-
-
-def tas(loc: Location):
-    return (_TAS_OP, loc)
-
-
 @dataclass(slots=True)
 class Event:
     """One atomic step: a primitive applied by one process to one location.
 
     ``value_written`` is present iff the operation actually modified memory
-    (a failed CAS/SC/TAS leaves it ``None``).  ``writer_before`` is the
+    (a failed CAS or SC leaves it ``None``).  ``writer_before`` is the
     process whose write was last applied to the location before this event,
     which is what the observation relation and erasure validation need.
     The event names no call: a process makes one call at a time, so the
@@ -297,15 +286,6 @@ class Memory:
         elif kind is _FAI:
             value_read = old
             written = old + 1
-        elif kind is _FAS:
-            value_read = old
-            written = op.value
-        elif kind is _TAS:
-            value_read = old
-            if old == 0:
-                written = 1
-            else:
-                outcome = False
         else:  # pragma: no cover - enum is closed
             raise ConfigError(f"unknown primitive {kind}")
 

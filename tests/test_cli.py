@@ -54,6 +54,14 @@ def test_run_repeated_waiter_ids_refused(capsys):
     assert "[3] repeated" in err
 
 
+def test_sweep_repeated_waiter_counts_refused(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--algo", "cc_flag", "--model", "cc", "--W", "4,2,4,2,8"
+    )
+    assert (code, out) == (2, "")
+    assert "waiter counts [2, 4] repeated in --W" in err
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("algo", ["dsm_registration", "dsm_registration+blocking"])
 def test_waiter_that_is_the_designated_signaler_refused(capsys, command, algo):

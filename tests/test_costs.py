@@ -12,7 +12,7 @@ from rmrsim.costs import (
     classify_cc,
     classify_dsm,
 )
-from rmrsim.memory import Memory, OpKind, cas, fai, fas, ll, read, sc, tas, write
+from rmrsim.memory import Memory, OpKind, cas, fai, ll, read, sc, write
 
 from test_properties import count_messages, holder_pairs
 
@@ -205,7 +205,7 @@ def _random_soup(seed, n=4, steps=200):
         elif roll < 0.95:
             req = fai(loc)
         else:
-            req = tas(loc)
+            req = cas(loc, 0, 1)
         events.append(apply(mem, proc, req, seq=i))
     return events, ledger, n
 
@@ -271,8 +271,8 @@ def test_metric_names_fixed():
 
 # -- the fused ledger against the reference rules ---------------------------
 
-#: One request per kind on x (initially 0, or 1 for a failing TAS); the
-#: flag says whether a primitive that can fail should succeed.
+#: One request per kind on x (initially 0); the flag says whether a
+#: primitive that can fail should succeed.
 REQUEST = {
     OpKind.READ: lambda x, ok: read(x),
     OpKind.WRITE: lambda x, ok: write(x, 5),
@@ -280,10 +280,8 @@ REQUEST = {
     OpKind.LL: lambda x, ok: ll(x),
     OpKind.SC: lambda x, ok: sc(x, 5),
     OpKind.FAI: lambda x, ok: fai(x),
-    OpKind.FAS: lambda x, ok: fas(x, 5),
-    OpKind.TAS: lambda x, ok: tas(x),
 }
-FALLIBLE = (OpKind.CAS, OpKind.SC, OpKind.TAS)
+FALLIBLE = (OpKind.CAS, OpKind.SC)
 
 
 def _ending_in(kind, ok, issuer_holds):
@@ -293,7 +291,7 @@ def _ending_in(kind, ok, issuer_holds):
     away the copy that LL gave 2, process 1 makes a failed CAS, which drops
     every copy but keeps links, and 3 reads again."""
     mem = Memory(3)
-    x = mem.alloc("x", home=1, init=1 if kind is OpKind.TAS and not ok else 0)
+    x = mem.alloc("x", home=1, init=0)
     script = [(3, read(x))]
     if kind is OpKind.SC and ok:
         script.append((2, ll(x)))

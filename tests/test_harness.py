@@ -32,6 +32,7 @@ from rmrsim.runner import (
     poll_until_true,
     signal_once,
 )
+from test_properties import Drift, Scribble, Tally
 
 
 def raw_events(n, script):
@@ -466,33 +467,15 @@ def test_validate_erasure_sc_window():
     assert not validate_erasure(events, 2)
 
 
-class _Tally(SignalingAlgorithm):
-    """Poll takes one LL/SC shot at incrementing a shared count."""
-
-    name = "tally"
-    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
-
-    def setup(self, mem):
-        return SimpleNamespace(count=mem.alloc("count", home=1))
-
-    def poll(self, ctx):
-        yield sc(ctx.locs.count, (yield ll(ctx.locs.count)) + 1)
-        return False
-
-    def signal(self, ctx):
-        yield write(ctx.locs.count, 0)
-
-
 def test_drill_verdict_scans_sc_windows():
     # 3's write lands between 2's LL and SC and fails the SC.  No response
     # exposed 3's value, so only the SC scan sees that 2 depended on it.
-    runner = Runner(_Tally(3), {2: poll_until_true(), 3: poll_until_true()})
+    runner = Runner(Tally(3), {2: poll_until_true(), 3: poll_until_true()})
     runner.step(2)
     runner.run_call(3)
     runner.step(2)
     assert runner.events[-1].outcome is False
     assert runner.observers(3) == 0
-    assert not harness._erasure_safe(runner, 3)
     assert not validate_erasure(runner.history(), 3)
 
 
@@ -923,8 +906,15 @@ def test_drill_signaler_outside_processes_refused(signaler):
         adversary_separation(algo, signaler=signaler)
 
 
-def test_erase_mode_needs_read_write_only_algorithm():
-    algo = make_algorithm("dsm_queue", 5)
-    with pytest.raises(DrillNotApplicable, match="read/write"):
-        adversary_separation(algo, signaler=1, erase_on_discovery=True)
-    assert adversary_separation(algo, signaler=1).status == "ok"
+def test_erase_mode_needs_read_write_only_algorithm(monkeypatch):
+    # One protocol per primitive beyond read/write that the engine keeps:
+    # FAI, CAS, and LL/SC twice.  Erase mode refuses each before it builds
+    # a run, so no erase verdict ever meets an SC window.
+    refused = [(make_algorithm("dsm_queue", 5), "fai"), (Scribble(5), "cas, ll, sc"),
+               (Drift(5), "ll, sc"), (Tally(5), "ll, sc")]
+    with monkeypatch.context() as m:
+        m.setattr(harness, "Runner", lambda *args: pytest.fail("the drill built a run"))
+        for algo, extra in refused:
+            with pytest.raises(DrillNotApplicable, match=f"read/write.*; {algo.name} uses {extra}$"):
+                adversary_separation(algo, signaler=1, erase_on_discovery=True)
+    assert adversary_separation(refused[0][0], signaler=1).status == "ok"

@@ -12,11 +12,9 @@ from rmrsim.memory import (
     PrimitiveOp,
     cas,
     fai,
-    fas,
     ll,
     read,
     sc,
-    tas,
     write,
 )
 
@@ -113,26 +111,6 @@ def test_fai_returns_old_and_increments():
     assert mem.words(False)[tail.uid] == 5
 
 
-def test_fas_swaps():
-    mem = Memory(2)
-    x = mem.alloc("x", home=1, init=7)
-    ev = apply(mem, 2, fas(x, 9))
-    assert ev.value_read == 7
-    assert mem.words(False)[x.uid] == 9
-
-
-def test_tas_sets_once():
-    mem = Memory(2)
-    x = mem.alloc("x", home=1, init=0)
-    first = apply(mem, 1, tas(x))
-    assert first.outcome is True and first.value_read == 0 and mem.words(False)[x.uid] == 1
-    second = apply(mem, 2, tas(x))
-    # A second TAS is a failed attempt: it observes 1 and writes nothing.
-    assert second.outcome is False
-    assert second.value_written is None
-    assert mem.words(False)[x.uid] == 1
-
-
 def test_sc_without_ll_fails_quietly():
     mem = Memory(2)
     x = mem.alloc("x", home=1, init=0)
@@ -213,7 +191,7 @@ def test_writer_before_equals_last_writer_of_prefix():
     y = mem.alloc("y", home=2)
     script = [
         (1, write(x, 1)), (2, read(x)), (2, write(y, 4)), (3, fai(y)),
-        (1, cas(x, 1, 8)), (3, read(x)), (2, tas(y)), (1, read(y)),
+        (1, cas(x, 1, 8)), (3, read(x)), (2, cas(y, 0, 1)), (1, read(y)),
     ]
     events = []
     for i, (proc, req) in enumerate(script):
@@ -250,9 +228,6 @@ APPLY_TABLE = [
     (OpKind.SC, {"value": 7}, 5, True, (None, 7, True), False),
     (OpKind.SC, {"value": 7}, 5, False, (None, None, False), False),
     (OpKind.FAI, {}, 5, False, (5, 6, True), False),
-    (OpKind.FAS, {"value": 7}, 5, False, (5, 7, True), False),
-    (OpKind.TAS, {}, 0, False, (0, 1, True), False),
-    (OpKind.TAS, {}, 5, False, (5, None, False), False),
 ]
 
 

@@ -13,6 +13,7 @@ from contextlib import suppress
 from copy import deepcopy
 from dataclasses import dataclass
 from itertools import islice
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -45,6 +46,7 @@ from rmrsim.errors import (
 from rmrsim.harness import (
     StabilityResult,
     _erasure_safe,
+    _sc_independent,
     _verify_post_polls,
     enumerate_histories,
     erase,
@@ -136,9 +138,40 @@ class Scribble(SignalingAlgorithm):
         yield sc(ctx.locs.flag, 1)
 
 
+class Tally(SignalingAlgorithm):
+    """Poll takes one LL/SC shot at incrementing a shared count.  A Poll
+    whose SC fails because another Poll's SC landed after its LL depends
+    on that write, though no response exposed it."""
+
+    name = "tally"
+    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
+
+    def setup(self, mem):
+        return SimpleNamespace(count=mem.alloc("count", home=1))
+
+    def poll(self, ctx):
+        yield sc(ctx.locs.count, (yield ll(ctx.locs.count)) + 1)
+        return False
+
+    def signal(self, ctx):
+        yield write(ctx.locs.count, 0)
+
+
 TEST_ALGORITHMS = {cls.name: cls for cls in (Drift, Scribble)}
 #: Adds LL/SC (Drift) and failing CAS and SC (Scribble) to the registry's mix.
 EVERY_PRIMITIVE = ALGORITHMS + tuple(TEST_ALGORITHMS)
+# Built by name; EVERY_PRIMITIVE keeps to Drift and Scribble, neither of
+# which can fail an SC on another process's write.
+TEST_ALGORITHMS[Tally.name] = Tally
+
+
+def erasure_safe(run: Runner, p: int) -> bool:
+    """The drill's erase verdict for any protocol.  The drill erases only
+    in read/write protocols; under SC, erasing ``p`` is safe only if no
+    other process's SC verdict depended on a write of ``p``, which the SC
+    scan checks."""
+    return _erasure_safe(run, p) and (
+        OpKind.SC not in run.algorithm.primitives or _sc_independent(run.events, p))
 
 
 def build(name: str, n: int):
@@ -506,17 +539,19 @@ def test_certified_erasures_equal_the_oracle_chain(cfg):
 
 
 @given(configs(EVERY_PRIMITIVE), st.randoms(use_true_random=False))
+@example(Config("tally", 3, {2: poll_until_true(), 3: poll_until_true()}, 4, 4, None), Random(0))
 def test_observed_by_index_matches_scan_oracle(cfg, rnd):
     # The drill's verdict, from the observed-by count of the run's erase
     # index, equals the scan of validate_erasure over the run's replay for
     # every active process: after a probe that stepped (inside it the index
     # is refused), then before and after each of a few random erasures
-    # with steps between them.
+    # with steps between them.  In the example, 3's SC fails on 2's write,
+    # which nobody read: only the SC scan keeps 2 from being erasable.
     runner = execute(cfg)
 
     def agree() -> list[int]:
         active = runner.participants() - runner.terminated
-        verdicts = {p: _erasure_safe(runner, p) for p in sorted(active)}
+        verdicts = {p: erasure_safe(runner, p) for p in sorted(active)}
         history = runner.fork().history()
         assert verdicts == {p: validate_erasure(history, p) for p in verdicts}
         return [p for p, safe in verdicts.items() if safe]
@@ -531,7 +566,7 @@ def test_observed_by_index_matches_scan_oracle(cfg, rnd):
                 runner.run_call(pid, max_steps=20)
         for p in runner.participants() - runner.terminated:
             with pytest.raises(SimError, match="checkpoint or probe"):
-                _erasure_safe(runner, p)
+                erasure_safe(runner, p)
     for _ in range(3):
         erasable = agree()
         if not erasable:
@@ -1232,7 +1267,7 @@ def test_histories_stay_as_taken(data):
                 snapshot()
         elif action == "erase":
             active = runner.participants() - runner.terminated
-            erasable = [p for p in sorted(active) if _erasure_safe(runner, p)]
+            erasable = [p for p in sorted(active) if erasure_safe(runner, p)]
             if erasable:
                 runner.erase(erasable[k % len(erasable)])
                 break

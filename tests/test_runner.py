@@ -556,12 +556,12 @@ def test_call_intervals_never_overlap_per_process():
 
 def test_declared_primitives_enforced():
     from rmrsim.errors import ConfigError
-    from rmrsim.memory import tas
+    from rmrsim.memory import fai
 
     algo = make_algorithm("cc_flag", 2)
 
     def bad_poll(ctx):
-        return bool((yield tas(ctx.locs.flag)))
+        return bool((yield fai(ctx.locs.flag)))
 
     algo.poll = bad_poll
     runner = Runner(algo, {2: poll_until_true()})
