@@ -25,6 +25,12 @@ PINS = [
     # tests cover: one participant left, who paid W RMRs.
     ("adversary --erase --W 1024", "adversary --algo dsm_fixed_waiters --erase --W 1024",
      0, None, {"k": 1, "signaler_rmrs": 1024}, None),
+    # The same at W = 16,384, with the engine's memory per waiter pinned:
+    # one record per process and no LL link set per word peak at 62-66 MB
+    # on Python 3.10-3.13 (74-78 MB with a context and a state object per
+    # process and a link set per word), so the bound has about 10 % room.
+    ("adversary --erase --W 16384", "adversary --algo dsm_fixed_waiters --erase --W 16384",
+     0, None, {"k": 1, "signaler_rmrs": 16384}, 72),
     # The drill's default signaler at 4x the largest W the tests cover:
     # process 1, as in sweep, not a waiter.
     ("adversary dsm_queue --W 64", "adversary --algo dsm_queue --W 64",
@@ -100,7 +106,7 @@ def check(label, args, code, needle, fields, rss_mb) -> str | None:
     if rss_mb is not None:
         if peak_mb >= rss_mb:
             return f"{label}: peak RSS {peak_mb:.1f} MB"
-        print(f"{label}: exit {code} at its budget, peak RSS {peak_mb:.1f} MB")
+        print(f"{label}: exit {code}, peak RSS {peak_mb:.1f} MB")
     return None
 
 

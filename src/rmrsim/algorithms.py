@@ -49,7 +49,8 @@ class SignalingAlgorithm:
 
     name = "signaling"
     primitives: frozenset = READ_WRITE
-    #: Only this process may call Signal, when set.
+    #: Only this process may call Signal, when set; the engine refuses any
+    #: other.
     designated_signaler: int | None = None
     #: Whether a run's waiters call Wait, once, instead of polling.
     blocking = False
@@ -246,10 +247,6 @@ class Registration(SignalingAlgorithm):
         for i in range(1, ctx.n + 1):
             if (yield read(ctx.locs.registered[i])):
                 yield write(ctx.locs.notify[i], 1)
-
-    def validate_call(self, pid: int, kind: str, pollers: set[int]) -> None:
-        if kind == "Signal" and pid != self.designated_signaler:
-            raise RoleError(f"{self.name}: only process {self.designated_signaler} may signal")
 
 
 class QueueSignaling(SignalingAlgorithm):

@@ -157,7 +157,10 @@ class Memory:
 
     A link is held per (process, location) pair; any successful write to the
     location, by anyone, clears all links on it, and an SC attempt consumes
-    the issuing process's link whether or not it succeeds.
+    the issuing process's link whether or not it succeeds.  The link table
+    holds only the words some process has a link on, each with a nonempty
+    set of the linked processes, so a protocol that issues no LL keeps it
+    empty.
     """
 
     def __init__(self, n: int):
@@ -167,7 +170,7 @@ class Memory:
         self._values: list[int] = []
         self._inits: list[int] = []
         self._writers: list[int | None] = []
-        self._links: list[set[int]] = []
+        self._links: dict[int, set[int]] = {}
         self._locations: list[Location] = []
         self._homed: list[list[int]] | None = None  # uids by home, built on demand
         self._names: set[str] = set()
@@ -189,7 +192,6 @@ class Memory:
         self._values.append(init)
         self._inits.append(init)
         self._writers.append(None)
-        self._links.append(set())
         return loc
 
     # -- inspection ---------------------------------------------------------
@@ -211,20 +213,25 @@ class Memory:
         """Every word's value and last writer, and with ``links`` its LL
         links, as one hashable tuple."""
         if links:
-            return (*self._values, *self._writers, *map(frozenset, self._links))
+            get = self._links.get
+            return (*self._values, *self._writers,
+                    *[frozenset(get(uid, ())) for uid in range(len(self._values))])
         return (*self._values, *self._writers)
 
     # -- undo ---------------------------------------------------------------
 
     def save_word(self, uid: int) -> tuple:
         """One word's value, last writer and LL links, for :meth:`restore_word`."""
-        return uid, self._values[uid], self._writers[uid], set(self._links[uid])
+        return uid, self._values[uid], self._writers[uid], set(self._links.get(uid, ()))
 
     def restore_word(self, saved: tuple) -> None:
         uid, value, writer, links = saved
         self._values[uid] = value
         self._writers[uid] = writer
-        self._links[uid] = links
+        if links:
+            self._links[uid] = links
+        else:
+            self._links.pop(uid, None)
 
     # -- refolding ------------------------------------------------------------
 
@@ -241,15 +248,19 @@ class Memory:
         program."""
         uid = event.loc
         if event.op.kind is _LL:
-            self._links[uid].add(event.proc)
+            self._links.setdefault(uid, set()).add(event.proc)
         if event.value_written is not None:
             self._values[uid] = event.value_written
             self._writers[uid] = event.proc
-            self._links[uid].clear()
+            self._links.pop(uid, None)
 
     def unlink(self, uid: int, proc: int) -> None:
         """Drop ``proc``'s LL link on a word, if it holds one."""
-        self._links[uid].discard(proc)
+        linked = self._links.get(uid)
+        if linked is not None:
+            linked.discard(proc)
+            if not linked:
+                del self._links[uid]
 
     # -- execution ----------------------------------------------------------
 
@@ -275,14 +286,14 @@ class Memory:
                 outcome = False
         elif kind is _LL:
             value_read = old
-            self._links[uid].add(proc)
+            self._links.setdefault(uid, set()).add(proc)
         elif kind is _SC:
-            # An SC attempt consumes the reservation either way.
-            if proc in self._links[uid]:
+            # An SC attempt consumes the reservation either way: one that
+            # succeeds clears the word's links below, one that fails had none.
+            if proc in self._links.get(uid, ()):
                 written = op.value
             else:
                 outcome = False
-            self._links[uid].discard(proc)
         elif kind is _FAI:
             value_read = old
             written = old + 1
@@ -294,7 +305,8 @@ class Memory:
                 _check_word(written)  # raises
             self._values[uid] = written
             self._writers[uid] = proc
-            self._links[uid].clear()
+            if self._links:
+                self._links.pop(uid, None)
 
         return Event(seq, proc, op, uid, loc.home, value_read, written, outcome, writer_before)
 

@@ -8,6 +8,10 @@ in a *trace*, so any run can be rebuilt bit-identically by replaying the
 trace, which is what the determinism guarantees rest on, and what
 certifies an erasure.
 
+Each process is one record in ``Runner.ctxs``: the context its procedure
+bodies receive, extended with the engine's state for it (script position,
+open call, and whether it has stepped, terminated or signaled).
+
 A *checkpoint* lets the run go on and then come back: while one is open,
 each step journals the word it changes and each process's state is saved
 before it first changes, and a rollback undoes both and rebuilds every
@@ -226,27 +230,36 @@ class ExplicitSchedule:
 # ---------------------------------------------------------------------------
 
 
-class _ProcState:
-    """``next_kind`` is the script's next call as of the last return, read
-    when the process starts a call.  ``part`` is the process's share of the
-    configuration key: in a call begun under a checkpoint, the call's kind,
-    ``ctx.state`` as the call found it (which a rollback restarts the body
-    from; never the current one, which a body may change before it yields),
-    calls made, ``saw_true``, next kind, role flags and responses so far.
-    Between calls, once a key is asked for: the same without a call."""
+class _ProcState(Ctx):
+    """One process: the context its procedure bodies receive, which read
+    only its :class:`Ctx` fields, and the engine's state for it.
+
+    ``next_kind`` is the script's next call as of the last return, read
+    when the process starts a call, and ``forced`` the calls queued ahead
+    of the script, a tuple that a save shares.  ``stepped``, ``terminated``
+    and ``signaled`` say whether the process has taken a step, has
+    terminated and has called Signal.  ``part`` is the process's share of
+    the configuration key: in a call begun under a checkpoint, the call's
+    kind, ``state`` as the call found it (which a rollback restarts the
+    body from; never the current one, which a body may change before it
+    yields), calls made, ``saw_true``, next kind, role flags and responses
+    so far.  Between calls, once a key is asked for: the same without a
+    call."""
 
     __slots__ = ("gen", "call", "pending", "calls_made", "saw_true", "forced",
-                 "next_kind", "part")
+                 "next_kind", "part", "stepped", "terminated", "signaled")
 
-    def __init__(self):
+    def __init__(self, pid: int, n: int, locs):
+        super().__init__(pid, n, locs)
         self.gen = None
         self.call: CallRecord | None = None
         self.pending = None
         self.calls_made = 0
         self.saw_true = False
-        self.forced: list[str] = []
+        self.forced: tuple[str, ...] = ()
         self.next_kind: str | None = None
         self.part: tuple | None = None
+        self.stepped = self.terminated = self.signaled = False
 
 
 class _Erased:
@@ -293,25 +306,21 @@ class Runner:
         self.locs = algorithm.setup(self.mem)
         # A tuple matches by identity; a set would call Enum.__hash__, in Python.
         self._primitives = tuple(algorithm.primitives)
-        self.ctxs = {pid: Ctx(pid, self.n, self.locs) for pid in range(1, self.n + 1)}
+        self._apply = self.mem.apply
+        # Each process's one record: its context and the engine's state.
+        self.ctxs = {pid: _ProcState(pid, self.n, self.locs) for pid in range(1, self.n + 1)}
         self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
         self._events: list[Event] = []
         self._calls: list[CallRecord] = []
         self._trace: list = []
         self.ledger: RmrLedger | None = RmrLedger(self.n, self._events)
-        self._procs = {pid: _ProcState() for pid in range(1, self.n + 1)}
-        self._participants: set[int] = set()
-        self._terminated: set[int] = set()
+        # The processes that have begun a Poll or Wait, for validate_call.
         self._pollers: set[int] = set()
-        self._signaled: set[int] = set()
         for pid in self.roles:
-            self._procs[pid].next_kind = self._script_next(pid)
+            self.ctxs[pid].next_kind = self._script_next(pid)
         self._live: list[int] = [
-            pid for pid, state in self._procs.items() if state.next_kind is not None
+            pid for pid, state in self.ctxs.items() if state.next_kind is not None
         ]
-        # The sets a process's steps can add it to; none of them ever
-        # shrinks, so a rollback only drops what was added.
-        self._pid_sets = (self._participants, self._terminated, self._pollers, self._signaled)
         # Set while a checkpoint is open: per step, in step order, the word
         # it is about to change.
         self._undo: list | None = None
@@ -345,21 +354,22 @@ class Runner:
 
     @property
     def terminated(self) -> frozenset[int]:
-        return frozenset(self._terminated)
+        return frozenset([pid for pid, state in self.ctxs.items() if state.terminated])
 
     def runnable(self) -> list[int]:
         """Processes with at least one enabled step, ascending."""
         return list(self._live)
 
     def open_call(self, pid: int) -> CallRecord | None:
-        return self._procs[pid].call
+        return self.ctxs[pid].call
 
     def participants(self) -> frozenset[int]:
-        return frozenset(self._participants)
+        return frozenset([pid for pid, state in self.ctxs.items() if state.stepped])
 
     def is_active(self, pid: int) -> bool:
         """Whether ``pid`` has taken a step and not terminated."""
-        return pid in self._participants and pid not in self._terminated
+        state = self.ctxs.get(pid)
+        return state is not None and state.stepped and not state.terminated
 
     def observers(self, p: int) -> int:
         """How many value-reading events of other processes read a value
@@ -378,7 +388,7 @@ class Runner:
             calls=[c if c.end_seq is not None else CallRecord(c.call_id, c.proc, c.kind,
                                                               c.response, c.start_seq)
                    for c in self._calls],
-            finished=frozenset(self._terminated),
+            finished=self.terminated,
             incomplete=bool(self._live),
             trace=tuple(self._trace),
         )
@@ -396,16 +406,16 @@ class Runner:
         if self.ledger is None:
             self._refuse("configuration()")
         key = [len(self._events), len(self._calls), self.mem.words(_LL in self._primitives)]
-        for pid, state in self._procs.items():
+        for pid, state in self.ctxs.items():
             part = state.part
             if part is None:
                 if state.call is not None:
                     raise SimError(f"process {pid}'s call began before any checkpoint; "
                                    "it has no key")
                 part = state.part = (
-                    state.calls_made, state.saw_true, state.next_kind, pid in self._terminated,
-                    pid in self._pollers, pid in self._signaled, tuple(self.ctxs[pid].state.items()))
-            key += (part, tuple(state.forced))
+                    state.calls_made, state.saw_true, state.next_kind, state.terminated,
+                    pid in self._pollers, state.signaled, tuple(state.state.items()))
+            key += (part, state.forced)
         return tuple(key)
 
     # -- scheduling -------------------------------------------------------
@@ -413,7 +423,7 @@ class Runner:
     def step(self, pid: int) -> Event:
         """Run one step of ``pid``: apply one memory operation and resume
         the procedure body up to its next operation or return."""
-        state = self._procs[pid]
+        state = self.ctxs[pid]
         req = state.pending or self._ensure_pending(pid)
         if req is None:
             raise SchedulingError(f"process {pid} has no enabled step")
@@ -433,12 +443,12 @@ class Runner:
                                "it cannot step under one")
             undo.append(self.mem.save_word(loc.uid))
         events = self._events
-        ev = self.mem.apply(pid, op, loc, len(events))
+        ev = self._apply(pid, op, loc, len(events))
         self._trace.append(pid)
         events.append(ev)
-        self._participants.add(pid)
         if rec.start_seq is None:
             rec.start_seq = ev.seq
+            state.stepped = True
         state.pending = None
         # An SC responds with its verdict; a write with value_read, None.
         response = ev.outcome if kind is _SC else ev.value_read
@@ -452,9 +462,11 @@ class Runner:
             state.gen = state.call = state.part = None
             if rec.kind == POLL and stop.value:
                 state.saw_true = True
-            state.next_kind = self._script_next(pid)
+                state.next_kind = None
+            else:
+                state.next_kind = self._script_next(pid)
             if state.next_kind is None and not state.forced:
-                self._terminated.add(pid)
+                state.terminated = True
                 self._set_live(pid, False)
         return ev
 
@@ -472,20 +484,20 @@ class Runner:
         """Queue a procedure call for ``pid`` ahead of its script."""
         if kind not in _CALL_KINDS:
             raise ConfigError(f"unknown procedure {kind!r}")
-        if pid in self._terminated:
+        state = self.ctxs[pid]
+        if state.terminated:
             raise SimError(f"process {pid} has terminated")
         if self._undo is not None and pid not in self._saved:
             self._touch(pid)
         self._trace.append(("force", pid, kind))
-        state = self._procs[pid]
         if state.call is None and state.next_kind is None and not state.forced:
             self._set_live(pid, True)  # see _restore_process
-        state.forced.append(kind)
+        state.forced += (kind,)
 
     def run_call(self, pid: int, *, max_steps: int = DEFAULT_BUDGET) -> CallRecord:
         """Step ``pid`` until its current (or next) procedure call returns."""
         self._ensure_pending(pid)
-        rec = self._procs[pid].call
+        rec = self.ctxs[pid].call
         if rec is None:
             raise SchedulingError(f"process {pid} has no call to run")
         for _ in range(max_steps):
@@ -507,7 +519,8 @@ class Runner:
         Checkpoints nest.  While one is open each step journals the word it
         is about to change (value, writer, links), each process's state is
         saved before it first changes (script position, queued calls,
-        ``ctx.state``, set memberships and its open call's record), and the
+        ``ctx.state``, whether it has stepped, terminated, signaled or
+        polled, and its open call's record), and the
         ledger and the erase index refuse every read.  A call begun before
         any checkpoint cannot be rewound, so its steps are refused
         (:class:`SimError`) before anything is applied.
@@ -571,7 +584,7 @@ class Runner:
             raise SimError("a probe is already open")
         pids = frozenset(pids)
         for pid in pids:
-            if self._procs[pid].call is not None:
+            if self.ctxs[pid].call is not None:
                 raise SimError(f"process {pid} is mid-call; a probe starts between calls")
         depth = len(self._checkpoints)
         self.checkpoint()
@@ -614,8 +627,8 @@ class Runner:
         watermark moves to their ends, each word ``p`` made a nontrivial
         attempt on is refolded from its initial value over the surviving
         events on it, and on a word ``p`` only read its LL link goes.  The
-        index's observed-by counts lose ``p``'s reads, the participants
-        lose ``p``, and ``p`` is left as if it never ran.
+        index's observed-by counts lose ``p``'s reads, and ``p``'s record is
+        replaced by a fresh one, as if it never ran.
 
         What the steps to come do not read is left for :meth:`fork`, the
         replay that builds and certifies the erased run: :attr:`events`,
@@ -648,12 +661,9 @@ class Runner:
                     mem.redo(e)
         for uid in {e.loc for e in doomed} - attempted:
             mem.unlink(uid, p)
-        self._participants.discard(p)
-        self._procs[p] = fresh = _ProcState()
+        self.ctxs[p] = fresh = _ProcState(p, self.n, self.locs)
         fresh.next_kind = self._script_next(p)
-        self.ctxs[p] = Ctx(p, self.n, self.locs)
         self._pollers.discard(p)
-        self._signaled.discard(p)
         self._set_live(p, fresh.next_kind is not None)
 
     def _index(self) -> "_Erased":
@@ -698,21 +708,21 @@ class Runner:
         it, so a saved one needs no second look."""
         if self._probed is not None and pid not in self._probed:
             raise SchedulingError(f"process {pid} is outside the open probe")
-        state = self._procs[pid]
+        state = self.ctxs[pid]
         rec = state.call
         self._saved[pid] = (
             rec, state.pending, None if rec is None else rec.start_seq,
-            state.calls_made, state.saw_true, list(state.forced), state.next_kind, state.part,
+            state.calls_made, state.saw_true, state.forced, state.next_kind, state.part,
             # An open call's own steps alone change ctx.state, and after
             # them the generator rebuild restores it.
-            dict(self.ctxs[pid].state) if rec is None else None,
-            [members for members in self._pid_sets if pid not in members],
+            dict(state.state) if rec is None else None,
+            state.stepped, state.terminated, state.signaled, pid in self._pollers,
         )
 
     def _restore_process(self, pid: int, saved: tuple) -> None:
         (rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
-         part, ctx_state, absent) = saved
-        state = self._procs[pid]
+         part, ctx_state, stepped, terminated, signaled, polled) = saved
+        state = self.ctxs[pid]
         # A process is runnable exactly while it has an open, a queued or a
         # scripted call.
         live = rec is not None or bool(forced) or next_kind is not None
@@ -721,9 +731,12 @@ class Runner:
         state.call, state.pending = rec, pending
         state.calls_made, state.saw_true, state.forced = calls_made, saw_true, forced
         state.next_kind, state.part = next_kind, part
+        state.stepped, state.terminated, state.signaled = stepped, terminated, signaled
+        if not polled:
+            self._pollers.discard(pid)
         if rec is None:
             state.gen = None
-            self.ctxs[pid].state = ctx_state
+            state.state = ctx_state
         else:
             if rec.end_seq is not None:  # closed since: reopen it as a new record
                 rec = state.call = self._calls[rec.call_id] = CallRecord(
@@ -731,19 +744,16 @@ class Runner:
             rec.start_seq = start_seq
             if part is not None:  # else begun before any checkpoint: not stepped since
                 state.gen = self._rebuild(pid)
-        for members in absent:
-            members.discard(pid)
 
     def _rebuild(self, pid: int):
         """A generator for ``pid``'s open call, at the point the call has
         reached in ``self.events``: the body restarted from the call's
         start state and sent each recorded response.  Every request must
         match the recorded one, and the last the pending one."""
-        state = self._procs[pid]
+        state = self.ctxs[pid]
         rec = state.call
-        ctx = self.ctxs[pid]
-        ctx.state = dict(state.part[1])
-        gen = self._bodies[rec.kind](ctx)
+        state.state = dict(state.part[1])
+        gen = self._bodies[rec.kind](state)
         try:
             req = next(gen)
             if rec.start_seq is not None:
@@ -766,7 +776,7 @@ class Runner:
         script = self.roles.get(pid)
         if script is None:
             return None
-        state = self._procs[pid]
+        state = self.ctxs[pid]
         if state.saw_true:
             return None
         if script.max_calls is not None and state.calls_made >= script.max_calls:
@@ -776,30 +786,39 @@ class Runner:
     def _ensure_pending(self, pid: int):
         """The process's next request, after beginning its next call if none
         is open; None if it has no call to make."""
-        state = self._procs[pid]
+        state = self.ctxs[pid]
         if state.pending is not None:
             return state.pending
         if state.gen is not None:  # pragma: no cover - engine invariant
             raise AssertionError("open call without a pending operation")
         if self._undo is not None and pid not in self._saved:
             self._touch(pid)
-        forced = bool(state.forced)
-        kind = state.forced.pop(0) if forced else state.next_kind
+        forced = state.forced
+        if forced:
+            kind, state.forced = forced[0], forced[1:]
+        else:
+            kind = state.next_kind
         if kind is None:
             return None
-        if kind == SIGNAL and pid in self._signaled:
+        algorithm = self.algorithm
+        algorithm.validate_call(pid, kind, self._pollers)
+        if kind != SIGNAL:
+            self._pollers.add(pid)
+        elif state.signaled:
             raise RoleError(f"process {pid} may call Signal at most once")
-        self.algorithm.validate_call(pid, kind, self._pollers)
-        (self._signaled if kind == SIGNAL else self._pollers).add(pid)
+        elif algorithm.designated_signaler not in (None, pid):
+            raise RoleError(f"{algorithm.name}: only process "
+                            f"{algorithm.designated_signaler} may signal")
+        else:
+            state.signaled = True
         if not forced:
             state.calls_made += 1
         rec = state.call = CallRecord(len(self._calls), pid, kind)
         self._calls.append(rec)
-        ctx = self.ctxs[pid]
         state.part = None if self._undo is None else (
-            kind, tuple(ctx.state.items()), state.calls_made, state.saw_true, state.next_kind,
-            pid in self._pollers, pid in self._signaled)
-        state.gen = self._bodies[kind](ctx)
+            kind, tuple(state.state.items()), state.calls_made, state.saw_true, state.next_kind,
+            pid in self._pollers, state.signaled)
+        state.gen = self._bodies[kind](state)
         try:
             state.pending = next(state.gen)
         except StopIteration:

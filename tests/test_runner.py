@@ -120,6 +120,45 @@ def test_signal_at_most_once_per_process():
         runner.run_call(1)
 
 
+@pytest.mark.parametrize("undo", ["probe", "checkpoint"])
+def test_a_rolled_back_signal_may_be_made_again(undo):
+    runner = Runner(make_algorithm("cc_flag", 2), {2: poll_until_true()})
+    runner.run_call(2)  # 2 has stepped, so only its further calls are probed
+    for _ in range(2):
+        if undo == "probe":
+            with runner.probe([1]):
+                runner.force_next_call(1, "Signal")
+                runner.run_call(1)
+        else:
+            runner.checkpoint()
+            runner.force_next_call(1, "Signal")
+            runner.run_call(1)
+            runner.rollback(close=True)
+        assert runner.participants() == {2} and runner.terminated == frozenset()
+    runner.force_next_call(1, "Signal")
+    assert runner.run_call(1).end_seq is not None
+    assert runner.run_call(2).response is True
+
+
+@pytest.mark.parametrize("undo", ["probe", "checkpoint"])
+def test_a_rolled_back_poll_leaves_the_single_waiter_place_free(undo):
+    runner = Runner(make_algorithm("dsm_single_waiter", 3), {})
+    if undo == "probe":
+        with runner.probe([3]):
+            runner.force_next_call(3, POLL)
+            runner.run_call(3)
+    else:
+        runner.checkpoint()
+        runner.force_next_call(3, POLL)
+        runner.run_call(3)
+        runner.rollback(close=True)
+    runner.force_next_call(2, POLL)
+    assert runner.run_call(2).response is False
+    runner.force_next_call(3, POLL)
+    with pytest.raises(RoleError, match="second distinct waiter 3"):
+        runner.run_call(3)
+
+
 def test_step_on_terminated_process_rejected():
     algo = make_algorithm("cc_flag", 2)
     runner = Runner(algo, {1: signal_once()})
