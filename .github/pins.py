@@ -63,6 +63,15 @@ PINS = [
     # probe of 1,024 waiters each, end unstable: exit 4.
     ("adversary cc_flag --model dsm --W 1024", "adversary --algo cc_flag --model dsm --W 1024",
      4, "still pay RMRs after 8 polling rounds", None, None),
+    # Seeded random runs at the benchmark's n = 64, the tests' runs being
+    # at n <= 6: a Wait per waiter, and a one-step Poll per step.
+    ("run dsm_queue+blocking n=64",
+     "run --algo dsm_queue+blocking --n 64 --schedule random --seed 2",
+     0, None, {"k": 64, "incomplete": False, "totals": {
+         "msg_bus": 181, "msg_dir": 87, "rmr_cc": 323, "rmr_dsm": 243, "steps": 726}}, None),
+    ("run cc_flag n=64", "run --algo cc_flag --n 64 --schedule random --seed 2",
+     0, None, {"k": 64, "incomplete": False, "totals": {
+         "msg_bus": 1, "msg_dir": 52, "rmr_cc": 116, "rmr_dsm": 161, "steps": 162}}, None),
     # The enumeration DAG at n = 4, through 139,492 histories; the tests
     # stop at n = 3 or a few hundred histories.
     ("check dsm_registration n=4",

@@ -24,15 +24,10 @@ READ_WRITE = frozenset({OpKind.READ, OpKind.WRITE})
 
 
 class Ctx:
-    """Per-process runtime context: id, location handles, persistent state."""
+    """Per-process runtime context: id, location handles, persistent state;
+    the engine's record of each process extends it and sets these fields."""
 
     __slots__ = ("pid", "n", "locs", "state")
-
-    def __init__(self, pid: int, n: int, locs):
-        self.pid = pid
-        self.n = n
-        self.locs = locs
-        self.state: dict = {}
 
 
 class SignalingAlgorithm:
@@ -60,6 +55,10 @@ class SignalingAlgorithm:
 
     #: The process whose module holds the global words.
     home = 1
+
+    #: Call-time precondition check, ``validate_call(pid, kind, pollers)``,
+    #: raising on a call the protocol refuses; None when there is none.
+    validate_call = None
 
     def __init__(self, n: int, waiters=None):
         if n < 1:
@@ -92,9 +91,6 @@ class SignalingAlgorithm:
 
     def validate_roles(self, roles) -> None:
         """Hook for construction-time role checks."""
-
-    def validate_call(self, pid: int, kind: str, pollers: set[int]) -> None:
-        """Hook for call-time precondition checks."""
 
 
 class CcFlag(SignalingAlgorithm):

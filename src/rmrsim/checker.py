@@ -164,10 +164,10 @@ def check_amortized(history: History, c: int, model: Model) -> AmortizedResult:
     if c < 1:
         raise ValueError("amortized constant must be at least 1")
     if model is Model.DSM:
-        total = sum(1 for e in history.events if classify_dsm(e) is RMR)
+        total = list(map(classify_dsm, history.events)).count(RMR)
     else:
         cache: dict[int, set[int]] = {}
-        total = sum(1 for e in history.events if classify_cc(e, cache) is RMR)
+        total = [classify_cc(e, cache) for e in history.events].count(RMR)
     k = len(history.participants)
     passed = total <= c * k
     violations = ()

@@ -7,7 +7,8 @@ as an :class:`Event` carrying the data later needed by the cost models and
 the safety checker (values moved, success flag, previous writer).
 
 All steps are sequentially consistent atomic events; there is no weak
-ordering and no interleaving inside a step.
+ordering and no interleaving inside a step.  Ops are interned: one per
+operand-free kind, and one per written value, up to a bound.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class PrimitiveOp:
     ``value`` is the word to store (WRITE, CAS, SC); ``expected`` is the
     comparison operand of CAS.  ``trivial`` and ``reads_value`` are copied
     from the kind.  Treat an op, and a :class:`Location`, as immutable:
-    neither is a frozen dataclass, because programs build an op per write
-    and every run allocates its words, and frozen construction costs about
-    three times as much.
+    ops are shared between runs, and neither is a frozen dataclass, because
+    programs build an op per CAS or SC and every run allocates its words,
+    and frozen construction costs about three times as much.
     """
 
     kind: OpKind
@@ -90,13 +91,23 @@ _READ_OP = PrimitiveOp(_READ)
 _LL_OP = PrimitiveOp(_LL)
 _FAI_OP = PrimitiveOp(_FAI)
 
+# Write ops by int value, up to a bound: past it, a write builds its own op.
+_WRITE_OPS: dict[int, PrimitiveOp] = {}
+_WRITE_OPS_MAX = 1024
+
 
 def read(loc: Location):
     return (_READ_OP, loc)
 
 
 def write(loc: Location, value: int):
-    return (PrimitiveOp(_WRITE, value), loc)
+    # By type first: True and 1.0 hash as 1 but are other operands.
+    op = _WRITE_OPS.get(value) if type(value) is int else None
+    if op is None:
+        op = PrimitiveOp(_WRITE, value)
+        if type(value) is int and len(_WRITE_OPS) < _WRITE_OPS_MAX:
+            _WRITE_OPS[value] = op
+    return (op, loc)
 
 
 def cas(loc: Location, expected: int, value: int):

@@ -168,7 +168,9 @@ class History:
 
     @property
     def participants(self) -> frozenset[int]:
-        return frozenset(e.proc for e in self.events)
+        """The processes that took a step: every step lies in a begun call
+        of its process, and every begun call has a step."""
+        return frozenset([c.proc for c in self.calls if c.start_seq is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -234,32 +236,32 @@ class _ProcState(Ctx):
     """One process: the context its procedure bodies receive, which read
     only its :class:`Ctx` fields, and the engine's state for it.
 
-    ``next_kind`` is the script's next call as of the last return, read
-    when the process starts a call, and ``forced`` the calls queued ahead
-    of the script, a tuple that a save shares.  ``stepped``, ``terminated``
-    and ``signaled`` say whether the process has taken a step, has
-    terminated and has called Signal.  ``part`` is the process's share of
-    the configuration key: in a call begun under a checkpoint, the call's
-    kind, ``state`` as the call found it (which a rollback restarts the
-    body from; never the current one, which a body may change before it
-    yields), calls made, ``saw_true``, next kind, role flags and responses
-    so far.  Between calls, once a key is asked for: the same without a
-    call."""
+    ``script`` is the process's role, or None.  ``next_kind`` is the
+    script's next call as of the last return, read when the process starts
+    a call, and ``forced`` the calls queued ahead of the script, a tuple
+    that a save shares.  ``stepped``, ``terminated`` and ``signaled`` say
+    whether the process has taken a step, has terminated and has called
+    Signal.  ``part`` is the process's share of the configuration key: in a
+    call begun under a checkpoint, the call's kind, ``state`` as the call
+    found it (which a rollback restarts the body from; never the current
+    one, which a body may change before it yields), calls made,
+    ``saw_true``, next kind, role flags and responses so far.  Between
+    calls, once a key is asked for: the same without a call."""
 
-    __slots__ = ("gen", "call", "pending", "calls_made", "saw_true", "forced",
+    __slots__ = ("script", "gen", "call", "pending", "calls_made", "saw_true", "forced",
                  "next_kind", "part", "stepped", "terminated", "signaled")
 
-    def __init__(self, pid: int, n: int, locs):
-        super().__init__(pid, n, locs)
-        self.gen = None
+    def __init__(self, pid: int, n: int, locs, script: Script | None):
+        self.pid, self.n, self.locs, self.state = pid, n, locs, {}
+        self.script = script
+        self.gen = self.pending = None
         self.call: CallRecord | None = None
-        self.pending = None
         self.calls_made = 0
         self.saw_true = False
         self.forced: tuple[str, ...] = ()
-        self.next_kind: str | None = None
         self.part: tuple | None = None
         self.stepped = self.terminated = self.signaled = False
+        self.next_kind: str | None = _script_next(self)
 
 
 class _Erased:
@@ -307,17 +309,17 @@ class Runner:
         # A tuple matches by identity; a set would call Enum.__hash__, in Python.
         self._primitives = tuple(algorithm.primitives)
         self._apply = self.mem.apply
-        # Each process's one record: its context and the engine's state.
-        self.ctxs = {pid: _ProcState(pid, self.n, self.locs) for pid in range(1, self.n + 1)}
+        # Each process's one record: its context, its role and the engine's state.
+        self.ctxs = {pid: _ProcState(pid, self.n, self.locs, self.roles.get(pid))
+                     for pid in range(1, self.n + 1)}
         self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
+        self._validate_call = algorithm.validate_call
         self._events: list[Event] = []
         self._calls: list[CallRecord] = []
         self._trace: list = []
         self.ledger: RmrLedger | None = RmrLedger(self.n, self._events)
         # The processes that have begun a Poll or Wait, for validate_call.
         self._pollers: set[int] = set()
-        for pid in self.roles:
-            self.ctxs[pid].next_kind = self._script_next(pid)
         self._live: list[int] = [
             pid for pid, state in self.ctxs.items() if state.next_kind is not None
         ]
@@ -423,8 +425,11 @@ class Runner:
     def step(self, pid: int) -> Event:
         """Run one step of ``pid``: apply one memory operation and resume
         the procedure body up to its next operation or return."""
-        state = self.ctxs[pid]
-        req = state.pending or self._ensure_pending(pid)
+        try:
+            state = self.ctxs[pid]
+        except KeyError:
+            self._record(pid)  # raises
+        req = state.pending or self._ensure_pending(state)
         if req is None:
             raise SchedulingError(f"process {pid} has no enabled step")
         op, loc = req
@@ -437,7 +442,7 @@ class Runner:
         undo = self._undo
         if undo is not None:  # journal the word
             if pid not in self._saved:
-                self._touch(pid)
+                self._touch(state)
             if state.part is None:
                 raise SimError(f"process {pid}'s call began before any checkpoint; "
                                "it cannot step under one")
@@ -464,7 +469,7 @@ class Runner:
                 state.saw_true = True
                 state.next_kind = None
             else:
-                state.next_kind = self._script_next(pid)
+                state.next_kind = _script_next(state)
             if state.next_kind is None and not state.forced:
                 state.terminated = True
                 self._set_live(pid, False)
@@ -484,11 +489,11 @@ class Runner:
         """Queue a procedure call for ``pid`` ahead of its script."""
         if kind not in _CALL_KINDS:
             raise ConfigError(f"unknown procedure {kind!r}")
-        state = self.ctxs[pid]
+        state = self._record(pid)
         if state.terminated:
             raise SimError(f"process {pid} has terminated")
         if self._undo is not None and pid not in self._saved:
-            self._touch(pid)
+            self._touch(state)
         self._trace.append(("force", pid, kind))
         if state.call is None and state.next_kind is None and not state.forced:
             self._set_live(pid, True)  # see _restore_process
@@ -496,8 +501,9 @@ class Runner:
 
     def run_call(self, pid: int, *, max_steps: int = DEFAULT_BUDGET) -> CallRecord:
         """Step ``pid`` until its current (or next) procedure call returns."""
-        self._ensure_pending(pid)
-        rec = self.ctxs[pid].call
+        state = self._record(pid)
+        self._ensure_pending(state)
+        rec = state.call
         if rec is None:
             raise SchedulingError(f"process {pid} has no call to run")
         for _ in range(max_steps):
@@ -509,7 +515,7 @@ class Runner:
     def peek(self, pid: int):
         """The (op, location) the process will apply on its next step, or
         None.  Starts the next procedure call if one is due."""
-        return self._ensure_pending(pid)
+        return self._ensure_pending(self._record(pid))
 
     # -- checkpoints --------------------------------------------------------
 
@@ -661,8 +667,7 @@ class Runner:
                     mem.redo(e)
         for uid in {e.loc for e in doomed} - attempted:
             mem.unlink(uid, p)
-        self.ctxs[p] = fresh = _ProcState(p, self.n, self.locs)
-        fresh.next_kind = self._script_next(p)
+        self.ctxs[p] = fresh = _ProcState(p, self.n, self.locs, self.ctxs[p].script)
         self._pollers.discard(p)
         self._set_live(p, fresh.next_kind is not None)
 
@@ -699,16 +704,23 @@ class Runner:
 
     # -- internals ----------------------------------------------------------
 
-    def _touch(self, pid: int) -> None:
-        """Under an open checkpoint, before ``pid``'s state first changes
+    def _record(self, pid: int) -> _ProcState:
+        """``pid``'s record; :class:`SchedulingError` for an id outside 1..n."""
+        try:
+            return self.ctxs[pid]
+        except KeyError:
+            raise SchedulingError(f"no process {pid}: process ids are 1..{self.n}") from None
+
+    def _touch(self, state: _ProcState) -> None:
+        """Under an open checkpoint, before a process's state first changes
         (the caller checks that it is not saved yet): refuse a process
         outside an open probe, and save the state, all but an open call's
         generator, which a rollback rebuilds.  Every process saved under an
         open probe passed the refusal, even under a checkpoint nested in
         it, so a saved one needs no second look."""
+        pid = state.pid
         if self._probed is not None and pid not in self._probed:
             raise SchedulingError(f"process {pid} is outside the open probe")
-        state = self.ctxs[pid]
         rec = state.call
         self._saved[pid] = (
             rec, state.pending, None if rec is None else rec.start_seq,
@@ -772,27 +784,16 @@ class Runner:
             _diverged(pid, req, op, loc.uid)
         return gen
 
-    def _script_next(self, pid: int) -> str | None:
-        script = self.roles.get(pid)
-        if script is None:
-            return None
-        state = self.ctxs[pid]
-        if state.saw_true:
-            return None
-        if script.max_calls is not None and state.calls_made >= script.max_calls:
-            return None
-        return script.kind
-
-    def _ensure_pending(self, pid: int):
+    def _ensure_pending(self, state: _ProcState):
         """The process's next request, after beginning its next call if none
         is open; None if it has no call to make."""
-        state = self.ctxs[pid]
         if state.pending is not None:
             return state.pending
         if state.gen is not None:  # pragma: no cover - engine invariant
             raise AssertionError("open call without a pending operation")
+        pid = state.pid
         if self._undo is not None and pid not in self._saved:
-            self._touch(pid)
+            self._touch(state)
         forced = state.forced
         if forced:
             kind, state.forced = forced[0], forced[1:]
@@ -800,8 +801,9 @@ class Runner:
             kind = state.next_kind
         if kind is None:
             return None
+        if self._validate_call is not None:
+            self._validate_call(pid, kind, self._pollers)
         algorithm = self.algorithm
-        algorithm.validate_call(pid, kind, self._pollers)
         if kind != SIGNAL:
             self._pollers.add(pid)
         elif state.signaled:
@@ -837,6 +839,16 @@ class Runner:
                 del runnable[i]
         elif live:
             runnable.insert(i, pid)
+
+
+def _script_next(state: _ProcState) -> str | None:
+    """The call the process's script makes next, or None."""
+    script = state.script
+    if script is None or state.saw_true:
+        return None
+    if script.max_calls is not None and state.calls_made >= script.max_calls:
+        return None
+    return script.kind
 
 
 def _observe(counts: list[int], events: Iterable[Event], sign: int) -> None:

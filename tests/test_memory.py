@@ -2,6 +2,7 @@
 
 import pytest
 
+from rmrsim import memory
 from rmrsim.errors import CapacityError, ConfigError
 from rmrsim.memory import (
     NIL,
@@ -81,6 +82,33 @@ def test_write_event_fields():
     assert ev.value_read is None
     assert ev.outcome is True
     assert mem.words(False)[b.uid] == 1
+
+
+def test_writes_of_one_value_share_one_op():
+    mem = Memory(2)
+    x, y = mem.alloc("x", home=1), mem.alloc("y", home=2)
+    op, loc = write(x, 41)
+    assert loc is x and write(y, 41)[0] is op
+    fresh = PrimitiveOp(OpKind.WRITE, 41)
+    assert op == fresh and hash(op) == hash(fresh)
+    assert (op.trivial, op.reads_value) == (fresh.trivial, fresh.reads_value) == (False, False)
+    # Equal and equally hashed, but other operands: each keeps its own.
+    assert write(x, True)[0].value is True and write(x, 1.0)[0].value.__class__ is float
+    assert apply(mem, 1, write(x, True)).value_written is True
+
+
+def test_writes_past_the_op_table_bound_stay_correct(monkeypatch):
+    monkeypatch.setattr(memory, "_WRITE_OPS", {})
+    mem = Memory(1)
+    x = mem.alloc("x", home=1)
+    for value in range(-2, memory._WRITE_OPS_MAX + 3):
+        op, _ = write(x, value)
+        assert op == PrimitiveOp(OpKind.WRITE, value) and op.trivial is False
+        ev = apply(mem, 1, (op, x))
+        assert (ev.value_written, mem.words(False)[x.uid]) == (value, value)
+    assert len(memory._WRITE_OPS) == memory._WRITE_OPS_MAX
+    assert write(x, -2)[0] is write(x, -2)[0]
+    assert write(x, memory._WRITE_OPS_MAX + 2)[0] is not write(x, memory._WRITE_OPS_MAX + 2)[0]
 
 
 def test_failed_cas_reads_but_does_not_write():

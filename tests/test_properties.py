@@ -354,6 +354,36 @@ def test_ledger_equals_recount_from_events(cfg):
     assert runner.ledger.totals() == totals
 
 
+def assert_participants_stepped(history) -> None:
+    """A history's participants, read from its begun calls, are the
+    processes with an event."""
+    assert history.participants == {e.proc for e in history.events}
+
+
+@given(configs(EVERY_PRIMITIVE))
+def test_participants_are_the_processes_that_stepped(cfg):
+    runner = execute(cfg)
+    # A peek begins a due call without a step: a call record with no event.
+    for pid in runner.runnable():
+        runner.peek(pid)
+    assert_participants_stepped(runner.history())
+    erasable = [p for p in sorted(runner.participants() - runner.terminated)
+                if erasure_safe(runner, p)]
+    if erasable:
+        runner.erase(erasable[0])
+        assert_participants_stepped(runner.fork().history())
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_enumerated_participants_are_the_processes_that_stepped(data):
+    name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 3)
+    histories, _ = first_histories(
+        enumerate_histories(build(name, n), roles, data.draw(st.integers(1, 8))))
+    for history in histories:
+        assert_participants_stepped(history)
+
+
 @given(configs(EVERY_PRIMITIVE))
 def test_bus_messages_equal_nontrivial_attempts(cfg):
     runner = execute(cfg)

@@ -167,6 +167,23 @@ def test_step_on_terminated_process_rejected():
         runner.step(1)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda runner, pid: runner.step(pid),
+    lambda runner, pid: runner.force_next_call(pid, POLL),
+    lambda runner, pid: runner.run_call(pid),
+    lambda runner, pid: runner.peek(pid),
+], ids=["step", "force_next_call", "run_call", "peek"])
+@pytest.mark.parametrize("pid", [0, 3, -1])
+def test_a_process_outside_the_run_is_refused_by_name(entry, pid):
+    runner = Runner(make_algorithm("cc_flag", 2), waiter_signaler_roles([2], 1))
+    runner.step(2)
+    runner.force_next_call(1, POLL)
+    before = list(runner.trace)
+    with pytest.raises(SchedulingError, match=rf"no process {pid}: process ids are 1\.\.2"):
+        entry(runner, pid)
+    assert runner.trace == before
+
+
 def test_wait_script_on_polling_algorithm_needs_wrapper():
     from rmrsim.errors import ConfigError
 
