@@ -5,6 +5,8 @@ module of one owning process (its *home*).  Processes act on locations
 through the primitive operations below; every applied operation is recorded
 as an :class:`Event` carrying the data later needed by the cost models and
 the safety checker (values moved, success flag, previous writer).
+:meth:`Memory.apply` builds each step's event slot by slot, without a call
+of the class, since it builds one per step.
 
 All steps are sequentially consistent atomic events; there is no weak
 ordering and no interleaving inside a step.  Ops are interned: one per
@@ -51,6 +53,7 @@ class OpKind(Enum):
 # against: ``OpKind.X`` goes through the enum metaclass on every lookup.
 _READ, _WRITE, _CAS, _LL = OpKind.READ, OpKind.WRITE, OpKind.CAS, OpKind.LL
 _SC, _FAI = OpKind.SC, OpKind.FAI
+_new = object.__new__  # builds an Event without its __init__: see Memory.apply
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -137,6 +140,10 @@ class Event:
     The event names no call: a process makes one call at a time, so the
     step is in the call of ``proc`` whose ``[start_seq, end_seq]`` holds
     ``seq``.
+
+    :meth:`Memory.apply` builds each step's event slot by slot, without
+    the ``__init__`` frame of a class call; a field added here must be
+    stored there too.
     """
 
     seq: int
@@ -319,7 +326,19 @@ class Memory:
             if self._links:
                 self._links.pop(uid, None)
 
-        return Event(seq, proc, op, uid, loc.home, value_read, written, outcome, writer_before)
+        # One event per step, and CPython 3.11's class call does not inline
+        # a Python __init__: stored slot by slot, the event costs no frame.
+        ev = _new(Event)
+        ev.seq = seq
+        ev.proc = proc
+        ev.op = op
+        ev.loc = uid
+        ev.home = loc.home
+        ev.value_read = value_read
+        ev.value_written = written
+        ev.outcome = outcome
+        ev.writer_before = writer_before
+        return ev
 
 
 def _check_word(value: int) -> None:

@@ -64,6 +64,8 @@ from .errors import (
 from .memory import Event, Memory, OpKind
 
 _SC, _LL = OpKind.SC, OpKind.LL
+_KINDS = tuple(OpKind)  # in declaration order; iterating the enum itself is slow
+_new = object.__new__  # builds a CallRecord without its __init__: see _ensure_pending
 
 DEFAULT_BUDGET = 100_000
 
@@ -136,6 +138,10 @@ class CallRecord:
     events has not begun); ``end_seq`` is the seq of the event on which the
     call returned, or None while the call is open.  Once closed, a record
     is never changed, since histories share it.
+
+    :meth:`Runner._ensure_pending` builds each call's record slot by slot,
+    without the ``__init__`` frame of a class call; a field added here must
+    be stored there too.
     """
 
     call_id: int
@@ -306,8 +312,10 @@ class Runner:
         self.roles = dict(roles)
         self.mem = Memory(self.n)
         self.locs = algorithm.setup(self.mem)
-        # A tuple matches by identity; a set would call Enum.__hash__, in Python.
-        self._primitives = tuple(algorithm.primitives)
+        # For step's check, the declared kinds in OpKind's order: a tuple
+        # matches by identity and finds READ, the commonest, first.  The
+        # frozenset's own order follows the hash seed, and so would the cost.
+        self._primitives = tuple(sorted(algorithm.primitives, key=_KINDS.index))
         self._apply = self.mem.apply
         # Each process's one record: its context, its role and the engine's state.
         self.ctxs = {pid: _ProcState(pid, self.n, self.locs, self.roles.get(pid))
@@ -363,7 +371,7 @@ class Runner:
         return list(self._live)
 
     def open_call(self, pid: int) -> CallRecord | None:
-        return self.ctxs[pid].call
+        return self._record(pid).call
 
     def participants(self) -> frozenset[int]:
         return frozenset([pid for pid, state in self.ctxs.items() if state.stepped])
@@ -378,6 +386,7 @@ class Runner:
         whose last writer was ``p``, from the erase index (so refused while
         a checkpoint is open); an erasure takes out its process's own
         reads."""
+        self._record(p)  # refuses an id outside 1..n
         return self._index().observed[p]
 
     def history(self) -> History:
@@ -590,7 +599,7 @@ class Runner:
             raise SimError("a probe is already open")
         pids = frozenset(pids)
         for pid in pids:
-            if self.ctxs[pid].call is not None:
+            if self._record(pid).call is not None:
                 raise SimError(f"process {pid} is mid-call; a probe starts between calls")
         depth = len(self._checkpoints)
         self.checkpoint()
@@ -815,7 +824,13 @@ class Runner:
             state.signaled = True
         if not forced:
             state.calls_made += 1
-        rec = state.call = CallRecord(len(self._calls), pid, kind)
+        # One record per call, and CPython 3.11's class call does not inline
+        # a Python __init__: stored slot by slot, all six, it costs no frame.
+        rec = state.call = _new(CallRecord)
+        rec.call_id = len(self._calls)
+        rec.proc = pid
+        rec.kind = kind
+        rec.response = rec.start_seq = rec.end_seq = None
         self._calls.append(rec)
         state.part = None if self._undo is None else (
             kind, tuple(state.state.items()), state.calls_made, state.saw_true, state.next_kind,

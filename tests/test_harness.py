@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rmrsim import harness, memory
+from rmrsim import harness
 from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.costs import Model, RmrLedger
 from rmrsim.errors import (
@@ -22,7 +22,7 @@ from rmrsim.harness import (
     stability,
     validate_erasure,
 )
-from rmrsim.memory import Event, Memory, OpKind, ll, read, sc, write
+from rmrsim.memory import Memory, OpKind, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
     SIGNAL,
@@ -797,14 +797,15 @@ def test_erase_drill_certifies_with_one_replay(rebuilds):
 
 @pytest.fixture
 def erasure_work(monkeypatch):
-    """Counts of Event objects built, and of the words erasures refold or
-    unlink: the events sent to Memory.redo and the calls of Memory.unlink."""
+    """Counts of events built, one per Memory.apply call, and of the words
+    erasures refold or unlink: the events sent to Memory.redo and the calls
+    of Memory.unlink."""
     counts = {"built": 0, "refolded": 0}
-    redo, unlink = Memory.redo, Memory.unlink
+    apply, redo, unlink = Memory.apply, Memory.redo, Memory.unlink
 
-    def built(*args):
+    def counted_apply(self, proc, op, loc, seq):
         counts["built"] += 1
-        return Event(*args)
+        return apply(self, proc, op, loc, seq)
 
     def counted_redo(self, event):
         counts["refolded"] += 1
@@ -814,7 +815,7 @@ def erasure_work(monkeypatch):
         counts["refolded"] += 1
         return unlink(self, uid, proc)
 
-    monkeypatch.setattr(memory, "Event", built)
+    monkeypatch.setattr(Memory, "apply", counted_apply)
     monkeypatch.setattr(Memory, "redo", counted_redo)
     monkeypatch.setattr(Memory, "unlink", counted_unlink)
     return counts

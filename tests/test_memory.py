@@ -1,5 +1,7 @@
 """Primitive-operation semantics, event bookkeeping, and allocation rules."""
 
+import dataclasses
+
 import pytest
 
 from rmrsim import memory
@@ -8,6 +10,7 @@ from rmrsim.memory import (
     NIL,
     WORD_MAX,
     WORD_MIN,
+    Event,
     Memory,
     OpKind,
     PrimitiveOp,
@@ -280,6 +283,27 @@ def test_apply_table(kind, operands, before, linked, expected, linked_after):
     _, value, writer, links = mem.save_word(x.uid)
     assert (value, writer) == ((before, 2) if written is None else (written, 1))
     assert links == ({1} if linked_after else set()) | (set() if written is not None else {3})
+
+
+@pytest.mark.parametrize("kind, operands, before, linked, expected, linked_after", APPLY_TABLE)
+def test_apply_builds_the_event_its_class_builds(kind, operands, before, linked, expected,
+                                                  linked_after):
+    # apply stores the event's slots one by one instead of calling Event:
+    # every field must be stored (astuple reads them all, and an unset slot
+    # raises), and the event must equal, and print as, the class-built one.
+    mem = Memory(3)
+    x = mem.alloc("x", home=2)
+    apply(mem, 2, write(x, before))
+    if linked:
+        apply(mem, 1, ll(x))
+    op = PrimitiveOp(kind, **operands)
+    ev = mem.apply(1, op, x, 9)
+    assert type(ev) is Event
+    assert len(dataclasses.astuple(ev)) == len(dataclasses.fields(Event)) == 9
+    built = Event(9, 1, op, x.uid, 2, *expected, 2)
+    assert ev == built
+    assert repr(ev) == repr(built)
+    assert ev.signature() == built.signature()
 
 
 def test_event_kind_sets():

@@ -45,6 +45,7 @@ from rmrsim.errors import (
 )
 from rmrsim.harness import (
     StabilityResult,
+    _assert_survivors_match,
     _erasure_safe,
     _sc_independent,
     _verify_post_polls,
@@ -157,12 +158,10 @@ class Tally(SignalingAlgorithm):
         yield write(ctx.locs.count, 0)
 
 
-TEST_ALGORITHMS = {cls.name: cls for cls in (Drift, Scribble)}
-#: Adds LL/SC (Drift) and failing CAS and SC (Scribble) to the registry's mix.
+TEST_ALGORITHMS = {cls.name: cls for cls in (Drift, Scribble, Tally)}
+#: Adds LL/SC (Drift), failing CAS and SC (Scribble) and an SC that fails on
+#: another process's write (Tally) to the registry's mix.
 EVERY_PRIMITIVE = ALGORITHMS + tuple(TEST_ALGORITHMS)
-# Built by name; EVERY_PRIMITIVE keeps to Drift and Scribble, neither of
-# which can fail an SC on another process's write.
-TEST_ALGORITHMS[Tally.name] = Tally
 
 
 def erasure_safe(run: Runner, p: int) -> bool:
@@ -706,7 +705,7 @@ class Relay(SignalingAlgorithm):
         yield write(ctx.locs.flag, 1)
 
 
-# Built by name; EVERY_PRIMITIVE keeps to Drift and Scribble.
+# Built by name; EVERY_PRIMITIVE keeps to Drift, Scribble and Tally.
 TEST_ALGORITHMS[Relay.name] = Relay
 
 
@@ -1257,15 +1256,28 @@ def enumerate_in_place(runner: Runner, pids: list[int], depth: int, visit) -> No
 SNAPSHOT_ACTIONS = st.sampled_from(("step", "step", "step", "force", "enumerate", "probe", "erase"))
 
 
-@given(st.data())
-def test_histories_stay_as_taken(data):
+@st.composite
+def snapshot_cases(draw) -> tuple:
+    """A setting and the actions to take on it, each with a number that
+    picks among its choices."""
+    name, n, roles = draw_setting(draw, EVERY_PRIMITIVE, 4)
+    actions = draw(st.lists(st.tuples(SNAPSHOT_ACTIONS, st.integers(0, 7)),
+                            min_size=10, max_size=40))
+    return name, n, roles, actions
+
+
+@given(snapshot_cases())
+# Process 3's SC lands between process 2's LL and SC, so 2's SC fails on
+# 3's write, which no response shows: only process 2 may be erased.
+@example(("tally", 3, {2: poll_until_true(), 3: poll_until_true()},
+          [("step", 0), ("step", 1), ("step", 1), ("step", 0), ("erase", 1)]))
+def test_histories_stay_as_taken(case):
     # A history shares the run's closed call records, so nothing the run
     # does afterwards may change one: steps, queued Polls, nested rollbacks
     # that reopen a call, probes, and an erasure, which ends the actions
-    # because an erased run has no history of its own.
-    name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
-    actions = data.draw(st.lists(st.tuples(SNAPSHOT_ACTIONS, st.integers(0, 7)),
-                                 min_size=10, max_size=40))
+    # because an erased run has no history of its own.  The erasure is
+    # certified as the drill certifies it, by a replay of the erased run.
+    name, n, roles, actions = case
     runner = Runner(build(name, n), roles)
     taken = []
 
@@ -1300,13 +1312,14 @@ def test_histories_stay_as_taken(data):
             erasable = [p for p in sorted(active) if erasure_safe(runner, p)]
             if erasable:
                 runner.erase(erasable[k % len(erasable)])
+                _assert_survivors_match(runner.events, runner.calls, runner.fork())
                 break
         snapshot()
     for history, copy in taken:
         assert history == copy
 
 
-# Built by name as well; EVERY_PRIMITIVE keeps to Drift and Scribble.
+# Built by name as well; EVERY_PRIMITIVE keeps to Drift, Scribble and Tally.
 TEST_ALGORITHMS.update({cls.name: cls for cls in (Echo, Relink)})
 #: Every primitive mix, plus protocols whose paths only the memo's key tells
 #: apart (by last writer, by LL link), so that walks meet them.

@@ -1,16 +1,18 @@
 """Engine behavior: scripts, policies, determinism, budgets, and replay."""
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from rmrsim.algorithms import SignalingAlgorithm, make_algorithm
+from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.errors import ConfigError, RoleError, SchedulingError, SimError
 from rmrsim.harness import erase
 from rmrsim.memory import OpKind, ll, read, sc, write
 from rmrsim.runner import (
     POLL,
+    CallRecord,
     WAIT,
     ExplicitSchedule,
     RoundRobin,
@@ -26,7 +28,13 @@ from rmrsim.runner import (
 
 from rmrsim.costs import Model
 
-from test_properties import LEDGER_READS, holder_pairs, read_as_recounted, recount
+from test_properties import (
+    LEDGER_READS,
+    TEST_ALGORITHMS,
+    holder_pairs,
+    read_as_recounted,
+    recount,
+)
 
 
 def waiter_signaler_roles(waiters, signaler, script=None):
@@ -172,9 +180,14 @@ def test_step_on_terminated_process_rejected():
     lambda runner, pid: runner.force_next_call(pid, POLL),
     lambda runner, pid: runner.run_call(pid),
     lambda runner, pid: runner.peek(pid),
-], ids=["step", "force_next_call", "run_call", "peek"])
+    lambda runner, pid: runner.observers(pid),
+    lambda runner, pid: runner.open_call(pid),
+    lambda runner, pid: runner.probe([pid]).__enter__(),
+], ids=["step", "force_next_call", "run_call", "peek", "observers", "open_call", "probe"])
 @pytest.mark.parametrize("pid", [0, 3, -1])
 def test_a_process_outside_the_run_is_refused_by_name(entry, pid):
+    # A negative id would index another process's count from the end, and
+    # the probe must refuse before it opens its checkpoint.
     runner = Runner(make_algorithm("cc_flag", 2), waiter_signaler_roles([2], 1))
     runner.step(2)
     runner.force_next_call(1, POLL)
@@ -182,6 +195,39 @@ def test_a_process_outside_the_run_is_refused_by_name(entry, pid):
     with pytest.raises(SchedulingError, match=rf"no process {pid}: process ids are 1\.\.2"):
         entry(runner, pid)
     assert runner.trace == before
+    assert not runner._checkpoints and runner._probed is None
+
+
+@pytest.mark.parametrize("entry, ended", [
+    (lambda runner, pid: runner.peek(pid), {}),
+    (lambda runner, pid: runner.step(pid), {"response": False, "start_seq": 1, "end_seq": 1}),
+    (lambda runner, pid: runner.run_call(pid),
+     {"response": False, "start_seq": 1, "end_seq": 1}),
+], ids=["peek", "step", "run_call"])
+def test_a_begun_call_has_the_record_its_class_builds(entry, ended):
+    # The engine stores a begun call's slots one by one instead of calling
+    # CallRecord: every slot must be stored (astuple reads them all, and an
+    # unset slot raises), and the record must equal the class-built one.
+    runner = Runner(make_algorithm("cc_flag", 3), waiter_signaler_roles([2, 3], 1))
+    runner.step(2)
+    entry(runner, 3)
+    rec = runner.calls[1]
+    assert type(rec) is CallRecord
+    assert len(dataclasses.astuple(rec)) == len(dataclasses.fields(CallRecord)) == 6
+    built = CallRecord(1, 3, POLL, **ended)
+    assert rec == built
+    assert repr(rec) == repr(built)
+    assert rec.open is (not ended)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(TEST_ALGORITHMS))
+def test_declared_primitives_are_checked_in_kind_order(name):
+    # In OpKind's order, READ first, whatever the hash seed: a copy of the
+    # declared frozenset would follow the kinds' name hashes.
+    algorithm = TEST_ALGORITHMS[name](3) if name in TEST_ALGORITHMS else make_algorithm(name, 3)
+    primitives = Runner(algorithm, {})._primitives
+    assert list(primitives) == [kind for kind in OpKind if kind in algorithm.primitives]
+    assert set(primitives) == algorithm.primitives
 
 
 def test_wait_script_on_polling_algorithm_needs_wrapper():
