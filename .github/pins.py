@@ -26,7 +26,7 @@ PINS = [
     ("adversary --erase --W 1024", "adversary --algo dsm_fixed_waiters --erase --W 1024",
      0, None, {"k": 1, "signaler_rmrs": 1024}, None),
     # The same at W = 16,384, with the engine's memory per waiter pinned:
-    # one record per process and no LL link set per word peak at 62-66 MB
+    # one record per process and no link state per word peak at 61-66 MB
     # on Python 3.10-3.13 (74-78 MB with a context and a state object per
     # process and a link set per word), so the bound has about 10 % room.
     ("adversary --erase --W 16384", "adversary --algo dsm_fixed_waiters --erase --W 16384",

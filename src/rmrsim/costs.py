@@ -6,12 +6,12 @@ Two charging rules classify every event as local or remote (RMR):
   location homed at another process's module; a pure function of the event.
 * cache-coherent (CC): every process may cache any location.  A read is
   local while the reader holds a valid copy; it is an RMR (and creates a
-  copy) otherwise.  Any nontrivial attempt, including a failed CAS or SC,
+  copy) otherwise.  Every nontrivial step (a write or a fetch-and-increment)
   costs one RMR, destroys all remote copies, and refreshes the writer's own.
   Its one state is a holder table: per word uid, who holds a valid copy.
 
 Invalidation traffic is counted for two interconnects: a broadcast bus
-(one message per nontrivial attempt) and an ideal directory (one message
+(one message per nontrivial step) and an ideal directory (one message
 per remote copy actually held).
 """
 
@@ -55,7 +55,7 @@ def classify_cc(event: Event, cache: dict[int, set[int]]) -> str:
         else:
             holders.add(event.proc)
         return RMR
-    # Nontrivial attempt: write-through to memory, invalidate remote copies,
+    # Nontrivial step: write-through to memory, invalidate remote copies,
     # refresh the issuer's own copy.  Always an RMR, cached copy or not.
     if holders is None:
         cache[event.loc] = {event.proc}

@@ -36,7 +36,7 @@ from .errors import (
     StepBudgetExceeded,
 )
 from .algorithms import READ_WRITE
-from .memory import Event, OpKind
+from .memory import Event
 from .runner import (
     POLL,
     SIGNAL,
@@ -271,7 +271,7 @@ def _solo(run: Runner, pid: int, cache: dict[int, set[int]] | None,
 def _paid(events: list[Event], start: int, pid: int, cache: dict[int, set[int]] | None) -> bool:
     """Whether an event of ``pid`` from ``start`` on is an RMR: under DSM
     (``cache`` None) an access to another module, under CC a nontrivial
-    attempt or an access to a word ``pid`` held no copy of in the holder
+    step or an access to a word ``pid`` held no copy of in the holder
     table ``cache``, which only such an event changes."""
     if cache is None:
         return any(e.home != pid for e in events[start:])
@@ -298,41 +298,16 @@ def _configuration(runner: Runner, pid: int, cache: dict[int, set[int]] | None) 
 
 def validate_erasure(history: History | list, p: int) -> bool:
     """True iff removing every step of ``p`` cannot change anyone else's
-    steps: nobody read a value last written by ``p``, and no other
-    process's SC verdict depended on a write of ``p``.  A scan of the whole
+    steps: nobody read a value last written by ``p``.  A scan of the whole
     run: the oracle for :func:`_erasure_safe`."""
     events = history.events if isinstance(history, History) else history
-    for e in events:
-        if e.proc != p and e.op.reads_value and e.writer_before == p:
-            return False
-    return _sc_independent(events, p)
+    return not any(e.proc != p and e.op.reads_value and e.writer_before == p for e in events)
 
 
 def _erasure_safe(run: Runner, p: int) -> bool:
     """:func:`validate_erasure` on the live run, from its observed-by
-    count.  The drill erases only in a read/write protocol, so no SC
-    verdict can depend on ``p``."""
+    count."""
     return not run.observers(p)
-
-
-def _sc_independent(events: list[Event], p: int) -> bool:
-    """No other process's SC verdict depended on a write of ``p``: an SC
-    outcome also depends on writes landing between the issuer's LL and the
-    SC itself, which no read response exposes."""
-    last_ll: dict[tuple[int, int], int] = {}
-    p_writes: dict[int, list[int]] = {}
-    for e in events:
-        if e.proc == p and e.value_written is not None:
-            p_writes.setdefault(e.loc, []).append(e.seq)
-    if p_writes:
-        for e in events:
-            if e.op.kind is OpKind.LL:
-                last_ll[(e.proc, e.loc)] = e.seq
-            elif e.op.kind is OpKind.SC and e.proc != p:
-                start = last_ll.get((e.proc, e.loc), -1)
-                if any(start < w < e.seq for w in p_writes.get(e.loc, ())):
-                    return False
-    return True
 
 
 def erase(base: Runner, p: int) -> Runner:

@@ -4,7 +4,8 @@ Memory is a set of named single-word locations, each tied to the memory
 module of one owning process (its *home*).  Processes act on locations
 through the primitive operations below; every applied operation is recorded
 as an :class:`Event` carrying the data later needed by the cost models and
-the safety checker (values moved, success flag, previous writer).
+the safety checker (values moved, previous writer).  The primitives are
+read, write and fetch-and-increment, so every nontrivial step writes.
 :meth:`Memory.apply` builds each step's event slot by slot, without a call
 of the class, since it builds one per step.
 
@@ -29,10 +30,9 @@ NIL = 0
 
 class OpKind(Enum):
     """A primitive, with two flags the cost models and the observation
-    relation read on every step: ``trivial`` kinds can never modify memory
-    (everything else is a nontrivial attempt: it overwrites the location,
-    or at least tries to), and ``reads_value`` kinds respond with the value
-    found at the location."""
+    relation read on every step: ``trivial`` kinds never modify memory
+    (everything else overwrites the location), and ``reads_value`` kinds
+    respond with the value found at the location."""
 
     def __new__(cls, value: str, trivial: bool, reads_value: bool):
         kind = object.__new__(cls)
@@ -43,16 +43,12 @@ class OpKind(Enum):
 
     READ = "read", True, True
     WRITE = "write", False, False
-    CAS = "cas", False, True
-    LL = "ll", True, True
-    SC = "sc", False, False
     FAI = "fai", False, True
 
 
 # The kinds as globals, bound one by one, for the hot paths to compare
 # against: ``OpKind.X`` goes through the enum metaclass on every lookup.
-_READ, _WRITE, _CAS, _LL = OpKind.READ, OpKind.WRITE, OpKind.CAS, OpKind.LL
-_SC, _FAI = OpKind.SC, OpKind.FAI
+_READ, _WRITE, _FAI = OpKind.READ, OpKind.WRITE, OpKind.FAI
 _new = object.__new__  # builds an Event without its __init__: see Memory.apply
 
 
@@ -60,17 +56,16 @@ _new = object.__new__  # builds an Event without its __init__: see Memory.apply
 class PrimitiveOp:
     """One primitive operation with its operands.
 
-    ``value`` is the word to store (WRITE, CAS, SC); ``expected`` is the
-    comparison operand of CAS.  ``trivial`` and ``reads_value`` are copied
-    from the kind.  Treat an op, and a :class:`Location`, as immutable:
-    ops are shared between runs, and neither is a frozen dataclass, because
-    programs build an op per CAS or SC and every run allocates its words,
-    and frozen construction costs about three times as much.
+    ``value`` is the word a WRITE stores.  ``trivial`` and ``reads_value``
+    are copied from the kind.  Treat an op, and a :class:`Location`, as
+    immutable: ops are shared between runs, and neither is a frozen
+    dataclass, because programs build an op per uninterned write and every
+    run allocates its words, and frozen construction costs about three
+    times as much.
     """
 
     kind: OpKind
     value: int | None = None
-    expected: int | None = None
     trivial: bool = field(init=False, repr=False, compare=False)
     reads_value: bool = field(init=False, repr=False, compare=False)
 
@@ -91,7 +86,6 @@ class Location:
 
 # Operand-free ops are interned; programs issue millions of reads.
 _READ_OP = PrimitiveOp(_READ)
-_LL_OP = PrimitiveOp(_LL)
 _FAI_OP = PrimitiveOp(_FAI)
 
 # Write ops by int value, up to a bound: past it, a write builds its own op.
@@ -113,18 +107,6 @@ def write(loc: Location, value: int):
     return (op, loc)
 
 
-def cas(loc: Location, expected: int, value: int):
-    return (PrimitiveOp(_CAS, value, expected), loc)
-
-
-def ll(loc: Location):
-    return (_LL_OP, loc)
-
-
-def sc(loc: Location, value: int):
-    return (PrimitiveOp(_SC, value), loc)
-
-
 def fai(loc: Location):
     return (_FAI_OP, loc)
 
@@ -133,8 +115,8 @@ def fai(loc: Location):
 class Event:
     """One atomic step: a primitive applied by one process to one location.
 
-    ``value_written`` is present iff the operation actually modified memory
-    (a failed CAS or SC leaves it ``None``).  ``writer_before`` is the
+    ``value_written`` is present iff the operation is nontrivial, and the
+    step's response is always ``value_read``.  ``writer_before`` is the
     process whose write was last applied to the location before this event,
     which is what the observation relation and erasure validation need.
     The event names no call: a process makes one call at a time, so the
@@ -153,7 +135,6 @@ class Event:
     home: int
     value_read: int | None
     value_written: int | None
-    outcome: bool
     writer_before: int | None
 
     def signature(self) -> tuple:
@@ -162,24 +143,15 @@ class Event:
             self.proc,
             self.op.kind,
             self.op.value,
-            self.op.expected,
             self.loc,
             self.value_read,
             self.value_written,
-            self.outcome,
         )
 
 
 class Memory:
-    """Word storage partitioned into per-process modules, plus LL link state.
-
-    A link is held per (process, location) pair; any successful write to the
-    location, by anyone, clears all links on it, and an SC attempt consumes
-    the issuing process's link whether or not it succeeds.  The link table
-    holds only the words some process has a link on, each with a nonempty
-    set of the linked processes, so a protocol that issues no LL keeps it
-    empty.
-    """
+    """Word storage partitioned into per-process modules: each word's
+    value, initial value and last writer."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -188,7 +160,6 @@ class Memory:
         self._values: list[int] = []
         self._inits: list[int] = []
         self._writers: list[int | None] = []
-        self._links: dict[int, set[int]] = {}
         self._locations: list[Location] = []
         self._homed: list[list[int]] | None = None  # uids by home, built on demand
         self._names: set[str] = set()
@@ -227,58 +198,35 @@ class Memory:
         values = self._values
         return tuple([(uid, values[uid]) for uid in self._homed[home]])
 
-    def words(self, links: bool) -> tuple:
-        """Every word's value and last writer, and with ``links`` its LL
-        links, as one hashable tuple."""
-        if links:
-            get = self._links.get
-            return (*self._values, *self._writers,
-                    *[frozenset(get(uid, ())) for uid in range(len(self._values))])
+    def words(self) -> tuple:
+        """Every word's value and last writer, as one hashable tuple."""
         return (*self._values, *self._writers)
 
     # -- undo ---------------------------------------------------------------
 
     def save_word(self, uid: int) -> tuple:
-        """One word's value, last writer and LL links, for :meth:`restore_word`."""
-        return uid, self._values[uid], self._writers[uid], set(self._links.get(uid, ()))
+        """One word's value and last writer, for :meth:`restore_word`."""
+        return uid, self._values[uid], self._writers[uid]
 
     def restore_word(self, saved: tuple) -> None:
-        uid, value, writer, links = saved
+        uid, value, writer = saved
         self._values[uid] = value
         self._writers[uid] = writer
-        if links:
-            self._links[uid] = links
-        else:
-            self._links.pop(uid, None)
 
     # -- refolding ------------------------------------------------------------
 
     def reset_word(self, uid: int) -> None:
         """Put a word back to its state at allocation: initial value, never
-        written, no links."""
-        self.restore_word((uid, self._inits[uid], None, set()))
+        written."""
+        self.restore_word((uid, self._inits[uid], None))
 
     def redo(self, event: Event) -> None:
-        """Apply a recorded event's effect on its word again, as recorded:
-        an LL links, a write lands and clears the links.  (A recorded SC
-        that failed had no link to consume.)  Folding a word's events in
-        order from :meth:`reset_word` rebuilds it without re-running any
-        program."""
-        uid = event.loc
-        if event.op.kind is _LL:
-            self._links.setdefault(uid, set()).add(event.proc)
+        """Apply a recorded event's write to its word again, as recorded.
+        Folding a word's events in order from :meth:`reset_word` rebuilds
+        it without re-running any program."""
         if event.value_written is not None:
-            self._values[uid] = event.value_written
-            self._writers[uid] = event.proc
-            self._links.pop(uid, None)
-
-    def unlink(self, uid: int, proc: int) -> None:
-        """Drop ``proc``'s LL link on a word, if it holds one."""
-        linked = self._links.get(uid)
-        if linked is not None:
-            linked.discard(proc)
-            if not linked:
-                del self._links[uid]
+            self._values[event.loc] = event.value_written
+            self._writers[event.loc] = event.proc
 
     # -- execution ----------------------------------------------------------
 
@@ -290,28 +238,11 @@ class Memory:
         writer_before = self._writers[uid]
         value_read: int | None = None
         written: int | None = None
-        outcome = True
 
         if kind is _READ:
             value_read = old
         elif kind is _WRITE:
             written = op.value
-        elif kind is _CAS:
-            value_read = old
-            if old == op.expected:
-                written = op.value
-            else:
-                outcome = False
-        elif kind is _LL:
-            value_read = old
-            self._links.setdefault(uid, set()).add(proc)
-        elif kind is _SC:
-            # An SC attempt consumes the reservation either way: one that
-            # succeeds clears the word's links below, one that fails had none.
-            if proc in self._links.get(uid, ()):
-                written = op.value
-            else:
-                outcome = False
         elif kind is _FAI:
             value_read = old
             written = old + 1
@@ -323,8 +254,6 @@ class Memory:
                 _check_word(written)  # raises
             self._values[uid] = written
             self._writers[uid] = proc
-            if self._links:
-                self._links.pop(uid, None)
 
         # One event per step, and CPython 3.11's class call does not inline
         # a Python __init__: stored slot by slot, the event costs no frame.
@@ -336,7 +265,6 @@ class Memory:
         ev.home = loc.home
         ev.value_read = value_read
         ev.value_written = written
-        ev.outcome = outcome
         ev.writer_before = writer_before
         return ev
 

@@ -63,7 +63,6 @@ from .errors import (
 )
 from .memory import Event, Memory, OpKind
 
-_SC, _LL = OpKind.SC, OpKind.LL
 _KINDS = tuple(OpKind)  # in declaration order; iterating the enum itself is slow
 _new = object.__new__  # builds a CallRecord without its __init__: see _ensure_pending
 
@@ -407,16 +406,16 @@ class Runner:
     def configuration(self) -> tuple:
         """A hashable key of what the run's further steps depend on, the
         ledger aside: the event and call counts, the words' values and last
-        writers (and LL links, if the protocol declares LL), and each
-        process's queued calls and ``part`` (see ``_ProcState``).  Two runs
-        with equal keys take the same steps, up to the ids and start seqs
-        of the calls open now, if the protocol keeps its state in
-        ``ctx.state``, as a rollback's generator rebuild assumes too.  A
-        call begun with no checkpoint open has no part: :class:`SimError`.
+        writers, and each process's queued calls and ``part`` (see
+        ``_ProcState``).  Two runs with equal keys take the same steps, up
+        to the ids and start seqs of the calls open now, if the protocol
+        keeps its state in ``ctx.state``, as a rollback's generator rebuild
+        assumes too.  A call begun with no checkpoint open has no part:
+        :class:`SimError`.
         """
         if self.ledger is None:
             self._refuse("configuration()")
-        key = [len(self._events), len(self._calls), self.mem.words(_LL in self._primitives)]
+        key = [len(self._events), len(self._calls), self.mem.words()]
         for pid, state in self.ctxs.items():
             part = state.part
             if part is None:
@@ -464,12 +463,10 @@ class Runner:
             rec.start_seq = ev.seq
             state.stepped = True
         state.pending = None
-        # An SC responds with its verdict; a write with value_read, None.
-        response = ev.outcome if kind is _SC else ev.value_read
         if undo is not None:
-            state.part += (response,)
+            state.part += (ev.value_read,)
         try:
-            state.pending = state.gen.send(response)
+            state.pending = state.gen.send(ev.value_read)
         except StopIteration as stop:
             rec.response = stop.value
             rec.end_seq = ev.seq
@@ -532,7 +529,7 @@ class Runner:
         """Open a checkpoint that :meth:`rollback` returns the run to.
 
         Checkpoints nest.  While one is open each step journals the word it
-        is about to change (value, writer, links), each process's state is
+        is about to change (value and writer), each process's state is
         saved before it first changes (script position, queued calls,
         ``ctx.state``, whether it has stepped, terminated, signaled or
         polled, and its open call's record), and the
@@ -639,11 +636,10 @@ class Runner:
         processes keep their events and their programs keep the responses
         they got.  It costs what ``p`` touched, found through the erase
         index, not the run: the lists stay as they are and ``p``'s
-        watermark moves to their ends, each word ``p`` made a nontrivial
-        attempt on is refolded from its initial value over the surviving
-        events on it, and on a word ``p`` only read its LL link goes.  The
-        index's observed-by counts lose ``p``'s reads, and ``p``'s record is
-        replaced by a fresh one, as if it never ran.
+        watermark moves to their ends, and each word ``p`` wrote is
+        refolded from its initial value over the surviving events on it.
+        The index's observed-by counts lose ``p``'s reads, and ``p``'s
+        record is replaced by a fresh one, as if it never ran.
 
         What the steps to come do not read is left for :meth:`fork`, the
         replay that builds and certifies the erased run: :attr:`events`,
@@ -667,15 +663,12 @@ class Runner:
         erased.by_proc[p] = []
         _observe(erased.observed, doomed, -1)
         dead[p] = (len(events), len(self._calls), len(self._trace))
-        attempted = {e.loc for e in doomed if not e.op.trivial}
-        for uid in attempted:
+        for uid in {e.loc for e in doomed if not e.op.trivial}:
             mem.reset_word(uid)
             for pos in erased.by_word[uid]:
                 e = events[pos]
                 if pos >= dead[e.proc][0]:
                     mem.redo(e)
-        for uid in {e.loc for e in doomed} - attempted:
-            mem.unlink(uid, p)
         self.ctxs[p] = fresh = _ProcState(p, self.n, self.locs, self.ctxs[p].script)
         self._pollers.discard(p)
         self._set_live(p, fresh.next_kind is not None)
@@ -783,7 +776,7 @@ class Runner:
                         op = e.op
                         if req[1].uid != e.loc or (req[0] is not op and req[0] != op):
                             _diverged(pid, req, op, e.loc)
-                        req = gen.send(e.outcome if op.kind is _SC else e.value_read)
+                        req = gen.send(e.value_read)
         except StopIteration:
             raise ReplayDivergence(
                 f"process {pid}'s {rec.kind} returned early when rebuilt"

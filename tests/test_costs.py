@@ -12,7 +12,7 @@ from rmrsim.costs import (
     classify_cc,
     classify_dsm,
 )
-from rmrsim.memory import Memory, OpKind, cas, fai, ll, read, sc, write
+from rmrsim.memory import Memory, OpKind, fai, read, write
 
 from test_properties import count_messages, holder_pairs
 
@@ -90,17 +90,6 @@ def test_cc_first_read_ever_is_rmr():
     mem = Memory(2)
     b = mem.alloc("b", home=1)
     assert classify_cc(apply(mem, 2, read(b)), {}) is RMR
-
-
-def test_cc_failed_attempts_charged_and_invalidating():
-    mem = Memory(3)
-    x = mem.alloc("x", home=1, init=1)
-    cache = {}
-    classify_cc(apply(mem, 2, read(x)), cache)
-    failed = apply(mem, 3, cas(x, expected=0, value=5))
-    assert failed.value_written is None
-    assert classify_cc(failed, cache) is RMR
-    assert (2, x.uid) not in holder_pairs(cache)
 
 
 def test_cc_write_costs_rmr_even_with_cached_copy():
@@ -198,14 +187,10 @@ def _random_soup(seed, n=4, steps=200):
         roll = rng.random()
         if roll < 0.55:
             req = read(loc)
-        elif roll < 0.75:
-            req = write(loc, rng.randrange(3))
         elif roll < 0.85:
-            req = cas(loc, rng.randrange(3), rng.randrange(3))
-        elif roll < 0.95:
-            req = fai(loc)
+            req = write(loc, rng.randrange(3))
         else:
-            req = cas(loc, 0, 1)
+            req = fai(loc)
         events.append(apply(mem, proc, req, seq=i))
     return events, ledger, n
 
@@ -218,7 +203,7 @@ def test_cc_read_bound_between_invalidations():
     windows = {}  # (proc, loc) -> read RMRs since last foreign invalidation
     for e in events:
         label = classify_cc(e, cache)
-        if e.op.kind.value in ("read", "ll"):
+        if e.op.kind is OpKind.READ:
             if label is RMR:
                 key = (e.proc, e.loc)
                 windows[key] = windows.get(key, 0) + 1
@@ -246,7 +231,7 @@ def test_per_event_message_bounds():
 
 def test_bus_messages_equal_nontrivial_attempts():
     events, ledger, _ = _random_soup(31)
-    attempts = sum(1 for e in events if e.op.kind.value not in ("read", "ll"))
+    attempts = sum(1 for e in events if e.op.kind is not OpKind.READ)
     assert ledger.total_msg_bus == attempts
 
 
@@ -271,35 +256,24 @@ def test_metric_names_fixed():
 
 # -- the fused ledger against the reference rules ---------------------------
 
-#: One request per kind on x (initially 0); the flag says whether a
-#: primitive that can fail should succeed.
+#: One request per kind on x (initially 0).
 REQUEST = {
-    OpKind.READ: lambda x, ok: read(x),
-    OpKind.WRITE: lambda x, ok: write(x, 5),
-    OpKind.CAS: lambda x, ok: cas(x, 0 if ok else 1, 5),
-    OpKind.LL: lambda x, ok: ll(x),
-    OpKind.SC: lambda x, ok: sc(x, 5),
-    OpKind.FAI: lambda x, ok: fai(x),
+    OpKind.READ: read,
+    OpKind.WRITE: lambda x: write(x, 5),
+    OpKind.FAI: fai,
 }
-FALLIBLE = (OpKind.CAS, OpKind.SC)
 
 
-def _ending_in(kind, ok, issuer_holds):
+def _ending_in(kind, issuer_holds):
     """Events ending in one ``kind`` step of process 2 on x, homed at 1.
     Process 3 holds a copy of x before that step; process 2 holds one iff
-    ``issuer_holds``.  A succeeding SC needs a link from 2's LL; to take
-    away the copy that LL gave 2, process 1 makes a failed CAS, which drops
-    every copy but keeps links, and 3 reads again."""
+    ``issuer_holds``."""
     mem = Memory(3)
     x = mem.alloc("x", home=1, init=0)
     script = [(3, read(x))]
-    if kind is OpKind.SC and ok:
-        script.append((2, ll(x)))
-        if not issuer_holds:
-            script += [(1, cas(x, 7, 7)), (3, read(x))]
-    elif issuer_holds:
+    if issuer_holds:
         script.append((2, read(x)))
-    script.append((2, REQUEST[kind](x, ok)))
+    script.append((2, REQUEST[kind](x)))
     return events_from(mem, script)
 
 
@@ -308,19 +282,15 @@ def row(ledger: RmrLedger, proc: int) -> list[int]:
     return list(ledger.per_process(proc).values())
 
 
-@pytest.mark.parametrize("kind, ok, issuer_holds", [
-    (kind, ok, holds)
-    for kind in OpKind
-    for ok in ((True, False) if kind in FALLIBLE else (True,))
-    for holds in (True, False)
+@pytest.mark.parametrize("kind, issuer_holds", [
+    (kind, holds) for kind in OpKind for holds in (True, False)
 ])
-def test_fused_record_matches_reference_rules(kind, ok, issuer_holds):
-    *before, last = _ending_in(kind, ok, issuer_holds)
+def test_fused_record_matches_reference_rules(kind, issuer_holds):
+    *before, last = _ending_in(kind, issuer_holds)
     events = list(before)
     ledger, cache = RmrLedger(3, events), {}
     for e in before:
         classify_cc(e, cache)
-    assert last.outcome is ok
     held = holder_pairs(cache)
     assert ((2, last.loc) in held) is issuer_holds and (3, last.loc) in held
     others = [row(ledger, 1), row(ledger, 3)]

@@ -22,7 +22,7 @@ from rmrsim.harness import (
     stability,
     validate_erasure,
 )
-from rmrsim.memory import Memory, OpKind, ll, read, sc, write
+from rmrsim.memory import Memory, read, write
 from rmrsim.runner import (
     POLL,
     SIGNAL,
@@ -32,7 +32,6 @@ from rmrsim.runner import (
     poll_until_true,
     signal_once,
 )
-from test_properties import Drift, Scribble, Tally
 
 
 def raw_events(n, script):
@@ -456,29 +455,6 @@ def test_validate_erasure_shielded_overwrite():
     assert not validate_erasure(events, 3)
 
 
-def test_validate_erasure_sc_window():
-    # p2's write broke p1's link; erasing p2 would flip the SC outcome even
-    # though no response ever exposed p2's value.
-    events = raw_events(2, {
-        "locs": [("x", 1)],
-        "ops": [(1, ll, "x"), (2, write, "x", 9), (2, write, "x", 0), (1, sc, "x", 5)],
-    })
-    assert events[-1].outcome is False
-    assert not validate_erasure(events, 2)
-
-
-def test_drill_verdict_scans_sc_windows():
-    # 3's write lands between 2's LL and SC and fails the SC.  No response
-    # exposed 3's value, so only the SC scan sees that 2 depended on it.
-    runner = Runner(Tally(3), {2: poll_until_true(), 3: poll_until_true()})
-    runner.step(2)
-    runner.run_call(3)
-    runner.step(2)
-    assert runner.events[-1].outcome is False
-    assert runner.observers(3) == 0
-    assert not validate_erasure(runner.history(), 3)
-
-
 def queue_of_two() -> Runner:
     """dsm_queue waiters 2 and 3 enqueued in that order: 3's enqueue read
     the tail 2 wrote."""
@@ -797,27 +773,27 @@ def test_erase_drill_certifies_with_one_replay(rebuilds):
 
 @pytest.fixture
 def erasure_work(monkeypatch):
-    """Counts of events built, one per Memory.apply call, and of the words
-    erasures refold or unlink: the events sent to Memory.redo and the calls
-    of Memory.unlink."""
+    """Counts of events built, one per Memory.apply call, and of the work
+    erasures refold: the words sent to Memory.reset_word and the events
+    sent to Memory.redo."""
     counts = {"built": 0, "refolded": 0}
-    apply, redo, unlink = Memory.apply, Memory.redo, Memory.unlink
+    apply, reset_word, redo = Memory.apply, Memory.reset_word, Memory.redo
 
     def counted_apply(self, proc, op, loc, seq):
         counts["built"] += 1
         return apply(self, proc, op, loc, seq)
 
+    def counted_reset_word(self, uid):
+        counts["refolded"] += 1
+        return reset_word(self, uid)
+
     def counted_redo(self, event):
         counts["refolded"] += 1
         return redo(self, event)
 
-    def counted_unlink(self, uid, proc):
-        counts["refolded"] += 1
-        return unlink(self, uid, proc)
-
     monkeypatch.setattr(Memory, "apply", counted_apply)
+    monkeypatch.setattr(Memory, "reset_word", counted_reset_word)
     monkeypatch.setattr(Memory, "redo", counted_redo)
-    monkeypatch.setattr(Memory, "unlink", counted_unlink)
     return counts
 
 
@@ -826,7 +802,9 @@ def erasure_work(monkeypatch):
 ])
 def test_erase_drill_work_grows_linearly_in_w(erasure_work, name, model):
     # Each erasure costs what its waiter touched, and one replay builds the
-    # erased run: a 4x step in W may not cost 4.5x the work.
+    # erased run: a 4x step in W may not cost 4.5x the work.  An erasure
+    # refolds only the words its waiter wrote: a dsm_registration waiter's
+    # registration word, and nothing for waiters that only read.
     work = []
     for w in (64, 256):
         erasure_work.update(built=0, refolded=0)
@@ -835,7 +813,7 @@ def test_erase_drill_work_grows_linearly_in_w(erasure_work, name, model):
         assert (report.erased, report.k) == (w, 1)
         work.append(dict(erasure_work))
     small, large = work
-    assert small["refolded"] >= 64
+    assert small["refolded"] == (64 if name == "dsm_registration" else 0)
     for kind in ("built", "refolded"):
         assert large[kind] <= 4.5 * small[kind], (kind, work)
 
@@ -908,14 +886,11 @@ def test_drill_signaler_outside_processes_refused(signaler):
 
 
 def test_erase_mode_needs_read_write_only_algorithm(monkeypatch):
-    # One protocol per primitive beyond read/write that the engine keeps:
-    # FAI, CAS, and LL/SC twice.  Erase mode refuses each before it builds
-    # a run, so no erase verdict ever meets an SC window.
-    refused = [(make_algorithm("dsm_queue", 5), "fai"), (Scribble(5), "cas, ll, sc"),
-               (Drift(5), "ll, sc"), (Tally(5), "ll, sc")]
+    # FAI, the one primitive beyond read/write that the engine keeps: erase
+    # mode refuses it before it builds a run.
+    algo = make_algorithm("dsm_queue", 5)
     with monkeypatch.context() as m:
         m.setattr(harness, "Runner", lambda *args: pytest.fail("the drill built a run"))
-        for algo, extra in refused:
-            with pytest.raises(DrillNotApplicable, match=f"read/write.*; {algo.name} uses {extra}$"):
-                adversary_separation(algo, signaler=1, erase_on_discovery=True)
-    assert adversary_separation(refused[0][0], signaler=1).status == "ok"
+        with pytest.raises(DrillNotApplicable, match="read/write.*; dsm_queue uses fai$"):
+            adversary_separation(algo, signaler=1, erase_on_discovery=True)
+    assert adversary_separation(algo, signaler=1).status == "ok"

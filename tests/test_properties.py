@@ -13,7 +13,6 @@ from contextlib import suppress
 from copy import deepcopy
 from dataclasses import dataclass
 from itertools import islice
-from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -47,14 +46,13 @@ from rmrsim.harness import (
     StabilityResult,
     _assert_survivors_match,
     _erasure_safe,
-    _sc_independent,
     _verify_post_polls,
     enumerate_histories,
     erase,
     stability,
     validate_erasure,
 )
-from rmrsim.memory import WORD_MAX, OpKind, cas, fai, ll, read, sc, write
+from rmrsim.memory import WORD_MAX, OpKind, fai, read, write
 from rmrsim.runner import (
     POLL,
     SIGNAL,
@@ -79,18 +77,18 @@ ALGORITHMS = (
     "mutant_single_waiter",
 )
 SINGLE_WAITER = ("dsm_single_waiter", "mutant_single_waiter")
-TRIVIAL = ("read", "ll")
+TRIVIAL = ("read",)
 
 
 class Drift(SignalingAlgorithm):
     """Poll counts its calls modulo ``period`` in a word of its own module,
-    by LL/SC, and reads the signal flag, homed at process 1, only when the
-    count wraps.  Solo polls are free of DSM RMRs and of repeats until the
-    wrap, so a horizon shorter than that leaves stability undecided."""
+    by a read and a write, and reads the signal flag, homed at process 1,
+    only when the count wraps.  Solo polls are free of DSM RMRs and of
+    repeats until the wrap, so a horizon shorter than that leaves stability
+    undecided."""
 
     name = "drift"
     period = 4
-    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
 
     def setup(self, mem):
         return SimpleNamespace(
@@ -99,8 +97,8 @@ class Drift(SignalingAlgorithm):
         )
 
     def poll(self, ctx):
-        count = (yield ll(ctx.locs.count[ctx.pid])) + 1
-        yield sc(ctx.locs.count[ctx.pid], count % self.period)
+        count = (yield read(ctx.locs.count[ctx.pid])) + 1
+        yield write(ctx.locs.count[ctx.pid], count % self.period)
         if count < self.period:
             return False
         return bool((yield read(ctx.locs.flag)))
@@ -110,15 +108,13 @@ class Drift(SignalingAlgorithm):
 
 
 class Scribble(SignalingAlgorithm):
-    """Poll overwrites a board word nobody reads, LLs a ping word and
-    tries a CAS on it that always fails, then LLs the flag, which only
-    Signal writes, and returns false.  Every poller stays active and
-    unobserved, yet erasing one changes the others' writers before, CC
-    charges, directory messages and links, and the refold of the ping word
-    its CAS attempted must give the others their links back."""
+    """Poll overwrites a board word nobody reads, then reads a ping word
+    nobody writes and the flag, which only Signal writes, and returns
+    false.  Every poller stays active and unobserved, yet erasing one
+    changes the others' writers before, CC charges and directory messages,
+    and the board word it wrote must be refolded from the others' writes."""
 
     name = "scribble"
-    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.CAS, OpKind.LL, OpKind.SC})
 
     def setup(self, mem):
         return SimpleNamespace(
@@ -129,48 +125,18 @@ class Scribble(SignalingAlgorithm):
 
     def poll(self, ctx):
         yield write(ctx.locs.board, ctx.pid)
-        yield ll(ctx.locs.ping)
-        yield cas(ctx.locs.ping, 1, 2)
-        yield ll(ctx.locs.flag)
+        yield read(ctx.locs.ping)
+        yield read(ctx.locs.flag)
         return False
 
     def signal(self, ctx):
-        yield ll(ctx.locs.flag)
-        yield sc(ctx.locs.flag, 1)
+        yield write(ctx.locs.flag, 1)
 
 
-class Tally(SignalingAlgorithm):
-    """Poll takes one LL/SC shot at incrementing a shared count.  A Poll
-    whose SC fails because another Poll's SC landed after its LL depends
-    on that write, though no response exposed it."""
-
-    name = "tally"
-    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
-
-    def setup(self, mem):
-        return SimpleNamespace(count=mem.alloc("count", home=1))
-
-    def poll(self, ctx):
-        yield sc(ctx.locs.count, (yield ll(ctx.locs.count)) + 1)
-        return False
-
-    def signal(self, ctx):
-        yield write(ctx.locs.count, 0)
-
-
-TEST_ALGORITHMS = {cls.name: cls for cls in (Drift, Scribble, Tally)}
-#: Adds LL/SC (Drift), failing CAS and SC (Scribble) and an SC that fails on
-#: another process's write (Tally) to the registry's mix.
+TEST_ALGORITHMS = {cls.name: cls for cls in (Drift, Scribble)}
+#: Adds solo-free counting polls (Drift) and unobserved pollers that share
+#: a written word (Scribble) to the registry's mix.
 EVERY_PRIMITIVE = ALGORITHMS + tuple(TEST_ALGORITHMS)
-
-
-def erasure_safe(run: Runner, p: int) -> bool:
-    """The drill's erase verdict for any protocol.  The drill erases only
-    in read/write protocols; under SC, erasing ``p`` is safe only if no
-    other process's SC verdict depended on a write of ``p``, which the SC
-    scan checks."""
-    return _erasure_safe(run, p) and (
-        OpKind.SC not in run.algorithm.primitives or _sc_independent(run.events, p))
 
 
 def build(name: str, n: int):
@@ -367,7 +333,7 @@ def test_participants_are_the_processes_that_stepped(cfg):
         runner.peek(pid)
     assert_participants_stepped(runner.history())
     erasable = [p for p in sorted(runner.participants() - runner.terminated)
-                if erasure_safe(runner, p)]
+                if _erasure_safe(runner, p)]
     if erasable:
         runner.erase(erasable[0])
         assert_participants_stepped(runner.fork().history())
@@ -390,6 +356,8 @@ def test_bus_messages_equal_nontrivial_attempts(cfg):
         attempts = sum(1 for e in runner.events
                        if e.proc == p and e.op.kind.value not in TRIVIAL)
         assert runner.ledger.per_process(p)["msg_bus"] == attempts
+    # Every nontrivial step writes.
+    assert all((e.value_written is None) == e.op.trivial for e in runner.events)
 
 
 @given(configs())
@@ -415,7 +383,7 @@ def test_directory_messages_bounded_by_cc_read_rmrs(cfg):
 @given(configs(EVERY_PRIMITIVE))
 def test_directory_messages_bounded_by_cc_rmrs(cfg):
     # Every copy an invalidation destroys was made by one CC RMR of its
-    # holder.  A nontrivial attempt also leaves its issuer a copy, without a
+    # holder.  A nontrivial step also leaves its issuer a copy, without a
     # read: Scribble's pollers overwrite each other's board copies, so the
     # read-RMR bound above holds for the registry's protocols only.
     runner = execute(cfg)
@@ -450,12 +418,12 @@ def erased_state(runner: Runner) -> tuple:
 
 def assert_erased_as(live: Runner, oracle: Runner) -> None:
     """An in-place erasure keeps right what the steps to come read: the
-    survivors' steps, the words and LL links, the observed-by counts and who
+    survivors' steps, the words, the observed-by counts and who
     is active and runnable.  Its fork, the erased run, is the oracle's run
     in full."""
     assert erased_state(live.fork()) == erased_state(oracle)
     assert signatures(live) == signatures(oracle)
-    assert live.mem.words(True) == oracle.mem.words(True)
+    assert live.mem.words() == oracle.mem.words()
     assert ([live.observers(p) for p in range(1, live.n + 1)]
             == [oracle.observers(p) for p in range(1, oracle.n + 1)])
     assert live.participants() == oracle.participants()
@@ -568,19 +536,17 @@ def test_certified_erasures_equal_the_oracle_chain(cfg):
 
 
 @given(configs(EVERY_PRIMITIVE), st.randoms(use_true_random=False))
-@example(Config("tally", 3, {2: poll_until_true(), 3: poll_until_true()}, 4, 4, None), Random(0))
 def test_observed_by_index_matches_scan_oracle(cfg, rnd):
     # The drill's verdict, from the observed-by count of the run's erase
     # index, equals the scan of validate_erasure over the run's replay for
     # every active process: after a probe that stepped (inside it the index
     # is refused), then before and after each of a few random erasures
-    # with steps between them.  In the example, 3's SC fails on 2's write,
-    # which nobody read: only the SC scan keeps 2 from being erasable.
+    # with steps between them.
     runner = execute(cfg)
 
     def agree() -> list[int]:
         active = runner.participants() - runner.terminated
-        verdicts = {p: erasure_safe(runner, p) for p in sorted(active)}
+        verdicts = {p: _erasure_safe(runner, p) for p in sorted(active)}
         history = runner.fork().history()
         assert verdicts == {p: validate_erasure(history, p) for p in verdicts}
         return [p for p, safe in verdicts.items() if safe]
@@ -595,7 +561,7 @@ def test_observed_by_index_matches_scan_oracle(cfg, rnd):
                 runner.run_call(pid, max_steps=20)
         for p in runner.participants() - runner.terminated:
             with pytest.raises(SimError, match="checkpoint or probe"):
-                erasure_safe(runner, p)
+                _erasure_safe(runner, p)
     for _ in range(3):
         erasable = agree()
         if not erasable:
@@ -643,7 +609,7 @@ def configuration(runner: Runner, pid: int, model: Model) -> tuple:
     if model is Model.DSM:
         return state, runner.mem.module_snapshot(pid)
     held = held_scan(runner.ledger.cache, pid)
-    values = runner.mem.words(False)
+    values = runner.mem.words()
     return state, tuple((uid, values[uid]) for uid in held)
 
 
@@ -669,7 +635,7 @@ def observable_state(runner: Runner, ledger: bool = True) -> tuple:
         signatures(runner),
         calls(runner),
         list(runner.trace),
-        runner.mem.words(True),
+        runner.mem.words(),
         ledger_state(runner) if ledger else None,
         runner.participants(),
         {p: dict(runner.ctxs[p].state) for p in runner.ctxs},
@@ -705,7 +671,7 @@ class Relay(SignalingAlgorithm):
         yield write(ctx.locs.flag, 1)
 
 
-# Built by name; EVERY_PRIMITIVE keeps to Drift, Scribble and Tally.
+# Built by name; EVERY_PRIMITIVE keeps to Drift and Scribble.
 TEST_ALGORITHMS[Relay.name] = Relay
 
 
@@ -1026,26 +992,6 @@ class Echo(SignalingAlgorithm):
         yield read(ctx.locs.word)
 
 
-class Relink(SignalingAlgorithm):
-    """Poll LLs a word and SCs 0 into it; Signal writes 0 into it.  A Signal
-    before a Poll's LL and one between its LL and SC leave the same value,
-    writer and responses, but only the first leaves the link, so the SC
-    succeeds after it and fails after the second."""
-
-    name = "relink"
-    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
-
-    def setup(self, mem):
-        return SimpleNamespace(word=mem.alloc("word", home=1))
-
-    def poll(self, ctx):
-        yield ll(ctx.locs.word)
-        return bool((yield sc(ctx.locs.word, 0)))
-
-    def signal(self, ctx):
-        yield write(ctx.locs.word, 0)
-
-
 class Forgetful(SignalingAlgorithm):
     """The first Poll keeps the flag it read in ``ctx.state``; the second
     pops it before its first yield, reads ``a``, then reads ``a`` again if
@@ -1075,19 +1021,16 @@ class Forgetful(SignalingAlgorithm):
 @pytest.mark.parametrize("algorithm, roles, seen, values", [
     pytest.param(Echo(3), {2: poll_at_most(1), 3: poll_at_most(1), 1: signal_once()},
                  lambda e: e.writer_before if e.proc == 1 else None, {2, 3}, id="writer"),
-    pytest.param(Relink(2), {2: poll_at_most(1), 1: signal_once()},
-                 lambda e: e.outcome if e.op.kind is OpKind.SC else None, {True, False},
-                 id="links"),
     pytest.param(Drift(3), {2: poll_at_most(3), 3: poll_at_most(2), 1: signal_once()},
-                 lambda e: e.outcome if e.op.kind is OpKind.SC else None, {True}, id="drift"),
+                 lambda e: e.value_written if e.proc != 1 else None, {1, 2, 3}, id="drift"),
     pytest.param(Forgetful(2), {2: poll_at_most(2), 1: signal_once()},
                  lambda e: e.loc if e.proc == 2 and e.loc else None, {1, 2}, id="start-state"),
 ])
 def test_memo_tells_apart_configurations_only_the_key_separates(algorithm, roles, seen, values):
-    # Keyed without last writers, LL links or the call's start state, two
-    # of these configurations would share one recorded future.  ``seen``
-    # picks what differs between them: who wrote what the Signal reads,
-    # an SC's verdict, or which word the second Poll reads.
+    # Keyed without last writers or the call's start state, two of these
+    # configurations would share one recorded future.  ``seen`` picks what
+    # differs between them: who wrote what the Signal reads, the count each
+    # Drift Poll writes back, or which word the second Poll reads.
     got = first_histories(enumerate_histories(algorithm, roles, 20), None)
     assert got == first_histories(replay_enumeration(algorithm, roles, 20), None)
     assert {seen(e) for history in got[0] for e in history.events} - {None} == values
@@ -1267,10 +1210,6 @@ def snapshot_cases(draw) -> tuple:
 
 
 @given(snapshot_cases())
-# Process 3's SC lands between process 2's LL and SC, so 2's SC fails on
-# 3's write, which no response shows: only process 2 may be erased.
-@example(("tally", 3, {2: poll_until_true(), 3: poll_until_true()},
-          [("step", 0), ("step", 1), ("step", 1), ("step", 0), ("erase", 1)]))
 def test_histories_stay_as_taken(case):
     # A history shares the run's closed call records, so nothing the run
     # does afterwards may change one: steps, queued Polls, nested rollbacks
@@ -1309,7 +1248,7 @@ def test_histories_stay_as_taken(case):
                 snapshot()
         elif action == "erase":
             active = runner.participants() - runner.terminated
-            erasable = [p for p in sorted(active) if erasure_safe(runner, p)]
+            erasable = [p for p in sorted(active) if _erasure_safe(runner, p)]
             if erasable:
                 runner.erase(erasable[k % len(erasable)])
                 _assert_survivors_match(runner.events, runner.calls, runner.fork())
@@ -1319,11 +1258,11 @@ def test_histories_stay_as_taken(case):
         assert history == copy
 
 
-# Built by name as well; EVERY_PRIMITIVE keeps to Drift, Scribble and Tally.
-TEST_ALGORITHMS.update({cls.name: cls for cls in (Echo, Relink)})
-#: Every primitive mix, plus protocols whose paths only the memo's key tells
-#: apart (by last writer, by LL link), so that walks meet them.
-WALKED = EVERY_PRIMITIVE + ("echo", "relink")
+# Built by name as well; EVERY_PRIMITIVE keeps to Drift and Scribble.
+TEST_ALGORITHMS[Echo.name] = Echo
+#: Every primitive mix, plus a protocol whose paths only the memo's key
+#: tells apart (by last writer), so that walks meet it.
+WALKED = EVERY_PRIMITIVE + ("echo",)
 
 
 @given(st.data())

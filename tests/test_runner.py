@@ -9,7 +9,7 @@ import pytest
 from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.errors import ConfigError, RoleError, SchedulingError, SimError
 from rmrsim.harness import erase
-from rmrsim.memory import OpKind, ll, read, sc, write
+from rmrsim.memory import OpKind, read, write
 from rmrsim.runner import (
     POLL,
     CallRecord,
@@ -246,7 +246,7 @@ def test_replay_rebuilds_run_exactly():
     runner.drive(SeededRandom(3), 10_000)
     twin = Runner.replay(algo, roles, list(runner.trace))
     assert [e.signature() for e in twin.events] == [e.signature() for e in runner.events]
-    assert twin.mem.words(True) == runner.mem.words(True)
+    assert twin.mem.words() == runner.mem.words()
     assert twin.terminated == runner.terminated
 
 
@@ -258,7 +258,7 @@ def test_memory_image_determinism_on_prefix():
     prefix = list(runner.trace)[: len(runner.trace) // 2]
     partial = Runner.replay(algo, roles, prefix)
     again = Runner.replay(algo, roles, prefix)
-    assert partial.mem.words(True) == again.mem.words(True)
+    assert partial.mem.words() == again.mem.words()
 
 
 def test_fork_is_independent():
@@ -292,7 +292,7 @@ def observable(runner, ledger=True):
         [e.signature() for e in runner.events],
         [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq) for c in runner.calls],
         list(runner.trace),
-        runner.mem.words(True),
+        runner.mem.words(),
         [runner.ledger.per_process(p) for p in range(1, runner.n + 1)] if ledger else None,
         holder_pairs(runner.ledger.cache) if ledger else None,
         runner.participants(),
@@ -480,44 +480,46 @@ def test_rollback_unbegins_a_call_begun_without_a_step():
     assert [(c.proc, c.start_seq) for c in runner.calls] == [(2, 0), (3, 1)]
 
 
-class Increment(SignalingAlgorithm):
-    """Signal increments the flag in an LL/SC loop and then reads it;
-    Poll writes it.  A rebuilt Signal only gets out of the loop if it is
-    sent each SC's verdict."""
+class Spin(SignalingAlgorithm):
+    """Signal reads the flag until Poll's 5 arrives, reads it once more and
+    returns how many reads it spun; Poll writes it.  Each read issues the
+    same request, so a rebuilt Signal is out of the loop, with the right
+    count, only if it is sent each recorded response."""
 
-    name = "increment"
-    primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.LL, OpKind.SC})
+    name = "spin"
 
     def setup(self, mem):
         return SimpleNamespace(flag=mem.alloc("flag", home=1))
 
     def signal(self, ctx):
-        while not (yield sc(ctx.locs.flag, (yield ll(ctx.locs.flag)) + 1)):
-            pass
+        spun = 0
+        while (yield read(ctx.locs.flag)) != 5:
+            spun += 1
         yield read(ctx.locs.flag)
+        return spun
 
     def poll(self, ctx):
         yield write(ctx.locs.flag, 5)
         return False
 
 
-def test_rollback_rebuilds_a_call_across_failed_and_successful_sc():
+def test_rollback_rebuilds_a_call_across_spinning_and_exiting_reads():
     roles = {1: signal_once(), 2: poll_at_most(1)}
-    runner = Runner(Increment(2), roles)
+    runner = Runner(Spin(2), roles)
     runner.checkpoint()
-    for pid in (1, 2, 1, 1, 1):  # LL, the write, a failing SC, LL, SC
+    for pid in (1, 1, 2, 1):  # two reads of 0, the write, the read of 5
         runner.step(pid)
     before = observable(runner, ledger=False)
     runner.checkpoint()
-    runner.step(1)  # the read; Signal returns
+    runner.step(1)  # the last read; Signal returns
     runner.rollback()
     assert observable(runner, ledger=False) == before
     runner.step(1)
-    assert runner.calls[0].response is None and runner.calls[0].end_seq == 5
-    assert [e.outcome for e in runner.events if e.op.kind is OpKind.SC] == [False, True]
+    assert runner.calls[0].response == 2 and runner.calls[0].end_seq == 4
+    assert [e.value_read for e in runner.events if e.proc == 1] == [0, 0, 5, 5]
     runner.rollback(close=True)
     runner.rollback(close=True)
-    assert observable(runner) == observable(Runner(Increment(2), roles))
+    assert observable(runner) == observable(Runner(Spin(2), roles))
 
 
 @pytest.mark.parametrize("read", LEDGER_READS)
