@@ -72,6 +72,13 @@ PINS = [
     ("run cc_flag n=64", "run --algo cc_flag --n 64 --schedule random --seed 2",
      0, None, {"k": 64, "incomplete": False, "totals": {
          "msg_bus": 1, "msg_dir": 52, "rmr_cc": 116, "rmr_dsm": 161, "steps": 162}}, None),
+    # The step budget at n = 64, which drive counts in its own loop: the
+    # run stops after its 300th step, with all 64 processes begun and the
+    # record marked incomplete.
+    ("run dsm_queue n=64 --budget 300",
+     "run --algo dsm_queue --n 64 --schedule random --seed 2 --budget 300",
+     0, None, {"k": 64, "incomplete": True, "totals": {
+         "msg_bus": 131, "msg_dir": 77, "rmr_cc": 214, "rmr_dsm": 193, "steps": 300}}, None),
     # The enumeration DAG at n = 4, through 139,492 histories; the tests
     # stop at n = 3 or a few hundred histories.
     ("check dsm_registration n=4",

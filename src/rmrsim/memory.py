@@ -7,7 +7,8 @@ as an :class:`Event` carrying the data later needed by the cost models and
 the safety checker (values moved, previous writer).  The primitives are
 read, write and fetch-and-increment, so every nontrivial step writes.
 :meth:`Memory.apply` builds each step's event slot by slot, without a call
-of the class, since it builds one per step.
+of the class, since it builds one per step, and :meth:`Memory.alloc` each
+location the same way.
 
 All steps are sequentially consistent atomic events; there is no weak
 ordering and no interleaving inside a step.  Ops are interned: one per
@@ -49,7 +50,7 @@ class OpKind(Enum):
 # The kinds as globals, bound one by one, for the hot paths to compare
 # against: ``OpKind.X`` goes through the enum metaclass on every lookup.
 _READ, _WRITE, _FAI = OpKind.READ, OpKind.WRITE, OpKind.FAI
-_new = object.__new__  # builds an Event without its __init__: see Memory.apply
+_new = object.__new__  # builds an Event or Location without its __init__: see Memory.apply
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -77,7 +78,11 @@ class PrimitiveOp:
 @dataclass(slots=True, unsafe_hash=True)
 class Location:
     """A named shared word living in the memory module of process ``home``;
-    immutable by convention, like a :class:`PrimitiveOp`."""
+    immutable by convention, like a :class:`PrimitiveOp`.
+
+    :meth:`Memory.alloc` builds each location slot by slot; a field added
+    here must be stored there too.
+    """
 
     uid: int
     name: str
@@ -174,7 +179,12 @@ class Memory:
             raise ConfigError(f"location name {name!r} already allocated")
         if not WORD_MIN <= init <= WORD_MAX:
             _check_word(init)  # raises
-        loc = Location(len(self._locations), name, home)
+        # Stored slot by slot, as apply builds its event: every run
+        # allocates its protocol's words, 2n + 2 of them for dsm_queue.
+        loc = _new(Location)
+        loc.uid = len(self._locations)
+        loc.name = name
+        loc.home = home
         self._locations.append(loc)
         self._homed = None
         self._names.add(name)

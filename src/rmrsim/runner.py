@@ -31,9 +31,13 @@ returns true.  Every procedure call must perform at least one memory
 access.
 
 Per event a step calls ``Memory.apply`` once and resumes the procedure
-body once.  The ledger and the erase index fold the events added since
-they were last read when they are read.  Both refuse every read while a
-checkpoint is open, so no step folds and a rollback has none to undo.
+body once.  :meth:`Runner.step` is the single step that enumeration, the
+drill, replay and ``run_call`` take; :meth:`Runner.drive` runs the same
+per-step core in its own loop while no checkpoint is open, with ``step``
+as its oracle, and both close a returning call through one method.  The
+ledger and the erase index fold the events added since they were last
+read when they are read.  Both refuse every read while a checkpoint is
+open, so no step folds and a rollback has none to undo.
 
 The run's event, call and trace lists only grow, but for a rollback's
 truncation and the new record it puts in place of a closed call it reopens:
@@ -184,7 +188,9 @@ class History:
 
 
 class RoundRobin:
-    """Cycle through runnable processes in ascending id order."""
+    """Cycle through runnable processes in ascending id order.
+
+    Every policy answers None, "stop", when nothing is runnable."""
 
     def __init__(self):
         self._last = 0
@@ -194,6 +200,8 @@ class RoundRobin:
             if pid > self._last:
                 self._last = pid
                 return pid
+        if not runnable:
+            return None
         self._last = runnable[0]
         return runnable[0]
 
@@ -206,11 +214,15 @@ class SeededRandom:
         self._bits = random.Random(seed).getrandbits
 
     def choose(self, runnable: Sequence[int]) -> int | None:
-        # What randrange(n) draws, without its argument checks.
+        # What randrange(n) draws, without its argument checks.  Only at
+        # n = 0, which has no r < n, does a draw retry forever: tested in
+        # the retry loop, it costs the common draw nothing.
         n = len(runnable)
         k = n.bit_length()
         r = self._bits(k)
         while r >= n:
+            if not n:
+                return None
             r = self._bits(k)
         return runnable[r]
 
@@ -468,28 +480,60 @@ class Runner:
         try:
             state.pending = state.gen.send(ev.value_read)
         except StopIteration as stop:
-            rec.response = stop.value
-            rec.end_seq = ev.seq
-            state.gen = state.call = state.part = None
-            if rec.kind == POLL and stop.value:
-                state.saw_true = True
-                state.next_kind = None
-            else:
-                state.next_kind = _script_next(state)
-            if state.next_kind is None and not state.forced:
-                state.terminated = True
-                self._set_live(pid, False)
+            self._return(state, rec, stop.value, ev.seq)
         return ev
 
     def drive(self, policy, budget: int = DEFAULT_BUDGET) -> None:
         """Step per policy until nothing is runnable or the budget, counted
-        in events taken (erased ones too), is spent."""
-        live, events, choose, step = self._live, self._events, policy.choose, self.step
-        while live and len(events) < budget:
+        in events taken (erased ones too), is spent.
+
+        With no checkpoint open, the loop runs :meth:`step`'s per-step core
+        in its own frame, with the run's lists and methods bound once and
+        the seq counted in a local; ``step``, which a differential test
+        holds it to, is its oracle.  Under a checkpoint every step goes
+        through ``step``, which journals.  The policy only chooses: it must
+        not act on the run."""
+        live, events, choose = self._live, self._events, policy.choose
+        if self._undo is not None:
+            step = self.step
+            while live and len(events) < budget:
+                pid = choose(live)
+                if pid is None:
+                    break
+                step(pid)
+            return
+        ctxs, trace, primitives = self.ctxs, self._trace, self._primitives
+        apply, ensure, returned = self._apply, self._ensure_pending, self._return
+        seq = len(events)
+        while live and seq < budget:
             pid = choose(live)
             if pid is None:
                 break
-            step(pid)
+            try:
+                state = ctxs[pid]
+            except KeyError:
+                self._record(pid)  # raises
+            req = state.pending or ensure(state)
+            if req is None:
+                raise SchedulingError(f"process {pid} has no enabled step")
+            op, loc = req
+            if op.kind not in primitives:
+                raise ConfigError(
+                    f"{self.algorithm.name} issued undeclared primitive {op.kind.value}"
+                )
+            rec = state.call
+            ev = apply(pid, op, loc, seq)
+            trace.append(pid)
+            events.append(ev)
+            if rec.start_seq is None:
+                rec.start_seq = seq
+                state.stepped = True
+            state.pending = None
+            try:
+                state.pending = state.gen.send(ev.value_read)
+            except StopIteration as stop:
+                returned(state, rec, stop.value, seq)
+            seq += 1
 
     def force_next_call(self, pid: int, kind: str) -> None:
         """Queue a procedure call for ``pid`` ahead of its script."""
@@ -836,6 +880,28 @@ class Runner:
                 f"{self.algorithm.name}.{kind} performed no memory access"
             ) from None
         return state.pending
+
+    def _return(self, state: _ProcState, rec: CallRecord, response, seq: int) -> None:
+        """Close ``rec``, the call of ``state`` that returned ``response`` on
+        event ``seq``; the process terminates, and leaves the runnable list,
+        if it has no call left to make."""
+        rec.response = response
+        rec.end_seq = seq
+        state.gen = state.call = state.part = None
+        if rec.kind == POLL and response:
+            state.saw_true = True
+            state.next_kind = None
+        elif state.next_kind is not None:
+            # As _script_next would: a set next kind is the script's, and
+            # saw_true is unset, so only the call bound can end the script.
+            # An unset one stays unset: saw_true and calls_made fall only
+            # by a rollback, which restores next_kind with them.
+            bound = state.script.max_calls
+            if bound is not None and state.calls_made >= bound:
+                state.next_kind = None
+        if state.next_kind is None and not state.forced:
+            state.terminated = True
+            self._set_live(state.pid, False)
 
     def _set_live(self, pid: int, live: bool) -> None:
         """Put ``pid`` in or out of the runnable list, kept sorted so that

@@ -5,7 +5,7 @@ one defined here (plain or ``+blocking``), on n <= 6 processes, a random
 mix of waiter scripts with or without a signaler, a seeded random schedule
 cut at a random step budget, and sometimes an extra Poll forced on a
 waiter.  The properties pin what replay, forking, checkpoints, probing,
-erasure, enumeration, the ledger and the contract checkers promise,
+erasure, enumeration, drive, the ledger and the contract checkers promise,
 independently of how the engine implements them.
 """
 
@@ -39,6 +39,7 @@ from rmrsim.costs import (
 from rmrsim.errors import (
     EnumerationOverflow,
     RoleError,
+    SchedulingError,
     SimError,
     StepBudgetExceeded,
 )
@@ -58,8 +59,11 @@ from rmrsim.runner import (
     SIGNAL,
     WAIT,
     CallRecord,
+    ExplicitSchedule,
     History,
+    RoundRobin,
     Runner,
+    Script,
     SeededRandom,
     poll_at_most,
     poll_until_true,
@@ -133,6 +137,29 @@ class Scribble(SignalingAlgorithm):
         yield write(ctx.locs.flag, 1)
 
 
+class Faulty(SignalingAlgorithm):
+    """Poll reads the flag, which only Signal writes.  A process's second
+    Poll breaks an engine rule: under an even id it applies FAI, which the
+    protocol does not declare, and under an odd one it makes no memory
+    access."""
+
+    name = "faulty"
+
+    def setup(self, mem):
+        return SimpleNamespace(flag=mem.alloc("flag", home=1))
+
+    def poll(self, ctx):
+        polls = ctx.state["polls"] = ctx.state.get("polls", 0) + 1
+        if polls == 2:
+            if ctx.pid % 2:
+                return False
+            yield fai(ctx.locs.flag)
+        return bool((yield read(ctx.locs.flag)))
+
+    def signal(self, ctx):
+        yield write(ctx.locs.flag, 1)
+
+
 TEST_ALGORITHMS = {cls.name: cls for cls in (Drift, Scribble)}
 #: Adds solo-free counting polls (Drift) and unobserved pollers that share
 #: a written word (Scribble) to the registry's mix.
@@ -141,8 +168,10 @@ EVERY_PRIMITIVE = ALGORITHMS + tuple(TEST_ALGORITHMS)
 
 def build(name: str, n: int):
     base, _, suffix = name.partition("+")
-    if base in TEST_ALGORITHMS:
-        algorithm = TEST_ALGORITHMS[base](n)
+    # Faulty is not in TEST_ALGORITHMS: only the tests that expect its
+    # refusals run it.
+    if base in TEST_ALGORITHMS or base == Faulty.name:
+        algorithm = TEST_ALGORITHMS.get(base, Faulty)(n)
         if suffix == "blocking":
             algorithm.blocking = True
             algorithm.name += "+blocking"
@@ -1442,3 +1471,128 @@ def test_contract_checkers_match_oracles_on_every_enum_workload_history():
             violations += len(oracle_polling(history))
     assert histories == 21_248
     assert violations > 0  # the mutant's false Polls are among them
+
+
+# -- drive against step ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DriveCase:
+    name: str
+    n: int
+    roles: dict
+    # Per drive: a call forced before it, or None; the policy; the events
+    # it may add to the budget.
+    rounds: tuple
+
+
+def make_policy(spec: tuple):
+    """A fresh policy from its spec, so that two runs get twins."""
+    if spec[0] == "random":
+        return SeededRandom(spec[1])
+    if spec[0] == "round-robin":
+        return RoundRobin()
+    return ExplicitSchedule(spec[1])
+
+
+@st.composite
+def drive_cases(draw) -> DriveCase:
+    name, n, roles = draw_setting(draw, EVERY_PRIMITIVE + (Faulty.name,), 6)
+    if 1 in roles and draw(st.integers(0, 3)) == 0:
+        roles[1] = Script(SIGNAL, 2)  # its second Signal is refused
+    policies = st.one_of(
+        st.integers(0, 2**32 - 1).map(lambda seed: ("random", seed)),
+        st.just(("round-robin",)),
+        st.lists(st.integers(1, n), max_size=80).map(lambda pids: ("explicit", tuple(pids))),
+    )
+    forced = st.none() | st.tuples(st.integers(1, n), st.sampled_from((POLL, POLL, SIGNAL, WAIT)))
+    rounds = draw(st.lists(st.tuples(forced, policies, st.integers(1, 150)),
+                           min_size=1, max_size=3))
+    return DriveCase(name, n, roles, tuple(rounds))
+
+
+def step_loop(runner: Runner, policy, budget: int) -> None:
+    """The oracle: drive's contract as a loop of single steps."""
+    while runner.runnable() and len(runner.events) < budget:
+        pid = policy.choose(runner.runnable())
+        if pid is None:
+            break
+        runner.step(pid)
+
+
+def engine_state(runner: Runner) -> tuple:
+    """Everything a run holds: its events with all eight slots, its calls
+    with all six fields, trace, words, ledger and runnable list, and each
+    process's engine fields."""
+    return (
+        [(e.seq, e.proc, e.op, e.loc, e.home, e.value_read, e.value_written, e.writer_before)
+         for e in runner.events],
+        calls(runner),
+        list(runner.trace),
+        runner.mem.words(),
+        ledger_state(runner),
+        runner.ledger.totals(),
+        runner.runnable(),
+        sorted(runner._pollers),
+        [(s.pid, s.script, s.pending, s.gen is None, s.call and s.call.call_id, s.calls_made,
+          s.saw_true, s.forced, s.next_kind, s.part, s.stepped, s.terminated, s.signaled,
+          dict(s.state)) for s in runner.ctxs.values()],
+    )
+
+
+def outcome_of(action) -> tuple | None:
+    try:
+        action()
+    except SimError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def assert_runs_as_scripted(runner: Runner) -> None:
+    """What neither loop may break, since both close a call through one
+    method: a process is runnable exactly while it has an open, a queued or
+    a scripted call, and no script runs past its call bound."""
+    assert runner.runnable() == [
+        pid for pid, s in runner.ctxs.items()
+        if s.call is not None or s.forced or s.next_kind is not None]
+    for s in runner.ctxs.values():
+        bound = s.script and s.script.max_calls
+        assert bound is None or s.calls_made <= bound
+
+
+@settings(max_examples=150)
+@given(drive_cases())
+# An undeclared primitive (process 2) and a call with no memory access (3).
+@example(DriveCase("faulty", 3, {2: poll_at_most(3)}, ((None, ("round-robin",), 50),)))
+@example(DriveCase("faulty", 3, {3: poll_until_true()}, ((None, ("round-robin",), 50),)))
+# A second Signal, a refused signaler and a validate_call refusal.
+@example(DriveCase("cc_flag", 2, {1: Script(SIGNAL, 2), 2: poll_at_most(1)},
+                   ((None, ("round-robin",), 50),)))
+@example(DriveCase("dsm_registration", 3, {2: poll_until_true()},
+                   ((None, ("random", 4), 3), ((3, SIGNAL), ("round-robin",), 20))))
+@example(DriveCase("dsm_single_waiter", 3, {1: signal_once(), 2: poll_at_most(2)},
+                   ((None, ("random", 1), 2), ((3, POLL), ("round-robin",), 20))))
+def test_drive_steps_as_step_does(case):
+    # drive's own loop against a loop of step with a twin of its policy:
+    # after every drive, and after any refusal, the same run, the same
+    # ledger and the same exception.  Budgets land inside calls, and calls
+    # are forced between drives.
+    algorithm = build(case.name, case.n)
+    live, oracle = Runner(algorithm, case.roles), Runner(algorithm, case.roles)
+    budget = 0
+    for forced, spec, more in case.rounds:
+        budget += more
+        got = want = None
+        if forced is not None:
+            got = outcome_of(lambda: live.force_next_call(*forced))
+            want = outcome_of(lambda: oracle.force_next_call(*forced))
+        if got is None and want is None:
+            got = outcome_of(lambda: live.drive(make_policy(spec), budget))
+            want = outcome_of(lambda: step_loop(oracle, make_policy(spec), budget))
+        assert got == want
+        assert engine_state(live) == engine_state(oracle)
+        if got is not None:
+            # A policy picks a runnable process, which has a step to take.
+            assert got[0] != SchedulingError.__name__, got
+            break
+        assert_runs_as_scripted(live)

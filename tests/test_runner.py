@@ -76,6 +76,18 @@ def test_seeded_draws_equal_randrange_draw_for_draw(seed):
         assert policy.choose(runnable) == runnable[reference.randrange(n)]
 
 
+def test_every_policy_answers_none_to_an_empty_list():
+    # None is "stop" in choose's contract.  SeededRandom draws nothing for
+    # it, where its rejection loop would never find r < 0, so the draws
+    # after it are those of a fresh policy.
+    for policy in (RoundRobin(), SeededRandom(3), ExplicitSchedule([1, 2])):
+        assert policy.choose([]) is None
+    policy, fresh = SeededRandom(3), SeededRandom(3)
+    policy.choose([])
+    assert [policy.choose([4, 5, 6]) for _ in range(20)] == [
+        fresh.choose([4, 5, 6]) for _ in range(20)]
+
+
 def test_different_seeds_usually_differ():
     algo = make_algorithm("dsm_queue", 5)
     roles = waiter_signaler_roles([2, 3, 4, 5], 1)
