@@ -84,6 +84,11 @@ PINS = [
     ("check dsm_registration n=4",
      "check --algo dsm_registration --n 4 --schedule exhaustive:12 --polls 1",
      0, None, {"histories_explored": 139492, "violation_count": 0}, None),
+    # The terminating fixed-waiter protocol enumerated at n = 4, through
+    # 181,961 histories; the tests stop at n = 3.
+    ("check dsm_fixed_waiters_term n=4",
+     "check --algo dsm_fixed_waiters_term --n 4 --schedule exhaustive:12 --polls 1",
+     0, None, {"histories_explored": 181961, "violation_count": 0}, None),
     # Wait as Poll repeated, enumerated at depth 12; the tests stop at
     # depth 11 for a +blocking protocol.
     ("check dsm_queue+blocking n=3",

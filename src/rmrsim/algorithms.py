@@ -39,7 +39,8 @@ class SignalingAlgorithm:
 
     A subclass writes Signal and Poll.  Wait is Poll repeated until it
     returns true, and exists only on an instance :func:`make_algorithm`
-    built as ``name+blocking``.
+    built as ``name+blocking``.  Only the instance's ``waiters``, at most
+    ``max_waiters`` of them, may call Poll or Wait.
     """
 
     name = "signaling"
@@ -49,29 +50,30 @@ class SignalingAlgorithm:
     designated_signaler: int | None = None
     #: Whether a run's waiters call Wait, once, instead of polling.
     blocking = False
-    #: How many waiters a run has by default, from process 2 on; None for
-    #: every process but 1.
-    default_waiter_count: int | None = None
+    #: How many waiters the protocol supports, and so a run has by default,
+    #: from process 2 on; None for any number, by default every process but 1.
+    max_waiters: int | None = None
 
     #: The process whose module holds the global words.
     home = 1
-
-    #: Call-time precondition check, ``validate_call(pid, kind, pollers)``,
-    #: raising on a call the protocol refuses; None when there is none.
-    validate_call = None
 
     def __init__(self, n: int, waiters=None):
         if n < 1:
             raise ConfigError(f"need at least one process, got n={n}")
         self.n = n
         if waiters is None:
-            waiters = range(2, n + 1)[:self.default_waiter_count]
-        #: The processes that wait in a run of this protocol, ascending.
+            waiters = range(2, n + 1)[:self.max_waiters]
+        #: The processes that wait in a run of this protocol, ascending: the
+        #: only ones the engine lets call Poll or Wait.
         self.waiters = tuple(sorted(set(waiters)))
         if not self.waiters:
             raise ConfigError(f"need at least one waiter among 1..{n}, got none")
         if self.waiters[0] < 1 or self.waiters[-1] > n:
             raise ConfigError(f"waiter ids {self.waiters} outside 1..{n}")
+        cap = self.max_waiters
+        if cap is not None and len(self.waiters) > cap:
+            supports = "a single waiter" if cap == 1 else f"at most {cap} waiters"
+            raise RoleError(f"{self.name} supports {supports}, got {list(self.waiters)}")
 
     def setup(self, mem: Memory):
         raise NotImplementedError
@@ -88,9 +90,6 @@ class SignalingAlgorithm:
         while True:
             if (yield from self.poll(ctx)):
                 return True
-
-    def validate_roles(self, roles) -> None:
-        """Hook for construction-time role checks."""
 
 
 class CcFlag(SignalingAlgorithm):
@@ -114,7 +113,7 @@ class CcFlag(SignalingAlgorithm):
 
 
 class SingleWaiter(SignalingAlgorithm):
-    """At most one waiter, identity decided at runtime.
+    """At most one waiter, whose id the signaler learns at runtime.
 
     The waiter's first Poll announces its id in a global word and reads the
     global done flag; later Polls spin on a notification word in the
@@ -123,7 +122,7 @@ class SingleWaiter(SignalingAlgorithm):
     """
 
     name = "dsm_single_waiter"
-    default_waiter_count = 1
+    max_waiters = 1
 
     def setup(self, mem: Memory):
         return SimpleNamespace(
@@ -144,15 +143,6 @@ class SingleWaiter(SignalingAlgorithm):
         waiter = yield read(ctx.locs.announce)
         if waiter != NIL:
             yield write(ctx.locs.notify[waiter], 1)
-
-    def validate_roles(self, roles) -> None:
-        waiters = [p for p, s in roles.items() if s.kind != "Signal"]
-        if len(waiters) > 1:
-            raise RoleError(f"{self.name} supports a single waiter, got {sorted(waiters)}")
-
-    def validate_call(self, pid: int, kind: str, pollers: set[int]) -> None:
-        if kind != "Signal" and pollers and pid not in pollers:
-            raise RoleError(f"{self.name}: second distinct waiter {pid}")
 
 
 class MutantSingleWaiter(SingleWaiter):
@@ -179,7 +169,6 @@ class FixedWaiters(SignalingAlgorithm):
 
     def __init__(self, n: int, waiters=None, terminating: bool = False):
         super().__init__(n, waiters)
-        self._waiter_set = frozenset(self.waiters)
         self.terminating = terminating
         self.name = "dsm_fixed_waiters_term" if terminating else "dsm_fixed_waiters"
 
@@ -204,10 +193,6 @@ class FixedWaiters(SignalingAlgorithm):
                     pass
         for j in self.waiters:
             yield write(ctx.locs.notify[j], 1)
-
-    def validate_call(self, pid: int, kind: str, pollers: set[int]) -> None:
-        if kind != "Signal" and pid not in self._waiter_set:
-            raise RoleError(f"{self.name}: {pid} not in the fixed waiter set")
 
 
 class Registration(SignalingAlgorithm):

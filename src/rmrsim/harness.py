@@ -363,10 +363,9 @@ RECORD_KEYS = ("algorithm", "model", "W", "k", "signaler_rmrs",
 class SeparationReport:
     """Outcome of one adversary drill.
 
-    ``status`` is "ok" or "non_stabilizing"; metrics are None in the latter
-    case.  ``post_poll_ok`` records whether every waiter still active after
-    the drill got true from its next poll, which is the correctness
-    property the drill leans on.
+    ``post_poll_ok`` records whether every waiter still active after the
+    drill got true from its next poll, which is the correctness property
+    the drill leans on.
     """
 
     algorithm: str
@@ -378,8 +377,6 @@ class SeparationReport:
     total_rmr_cc: int | None = None
     msg_bus: int | None = None
     msg_dir: int | None = None
-    status: str = "ok"
-    diagnosis: str | None = None
     signaler: int | None = None
     erased: int = 0
     post_poll_ok: bool | None = None
@@ -397,12 +394,13 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
     Phase one schedules the waiters' polls (Poll, also under ``+blocking``)
     round-robin, one complete poll per waiter per round, until the round's
     one stability probe finds every waiter stable (undecided counts as
-    unstable), for at most ``MAX_ROUNDS`` rounds.  Each waiter then has no
-    open call.  Phase two runs a Signal alone to completion, counting its
-    remote references.  The process that signals is the one
-    :func:`waiter_roles` picks, the designated signaler, else the lowest
-    process that does not wait, unless ``signaler`` names another: a
-    waiter may signal, but a designated signaler admits no other.
+    unstable), for at most ``MAX_ROUNDS`` rounds, else it raises
+    :class:`DrillNotApplicable`.  Each waiter then has no open call.  Phase
+    two runs a Signal alone to completion, counting its remote references.
+    The process that signals is the one :func:`waiter_roles` picks, the
+    designated signaler, else the lowest process that does not wait, unless
+    ``signaler`` names another: a waiter may signal, but a designated
+    signaler admits no other.
 
     With ``erase_on_discovery`` (read/write-only algorithms; any other
     raises :class:`DrillNotApplicable`), whenever the signaler is about to
@@ -439,21 +437,18 @@ def adversary_separation(algorithm, *, model: Model = Model.DSM, signaler: int |
             for w in waiters:
                 runner.run_call(w, max_steps=DEFAULT_HORIZON)
         except StepBudgetExceeded:
-            report.status = "non_stabilizing"
-            report.diagnosis = f"a poll by waiter {w} ran past {DEFAULT_HORIZON} steps"
-            return report
+            raise DrillNotApplicable(
+                f"a poll by waiter {w} ran past {DEFAULT_HORIZON} steps") from None
         verdicts = stability(runner, waiters, model=model)
         if all(v is not None and v.stable for v in verdicts):
             break
     else:
-        report.status = "non_stabilizing"
         paying = [w for w, v in zip(waiters, verdicts) if v is not None and not v.stable]
         undecided = [w for w, v in zip(waiters, verdicts) if v is None]
-        report.diagnosis = "; ".join(
+        raise DrillNotApplicable("; ".join(
             f"waiters {ws[:8]} ({len(ws)} of {report.W}) {why} after {MAX_ROUNDS} polling rounds"
             for ws, why in ((paying, "still pay RMRs"),
-                            (undecided, "are undecided at the stability horizon")) if ws)
-        return report
+                            (undecided, "are undecided at the stability horizon")) if ws))
 
     runner.force_next_call(s, SIGNAL)
     runner.peek(s)  # begins the Signal, so its record can be kept

@@ -26,7 +26,8 @@ certifies the erasure.  One erase index, built on first use, finds an
 erasure's work and counts who observed whom.
 
 Procedure-call rules enforced here: a process makes calls one at a time,
-calls Signal at most once, and a scripted poller stops polling after a call
+calls Signal at most once, calls Poll or Wait only if it is one of the
+protocol's waiters, and a scripted poller stops polling after a call
 returns true.  Every procedure call must perform at least one memory
 access.
 
@@ -319,7 +320,6 @@ class Runner:
                 raise ConfigError(f"role process {pid} outside 1..{self.n}")
             if script.kind not in _CALL_KINDS:
                 raise ConfigError(f"unknown script kind {script.kind!r}")
-        algorithm.validate_roles(roles)
         self.roles = dict(roles)
         self.mem = Memory(self.n)
         self.locs = algorithm.setup(self.mem)
@@ -332,13 +332,11 @@ class Runner:
         self.ctxs = {pid: _ProcState(pid, self.n, self.locs, self.roles.get(pid))
                      for pid in range(1, self.n + 1)}
         self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
-        self._validate_call = algorithm.validate_call
+        self._waiters = frozenset(algorithm.waiters)  # who may call Poll or Wait
         self._events: list[Event] = []
         self._calls: list[CallRecord] = []
         self._trace: list = []
         self.ledger: RmrLedger | None = RmrLedger(self.n, self._events)
-        # The processes that have begun a Poll or Wait, for validate_call.
-        self._pollers: set[int] = set()
         self._live: list[int] = [
             pid for pid, state in self.ctxs.items() if state.next_kind is not None
         ]
@@ -436,7 +434,7 @@ class Runner:
                                    "it has no key")
                 part = state.part = (
                     state.calls_made, state.saw_true, state.next_kind, state.terminated,
-                    pid in self._pollers, state.signaled, tuple(state.state.items()))
+                    state.signaled, tuple(state.state.items()))
             key += (part, state.forced)
         return tuple(key)
 
@@ -575,11 +573,11 @@ class Runner:
         Checkpoints nest.  While one is open each step journals the word it
         is about to change (value and writer), each process's state is
         saved before it first changes (script position, queued calls,
-        ``ctx.state``, whether it has stepped, terminated, signaled or
-        polled, and its open call's record), and the
-        ledger and the erase index refuse every read.  A call begun before
-        any checkpoint cannot be rewound, so its steps are refused
-        (:class:`SimError`) before anything is applied.
+        ``ctx.state``, whether it has stepped, terminated or signaled, and
+        its open call's record), and the ledger and the erase index refuse
+        every read.  A call begun before any checkpoint cannot be rewound,
+        so its steps are refused (:class:`SimError`) before anything is
+        applied.
         """
         if self.ledger is None:
             self._refuse("checkpoint()")
@@ -714,7 +712,6 @@ class Runner:
                 if pos >= dead[e.proc][0]:
                     mem.redo(e)
         self.ctxs[p] = fresh = _ProcState(p, self.n, self.locs, self.ctxs[p].script)
-        self._pollers.discard(p)
         self._set_live(p, fresh.next_kind is not None)
 
     def _index(self) -> "_Erased":
@@ -774,12 +771,12 @@ class Runner:
             # An open call's own steps alone change ctx.state, and after
             # them the generator rebuild restores it.
             dict(state.state) if rec is None else None,
-            state.stepped, state.terminated, state.signaled, pid in self._pollers,
+            state.stepped, state.terminated, state.signaled,
         )
 
     def _restore_process(self, pid: int, saved: tuple) -> None:
         (rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
-         part, ctx_state, stepped, terminated, signaled, polled) = saved
+         part, ctx_state, stepped, terminated, signaled) = saved
         state = self.ctxs[pid]
         # A process is runnable exactly while it has an open, a queued or a
         # scripted call.
@@ -790,8 +787,6 @@ class Runner:
         state.calls_made, state.saw_true, state.forced = calls_made, saw_true, forced
         state.next_kind, state.part = next_kind, part
         state.stepped, state.terminated, state.signaled = stepped, terminated, signaled
-        if not polled:
-            self._pollers.discard(pid)
         if rec is None:
             state.gen = None
             state.state = ctx_state
@@ -832,26 +827,26 @@ class Runner:
 
     def _ensure_pending(self, state: _ProcState):
         """The process's next request, after beginning its next call if none
-        is open; None if it has no call to make."""
+        is open; None if it has no call to make.  A call its process may not
+        make is refused (:class:`RoleError`) before anything changes; a call
+        whose body raised stays open, and every step of it is refused."""
         if state.pending is not None:
             return state.pending
-        if state.gen is not None:  # pragma: no cover - engine invariant
-            raise AssertionError("open call without a pending operation")
         pid = state.pid
+        if state.gen is not None:
+            raise SimError(f"process {pid}'s {state.call.kind} (call {state.call.call_id}) "
+                           "stopped on an error; it has no step to take")
         if self._undo is not None and pid not in self._saved:
             self._touch(state)
         forced = state.forced
-        if forced:
-            kind, state.forced = forced[0], forced[1:]
-        else:
-            kind = state.next_kind
+        kind = forced[0] if forced else state.next_kind
         if kind is None:
             return None
-        if self._validate_call is not None:
-            self._validate_call(pid, kind, self._pollers)
         algorithm = self.algorithm
         if kind != SIGNAL:
-            self._pollers.add(pid)
+            if pid not in self._waiters:
+                raise RoleError(f"{algorithm.name}: process {pid} is not a waiter "
+                                f"and may not call {kind}")
         elif state.signaled:
             raise RoleError(f"process {pid} may call Signal at most once")
         elif algorithm.designated_signaler not in (None, pid):
@@ -859,7 +854,9 @@ class Runner:
                             f"{algorithm.designated_signaler} may signal")
         else:
             state.signaled = True
-        if not forced:
+        if forced:
+            state.forced = forced[1:]
+        else:
             state.calls_made += 1
         # One record per call, and CPython 3.11's class call does not inline
         # a Python __init__: stored slot by slot, all six, it costs no frame.
@@ -871,7 +868,7 @@ class Runner:
         self._calls.append(rec)
         state.part = None if self._undo is None else (
             kind, tuple(state.state.items()), state.calls_made, state.saw_true, state.next_kind,
-            pid in self._pollers, state.signaled)
+            state.signaled)
         state.gen = self._bodies[kind](state)
         try:
             state.pending = next(state.gen)

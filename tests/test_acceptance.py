@@ -167,7 +167,6 @@ def test_criterion_4_separation_curve():
             n = w + 1
             algo = make_algorithm(name, n, waiters=range(2, n + 1))
             report = adversary_separation(algo, signaler=1)
-            assert report.status == "ok"
             assert report.post_poll_ok
             assert report.signaler_rmrs >= w - 1, (name, w)
             costs.append(report.signaler_rmrs)
@@ -193,7 +192,6 @@ def test_criterion_5_amortized_falsification():
     w = 128
     algo = make_algorithm("dsm_fixed_waiters", w + 1, waiters=tuple(range(2, w + 2)))
     report = adversary_separation(algo, erase_on_discovery=True)
-    assert report.status == "ok"
     result = check_amortized(report.history, c=3, model=Model.DSM)
     assert not result.passed
     assert result.k <= 10

@@ -56,10 +56,16 @@ def test_registry_blocking_suffix():
 @pytest.mark.parametrize("name", sorted(REGISTRY) + [n + "+blocking" for n in sorted(REGISTRY)])
 def test_every_protocol_owns_its_waiter_set(name):
     # The default is every process but 1, or process 2 alone for a
-    # single-waiter protocol; a given set is kept, ascending.
+    # single-waiter protocol; a given set is kept, ascending, and one past
+    # the protocol's cap is refused as the protocol is built.
     single = name.startswith(("dsm_single_waiter", "mutant_single_waiter"))
     assert make_algorithm(name, 5).waiters == ((2,) if single else (2, 3, 4, 5))
-    assert make_algorithm(name, 5, waiters=[5, 3]).waiters == (3, 5)
+    if single:
+        assert make_algorithm(name, 5, waiters=[5]).waiters == (5,)
+        with pytest.raises(RoleError, match=r"supports a single waiter, got \[3, 5\]$"):
+            make_algorithm(name, 5, waiters=[5, 3])
+    else:
+        assert make_algorithm(name, 5, waiters=[5, 3]).waiters == (3, 5)
     assert make_algorithm(name, 5).blocking == name.endswith("+blocking")
 
 
@@ -162,12 +168,6 @@ def test_single_waiter_second_waiter_rejected_dynamically():
     runner.force_next_call(3, "Poll")
     with pytest.raises(RoleError):
         runner.run_call(3)
-
-
-def test_single_waiter_two_waiter_roles_rejected():
-    algo = make_algorithm("dsm_single_waiter", 3)
-    with pytest.raises(RoleError):
-        Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
 
 
 # -- dsm_fixed_waiters ------------------------------------------------------

@@ -572,7 +572,6 @@ def test_erase_refused_when_observed():
 def test_drill_queue_signaler_pays_per_waiter():
     algo = make_algorithm("dsm_queue", 9, waiters=range(2, 10))
     report = adversary_separation(algo, signaler=1)
-    assert report.status == "ok"
     assert report.signaler_rmrs >= 8
     assert report.post_poll_ok
     assert report.k == 9
@@ -602,10 +601,9 @@ def test_drill_cc_flag_under_cc_costs_one():
 def test_drill_cc_flag_under_dsm_non_stabilizing():
     # Every waiter pays to read the remote flag in each round's probe.
     algo = make_algorithm("cc_flag", 5)
-    report = adversary_separation(algo, model=Model.DSM)
-    assert report.status == "non_stabilizing"
-    assert report.signaler_rmrs is None
-    assert report.diagnosis == "waiters [2, 3, 4, 5] (4 of 4) still pay RMRs after 8 polling rounds"
+    with pytest.raises(DrillNotApplicable) as err:
+        adversary_separation(algo, model=Model.DSM)
+    assert str(err.value) == "waiters [2, 3, 4, 5] (4 of 4) still pay RMRs after 8 polling rounds"
 
 
 def test_drill_counts_an_undecided_waiter_as_unstable(monkeypatch):
@@ -618,10 +616,10 @@ def test_drill_counts_an_undecided_waiter_as_unstable(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(harness, "stability", short)
-    report = adversary_separation(_UnboundedCounter(3))
+    with pytest.raises(DrillNotApplicable) as err:
+        adversary_separation(_UnboundedCounter(3))
     assert verdicts == [[None, None]] * harness.MAX_ROUNDS
-    assert report.status == "non_stabilizing"
-    assert report.diagnosis == (
+    assert str(err.value) == (
         "waiters [2, 3] (2 of 2) are undecided at the stability horizon after 8 polling rounds")
 
 
@@ -632,9 +630,9 @@ def test_drill_diagnosis_names_paying_and_undecided_waiters_apart(monkeypatch):
         return [None if w == 3 else harness.StabilityResult(False, 1) for w in pids]
 
     monkeypatch.setattr(harness, "stability", split)
-    report = adversary_separation(make_algorithm("cc_flag", 11))
-    assert report.status == "non_stabilizing"
-    assert report.diagnosis == (
+    with pytest.raises(DrillNotApplicable) as err:
+        adversary_separation(make_algorithm("cc_flag", 11))
+    assert str(err.value) == (
         "waiters [2, 4, 5, 6, 7, 8, 9, 10] (9 of 10) still pay RMRs after 8 polling rounds; "
         "waiters [3] (1 of 10) are undecided at the stability horizon after 8 polling rounds")
 
@@ -724,7 +722,7 @@ def rebuilds(monkeypatch):
 
 
 def _drill_outcome(name: str, w: int, model: Model, erase: bool):
-    """The drill's record, status, erasures and history, or its error."""
+    """The drill's record, erasures and history, or its error."""
     try:
         report = adversary_separation(make_algorithm(name, w + 1, waiters=range(2, w + 2)),
                                       model=model, erase_on_discovery=erase)
@@ -736,7 +734,7 @@ def _drill_outcome(name: str, w: int, model: Model, erase: bool):
                    [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq)
                     for c in history.calls],
                    history.finished, history.incomplete, history.trace)
-    return report.to_record(), report.status, report.diagnosis, report.erased, history
+    return report.to_record(), report.erased, history
 
 
 def test_post_poll_check_leaves_the_report_alone(monkeypatch):
@@ -751,14 +749,14 @@ def test_post_poll_check_leaves_the_report_alone(monkeypatch):
     real = [_drill_outcome(*case) for case in cases]
     monkeypatch.setattr(harness, "_verify_post_polls", lambda runner, waiters: True)
     assert [_drill_outcome(*case) for case in cases] == real
-    assert sum(isinstance(got[0], dict) and got[3] > 0 for got in real) > 0
+    assert sum(isinstance(got[0], dict) and got[1] > 0 for got in real) > 0
 
 
 def test_drill_probes_rebuild_nothing(rebuilds):
     # Stability probes and the post-poll check run in place.
     algo = make_algorithm("dsm_queue", 33, waiters=range(2, 34))
     report = adversary_separation(algo, signaler=1)
-    assert report.status == "ok" and report.post_poll_ok
+    assert report.post_poll_ok
     assert rebuilds == {"fork": 0, "replay": 0}
 
 
@@ -856,7 +854,7 @@ def test_cc_drill_holder_work_grows_linearly_in_w(held_visits, name):
     for w in (64, 256):
         held_visits["visited"] = 0
         report = adversary_separation(make_algorithm(name, w + 1), model=Model.CC, signaler=1)
-        assert (report.status, report.post_poll_ok) == ("ok", True)
+        assert report.post_poll_ok
         work.append(held_visits["visited"])
     small, large = work
     assert small >= 64
@@ -893,4 +891,4 @@ def test_erase_mode_needs_read_write_only_algorithm(monkeypatch):
         m.setattr(harness, "Runner", lambda *args: pytest.fail("the drill built a run"))
         with pytest.raises(DrillNotApplicable, match="read/write.*; dsm_queue uses fai$"):
             adversary_separation(algo, signaler=1, erase_on_discovery=True)
-    assert adversary_separation(algo, signaler=1).status == "ok"
+    assert adversary_separation(algo, signaler=1).post_poll_ok

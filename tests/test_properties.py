@@ -38,7 +38,6 @@ from rmrsim.costs import (
 )
 from rmrsim.errors import (
     EnumerationOverflow,
-    RoleError,
     SchedulingError,
     SimError,
     StepBudgetExceeded,
@@ -166,17 +165,20 @@ TEST_ALGORITHMS = {cls.name: cls for cls in (Drift, Scribble)}
 EVERY_PRIMITIVE = ALGORITHMS + tuple(TEST_ALGORITHMS)
 
 
-def build(name: str, n: int):
+def build(name: str, n: int, roles: dict):
+    """The algorithm, whose waiters are the processes ``roles`` has poll or
+    wait: the only ones the engine lets call Poll or Wait."""
+    waiters = [pid for pid, script in roles.items() if script.kind != SIGNAL]
     base, _, suffix = name.partition("+")
     # Faulty is not in TEST_ALGORITHMS: only the tests that expect its
     # refusals run it.
     if base in TEST_ALGORITHMS or base == Faulty.name:
-        algorithm = TEST_ALGORITHMS.get(base, Faulty)(n)
+        algorithm = TEST_ALGORITHMS.get(base, Faulty)(n, waiters)
         if suffix == "blocking":
             algorithm.blocking = True
             algorithm.name += "+blocking"
         return algorithm
-    return make_algorithm(name, n)
+    return make_algorithm(name, n, waiters=waiters)
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ def configs(draw, names=ALGORITHMS) -> Config:
 
 
 def execute(cfg: Config) -> Runner:
-    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    runner = Runner(build(cfg.name, cfg.n, cfg.roles), cfg.roles)
     runner.drive(SeededRandom(cfg.seed), cfg.budget)
     if cfg.forced is not None and cfg.forced not in runner.terminated:
         runner.force_next_call(cfg.forced, POLL)
@@ -301,7 +303,7 @@ def execute_noting_calls(cfg: Config) -> tuple[Runner, list[CallRecord]]:
     """:func:`execute`'s run, stepped here one step at a time, with the call
     each step's process had open, noted as it stepped: the open call before
     the step, or the call the step began, the last one begun."""
-    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    runner = Runner(build(cfg.name, cfg.n, cfg.roles), cfg.roles)
     owners = []
 
     def drive(policy, budget):
@@ -373,7 +375,7 @@ def test_participants_are_the_processes_that_stepped(cfg):
 def test_enumerated_participants_are_the_processes_that_stepped(data):
     name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 3)
     histories, _ = first_histories(
-        enumerate_histories(build(name, n), roles, data.draw(st.integers(1, 8))))
+        enumerate_histories(build(name, n, roles), roles, data.draw(st.integers(1, 8))))
     for history in histories:
         assert_participants_stepped(history)
 
@@ -759,7 +761,7 @@ def test_probe_decides_rmrs_as_the_ledger_does(cfg, horizon, bursts):
     # solo calls, or both leave it undecided, under either model, for every
     # active process after each burst of steps of a random schedule and
     # the end of its open call.
-    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    runner = Runner(build(cfg.name, cfg.n, cfg.roles), cfg.roles)
     policy = SeededRandom(cfg.seed)
     for burst in bursts:
         runner.drive(policy, len(runner.events) + burst)
@@ -818,7 +820,7 @@ def test_every_ledger_read_sees_every_event(cfg, data):
     # rollback, each followed by a read once it has closed.  Every read
     # equals a recount of the events, and so does each kind of read made
     # first on a replay of the whole run.
-    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    runner = Runner(build(cfg.name, cfg.n, cfg.roles), cfg.roles)
     reference = runner.ledger
     policy = SeededRandom(cfg.seed)
     for _ in range(data.draw(st.integers(1, 8))):
@@ -890,7 +892,7 @@ def test_rollback_restores_the_run_exactly(cfg):
     # is as it was, and goes on as a run that never left.
     # The ledger is compared once the outermost checkpoint has closed: it
     # answers no reads before.
-    runner = Runner(build(cfg.name, cfg.n), cfg.roles)
+    runner = Runner(build(cfg.name, cfg.n, cfg.roles), cfg.roles)
     runner.checkpoint()  # calls begun from here on can be rewound
     runner.drive(SeededRandom(cfg.seed), cfg.budget)
     before, trace = observable_state(runner, ledger=False), list(runner.trace)
@@ -952,7 +954,7 @@ def first_histories(histories, limit: int | None = ENUM_LIMIT) -> tuple:
 def test_in_place_enumeration_matches_replay_oracle(data):
     name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
     depth = data.draw(st.integers(1, 10))
-    algorithm = build(name, n)
+    algorithm = build(name, n, roles)
     got = first_histories(enumerate_histories(algorithm, roles, depth))
     want = first_histories(replay_enumeration(algorithm, roles, depth))
     # Histories compare on every event field, every call record, finished,
@@ -1096,16 +1098,16 @@ def test_overflow_inside_a_walk_counts_as_the_oracle_does(monkeypatch):
 class Brittle(SignalingAlgorithm):
     """Poll reads a counter of its own, then the flag, and once the flag is
     set adds one to the counter.  Process 1's counter starts at the top of
-    the word range, so that overflows (a ``CapacityError``).  With
-    ``ordered`` set, process 1 must poll before any other process does, or
-    its first Poll is a ``RoleError``."""
+    the word range, so that overflows (a ``CapacityError``).  Signal reads
+    its own counter twice before it writes the flag, so that a second
+    Signal (a ``RoleError``) is reached only once the walk has backtracked
+    past histories it took.  Processes 1 to 3 wait."""
 
     name = "brittle"
     primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.FAI})
 
-    def __init__(self, n: int, ordered: bool = False):
-        super().__init__(n)
-        self.ordered = ordered
+    def __init__(self, n: int):
+        super().__init__(n, waiters=(1, 2, 3))
 
     def setup(self, mem):
         return SimpleNamespace(flag=mem.alloc("flag", home=1), counter={
@@ -1119,18 +1121,16 @@ class Brittle(SignalingAlgorithm):
         return False
 
     def signal(self, ctx):
+        yield read(ctx.locs.counter[ctx.pid])
+        yield read(ctx.locs.counter[ctx.pid])
         yield write(ctx.locs.flag, 1)
-
-    def validate_call(self, pid, kind, pollers):
-        if self.ordered and pid == 1 and pollers and pid not in pollers:
-            raise RoleError(f"{self.name}: process 1 polls after {sorted(pollers)}")
 
 
 @pytest.mark.parametrize("algorithm, roles, error", [
     pytest.param(Brittle(4), {1: poll_at_most(2), 2: poll_at_most(2), 4: signal_once()},
                  "CapacityError", id="capacity"),
-    pytest.param(Brittle(4, ordered=True), {1: poll_at_most(1), 2: poll_at_most(1),
-                                            3: poll_at_most(1)}, "RoleError", id="role"),
+    pytest.param(Brittle(4), {2: poll_until_true(), 3: poll_until_true(),
+                              4: Script(SIGNAL, 2)}, "RoleError", id="role"),
 ])
 def test_errors_come_after_the_oracles_histories(monkeypatch, algorithm, roles, error):
     want = first_histories(replay_enumeration(algorithm, roles, 12), None)
@@ -1166,7 +1166,7 @@ def test_checkpoints_agree_with_replay_under_any_mix_of_actions(data):
     # the actions did reaches it.
     name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
     actions = data.draw(st.lists(st.tuples(ACTIONS, st.integers(0, 7)), min_size=20, max_size=80))
-    runner = Runner(build(name, n), roles)
+    runner = Runner(build(name, n, roles), roles)
     runner.checkpoint()  # kept open, so that every call can be rewound
     seen = [observable_state(runner, ledger=False)]
     waiters = sorted(pid for pid in roles if pid != 1)
@@ -1246,7 +1246,7 @@ def test_histories_stay_as_taken(case):
     # because an erased run has no history of its own.  The erasure is
     # certified as the drill certifies it, by a replay of the erased run.
     name, n, roles, actions = case
-    runner = Runner(build(name, n), roles)
+    runner = Runner(build(name, n, roles), roles)
     taken = []
 
     def snapshot():
@@ -1304,7 +1304,7 @@ def test_walked_histories_stay_as_taken(data):
     depth = data.draw(st.integers(1, 10))
     taken = []
     with suppress(EnumerationOverflow):
-        for history in enumerate_histories(build(name, n), roles, depth,
+        for history in enumerate_histories(build(name, n, roles), roles, depth,
                                            max_histories=ENUM_LIMIT):
             taken.append((history, deepcopy(history)))
     assert taken
@@ -1533,7 +1533,6 @@ def engine_state(runner: Runner) -> tuple:
         ledger_state(runner),
         runner.ledger.totals(),
         runner.runnable(),
-        sorted(runner._pollers),
         [(s.pid, s.script, s.pending, s.gen is None, s.call and s.call.call_id, s.calls_made,
           s.saw_true, s.forced, s.next_kind, s.part, s.stepped, s.terminated, s.signaled,
           dict(s.state)) for s in runner.ctxs.values()],
@@ -1562,22 +1561,30 @@ def assert_runs_as_scripted(runner: Runner) -> None:
 
 @settings(max_examples=150)
 @given(drive_cases())
-# An undeclared primitive (process 2) and a call with no memory access (3).
+# An undeclared primitive (process 2) and a call with no memory access (3),
+# then a step of the call that made none.
 @example(DriveCase("faulty", 3, {2: poll_at_most(3)}, ((None, ("round-robin",), 50),)))
-@example(DriveCase("faulty", 3, {3: poll_until_true()}, ((None, ("round-robin",), 50),)))
-# A second Signal, a refused signaler and a validate_call refusal.
+@example(DriveCase("faulty", 3, {3: poll_until_true()},
+                   ((None, ("round-robin",), 50), (None, ("round-robin",), 50))))
+# A Wait the protocol has not, then a step of it.
+@example(DriveCase("cc_flag", 3, {2: wait_once(), 1: signal_once()},
+                   ((None, ("explicit", (2,)), 50), (None, ("explicit", (2,)), 50))))
+# A second Signal, a refused signaler and a Poll by a process outside the
+# waiters, each refused again on the next drive.
 @example(DriveCase("cc_flag", 2, {1: Script(SIGNAL, 2), 2: poll_at_most(1)},
-                   ((None, ("round-robin",), 50),)))
+                   ((None, ("round-robin",), 50), (None, ("round-robin",), 50))))
 @example(DriveCase("dsm_registration", 3, {2: poll_until_true()},
-                   ((None, ("random", 4), 3), ((3, SIGNAL), ("round-robin",), 20))))
+                   ((None, ("random", 4), 3), ((3, SIGNAL), ("round-robin",), 20),
+                    (None, ("round-robin",), 20))))
 @example(DriveCase("dsm_single_waiter", 3, {1: signal_once(), 2: poll_at_most(2)},
-                   ((None, ("random", 1), 2), ((3, POLL), ("round-robin",), 20))))
+                   ((None, ("random", 1), 2), ((3, POLL), ("round-robin",), 20),
+                    (None, ("round-robin",), 20))))
 def test_drive_steps_as_step_does(case):
     # drive's own loop against a loop of step with a twin of its policy:
     # after every drive, and after any refusal, the same run, the same
-    # ledger and the same exception.  Budgets land inside calls, and calls
-    # are forced between drives.
-    algorithm = build(case.name, case.n)
+    # ledger and the same exception.  Budgets land inside calls, calls are
+    # forced between drives, and the drives go on after a refusal.
+    algorithm = build(case.name, case.n, case.roles)
     live, oracle = Runner(algorithm, case.roles), Runner(algorithm, case.roles)
     budget = 0
     for forced, spec, more in case.rounds:
@@ -1591,8 +1598,6 @@ def test_drive_steps_as_step_does(case):
             want = outcome_of(lambda: step_loop(oracle, make_policy(spec), budget))
         assert got == want
         assert engine_state(live) == engine_state(oracle)
-        if got is not None:
-            # A policy picks a runnable process, which has a step to take.
-            assert got[0] != SchedulingError.__name__, got
-            break
+        # A policy picks a runnable process, which has a step to take.
+        assert got is None or got[0] != SchedulingError.__name__, got
         assert_runs_as_scripted(live)

@@ -160,23 +160,26 @@ def test_a_rolled_back_signal_may_be_made_again(undo):
     assert runner.run_call(2).response is True
 
 
-@pytest.mark.parametrize("undo", ["probe", "checkpoint"])
-def test_a_rolled_back_poll_leaves_the_single_waiter_place_free(undo):
-    runner = Runner(make_algorithm("dsm_single_waiter", 3), {})
-    if undo == "probe":
-        with runner.probe([3]):
-            runner.force_next_call(3, POLL)
-            runner.run_call(3)
-    else:
-        runner.checkpoint()
-        runner.force_next_call(3, POLL)
-        runner.run_call(3)
-        runner.rollback(close=True)
-    runner.force_next_call(2, POLL)
-    assert runner.run_call(2).response is False
-    runner.force_next_call(3, POLL)
-    with pytest.raises(RoleError, match="second distinct waiter 3"):
-        runner.run_call(3)
+@pytest.mark.parametrize("name", sorted(REGISTRY) + [n + "+blocking" for n in sorted(REGISTRY)])
+def test_a_poll_or_wait_outside_the_waiters_is_refused_changing_nothing(name):
+    # Only the protocol's waiters may call Poll or Wait: any other process's
+    # call is refused as it begins, by step and drive alike, before its
+    # queue, the calls, the trace or the runnable list change.  A Wait the
+    # protocol lacks is refused as an outsider's first.
+    algo = make_algorithm(name, 4, waiters=[2])
+    for pid in (1, 3, 4):
+        for kind in (POLL, WAIT):
+            runner = Runner(algo, {2: poll_at_most(1)})
+            runner.run_call(2)
+            runner.force_next_call(pid, kind)
+            state = runner.ctxs[pid]
+            before = (runner.runnable(), list(runner.calls), list(runner.trace), state.forced)
+            for take in (runner.step, lambda pid: runner.drive(ExplicitSchedule([pid]))):
+                with pytest.raises(RoleError, match=f"process {pid} is not a waiter "
+                                                    f"and may not call {kind}$"):
+                    take(pid)
+                after = (runner.runnable(), list(runner.calls), list(runner.trace), state.forced)
+                assert after == before
 
 
 def test_step_on_terminated_process_rejected():
@@ -709,15 +712,6 @@ def test_erase_refusals():
     again.erase(4)
     again.erase(2)
     assert again.participants() == set() and again.events == []
-
-
-def test_erased_single_waiter_frees_its_place():
-    # As in a replay without it, the erased waiter never polled.
-    runner = Runner(make_algorithm("dsm_single_waiter", 3), {2: poll_until_true()})
-    runner.run_call(2)
-    runner.erase(2)
-    runner.force_next_call(3, POLL)
-    assert runner.run_call(3).response is False
 
 
 def test_erased_forced_process_leaves_the_runnable_list():
