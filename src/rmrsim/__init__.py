@@ -10,7 +10,6 @@ from .checker import (
     check_amortized,
     check_blocking,
     check_polling,
-    check_waitfree,
 )
 from .costs import (
     LOCAL,

@@ -38,9 +38,9 @@ class SignalingAlgorithm:
     contexts, so one instance can back any number of independent runs.
 
     A subclass writes Signal and Poll.  Wait is Poll repeated until it
-    returns true, and exists only on an instance :func:`make_algorithm`
-    built as ``name+blocking``.  Only the instance's ``waiters``, at most
-    ``max_waiters`` of them, may call Poll or Wait.
+    returns true, and the engine lets a run call it only on an instance
+    :func:`make_algorithm` built as ``name+blocking``.  Only the instance's
+    ``waiters``, at most ``max_waiters`` of them, may call Poll or Wait.
     """
 
     name = "signaling"
@@ -85,8 +85,6 @@ class SignalingAlgorithm:
         raise NotImplementedError
 
     def wait(self, ctx: Ctx):
-        if not self.blocking:
-            raise ConfigError(f"{self.name} has no Wait procedure; use {self.name}+blocking")
         while True:
             if (yield from self.poll(ctx)):
                 return True

@@ -9,13 +9,12 @@ two passes over a history's call records: one finds the earliest begun
 and completed Signal, one decides every Poll or Wait from those marks.
 Violations come out in call order.
 
-Budgets are falsification-only: a wait-freedom bound or an amortized
-per-participant RMR bound can be refuted by a history, never proven.
+The budget is falsification-only: an amortized per-participant RMR bound
+can be refuted by a history, never proven.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -25,7 +24,6 @@ from .runner import History, POLL, SIGNAL, WAIT
 POLL_TRUE_NO_SIGNAL = "POLL_TRUE_NO_SIGNAL"
 POLL_FALSE_AFTER_SIGNAL = "POLL_FALSE_AFTER_SIGNAL"
 WAIT_BEFORE_SIGNAL = "WAIT_BEFORE_SIGNAL"
-WAITFREE_BUDGET = "WAITFREE_BUDGET"
 AMORTIZED_BUDGET = "AMORTIZED_BUDGET"
 HARNESS_MISUSE = "HARNESS_MISUSE"
 
@@ -112,36 +110,6 @@ def check_blocking(history: History) -> list[Violation]:
             out.append(Violation(
                 WAIT_BEFORE_SIGNAL, call_ids=(call.call_id,), seqs=(call.end_seq,),
                 message=f"wait by {call.proc} returned before any signal began"))
-    return out
-
-
-def check_waitfree(histories: Iterable[History], bound: int) -> list[Violation]:
-    """Flag every call (open or completed) that took more than ``bound``
-    steps of its own process: its process's events from its start seq to
-    its end seq, or to the last event while it is open."""
-    if bound < 1:
-        raise ValueError("step bound must be at least 1")
-    out: list[Violation] = []
-    for history in histories:
-        seqs: dict[int, list[int]] = {}  # each process's event seqs, ascending
-        for e in history.events:
-            seqs.setdefault(e.proc, []).append(e.seq)
-        for call in history.calls:
-            if call.start_seq is None:
-                continue
-            own = seqs[call.proc]
-            end = _NEVER if call.end_seq is None else call.end_seq
-            taken = bisect.bisect_right(own, end) - bisect.bisect_left(own, call.start_seq)
-            if taken > bound:
-                out.append(Violation(
-                    WAITFREE_BUDGET,
-                    call_ids=(call.call_id,),
-                    seqs=(call.start_seq,),
-                    message=(
-                        f"{call.kind} by {call.proc} took {taken} steps "
-                        f"(bound {bound})"
-                    ),
-                ))
     return out
 
 

@@ -12,7 +12,6 @@ Exit codes: 0 clean, 1 safety violation, 2 usage/configuration error,
 Every option is a row of ``OPTIONS`` and each command accepts exactly the
 rows it reads.  A JSON config file (``--config``) holds the same options
 and goes through the same parser; flags win over file values.
-``RMRSIM_BUDGET`` overrides the default step budget of ``run``.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ OPTIONS = (
     ("--schedule", {"help": "rr | random | explicit:1,2,..."}, {"run": "random"}),
     ("--schedule", {"help": "exhaustive:DEPTH"}, {"check": "exhaustive:25"}),
     ("--seed", {"type": int, "help": "seed for random schedules"}, {"run": 0}),
-    ("--budget", {"type": int, "help": "step budget (env RMRSIM_BUDGET)"}, {"run": None}),
+    ("--budget", {"type": int, "help": "step budget"}, {"run": DEFAULT_BUDGET}),
     ("--W", {"type": int, "help": "waiter count"}, {"adversary": 8}),
     ("--W", {"type": int_list, "help": "waiter counts, comma separated"},
      {"sweep": "8,16,32,64,128"}),
@@ -269,8 +268,6 @@ def _checked_run(cfg: dict) -> tuple[dict, list[checker.Violation]]:
 
 
 def _cmd_run(cfg: dict) -> int:
-    if cfg["budget"] is None:
-        cfg["budget"] = _integer("RMRSIM_BUDGET", os.environ.get("RMRSIM_BUDGET") or DEFAULT_BUDGET)
     _at_least_one("step budget", cfg["budget"])
     record, violations = _checked_run(cfg)
     _emit(cfg, json.dumps(record, sort_keys=True, indent=2))

@@ -299,15 +299,10 @@ def _configuration(runner: Runner, pid: int, cache: dict[int, set[int]] | None) 
 def validate_erasure(history: History | list, p: int) -> bool:
     """True iff removing every step of ``p`` cannot change anyone else's
     steps: nobody read a value last written by ``p``.  A scan of the whole
-    run: the oracle for :func:`_erasure_safe`."""
+    run: the oracle for :meth:`Runner.observers`, the observed-by count the
+    drill asks."""
     events = history.events if isinstance(history, History) else history
     return not any(e.proc != p and e.op.reads_value and e.writer_before == p for e in events)
-
-
-def _erasure_safe(run: Runner, p: int) -> bool:
-    """:func:`validate_erasure` on the live run, from its observed-by
-    count."""
-    return not run.observers(p)
 
 
 def erase(base: Runner, p: int) -> Runner:
@@ -495,10 +490,10 @@ def _discovery_target(runner: Runner, s: int) -> int | None:
     if op.reads_value:
         writer = runner.mem.current_writer(loc)
         if (writer is not None and writer != s and runner.is_active(writer)
-                and _erasure_safe(runner, writer)):
+                and not runner.observers(writer)):
             return writer
     if not op.trivial and loc.home != s and runner.is_active(loc.home):
-        if _erasure_safe(runner, loc.home):
+        if not runner.observers(loc.home):
             return loc.home
     return None
 
@@ -510,7 +505,7 @@ def _erase_unobserved(runner: Runner, waiters) -> int:
     the next pick."""
     erased = 0
     for w in waiters:
-        if runner.is_active(w) and _erasure_safe(runner, w):
+        if runner.is_active(w) and not runner.observers(w):
             runner.erase(w)
             erased += 1
     return erased

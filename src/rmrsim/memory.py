@@ -163,7 +163,7 @@ class Memory:
             raise ConfigError(f"need at least one process, got n={n}")
         self.n = n
         self._values: list[int] = []
-        self._inits: list[int] = []
+        self.inits: list[int] = []  # each word's initial value, by uid; read only
         self._writers: list[int | None] = []
         self._locations: list[Location] = []
         self._homed: list[list[int]] | None = None  # uids by home, built on demand
@@ -189,7 +189,7 @@ class Memory:
         self._homed = None
         self._names.add(name)
         self._values.append(init)
-        self._inits.append(init)
+        self.inits.append(init)
         self._writers.append(None)
         return loc
 
@@ -222,21 +222,6 @@ class Memory:
         uid, value, writer = saved
         self._values[uid] = value
         self._writers[uid] = writer
-
-    # -- refolding ------------------------------------------------------------
-
-    def reset_word(self, uid: int) -> None:
-        """Put a word back to its state at allocation: initial value, never
-        written."""
-        self.restore_word((uid, self._inits[uid], None))
-
-    def redo(self, event: Event) -> None:
-        """Apply a recorded event's write to its word again, as recorded.
-        Folding a word's events in order from :meth:`reset_word` rebuilds
-        it without re-running any program."""
-        if event.value_written is not None:
-            self._values[event.loc] = event.value_written
-            self._writers[event.loc] = event.proc
 
     # -- execution ----------------------------------------------------------
 

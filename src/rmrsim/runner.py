@@ -10,7 +10,8 @@ certifies an erasure.
 
 Each process is one record in ``Runner.ctxs``: the context its procedure
 bodies receive, extended with the engine's state for it (script position,
-open call, and whether it has stepped, terminated or signaled).
+queued calls, open call, and whether it has stepped).  A process has
+terminated when it has stepped and has no open, queued or scripted call.
 
 A *checkpoint* lets the run go on and then come back: while one is open,
 each step journals the word it changes and each process's state is saved
@@ -26,10 +27,13 @@ certifies the erasure.  One erase index, built on first use, finds an
 erasure's work and counts who observed whom.
 
 Procedure-call rules enforced here: a process makes calls one at a time,
-calls Signal at most once, calls Poll or Wait only if it is one of the
-protocol's waiters, and a scripted poller stops polling after a call
-returns true.  Every procedure call must perform at least one memory
-access.
+calls Signal at most once and only if the protocol designates no other
+signaler, calls Poll or Wait only if it is one of the protocol's waiters,
+and Wait only on a ``+blocking`` protocol; a scripted poller stops polling
+after a call returns true.  The role rules are checked where a call is
+planned, when the run is built or the call queued, so every call that
+begins is one its process may make.  Every procedure call must perform at
+least one memory access.
 
 Per event a step calls ``Memory.apply`` once and resumes the procedure
 body once.  :meth:`Runner.step` is the single step that enumeration, the
@@ -257,17 +261,16 @@ class _ProcState(Ctx):
     ``script`` is the process's role, or None.  ``next_kind`` is the
     script's next call as of the last return, read when the process starts
     a call, and ``forced`` the calls queued ahead of the script, a tuple
-    that a save shares.  ``stepped``, ``terminated`` and ``signaled`` say
-    whether the process has taken a step, has terminated and has called
-    Signal.  ``part`` is the process's share of the configuration key: in a
+    that a save shares.  ``stepped`` says whether the process has taken a
+    step.  ``part`` is the process's share of the configuration key: in a
     call begun under a checkpoint, the call's kind, ``state`` as the call
     found it (which a rollback restarts the body from; never the current
-    one, which a body may change before it yields), calls made,
-    ``saw_true``, next kind, role flags and responses so far.  Between
-    calls, once a key is asked for: the same without a call."""
+    one, which a body may change before it yields), calls made, next kind
+    and responses so far.  Between calls, once a key is asked for: calls
+    made, next kind and ``state``."""
 
-    __slots__ = ("script", "gen", "call", "pending", "calls_made", "saw_true", "forced",
-                 "next_kind", "part", "stepped", "terminated", "signaled")
+    __slots__ = ("script", "gen", "call", "pending", "calls_made", "forced",
+                 "next_kind", "part", "stepped")
 
     def __init__(self, pid: int, n: int, locs, script: Script | None):
         self.pid, self.n, self.locs, self.state = pid, n, locs, {}
@@ -275,11 +278,12 @@ class _ProcState(Ctx):
         self.gen = self.pending = None
         self.call: CallRecord | None = None
         self.calls_made = 0
-        self.saw_true = False
         self.forced: tuple[str, ...] = ()
         self.part: tuple | None = None
-        self.stepped = self.terminated = self.signaled = False
-        self.next_kind: str | None = _script_next(self)
+        self.stepped = False
+        # The script's first call, if it makes one.
+        self.next_kind: str | None = None if script is None or (
+            script.max_calls is not None and script.max_calls < 1) else script.kind
 
 
 class _Erased:
@@ -315,11 +319,15 @@ class Runner:
     def __init__(self, algorithm, roles: dict[int, Script]):
         self.algorithm = algorithm
         self.n = algorithm.n
+        self._waiters = frozenset(algorithm.waiters)  # who may call Poll or Wait
         for pid, script in roles.items():
             if not 1 <= pid <= self.n:
                 raise ConfigError(f"role process {pid} outside 1..{self.n}")
             if script.kind not in _CALL_KINDS:
                 raise ConfigError(f"unknown script kind {script.kind!r}")
+            self._check_role(pid, script.kind)
+            if script.kind == SIGNAL and (script.max_calls is None or script.max_calls > 1):
+                raise RoleError(f"process {pid} may call Signal at most once")
         self.roles = dict(roles)
         self.mem = Memory(self.n)
         self.locs = algorithm.setup(self.mem)
@@ -332,7 +340,6 @@ class Runner:
         self.ctxs = {pid: _ProcState(pid, self.n, self.locs, self.roles.get(pid))
                      for pid in range(1, self.n + 1)}
         self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
-        self._waiters = frozenset(algorithm.waiters)  # who may call Poll or Wait
         self._events: list[Event] = []
         self._calls: list[CallRecord] = []
         self._trace: list = []
@@ -373,7 +380,9 @@ class Runner:
 
     @property
     def terminated(self) -> frozenset[int]:
-        return frozenset([pid for pid, state in self.ctxs.items() if state.terminated])
+        """The processes that have stepped and have no call left to make."""
+        return frozenset([pid for pid, state in self.ctxs.items()
+                          if state.stepped and not _runnable(state)])
 
     def runnable(self) -> list[int]:
         """Processes with at least one enabled step, ascending."""
@@ -388,7 +397,7 @@ class Runner:
     def is_active(self, pid: int) -> bool:
         """Whether ``pid`` has taken a step and not terminated."""
         state = self.ctxs.get(pid)
-        return state is not None and state.stepped and not state.terminated
+        return state is not None and state.stepped and _runnable(state)
 
     def observers(self, p: int) -> int:
         """How many value-reading events of other processes read a value
@@ -432,9 +441,7 @@ class Runner:
                 if state.call is not None:
                     raise SimError(f"process {pid}'s call began before any checkpoint; "
                                    "it has no key")
-                part = state.part = (
-                    state.calls_made, state.saw_true, state.next_kind, state.terminated,
-                    state.signaled, tuple(state.state.items()))
+                part = state.part = (state.calls_made, state.next_kind, tuple(state.state.items()))
             key += (part, state.forced)
         return tuple(key)
 
@@ -534,17 +541,25 @@ class Runner:
             seq += 1
 
     def force_next_call(self, pid: int, kind: str) -> None:
-        """Queue a procedure call for ``pid`` ahead of its script."""
+        """Queue a procedure call for ``pid`` ahead of its script.  A call
+        its process may not make is refused before anything changes: by the
+        role rules the run's roles are held to (:meth:`_check_role`), and a
+        second Signal, queued, scripted or made."""
         if kind not in _CALL_KINDS:
             raise ConfigError(f"unknown procedure {kind!r}")
         state = self._record(pid)
-        if state.terminated:
+        live = _runnable(state)
+        if state.stepped and not live:
             raise SimError(f"process {pid} has terminated")
+        self._check_role(pid, kind)
+        if kind == SIGNAL and (SIGNAL in state.forced or state.next_kind == SIGNAL
+                               or any(c.proc == pid and c.kind == SIGNAL for c in self.calls)):
+            raise RoleError(f"process {pid} may call Signal at most once")
         if self._undo is not None and pid not in self._saved:
             self._touch(state)
         self._trace.append(("force", pid, kind))
-        if state.call is None and state.next_kind is None and not state.forced:
-            self._set_live(pid, True)  # see _restore_process
+        if not live:
+            self._set_live(pid, True)
         state.forced += (kind,)
 
     def run_call(self, pid: int, *, max_steps: int = DEFAULT_BUDGET) -> CallRecord:
@@ -573,11 +588,10 @@ class Runner:
         Checkpoints nest.  While one is open each step journals the word it
         is about to change (value and writer), each process's state is
         saved before it first changes (script position, queued calls,
-        ``ctx.state``, whether it has stepped, terminated or signaled, and
-        its open call's record), and the ledger and the erase index refuse
-        every read.  A call begun before any checkpoint cannot be rewound,
-        so its steps are refused (:class:`SimError`) before anything is
-        applied.
+        ``ctx.state``, whether it has stepped, and its open call's record),
+        and the ledger and the erase index refuse every read.  A call begun
+        before any checkpoint cannot be rewound, so its steps are refused
+        (:class:`SimError`) before anything is applied.
         """
         if self.ledger is None:
             self._refuse("checkpoint()")
@@ -678,8 +692,8 @@ class Runner:
         processes keep their events and their programs keep the responses
         they got.  It costs what ``p`` touched, found through the erase
         index, not the run: the lists stay as they are and ``p``'s
-        watermark moves to their ends, and each word ``p`` wrote is
-        refolded from its initial value over the surviving events on it.
+        watermark moves to their ends, and each word ``p`` wrote is set as
+        the last surviving write on it left it, else to its initial value.
         The index's observed-by counts lose ``p``'s reads, and ``p``'s
         record is replaced by a fresh one, as if it never ran.
 
@@ -706,11 +720,14 @@ class Runner:
         _observe(erased.observed, doomed, -1)
         dead[p] = (len(events), len(self._calls), len(self._trace))
         for uid in {e.loc for e in doomed if not e.op.trivial}:
-            mem.reset_word(uid)
-            for pos in erased.by_word[uid]:
+            # As a refold of the word's surviving events would: the last write wins.
+            for pos in reversed(erased.by_word[uid]):
                 e = events[pos]
-                if pos >= dead[e.proc][0]:
-                    mem.redo(e)
+                if pos >= dead[e.proc][0] and not e.op.trivial:
+                    mem.restore_word((uid, e.value_written, e.proc))
+                    break
+            else:
+                mem.restore_word((uid, mem.inits[uid], None))
         self.ctxs[p] = fresh = _ProcState(p, self.n, self.locs, self.ctxs[p].script)
         self._set_live(p, fresh.next_kind is not None)
 
@@ -754,6 +771,23 @@ class Runner:
         except KeyError:
             raise SchedulingError(f"no process {pid}: process ids are 1..{self.n}") from None
 
+    def _check_role(self, pid: int, kind: str) -> None:
+        """Refuse a ``kind`` call by ``pid`` that the protocol forbids: Poll
+        or Wait by a process outside its waiters (:class:`RoleError`), Wait
+        on a protocol without ``+blocking`` (:class:`ConfigError`), Signal
+        by any but its designated signaler (:class:`RoleError`)."""
+        algorithm = self.algorithm
+        if kind == SIGNAL:
+            if algorithm.designated_signaler not in (None, pid):
+                raise RoleError(f"{algorithm.name}: only process "
+                                f"{algorithm.designated_signaler} may signal")
+        elif pid not in self._waiters:
+            raise RoleError(f"{algorithm.name}: process {pid} is not a waiter "
+                            f"and may not call {kind}")
+        elif kind == WAIT and not algorithm.blocking:
+            raise ConfigError(f"{algorithm.name} has no Wait procedure; "
+                              f"use {algorithm.name}+blocking")
+
     def _touch(self, state: _ProcState) -> None:
         """Under an open checkpoint, before a process's state first changes
         (the caller checks that it is not saved yet): refuse a process
@@ -767,26 +801,22 @@ class Runner:
         rec = state.call
         self._saved[pid] = (
             rec, state.pending, None if rec is None else rec.start_seq,
-            state.calls_made, state.saw_true, state.forced, state.next_kind, state.part,
+            state.calls_made, state.forced, state.next_kind, state.part,
             # An open call's own steps alone change ctx.state, and after
             # them the generator rebuild restores it.
             dict(state.state) if rec is None else None,
-            state.stepped, state.terminated, state.signaled,
+            state.stepped,
         )
 
     def _restore_process(self, pid: int, saved: tuple) -> None:
-        (rec, pending, start_seq, calls_made, saw_true, forced, next_kind,
-         part, ctx_state, stepped, terminated, signaled) = saved
+        rec, pending, start_seq, calls_made, forced, next_kind, part, ctx_state, stepped = saved
         state = self.ctxs[pid]
-        # A process is runnable exactly while it has an open, a queued or a
-        # scripted call.
-        live = rec is not None or bool(forced) or next_kind is not None
-        if live != (state.call is not None or bool(state.forced) or state.next_kind is not None):
-            self._set_live(pid, live)
+        was_live = _runnable(state)
         state.call, state.pending = rec, pending
-        state.calls_made, state.saw_true, state.forced = calls_made, saw_true, forced
-        state.next_kind, state.part = next_kind, part
-        state.stepped, state.terminated, state.signaled = stepped, terminated, signaled
+        state.calls_made, state.forced, state.next_kind = calls_made, forced, next_kind
+        state.part, state.stepped = part, stepped
+        if _runnable(state) != was_live:
+            self._set_live(pid, not was_live)
         if rec is None:
             state.gen = None
             state.state = ctx_state
@@ -827,9 +857,9 @@ class Runner:
 
     def _ensure_pending(self, state: _ProcState):
         """The process's next request, after beginning its next call if none
-        is open; None if it has no call to make.  A call its process may not
-        make is refused (:class:`RoleError`) before anything changes; a call
-        whose body raised stays open, and every step of it is refused."""
+        is open; None if it has no call to make.  Each call was checked
+        where it was planned (:meth:`_check_role`); a call whose body
+        raised stays open, and every step of it is refused."""
         if state.pending is not None:
             return state.pending
         pid = state.pid
@@ -842,18 +872,6 @@ class Runner:
         kind = forced[0] if forced else state.next_kind
         if kind is None:
             return None
-        algorithm = self.algorithm
-        if kind != SIGNAL:
-            if pid not in self._waiters:
-                raise RoleError(f"{algorithm.name}: process {pid} is not a waiter "
-                                f"and may not call {kind}")
-        elif state.signaled:
-            raise RoleError(f"process {pid} may call Signal at most once")
-        elif algorithm.designated_signaler not in (None, pid):
-            raise RoleError(f"{algorithm.name}: only process "
-                            f"{algorithm.designated_signaler} may signal")
-        else:
-            state.signaled = True
         if forced:
             state.forced = forced[1:]
         else:
@@ -867,8 +885,7 @@ class Runner:
         rec.response = rec.start_seq = rec.end_seq = None
         self._calls.append(rec)
         state.part = None if self._undo is None else (
-            kind, tuple(state.state.items()), state.calls_made, state.saw_true, state.next_kind,
-            state.signaled)
+            kind, tuple(state.state.items()), state.calls_made, state.next_kind)
         state.gen = self._bodies[kind](state)
         try:
             state.pending = next(state.gen)
@@ -881,23 +898,21 @@ class Runner:
     def _return(self, state: _ProcState, rec: CallRecord, response, seq: int) -> None:
         """Close ``rec``, the call of ``state`` that returned ``response`` on
         event ``seq``; the process terminates, and leaves the runnable list,
-        if it has no call left to make."""
+        if it has no call left to make.  A Poll that returns true ends the
+        script."""
         rec.response = response
         rec.end_seq = seq
         state.gen = state.call = state.part = None
         if rec.kind == POLL and response:
-            state.saw_true = True
             state.next_kind = None
         elif state.next_kind is not None:
-            # As _script_next would: a set next kind is the script's, and
-            # saw_true is unset, so only the call bound can end the script.
-            # An unset one stays unset: saw_true and calls_made fall only
-            # by a rollback, which restores next_kind with them.
+            # A set next kind is the script's, so only the call bound can
+            # end the script.  An unset one stays unset: calls_made falls
+            # only by a rollback, which restores next_kind with it.
             bound = state.script.max_calls
             if bound is not None and state.calls_made >= bound:
                 state.next_kind = None
         if state.next_kind is None and not state.forced:
-            state.terminated = True
             self._set_live(state.pid, False)
 
     def _set_live(self, pid: int, live: bool) -> None:
@@ -912,14 +927,10 @@ class Runner:
             runnable.insert(i, pid)
 
 
-def _script_next(state: _ProcState) -> str | None:
-    """The call the process's script makes next, or None."""
-    script = state.script
-    if script is None or state.saw_true:
-        return None
-    if script.max_calls is not None and state.calls_made >= script.max_calls:
-        return None
-    return script.kind
+def _runnable(state: _ProcState) -> bool:
+    """Whether the process has an open, a queued or a scripted call: what
+    puts it in the runnable list."""
+    return state.call is not None or bool(state.forced) or state.next_kind is not None
 
 
 def _observe(counts: list[int], events: Iterable[Event], sign: int) -> None:

@@ -165,9 +165,8 @@ def test_single_waiter_second_waiter_rejected_dynamically():
     runner = Runner(algo, {})
     runner.force_next_call(2, "Poll")
     runner.run_call(2)
-    runner.force_next_call(3, "Poll")
     with pytest.raises(RoleError):
-        runner.run_call(3)
+        runner.force_next_call(3, "Poll")
 
 
 # -- dsm_fixed_waiters ------------------------------------------------------
@@ -196,9 +195,8 @@ def test_fixed_waiters_polling_is_free():
 
 def test_fixed_waiters_outsider_poll_rejected():
     algo = make_algorithm("dsm_fixed_waiters", 4, waiters=(2, 3))
-    runner = Runner(algo, {4: poll_until_true()})
     with pytest.raises(RoleError):
-        runner.step(4)
+        Runner(algo, {4: poll_until_true()})
 
 
 def test_fixed_waiters_term_signal_blocks_until_everyone_arrives():
@@ -247,9 +245,8 @@ def test_registration_signal_pays_one_rmr_per_registered_waiter():
 
 def test_registration_wrong_signaler_rejected():
     algo = make_algorithm("dsm_registration", 4)
-    runner = Runner(algo, {2: signal_once()})
     with pytest.raises(RoleError):
-        runner.step(2)
+        Runner(algo, {2: signal_once()})
 
 
 def test_registration_race_registering_during_signal():
@@ -385,11 +382,9 @@ def test_blocking_variant_is_the_base_protocol_with_wait(name):
     assert (later.name, later.blocking) == (name, False)
     waiter = base.waiters[0]
     with pytest.raises(ConfigError, match=r"\+blocking"):
-        Runner(base, {waiter: wait_once()}).step(waiter)
-    runner = Runner(base, {})
-    runner.force_next_call(waiter, WAIT)
+        Runner(base, {waiter: wait_once()})
     with pytest.raises(ConfigError, match=r"\+blocking"):
-        runner.step(waiter)
+        Runner(base, {}).force_next_call(waiter, WAIT)
 
 
 def test_blocking_wrapper_wait_loops_inner_poll():
@@ -404,6 +399,5 @@ def test_blocking_wrapper_wait_loops_inner_poll():
 
 def test_blocking_wrapper_preserves_preconditions():
     algo = make_algorithm("dsm_registration+blocking", 3)
-    runner = Runner(algo, {2: signal_once()})
     with pytest.raises(RoleError):
-        runner.step(2)
+        Runner(algo, {2: signal_once()})

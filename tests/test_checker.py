@@ -1,8 +1,6 @@
-"""Polling/blocking contract checks and budget falsification."""
+"""Polling/blocking contract checks and amortized-budget falsification."""
 
 import json
-
-import pytest
 
 from rmrsim.algorithms import make_algorithm
 from rmrsim.checker import (
@@ -10,18 +8,15 @@ from rmrsim.checker import (
     POLL_FALSE_AFTER_SIGNAL,
     POLL_TRUE_NO_SIGNAL,
     WAIT_BEFORE_SIGNAL,
-    WAITFREE_BUDGET,
     check_amortized,
     check_blocking,
     check_polling,
-    check_waitfree,
     real_violations,
 )
 from rmrsim.costs import Model
 from rmrsim.harness import adversary_separation, enumerate_histories
 from rmrsim.runner import (
     CallRecord,
-    ExplicitSchedule,
     History,
     SeededRandom,
     poll_at_most,
@@ -165,45 +160,6 @@ def test_wait_during_open_signal_allowed():
 def test_open_wait_is_fine():
     history = synthetic([rec(0, 2, "Wait", None, start=0, end=None)])
     assert check_blocking(history) == []
-
-
-# -- wait-freedom budgets -------------------------------------------------------
-
-
-def test_cc_flag_polls_within_two_steps():
-    algo = make_algorithm("cc_flag", 4)
-    roles = {w: poll_until_true() for w in (2, 3, 4)}
-    roles[1] = signal_once()
-    histories = [run(algo, roles, SeededRandom(s))[0] for s in range(10)]
-    assert check_waitfree(histories, bound=2) == []
-
-
-def test_queue_first_poll_within_four_steps():
-    algo = make_algorithm("dsm_queue", 6)
-    roles = {w: poll_until_true() for w in range(2, 7)}
-    histories = [run(algo, roles, SeededRandom(s), budget=60)[0] for s in range(10)]
-    assert check_waitfree(histories, bound=4) == []
-
-
-def test_queue_signal_bounded_by_scan_length():
-    algo = make_algorithm("dsm_queue", 6)
-    roles = {w: poll_until_true() for w in range(2, 7)}
-    roles[1] = signal_once()
-    histories = [run(algo, roles, SeededRandom(s))[0] for s in range(10)]
-    assert check_waitfree(histories, bound=2 + 2 * 5) == []
-
-
-def test_busy_wait_signal_breaks_any_fixed_bound():
-    algo = make_algorithm("dsm_fixed_waiters_term", 3, waiters=(2, 3))
-    roles = {1: signal_once(), 2: poll_until_true(), 3: poll_until_true()}
-    history, _ = run(algo, roles, ExplicitSchedule([1] * 500), budget=500)
-    violations = check_waitfree([history], bound=100)
-    assert [v.kind for v in violations] == [WAITFREE_BUDGET]
-
-
-def test_waitfree_bound_validated():
-    with pytest.raises(ValueError):
-        check_waitfree([], bound=0)
 
 
 # -- amortized budgets ----------------------------------------------------------

@@ -254,11 +254,10 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["algorithm"] == "cc_flag"
 
 
-def test_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("RMRSIM_BUDGET", "7")
+def test_budget_flag_bounds_a_run(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--algo", "dsm_fixed_waiters_term", "--n", "4",
-        "--schedule", "rr",
+        "--schedule", "rr", "--budget", "7",
     )
     assert code == 0
     record = json.loads(out)
@@ -266,8 +265,7 @@ def test_env_budget_override(capsys, monkeypatch):
     assert record["incomplete"] is True
 
 
-def test_flag_overrides_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("RMRSIM_BUDGET", "7")
+def test_budget_flag_lets_a_run_finish(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--algo", "cc_flag", "--n", "3", "--budget", "1000",
         "--seed", "3",
@@ -307,47 +305,40 @@ def test_missing_algorithm_usage_error(capsys):
     assert "--algo" in err
 
 
-@pytest.mark.parametrize("argv, env, needle", [
-    pytest.param(("adversary", "--algo", "dsm_queue", "--W", "0"), None, "waiter counts",
+@pytest.mark.parametrize("argv, needle", [
+    pytest.param(("adversary", "--algo", "dsm_queue", "--W", "0"), "waiter counts",
                  id="adversary-W-0"),
-    pytest.param(("sweep", "--algo", "dsm_queue", "--W", "8,-2"), None, "waiter counts",
+    pytest.param(("sweep", "--algo", "dsm_queue", "--W", "8,-2"), "waiter counts",
                  id="sweep-W-negative"),
-    pytest.param(("run", "--algo", "cc_flag", "--budget", "-1"), None, "budget",
+    pytest.param(("run", "--algo", "cc_flag", "--budget", "-1"), "budget",
                  id="run-budget-negative"),
-    pytest.param(("run", "--algo", "cc_flag", "--budget", "0"), None, "budget",
+    pytest.param(("run", "--algo", "cc_flag", "--budget", "0"), "budget",
                  id="run-budget-0"),
-    pytest.param(("run", "--algo", "cc_flag"), "-5", "budget", id="env-budget-negative"),
-    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:-1"), None, "depth",
+    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:-1"), "depth",
                  id="check-depth-negative"),
-    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:0"), None, "depth",
+    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:0"), "depth",
                  id="check-depth-0"),
-    pytest.param(("check", "--algo", "cc_flag", "--polls", "0"), None, "poll",
+    pytest.param(("check", "--algo", "cc_flag", "--polls", "0"), "poll",
                  id="check-polls-0"),
     # An id that can never run would end the run with a plausible empty record.
     *(pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--schedule", f"explicit:{ids}"),
-                   None, f"schedule id {bad} outside 1..3", id=f"run-explicit-{bad}")
+                   f"schedule id {bad} outside 1..3", id=f"run-explicit-{bad}")
       for ids, bad in (("9,0,-1", 9), ("2,1,0", 0), ("1,2,4", 4), ("3,-2", -2))),
     # An empty variant would run the base protocol under a name it does not have.
-    pytest.param(("run", "--algo", "cc_flag+", "--n", "3"), None,
+    pytest.param(("run", "--algo", "cc_flag+", "--n", "3"),
                  "unknown algorithm variant ''", id="run-empty-variant"),
     # Process 3 has no role, so it could never take a step.
     pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--waiters", "1",
-                  "--schedule", "explicit:3,3,3"), None,
+                  "--schedule", "explicit:3,3,3"),
                  "schedule id 3 names a process with no role", id="run-explicit-no-role"),
     # A number that does not parse names the option it came from.
-    pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--schedule", "explicit:1,x"), None,
+    pytest.param(("run", "--algo", "cc_flag", "--n", "3", "--schedule", "explicit:1,x"),
                  "schedule explicit: needs an integer, got 'x'", id="run-explicit-not-a-number"),
-    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:abc"), None,
+    pytest.param(("check", "--algo", "cc_flag", "--schedule", "exhaustive:abc"),
                  "schedule exhaustive:DEPTH needs an integer, got 'abc'",
                  id="check-depth-not-a-number"),
-    pytest.param(("run", "--algo", "cc_flag"), "abc", "RMRSIM_BUDGET needs an integer, got 'abc'",
-                 id="env-budget-not-a-number"),
 ])
-def test_nonsensical_input_refused(capsys, monkeypatch, argv, env, needle):
-    if env is None:
-        monkeypatch.delenv("RMRSIM_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("RMRSIM_BUDGET", env)
+def test_nonsensical_input_refused(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -427,13 +418,6 @@ def test_malformed_drill_options_refused(capsys, argv):
     code, out, _ = run_cli_exit(capsys, *argv)
     assert code == 2
     assert out == ""
-
-
-def test_env_budget_ignored_by_check(capsys, monkeypatch):
-    monkeypatch.setenv("RMRSIM_BUDGET", "0")
-    code, out, _ = run_cli(capsys, "check", "--algo", "cc_flag", "--schedule", "exhaustive:8")
-    assert code == 0
-    assert json.loads(out)["violation_count"] == 0
 
 
 @pytest.mark.parametrize("values, needle", [

@@ -11,7 +11,6 @@ tested in ``test_cli.py``.  To re-record after an intended output change:
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -69,16 +68,10 @@ CORPUS = {
 
 
 def run_case(command: str) -> dict:
-    """Run one command line in-process; the environment's budget override
-    is cleared so the recorded default applies."""
+    """Run one command line in-process."""
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.pop("RMRSIM_BUDGET", None)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(command.split())
-    finally:
-        if saved is not None:
-            os.environ["RMRSIM_BUDGET"] = saved
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command.split())
     return {"argv": command, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

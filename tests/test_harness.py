@@ -77,7 +77,7 @@ def test_enumerate_depth_prunes():
 
 
 def test_enumeration_builds_one_runner_and_steps_each_dag_edge_once(monkeypatch):
-    # The schedule tree has 37,742 edges, but only 1,144 distinct
+    # The schedule tree has 37,742 edges, but only 1,094 distinct
     # (configuration, choice) pairs: each is stepped exactly once, every
     # choice of a configuration stepped from is taken, and the histories
     # below a configuration met again are walked, not stepped.
@@ -107,7 +107,7 @@ def test_enumeration_builds_one_runner_and_steps_each_dag_edge_once(monkeypatch)
         prefixes.update(history.trace[:k] for k in range(1, len(history.trace) + 1))
     assert (histories, len(prefixes)) == (10_298, 37_742)
     assert len(inits) == 1
-    assert len(stepped) == len(set(stepped)) == 1_144
+    assert len(stepped) == len(set(stepped)) == 1_094
     assert set(stepped) == {(key, pid) for key, pids in choices.items() for pid in pids}
 
 
@@ -190,7 +190,7 @@ def test_enumeration_with_nothing_to_step_yields_one_empty_history(roles, depth,
 
 def test_enumeration_steps_only_as_far_as_its_histories(monkeypatch):
     # Stopped by its budget after 10 of 10,298 histories, the enumeration
-    # has stepped along their paths, not the DAG's 1,144 edges.
+    # has stepped along their paths, not the DAG's 1,094 edges.
     steps = []
     step = Runner.step
 
@@ -771,27 +771,30 @@ def test_erase_drill_certifies_with_one_replay(rebuilds):
 
 @pytest.fixture
 def erasure_work(monkeypatch):
-    """Counts of events built, one per Memory.apply call, and of the work
-    erasures refold: the words sent to Memory.reset_word and the events
-    sent to Memory.redo."""
-    counts = {"built": 0, "refolded": 0}
-    apply, reset_word, redo = Memory.apply, Memory.reset_word, Memory.redo
+    """Counts of events built, one per Memory.apply call, and of the words
+    erasures restore: the Memory.restore_word calls made in Runner.erase."""
+    counts = {"built": 0, "restored": 0}
+    apply, restore_word, runner_erase = Memory.apply, Memory.restore_word, Runner.erase
+    erasing = []
 
     def counted_apply(self, proc, op, loc, seq):
         counts["built"] += 1
         return apply(self, proc, op, loc, seq)
 
-    def counted_reset_word(self, uid):
-        counts["refolded"] += 1
-        return reset_word(self, uid)
+    def counted_restore_word(self, saved):
+        counts["restored"] += bool(erasing)
+        return restore_word(self, saved)
 
-    def counted_redo(self, event):
-        counts["refolded"] += 1
-        return redo(self, event)
+    def counted_erase(self, p):
+        erasing.append(p)
+        try:
+            return runner_erase(self, p)
+        finally:
+            erasing.pop()
 
     monkeypatch.setattr(Memory, "apply", counted_apply)
-    monkeypatch.setattr(Memory, "reset_word", counted_reset_word)
-    monkeypatch.setattr(Memory, "redo", counted_redo)
+    monkeypatch.setattr(Memory, "restore_word", counted_restore_word)
+    monkeypatch.setattr(Runner, "erase", counted_erase)
     return counts
 
 
@@ -801,18 +804,18 @@ def erasure_work(monkeypatch):
 def test_erase_drill_work_grows_linearly_in_w(erasure_work, name, model):
     # Each erasure costs what its waiter touched, and one replay builds the
     # erased run: a 4x step in W may not cost 4.5x the work.  An erasure
-    # refolds only the words its waiter wrote: a dsm_registration waiter's
+    # restores only the words its waiter wrote: a dsm_registration waiter's
     # registration word, and nothing for waiters that only read.
     work = []
     for w in (64, 256):
-        erasure_work.update(built=0, refolded=0)
+        erasure_work.update(built=0, restored=0)
         report = adversary_separation(make_algorithm(name, w + 1), model=model,
                                       erase_on_discovery=True)
         assert (report.erased, report.k) == (w, 1)
         work.append(dict(erasure_work))
     small, large = work
-    assert small["refolded"] == (64 if name == "dsm_registration" else 0)
-    for kind in ("built", "refolded"):
+    assert small["restored"] == (64 if name == "dsm_registration" else 0)
+    for kind in ("built", "restored"):
         assert large[kind] <= 4.5 * small[kind], (kind, work)
 
 
@@ -870,7 +873,7 @@ def test_certifying_replay_catches_a_wrong_erasure(monkeypatch):
     runner.run_call(2)
     assert runner.run_call(3).response is True
     assert harness._erase_unobserved(runner, (2, 3)) == 0
-    monkeypatch.setattr(harness, "_erasure_safe", lambda events, p: True)
+    monkeypatch.setattr(runner, "observers", lambda p: 0)
     assert harness._erase_unobserved(runner, (2, 3)) == 1
     with pytest.raises(ReplayDivergence, match="events"):
         harness._certify(runner)

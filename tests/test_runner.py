@@ -1,22 +1,26 @@
 """Engine behavior: scripts, policies, determinism, budgets, and replay."""
 
+import contextlib
 import dataclasses
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.errors import ConfigError, RoleError, SchedulingError, SimError
-from rmrsim.harness import erase
+from rmrsim.harness import enumerate_histories, erase
 from rmrsim.memory import OpKind, read, write
 from rmrsim.runner import (
     POLL,
+    SIGNAL,
     CallRecord,
     WAIT,
     ExplicitSchedule,
     RoundRobin,
     Runner,
+    Script,
     SeededRandom,
     poll_at_most,
     poll_until_true,
@@ -134,10 +138,8 @@ def test_signal_at_most_once_per_process():
     algo = make_algorithm("cc_flag", 2)
     runner = Runner(algo, {})
     runner.force_next_call(1, "Signal")
-    runner.force_next_call(1, "Signal")
-    runner.run_call(1)
     with pytest.raises(RoleError):
-        runner.run_call(1)
+        runner.force_next_call(1, "Signal")
 
 
 @pytest.mark.parametrize("undo", ["probe", "checkpoint"])
@@ -163,23 +165,79 @@ def test_a_rolled_back_signal_may_be_made_again(undo):
 @pytest.mark.parametrize("name", sorted(REGISTRY) + [n + "+blocking" for n in sorted(REGISTRY)])
 def test_a_poll_or_wait_outside_the_waiters_is_refused_changing_nothing(name):
     # Only the protocol's waiters may call Poll or Wait: any other process's
-    # call is refused as it begins, by step and drive alike, before its
-    # queue, the calls, the trace or the runnable list change.  A Wait the
-    # protocol lacks is refused as an outsider's first.
+    # role is refused as the run is built, and its call as it is queued,
+    # before its queue, the calls, the trace or the runnable list change.
+    # A Wait the protocol lacks is refused as an outsider's first.
     algo = make_algorithm(name, 4, waiters=[2])
     for pid in (1, 3, 4):
         for kind in (POLL, WAIT):
+            refused = f"process {pid} is not a waiter and may not call {kind}$"
+            with pytest.raises(RoleError, match=refused):
+                Runner(algo, {2: poll_at_most(1), pid: Script(kind, 1)})
             runner = Runner(algo, {2: poll_at_most(1)})
             runner.run_call(2)
-            runner.force_next_call(pid, kind)
             state = runner.ctxs[pid]
             before = (runner.runnable(), list(runner.calls), list(runner.trace), state.forced)
-            for take in (runner.step, lambda pid: runner.drive(ExplicitSchedule([pid]))):
-                with pytest.raises(RoleError, match=f"process {pid} is not a waiter "
-                                                    f"and may not call {kind}$"):
-                    take(pid)
-                after = (runner.runnable(), list(runner.calls), list(runner.trace), state.forced)
-                assert after == before
+            with pytest.raises(RoleError, match=refused):
+                runner.force_next_call(pid, kind)
+            after = (runner.runnable(), list(runner.calls), list(runner.trace), state.forced)
+            assert after == before
+
+
+@pytest.mark.parametrize("name, roles, error, message", [
+    ("dsm_fixed_waiters", {3: poll_until_true(), 1: signal_once()}, RoleError,
+     "dsm_fixed_waiters: process 3 is not a waiter and may not call Poll"),
+    ("cc_flag", {2: wait_once()}, ConfigError,
+     "cc_flag has no Wait procedure; use cc_flag+blocking"),
+    ("dsm_registration", {3: signal_once()}, RoleError,
+     "dsm_registration: only process 1 may signal"),
+    ("cc_flag", {1: Script(SIGNAL, 2)}, RoleError, "process 1 may call Signal at most once"),
+    ("cc_flag", {1: Script(SIGNAL)}, RoleError, "process 1 may call Signal at most once"),
+], ids=["outsider-poll", "wait-without-blocking", "other-signaler", "two-signals",
+        "unbounded-signal"])
+def test_a_forbidden_role_is_refused_as_the_run_is_built(name, roles, error, message):
+    # Before any step, and so before any history of an enumeration.
+    algo = make_algorithm(name, 3, waiters=[2])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Runner(algo, roles)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        next(enumerate_histories(algo, roles, 8))
+
+
+@pytest.mark.parametrize("under", ["no checkpoint", "probe"])
+@pytest.mark.parametrize("pid, kind, error, message", [
+    (1, SIGNAL, RoleError, "process 1 may call Signal at most once"),
+    (2, SIGNAL, RoleError, "process 2 may call Signal at most once"),
+    (3, SIGNAL, RoleError, "process 3 may call Signal at most once"),
+    (4, POLL, RoleError, "cc_flag: process 4 is not a waiter and may not call Poll"),
+    (2, WAIT, ConfigError, "cc_flag has no Wait procedure; use cc_flag+blocking"),
+], ids=["scripted-signal", "queued-signal", "made-signal", "outsider-poll",
+        "wait-without-blocking"])
+def test_force_next_call_refuses_a_forbidden_call_changing_nothing(under, pid, kind, error,
+                                                                   message):
+    # Refused before the trace, any queue, the calls, the runnable list or
+    # a probe's saved states change, and so refused alike when asked again.
+    algo = make_algorithm("cc_flag", 4, waiters=[2, 3])
+    runner = Runner(algo, {1: signal_once(), 2: poll_at_most(3), 3: poll_at_most(3)})
+    # 1 has a Signal scripted, 2 one queued, and 3 has made one and polls on.
+    runner.run_call(2)
+    runner.force_next_call(2, SIGNAL)
+    runner.force_next_call(3, SIGNAL)
+    runner.run_call(3)
+
+    def engine():
+        return (list(runner.trace), {p: s.forced for p, s in runner.ctxs.items()},
+                list(runner.calls), runner.runnable(),
+                None if runner._saved is None else dict(runner._saved))
+
+    with contextlib.ExitStack() as stack:
+        if under == "probe":
+            stack.enter_context(runner.probe([1, 2, 3, 4]))
+        before = engine()
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                runner.force_next_call(pid, kind)
+            assert engine() == before
 
 
 def test_step_on_terminated_process_rejected():
@@ -205,7 +263,7 @@ def test_a_process_outside_the_run_is_refused_by_name(entry, pid):
     # the probe must refuse before it opens its checkpoint.
     runner = Runner(make_algorithm("cc_flag", 2), waiter_signaler_roles([2], 1))
     runner.step(2)
-    runner.force_next_call(1, POLL)
+    runner.force_next_call(2, POLL)
     before = list(runner.trace)
     with pytest.raises(SchedulingError, match=rf"no process {pid}: process ids are 1\.\.2"):
         entry(runner, pid)
@@ -249,9 +307,8 @@ def test_wait_script_on_polling_algorithm_needs_wrapper():
     from rmrsim.errors import ConfigError
 
     algo = make_algorithm("dsm_queue", 2)
-    runner = Runner(algo, {2: wait_once()})
     with pytest.raises(ConfigError):
-        runner.step(2)
+        Runner(algo, {2: wait_once()})
 
 
 def test_replay_rebuilds_run_exactly():

@@ -25,14 +25,11 @@ ENGINE = (memory, costs, runner, harness, checker, algorithms)
 #: Functions no product path enters, by qualified name, and why each stays.
 UNREACHED = {
     "memory.OpKind.__new__": "runs once, when the enum class is built at import",
-    "memory.Memory.redo": "refolds a survivor's write on a word an erased waiter wrote; "
-                          "no drill meets one",
     "memory._check_word": "error path: a value outside the 64-bit word",
     "runner._diverged": "error path: a rebuilt call asks for another step",
     "runner.Runner._refuse": "error path: an erased run read as a whole",
     "harness.erase": "the erase oracle; perfbench/tracing.py hooks it by name",
     "harness.validate_erasure": "the erase oracle's observation scan",
-    "checker.check_waitfree": "the oracle of a hang check no command runs yet",
     "algorithms.SignalingAlgorithm.setup": "abstract: every registered protocol overrides it",
     "algorithms.SignalingAlgorithm.poll": "abstract: every registered protocol overrides it",
     "algorithms.SignalingAlgorithm.signal": "abstract: every registered protocol overrides it",
