@@ -1,13 +1,16 @@
-"""Pinned records of the installed ``rmrsim`` at sizes the tests do not reach.
+"""Pinned records of ``rmrsim`` at sizes the tests do not reach.
 
-Each pin runs one command and checks its exit code, a needle in its
-stderr, the fields of the JSON record it prints, and, where given, its
-peak RSS.  Run from the repository root after ``pip install -e .``:
+Each pin runs one command as ``python -m rmrsim``, under the interpreter
+that runs this script, and checks its exit code, a needle in its stderr,
+the fields of the JSON record it prints, and, where given, its peak RSS.
+Run from the repository root, after ``pip install -e .`` or from the
+source tree:
 
     python .github/pins.py
+    PYTHONPATH=src python .github/pins.py
 
-A failing pin prints one line to stderr and the script exits 1, after
-running the rest.
+A failing pin, one that cannot be started included, prints one line to
+stderr and the script exits 1, after running the rest.
 """
 
 import json
@@ -117,7 +120,10 @@ def run(argv: list[str]) -> tuple[int, str, str, float]:
 
 def check(label, args, code, needle, fields, rss_mb) -> str | None:
     """The pin's failure message, or None."""
-    rc, stdout, stderr, peak_mb = run(["rmrsim", *args.split()])
+    try:
+        rc, stdout, stderr, peak_mb = run([sys.executable, "-m", "rmrsim", *args.split()])
+    except OSError as exc:
+        return f"{label}: not started: {exc}"
     if rc != code or (needle is not None and needle not in stderr):
         return f"{label}: exit {rc}, {stderr!r}"
     if fields is not None:

@@ -11,14 +11,7 @@ from .checker import (
     check_blocking,
     check_polling,
 )
-from .costs import (
-    LOCAL,
-    Model,
-    RMR,
-    RmrLedger,
-    classify_cc,
-    classify_dsm,
-)
+from .costs import Model, RmrLedger
 from .errors import (
     CapacityError,
     ConfigError,

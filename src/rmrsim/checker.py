@@ -10,7 +10,9 @@ and completed Signal, one decides every Poll or Wait from those marks.
 Violations come out in call order.
 
 The budget is falsification-only: an amortized per-participant RMR bound
-can be refuted by a history, never proven.
+can be refuted by a history, never proven.  Its totals are recounted from
+the events under the charging rules of ``costs``, one loop per model, in
+code apart from the ledger's.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .costs import Model, RMR, classify_cc, classify_dsm
+from .costs import Model
 from .runner import History, POLL, SIGNAL, WAIT
 
 POLL_TRUE_NO_SIGNAL = "POLL_TRUE_NO_SIGNAL"
@@ -131,18 +133,34 @@ def check_amortized(history: History, c: int, model: Model) -> AmortizedResult:
     """
     if c < 1:
         raise ValueError("amortized constant must be at least 1")
+    events = history.events
     if model is Model.DSM:
-        total = list(map(classify_dsm, history.events)).count(RMR)
+        # Remote iff the word lives in another process's module.
+        total = len([None for e in events if e.home != e.proc])
     else:
-        cache: dict[int, set[int]] = {}
-        total = [classify_cc(e, cache) for e in history.events].count(RMR)
+        # Every event is an RMR but a read by a process holding a valid
+        # copy; a nontrivial step leaves its issuer the only holder.
+        holders_of: dict[int, set[int]] = {}
+        local = 0
+        for e in events:
+            if e.op.trivial:
+                holders = holders_of.get(e.loc)
+                if holders is None:
+                    holders_of[e.loc] = {e.proc}
+                elif e.proc in holders:
+                    local += 1
+                else:
+                    holders.add(e.proc)
+            else:
+                holders_of[e.loc] = {e.proc}
+        total = len(events) - local
     k = len(history.participants)
     passed = total <= c * k
     violations = ()
     if not passed:
         violations = (Violation(
             AMORTIZED_BUDGET,
-            seqs=(len(history.events) - 1,) if history.events else (),
+            seqs=(len(events) - 1,) if events else (),
             message=f"{total} {model.value} RMRs across {k} participants exceeds c*k={c * k}",
         ),)
     return AmortizedResult(passed=passed, total=total, k=k, c=c, model=model,

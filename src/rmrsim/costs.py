@@ -22,9 +22,6 @@ from enum import Enum
 from .errors import SimError
 from .memory import Event
 
-LOCAL = "local"
-RMR = "rmr"
-
 
 class Model(Enum):
     DSM = "dsm"
@@ -36,33 +33,6 @@ _DSM = Model.DSM  # ``Model.DSM`` goes through the enum metaclass on every looku
 
 #: Metric key order used in every serialized record.
 METRIC_NAMES = ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
-
-
-def classify_dsm(event: Event) -> str:
-    """DSM rule: remote iff the location lives in another process's module."""
-    return RMR if event.home != event.proc else LOCAL
-
-
-def classify_cc(event: Event, cache: dict[int, set[int]]) -> str:
-    """CC rule.  ``cache`` maps a word's uid to the processes that hold a
-    valid copy of it; mutated to reflect the event."""
-    holders = cache.get(event.loc)
-    if event.op.trivial:
-        if holders is not None and event.proc in holders:
-            return LOCAL
-        if holders is None:
-            cache[event.loc] = {event.proc}
-        else:
-            holders.add(event.proc)
-        return RMR
-    # Nontrivial step: write-through to memory, invalidate remote copies,
-    # refresh the issuer's own copy.  Always an RMR, cached copy or not.
-    if holders is None:
-        cache[event.loc] = {event.proc}
-    else:
-        holders.clear()
-        holders.add(event.proc)
-    return RMR
 
 
 class RmrLedger:
@@ -89,10 +59,10 @@ class RmrLedger:
         self.checkpointed = False
 
     def record(self) -> None:
-        """Charge each event past the cursor, in order: :func:`classify_dsm`,
-        the ideal-directory count (one message per copy another process held
-        before the event) and :func:`classify_cc`, folded over a single
-        holder-set lookup per event.  Refused while a checkpoint is open."""
+        """Charge each event past the cursor, in order, by the DSM rule, the
+        ideal-directory count (one message per copy another process held
+        before the event) and the CC rule, folded over a single holder-set
+        lookup per event.  Refused while a checkpoint is open."""
         if self.checkpointed:
             raise SimError("ledger read while a checkpoint is open; read it after, or a fork")
         events = self._events

@@ -380,9 +380,11 @@ class Runner:
 
     @property
     def terminated(self) -> frozenset[int]:
-        """The processes that have stepped and have no call left to make."""
+        """The processes that have stepped and have no call left to make:
+        :func:`_runnable`'s test, read in place."""
         return frozenset([pid for pid, state in self.ctxs.items()
-                          if state.stepped and not _runnable(state)])
+                          if state.stepped and state.call is None
+                          and not state.forced and state.next_kind is None])
 
     def runnable(self) -> list[int]:
         """Processes with at least one enabled step, ascending."""
@@ -409,14 +411,18 @@ class Runner:
 
     def history(self) -> History:
         """A snapshot of the run.  It shares the closed call records, which
-        never change, and copies the open ones."""
+        never change, and copies the open ones: each process's open call,
+        the only open records in the list."""
         if self.ledger is None:
             self._refuse("history()")
+        calls = list(self._calls)
+        for state in self.ctxs.values():
+            c = state.call
+            if c is not None:
+                calls[c.call_id] = CallRecord(c.call_id, c.proc, c.kind, c.response, c.start_seq)
         return History(
             events=list(self._events),
-            calls=[c if c.end_seq is not None else CallRecord(c.call_id, c.proc, c.kind,
-                                                              c.response, c.start_seq)
-                   for c in self._calls],
+            calls=calls,
             finished=self.terminated,
             incomplete=bool(self._live),
             trace=tuple(self._trace),

@@ -15,7 +15,7 @@ from rmrsim.checker import (
     check_polling,
     real_violations,
 )
-from rmrsim.costs import Model, RMR, classify_cc, classify_dsm
+from rmrsim.costs import Model
 from rmrsim.harness import (
     adversary_separation,
     enumerate_histories,
@@ -34,6 +34,7 @@ from rmrsim.runner import (
 )
 
 from test_golden import run_case
+from test_properties import RMR, classify_cc, classify_dsm
 
 # (ledger msg_dir, ledger msg_bus, independent attempt count, independent
 # CC read-RMR count) per registered run; criterion 7 audits the totals.

@@ -4,7 +4,7 @@ import pytest
 
 from rmrsim.algorithms import REGISTRY, make_algorithm
 from rmrsim.checker import check_blocking, check_polling
-from rmrsim.costs import Model, RMR, classify_dsm
+from rmrsim.costs import Model
 from rmrsim.errors import CapacityError, ConfigError, RoleError
 from rmrsim.memory import Memory, OpKind
 from rmrsim.runner import (
@@ -19,6 +19,8 @@ from rmrsim.runner import (
     signal_once,
     wait_once,
 )
+
+from test_properties import RMR, classify_dsm
 
 
 def dsm_rmrs_of_call(history, call):

@@ -1,5 +1,6 @@
 """Command-line behavior: records, exit codes, reproducibility, formats."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -529,3 +530,32 @@ def test_closed_stdout_pipe_keeps_the_exit_code(argv, code):
         os.close(write_end)
     assert done.returncode == code
     assert "Traceback" not in done.stderr and "BrokenPipe" not in done.stderr
+
+
+def test_pins_report_a_pin_that_cannot_start_and_run_the_rest(monkeypatch, capsys):
+    # Each pin runs as ``python -m rmrsim`` under this interpreter; one whose
+    # process cannot be started is one stderr line, and the rest still run.
+    path = Path(__file__).resolve().parents[1] / ".github" / "pins.py"
+    spec = importlib.util.spec_from_file_location("pins", path)
+    pins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pins)
+    monkeypatch.setenv("PYTHONPATH", cli_env()["PYTHONPATH"])
+    started, spawn = [], pins.run
+
+    def run(argv):
+        started.append(argv[:3])
+        if len(started) == 1:
+            raise FileNotFoundError(2, "No such file or directory", argv[0])
+        return spawn(argv)
+
+    monkeypatch.setattr(pins, "run", run)
+    monkeypatch.setattr(pins, "PINS", [
+        ("first", "run --algo cc_flag --n 3 --seed 1", 0, None, {"k": 3}, None),
+        ("second", "run --algo cc_flag --n 3 --seed 1", 0, None, {"k": 4}, None),
+    ])
+    assert pins.main() == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"first: not started: [Errno 2] No such file or directory: '{sys.executable}'",
+        "second: (k) = (3,)",
+    ]
+    assert started == [[sys.executable, "-m", "rmrsim"]] * 2

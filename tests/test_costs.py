@@ -4,17 +4,10 @@ import random
 
 import pytest
 
-from rmrsim.costs import (
-    LOCAL,
-    Model,
-    RMR,
-    RmrLedger,
-    classify_cc,
-    classify_dsm,
-)
+from rmrsim.costs import Model, RmrLedger
 from rmrsim.memory import Memory, OpKind, fai, read, write
 
-from test_properties import count_messages, holder_pairs
+from test_properties import LOCAL, RMR, classify_cc, classify_dsm, count_messages, holder_pairs
 
 
 def apply(mem, proc, request, seq=0):

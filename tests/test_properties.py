@@ -26,15 +26,11 @@ from rmrsim.checker import (
     POLL_TRUE_NO_SIGNAL,
     WAIT_BEFORE_SIGNAL,
     Violation,
+    check_amortized,
     check_blocking,
     check_polling,
 )
-from rmrsim.costs import (
-    Model,
-    RMR,
-    classify_cc,
-    classify_dsm,
-)
+from rmrsim.costs import Model, RmrLedger
 from rmrsim.errors import (
     EnumerationOverflow,
     SchedulingError,
@@ -45,12 +41,13 @@ from rmrsim.harness import (
     StabilityResult,
     _assert_survivors_match,
     _verify_post_polls,
+    adversary_separation,
     enumerate_histories,
     erase,
     stability,
     validate_erasure,
 )
-from rmrsim.memory import WORD_MAX, OpKind, fai, read, write
+from rmrsim.memory import WORD_MAX, Memory, OpKind, fai, read, write
 from rmrsim.runner import (
     POLL,
     SIGNAL,
@@ -65,6 +62,7 @@ from rmrsim.runner import (
     poll_until_true,
     signal_once,
     wait_once,
+    _runnable,
 )
 
 ALGORITHMS = (
@@ -257,6 +255,41 @@ def ledger_state(runner: Runner) -> tuple:
 def holder_pairs(cache: dict[int, set[int]]) -> set[tuple[int, int]]:
     """Every (process, word) pair with a valid copy, by a scan of the cache."""
     return {(p, uid) for uid, holders in cache.items() for p in holders}
+
+
+# -- the charging rules, one event at a time ---------------------------------
+#
+# The spec that ``check_amortized``'s recount and the ledger are held to.
+
+LOCAL = "local"
+RMR = "rmr"
+
+
+def classify_dsm(event) -> str:
+    """DSM rule: remote iff the location lives in another process's module."""
+    return RMR if event.home != event.proc else LOCAL
+
+
+def classify_cc(event, cache: dict[int, set[int]]) -> str:
+    """CC rule.  ``cache`` maps a word's uid to the processes that hold a
+    valid copy of it; mutated to reflect the event."""
+    holders = cache.get(event.loc)
+    if event.op.trivial:
+        if holders is not None and event.proc in holders:
+            return LOCAL
+        if holders is None:
+            cache[event.loc] = {event.proc}
+        else:
+            holders.add(event.proc)
+        return RMR
+    # Nontrivial step: write-through to memory, invalidate remote copies,
+    # refresh the issuer's own copy.  Always an RMR, cached copy or not.
+    if holders is None:
+        cache[event.loc] = {event.proc}
+    else:
+        holders.clear()
+        holders.add(event.proc)
+    return RMR
 
 
 def count_messages(event, cache: dict[int, set[int]]) -> int:
@@ -1309,6 +1342,136 @@ def test_walked_histories_stay_as_taken(data):
     assert taken
     for history, copy in taken:
         assert history == copy
+
+
+# -- the amortized recount against the per-event rules ----------------------
+
+
+def assert_recount_is_spec(history, ledger_totals: dict) -> None:
+    """``check_amortized``'s total, in both models, equals the count of the
+    per-event rules over the history's events and the ledger's total."""
+    cache = {}
+    spec = {Model.DSM: sum(classify_dsm(e) is RMR for e in history.events),
+            Model.CC: sum(classify_cc(e, cache) is RMR for e in history.events)}
+    for model in Model:
+        total = check_amortized(history, 1, model).total
+        assert total == spec[model] == ledger_totals[f"rmr_{model.value}"], model
+
+
+OPS = {"read": read, "write": lambda loc: write(loc, 1), "fai": fai}
+
+
+@st.composite
+def event_plans(draw) -> tuple:
+    """n processes, the homes of a few words, and steps (process, op, word)."""
+    n = draw(st.integers(2, 4))
+    homes = draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    steps = draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from(sorted(OPS)),
+                                    st.integers(0, len(homes) - 1)), max_size=40))
+    return n, tuple(homes), tuple(steps)
+
+
+@given(event_plans())
+# A writer re-reads its own write on a word of its module: CC local, DSM local.
+@example((2, (1,), ((1, "write", 0), (1, "read", 0))))
+# A read after another process's write: the reader's copy is gone.
+@example((3, (1,), ((2, "read", 0), (3, "write", 0), (2, "read", 0))))
+def test_recount_equals_the_per_event_rules_on_drawn_events(plan):
+    n, homes, steps = plan
+    mem = Memory(n)
+    words = [mem.alloc(f"w{i}", home=home) for i, home in enumerate(homes)]
+    events = []
+    for proc, op, i in steps:
+        events.append(mem.apply(proc, *OPS[op](words[i]), len(events)))
+    history = History(events=events, calls=[], finished=frozenset(), incomplete=False, trace=())
+    assert_recount_is_spec(history, RmrLedger(n, list(events)).totals())
+
+
+@given(configs(EVERY_PRIMITIVE))
+def test_recount_equals_the_per_event_rules_on_runs(cfg):
+    runner = execute(cfg)
+    assert_recount_is_spec(runner.history(), runner.ledger.totals())
+
+
+@pytest.mark.parametrize("algorithm, roles, depth", [
+    *(criterion_3(name, params, polls, 12) for name, params, polls in CRITERION_3),
+    blocking("dsm_queue+blocking", 10),
+])
+def test_recount_equals_the_per_event_rules_on_enumerated_histories(algorithm, roles, depth):
+    for history in enumerate_histories(algorithm, roles, depth):
+        assert_recount_is_spec(history, RmrLedger(algorithm.n, list(history.events)).totals())
+
+
+@pytest.mark.parametrize("name, model", [("dsm_fixed_waiters", Model.DSM),
+                                         ("cc_flag", Model.CC)])
+def test_recount_equals_the_per_event_rules_on_the_erase_drill(name, model):
+    # The surviving history, certified by its replay, against that replay's ledger.
+    report = adversary_separation(make_algorithm(name, 9), model=model, erase_on_discovery=True)
+    assert report.erased
+    assert_recount_is_spec(report.history, {"rmr_dsm": report.total_rmr_dsm,
+                                            "rmr_cc": report.total_rmr_cc})
+
+
+# -- the history's copy of the call list -------------------------------------
+
+
+def assert_history_as_copied(runner: Runner) -> None:
+    """``history()`` shares each closed record of the run and gives each open
+    one as a copy, equal field by field to what the comprehension it
+    replaced built; ``terminated``, and the history's ``finished``, are the
+    processes that stepped and that ``_runnable`` says are not runnable."""
+    history = runner.history()
+    assert len(history.calls) == len(runner.calls)
+    for got, rec in zip(history.calls, runner.calls):
+        if rec.end_seq is not None:
+            assert got is rec
+        else:
+            assert got is not rec
+            assert got == CallRecord(rec.call_id, rec.proc, rec.kind, rec.response,
+                                     rec.start_seq)
+    assert runner.terminated == frozenset(
+        pid for pid, state in runner.ctxs.items() if state.stepped and not _runnable(state))
+    assert history.finished == runner.terminated
+
+
+@given(configs(EVERY_PRIMITIVE), st.integers(0, 5))
+def test_history_shares_closed_records_and_copies_open_ones(cfg, peeks):
+    # A run cut by its step budget, often mid-call; then a Poll queued
+    # behind an open call, which leaves its process between calls and not
+    # terminated once the call returns; then calls closed under a
+    # checkpoint nested in one that saw them begin, which its rollback
+    # reopens as new records; then calls begun by peek, with no step yet.
+    runner = execute(cfg)
+    assert_history_as_copied(runner)
+    waiting = [pid for pid in runner.runnable()
+               if runner.open_call(pid) is not None and cfg.roles[pid].kind != SIGNAL]
+    if waiting:
+        runner.force_next_call(waiting[0], POLL)
+        with suppress(StepBudgetExceeded):  # a Wait spinning on its own
+            runner.run_call(waiting[0], max_steps=20)
+        assert_history_as_copied(runner)
+    free = [pid for pid in runner.runnable() if runner.open_call(pid) is None]
+    runner.checkpoint()
+    for pid in free:
+        runner.step(pid)
+    begun = [pid for pid in free if runner.open_call(pid) is not None]
+    runner.checkpoint()
+    closed = {}
+    for pid in begun:
+        with suppress(StepBudgetExceeded):  # a Wait spinning on its own
+            closed[pid] = runner.run_call(pid, max_steps=20)
+    assert_history_as_copied(runner)
+    runner.rollback()
+    for pid, rec in closed.items():
+        reopened = runner.open_call(pid)
+        assert reopened is not rec and reopened.call_id == rec.call_id
+    assert_history_as_copied(runner)
+    runner.rollback(close=True)
+    runner.rollback(close=True)
+    assert_history_as_copied(runner)
+    for pid in [pid for pid in runner.runnable() if runner.open_call(pid) is None][:peeks]:
+        runner.peek(pid)
+    assert_history_as_copied(runner)
 
 
 # -- the contract checkers against their generator-based oracles --------------
