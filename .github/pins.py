@@ -44,9 +44,9 @@ PINS = [
     # signaler write then reaches every waiter.
     ("adversary cc_flag --model cc --W 1024", "adversary --algo cc_flag --model cc --W 1024",
      0, None, {"k": 1025, "signaler_rmrs": 1}, None),
-    # The CC drill at W = 1024 with waiters that attempt: each runs FAI on
-    # the tail and writes its slot, so every probe reads a holder table that
-    # other waiters' attempts have rewritten.
+    # The CC drill at W = 1024 with waiters that write: each runs FAI on the
+    # tail and writes its slot, so every probe reads a holder table that
+    # other waiters' writes have rewritten.
     ("adversary dsm_queue --model cc --W 1024", "adversary --algo dsm_queue --model cc --W 1024",
      0, None, {"k": 1025, "signaler_rmrs": 2050, "total_rmr_cc": 6146}, None),
     # The CC erase drill at W = 1024: no waiter observed another, so the end
@@ -82,6 +82,12 @@ PINS = [
      "run --algo dsm_queue --n 64 --schedule random --seed 2 --budget 300",
      0, None, {"k": 64, "incomplete": True, "totals": {
          "msg_bus": 131, "msg_dir": 77, "rmr_cc": 214, "rmr_dsm": 193, "steps": 300}}, None),
+    # A step request carries its written value: at n = 2048 the waiters
+    # write 2,048 distinct values before the budget stops the run.
+    ("run dsm_queue n=2048", "run --algo dsm_queue --n 2048 --seed 2",
+     0, None, {"k": 2048, "incomplete": True, "totals": {
+         "msg_bus": 4463, "msg_dir": 2317, "rmr_cc": 7150, "rmr_dsm": 6509, "steps": 100000}},
+     None),
     # The enumeration DAG at n = 4, through 139,492 histories; the tests
     # stop at n = 3 or a few hundred histories.
     ("check dsm_registration n=4",

@@ -32,7 +32,7 @@ from .harness import (
     stability,
     validate_erasure,
 )
-from .memory import Event, Location, Memory, NIL, OpKind, PrimitiveOp
+from .memory import Event, Location, Memory, NIL, OpKind
 from .runner import (
     CallRecord,
     ExplicitSchedule,

@@ -486,13 +486,13 @@ def _discovery_target(runner: Runner, s: int) -> int | None:
     req = runner.peek(s)
     if req is None:
         return None
-    op, loc = req
-    if op.reads_value:
+    kind, loc, _ = req
+    if kind.reads_value:
         writer = runner.mem.current_writer(loc)
         if (writer is not None and writer != s and runner.is_active(writer)
                 and not runner.observers(writer)):
             return writer
-    if not op.trivial and loc.home != s and runner.is_active(loc.home):
+    if not kind.trivial and loc.home != s and runner.is_active(loc.home):
         if not runner.observers(loc.home):
             return loc.home
     return None

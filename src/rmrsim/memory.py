@@ -11,13 +11,14 @@ of the class, since it builds one per step, and :meth:`Memory.alloc` each
 location the same way.
 
 All steps are sequentially consistent atomic events; there is no weak
-ordering and no interleaving inside a step.  Ops are interned: one per
-operand-free kind, and one per written value, up to a bound.
+ordering and no interleaving inside a step.  A program asks for a step
+with a request ``(kind, location, value)``: the kind is an :class:`OpKind`
+member, and ``value`` is the word a WRITE stores, None for the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CapacityError, ConfigError
@@ -54,34 +55,13 @@ _new = object.__new__  # builds an Event or Location without its __init__: see M
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class PrimitiveOp:
-    """One primitive operation with its operands.
-
-    ``value`` is the word a WRITE stores.  ``trivial`` and ``reads_value``
-    are copied from the kind.  Treat an op, and a :class:`Location`, as
-    immutable: ops are shared between runs, and neither is a frozen
-    dataclass, because programs build an op per uninterned write and every
-    run allocates its words, and frozen construction costs about three
-    times as much.
-    """
-
-    kind: OpKind
-    value: int | None = None
-    trivial: bool = field(init=False, repr=False, compare=False)
-    reads_value: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.trivial = self.kind.trivial
-        self.reads_value = self.kind.reads_value
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class Location:
-    """A named shared word living in the memory module of process ``home``;
-    immutable by convention, like a :class:`PrimitiveOp`.
+    """A named shared word living in the memory module of process ``home``.
 
-    :meth:`Memory.alloc` builds each location slot by slot; a field added
-    here must be stored there too.
+    Treat a location as immutable: it is not a frozen dataclass, because
+    every run allocates its words and frozen construction costs about three
+    times as much.  :meth:`Memory.alloc` builds each location slot by slot;
+    a field added here must be stored there too.
     """
 
     uid: int
@@ -89,39 +69,25 @@ class Location:
     home: int
 
 
-# Operand-free ops are interned; programs issue millions of reads.
-_READ_OP = PrimitiveOp(_READ)
-_FAI_OP = PrimitiveOp(_FAI)
-
-# Write ops by int value, up to a bound: past it, a write builds its own op.
-_WRITE_OPS: dict[int, PrimitiveOp] = {}
-_WRITE_OPS_MAX = 1024
-
-
 def read(loc: Location):
-    return (_READ_OP, loc)
+    return (_READ, loc, None)
 
 
 def write(loc: Location, value: int):
-    # By type first: True and 1.0 hash as 1 but are other operands.
-    op = _WRITE_OPS.get(value) if type(value) is int else None
-    if op is None:
-        op = PrimitiveOp(_WRITE, value)
-        if type(value) is int and len(_WRITE_OPS) < _WRITE_OPS_MAX:
-            _WRITE_OPS[value] = op
-    return (op, loc)
+    return (_WRITE, loc, value)
 
 
 def fai(loc: Location):
-    return (_FAI_OP, loc)
+    return (_FAI, loc, None)
 
 
 @dataclass(slots=True)
 class Event:
     """One atomic step: a primitive applied by one process to one location.
 
-    ``value_written`` is present iff the operation is nontrivial, and the
-    step's response is always ``value_read``.  ``writer_before`` is the
+    ``op`` is the primitive's kind.  ``value_written`` is present iff the
+    operation is nontrivial, and holds a write's value; the step's
+    response is always ``value_read``.  ``writer_before`` is the
     process whose write was last applied to the location before this event,
     which is what the observation relation and erasure validation need.
     The event names no call: a process makes one call at a time, so the
@@ -135,7 +101,7 @@ class Event:
 
     seq: int
     proc: int
-    op: PrimitiveOp
+    op: OpKind
     loc: int
     home: int
     value_read: int | None
@@ -144,14 +110,7 @@ class Event:
 
     def signature(self) -> tuple:
         """Schedule-independent identity of the step, used by replay checks."""
-        return (
-            self.proc,
-            self.op.kind,
-            self.op.value,
-            self.loc,
-            self.value_read,
-            self.value_written,
-        )
+        return (self.proc, self.op, self.loc, self.value_read, self.value_written)
 
 
 class Memory:
@@ -225,9 +184,10 @@ class Memory:
 
     # -- execution ----------------------------------------------------------
 
-    def apply(self, proc: int, op: PrimitiveOp, loc: Location, seq: int) -> Event:
-        """Atomically apply one primitive; return its event, numbered ``seq``."""
-        kind = op.kind
+    def apply(self, proc: int, kind: OpKind, loc: Location, value: int | None,
+              seq: int) -> Event:
+        """Atomically apply one primitive, with ``value`` the word a WRITE
+        stores; return its event, numbered ``seq``."""
         uid = loc.uid
         old = self._values[uid]
         writer_before = self._writers[uid]
@@ -237,7 +197,7 @@ class Memory:
         if kind is _READ:
             value_read = old
         elif kind is _WRITE:
-            written = op.value
+            written = value
         elif kind is _FAI:
             value_read = old
             written = old + 1
@@ -255,7 +215,7 @@ class Memory:
         ev = _new(Event)
         ev.seq = seq
         ev.proc = proc
-        ev.op = op
+        ev.op = kind
         ev.loc = uid
         ev.home = loc.home
         ev.value_read = value_read

@@ -57,7 +57,7 @@ import bisect
 import contextlib
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .algorithms import Ctx
@@ -171,7 +171,8 @@ class History:
     ``finished`` holds the processes that terminated; ``incomplete`` is set
     when the run stopped while some process still had steps to take (budget
     exhaustion during a busy-wait, a depth cutoff, or a schedule that ended
-    early).  ``trace`` is the replay recipe.
+    early).  ``trace`` is the replay recipe.  Treat a history as immutable:
+    it builds its participants once, on their first read.
     """
 
     events: list[Event]
@@ -179,12 +180,18 @@ class History:
     finished: frozenset[int]
     incomplete: bool
     trace: tuple
+    _participants: frozenset[int] | None = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     @property
     def participants(self) -> frozenset[int]:
         """The processes that took a step: every step lies in a begun call
         of its process, and every begun call has a step."""
-        return frozenset([c.proc for c in self.calls if c.start_seq is not None])
+        found = self._participants
+        if found is None:
+            found = self._participants = frozenset(
+                [c.proc for c in self.calls if c.start_seq is not None])
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +470,7 @@ class Runner:
         req = state.pending or self._ensure_pending(state)
         if req is None:
             raise SchedulingError(f"process {pid} has no enabled step")
-        op, loc = req
-        kind = op.kind
+        kind, loc, value = req
         if kind not in self._primitives:
             raise ConfigError(
                 f"{self.algorithm.name} issued undeclared primitive {kind.value}"
@@ -479,7 +485,7 @@ class Runner:
                                "it cannot step under one")
             undo.append(self.mem.save_word(loc.uid))
         events = self._events
-        ev = self._apply(pid, op, loc, len(events))
+        ev = self._apply(pid, kind, loc, value, len(events))
         self._trace.append(pid)
         events.append(ev)
         if rec.start_seq is None:
@@ -527,13 +533,13 @@ class Runner:
             req = state.pending or ensure(state)
             if req is None:
                 raise SchedulingError(f"process {pid} has no enabled step")
-            op, loc = req
-            if op.kind not in primitives:
+            kind, loc, value = req
+            if kind not in primitives:
                 raise ConfigError(
-                    f"{self.algorithm.name} issued undeclared primitive {op.kind.value}"
+                    f"{self.algorithm.name} issued undeclared primitive {kind.value}"
                 )
             rec = state.call
-            ev = apply(pid, op, loc, seq)
+            ev = apply(pid, kind, loc, value, seq)
             trace.append(pid)
             events.append(ev)
             if rec.start_seq is None:
@@ -582,8 +588,8 @@ class Runner:
         raise StepBudgetExceeded(f"call did not complete within {max_steps} steps")
 
     def peek(self, pid: int):
-        """The (op, location) the process will apply on its next step, or
-        None.  Starts the next procedure call if one is due."""
+        """The (kind, location, value) the process will apply on its next
+        step, or None.  Starts the next procedure call if one is due."""
         return self._ensure_pending(self._record(pid))
 
     # -- checkpoints --------------------------------------------------------
@@ -838,7 +844,8 @@ class Runner:
         """A generator for ``pid``'s open call, at the point the call has
         reached in ``self.events``: the body restarted from the call's
         start state and sent each recorded response.  Every request must
-        match the recorded one, and the last the pending one."""
+        match the recorded step (its kind, word and, for a write, value),
+        and the last equal the pending one."""
         state = self.ctxs[pid]
         rec = state.call
         state.state = dict(state.part[1])
@@ -848,17 +855,18 @@ class Runner:
             if rec.start_seq is not None:
                 for e in self._events[rec.start_seq:]:
                     if e.proc == pid:
-                        op = e.op
-                        if req[1].uid != e.loc or (req[0] is not op and req[0] != op):
-                            _diverged(pid, req, op, e.loc)
+                        kind, loc, value = req
+                        if (kind is not e.op or loc.uid != e.loc
+                                or kind is OpKind.WRITE and value != e.value_written):
+                            _diverged(pid, req, e.op, e.loc, e.value_written)
                         req = gen.send(e.value_read)
         except StopIteration:
             raise ReplayDivergence(
                 f"process {pid}'s {rec.kind} returned early when rebuilt"
             ) from None
-        op, loc = state.pending
-        if req[1].uid != loc.uid or (req[0] is not op and req[0] != op):
-            _diverged(pid, req, op, loc.uid)
+        if req != state.pending:
+            kind, loc, value = state.pending
+            _diverged(pid, req, kind, loc.uid, value)
         return gen
 
     def _ensure_pending(self, state: _ProcState):
@@ -948,10 +956,13 @@ def _observe(counts: list[int], events: Iterable[Event], sign: int) -> None:
             counts[writer] += sign
 
 
-def _diverged(pid: int, req, op, uid: int):
+def _diverged(pid: int, req, kind: OpKind, uid: int, value):
+    """Refuse the rebuilt request ``req`` where the run has ``kind`` on
+    word ``uid``, with ``value`` the word a write stores."""
+    shown = [f"{k.value}{f' {v}' if k is OpKind.WRITE else ''} on word {u}"
+             for k, u, v in ((req[0], req[1].uid, req[2]), (kind, uid, value))]
     raise ReplayDivergence(
-        f"process {pid} issued {req[0].kind.value} on word {req[1].uid} when rebuilt, "
-        f"where the run has {op.kind.value} on word {uid}"
+        f"process {pid} issued {shown[0]} when rebuilt, where the run has {shown[1]}"
     )
 
 

@@ -326,9 +326,9 @@ def test_queue_scan_skips_unfilled_slot():
 def test_queue_capacity_guard():
     algo = make_algorithm("dsm_queue", 2)
     runner = Runner(algo, {2: poll_until_true()})
-    tail_op, tail_loc = __import__("rmrsim.memory", fromlist=["fai"]).fai(runner.locs.tail)
+    request = __import__("rmrsim.memory", fromlist=["fai"]).fai(runner.locs.tail)
     for seq in range(2):
-        runner.mem.apply(1, tail_op, tail_loc, seq)
+        runner.mem.apply(1, *request, seq)
     with pytest.raises(CapacityError):
         runner.run_call(2)
 

@@ -11,8 +11,7 @@ from test_properties import LOCAL, RMR, classify_cc, classify_dsm, count_message
 
 
 def apply(mem, proc, request, seq=0):
-    op, loc = request
-    return mem.apply(proc, op, loc, seq)
+    return mem.apply(proc, *request, seq)
 
 
 def events_from(mem, script):
@@ -196,7 +195,7 @@ def test_cc_read_bound_between_invalidations():
     windows = {}  # (proc, loc) -> read RMRs since last foreign invalidation
     for e in events:
         label = classify_cc(e, cache)
-        if e.op.kind is OpKind.READ:
+        if e.op is OpKind.READ:
             if label is RMR:
                 key = (e.proc, e.loc)
                 windows[key] = windows.get(key, 0) + 1
@@ -224,7 +223,7 @@ def test_per_event_message_bounds():
 
 def test_bus_messages_equal_nontrivial_attempts():
     events, ledger, _ = _random_soup(31)
-    attempts = sum(1 for e in events if e.op.kind is not OpKind.READ)
+    attempts = sum(1 for e in events if e.op is not OpKind.READ)
     assert ledger.total_msg_bus == attempts
 
 

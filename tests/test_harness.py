@@ -40,8 +40,7 @@ def raw_events(n, script):
     locs = {name: mem.alloc(name, home=home) for name, home in script.pop("locs")}
     events = []
     for i, (proc, fn, name, *args) in enumerate(script.pop("ops")):
-        op, loc = fn(locs[name], *args)
-        events.append(mem.apply(proc, op, loc, i))
+        events.append(mem.apply(proc, *fn(locs[name], *args), i))
     return events
 
 
@@ -115,27 +114,34 @@ def test_enumeration_builds_one_runner_and_steps_each_dag_edge_once(monkeypatch)
 STARTED = []
 
 
+def _read_a(locs):
+    return read(locs.a)
+
+
 class Fickle(SignalingAlgorithm):
-    """Poll reads ``a`` twice the first time any Poll body runs; every
-    later time it reads ``b`` as request number ``changes`` instead, so a
-    rebuilt call asks for something else than the call it rebuilds."""
+    """Poll makes the request ``first`` twice the first time any Poll body
+    runs; every later time it makes ``later`` as request number
+    ``changes`` instead, so a rebuilt call asks for something else than the
+    call it rebuilds.  Each request is built from the protocol's words; by
+    default Poll reads ``a``, and later ``b``."""
 
     name = "fickle"
 
-    def __init__(self, n: int, changes: int = 1):
+    def __init__(self, n: int, changes: int = 1, first=_read_a,
+                 later=lambda locs: read(locs.b)):
         super().__init__(n)
-        self.changes = changes
+        self.changes, self.first, self.later = changes, first, later
 
     def setup(self, mem):
         return SimpleNamespace(a=mem.alloc("a", home=1), b=mem.alloc("b", home=1))
 
     def poll(self, ctx):
         STARTED.append(ctx.pid)
-        words = [ctx.locs.a, ctx.locs.a]
+        requests = [self.first(ctx.locs), self.first(ctx.locs)]
         if len(STARTED) > 1:
-            words[self.changes] = ctx.locs.b
-        yield read(words[0])
-        return bool((yield read(words[1])))
+            requests[self.changes] = self.later(ctx.locs)
+        yield requests[0]
+        return bool((yield requests[1]))
 
     def signal(self, ctx):
         yield read(ctx.locs.a)
@@ -151,20 +157,38 @@ def test_enumeration_of_a_protocol_with_hidden_state_diverges():
         list(histories)
 
 
-@pytest.mark.parametrize("changes", [0, 1], ids=["recorded-request", "pending-request"])
-def test_rebuilt_call_that_asks_for_something_else_diverges(changes):
+#: Bodies whose rebuilt call asks for something else, by name: Fickle's
+#: first and later requests, then the later one and the first as the
+#: divergence names them.  A read where the body wrote is refused by the
+#: kind alone; a write where it read also by its value.
+REBUILT = {
+    "": (_read_a, lambda locs: read(locs.b), "read on word 1", "read on word 0"),
+    "another-value": (lambda locs: write(locs.a, 7), lambda locs: write(locs.a, 5),
+                      "write 5 on word 0", "write 7 on word 0"),
+    "write-where-read": (_read_a, lambda locs: write(locs.a, 7),
+                         "write 7 on word 0", "read on word 0"),
+    "read-where-written": (lambda locs: write(locs.a, 7), _read_a,
+                           "read on word 0", "write 7 on word 0"),
+}
+
+
+@pytest.mark.parametrize("changes, body", [
+    pytest.param(changes, body, id="-".join(filter(None, [body, where, "request"])))
+    for body in REBUILT for changes, where in [(0, "recorded"), (1, "pending")]])
+def test_rebuilt_call_that_asks_for_something_else_diverges(changes, body):
     # Rolled back past two steps of 2's Poll, taken after one: the rebuilt
     # body's first request is checked against the recorded step, its
     # second against the pending one.
+    first, later, issued, run_has = REBUILT[body]
     STARTED.clear()
-    runner = Runner(Fickle(3, changes), {2: poll_at_most(1)})
+    runner = Runner(Fickle(3, changes, first, later), {2: poll_at_most(1)})
     runner.checkpoint()
     runner.step(2)
     runner.checkpoint()
     runner.step(2)
     with pytest.raises(ReplayDivergence,
-                       match="process 2 issued read on word 1 when rebuilt, "
-                             "where the run has read on word 0"):
+                       match=f"process 2 issued {issued} when rebuilt, "
+                             f"where the run has {run_has}$"):
         runner.rollback()
 
 
@@ -777,9 +801,9 @@ def erasure_work(monkeypatch):
     apply, restore_word, runner_erase = Memory.apply, Memory.restore_word, Runner.erase
     erasing = []
 
-    def counted_apply(self, proc, op, loc, seq):
+    def counted_apply(self, proc, kind, loc, value, seq):
         counts["built"] += 1
-        return apply(self, proc, op, loc, seq)
+        return apply(self, proc, kind, loc, value, seq)
 
     def counted_restore_word(self, saved):
         counts["restored"] += bool(erasing)

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from rmrsim import memory
 from rmrsim.errors import CapacityError, ConfigError
 from rmrsim.memory import (
     NIL,
@@ -13,7 +12,6 @@ from rmrsim.memory import (
     Event,
     Memory,
     OpKind,
-    PrimitiveOp,
     fai,
     read,
     write,
@@ -21,8 +19,7 @@ from rmrsim.memory import (
 
 
 def apply(mem, proc, request, seq=0):
-    op, loc = request
-    return mem.apply(proc, op, loc, seq)
+    return mem.apply(proc, *request, seq)
 
 
 def last_writer(events, loc):
@@ -83,31 +80,16 @@ def test_write_event_fields():
     assert mem.words()[b.uid] == 1
 
 
-def test_writes_of_one_value_share_one_op():
+def test_a_request_is_kind_location_value():
     mem = Memory(2)
-    x, y = mem.alloc("x", home=1), mem.alloc("y", home=2)
-    op, loc = write(x, 41)
-    assert loc is x and write(y, 41)[0] is op
-    fresh = PrimitiveOp(OpKind.WRITE, 41)
-    assert op == fresh and hash(op) == hash(fresh)
-    assert (op.trivial, op.reads_value) == (fresh.trivial, fresh.reads_value) == (False, False)
-    # Equal and equally hashed, but other operands: each keeps its own.
-    assert write(x, True)[0].value is True and write(x, 1.0)[0].value.__class__ is float
-    assert apply(mem, 1, write(x, True)).value_written is True
-
-
-def test_writes_past_the_op_table_bound_stay_correct(monkeypatch):
-    monkeypatch.setattr(memory, "_WRITE_OPS", {})
-    mem = Memory(1)
     x = mem.alloc("x", home=1)
-    for value in range(-2, memory._WRITE_OPS_MAX + 3):
-        op, _ = write(x, value)
-        assert op == PrimitiveOp(OpKind.WRITE, value) and op.trivial is False
-        ev = apply(mem, 1, (op, x))
-        assert (ev.value_written, mem.words()[x.uid]) == (value, value)
-    assert len(memory._WRITE_OPS) == memory._WRITE_OPS_MAX
-    assert write(x, -2)[0] is write(x, -2)[0]
-    assert write(x, memory._WRITE_OPS_MAX + 2)[0] is not write(x, memory._WRITE_OPS_MAX + 2)[0]
+    assert read(x) == (OpKind.READ, x, None) and read(x)[1] is x
+    assert fai(x) == (OpKind.FAI, x, None)
+    assert write(x, 41) == (OpKind.WRITE, x, 41)
+    # True equals 1, but the write stores the operand it was given.
+    assert write(x, True)[2] is True
+    assert apply(mem, 1, write(x, True)).value_written is True
+    assert mem.words()[x.uid] is True
 
 
 def test_fai_returns_old_and_increments():
@@ -166,8 +148,9 @@ def test_word_range_enforced():
     assert mem.words()[bottom.uid] == WORD_MIN
 
 
-# Per kind: operands and the word's value before; then the event's value
-# read and value written.  Process 2 wrote the word last before the op.
+# Per kind: the request's operands and the word's value before; then the
+# event's value read and value written.  Process 2 wrote the word last
+# before the step.
 APPLY_TABLE = [
     (OpKind.READ, {}, 5, (5, None)),
     (OpKind.WRITE, {"value": 7}, 5, (None, 7)),
@@ -181,12 +164,12 @@ def test_apply_table_covers_every_kind():
 
 @pytest.mark.parametrize("kind, operands, before, expected", APPLY_TABLE)
 def test_apply_table(kind, operands, before, expected):
-    # Builds each op from the enum member itself, so a kind constant bound
-    # to the wrong member sends it down the wrong branch and fails here.
+    # Passes the enum member itself, so a kind constant bound to the wrong
+    # member sends it down the wrong branch and fails here.
     mem = Memory(3)
     x = mem.alloc("x", home=2)
     apply(mem, 2, write(x, before))
-    ev = mem.apply(1, PrimitiveOp(kind, **operands), x, 9)
+    ev = mem.apply(1, kind, x, operands.get("value"), 9)
     assert (ev.value_read, ev.value_written) == expected
     assert (ev.seq, ev.proc, ev.loc, ev.home, ev.writer_before) == (9, 1, x.uid, 2, 2)
     written = expected[1]
@@ -202,11 +185,10 @@ def test_apply_builds_the_event_its_class_builds(kind, operands, before, expecte
     mem = Memory(3)
     x = mem.alloc("x", home=2)
     apply(mem, 2, write(x, before))
-    op = PrimitiveOp(kind, **operands)
-    ev = mem.apply(1, op, x, 9)
+    ev = mem.apply(1, kind, x, operands.get("value"), 9)
     assert type(ev) is Event
     assert len(dataclasses.astuple(ev)) == len(dataclasses.fields(Event)) == 8
-    built = Event(9, 1, op, x.uid, 2, *expected, 2)
+    built = Event(9, 1, kind, x.uid, 2, *expected, 2)
     assert ev == built
     assert repr(ev) == repr(built)
     assert ev.signature() == built.signature()
@@ -217,8 +199,6 @@ def test_event_kind_sets():
     assert set(OpKind) == {OpKind.READ, OpKind.WRITE, OpKind.FAI}
     assert {k for k in OpKind if k.trivial} == {OpKind.READ}
     assert {k for k in OpKind if not k.reads_value} == {OpKind.WRITE}
-    assert all(PrimitiveOp(k).trivial is k.trivial for k in OpKind)
-    assert all(PrimitiveOp(k).reads_value is k.reads_value for k in OpKind)
 
 
 def test_nil_is_zero_and_ids_start_at_one():

@@ -409,7 +409,7 @@ def test_bus_messages_equal_nontrivial_attempts(cfg):
     runner = execute(cfg)
     for p in range(1, runner.n + 1):
         attempts = sum(1 for e in runner.events
-                       if e.proc == p and e.op.kind.value not in TRIVIAL)
+                       if e.proc == p and e.op.value not in TRIVIAL)
         assert runner.ledger.per_process(p)["msg_bus"] == attempts
     # Every nontrivial step writes.
     assert all((e.value_written is None) == e.op.trivial for e in runner.events)
@@ -430,7 +430,7 @@ def test_directory_messages_bounded_by_cc_read_rmrs(cfg):
     cache = {}
     cc_reads = 0
     for e in runner.events:
-        if classify_cc(e, cache) is RMR and e.op.kind.value in TRIVIAL:
+        if classify_cc(e, cache) is RMR and e.op.value in TRIVIAL:
             cc_reads += 1
     assert runner.ledger.totals()["msg_dir"] <= cc_reads
 

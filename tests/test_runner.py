@@ -10,7 +10,7 @@ import pytest
 
 from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.errors import ConfigError, RoleError, SchedulingError, SimError
-from rmrsim.harness import enumerate_histories, erase
+from rmrsim.harness import adversary_separation, enumerate_histories, erase
 from rmrsim.memory import OpKind, read, write
 from rmrsim.runner import (
     POLL,
@@ -680,6 +680,23 @@ def test_history_sets():
     assert history.participants == {1, 2, 3} == runner.participants()
     assert history.finished <= history.participants
     assert history.participants - history.finished == set()
+
+
+def test_history_builds_its_participants_once():
+    # On a run's history, on enumerated histories and on the certified erase
+    # drill's: the set is the processes of the begun calls, and a second
+    # read returns the set the first built.
+    runner = Runner(make_algorithm("dsm_queue", 4), waiter_signaler_roles([2, 3, 4], 1))
+    runner.drive(SeededRandom(3))
+    drill = adversary_separation(make_algorithm("dsm_fixed_waiters", 5), erase_on_discovery=True)
+    assert drill.erased == 4 and drill.history.participants == {drill.signaler}
+    enumerated = enumerate_histories(make_algorithm("dsm_queue", 3),
+                                     waiter_signaler_roles([2, 3], 1, poll_at_most(1)), 12)
+    for history in [runner.history(), drill.history, *enumerated]:
+        participants = history.participants
+        assert participants == frozenset([c.proc for c in history.calls
+                                          if c.start_seq is not None])
+        assert history.participants is participants
 
 
 def test_history_snapshot_stays_put():

@@ -68,9 +68,6 @@ def _entered() -> set:
         if event == "call" and frame.f_code.co_filename in files:
             entered.add(_key(frame.f_code))
 
-    # A command runs in a fresh process, whose table of write ops starts
-    # empty; earlier tests may have filled this one's.
-    memory._WRITE_OPS.clear()
     sys.setprofile(hook)
     try:
         for command in CORPUS.values():
