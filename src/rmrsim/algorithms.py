@@ -101,7 +101,7 @@ class CcFlag(SignalingAlgorithm):
     name = "cc_flag"
 
     def setup(self, mem: Memory):
-        return SimpleNamespace(flag=mem.alloc("flag", home=self.home, init=0))
+        return SimpleNamespace(flag=mem.alloc("flag", self.home))
 
     def poll(self, ctx: Ctx):
         return bool((yield read(ctx.locs.flag)))
@@ -124,9 +124,9 @@ class SingleWaiter(SignalingAlgorithm):
 
     def setup(self, mem: Memory):
         return SimpleNamespace(
-            announce=mem.alloc("waiter_id", home=self.home, init=NIL),
-            done=mem.alloc("signaled", home=self.home, init=0),
-            notify=_per_process(mem, "notify", range(1, self.n + 1)),
+            announce=mem.alloc("waiter_id", self.home, NIL),
+            done=mem.alloc("signaled", self.home),
+            notify=_notify_words(mem.alloc, range(1, self.n + 1)),
         )
 
     def poll(self, ctx: Ctx):
@@ -171,11 +171,10 @@ class FixedWaiters(SignalingAlgorithm):
         self.name = "dsm_fixed_waiters_term" if terminating else "dsm_fixed_waiters"
 
     def setup(self, mem: Memory):
-        locs = SimpleNamespace(notify=_per_process(mem, "notify", self.waiters))
+        alloc, home = mem.alloc, self.home
+        locs = SimpleNamespace(notify=_notify_words(alloc, self.waiters))
         if self.terminating:
-            locs.present = {
-                i: mem.alloc(f"present[{i}]", home=self.home, init=0) for i in self.waiters
-            }
+            locs.present = {i: alloc(f"present[{i}]", home) for i in self.waiters}
         return locs
 
     def poll(self, ctx: Ctx):
@@ -207,11 +206,11 @@ class Registration(SignalingAlgorithm):
     designated_signaler = 1  # the home of every global word
 
     def setup(self, mem: Memory):
-        ids = range(1, self.n + 1)
+        alloc, home, ids = mem.alloc, self.home, range(1, self.n + 1)
         return SimpleNamespace(
-            registered={i: mem.alloc(f"registered[{i}]", home=self.home, init=0) for i in ids},
-            done=mem.alloc("signaled", home=self.home, init=0),
-            notify=_per_process(mem, "notify", ids),
+            registered={i: alloc(f"registered[{i}]", home) for i in ids},
+            done=alloc("signaled", home),
+            notify=_notify_words(alloc, ids),
         )
 
     def poll(self, ctx: Ctx):
@@ -243,12 +242,12 @@ class QueueSignaling(SignalingAlgorithm):
     primitives = frozenset({OpKind.READ, OpKind.WRITE, OpKind.FAI})
 
     def setup(self, mem: Memory):
-        ids = range(1, self.n + 1)
+        alloc, home = mem.alloc, self.home
         return SimpleNamespace(
-            tail=mem.alloc("tail", home=self.home, init=0),
-            done=mem.alloc("signaled", home=self.home, init=0),
-            slots=[mem.alloc(f"queue[{k}]", home=self.home, init=NIL) for k in range(self.n)],
-            notify=_per_process(mem, "notify", ids),
+            tail=alloc("tail", home),
+            done=alloc("signaled", home),
+            slots=[alloc(f"queue[{k}]", home, NIL) for k in range(self.n)],
+            notify=_notify_words(alloc, range(1, self.n + 1)),
         )
 
     def poll(self, ctx: Ctx):
@@ -270,9 +269,9 @@ class QueueSignaling(SignalingAlgorithm):
                 yield write(ctx.locs.notify[waiter], 1)
 
 
-def _per_process(mem: Memory, label: str, ids) -> dict:
-    """One word per process id, each homed at its own process."""
-    return {i: mem.alloc(f"{label}[{i}]", home=i, init=0) for i in ids}
+def _notify_words(alloc, ids) -> dict:
+    """One notification word per process id, each homed at its own process."""
+    return {i: alloc(f"notify[{i}]", i) for i in ids}
 
 
 REGISTRY = {

@@ -53,7 +53,8 @@ class RmrLedger:
 
     def __init__(self, n: int, events: list[Event]):
         self._cache: dict[int, set[int]] = {}
-        self._rows = [[0] * len(METRIC_NAMES) for _ in range(n + 1)]
+        zeros = [0] * len(METRIC_NAMES)
+        self._rows = [zeros.copy() for _ in range(n + 1)]
         self._events = events
         self._charged = 0
         self.checkpointed = False

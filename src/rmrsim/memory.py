@@ -117,6 +117,8 @@ class Memory:
     """Word storage partitioned into per-process modules: each word's
     value, initial value and last writer."""
 
+    __slots__ = ("n", "_values", "inits", "_writers", "_by_name", "_homed")
+
     def __init__(self, n: int):
         if n < 1:
             raise ConfigError(f"need at least one process, got n={n}")
@@ -124,29 +126,32 @@ class Memory:
         self._values: list[int] = []
         self.inits: list[int] = []  # each word's initial value, by uid; read only
         self._writers: list[int | None] = []
-        self._locations: list[Location] = []
+        self._by_name: dict[str, Location] = {}  # every location, in uid order
         self._homed: list[list[int]] | None = None  # uids by home, built on demand
-        self._names: set[str] = set()
 
     # -- allocation ---------------------------------------------------------
 
     def alloc(self, name: str, home: int, init: int = 0) -> Location:
-        """Register a fresh location owned by ``home`` with initial value."""
+        """Register a fresh location owned by ``home`` with initial value;
+        a refused one changes nothing."""
+        by_name = self._by_name
         if not 1 <= home <= self.n:
             raise ConfigError(f"home {home} outside 1..{self.n}")
-        if name in self._names:
+        if name in by_name:
             raise ConfigError(f"location name {name!r} already allocated")
-        if not WORD_MIN <= init <= WORD_MAX:
-            _check_word(init)  # raises
+        if init is not NIL:  # the commonest initial value, a good word
+            if not isinstance(init, int):
+                raise ConfigError(f"initial value {init!r} of {name!r} is not an int")
+            if not WORD_MIN <= init <= WORD_MAX:
+                _check_word(init)  # raises
         # Stored slot by slot, as apply builds its event: every run
         # allocates its protocol's words, 2n + 2 of them for dsm_queue.
         loc = _new(Location)
-        loc.uid = len(self._locations)
+        loc.uid = len(by_name)
         loc.name = name
         loc.home = home
-        self._locations.append(loc)
+        by_name[name] = loc
         self._homed = None
-        self._names.add(name)
         self._values.append(init)
         self.inits.append(init)
         self._writers.append(None)
@@ -162,7 +167,7 @@ class Memory:
         """(uid, value) pairs for every location homed at ``home``."""
         if self._homed is None:
             self._homed = [[] for _ in range(self.n + 1)]
-            for loc in self._locations:
+            for loc in self._by_name.values():
                 self._homed[loc.home].append(loc.uid)
         values = self._values
         return tuple([(uid, values[uid]) for uid in self._homed[home]])
@@ -197,6 +202,8 @@ class Memory:
         if kind is _READ:
             value_read = old
         elif kind is _WRITE:
+            if value is None:
+                raise ConfigError(f"process {proc} writes None to word {uid} ({loc.name})")
             written = value
         elif kind is _FAI:
             value_read = old

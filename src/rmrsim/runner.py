@@ -279,19 +279,6 @@ class _ProcState(Ctx):
     __slots__ = ("script", "gen", "call", "pending", "calls_made", "forced",
                  "next_kind", "part", "stepped")
 
-    def __init__(self, pid: int, n: int, locs, script: Script | None):
-        self.pid, self.n, self.locs, self.state = pid, n, locs, {}
-        self.script = script
-        self.gen = self.pending = None
-        self.call: CallRecord | None = None
-        self.calls_made = 0
-        self.forced: tuple[str, ...] = ()
-        self.part: tuple | None = None
-        self.stepped = False
-        # The script's first call, if it makes one.
-        self.next_kind: str | None = None if script is None or (
-            script.max_calls is not None and script.max_calls < 1) else script.kind
-
 
 class _Erased:
     """The index erasures find their work through: ``by_proc`` gives each
@@ -325,15 +312,20 @@ class Runner:
 
     def __init__(self, algorithm, roles: dict[int, Script]):
         self.algorithm = algorithm
-        self.n = algorithm.n
-        self._waiters = frozenset(algorithm.waiters)  # who may call Poll or Wait
+        n = algorithm.n
+        self.n = n
+        waiters = frozenset(algorithm.waiters)  # who may call Poll or Wait
+        self._waiters = waiters
         for pid, script in roles.items():
-            if not 1 <= pid <= self.n:
-                raise ConfigError(f"role process {pid} outside 1..{self.n}")
-            if script.kind not in _CALL_KINDS:
-                raise ConfigError(f"unknown script kind {script.kind!r}")
-            self._check_role(pid, script.kind)
-            if script.kind == SIGNAL and (script.max_calls is None or script.max_calls > 1):
+            kind = script.kind
+            if pid in waiters and (kind == POLL or kind == WAIT and algorithm.blocking):
+                continue  # a waiter's Poll or Wait, which every check below lets pass
+            if not 1 <= pid <= n:
+                raise ConfigError(f"role process {pid} outside 1..{n}")
+            if kind not in _CALL_KINDS:
+                raise ConfigError(f"unknown script kind {kind!r}")
+            self._check_role(pid, kind)
+            if kind == SIGNAL and (script.max_calls is None or script.max_calls > 1):
                 raise RoleError(f"process {pid} may call Signal at most once")
         self.roles = dict(roles)
         self.mem = Memory(self.n)
@@ -344,16 +336,13 @@ class Runner:
         self._primitives = tuple(sorted(algorithm.primitives, key=_KINDS.index))
         self._apply = self.mem.apply
         # Each process's one record: its context, its role and the engine's state.
-        self.ctxs = {pid: _ProcState(pid, self.n, self.locs, self.roles.get(pid))
-                     for pid in range(1, self.n + 1)}
+        self.ctxs: dict[int, _ProcState] = {}
+        self._live: list[int] = self._fresh(range(1, n + 1))
         self._bodies = {POLL: algorithm.poll, SIGNAL: algorithm.signal, WAIT: algorithm.wait}
         self._events: list[Event] = []
         self._calls: list[CallRecord] = []
         self._trace: list = []
-        self.ledger: RmrLedger | None = RmrLedger(self.n, self._events)
-        self._live: list[int] = [
-            pid for pid, state in self.ctxs.items() if state.next_kind is not None
-        ]
+        self.ledger: RmrLedger | None = RmrLedger(n, self._events)
         # Set while a checkpoint is open: per step, in step order, the word
         # it is about to change.
         self._undo: list | None = None
@@ -740,8 +729,7 @@ class Runner:
                     break
             else:
                 mem.restore_word((uid, mem.inits[uid], None))
-        self.ctxs[p] = fresh = _ProcState(p, self.n, self.locs, self.ctxs[p].script)
-        self._set_live(p, fresh.next_kind is not None)
+        self._set_live(p, bool(self._fresh((p,))))
 
     def _index(self) -> "_Erased":
         """The erase index, extended to the events added since it was last
@@ -782,6 +770,34 @@ class Runner:
             return self.ctxs[pid]
         except KeyError:
             raise SchedulingError(f"no process {pid}: process ids are 1..{self.n}") from None
+
+    def _fresh(self, pids: Iterable[int]) -> list[int]:
+        """Put each process's record as the run begins in ``ctxs``, slot by
+        slot (every run builds n); return the ones whose script makes a call."""
+        ctxs = self.ctxs
+        n = self.n
+        locs = self.locs
+        roles = self.roles
+        live = []
+        for pid in pids:
+            state = _ProcState()  # a class call with no __init__ frame
+            ctxs[pid] = state
+            state.pid = pid
+            state.n = n
+            state.locs = locs
+            state.state = {}
+            script = roles.get(pid)
+            state.script = script
+            state.gen = state.pending = state.call = state.part = None
+            state.calls_made = 0
+            state.forced = ()
+            state.stepped = False
+            if script is None or script.max_calls is not None and script.max_calls < 1:
+                state.next_kind = None
+            else:
+                state.next_kind = script.kind
+                live.append(pid)
+        return live
 
     def _check_role(self, pid: int, kind: str) -> None:
         """Refuse a ``kind`` call by ``pid`` that the protocol forbids: Poll

@@ -1,6 +1,7 @@
 """Primitive-operation semantics, event bookkeeping, and allocation rules."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from rmrsim.memory import (
     WORD_MAX,
     WORD_MIN,
     Event,
+    Location,
     Memory,
     OpKind,
     fai,
@@ -69,6 +71,69 @@ def test_alloc_invalid_home_rejected():
         mem.alloc("x", home=3)
     with pytest.raises(ConfigError):
         mem.alloc("y", home=0)
+
+
+# Each refused allocation, with its error and message, on a memory of
+# n = 2 that holds "s" (home 1) and "t" (home 2, init 7).  Where several
+# faults meet, the home is named before the name, and the name before the
+# initial value.
+ALLOC_REFUSALS = [
+    (("x", 3), ConfigError, "home 3 outside 1..2"),
+    (("x", 0), ConfigError, "home 0 outside 1..2"),
+    (("s", 9, "0"), ConfigError, "home 9 outside 1..2"),
+    (("s", 2), ConfigError, "location name 's' already allocated"),
+    (("s", 1, 1.5), ConfigError, "location name 's' already allocated"),
+    (("x", 1, "0"), ConfigError, "initial value '0' of 'x' is not an int"),
+    (("x", 1, 0.0), ConfigError, "initial value 0.0 of 'x' is not an int"),
+    (("x", 1, None), ConfigError, "initial value None of 'x' is not an int"),
+    (("x", 1, WORD_MAX + 1), CapacityError, f"value {WORD_MAX + 1} outside the 64-bit word range"),
+    (("x", 1, WORD_MIN - 1), CapacityError, f"value {WORD_MIN - 1} outside the 64-bit word range"),
+]
+
+
+@pytest.mark.parametrize("args, error, message", ALLOC_REFUSALS,
+                         ids=[f"{a[0]}-{a[1]}-{a[2:]}" for a, _, _ in ALLOC_REFUSALS])
+def test_a_refused_alloc_changes_nothing(args, error, message):
+    mem = Memory(2)
+    mem.alloc("s", 1)
+    mem.alloc("t", 2, 7)
+    apply(mem, 2, write(mem.alloc("u", 1), 4))
+    before = (mem.words(), list(mem.inits), mem.module_snapshot(1))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        mem.alloc(*args)
+    assert (mem.words(), list(mem.inits), mem.module_snapshot(1)) == before
+    # The next word takes the next uid, and the refused name is free.
+    x = mem.alloc("x", 1, 3)
+    assert (x.uid, x.name, x.home) == (3, "x", 1)
+    assert mem.words() == (0, 7, 4, 3, None, None, 2, None)
+    assert mem.inits == [0, 7, 0, 3]
+
+
+def test_an_alloc_stores_its_fields_and_takes_ints_of_every_width():
+    mem = Memory(3)
+    words = [mem.alloc(f"w{i}", home, init)
+             for i, (home, init) in enumerate([(1, 0), (3, WORD_MIN), (2, WORD_MAX), (3, True)])]
+    assert [(w.uid, w.name, w.home) for w in words] == [
+        (0, "w0", 1), (1, "w1", 3), (2, "w2", 2), (3, "w3", 3)]
+    # Compared and hashed by their fields, as the run's dict keys need.
+    twin = Memory(3).alloc("w0", 1)
+    assert twin == words[0] and hash(twin) == hash(words[0]) and len(set(words)) == 4
+    # The class keeps its constructor: one built field by field, or replaced,
+    # equals the allocated word with those fields.
+    assert Location(0, "w0", 1) == words[0]
+    assert dataclasses.replace(words[1], home=1) == Location(1, "w1", 1)
+    assert mem.inits == [0, WORD_MIN, WORD_MAX, True]
+    assert mem.module_snapshot(3) == ((1, WORD_MIN), (3, True))
+
+
+def test_a_write_of_none_is_refused_before_the_word_or_its_writer_changes():
+    mem = Memory(2)
+    x = mem.alloc("x", 2)
+    apply(mem, 1, write(x, 5))
+    with pytest.raises(ConfigError, match=r"^process 2 writes None to word 0 \(x\)$"):
+        apply(mem, 2, write(x, None), seq=1)
+    assert mem.words() == (5, 1)
+    assert mem.current_writer(x) == 1
 
 
 def test_write_event_fields():
