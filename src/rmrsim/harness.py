@@ -7,7 +7,11 @@
   a checkpoint; one met again, from its recorded steps.  Every history is
   exactly what a normal run of its schedule produces;
 * a stability probe, one per list of processes: a process is *stable* when
-  letting it poll alone forever would never cost another remote reference;
+  letting it poll alone forever would never cost another remote reference.
+  The probe is rolled back before a process only after a probed poll wrote
+  or when that process was probed already since the last rollback: a read
+  changes no word and no last writer, and a process's solo polls depend
+  only on its own context and the words;
 * erasure: removing every step of a process nobody observed (read a value
   it last wrote) yields another legal run, which is certified rather than
   trusted.  The drill asks the observed-by count the run's erase index
@@ -225,10 +229,16 @@ def stability(base: Runner, pids, *, model: Model = Model.DSM,
     memory it can read locally) repeats between calls, which pins the solo
     run in a zero-cost cycle.  None, undecided, when the horizon comes first.
 
-    One probe holds every process's polls, rolled back between processes.
-    Nothing charges the ledger in it, so each poll is charged from its own
+    One probe holds every process's polls.  It is rolled back before a
+    process only when the polls probed since the last rollback made a
+    nontrivial step, or when that process was probed since.  Otherwise
+    the process polls from the run as it was: the polls before it only
+    read, and a read changes no word and no last writer, while a process's
+    solo polls depend only on its own ``ctx`` and the words.  Nothing
+    charges the ledger in the probe, so each poll is charged from its own
     events: under CC against the ledger's holder table, read once before
-    the probe opens (so refused under an open checkpoint).
+    the probe opens (so refused under an open checkpoint), which the probe
+    leaves as it is.
     """
     if horizon < 1:
         raise ValueError("stability horizon must be at least 1")
@@ -237,58 +247,70 @@ def stability(base: Runner, pids, *, model: Model = Model.DSM,
         if not base.is_active(pid):
             raise SimError(f"process {pid} is not active")
     cache = None if model is _DSM or base.ledger is None else base.ledger.cache
+    verdicts = []
     with base.probe(pids):
-        return [_solo(base, pid, cache, horizon) for pid in pids]
+        probed, wrote = set(), False  # since the last rollback
+        for pid in pids:
+            if wrote or pid in probed:
+                base.rollback()
+                probed.clear()
+            probed.add(pid)
+            verdict, wrote = _solo(base, pid, cache, horizon)
+            verdicts.append(verdict)
+    return verdicts
 
 
 def _solo(run: Runner, pid: int, cache: dict[int, set[int]] | None,
-          horizon: int) -> StabilityResult | None:
-    """``pid``'s :func:`stability` verdict, from solo polls in the open probe,
-    rolled back first to its checkpoint: the run as it was."""
-    run.rollback()
+          horizon: int) -> tuple[StabilityResult | None, bool]:
+    """``pid``'s :func:`stability` verdict, from solo polls in the open
+    probe, and whether they made a nontrivial step.
+
+    A poll pays an RMR for an event under DSM (``cache`` None) that
+    accesses another module, under CC for a nontrivial step or an access
+    to a word ``pid`` held no copy of in the holder table ``cache``, which
+    only such an event changes.  The configuration compared between polls
+    is everything a solo run of ``pid`` can branch on without paying: its
+    persistent local state, plus under DSM the values in its own module.
+    Under CC the state alone: the words it can read locally are those it
+    holds a copy of, which no step changes before one pays."""
     # Every event from here on is one of pid's; the first ``checked`` paid nothing.
     events = run.events
     checked = len(events)
-    seen = {_configuration(run, pid, cache)}
+    ctx = run.ctxs[pid]
+    snapshot = run.mem.module_snapshot if cache is None else None
+    state = ctx.state
+    config = tuple(sorted(state.items())) if state else ()
+    seen = {config if snapshot is None else (config, snapshot(pid))}
+    wrote = False
     for made in range(1, horizon + 1):
         run.force_next_call(pid, POLL)
         try:
             rec = run.run_call(pid, max_steps=horizon)
         except StepBudgetExceeded:
             rec = None
-        if _paid(events, checked, pid, cache):
-            return StabilityResult(stable=False, solo_calls=made)
+        paid = False
+        for e in events[checked:]:
+            trivial = e.op.trivial
+            if not trivial:
+                wrote = True
+            if (e.home != pid if cache is None
+                    else not trivial or pid not in cache.get(e.loc, ())):
+                paid = True
+        if paid:
+            return StabilityResult(stable=False, solo_calls=made), wrote
         if rec is None:
-            return None
+            return None, wrote
+        if rec.response:
+            return StabilityResult(stable=True, solo_calls=made), wrote
         checked = len(events)
-        config = _configuration(run, pid, cache)
-        if rec.response or config in seen:
-            return StabilityResult(stable=True, solo_calls=made)
+        state = ctx.state
+        config = tuple(sorted(state.items())) if state else ()
+        if snapshot is not None:
+            config = config, snapshot(pid)
+        if config in seen:
+            return StabilityResult(stable=True, solo_calls=made), wrote
         seen.add(config)
-    return None
-
-
-def _paid(events: list[Event], start: int, pid: int, cache: dict[int, set[int]] | None) -> bool:
-    """Whether an event of ``pid`` from ``start`` on is an RMR: under DSM
-    (``cache`` None) an access to another module, under CC a nontrivial
-    step or an access to a word ``pid`` held no copy of in the holder
-    table ``cache``, which only such an event changes."""
-    if cache is None:
-        return any(e.home != pid for e in events[start:])
-    return any(not e.op.trivial or pid not in cache.get(e.loc, ()) for e in events[start:])
-
-
-def _configuration(runner: Runner, pid: int, cache: dict[int, set[int]] | None) -> tuple:
-    """Everything a solo run of ``pid`` can branch on without paying an RMR:
-    its persistent local state, plus under DSM (``cache`` None) the values
-    in its own module.  Under CC the state alone: the words it can read
-    locally are those it holds a copy of, which no step changes before one
-    pays."""
-    state = runner.ctxs[pid].state
-    state = tuple(sorted(state.items())) if state else ()
-    if cache is None:
-        return state, runner.mem.module_snapshot(pid)
-    return state
+    return None, wrote
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,9 @@ class Memory:
     def apply(self, proc: int, kind: OpKind, loc: Location, value: int | None,
               seq: int) -> Event:
         """Atomically apply one primitive, with ``value`` the word a WRITE
-        stores; return its event, numbered ``seq``."""
+        stores; return its event, numbered ``seq``.  A write of anything
+        but an int is refused with :class:`ConfigError` before the word or
+        its writer changes."""
         uid = loc.uid
         old = self._values[uid]
         writer_before = self._writers[uid]
@@ -202,8 +204,10 @@ class Memory:
         if kind is _READ:
             value_read = old
         elif kind is _WRITE:
-            if value is None:
-                raise ConfigError(f"process {proc} writes None to word {uid} ({loc.name})")
+            if value.__class__ is not int and not isinstance(value, int):
+                # Refused before the word changes; a bool is an int, stored as given.
+                what = "None" if value is None else f"{value!r}, not an int,"
+                raise ConfigError(f"process {proc} writes {what} to word {uid} ({loc.name})")
             written = value
         elif kind is _FAI:
             value_read = old

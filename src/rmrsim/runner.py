@@ -545,17 +545,23 @@ class Runner:
         """Queue a procedure call for ``pid`` ahead of its script.  A call
         its process may not make is refused before anything changes: by the
         role rules the run's roles are held to (:meth:`_check_role`), and a
-        second Signal, queued, scripted or made."""
-        if kind not in _CALL_KINDS:
+        second Signal, queued, scripted or made.  A waiter's Poll, which
+        every role rule lets pass, is let through on one membership test."""
+        waiter_poll = kind == POLL and pid in self._waiters
+        if not waiter_poll and kind not in _CALL_KINDS:
             raise ConfigError(f"unknown procedure {kind!r}")
-        state = self._record(pid)
-        live = _runnable(state)
+        try:
+            state = self.ctxs[pid]
+        except KeyError:
+            self._record(pid)  # raises
+        live = state.call is not None or bool(state.forced) or state.next_kind is not None
         if state.stepped and not live:
             raise SimError(f"process {pid} has terminated")
-        self._check_role(pid, kind)
-        if kind == SIGNAL and (SIGNAL in state.forced or state.next_kind == SIGNAL
-                               or any(c.proc == pid and c.kind == SIGNAL for c in self.calls)):
-            raise RoleError(f"process {pid} may call Signal at most once")
+        if not waiter_poll:
+            self._check_role(pid, kind)
+            if kind == SIGNAL and (SIGNAL in state.forced or state.next_kind == SIGNAL or any(
+                    c.proc == pid and c.kind == SIGNAL for c in self.calls)):
+                raise RoleError(f"process {pid} may call Signal at most once")
         if self._undo is not None and pid not in self._saved:
             self._touch(state)
         self._trace.append(("force", pid, kind))
@@ -740,7 +746,10 @@ class Runner:
         erased = self._erased
         if erased is None:
             erased = self._erased = _Erased(self.n)
-        by_proc, by_word, events = erased.by_proc, erased.by_word, self._events
+        events = self._events
+        if erased.upto == len(events):  # nothing added since it was last extended
+            return erased
+        by_proc, by_word = erased.by_proc, erased.by_word
         _observe(erased.observed, events[erased.upto:], 1)
         for pos in range(erased.upto, len(events)):
             e = events[pos]
@@ -839,11 +848,12 @@ class Runner:
     def _restore_process(self, pid: int, saved: tuple) -> None:
         rec, pending, start_seq, calls_made, forced, next_kind, part, ctx_state, stepped = saved
         state = self.ctxs[pid]
-        was_live = _runnable(state)
+        # _runnable's test, before and after, inline.
+        was_live = state.call is not None or bool(state.forced) or state.next_kind is not None
         state.call, state.pending = rec, pending
         state.calls_made, state.forced, state.next_kind = calls_made, forced, next_kind
         state.part, state.stepped = part, stepped
-        if _runnable(state) != was_live:
+        if (rec is not None or bool(forced) or next_kind is not None) != was_live:
             self._set_live(pid, not was_live)
         if rec is None:
             state.gen = None

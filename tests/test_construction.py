@@ -8,13 +8,15 @@ import pytest
 
 from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.costs import METRIC_NAMES
-from rmrsim.errors import ConfigError, RoleError
+from rmrsim.errors import ConfigError, RoleError, SchedulingError, SimError
 from rmrsim.memory import Location, read, write
 from rmrsim.runner import (
     _CALL_KINDS,
+    POLL,
     SIGNAL,
     WAIT,
     ExplicitSchedule,
+    RoundRobin,
     Runner,
     Script,
     _ProcState,
@@ -249,6 +251,71 @@ def test_role_checks_agree_with_the_reference_on_every_small_role(name):
                 Runner(algo, roles)
         else:
             assert Runner(algo, roles).roles == roles
+
+
+def reference_force_check(run, pid, kind):
+    """The refusals of ``force_next_call`` as the engine made them before it
+    let a waiter's Poll through on one test: every call through the role
+    checks, in this order."""
+    algo = run.algorithm
+    if kind not in _CALL_KINDS:
+        raise ConfigError(f"unknown procedure {kind!r}")
+    if pid not in run.ctxs:
+        raise SchedulingError(f"no process {pid}: process ids are 1..{algo.n}")
+    state = run.ctxs[pid]
+    live = state.call is not None or bool(state.forced) or state.next_kind is not None
+    if state.stepped and not live:
+        raise SimError(f"process {pid} has terminated")
+    if kind == SIGNAL:
+        if algo.designated_signaler not in (None, pid):
+            raise RoleError(f"{algo.name}: only process {algo.designated_signaler} may signal")
+    elif pid not in algo.waiters:
+        raise RoleError(f"{algo.name}: process {pid} is not a waiter and may not call {kind}")
+    elif kind == WAIT and not algo.blocking:
+        raise ConfigError(f"{algo.name} has no Wait procedure; use {algo.name}+blocking")
+    if kind == SIGNAL and (SIGNAL in state.forced or state.next_kind == SIGNAL
+                           or any(c.proc == pid and c.kind == SIGNAL for c in run.calls)):
+        raise RoleError(f"process {pid} may call Signal at most once")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_forced_calls_are_refused_as_the_reference_refuses_them(name):
+    # Every kind, a bad one too, forced on every process id from 0 to n + 1,
+    # on runs fresh, part-way and finished, with and without a signaler:
+    # refused alike, or accepted by both.  Each force gets a replay of its
+    # run, since an accepted one changes it.
+    algo = make_algorithm(name, 3)
+    roles, signaler = waiter_roles(algo, poll_at_most(2))
+    runs = []
+    for script_roles, steps in (({}, 0), (roles, 0), ({**roles, signaler: signal_once()}, 0),
+                                ({**roles, signaler: signal_once()}, 3),
+                                ({**roles, signaler: signal_once()}, 100)):
+        run = Runner(algo, script_roles)
+        run.drive(RoundRobin(), steps)
+        runs.append((script_roles, list(run.trace)))
+    for script_roles, trace in runs:
+        for pid in range(algo.n + 2):
+            for kind in (*_CALL_KINDS, "Nap"):
+                run = Runner.replay(algo, script_roles, trace)
+                try:
+                    reference_force_check(run, pid, kind)
+                except SimError as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        run.force_next_call(pid, kind)
+                    assert run.trace == trace
+                else:
+                    run.force_next_call(pid, kind)
+                    assert run.trace == trace + [("force", pid, kind)]
+                    assert run.ctxs[pid].forced[-1] == kind
+                    assert pid in run.runnable()
+    # A scripted waiter's Poll passes before and after it has polled.
+    for script_roles, trace in runs[1:3]:
+        for w in algo.waiters:
+            run = Runner.replay(algo, script_roles, trace)
+            run.force_next_call(w, POLL)
+            run.run_call(w)
+            run.force_next_call(w, POLL)
+            assert run.ctxs[w].forced == (POLL,)
 
 
 # -- a write of None ---------------------------------------------------------------

@@ -776,12 +776,23 @@ def test_post_poll_check_leaves_the_report_alone(monkeypatch):
     assert sum(isinstance(got[0], dict) and got[1] > 0 for got in real) > 0
 
 
-def test_drill_probes_rebuild_nothing(rebuilds):
-    # Stability probes and the post-poll check run in place.
+def test_drill_probes_rebuild_nothing(rebuilds, monkeypatch):
+    # Stability probes and the post-poll check run in place.  The one
+    # polling round's probe only reads (each waiter polls its own notify
+    # word), so it is rolled back once, when it closes.
+    closes = []
+    rollback = Runner.rollback
+
+    def counted_rollback(self, *, close=False):
+        closes.append(close)
+        return rollback(self, close=close)
+
+    monkeypatch.setattr(Runner, "rollback", counted_rollback)
     algo = make_algorithm("dsm_queue", 33, waiters=range(2, 34))
     report = adversary_separation(algo, signaler=1)
     assert report.post_poll_ok
     assert rebuilds == {"fork": 0, "replay": 0}
+    assert closes == [True]
 
 
 def test_erase_drill_certifies_with_one_replay(rebuilds):

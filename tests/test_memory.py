@@ -136,6 +136,30 @@ def test_a_write_of_none_is_refused_before_the_word_or_its_writer_changes():
     assert mem.current_writer(x) == 1
 
 
+def test_a_write_of_a_float_is_refused_so_a_later_fai_counts_in_ints():
+    mem = Memory(2)
+    x = mem.alloc("x", 1)
+    with pytest.raises(ConfigError, match=r"^process 2 writes 1\.5, not an int, to word 0 \(x\)$"):
+        apply(mem, 2, write(x, 1.5))
+    assert mem.words() == (0, None)
+    ev = apply(mem, 1, fai(x), seq=1)
+    assert (ev.value_read, ev.value_written, ev.writer_before) == (0, 1, None)
+    assert type(ev.value_written) is int and mem.words() == (1, 1)
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("a", "'a'"), (b"1", "b'1'"), ([1], r"\[1\]"), (2.0, r"2\.0"),
+])
+def test_a_write_of_any_non_int_is_a_config_error_not_a_type_error(value, shown):
+    mem = Memory(3)
+    mem.alloc("w", 1)
+    x = mem.alloc("x", 3, init=7)
+    with pytest.raises(ConfigError, match=rf"^process 3 writes {shown}, not an int, "
+                                          r"to word 1 \(x\)$"):
+        apply(mem, 3, write(x, value))
+    assert mem.words() == (0, 7, None, None)
+
+
 def test_write_event_fields():
     mem = Memory(2)
     b = mem.alloc("b", home=1, init=0)

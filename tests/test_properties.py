@@ -771,6 +771,60 @@ def test_stability_probe_matches_fork_oracle_and_rolls_back(cfg, model, horizon)
     assert ledger_state(runner) == ledger_state(twin)
 
 
+class Countdown(SignalingAlgorithm):
+    """Poll counts its calls in ``ctx.state`` and reads a word of its own
+    module, but from its third call on reads the flag, homed at process 1.
+    It writes no word, yet each probed poll changes what the process's next
+    probe finds, so a probe of one process twice must roll back between."""
+
+    name = "countdown"
+
+    def setup(self, mem):
+        return SimpleNamespace(
+            flag=mem.alloc("flag", home=1),
+            mine={i: mem.alloc(f"mine[{i}]", home=i) for i in range(1, self.n + 1)},
+        )
+
+    def poll(self, ctx):
+        made = ctx.state["made"] = ctx.state.get("made", 0) + 1
+        if made < 3:
+            return bool((yield read(ctx.locs.mine[ctx.pid])))
+        return bool((yield read(ctx.locs.flag)))
+
+    def signal(self, ctx):
+        yield write(ctx.locs.flag, 1)
+
+
+TEST_ALGORITHMS[Countdown.name] = Countdown
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("name, polls, probed, expected", [
+    # 2's probed poll writes 3 into the word 3 polls, which 3 then finds
+    # odd and reads the flag: a poll that wrote rolls the probe back.
+    ("relay", {2: 2, 3: 1}, [2, 3], [(False, 1), (True, 1)]),
+    # 2's probed polls only read, but leave it one call from the flag.
+    ("countdown", {2: 1}, [2, 2], [(False, 2), (False, 2)]),
+    # Reads alone: 3 polls after 2 with no rollback, and 2 again after one.
+    ("countdown", {2: 1, 3: 1}, [2, 3, 2], [(False, 2)] * 3),
+], ids=["after-a-write", "same-process", "reads-only"])
+def test_one_probe_rolls_back_after_a_write_and_before_a_process_probed_again(
+        name, polls, probed, expected, model):
+    # The verdicts of one probe of every process in ``probed`` are each
+    # process's probed alone and the fork oracle's.
+    roles = {pid: poll_until_true() for pid in polls}
+    runner = Runner(build(name, 3, roles), roles)
+    for pid, made in polls.items():
+        for _ in range(made):
+            runner.run_call(pid)
+    before = observable_state(runner)
+    expected = [StabilityResult(*verdict) for verdict in expected]
+    assert [stability(runner, [pid], model=model, horizon=6)[0] for pid in probed] == expected
+    assert [fork_stability(runner.fork(), pid, model, 6) for pid in probed] == expected
+    assert stability(runner, probed, model=model, horizon=6) == expected
+    assert observable_state(runner) == before
+
+
 # No shrink phase: on these examples the shrinker fails an assertion of its
 # own instead of printing the falsifying example.
 @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
