@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import SimError
 from .memory import Event
 
 
@@ -36,41 +35,30 @@ METRIC_NAMES = ("rmr_dsm", "rmr_cc", "msg_bus", "msg_dir", "steps")
 
 
 class RmrLedger:
-    """Per-process cost accounting folded over a run's event list.
+    """Per-process cost accounting folded over a run's events: a value, not
+    a view of the run.
 
     One count table: a row per process id, a column per metric in
     ``METRIC_NAMES`` order (DSM RMRs, CC RMRs, bus and ideal-directory
-    invalidation messages, steps).  Counts are nonnegative and only grow.
-    Beside it, the CC holder table (:attr:`cache`).  The ledger holds the
-    list the run appends its events to and a cursor into it: :meth:`record`
-    charges the events past the cursor, and every read charges first, so no
-    read sees fewer events than the list holds.
-    While the run has a checkpoint open (``checkpointed``, set by the run),
-    every read raises :class:`SimError`: those events may be rolled back.
+    invalidation messages, steps).  Counts are nonnegative.  Beside it,
+    ``cache``, the CC holder table.  The constructor folds the events it
+    is given, once; events the run takes later do not change it.
     """
 
-    __slots__ = ("_cache", "_rows", "_events", "_charged", "checkpointed")
+    __slots__ = ("cache", "_rows")
 
     def __init__(self, n: int, events: list[Event]):
-        self._cache: dict[int, set[int]] = {}
+        self.cache: dict[int, set[int]] = {}
         zeros = [0] * len(METRIC_NAMES)
         self._rows = [zeros.copy() for _ in range(n + 1)]
-        self._events = events
-        self._charged = 0
-        self.checkpointed = False
+        self.record(events)
 
-    def record(self) -> None:
-        """Charge each event past the cursor, in order, by the DSM rule, the
-        ideal-directory count (one message per copy another process held
-        before the event) and the CC rule, folded over a single holder-set
-        lookup per event.  Refused while a checkpoint is open."""
-        if self.checkpointed:
-            raise SimError("ledger read while a checkpoint is open; read it after, or a fork")
-        events = self._events
-        if self._charged == len(events):
-            return
-        rows, holders_of = self._rows, self._cache
-        for event in events[self._charged:]:
+    def record(self, events: list[Event]) -> None:
+        """Charge ``events``, in order, by the DSM rule, the ideal-directory
+        count (one message per copy another process held before the event)
+        and the CC rule, folded over a single holder-set lookup per event."""
+        rows, holders_of = self._rows, self.cache
+        for event in events:
             p, loc = event.proc, event.loc
             row = rows[p]  # columns: rmr_dsm, rmr_cc, msg_bus, msg_dir, steps
             row[4] += 1
@@ -94,36 +82,18 @@ class RmrLedger:
                 row[3] += len(holders) - (p in holders)
                 holders.clear()
                 holders.add(p)
-        self._charged = len(events)
-
-    def detach(self) -> None:
-        """Charge what is left and let go of the event list: the counts
-        stay as they are from here on."""
-        self.record()
-        self._events, self._charged = [], 0
-
-    @property
-    def cache(self) -> dict[int, set[int]]:
-        """The CC holder table, charged to the end of the list: the
-        ledger's own dict, which the next charge changes."""
-        self.record()
-        return self._cache
 
     def rmr(self, model: Model, proc: int) -> int:
-        self.record()
         return self._rows[proc][0 if model is _DSM else 1]
 
     def per_process(self, proc: int) -> dict[str, int]:
         """Metrics for one process under the fixed metric names."""
-        self.record()
         return dict(zip(METRIC_NAMES, self._rows[proc]))
 
     def totals(self) -> dict[str, int]:
-        self.record()
         return dict(zip(METRIC_NAMES, map(sum, zip(*self._rows))))
 
     def _total(self, column: int) -> int:
-        self.record()
         return sum(row[column] for row in self._rows)
 
     @property

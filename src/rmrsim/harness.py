@@ -97,8 +97,8 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     """
     run = Runner(algorithm, roles)
     # Never rolled back: it keeps the journal on, so that every call starts
-    # under a checkpoint, can be rebuilt and has a part in the key; its
-    # ledger, which nothing charges under a checkpoint, goes unread.
+    # under a checkpoint, can be rebuilt and has a part in the key.  No
+    # ledger is read: the histories are the output.
     run.checkpoint()
     memo: dict[tuple, _Node] = {}  # local to this enumeration
     # Rebuilt closed records by (recorded record's id, path call id, start
@@ -234,11 +234,10 @@ def stability(base: Runner, pids, *, model: Model = Model.DSM,
     nontrivial step, or when that process was probed since.  Otherwise
     the process polls from the run as it was: the polls before it only
     read, and a read changes no word and no last writer, while a process's
-    solo polls depend only on its own ``ctx`` and the words.  Nothing
-    charges the ledger in the probe, so each poll is charged from its own
-    events: under CC against the ledger's holder table, read once before
-    the probe opens (so refused under an open checkpoint), which the probe
-    leaves as it is.
+    solo polls depend only on its own ``ctx`` and the words.  Each poll
+    is charged from its own events: under CC against the holder table of
+    a ledger read once before the probe opens, which the probe's steps
+    leave as it is.
     """
     if horizon < 1:
         raise ValueError("stability horizon must be at least 1")
@@ -246,7 +245,7 @@ def stability(base: Runner, pids, *, model: Model = Model.DSM,
     for pid in pids:
         if not base.is_active(pid):
             raise SimError(f"process {pid} is not active")
-    cache = None if model is _DSM or base.ledger is None else base.ledger.cache
+    cache = None if model is _DSM else base.ledger.cache
     verdicts = []
     with base.probe(pids):
         probed, wrote = set(), False  # since the last rollback

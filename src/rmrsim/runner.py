@@ -40,9 +40,9 @@ body once.  :meth:`Runner.step` is the single step that enumeration, the
 drill, replay and ``run_call`` take; :meth:`Runner.drive` runs the same
 per-step core in its own loop while no checkpoint is open, with ``step``
 as its oracle, and both close a returning call through one method.  The
-ledger and the erase index fold the events added since they were last
-read when they are read.  Both refuse every read while a checkpoint is
-open, so no step folds and a rollback has none to undo.
+ledger is folded from the run's events at each read; the erase index
+folds the events added since it was last read, and refuses every read
+while a checkpoint is open, so a rollback has nothing of it to undo.
 
 The run's event, call and trace lists only grow, but for a rollback's
 truncation and the new record it puts in place of a closed call it reopens:
@@ -342,7 +342,7 @@ class Runner:
         self._events: list[Event] = []
         self._calls: list[CallRecord] = []
         self._trace: list = []
-        self.ledger: RmrLedger | None = RmrLedger(n, self._events)
+        self._was_erased = False
         # Set while a checkpoint is open: per step, in step order, the word
         # it is about to change.
         self._undo: list | None = None
@@ -405,11 +405,20 @@ class Runner:
         self._record(p)  # refuses an id outside 1..n
         return self._index().observed[p]
 
+    @property
+    def ledger(self) -> RmrLedger:
+        """The run's costs: a ledger folded from its events at this read,
+        which later steps leave as it is, so hold it to read it more than
+        once.  Refused after an erasure."""
+        if self._was_erased:
+            self._refuse("the ledger")
+        return RmrLedger(self.n, self._events)
+
     def history(self) -> History:
         """A snapshot of the run.  It shares the closed call records, which
         never change, and copies the open ones: each process's open call,
         the only open records in the list."""
-        if self.ledger is None:
+        if self._was_erased:
             self._refuse("history()")
         calls = list(self._calls)
         for state in self.ctxs.values():
@@ -434,7 +443,7 @@ class Runner:
         assumes too.  A call begun with no checkpoint open has no part:
         :class:`SimError`.
         """
-        if self.ledger is None:
+        if self._was_erased:
             self._refuse("configuration()")
         key = [len(self._events), len(self._calls), self.mem.words()]
         for pid, state in self.ctxs.items():
@@ -472,7 +481,8 @@ class Runner:
             if state.part is None:
                 raise SimError(f"process {pid}'s call began before any checkpoint; "
                                "it cannot step under one")
-            undo.append(self.mem.save_word(loc.uid))
+            if not kind.trivial:  # a read changes no value and no last writer
+                undo.append(self.mem.save_word(loc.uid))
         events = self._events
         ev = self._apply(pid, kind, loc, value, len(events))
         self._trace.append(pid)
@@ -592,19 +602,18 @@ class Runner:
     def checkpoint(self) -> None:
         """Open a checkpoint that :meth:`rollback` returns the run to.
 
-        Checkpoints nest.  While one is open each step journals the word it
-        is about to change (value and writer), each process's state is
-        saved before it first changes (script position, queued calls,
-        ``ctx.state``, whether it has stepped, and its open call's record),
-        and the ledger and the erase index refuse every read.  A call begun
+        Checkpoints nest.  While one is open each nontrivial step journals
+        the word it is about to change (value and writer), each process's
+        state is saved before it first changes (script position, queued
+        calls, ``ctx.state``, whether it has stepped, and its open call's
+        record), and the erase index refuses every read.  A call begun
         before any checkpoint cannot be rewound, so its steps are refused
         (:class:`SimError`) before anything is applied.
         """
-        if self.ledger is None:
+        if self._was_erased:
             self._refuse("checkpoint()")
         if self._undo is None:
             self._undo = []
-            self.ledger.checkpointed = True
         self._saved = {}
         self._checkpoints.append(
             (len(self._events), len(self._calls), len(self._trace), len(self._undo), self._saved)
@@ -615,8 +624,8 @@ class Runner:
         checkpoint, which stays open unless ``close`` is set.
 
         Words come back from the journal, the event, call and trace lists
-        by truncation, the processes from their saves; the ledger and the
-        erase index, which read nothing meanwhile, need nothing.  Every
+        by truncation, the processes from their saves; the erase index,
+        which read nothing meanwhile, needs nothing.  Every
         open call it restores is rebuilt: the body restarts from
         ``ctx.state`` as the call found it and is sent the call's recorded
         responses; one begun before any checkpoint has not stepped since,
@@ -643,7 +652,6 @@ class Runner:
                 self._saved = self._checkpoints[-1][4]
             else:
                 self._undo = self._saved = None
-                self.ledger.checkpointed = False
 
     @contextlib.contextmanager
     def probe(self, pids: Iterable[int]) -> Iterator[Runner]:
@@ -707,20 +715,18 @@ class Runner:
         What the steps to come do not read is left for :meth:`fork`, the
         replay that builds and certifies the erased run: :attr:`events`,
         :attr:`calls` and :attr:`trace` give the entries at or above their
-        process's watermark under their old seqs and call ids, the ledger
-        is charged, detached and dropped (a reference held to it keeps the
-        counts of the run before the erasure; the fork charges the erased
-        run), and :meth:`history`, :meth:`configuration` and
-        :meth:`checkpoint` (so :meth:`probe`) are refused.  Refused,
+        process's watermark under their old seqs and call ids, and
+        :attr:`ledger`, :meth:`history`, :meth:`configuration` and
+        :meth:`checkpoint` (so :meth:`probe`) are refused: a ledger read
+        before keeps the counts of the run before the erasure, and the fork
+        charges the erased run.  Refused,
         changing nothing, while a checkpoint or probe is open (by the
         index) and for a process not active.
         """
         erased = self._index()
         if not self.is_active(p):
             raise SimError(f"process {p} is not active; only active processes can be erased")
-        if self.ledger is not None:
-            self.ledger.detach()
-            self.ledger = None
+        self._was_erased = True
         events, mem, dead = self._events, self.mem, erased.dead
         doomed = [events[pos] for pos in erased.by_proc[p]]
         erased.by_proc[p] = []
@@ -761,7 +767,7 @@ class Runner:
     def _kept(self, entries: list, which: int) -> list:
         """The run's own list, or after an erasure its entries at or above
         their process's watermark: ``which`` picks the list's own one."""
-        if self.ledger is not None:
+        if not self._was_erased:
             return entries
         dead = [marks[which] for marks in self._erased.dead]
         if which == 2:  # the trace: a pid per step, ("force", pid, kind)

@@ -147,8 +147,7 @@ def test_an_erased_process_gets_the_record_a_run_begins_with(name, n):
     run = Runner(algo, roles)
     for pid in algo.waiters:
         run.run_call(pid)
-    run.ledger.totals()
-    # Charged rows are the run's own: one per process, none shared.
+    # The ledger's rows are the run's own: one per process, none shared.
     assert sum(run.ledger.per_process(p)["steps"] for p in range(1, n + 1)) == len(run.events)
     for p in algo.waiters:
         assert p in run.runnable()

@@ -172,7 +172,6 @@ def _random_soup(seed, n=4, steps=200):
     mem = Memory(n)
     locs = [mem.alloc(f"l{i}", home=rng.randrange(1, n + 1)) for i in range(5)]
     events = []
-    ledger = RmrLedger(n, events)
     for i in range(steps):
         proc = rng.randrange(1, n + 1)
         loc = rng.choice(locs)
@@ -184,7 +183,7 @@ def _random_soup(seed, n=4, steps=200):
         else:
             req = fai(loc)
         events.append(apply(mem, proc, req, seq=i))
-    return events, ledger, n
+    return events, RmrLedger(n, events), n
 
 
 def test_cc_read_bound_between_invalidations():
@@ -228,15 +227,14 @@ def test_bus_messages_equal_nontrivial_attempts():
 
 
 def test_ledger_counts_monotone():
-    # Read after each event appended: each read charges the one new event.
+    # One ledger per prefix, each one event longer than the last: no count
+    # falls, and the step count grows by the one event.
     events, _, n = _random_soup(47, steps=80)
-    grown = []
-    ledger = RmrLedger(n, grown)
-    prev = ledger.totals()
-    for e in events:
-        grown.append(e)
-        now = ledger.totals()
+    prev = RmrLedger(n, []).totals()
+    for length in range(1, len(events) + 1):
+        now = RmrLedger(n, events[:length]).totals()
         assert all(now[k] >= prev[k] for k in now)
+        assert now["steps"] == prev["steps"] + 1
         prev = now
 
 
@@ -279,8 +277,7 @@ def row(ledger: RmrLedger, proc: int) -> list[int]:
 ])
 def test_fused_record_matches_reference_rules(kind, issuer_holds):
     *before, last = _ending_in(kind, issuer_holds)
-    events = list(before)
-    ledger, cache = RmrLedger(3, events), {}
+    ledger, cache = RmrLedger(3, before), {}
     for e in before:
         classify_cc(e, cache)
     held = holder_pairs(cache)
@@ -291,7 +288,7 @@ def test_fused_record_matches_reference_rules(kind, issuer_holds):
     directory = count_messages(last, cache)
     cc = classify_cc(last, cache) is RMR  # moves the cache past ``last``
     expected = [classify_dsm(last) is RMR, cc, bus, directory, 1]
-    events.append(last)
-    assert [now - was for now, was in zip(row(ledger, 2), start)] == expected
-    assert [row(ledger, 1), row(ledger, 3)] == others
-    assert holder_pairs(ledger.cache) == holder_pairs(cache)
+    grown = RmrLedger(3, [*before, last])
+    assert [now - was for now, was in zip(row(grown, 2), start)] == expected
+    assert [row(grown, 1), row(grown, 3)] == others
+    assert holder_pairs(grown.cache) == holder_pairs(cache)

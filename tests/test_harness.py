@@ -243,9 +243,9 @@ def solo_polls(runner, pid, calls):
 
 
 def test_solo_extend_stable_waiter_pays_nothing():
-    # The ledger answers no reads inside a probe, so the charges are read
-    # on a fork that polls with no checkpoint open; the probe takes the
-    # fork's steps and rolls them back.
+    # The charges are read on a fork that polls with no checkpoint open,
+    # and inside the probe, which takes the fork's steps and rolls them
+    # back.
     algo = make_algorithm("dsm_queue", 4)
     runner = Runner(algo, {2: poll_until_true()})
     runner.run_call(2)
@@ -258,6 +258,7 @@ def test_solo_extend_stable_waiter_pays_nothing():
         solo_polls(runner, 2, 100)
         assert [e.signature() for e in runner.events] == [e.signature() for e in fork.events]
         assert len(runner.events) == steps + 100
+        assert runner.ledger.rmr(Model.DSM, 2) == before
     assert len(runner.events) == steps
 
 
@@ -271,6 +272,7 @@ def test_solo_extend_cc_flag_waiter_pays_per_poll_under_dsm():
     assert fork.ledger.rmr(Model.DSM, 2) == before + 50
     with runner.probe((2,)):
         solo_polls(runner, 2, 50)
+        assert runner.ledger.rmr(Model.DSM, 2) == before + 50
     assert runner.ledger.rmr(Model.DSM, 2) == before
 
 
@@ -376,10 +378,9 @@ def test_stability_requires_between_calls():
         stability(runner, [2])
 
 
-def test_stability_requires_a_ledger():
-    # The only run without a ledger is an erased one, which is refused
-    # under either model: the probe's checkpoint needs the ledger, which
-    # the CC holder table is read from.
+def test_stability_refuses_an_erased_run():
+    # Under either model: under CC by the ledger the holder table is read
+    # from, under DSM by the probe's checkpoint.
     algo = make_algorithm("cc_flag", 3)
     erased = Runner(algo, {2: poll_until_true(), 3: poll_until_true()})
     erased.run_call(2)
@@ -517,7 +518,8 @@ def test_erase_index_refused_under_a_checkpoint(built_before):
         for read in (lambda: runner.observers(2), lambda: runner.erase(2)):
             with pytest.raises(SimError, match="checkpoint or probe"):
                 read()
-        assert runner.ledger is not None and runner.is_active(2)
+        # Not marked erased: the ledger still reads, as the run stands.
+        assert runner.ledger.totals()["steps"] == len(runner.events) and runner.is_active(2)
 
     runner.checkpoint()
     refused()
@@ -876,8 +878,10 @@ def held_visits(monkeypatch):
     init = RmrLedger.__init__
 
     def counted_init(self, n, events):
-        init(self, n, events)
-        self._cache = CountedHolders()
+        # The counting table goes in before the fold, so the fold's lookups count.
+        init(self, n, [])
+        self.cache = CountedHolders()
+        self.record(events)
 
     monkeypatch.setattr(RmrLedger, "__init__", counted_init)
     return counts

@@ -246,8 +246,9 @@ def started_calls(runner: Runner, skip=()) -> list:
             if c.proc not in skip and c.start_seq is not None]
 
 
-def ledger_state(runner: Runner) -> tuple:
-    ledger = runner.ledger
+def ledger_state(runner: Runner, ledger: RmrLedger | None = None) -> tuple:
+    """Every row and holder pair of ``ledger``, else of one read of the run's."""
+    ledger = runner.ledger if ledger is None else ledger
     rows = tuple(tuple(ledger.per_process(p).items()) for p in range(1, runner.n + 1))
     return rows, holder_pairs(ledger.cache)
 
@@ -683,15 +684,14 @@ def outcome(probe) -> tuple:
     return ("undecided",) if got is None else ("result", got)
 
 
-def observable_state(runner: Runner, ledger: bool = True) -> tuple:
-    """What a run shows; with ``ledger`` unset, all of it but the ledger,
-    which refuses reads while a checkpoint is open."""
+def observable_state(runner: Runner) -> tuple:
+    """What a run shows, its ledger as folded at this read included."""
     return (
         signatures(runner),
         calls(runner),
         list(runner.trace),
         runner.mem.words(),
-        ledger_state(runner) if ledger else None,
+        ledger_state(runner),
         runner.participants(),
         {p: dict(runner.ctxs[p].state) for p in runner.ctxs},
         runner.runnable(),
@@ -860,7 +860,7 @@ def test_probe_decides_rmrs_as_the_ledger_does(cfg, horizon, bursts):
 #: Every ledger read.
 LEDGER_READS = ("rmr", "per_process", "totals", "total_rmr_dsm", "total_rmr_cc",
                 "total_msg_bus", "total_msg_dir", "cache")
-INTERLUDES = st.sampled_from(("run.ledger", "reference", "probe", "checkpoint"))
+INTERLUDES = st.sampled_from(("run.ledger", "probe", "checkpoint"))
 
 
 def recount_holders(events) -> set[tuple[int, int]]:
@@ -890,19 +890,27 @@ def read_as_recounted(ledger, read: str, pid: int, model: Model, runner: Runner)
 
 @given(configs(EVERY_PRIMITIVE), st.data())
 def test_every_ledger_read_sees_every_event(cfg, data):
-    # Steps with no checkpoint open leave their charges to the next read.
-    # Before each burst of them: one read, through run.ledger or through a
-    # reference taken before the first step; or a stability probe of a
-    # waiter between calls, or a checkpoint, steps of processes that were
-    # between calls (on words nobody has touched, if it comes first) and a
-    # rollback, each followed by a read once it has closed.  Every read
-    # equals a recount of the events, and so does each kind of read made
-    # first on a replay of the whole run.
+    # Before each burst of steps: one read through run.ledger, a snapshot
+    # that the burst leaves as it was.  Before that read, nothing or one of
+    # these: a stability probe of a waiter between calls, then a probe in
+    # which it polls once, with a read inside; or a checkpoint, steps of
+    # processes that were between calls (on words nobody has touched, if
+    # it comes first) with a read inside, and a rollback.  Every read
+    # equals a recount of the events as they stand, a rolled-back interlude
+    # leaves the ledger as it was, and each kind of read made first on a
+    # replay of the whole run equals a recount too.
     runner = Runner(build(cfg.name, cfg.n, cfg.roles), cfg.roles)
-    reference = runner.ledger
     policy = SeededRandom(cfg.seed)
+
+    def check(ledger) -> None:
+        got, expected = read_as_recounted(
+            ledger, data.draw(st.sampled_from(LEDGER_READS)),
+            data.draw(st.integers(1, runner.n)), data.draw(st.sampled_from(Model)), runner)
+        assert got == expected
+
     for _ in range(data.draw(st.integers(1, 8))):
         interlude = data.draw(INTERLUDES)
+        before = ledger_state(runner)
         if interlude == "probe":
             between = [pid for pid in sorted(runner.participants() - runner.terminated)
                        if runner.open_call(pid) is None and cfg.roles[pid].kind != SIGNAL]
@@ -910,6 +918,10 @@ def test_every_ledger_read_sees_every_event(cfg, data):
                 pid = data.draw(st.sampled_from(between))
                 model = data.draw(st.sampled_from(Model))
                 outcome(lambda: stability(runner, [pid], model=model, horizon=6))
+                with runner.probe([pid]):
+                    runner.force_next_call(pid, POLL)
+                    outcome(lambda: runner.run_call(pid, max_steps=6))
+                    check(runner.ledger)
         elif interlude == "checkpoint":
             # Only a call begun under the checkpoint can be rewound.
             free = [pid for pid in runner.runnable() if runner.open_call(pid) is None]
@@ -918,13 +930,14 @@ def test_every_ledger_read_sees_every_event(cfg, data):
                 live = [pid for pid in runner.runnable() if pid in free]
                 if live:
                     runner.step(live[k % len(live)])
+            check(runner.ledger)
             runner.rollback(close=True)
-        ledger = reference if interlude == "reference" else runner.ledger
-        got, expected = read_as_recounted(
-            ledger, data.draw(st.sampled_from(LEDGER_READS)),
-            data.draw(st.integers(1, runner.n)), data.draw(st.sampled_from(Model)), runner)
-        assert got == expected
+        snapshot = runner.ledger
+        check(snapshot)
+        held = ledger_state(runner, snapshot)
+        assert held == before
         runner.drive(policy, len(runner.events) + data.draw(st.integers(0, 12)))
+        assert ledger_state(runner, snapshot) == held
     pid, model = data.draw(st.integers(1, runner.n)), data.draw(st.sampled_from(Model))
     for read in LEDGER_READS:
         twin = Runner.replay(runner.algorithm, runner.roles, runner.trace)
@@ -968,25 +981,23 @@ def test_post_poll_check_matches_fork_oracle(cfg, model):
 def test_rollback_restores_the_run_exactly(cfg):
     # Checkpoint mid-run, go on (a forced Poll included), roll back: the run
     # is as it was, and goes on as a run that never left.
-    # The ledger is compared once the outermost checkpoint has closed: it
-    # answers no reads before.
     runner = Runner(build(cfg.name, cfg.n, cfg.roles), cfg.roles)
     runner.checkpoint()  # calls begun from here on can be rewound
     runner.drive(SeededRandom(cfg.seed), cfg.budget)
-    before, trace = observable_state(runner, ledger=False), list(runner.trace)
+    before, trace = observable_state(runner), list(runner.trace)
     runner.checkpoint()
     runner.drive(SeededRandom(cfg.seed + 1), len(runner.events) + 20)
     if cfg.forced is not None and cfg.forced not in runner.terminated:
         runner.force_next_call(cfg.forced, POLL)
         runner.drive(SeededRandom(cfg.seed + 2), len(runner.events) + 20)
     runner.rollback()
-    assert observable_state(runner, ledger=False) == before
+    assert observable_state(runner) == before
     twin = Runner.replay(runner.algorithm, runner.roles, trace)
     for run in (runner, twin):
         run.drive(SeededRandom(cfg.seed + 3), len(run.events) + 30)
-    assert observable_state(runner, ledger=False) == observable_state(twin, ledger=False)
+    assert observable_state(runner) == observable_state(twin)
     runner.rollback(close=True)
-    assert observable_state(runner, ledger=False) == before
+    assert observable_state(runner) == before
     runner.rollback(close=True)
     assert observable_state(runner) == observable_state(Runner(runner.algorithm, runner.roles))
 
@@ -1247,14 +1258,12 @@ ACTIONS = st.sampled_from(("step", "step", "step", "force", "checkpoint", "rollb
 def test_checkpoints_agree_with_replay_under_any_mix_of_actions(data):
     # Steps, queued Polls, checkpoints and rollbacks in any order: each
     # rollback restores the state its checkpoint saw, and the run always
-    # equals a replay of its trace.  The ledger, which answers no reads
-    # under a checkpoint, is compared after the last one closes: nothing
-    # the actions did reaches it.
+    # equals a replay of its trace, its ledger included.
     name, n, roles = draw_setting(data.draw, EVERY_PRIMITIVE, 4)
     actions = data.draw(st.lists(st.tuples(ACTIONS, st.integers(0, 7)), min_size=20, max_size=80))
     runner = Runner(build(name, n, roles), roles)
     runner.checkpoint()  # kept open, so that every call can be rewound
-    seen = [observable_state(runner, ledger=False)]
+    seen = [observable_state(runner)]
     waiters = sorted(pid for pid in roles if pid != 1)
     for action, k in actions:
         if action == "step":
@@ -1269,16 +1278,16 @@ def test_checkpoints_agree_with_replay_under_any_mix_of_actions(data):
             runner.force_next_call(pid, POLL)
         elif action == "checkpoint":
             runner.checkpoint()
-            seen.append(observable_state(runner, ledger=False))
+            seen.append(observable_state(runner))
         else:
             close = action == "close" and len(seen) > 1
             runner.rollback(close=close)
-            assert observable_state(runner, ledger=False) == (seen.pop() if close else seen[-1])
+            assert observable_state(runner) == (seen.pop() if close else seen[-1])
         twin = Runner.replay(runner.algorithm, runner.roles, runner.trace)
-        assert observable_state(runner, ledger=False) == observable_state(twin, ledger=False)
+        assert observable_state(runner) == observable_state(twin)
     while seen:
         runner.rollback(close=True)
-        assert observable_state(runner, ledger=False) == seen.pop()
+        assert observable_state(runner) == seen.pop()
     assert observable_state(runner) == observable_state(Runner(runner.algorithm, runner.roles))
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.errors import ConfigError, RoleError, SchedulingError, SimError
-from rmrsim.harness import adversary_separation, enumerate_histories, erase
-from rmrsim.memory import OpKind, read, write
+from rmrsim.harness import adversary_separation, enumerate_histories, erase, stability
+from rmrsim.memory import Memory, OpKind, read, write
 from rmrsim.runner import (
     POLL,
     SIGNAL,
@@ -357,16 +357,16 @@ def queue_after_signal():
     return runner
 
 
-def observable(runner, ledger=True):
-    """What a run shows; with ``ledger`` unset, all of it but the ledger,
-    which refuses reads while a checkpoint is open."""
+def observable(runner):
+    """What a run shows, its ledger as folded at this read included."""
+    ledger = runner.ledger
     return (
         [e.signature() for e in runner.events],
         [(c.call_id, c.proc, c.kind, c.response, c.start_seq, c.end_seq) for c in runner.calls],
         list(runner.trace),
         runner.mem.words(),
-        [runner.ledger.per_process(p) for p in range(1, runner.n + 1)] if ledger else None,
-        holder_pairs(runner.ledger.cache) if ledger else None,
+        [ledger.per_process(p) for p in range(1, runner.n + 1)],
+        holder_pairs(ledger.cache),
         runner.participants(),
         runner.runnable(),
         runner.terminated,
@@ -447,7 +447,7 @@ def test_probe_refusals():
         with pytest.raises(SchedulingError):
             fresh.peek(3)  # would start 3's first call
     assert fresh.calls == []
-    # A run probed before any read: the probe charges nothing.
+    # The ledger after a probe counts none of the probe's steps.
     plain = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)})
     with plain.probe([2]):
         plain.run_call(2)
@@ -461,26 +461,25 @@ def test_probe_refusals():
 def test_rollback_rebuilds_a_call_that_changed_its_state_before_yielding():
     # dsm_queue's first Poll sets "enqueued" before its first request, so
     # the rebuilt body must start from the state the call found, not the
-    # state the rolled-back steps left.  The ledger is compared once both
-    # checkpoints have closed.
+    # state the rolled-back steps left.
     roles = {2: poll_at_most(2), 3: poll_at_most(1)}
     runner = Runner(make_algorithm("dsm_queue", 3), roles)
     runner.checkpoint()
     runner.step(2)  # FAI on the tail; 2 is mid-call
-    before = observable(runner, ledger=False)
+    before = observable(runner)
     runner.checkpoint()
     runner.step(2)
     runner.step(3)
     runner.step(2)  # 2's first Poll returns
     runner.step(2)  # and its second begins
     runner.rollback()
-    assert observable(runner, ledger=False) == before
+    assert observable(runner) == before
     assert runner.ctxs[2].state == {"enqueued": True}
     runner.drive(RoundRobin())
     twin = Runner(make_algorithm("dsm_queue", 3), roles)
     twin.step(2)
     twin.drive(RoundRobin())
-    assert observable(runner, ledger=False) == observable(twin, ledger=False)
+    assert observable(runner) == observable(twin)
     runner.rollback(close=True)
     runner.rollback(close=True)
     assert observable(runner) == observable(Runner(make_algorithm("dsm_queue", 3), roles))
@@ -493,16 +492,16 @@ def test_checkpoints_nest_and_close():
     outer = observable(runner)
     runner.checkpoint()
     runner.step(3)
-    inner = observable(runner, ledger=False)
+    inner = observable(runner)
     runner.checkpoint()
     runner.step(3)
     runner.rollback()  # stays open
-    assert observable(runner, ledger=False) == inner
+    assert observable(runner) == inner
     runner.step(3)
     runner.rollback(close=True)
-    assert observable(runner, ledger=False) == inner
+    assert observable(runner) == inner
     runner.rollback(close=True)
-    assert observable(runner) == outer  # the ledger reads again, as it was
+    assert observable(runner) == outer
     with pytest.raises(SimError, match="no checkpoint"):
         runner.rollback()
 
@@ -511,8 +510,7 @@ def test_rollback_rebuilds_a_generator_an_inner_rollback_left_behind():
     # 2 is touched under the outer checkpoint without a step (a queued
     # call), then steps under the inner one.  Rolling back the inner one
     # rebuilds 2's generator, and the outer one must not bring back the
-    # generator those steps advanced.  The ledgers are compared once every
-    # checkpoint has closed.
+    # generator those steps advanced.
     def started():
         run = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1), 3: poll_at_most(1)})
         run.checkpoint()
@@ -520,18 +518,18 @@ def test_rollback_rebuilds_a_generator_an_inner_rollback_left_behind():
         return run
 
     runner = started()
-    before = observable(runner, ledger=False)
+    before = observable(runner)
     runner.checkpoint()
     runner.force_next_call(2, POLL)
     runner.checkpoint()
     runner.step(2)
     runner.rollback(close=True)
     runner.rollback(close=True)
-    assert observable(runner, ledger=False) == before
+    assert observable(runner) == before
     twin = started()
     for run in (runner, twin):
         run.drive(RoundRobin())
-    assert observable(runner, ledger=False) == observable(twin, ledger=False)
+    assert observable(runner) == observable(twin)
     for run in (runner, twin):
         run.rollback(close=True)
     assert observable(runner) == observable(twin)
@@ -581,11 +579,11 @@ def test_rollback_rebuilds_a_call_across_spinning_and_exiting_reads():
     runner.checkpoint()
     for pid in (1, 1, 2, 1):  # two reads of 0, the write, the read of 5
         runner.step(pid)
-    before = observable(runner, ledger=False)
+    before = observable(runner)
     runner.checkpoint()
     runner.step(1)  # the last read; Signal returns
     runner.rollback()
-    assert observable(runner, ledger=False) == before
+    assert observable(runner) == before
     runner.step(1)
     assert runner.calls[0].response == 2 and runner.calls[0].end_seq == 4
     assert [e.value_read for e in runner.events if e.proc == 1] == [0, 0, 5, 5]
@@ -595,46 +593,69 @@ def test_rollback_rebuilds_a_call_across_spinning_and_exiting_reads():
 
 
 @pytest.mark.parametrize("read", LEDGER_READS)
-def test_ledger_reads_are_refused_while_a_checkpoint_is_open(read):
-    # Nothing charges the ledger under a checkpoint, so each read is
-    # refused until the outermost one closes, through run.ledger and
-    # through a reference taken before, also with no event added since it
-    # opened; then it equals a recount of the run's events.
+def test_ledger_reads_under_a_checkpoint_see_the_run_as_it_stands(read):
+    # Each read through run.ledger, under a checkpoint or a probe too,
+    # equals a recount of the run's events as they stand; after a rollback
+    # it equals the read taken before the checkpoint, and a ledger held
+    # from before the first checkpoint keeps that read throughout.
     runner = Runner(make_algorithm("cc_flag", 3), {1: signal_once(), 2: poll_until_true(),
                                                    3: poll_at_most(2)})
-    reference = runner.ledger
     runner.run_call(2)
 
-    def refused():
-        for ledger in (runner.ledger, reference):
-            with pytest.raises(SimError, match="checkpoint is open"):
-                read_as_recounted(ledger, read, 2, Model.CC, runner)
+    def reads(ledger):
+        return [read_as_recounted(ledger, read, pid, model, runner)[0]
+                for pid in (1, 2, 3) for model in Model]
 
     def recounted():
-        for ledger in (runner.ledger, reference):
-            for pid in (1, 2, 3):
-                for model in Model:
-                    got, expected = read_as_recounted(ledger, read, pid, model, runner)
-                    assert got == expected
+        for pid in (1, 2, 3):
+            for model in Model:
+                got, expected = read_as_recounted(runner.ledger, read, pid, model, runner)
+                assert got == expected
 
+    held = runner.ledger
+    before = reads(held)
     runner.checkpoint()
-    refused()
-    runner.step(3)
-    runner.checkpoint()
-    refused()
-    runner.step(1)
-    runner.rollback(close=True)
-    refused()
-    runner.rollback(close=True)
     recounted()
+    runner.step(3)
+    recounted()
+    inner = reads(runner.ledger)
+    runner.checkpoint()
+    runner.step(1)
+    recounted()
+    runner.rollback(close=True)
+    assert reads(runner.ledger) == inner
+    runner.rollback(close=True)
+    assert reads(runner.ledger) == before
     with runner.probe([2]):
-        refused()
         runner.force_next_call(2, POLL)
         runner.run_call(2)
-        refused()
-    recounted()
+        recounted()
+    assert reads(runner.ledger) == before
     runner.drive(RoundRobin())
     recounted()
+    assert reads(held) == before
+
+
+def test_a_read_only_probe_round_journals_no_word(monkeypatch):
+    # A read changes neither a word's value nor its last writer, so a
+    # stability round whose polls only read journals nothing, and its
+    # rollback still leaves every word as it was.  A write is journaled.
+    algo = make_algorithm("dsm_queue", 5)
+    runner = Runner(algo, {1: signal_once(), **dict.fromkeys(algo.waiters, poll_until_true())})
+    for pid in algo.waiters:
+        runner.run_call(pid)  # the first Poll enqueues; later ones spin on a local word
+    saved = []
+    save = Memory.save_word
+    monkeypatch.setattr(Memory, "save_word", lambda mem, uid: saved.append(uid) or save(mem, uid))
+    words, events = runner.mem.words(), len(runner.events)
+    for model in Model:
+        assert len(stability(runner, algo.waiters, model=model)) == len(algo.waiters)
+    assert saved == []
+    assert (runner.mem.words(), len(runner.events)) == (words, events)
+    with runner.probe([1]):
+        runner.run_call(1)
+        assert saved
+    assert runner.mem.words() == words
 
 
 def test_rollback_cannot_rewind_a_call_begun_before_any_checkpoint():
@@ -643,10 +664,10 @@ def test_rollback_cannot_rewind_a_call_begun_before_any_checkpoint():
     runner = Runner(make_algorithm("dsm_queue", 3), {2: poll_at_most(1)})
     runner.step(2)
     runner.checkpoint()
-    before = observable(runner, ledger=False)
+    before = observable(runner)
     with pytest.raises(SimError, match="began before any checkpoint; it cannot step under one"):
         runner.step(2)
-    assert observable(runner, ledger=False) == before
+    assert observable(runner) == before
     runner.rollback(close=True)
     runner.run_call(2)
     twin = Runner.replay(runner.algorithm, runner.roles, [2])
@@ -718,7 +739,7 @@ def test_history_snapshot_stays_put():
 
 @pytest.mark.parametrize("erased", [True, False])
 def test_is_active_agrees_with_active(erased):
-    # Also on a run without a ledger, which only an erasure leaves.
+    # Also on an erased run, whose ledger is refused.
     algo = make_algorithm("cc_flag", 4)
     roles = {2: poll_until_true(), 3: poll_at_most(1), 4: poll_until_true()}
     runner = Runner(algo, roles)
@@ -778,8 +799,8 @@ def test_erase_refusals():
     assert ([e.signature() for e in runner.events], list(runner.trace)) == before
     runner.erase(2)
     assert [e.proc for e in runner.events] == [3]
-    # The participant set is the run's, so a run whose ledger an earlier
-    # erasure dropped erases too.
+    # The participant set is the run's, so a run an earlier erasure left
+    # erases too.
     again = Runner(algo, roles)
     for pid in (2, 4):
         again.run_call(pid)
@@ -855,13 +876,14 @@ def test_erased_run_refuses_whole_run_reads():
 
 
 def test_erased_run_keeps_no_stale_ledger():
-    # The erased waiter's poll is charged nowhere: the live run drops its
-    # ledger, and the fork charges the one poll left.
+    # The erased waiter's poll is charged nowhere: the live run refuses
+    # its ledger, and the fork charges the one poll left.
     runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true(), 3: poll_until_true()})
     runner.run_call(2)
     runner.run_call(3)
     runner.erase(2)
-    assert runner.ledger is None
+    with pytest.raises(SimError, match="the ledger refused after an erasure"):
+        runner.ledger
     fork = runner.fork()
     assert runner.participants() == fork.participants() == {3}
     assert not runner.is_active(2)
@@ -869,13 +891,12 @@ def test_erased_run_keeps_no_stale_ledger():
 
 
 def test_ledger_held_across_an_erasure_keeps_the_run_before_it():
-    # The erasure charges the ledger it drops and detaches it: a reference
-    # taken before the first step reads the run as it was, and neither the
-    # erased events nor the steps after the erasure reach it.
+    # A ledger read before the erasure is a snapshot of the run as it was:
+    # neither the erasure nor the steps after it reach it.
     runner = Runner(make_algorithm("cc_flag", 3), {2: poll_until_true(), 3: poll_until_true()})
-    ledger = runner.ledger
     runner.run_call(2)
     runner.run_call(3)
+    ledger = runner.ledger
     before = recount(runner.events, runner.n)
     runner.erase(2)
     runner.force_next_call(3, POLL)
