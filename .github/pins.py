@@ -38,6 +38,13 @@ PINS = [
     # process 1, as in sweep, not a waiter.
     ("adversary dsm_queue --W 64", "adversary --algo dsm_queue --W 64",
      0, None, {"k": 65, "signaler_rmrs": 64}, None),
+    # The DSM drill at W = 1024 over waiters with a non-empty ctx.state:
+    # each probed waiter reads its own notify word, a poll that changes
+    # no part of its configuration, so its stability is decided with no
+    # key built after the poll.
+    ("adversary dsm_queue --W 1024", "adversary --algo dsm_queue --W 1024",
+     0, None, {"k": 1025, "signaler_rmrs": 1024, "total_rmr_dsm": 4096,
+               "total_rmr_cc": 5122}, None),
     # The CC drill at W = 1024: each round's one stability probe decides
     # from its own events, against the ledger's holder table read before it
     # opens, that a waiter polling its cached flag pays nothing; one

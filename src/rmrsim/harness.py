@@ -11,7 +11,9 @@
   The probe is rolled back before a process only after a probed poll wrote
   or when that process was probed already since the last rollback: a read
   changes no word and no last writer, and a process's solo polls depend
-  only on its own context and the words;
+  only on its own context and the words.  A process's configuration key
+  is built where its polls start and after each poll that changed it; a
+  poll that changed nothing is back where it began;
 * erasure: removing every step of a process nobody observed (read a value
   it last wrote) yields another legal run, which is certified rather than
   trusted.  The drill asks the observed-by count the run's erase index
@@ -228,6 +230,11 @@ def stability(base: Runner, pids, *, model: Model = Model.DSM,
     process can observe without an RMR (its persistent state plus the
     memory it can read locally) repeats between calls, which pins the solo
     run in a zero-cost cycle.  None, undecided, when the horizon comes first.
+    A poll that paid nothing, made no nontrivial step and left the state
+    equal repeats the configuration it began from, and no key is built for
+    it.  That is exact: an unpaid nontrivial step is the only one that can
+    change a word the process reads locally (under DSM one of its own
+    module; under CC every nontrivial step pays).
 
     One probe holds every process's polls.  It is rolled back before a
     process only when the polls probed since the last rollback made a
@@ -248,21 +255,22 @@ def stability(base: Runner, pids, *, model: Model = Model.DSM,
     cache = None if model is _DSM else base.ledger.cache
     verdicts = []
     with base.probe(pids):
+        events = base.events  # the run's own list, which a rollback truncates
         probed, wrote = set(), False  # since the last rollback
         for pid in pids:
             if wrote or pid in probed:
                 base.rollback()
                 probed.clear()
             probed.add(pid)
-            verdict, wrote = _solo(base, pid, cache, horizon)
+            verdict, wrote = _solo(base, events, pid, cache, horizon)
             verdicts.append(verdict)
     return verdicts
 
 
-def _solo(run: Runner, pid: int, cache: dict[int, set[int]] | None,
+def _solo(run: Runner, events: list[Event], pid: int, cache: dict[int, set[int]] | None,
           horizon: int) -> tuple[StabilityResult | None, bool]:
     """``pid``'s :func:`stability` verdict, from solo polls in the open
-    probe, and whether they made a nontrivial step.
+    probe whose run has ``events``, and whether they made a nontrivial step.
 
     A poll pays an RMR for an event under DSM (``cache`` None) that
     accesses another module, under CC for a nontrivial step or an access
@@ -271,13 +279,19 @@ def _solo(run: Runner, pid: int, cache: dict[int, set[int]] | None,
     is everything a solo run of ``pid`` can branch on without paying: its
     persistent local state, plus under DSM the values in its own module.
     Under CC the state alone: the words it can read locally are those it
-    holds a copy of, which no step changes before one pays."""
+    holds a copy of, which no step changes before one pays.
+
+    A key is built only for the configuration the polls start from and for
+    one a poll changed.  A poll that paid nothing, made no nontrivial step
+    and left the state equal to a copy taken before it changed neither: it
+    is back at a configuration already seen.  The start key is hashed
+    whatever follows, so a state no key can hold, such as a list a poll
+    grows in place, is refused with :class:`TypeError`."""
     # Every event from here on is one of pid's; the first ``checked`` paid nothing.
-    events = run.events
     checked = len(events)
     ctx = run.ctxs[pid]
     snapshot = run.mem.module_snapshot if cache is None else None
-    state = ctx.state
+    state = dict(ctx.state)  # as the next poll finds it
     config = tuple(sorted(state.items())) if state else ()
     seen = {config if snapshot is None else (config, snapshot(pid))}
     wrote = False
@@ -287,27 +301,31 @@ def _solo(run: Runner, pid: int, cache: dict[int, set[int]] | None,
             rec = run.run_call(pid, max_steps=horizon)
         except StepBudgetExceeded:
             rec = None
-        paid = False
+        paid = moved = False
         for e in events[checked:]:
             trivial = e.op.trivial
             if not trivial:
-                wrote = True
+                moved = True
             if (e.home != pid if cache is None
                     else not trivial or pid not in cache.get(e.loc, ())):
                 paid = True
+        wrote = wrote or moved
         if paid:
-            return StabilityResult(stable=False, solo_calls=made), wrote
+            return StabilityResult(False, made), wrote
         if rec is None:
             return None, wrote
         if rec.response:
-            return StabilityResult(stable=True, solo_calls=made), wrote
+            return StabilityResult(True, made), wrote
+        now = ctx.state
+        if not moved and now == state:
+            return StabilityResult(True, made), wrote
         checked = len(events)
-        state = ctx.state
+        state = dict(now)
         config = tuple(sorted(state.items())) if state else ()
         if snapshot is not None:
             config = config, snapshot(pid)
         if config in seen:
-            return StabilityResult(stable=True, solo_calls=made), wrote
+            return StabilityResult(True, made), wrote
         seen.add(config)
     return None, wrote
 

@@ -797,6 +797,43 @@ def test_drill_probes_rebuild_nothing(rebuilds, monkeypatch):
     assert closes == [True]
 
 
+@pytest.mark.parametrize("name, model, erase, snapshots, steps, record", [
+    ("dsm_queue", Model.DSM, False, 32, 226,
+     {"k": 33, "signaler_rmrs": 32, "total_rmr_dsm": 128, "total_rmr_cc": 162,
+      "msg_bus": 97, "msg_dir": 63}),
+    ("dsm_fixed_waiters", Model.DSM, True, 32, 128,
+     {"k": 1, "signaler_rmrs": 32, "total_rmr_dsm": 32, "total_rmr_cc": 32,
+      "msg_bus": 32, "msg_dir": 0}),
+    ("cc_flag", Model.CC, False, 0, 97,
+     {"k": 33, "signaler_rmrs": 1, "total_rmr_dsm": 32, "total_rmr_cc": 33,
+      "msg_bus": 1, "msg_dir": 32}),
+], ids=["dsm_queue-dsm", "dsm_fixed_waiters-erase", "cc_flag-cc"])
+def test_drill_probes_snapshot_a_module_once_per_stable_waiter(
+        monkeypatch, name, model, erase, snapshots, steps, record):
+    # Each of the 32 waiters is stable after one probed poll that changed
+    # nothing, so under DSM its own module is snapshotted once, for the
+    # configuration the poll starts from, and never after the poll; under
+    # CC never.  The probe takes the same steps as one that keys every poll.
+    counts = {"snapshots": 0, "steps": 0}
+    snapshot, step = Memory.module_snapshot, Runner.step
+
+    def counted_snapshot(self, home):
+        counts["snapshots"] += 1
+        return snapshot(self, home)
+
+    def counted_step(self, pid):
+        counts["steps"] += 1
+        return step(self, pid)
+
+    monkeypatch.setattr(Memory, "module_snapshot", counted_snapshot)
+    monkeypatch.setattr(Runner, "step", counted_step)
+    algo = make_algorithm(name, 33, waiters=range(2, 34))
+    report = adversary_separation(algo, model=model, erase_on_discovery=erase)
+    assert report.post_poll_ok
+    assert counts == {"snapshots": snapshots, "steps": steps}
+    assert report.to_record() == {"algorithm": name, "model": model.value, "W": 32, **record}
+
+
 def test_erase_drill_certifies_with_one_replay(rebuilds):
     # Erasures run in place; one fork at the end builds the erased run the
     # report reads and certifies every erasure.

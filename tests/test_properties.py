@@ -825,6 +825,118 @@ def test_one_probe_rolls_back_after_a_write_and_before_a_process_probed_again(
     assert observable_state(runner) == before
 
 
+class _OwnWord(SignalingAlgorithm):
+    """Each process has a word of its own module; Signal writes the flag,
+    homed at process 1, which no Poll here reads."""
+
+    def setup(self, mem):
+        return SimpleNamespace(
+            flag=mem.alloc("flag", home=1),
+            mine={i: mem.alloc(f"mine[{i}]", home=i) for i in range(1, self.n + 1)},
+        )
+
+    def signal(self, ctx):
+        yield write(ctx.locs.flag, 1)
+
+
+class Rewrite(_OwnWord):
+    """Poll writes back the value it reads from its own word: a nontrivial
+    step that changes no word."""
+
+    name = "rewrite"
+
+    def poll(self, ctx):
+        mine = ctx.locs.mine[ctx.pid]
+        yield write(mine, (yield read(mine)))
+        return False
+
+
+class Toggle(_OwnWord):
+    """Poll flips its own word between 0 and 1: ``ctx.state`` never changes,
+    but the module does, and is back where it was after two polls."""
+
+    name = "toggle"
+
+    def poll(self, ctx):
+        mine = ctx.locs.mine[ctx.pid]
+        yield write(mine, 1 - (yield read(mine)))
+        return False
+
+
+class Count3(_OwnWord):
+    """Poll only reads its own word and steps ``ctx.state["k"]`` modulo 3:
+    the configuration comes back to where a probe starts after three polls."""
+
+    name = "count3"
+
+    def poll(self, ctx):
+        ctx.state["k"] = (ctx.state.get("k", 0) + 1) % 3
+        yield read(ctx.locs.mine[ctx.pid])
+        return False
+
+
+class Hoard(_OwnWord):
+    """Poll appends to a list in ``ctx.state`` and reads its own word: the
+    state is equal to its copy after every poll, since the copy shares the
+    list, yet it never repeats.  No configuration key can hold it."""
+
+    name = "hoard"
+
+    def poll(self, ctx):
+        ctx.state.setdefault("seen", []).append(0)
+        yield read(ctx.locs.mine[ctx.pid])
+        return False
+
+
+TEST_ALGORITHMS.update({cls.name: cls for cls in (Rewrite, Toggle, Count3, Hoard)})
+
+
+def probed_after_one_poll(name: str) -> Runner:
+    """A run of ``name`` on 3 processes whose waiters, 2 and 3, polled once."""
+    roles = {2: poll_until_true(), 3: poll_until_true()}
+    runner = Runner(build(name, 3, roles), roles)
+    for pid in roles:
+        runner.run_call(pid)
+    return runner
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("name, verdicts", [
+    # Under DSM a write of the value read changes no word: back where the
+    # poll began.  Under CC every write pays.
+    ("rewrite", {Model.DSM: (True, 1), Model.CC: (False, 1)}),
+    # The state stays equal, but the first poll changed the module: the
+    # second is the one that returns to a configuration seen.
+    ("toggle", {Model.DSM: (True, 2), Model.CC: (False, 1)}),
+    # Only the configuration the probe started from is met again, after
+    # three polls.
+    ("count3", {Model.DSM: (True, 3), Model.CC: (True, 3)}),
+], ids=["rewrite", "toggle", "count3"])
+def test_a_poll_repeats_a_configuration_only_when_it_changed_none_of_it(
+        name, verdicts, model):
+    # The verdicts of the probe, which keys only a configuration a poll
+    # changed, are the fork oracle's, which keys every one.
+    runner = probed_after_one_poll(name)
+    before = observable_state(runner)
+    expected = [StabilityResult(*verdicts[model])] * 2
+    assert stability(runner, [2, 3], model=model, horizon=6) == expected
+    assert [fork_stability(runner.fork(), pid, model, 6) for pid in (2, 3)] == expected
+    assert observable_state(runner) == before
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_a_state_no_key_can_hold_is_refused(model):
+    # Hoard's state is equal to its copy after each poll, but it holds a
+    # list: the configuration a probe starts from is hashed, and refused.
+    runner = probed_after_one_poll("hoard")
+    before = observable_state(runner)
+    with pytest.raises(TypeError):
+        stability(runner, [2, 3], model=model, horizon=6)
+    with pytest.raises(TypeError):
+        fork_stability(runner.fork(), 2, model, 6)
+    assert observable_state(runner) == before
+
+
 # No shrink phase: on these examples the shrinker fails an assertion of its
 # own instead of printing the falsifying example.
 @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
