@@ -10,7 +10,9 @@ the two cost models.
 Procedure bodies are generators yielding one primitive operation per step;
 the value sent back is the operation's response.  Per-process state that
 survives across calls (e.g. "already announced myself") lives in the
-process context, so a run is a pure function of the schedule.
+process context, so a run is a pure function of the schedule.  A loop that
+spans a yield is a ``while`` over a named index, never a ``for``, whose
+iterator no configuration key sees (see :class:`SignalingAlgorithm`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ class SignalingAlgorithm:
     returns true, and the engine lets a run call it only on an instance
     :func:`make_algorithm` built as ``name+blocking``.  Only the instance's
     ``waiters``, at most ``max_waiters`` of them, may call Poll or Wait.
+
+    The soundness rule every body keeps: its next steps depend only on its
+    frame's program point and named locals (``self`` and ``ctx`` aside), on
+    ``ctx.state`` and on what it reads.  That is what
+    :meth:`Runner.configuration` keys an open call by, and what a rollback's
+    rebuild of a call assumes.  So no ``for`` loop's body yields (its
+    iterator is no named local) and no expression holds two yields (the
+    first one's result waits unnamed while the second is suspended); and
+    ``ctx.state`` holds only values: ints, bools, strs, None, and tuples or
+    frozensets of those.  Each yield makes its request there, by a call of
+    :func:`read`, :func:`write` or :func:`fai`, so every step's request is
+    a new object: the key takes a request it has met as proof that the
+    frames have not moved.
     """
 
     name = "signaling"
@@ -184,12 +199,17 @@ class FixedWaiters(SignalingAlgorithm):
         return bool((yield read(ctx.locs.notify[ctx.pid])))
 
     def signal(self, ctx: Ctx):
+        waiters = self.waiters
         if self.terminating:
-            for j in self.waiters:
-                while not (yield read(ctx.locs.present[j])):
+            i = 0
+            while i < len(waiters):
+                while not (yield read(ctx.locs.present[waiters[i]])):
                     pass
-        for j in self.waiters:
-            yield write(ctx.locs.notify[j], 1)
+                i += 1
+        i = 0
+        while i < len(waiters):
+            yield write(ctx.locs.notify[waiters[i]], 1)
+            i += 1
 
 
 class Registration(SignalingAlgorithm):
@@ -222,9 +242,11 @@ class Registration(SignalingAlgorithm):
 
     def signal(self, ctx: Ctx):
         yield write(ctx.locs.done, 1)
-        for i in range(1, ctx.n + 1):
+        i = 1
+        while i <= ctx.n:
             if (yield read(ctx.locs.registered[i])):
                 yield write(ctx.locs.notify[i], 1)
+            i += 1
 
 
 class QueueSignaling(SignalingAlgorithm):
@@ -263,10 +285,12 @@ class QueueSignaling(SignalingAlgorithm):
     def signal(self, ctx: Ctx):
         yield write(ctx.locs.done, 1)
         tail = yield read(ctx.locs.tail)
-        for k in range(min(tail, ctx.n)):
+        k = 0
+        while k < min(tail, ctx.n):
             waiter = yield read(ctx.locs.slots[k])
             if waiter != NIL:
                 yield write(ctx.locs.notify[waiter], 1)
+            k += 1
 
 
 def _notify_words(alloc, ids) -> dict:

@@ -281,19 +281,19 @@ def _solo(run: Runner, events: list[Event], pid: int, cache: dict[int, set[int]]
     Under CC the state alone: the words it can read locally are those it
     holds a copy of, which no step changes before one pays.
 
-    A key is built only for the configuration the polls start from and for
-    one a poll changed.  A poll that paid nothing, made no nontrivial step
-    and left the state equal to a copy taken before it changed neither: it
-    is back at a configuration already seen.  The start key is hashed
-    whatever follows, so a state no key can hold, such as a list a poll
-    grows in place, is refused with :class:`TypeError`."""
+    A key is built only once a poll changed the configuration: for the
+    one the polls started from, then for each one a poll changed.  A poll
+    that paid nothing, made no nontrivial step and left the state equal to
+    a copy taken before it changed neither: it is back at a configuration
+    already seen.  The state holds only values, which the probe's
+    checkpoint checks."""
     # Every event from here on is one of pid's; the first ``checked`` paid nothing.
     checked = len(events)
     ctx = run.ctxs[pid]
     snapshot = run.mem.module_snapshot if cache is None else None
     state = dict(ctx.state)  # as the next poll finds it
-    config = tuple(sorted(state.items())) if state else ()
-    seen = {config if snapshot is None else (config, snapshot(pid))}
+    module = None if snapshot is None else snapshot(pid)  # likewise; None under CC
+    seen = None  # the keys met, (sorted state, module), once a poll changed one
     wrote = False
     for made in range(1, horizon + 1):
         run.force_next_call(pid, POLL)
@@ -319,11 +319,12 @@ def _solo(run: Runner, events: list[Event], pid: int, cache: dict[int, set[int]]
         now = ctx.state
         if not moved and now == state:
             return StabilityResult(True, made), wrote
+        if seen is None:  # the start's key, now that a poll changed something
+            seen = {(tuple(sorted(state.items())), module)}
         checked = len(events)
         state = dict(now)
-        config = tuple(sorted(state.items())) if state else ()
-        if snapshot is not None:
-            config = config, snapshot(pid)
+        module = None if snapshot is None else snapshot(pid)
+        config = tuple(sorted(state.items())), module
         if config in seen:
             return StabilityResult(True, made), wrote
         seen.add(config)

@@ -15,11 +15,12 @@ terminated when it has stepped and has no open, queued or scripted call.
 
 A *checkpoint* lets the run go on and then come back: while one is open,
 each step journals the word it changes and each process's state is saved
-before it first changes, and a rollback undoes both and rebuilds every
-call it reopens by re-sending its recorded responses.  Exhaustive
-enumeration backtracks this way, and a *probe* ("what if these processes
-made more calls from here?") is a checkpoint that only the probed
-processes may act under.  An *erasure* takes a process nobody observed out
+before it first changes (``ctx.state`` may then hold only values, so that
+the save is a copy), and a rollback undoes both and rebuilds every call it
+reopens by re-sending its recorded responses.  Exhaustive enumeration
+backtracks this way, and a *probe* ("what if these processes made more
+calls from here?") is a checkpoint that only the probed processes may act
+under.  An *erasure* takes a process nobody observed out
 of the live run, at the cost of what the process touched, so that the
 others step on as in a replay without it; the erased run itself, numbered
 and charged as a run, is that replay (:meth:`Runner.fork`), which
@@ -70,7 +71,7 @@ from .errors import (
     SimError,
     StepBudgetExceeded,
 )
-from .memory import Event, Memory, OpKind
+from .memory import Event, Location, Memory, OpKind
 
 _KINDS = tuple(OpKind)  # in declaration order; iterating the enum itself is slow
 _new = object.__new__  # builds a CallRecord without its __init__: see _ensure_pending
@@ -269,12 +270,10 @@ class _ProcState(Ctx):
     script's next call as of the last return, read when the process starts
     a call, and ``forced`` the calls queued ahead of the script, a tuple
     that a save shares.  ``stepped`` says whether the process has taken a
-    step.  ``part`` is the process's share of the configuration key: in a
-    call begun under a checkpoint, the call's kind, ``state`` as the call
-    found it (which a rollback restarts the body from; never the current
-    one, which a body may change before it yields), calls made, next kind
-    and responses so far.  Between calls, once a key is asked for: calls
-    made, next kind and ``state``."""
+    step.  ``part`` is the items of ``state`` as the open call found it,
+    for a call begun under a checkpoint, which a rollback restarts the body
+    from (never the current ``state``, which a body may change before it
+    yields); else None."""
 
     __slots__ = ("script", "gen", "call", "pending", "calls_made", "forced",
                  "next_kind", "part", "stepped")
@@ -353,6 +352,9 @@ class Runner:
         self._probed: frozenset[int] | None = None  # set while a probe is open
         # Built by the first erasure or observed-by query, for good.
         self._erased: _Erased | None = None
+        # Per process in a call, its share of the key but the queued calls
+        # and the pending request it was built at; a checkpoint saves it too.
+        self._call_keys: dict[int, tuple | None] = {}
 
     # -- public state -----------------------------------------------------
 
@@ -436,24 +438,43 @@ class Runner:
     def configuration(self) -> tuple:
         """A hashable key of what the run's further steps depend on, the
         ledger aside: the event and call counts, the words' values and last
-        writers, and each process's queued calls and ``part`` (see
-        ``_ProcState``).  Two runs with equal keys take the same steps, up
-        to the ids and start seqs of the calls open now, if the protocol
-        keeps its state in ``ctx.state``, as a rollback's generator rebuild
-        assumes too.  A call begun with no checkpoint open has no part:
-        :class:`SimError`.
+        writers, and per process its calls made, next kind, ``ctx.state``
+        items and queued calls, and for an open call its pending request
+        and its frames (:func:`_call_key`).
+
+        Two runs with equal keys take the same steps, up to the ids and
+        start seqs of the calls open now, if every protocol body keeps the
+        soundness rule of :class:`SignalingAlgorithm`: its next steps depend
+        only on its frame's program point and named locals, on
+        ``ctx.state`` and on what it reads.  A rollback's rebuild of a call
+        assumes that too.
+
+        A process's share in an open call is built once per request.  By
+        the same rule each step of a body makes a new request, and only a
+        step moves the frames or changes ``ctx.state``, calls made and next
+        kind, so while the pending request is the one a share was built at,
+        the share holds.  A checkpoint saves it with its process, and a
+        rollback, whose rebuild of the call comes back to the saved request,
+        keeps it.  The queued calls, which ``force_next_call`` changes at
+        any time, go in beside it.
         """
         if self._was_erased:
             self._refuse("configuration()")
         key = [len(self._events), len(self._calls), self.mem.words()]
+        append, call_keys = key.append, self._call_keys
         for pid, state in self.ctxs.items():
-            part = state.part
-            if part is None:
-                if state.call is not None:
-                    raise SimError(f"process {pid}'s call began before any checkpoint; "
-                                   "it has no key")
-                part = state.part = (state.calls_made, state.next_kind, tuple(state.state.items()))
-            key += (part, state.forced)
+            if state.call is None:
+                items = state.state
+                append((state.calls_made, state.next_kind, tuple(items.items()) if items else ()))
+            else:
+                req = state.pending  # None once the body raised
+                known = call_keys.get(pid)
+                if known is None or known[0] is not req:
+                    known = call_keys[pid] = (req, (
+                        state.calls_made, state.next_kind, tuple(state.state.items()),
+                        *_call_key(req, state.gen)))
+                append(known[1])
+            append(state.forced)
         return tuple(key)
 
     # -- scheduling -------------------------------------------------------
@@ -491,8 +512,6 @@ class Runner:
             rec.start_seq = ev.seq
             state.stepped = True
         state.pending = None
-        if undo is not None:
-            state.part += (ev.value_read,)
         try:
             state.pending = state.gen.send(ev.value_read)
         except StopIteration as stop:
@@ -606,9 +625,12 @@ class Runner:
         the word it is about to change (value and writer), each process's
         state is saved before it first changes (script position, queued
         calls, ``ctx.state``, whether it has stepped, and its open call's
-        record), and the erase index refuses every read.  A call begun
-        before any checkpoint cannot be rewound, so its steps are refused
-        (:class:`SimError`) before anything is applied.
+        record), and the erase index refuses every read.  A ``ctx.state``
+        that holds anything but values is refused (:class:`SimError`)
+        where it is saved: when its process is first touched, and where a
+        call begins.  A call begun before any checkpoint cannot be rewound,
+        so its steps are refused (:class:`SimError`) before anything is
+        applied.
         """
         if self._was_erased:
             self._refuse("checkpoint()")
@@ -627,9 +649,9 @@ class Runner:
         by truncation, the processes from their saves; the erase index,
         which read nothing meanwhile, needs nothing.  Every
         open call it restores is rebuilt: the body restarts from
-        ``ctx.state`` as the call found it and is sent the call's recorded
-        responses; one begun before any checkpoint has not stepped since,
-        and keeps its generator.  A request that differs from the recorded
+        ``ctx.state`` as the call found it and is sent the responses of the
+        call's own events; one begun before any checkpoint has not stepped
+        since, and keeps its generator.  A request that differs from the recorded
         one means the protocol keeps state outside its context; it raises
         :class:`ReplayDivergence` and leaves the run unusable.
         """
@@ -835,9 +857,10 @@ class Runner:
         """Under an open checkpoint, before a process's state first changes
         (the caller checks that it is not saved yet): refuse a process
         outside an open probe, and save the state, all but an open call's
-        generator, which a rollback rebuilds.  Every process saved under an
-        open probe passed the refusal, even under a checkpoint nested in
-        it, so a saved one needs no second look."""
+        generator, which a rollback rebuilds, with its call's share of the
+        configuration key.  Every process saved under an open probe passed
+        the refusal, even under a checkpoint nested in it, so a saved one
+        needs no second look."""
         pid = state.pid
         if self._probed is not None and pid not in self._probed:
             raise SchedulingError(f"process {pid} is outside the open probe")
@@ -847,12 +870,28 @@ class Runner:
             state.calls_made, state.forced, state.next_kind, state.part,
             # An open call's own steps alone change ctx.state, and after
             # them the generator rebuild restores it.
-            dict(state.state) if rec is None else None,
-            state.stepped,
+            self._checked(state) if rec is None else None,
+            state.stepped, self._call_keys.get(pid),
         )
 
+    def _checked(self, state: _ProcState) -> tuple:
+        """The items of the process's ``ctx.state``, which under a
+        checkpoint a save copies: refused (:class:`SimError`) unless each
+        value is an int, bool, str or None, or a tuple or frozenset of
+        values, so that the copy is the state and not a view of it."""
+        items = tuple(state.state.items())
+        for key, value in items:
+            if not _is_value(value):
+                raise SimError(
+                    f"{self.algorithm.name}: process {state.pid}'s ctx.state[{key!r}] holds a "
+                    f"{type(value).__name__}; under a checkpoint it may hold only int, bool, "
+                    "str, None, and tuples or frozensets of those")
+        return items
+
     def _restore_process(self, pid: int, saved: tuple) -> None:
-        rec, pending, start_seq, calls_made, forced, next_kind, part, ctx_state, stepped = saved
+        (rec, pending, start_seq, calls_made, forced, next_kind, part, ctx_state, stepped,
+         call_key) = saved
+        self._call_keys[pid] = call_key
         state = self.ctxs[pid]
         # _runnable's test, before and after, inline.
         was_live = state.call is not None or bool(state.forced) or state.next_kind is not None
@@ -863,7 +902,7 @@ class Runner:
             self._set_live(pid, not was_live)
         if rec is None:
             state.gen = None
-            state.state = ctx_state
+            state.state = dict(ctx_state)
         else:
             if rec.end_seq is not None:  # closed since: reopen it as a new record
                 rec = state.call = self._calls[rec.call_id] = CallRecord(
@@ -880,7 +919,7 @@ class Runner:
         and the last equal the pending one."""
         state = self.ctxs[pid]
         rec = state.call
-        state.state = dict(state.part[1])
+        state.state = dict(state.part)
         gen = self._bodies[rec.kind](state)
         try:
             req = next(gen)
@@ -918,6 +957,7 @@ class Runner:
         kind = forced[0] if forced else state.next_kind
         if kind is None:
             return None
+        start = None if self._undo is None else self._checked(state)
         if forced:
             state.forced = forced[1:]
         else:
@@ -930,8 +970,7 @@ class Runner:
         rec.kind = kind
         rec.response = rec.start_seq = rec.end_seq = None
         self._calls.append(rec)
-        state.part = None if self._undo is None else (
-            kind, tuple(state.state.items()), state.calls_made, state.next_kind)
+        state.part = start
         state.gen = self._bodies[kind](state)
         try:
             state.pending = next(state.gen)
@@ -977,6 +1016,44 @@ def _runnable(state: _ProcState) -> bool:
     """Whether the process has an open, a queued or a scripted call: what
     puts it in the runnable list."""
     return state.call is not None or bool(state.forced) or state.next_kind is not None
+
+
+_SCALARS = (int, bool, str, type(None))
+
+
+def _is_value(value) -> bool:
+    """Whether ``value`` may be kept in ``ctx.state`` under a checkpoint."""
+    t = type(value)
+    if t is tuple or t is frozenset:
+        return all(map(_is_value, value))
+    return t in _SCALARS
+
+
+def _call_key(req, gen) -> tuple:
+    """An open call's part of a configuration key: its pending request
+    ``req`` as (kind, uid, value), or None once its body raised, then per
+    generator along the chain from ``gen`` (each ``gi_yieldfrom``, which is
+    how a Wait runs its Polls) its code, its program point and its named
+    locals but ``self`` and ``ctx`` as name, value: a location by its uid,
+    a list as a tuple of its items.  The code goes in by identity, which is
+    cheaper to hash than the code and as exact for code the run's protocol
+    holds; an int, not a str, it also marks where a generator's share
+    starts.  A finished generator has no frame, and adds nothing."""
+    part = [None] if req is None else [req[0], req[1].uid, req[2]]
+    append = part.append
+    while gen is not None:
+        frame = gen.gi_frame
+        if frame is None:
+            break
+        append(id(gen.gi_code))
+        append(frame.f_lasti)
+        for name, value in frame.f_locals.items():
+            if name != "self" and name != "ctx":
+                append(name)
+                kind = type(value)
+                append(value.uid if kind is Location else tuple(value) if kind is list else value)
+        gen = gen.gi_yieldfrom
+    return tuple(part)
 
 
 def _observe(counts: list[int], events: Iterable[Event], sign: int) -> None:

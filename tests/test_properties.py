@@ -924,17 +924,44 @@ def test_a_poll_repeats_a_configuration_only_when_it_changed_none_of_it(
     assert observable_state(runner) == before
 
 
+HOARD_REFUSED = r"hoard: process 2's ctx.state\['seen'\] holds a list"
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_a_state_no_key_can_hold_is_refused(model):
     # Hoard's state is equal to its copy after each poll, but it holds a
-    # list: the configuration a probe starts from is hashed, and refused.
+    # list: the probe's checkpoint refuses it before the first probed poll.
+    # The oracle, which runs with no checkpoint, fails to hash its key.
     runner = probed_after_one_poll("hoard")
     before = observable_state(runner)
-    with pytest.raises(TypeError):
+    with pytest.raises(SimError, match=HOARD_REFUSED):
         stability(runner, [2, 3], model=model, horizon=6)
     with pytest.raises(TypeError):
         fork_stability(runner.fork(), 2, model, 6)
     assert observable_state(runner) == before
+
+
+def test_a_rollback_over_a_state_that_is_no_value_is_refused():
+    # A save copies ctx.state, which shares the list a poll grows in place,
+    # so a rollback would keep what the poll appended: the first checkpoint
+    # refuses the state before anything changes, and then every call that
+    # begins under one.
+    runner = probed_after_one_poll("hoard")  # {'seen': [0]} each
+    before = observable_state(runner)
+    runner.checkpoint()
+    with pytest.raises(SimError, match=HOARD_REFUSED):
+        runner.run_call(2)
+    assert observable_state(runner) == before
+    runner.rollback(close=True)
+    assert observable_state(runner) == before
+    roles = {2: poll_until_true()}
+    fresh = Runner(build("hoard", 3, roles), roles)
+    fresh.checkpoint()
+    fresh.run_call(2)  # begun at {}: the save is a copy
+    with pytest.raises(SimError, match=HOARD_REFUSED):
+        fresh.run_call(2)
+    fresh.rollback(close=True)
+    assert fresh.ctxs[2].state == {} and not fresh.events
 
 
 # No shrink phase: on these examples the shrinker fails an assertion of its
@@ -1770,7 +1797,10 @@ def test_walk_builds_each_rebuilt_call_record_once(monkeypatch):
     # A walked path whose call has another id or start seq than a recorded
     # closed record gets a rebuilt one, built once per (recorded record,
     # path call id, start seq) and then shared: over the enum workload,
-    # 2,156 rebuilt records fill 30,641 places in the histories' call lists.
+    # 2,182 rebuilt records fill 32,679 places in the histories' call lists.
+    # (2,156 and 30,641 while a key held each open call's responses: the
+    # frame key also merges calls that got different responses they do not
+    # keep, so more paths walk a recorded node.)
     built = {}  # by id; kept alive here, so no id is reused
 
     def record(*args):
@@ -1792,8 +1822,8 @@ def test_walk_builds_each_rebuilt_call_record_once(monkeypatch):
                     held += 1
                     used.add(id(rec))
     assert histories == 21_248
-    assert len(built) == len(used) == 2_156
-    assert held == 30_641
+    assert len(built) == len(used) == 2_182
+    assert held == 32_679
 
 
 def test_contract_checkers_match_oracles_on_every_enum_workload_history():
