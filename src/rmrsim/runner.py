@@ -270,9 +270,9 @@ class _ProcState(Ctx):
     script's next call as of the last return, read when the process starts
     a call, and ``forced`` the calls queued ahead of the script, a tuple
     that a save shares.  ``stepped`` says whether the process has taken a
-    step.  ``part`` is the items of ``state`` as the open call found it,
-    for a call begun under a checkpoint, which a rollback restarts the body
-    from (never the current ``state``, which a body may change before it
+    step.  ``part`` is a copy of ``state`` as the open call found it, for a
+    call begun under a checkpoint, which a rollback restarts the body from
+    (never the current ``state``, which a body may change before it
     yields); else None."""
 
     __slots__ = ("script", "gen", "call", "pending", "calls_made", "forced",
@@ -874,19 +874,21 @@ class Runner:
             state.stepped, self._call_keys.get(pid),
         )
 
-    def _checked(self, state: _ProcState) -> tuple:
-        """The items of the process's ``ctx.state``, which under a
-        checkpoint a save copies: refused (:class:`SimError`) unless each
-        value is an int, bool, str or None, or a tuple or frozenset of
-        values, so that the copy is the state and not a view of it."""
-        items = tuple(state.state.items())
-        for key, value in items:
-            if not _is_value(value):
+    def _checked(self, state: _ProcState) -> dict:
+        """A copy of the process's ``ctx.state``, which a save under a
+        checkpoint takes: refused (:class:`SimError`) unless each value is
+        an int, bool, str or None, or a tuple or frozenset of those, so
+        that the copy is the state and not a view of it."""
+        copy = dict(state.state)
+        for key, value in copy.items():
+            kind = type(value)
+            if kind not in _SCALARS and (kind is not tuple and kind is not frozenset
+                                         or not _SCALARS.issuperset(map(type, value))):
                 raise SimError(
                     f"{self.algorithm.name}: process {state.pid}'s ctx.state[{key!r}] holds a "
                     f"{type(value).__name__}; under a checkpoint it may hold only int, bool, "
                     "str, None, and tuples or frozensets of those")
-        return items
+        return copy
 
     def _restore_process(self, pid: int, saved: tuple) -> None:
         (rec, pending, start_seq, calls_made, forced, next_kind, part, ctx_state, stepped,
@@ -902,7 +904,7 @@ class Runner:
             self._set_live(pid, not was_live)
         if rec is None:
             state.gen = None
-            state.state = dict(ctx_state)
+            state.state = ctx_state  # the save's own copy: a rollback clears the save
         else:
             if rec.end_seq is not None:  # closed since: reopen it as a new record
                 rec = state.call = self._calls[rec.call_id] = CallRecord(
@@ -1018,15 +1020,7 @@ def _runnable(state: _ProcState) -> bool:
     return state.call is not None or bool(state.forced) or state.next_kind is not None
 
 
-_SCALARS = (int, bool, str, type(None))
-
-
-def _is_value(value) -> bool:
-    """Whether ``value`` may be kept in ``ctx.state`` under a checkpoint."""
-    t = type(value)
-    if t is tuple or t is frozenset:
-        return all(map(_is_value, value))
-    return t in _SCALARS
+_SCALARS = frozenset((int, bool, str, type(None)))  # the types a ctx.state value may have
 
 
 def _call_key(req, gen) -> tuple:

@@ -964,6 +964,41 @@ def test_a_rollback_over_a_state_that_is_no_value_is_refused():
     assert fresh.ctxs[2].state == {} and not fresh.events
 
 
+class Keep(_OwnWord):
+    """Poll keeps ``value`` in ``ctx.state`` and reads its own word."""
+
+    name = "keep"
+    value = None
+
+    def poll(self, ctx):
+        ctx.state["kept"] = self.value
+        yield read(ctx.locs.mine[ctx.pid])
+        return False
+
+
+@pytest.mark.parametrize("value, kept", [
+    (7, True), (True, True), ("s", True), (None, True), ((1, "a", None), True),
+    (frozenset({1, 2}), True), ([1], False), ({1}, False), ((1, [2]), False),
+    ((1, (2,)), False),
+])
+def test_a_checkpoint_keeps_only_a_state_of_values(value, kept):
+    # Ints, bools, strs, None, and tuples or frozensets of those; a tuple
+    # of tuples too is refused, where the next call begins.
+    roles = {2: poll_until_true()}
+    algorithm = Keep(3, [2])
+    algorithm.value = value
+    runner = Runner(algorithm, roles)
+    runner.checkpoint()
+    runner.run_call(2)
+    if kept:
+        runner.run_call(2)
+    else:
+        with pytest.raises(SimError, match=r"ctx.state\['kept'\] holds a"):
+            runner.run_call(2)
+    runner.rollback(close=True)
+    assert runner.ctxs[2].state == {} and not runner.events
+
+
 # No shrink phase: on these examples the shrinker fails an assertion of its
 # own instead of printing the falsifying example.
 @settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
