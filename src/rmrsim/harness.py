@@ -1,11 +1,11 @@
 """Exploration and proof-style tooling over recorded runs.
 
-* exhaustive bounded enumeration of interleavings: one walk over a DAG of
-  the configurations met, memoized by the run's configuration key, builds
-  every history from its path.  A new configuration gets its edges by
-  stepping, one run backtracking to each branching point by rolling back
-  a checkpoint; one met again, from its recorded steps.  Every history is
-  exactly what a normal run of its schedule produces;
+* exhaustive bounded enumeration of interleavings: one walk over the
+  configuration graph to a depth (``graph.ConfigurationGraph``) builds
+  every history from its path.  The graph steps a configuration's edges
+  when the walk first meets it, its one run backtracking to each branching
+  point by rolling back a checkpoint; met again, the walk follows them.
+  Every history is exactly what a normal run of its schedule produces;
 * a stability probe, one per list of processes: a process is *stable* when
   letting it poll alone forever would never cost another remote reference.
   The probe is rolled back before a process only after a probed poll wrote
@@ -42,6 +42,7 @@ from .errors import (
     StepBudgetExceeded,
 )
 from .algorithms import READ_WRITE
+from .graph import ConfigurationGraph
 from .memory import Event
 from .runner import (
     POLL,
@@ -72,14 +73,15 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
                         max_histories: int = DEFAULT_ENUM_BUDGET):
     """Yield every schedule interleaving up to ``depth`` steps, once each.
 
-    One depth-first walk, lowest process first, over a DAG of the
-    configurations met, keyed by :meth:`Runner.configuration` (which holds
-    the depth).  A configuration's edges come from stepping one run when
-    the walk first meets it (:func:`_explore`), and from its
-    recorded edges after that, which yield what stepping would, in the same
-    order, as long as the protocol keeps its state in ``ctx.state``, as the
-    rollback's rebuild of a call assumes too.  The run steps only as the
-    walk asks for a new configuration's edges, so histories come out lazily.
+    One depth-first walk, lowest process first, over the configuration
+    graph with ``depth`` (:class:`ConfigurationGraph`), a DAG whose key
+    holds the event and call counts.  A node's edges come from the graph's
+    one run, stepped when the walk first meets the node
+    (:meth:`ConfigurationGraph.explore`), and from the node after that,
+    which yields what stepping would, in the same order, as long as the
+    protocol keeps its state in ``ctx.state``, as the rollback's rebuild of
+    a call assumes too.  The run steps only as the walk asks for a new
+    node's edges, so histories come out lazily.
 
     Every history is built from the walk's path, and shares with others,
     which is why none may change them, the recorded events (which name no
@@ -97,14 +99,10 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     another step than it took, which a protocol keeping state outside
     ``ctx.state`` does.
     """
-    run = Runner(algorithm, roles)
-    # Never rolled back: it keeps the journal on, so that every call starts
-    # under a checkpoint, can be rebuilt and has a part in the key.  No
-    # ledger is read: the histories are the output.
-    run.checkpoint()
-    memo: dict[tuple, _Node] = {}  # local to this enumeration
+    # No ledger is read: the histories are the output.
+    graph = ConfigurationGraph(algorithm, roles, depth)
     # Rebuilt closed records by (recorded record's id, path call id, start
-    # seq); the memo keeps every recorded record, so no id is reused.
+    # seq); the graph keeps every recorded record, so no id is reused.
     relabelled: dict[tuple, CallRecord] = {}
     # Each edge's event and process go in at its seq; a leaf takes those to its own.
     events, procs = [None] * depth, [None] * depth
@@ -112,12 +110,12 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
     # above it: its edges left, the path's call records by call id, and each
     # process's open call id by pid (a closed call's stays till the next begins).
     edges, stack = iter(()), []
-    calls, opened = path_calls, path_opened = [], [None] * (run.n + 1)
-    node, seq, explored = _Node(_end(run, depth)), 0, 0
+    calls, opened = path_calls, path_opened = [], [None] * (algorithm.n + 1)
+    node, seq, explored = graph.root, 0, 0
     while True:
         if node.end is None:
             stack.append((edges, calls, opened))
-            edges = iter(node.edges) if node.edges else _explore(run, memo, node, depth)
+            edges = iter(node.edges) if node.edges else graph.explore(node)
             calls, opened = path_calls, path_opened
         else:
             explored += 1
@@ -154,60 +152,6 @@ def enumerate_histories(algorithm, roles: dict[int, Script], depth: int, *,
         events[ev.seq] = ev
         procs[ev.seq] = pid
         seq = ev.seq + 1
-
-
-class _Node:
-    """A configuration the enumeration met.  ``edges`` are its steps in
-    choice order, each ``(pid, event, child, begun, closed)``: ``begun`` is
-    the record of a call the step began, ``closed`` the record of a call it
-    ended, the same record when it did both.  Neither is ever changed.
-    ``end`` is ``(finished, incomplete)`` where a history ends, known when
-    the node is made; any other node has edges once the walk leaves it."""
-
-    __slots__ = ("edges", "end")
-
-    def __init__(self, end: tuple | None = None):
-        self.edges: list[tuple] = []
-        self.end = end
-
-
-def _end(run: Runner, depth: int) -> tuple | None:
-    """The ``end`` of the run's configuration: nothing is runnable or
-    ``depth`` steps are taken; else None."""
-    live = run.runnable()
-    if live and len(run.events) < depth:
-        return None
-    return run.terminated, bool(live)
-
-
-def _explore(run: Runner, memo: dict, node: _Node, depth: int):
-    """The edges of ``node``, met first, stepped from its configuration,
-    where the run is when the first one is asked for, and recorded on
-    ``node`` as they are yielded.  More than one choice opens a checkpoint
-    there, rolled back to between them and closed for the last.  A child
-    met first gets its ``end``."""
-    choices = run.runnable()
-    last = len(choices) - 1
-    if last:
-        run.checkpoint()
-    for i, pid in enumerate(choices):
-        if i:
-            run.rollback(close=i == last)
-        rec = run.open_call(pid)
-        ev = run.step(pid)
-        if rec is None:  # the step began a call
-            rec = run.calls[-1]
-        fresh = _Node()  # setdefault hashes the key once; get and set would twice
-        child = memo.setdefault(run.configuration(), fresh)
-        if child is fresh:
-            fresh.end = _end(run, depth)
-        closed = rec if rec.end_seq is not None else None
-        begun = None
-        if rec.start_seq == ev.seq:
-            begun = closed or CallRecord(rec.call_id, pid, rec.kind, None, ev.seq)
-        edge = (pid, ev, child, begun, closed)
-        node.edges.append(edge)
-        yield edge
 
 
 # ---------------------------------------------------------------------------

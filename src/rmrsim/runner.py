@@ -437,10 +437,11 @@ class Runner:
 
     def configuration(self) -> tuple:
         """A hashable key of what the run's further steps depend on, the
-        ledger aside: the event and call counts, the words' values and last
-        writers, and per process its calls made, next kind, ``ctx.state``
-        items and queued calls, and for an open call its pending request
-        and its frames (:func:`_call_key`).
+        ledger aside: the words' values and last writers, and per process
+        its calls made, next kind, ``ctx.state`` items and queued calls, and
+        for an open call its pending request and its frames
+        (:func:`_call_key`).  No event or call count: a search to a depth
+        adds those (``graph.ConfigurationGraph``).
 
         Two runs with equal keys take the same steps, up to the ids and
         start seqs of the calls open now, if every protocol body keeps the
@@ -460,7 +461,7 @@ class Runner:
         """
         if self._was_erased:
             self._refuse("configuration()")
-        key = [len(self._events), len(self._calls), self.mem.words()]
+        key = [self.mem.words()]
         append, call_keys = key.append, self._call_keys
         for pid, state in self.ctxs.items():
             if state.call is None:
@@ -573,9 +574,11 @@ class Runner:
     def force_next_call(self, pid: int, kind: str) -> None:
         """Queue a procedure call for ``pid`` ahead of its script.  A call
         its process may not make is refused before anything changes: by the
-        role rules the run's roles are held to (:meth:`_check_role`), and a
-        second Signal, queued, scripted or made.  A waiter's Poll, which
-        every role rule lets pass, is let through on one membership test."""
+        role rules the run's roles are held to (:meth:`_check_role`), a
+        second Signal, queued, scripted or made, and one behind a call
+        :meth:`peek` began, which the trace, recording no peek, would put
+        first.  A waiter's Poll, which every role rule lets pass, is let
+        through on one membership test."""
         waiter_poll = kind == POLL and pid in self._waiters
         if not waiter_poll and kind not in _CALL_KINDS:
             raise ConfigError(f"unknown procedure {kind!r}")
@@ -586,6 +589,9 @@ class Runner:
         live = state.call is not None or bool(state.forced) or state.next_kind is not None
         if state.stepped and not live:
             raise SimError(f"process {pid} has terminated")
+        if state.call is not None and state.call.start_seq is None:
+            raise SimError(f"process {pid}'s {state.call.kind} has begun but not stepped; "
+                           "no call may be queued behind it")
         if not waiter_poll:
             self._check_role(pid, kind)
             if kind == SIGNAL and (SIGNAL in state.forced or state.next_kind == SIGNAL or any(

@@ -8,9 +8,9 @@ per request only if each step makes a new one.  Two checks hold every
 registered and every test protocol body to that: one on the source (no
 ``for`` loop whose body yields, no statement whose expressions hold two
 yields, no yield of a request made elsewhere), and one on the runs, a
-depth-first build of the configuration graph under
-``checkpoint()``/``rollback()`` whose complete paths must be the
-histories ``enumerate_histories`` yields.  Two more hold the key itself:
+path count folded over the configuration graph without a depth
+(``rmrsim.graph``): an acyclic graph must have as many complete paths as
+``enumerate_histories`` yields histories.  Two more hold the key itself:
 each part of a process's share in a call tells apart configurations that
 differ in it alone, and a key built from shares kept across steps,
 queued calls and rollbacks equals the one a replay builds afresh.
@@ -30,9 +30,11 @@ from hypothesis import given, settings, strategies as st
 
 from rmrsim.algorithms import REGISTRY, SignalingAlgorithm, make_algorithm
 from rmrsim.errors import SimError
+from rmrsim.graph import ConfigurationGraph, Node
 from rmrsim.harness import enumerate_histories
 from rmrsim.memory import read, write
-from rmrsim.runner import POLL, Runner, SeededRandom, poll_at_most, signal_once
+from rmrsim.runner import (POLL, Runner, SeededRandom, poll_at_most, signal_once,
+                           wait_once)
 
 from test_properties import EVERY_PRIMITIVE, Count3, build, draw_setting
 
@@ -166,45 +168,30 @@ def test_the_rule_check_sees_each_way_to_break_it():
 
 
 class KeyCycle(Exception):
-    """A configuration key met again on the current path."""
+    """The configuration graph has a back edge; the argument is its
+    configurations."""
 
 
 def count_paths(algorithm, roles) -> tuple[int, int]:
-    """(configurations, complete paths) of a depth-first build of the run's
-    configuration graph, keyed by ``configuration()[2:]``, the key without
-    the event and call counts: each runnable process is stepped from a
-    configuration met first, under a checkpoint rolled back between them,
-    and a configuration met again adds its memoized count.  A key met again
-    on the current path raises :class:`KeyCycle`."""
-    run = Runner(algorithm, roles)
-    run.checkpoint()  # every call begins under one, so that a rollback rebuilds it
-    memo: dict[tuple, int] = {}
-    path: set[tuple] = set()
+    """(configurations, complete paths) of the run's configuration graph
+    without a depth, a fold over the graph as it is built: a leaf has one
+    path, any other node the sum of its children's.  A back edge, which
+    the graph records, raises :class:`KeyCycle` once the graph is built."""
+    graph = ConfigurationGraph(algorithm, roles)
+    paths: dict[Node, int] = {}
 
-    def paths() -> int:
-        key = run.configuration()[2:]
-        if key in path:
-            raise KeyCycle(key)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        choices = run.runnable()
-        found = 0 if choices else 1
-        if choices:
-            path.add(key)
-            run.checkpoint()
-            for i, pid in enumerate(choices):
-                if i:
-                    run.rollback()
-                run.step(pid)
-                found += paths()
-            run.rollback(close=True)
-            path.remove(key)
-        memo[key] = found
+    def fold(node: Node) -> int:
+        found = paths.get(node)
+        if found is None:
+            paths[node] = 0  # a back edge to it adds nothing; the cycle raises below
+            found = paths[node] = 1 if node.end else sum(
+                fold(child) for _, _, child, _, _ in graph.explore(node))
         return found
 
-    total = paths()
-    return len(memo), total
+    total = fold(graph.root)
+    if graph.back_edges:
+        raise KeyCycle(len(graph.nodes))
+    return len(graph.nodes), total
 
 
 def polls(algorithm, calls: int = 2) -> dict:
@@ -219,17 +206,67 @@ def complete_histories(algorithm, roles) -> int:
     return len(histories)
 
 
+def waits(algorithm) -> dict:
+    roles = {pid: wait_once() for pid in algorithm.waiters}
+    roles[1] = signal_once()
+    return roles
+
+
+#: Per protocol whose graph at n = 3, two polls per waiter, is acyclic: its
+#: (configurations, complete paths).
+ACYCLIC = {
+    "cc_flag": (25, 24),
+    "dsm_fixed_waiters": (37, 63),
+    "dsm_queue": (503, 10_298),
+    "dsm_registration": (198, 1_871),
+    "dsm_single_waiter": (20, 11),
+    "mutant_single_waiter": (14, 8),
+}
+
+#: Per protocol whose graph at n = 3 has a cycle, each ``+blocking`` one with
+#: a Wait per waiter: its configurations.  dsm_fixed_waiters_term's Signal
+#: spins until every waiter has shown up, and a Wait polls until true.
+CYCLIC = {
+    "dsm_fixed_waiters_term": 93,
+    "cc_flag+blocking": 13,
+    "dsm_fixed_waiters+blocking": 19,
+    "dsm_fixed_waiters_term+blocking": 19,
+    "dsm_queue+blocking": 347,
+    "dsm_registration+blocking": 131,
+    "dsm_single_waiter+blocking": 16,
+    "mutant_single_waiter+blocking": 11,
+}
+
+
+def test_the_gate_covers_the_registry():
+    assert set(ACYCLIC) | set(CYCLIC) == set(REGISTRY) | {f"{name}+blocking" for name in REGISTRY}
+
+
 @pytest.mark.parametrize("name, n, configurations, paths", [
+    *((name, 3, *found) for name, found in ACYCLIC.items()),
     ("cc_flag", 4, 91, 408),
-    ("dsm_registration", 3, 198, 1_871),
     ("dsm_fixed_waiters", 4, 175, 3_585),
-    ("dsm_queue", 3, 503, 10_298),
 ])
 def test_frame_keyed_graph_has_a_path_per_history(name, n, configurations, paths):
     algorithm = make_algorithm(name, n)
     roles = polls(algorithm)
     assert count_paths(algorithm, roles) == (configurations, paths)
     assert complete_histories(algorithm, roles) == paths
+
+
+@pytest.mark.parametrize("name", CYCLIC)
+def test_a_graph_with_a_cycle_fails_the_gate_by_its_back_edge(name):
+    algorithm = make_algorithm(name, 3)
+    with pytest.raises(KeyCycle) as cycle:
+        count_paths(algorithm, waits(algorithm) if algorithm.blocking else polls(algorithm))
+    assert cycle.value.args == (CYCLIC[name],)
+
+
+def test_the_gate_counts_paths_past_the_walkers_budget():
+    # The size `check` stops at: the walker's 1 M-history budget is spent
+    # long before the last of its 18.7 M histories.
+    algorithm = make_algorithm("dsm_queue", 4)
+    assert count_paths(algorithm, polls(algorithm)) == (12_936, 18_659_160)
 
 
 def test_a_hidden_loop_position_fails_the_gate():
@@ -273,11 +310,6 @@ def finish_and_queue(run: Runner) -> Runner:
     return run
 
 
-def queue(run: Runner) -> Runner:
-    run.force_next_call(2, POLL)
-    return run
-
-
 #: Per part of a process's share in a call: a protocol, roles, a trace
 #: after which 2 begins its call, and a way on from there to a run in which
 #: 2, its call begun again, differs in that part alone, words and all.
@@ -290,8 +322,11 @@ ONE_PART_APART = {
     # The Poll read b before or after the Signal wrote it.
     "pending request": (Copy(3), {2: poll_at_most(1), 1: signal_once()}, [2, 1],
                         lambda run: Runner.replay(run.algorithm, run.roles, [1, 2])),
-    # A Poll queued behind the open one.
-    "queued calls": (make_algorithm("cc_flag", 3), {2: poll_at_most(2)}, [], queue),
+    # A second queued Poll, behind the open one: queued before the first
+    # began, since none may be queued behind a call begun with no step.
+    "queued calls": (make_algorithm("cc_flag", 3), {2: poll_at_most(2)}, [("force", 2, POLL)],
+                     lambda run: Runner.replay(run.algorithm, run.roles,
+                                               [("force", 2, POLL)] * 2)),
 }
 
 
@@ -306,7 +341,7 @@ def test_the_key_separates_configurations_one_part_of_a_call_tells_apart(part):
             run = apart(run)
             run.peek(2)
         runs.append(run)
-    first, second = (run.configuration()[2:] for run in runs)
+    first, second = (run.configuration() for run in runs)
     # The words and every process's share but one are equal.
     assert len(first) == len(second)
     assert sum(a != b for a, b in zip(first, second)) == 1
@@ -338,12 +373,7 @@ def test_a_key_is_the_key_of_a_replay_whatever_came_between(data):
                 run.drive(SeededRandom(data.draw(st.integers(0, 99))),
                           len(run.events) + data.draw(st.integers(1, 8)))
             elif op == "force":
-                pid = data.draw(st.sampled_from(algorithm.waiters))
-                call = run.open_call(pid)
-                # Not behind a peeked call: its trace would queue the Poll
-                # first, since it does not record a peek.
-                if call is None or call.start_seq is not None:
-                    run.force_next_call(pid, POLL)
+                run.force_next_call(data.draw(st.sampled_from(algorithm.waiters)), POLL)
             elif op == "peek" and live:
                 run.peek(data.draw(st.sampled_from(live)))
             elif op == "checkpoint":

@@ -90,7 +90,7 @@ def test_enumeration_builds_one_runner_and_steps_each_dag_edge_once(monkeypatch)
         init(self, *args, **kwargs)
 
     def counted_step(self, pid):
-        key = self.configuration()
+        key = len(self.events), len(self.calls), self.configuration()
         stepped.append((key, pid))
         choices[key] = self.runnable()
         return step(self, pid)

@@ -240,6 +240,29 @@ def test_force_next_call_refuses_a_forbidden_call_changing_nothing(under, pid, k
             assert engine() == before
 
 
+def test_force_next_call_refuses_to_queue_behind_a_call_begun_by_peek():
+    # The trace records no peek, so a replay would begin a Poll queued
+    # behind the peeked one first.  Refused, changing nothing; once the
+    # peeked call has stepped, the run and its fork agree.
+    runner = Runner(make_algorithm("cc_flag", 2), {2: poll_at_most(2)})
+    runner.peek(2)
+
+    def engine():
+        state = runner.ctxs[2]
+        return list(runner.trace), list(runner.calls), state.calls_made, state.forced
+
+    before = engine()
+    with pytest.raises(SimError, match="^process 2's Poll has begun but not stepped; "
+                                       "no call may be queued behind it$"):
+        runner.force_next_call(2, POLL)
+    assert engine() == before
+    runner.step(2)
+    runner.force_next_call(2, POLL)
+    fork = runner.fork()
+    assert ((fork.ctxs[2].calls_made, fork.ctxs[2].forced)
+            == (runner.ctxs[2].calls_made, runner.ctxs[2].forced) == (1, (POLL,)))
+
+
 def test_step_on_terminated_process_rejected():
     algo = make_algorithm("cc_flag", 2)
     runner = Runner(algo, {1: signal_once()})

@@ -1,8 +1,8 @@
 """The engine has no function that only tests call.
 
 Every golden command line, plus a ``check_amortized`` call per model, runs
-under a profile hook; every function defined in the engine, checker and
-protocol modules must be entered, except the few named in ``UNREACHED``
+under a profile hook; every function defined in the engine, graph, checker
+and protocol modules must be entered, except the few named in ``UNREACHED``
 with the reason each one stays.  The CLI is left out: no golden passes
 ``--config``, so only its own tests reach the config-file reader.
 """
@@ -12,7 +12,7 @@ import sys
 import types
 from pathlib import Path
 
-from rmrsim import algorithms, checker, costs, harness, memory, runner
+from rmrsim import algorithms, checker, costs, graph, harness, memory, runner
 from rmrsim.algorithms import make_algorithm
 from rmrsim.checker import check_amortized
 from rmrsim.costs import Model
@@ -20,7 +20,7 @@ from rmrsim.runner import RoundRobin, Runner, poll_until_true, signal_once
 
 from test_golden import CORPUS, run_case
 
-ENGINE = (memory, costs, runner, harness, checker, algorithms)
+ENGINE = (memory, costs, runner, graph, harness, checker, algorithms)
 
 #: Functions no product path enters, by qualified name, and why each stays.
 UNREACHED = {
